@@ -32,7 +32,6 @@ from .ctmc import (
 )
 from .distributions import (
     DiscreteDistribution,
-    mean,
     speed_dist_linear,
     speed_dist_triangular,
     travel_time_dist_linear,
@@ -66,6 +65,7 @@ from .tandem import (
     TandemConfig,
     conditional_distribution,
     coupled_rate,
+    coupled_rates,
     downstream_distribution,
     marginal_distribution,
     scan_roots,
@@ -98,6 +98,7 @@ __all__ = [
     "build_tandem_2d",
     "conditional_distribution",
     "coupled_rate",
+    "coupled_rates",
     "decomposition_diagnostic",
     "default_scenario",
     "demand",
@@ -110,7 +111,6 @@ __all__ = [
     "linear_speed",
     "load_scenario",
     "marginal_distribution",
-    "mean",
     "measures",
     "normalized_rate",
     "scan_roots",

@@ -111,21 +111,11 @@ def _section_rates(scenario: Scenario, index: int) -> tuple[RoadSection, np.ndar
     """A section and its per-state service rates under the scenario model."""
     section = scenario.section(index)
     if scenario.model == TRIANGULAR:
-        rates = np.asarray(service_rates(section, scenario.convention))
+        rates = service_rates(section, scenario.convention)
     else:
         model = scenario.congestion_model(index)
         rates = jain_smith_rates(section.L, model)
     return section, rates
-
-
-def _measures_payload(meas) -> dict:
-    return {
-        "blocking": meas.blocking,
-        "throughput": meas.throughput,
-        "expected_count": meas.expected_count,
-        "expected_travel_time": meas.expected_travel_time,
-        "free_flow_fallback": meas.free_flow_fallback,
-    }
 
 
 def _cmd_solve_section(args) -> str:
@@ -139,7 +129,7 @@ def _cmd_solve_section(args) -> str:
         "model": scenario.model,
         "convention": scenario.convention,
         "distribution": _probs(dist),
-        **_measures_payload(meas),
+        **dataclasses.asdict(meas),
     }
     return _json(payload)
 
@@ -157,7 +147,7 @@ def _cmd_solve_tandem(args) -> str:
         "theta": result.theta,
         "residual": result.residual,
         "iterations": result.iterations,
-        **_measures_payload(meas),
+        **dataclasses.asdict(meas),
         "marginal": _probs(result.marginal),
         "downstream": _probs(result.downstream),
         "tv_vs_exact_2d": decomposition_diagnostic(
@@ -211,7 +201,7 @@ def _cmd_distributions(args) -> str:
         raise ValueError(
             "distributions support the triangular and linear models only"
         )
-    return _csv("value,probability", zip(dist.support, dist.probs))
+    return _distribution_csv(dist)
 
 
 def _sweep_grid(args) -> np.ndarray:
@@ -326,7 +316,7 @@ def _cmd_fit_exponential(args) -> str:
     return _json({"beta": beta, "gamma": gamma})
 
 
-def _figure_distribution_csv(dist: DiscreteDistribution) -> str:
+def _distribution_csv(dist: DiscreteDistribution) -> str:
     return _csv("value,probability", zip(dist.support, dist.probs))
 
 
@@ -380,7 +370,7 @@ def _cmd_figure_data(args) -> str:
         section = scenario.section(index)
         model = LinearCongestionModel(v_f=section.diagram.v_f, c=section.c)
         maker = speed_dist_linear if kind == SPEED else travel_time_dist_linear
-        return _figure_distribution_csv(
+        return _distribution_csv(
             maker(0.8, model, section.L, mode=PAPER_GRID)
         )
 
@@ -391,7 +381,7 @@ def _cmd_figure_data(args) -> str:
         dist = speed_dist_triangular(marginal, s1, config.convention)
     else:
         dist = travel_time_dist_triangular(marginal, s1, config.convention)
-    return _figure_distribution_csv(dist)
+    return _distribution_csv(dist)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -558,10 +548,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         payload = args.handler(args)
-    except SingularModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ConvergenceError, OracleError) as exc:
+    except (SingularModelError, ConvergenceError, OracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -110,11 +110,6 @@ def speed(model: CongestionModel, n: int) -> float:
     raise TypeError(f"unsupported congestion model {type(model).__name__}")
 
 
-def normalized_rate(model: CongestionModel, n: int) -> float:
-    """Speed ratio f(n) = v_n / v_f, in (0, 1]."""
-    return speed(model, n) / model.v_f
-
-
 def fit_exponential(anchors: FitAnchors) -> tuple[float, float]:
     """Fit (beta, gamma) so the exponential law passes through both anchors.
 

@@ -17,14 +17,15 @@ time-average reading of stationary probabilities.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fundamental import service_rate
-from .queueing import OccupancyDistribution
-from .tandem import TandemConfig, coupled_rate
+from .fundamental import service_rates
+from .queueing import OccupancyDistribution, check_arrival_rate
+from .tandem import TandemConfig, coupled_rates
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -124,10 +125,9 @@ def birth_death_chain(lam: float, rates) -> Ctmc:
         raise ValueError("rates must be nonnegative")
     c = rates.size
     gen = np.zeros((c + 1, c + 1))
-    for n in range(c):
-        gen[n, n + 1] = lam
-    for n in range(1, c + 1):
-        gen[n, n - 1] = rates[n - 1]
+    n = np.arange(c)
+    gen[n, n + 1] = lam
+    gen[n + 1, n] = rates
     np.fill_diagonal(gen, -gen.sum(axis=1))
     return Ctmc(states=tuple(range(c + 1)), generator=gen)
 
@@ -140,21 +140,21 @@ def build_tandem_2d(config: TandemConfig, lam: float) -> Ctmc:
     departure (n2 - 1) at section 2's own service rate.  Nothing
     follows section 2, so its downstream is unconstrained.
     """
-    if lam < 0:
-        raise ValueError(f"arrival rate must be nonnegative, got {lam!r}")
+    check_arrival_rate(lam)
     c1, c2 = config.section1.c, config.section2.c
-    states = tuple((n1, n2) for n1 in range(c1 + 1) for n2 in range(c2 + 1))
-    index = {state: k for k, state in enumerate(states)}
+    states = tuple(itertools.product(range(c1 + 1), range(c2 + 1)))
+    # state (n1, n2) sits at index k = n1 * (c2 + 1) + n2
+    k = np.arange(len(states))
+    n1, n2 = np.divmod(k, c2 + 1)
     gen = np.zeros((len(states), len(states)))
-    for (n1, n2), k in index.items():
-        if n1 < c1:
-            gen[k, index[(n1 + 1, n2)]] += lam
-        if n1 > 0 and n2 < c2:
-            gen[k, index[(n1 - 1, n2 + 1)]] += coupled_rate(config, n1, n2)
-        if n2 > 0:
-            gen[k, index[(n1, n2 - 1)]] += service_rate(
-                config.section2, n2, config.convention
-            )
+    up = k[n1 < c1]
+    gen[up, up + c2 + 1] = lam
+    move = k[(n1 > 0) & (n2 < c2)]
+    gen[move, move - c2] = coupled_rates(config)[n2[move], n1[move] - 1]
+    down = k[n2 > 0]
+    gen[down, down - 1] = service_rates(config.section2, config.convention)[
+        n2[down] - 1
+    ]
     np.fill_diagonal(gen, gen.diagonal() - gen.sum(axis=1))
     return Ctmc(states=states, generator=gen)
 
@@ -162,13 +162,12 @@ def build_tandem_2d(config: TandemConfig, lam: float) -> Ctmc:
 def joint_marginals(chain: Ctmc, pi) -> tuple[np.ndarray, np.ndarray]:
     """Per-section marginals of a joint law over (n1, n2) states."""
     pi = np.asarray(pi, dtype=float)
-    c1 = max(s[0] for s in chain.states)
-    c2 = max(s[1] for s in chain.states)
-    p1 = np.zeros(c1 + 1)
-    p2 = np.zeros(c2 + 1)
-    for (n1, n2), mass in zip(chain.states, pi):
-        p1[n1] += mass
-        p2[n2] += mass
+    n1, n2 = np.array(chain.states).T
+    p1 = np.zeros(n1.max() + 1)
+    p2 = np.zeros(n2.max() + 1)
+    # unbuffered adds in state order, like a loop over the states
+    np.add.at(p1, n1, pi)
+    np.add.at(p2, n2, pi)
     return p1, p2
 
 
@@ -205,8 +204,8 @@ def simulate(
     making runs bitwise reproducible for equal inputs.
     """
     rates = [float(r) for r in np.asarray(rates, dtype=float)]
-    if lam <= 0:
-        raise ValueError(f"arrival rate must be positive, got {lam!r}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"arrival rate must be finite and positive, got {lam!r}")
     if any(r < 0 for r in rates):
         raise ValueError("service rates must be nonnegative")
     if max_events < 10**4:
@@ -242,9 +241,7 @@ def simulate(
         events += 1
     elapsed = math.fsum(occupancy)
     if absorbed:
-        probs = np.zeros(c + 1)
-        probs[n] = 1.0
-        empirical = OccupancyDistribution(probs)
+        empirical = OccupancyDistribution.point_mass(c, n)
     else:
         weights = np.asarray(occupancy)
         empirical = OccupancyDistribution(weights / weights.sum())

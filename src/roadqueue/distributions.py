@@ -18,7 +18,11 @@ congestion model:
 
 The triangular-diagram variants are always exact pushforwards: counts
 up to the critical count n_cr travel at the free speed v_f, congested
-counts at v_n = service_rate(n) * L / n.
+counts at v_n = min(v_f, w * (c - n + offset) / n), the section's
+supply term divided by n.  The speeds v_0..v_c are built as one numpy
+array from fundamental.supply_term.  Zero-mass states are dropped before
+speeds become transit times, so the exact convention's v_c = 0 never
+reaches a division.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .congestion import LinearCongestionModel, linear_speed
-from .fundamental import EXACT, SHIFTED, RoadSection, check_convention
+from .fundamental import SHIFTED, RoadSection, supply_term
 from .queueing import (
     OccupancyDistribution,
     birth_death_log_weights,
@@ -79,11 +83,6 @@ class DiscreteDistribution:
         return float(self.support @ self.probs)
 
 
-def mean(dist: DiscreteDistribution) -> float:
-    """Expectation sum(value * probability)."""
-    return dist.mean()
-
-
 def _round12(x: float) -> float:
     """Round to 12 significant digits; guards float near-duplicates."""
     if x == 0 or not math.isfinite(x):
@@ -114,58 +113,43 @@ def _merge_atoms(values, probs) -> DiscreteDistribution:
     )
 
 
-def _triangular_speeds(section: RoadSection, convention: str) -> list[float]:
-    """Per-state speeds: v_f up to n_cr, supply-limited above."""
-    check_convention(convention)
-    d = section.diagram
-    offset = 0 if convention == EXACT else 1
-    speeds = []
-    for n in range(section.c + 1):
-        if n <= section.n_cr:
-            speeds.append(d.v_f)
-        else:
-            speeds.append(min(d.v_f, d.w * (section.c - n + offset) / n))
+def _triangular_speeds(section: RoadSection, convention: str) -> np.ndarray:
+    """Per-state speeds v_0..v_c: v_f up to n_cr, supply-limited above."""
+    n = np.arange(section.n_cr + 1, section.c + 1)
+    speeds = np.full(section.c + 1, section.diagram.v_f)
+    speeds[n] = np.minimum(
+        section.diagram.v_f, supply_term(section, n, convention) / n
+    )
     return speeds
+
+
+def _triangular_pushforward(
+    dist: OccupancyDistribution, section: RoadSection, convention: str, times: bool
+) -> DiscreteDistribution:
+    if dist.capacity != section.c:
+        raise ValueError(
+            f"distribution capacity {dist.capacity} does not match c={section.c}"
+        )
+    # zero-mass atoms go first: under "exact" v_c = 0 has no transit time
+    held = dist.probs > 0
+    values = _triangular_speeds(section, convention)[held]
+    if times:
+        values = section.L / values
+    return _merge_atoms(values.tolist(), dist.probs[held])
 
 
 def speed_dist_triangular(
     dist: OccupancyDistribution, section: RoadSection, convention: str = SHIFTED
 ) -> DiscreteDistribution:
     """Pushforward of an occupancy law to per-state speeds."""
-    if dist.capacity != section.c:
-        raise ValueError(
-            f"distribution capacity {dist.capacity} does not match c={section.c}"
-        )
-    return _merge_atoms(_triangular_speeds(section, convention), dist.probs)
+    return _triangular_pushforward(dist, section, convention, times=False)
 
 
 def travel_time_dist_triangular(
     dist: OccupancyDistribution, section: RoadSection, convention: str = SHIFTED
 ) -> DiscreteDistribution:
     """Pushforward of an occupancy law to transit times L / v_n."""
-    if dist.capacity != section.c:
-        raise ValueError(
-            f"distribution capacity {dist.capacity} does not match c={section.c}"
-        )
-    times = [section.L / v for v in _triangular_speeds(section, convention)]
-    return _merge_atoms(times, dist.probs)
-
-
-def speed_index(section: RoadSection, v: float) -> int:
-    """Inverse map floor(w c / (v + w)) from a congested speed to its count.
-
-    Recovers n exactly for speeds produced under the exact convention;
-    shifted-convention speeds land one state off (documented, the maps
-    are diagnostics only).
-    """
-    d = section.diagram
-    return _floor12(d.w * section.c / (v + d.w))
-
-
-def travel_time_index(section: RoadSection, t: float) -> int:
-    """Inverse map floor(w c t / (L + w t)) from a congested transit time."""
-    d = section.diagram
-    return _floor12(d.w * section.c * t / (section.L + d.w * t))
+    return _triangular_pushforward(dist, section, convention, times=True)
 
 
 def _check_mode(mode: str) -> str:

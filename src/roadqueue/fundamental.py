@@ -24,12 +24,19 @@ moves vehicles at the state-dependent rate
 The exact supply term vanishes at n = c, which makes a loss queue built
 on these rates singular; the shifted variant keeps q_c > 0 and is the
 default convention throughout the package.
+
+The supply term w * (c - n + offset) is written once, in supply_term,
+and works elementwise on arrays of counts.  service_rates builds the
+rates q_1..q_c as one numpy array from it; the scalar service_rate
+reads a single entry of that array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 EXACT = "exact"
 SHIFTED = "shifted"
@@ -150,6 +157,26 @@ def supply(diagram: TriangularDiagram, rho: float) -> float:
     return min(diagram.q_max, diagram.w * (diagram.rho_j - rho))
 
 
+def supply_term(section: RoadSection, n, convention: str = SHIFTED):
+    """Supply term w * (c - n + offset) [veh*m/s], elementwise in n.
+
+    offset is 0 under "exact" and 1 under "shifted".  Divided by L it is
+    the supply-limited section rate; divided by n, the supply-limited
+    speed.  n may be an int or an integer array of counts.
+    """
+    offset = 0 if check_convention(convention) == EXACT else 1
+    return section.diagram.w * (section.c - n + offset)
+
+
+def service_rates(section: RoadSection, convention: str = SHIFTED) -> np.ndarray:
+    """Rates q_1..q_c as an array, ready for a birth-death solve."""
+    n = np.arange(1, section.c + 1)
+    return np.minimum(
+        section.diagram.v_f * n / section.L,
+        supply_term(section, n, convention) / section.L,
+    )
+
+
 def service_rate(
     section: RoadSection, n: int, convention: str = SHIFTED
 ) -> float:
@@ -163,12 +190,7 @@ def service_rate(
         raise ValueError(f"count n={n!r} outside [0, c={section.c}]")
     if n == 0:
         return 0.0
-    d = section.diagram
-    offset = 0 if convention == EXACT else 1
-    return min(
-        d.v_f * n / section.L,
-        d.w * (section.c - n + offset) / section.L,
-    )
+    return float(service_rates(section, convention)[n - 1])
 
 
 def normalized_rate(
@@ -176,8 +198,3 @@ def normalized_rate(
 ) -> float:
     """Service rate scaled by the diagram capacity, in [0, 1]."""
     return service_rate(section, n, convention) / section.diagram.q_max
-
-
-def service_rates(section: RoadSection, convention: str = SHIFTED):
-    """Rates q_1..q_c as a list, ready for a birth-death solve."""
-    return [service_rate(section, n, convention) for n in range(1, section.c + 1)]

@@ -20,6 +20,7 @@ a law that does not exist.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,13 @@ class OccupancyDistribution:
         """Probability of finding the section full, P_c."""
         return float(self.probs[-1])
 
+    @classmethod
+    def point_mass(cls, capacity: int, n: int) -> "OccupancyDistribution":
+        """The law with all its mass on count n of 0..capacity."""
+        probs = np.zeros(capacity + 1)
+        probs[n] = 1.0
+        return cls(probs)
+
     def mean(self) -> float:
         """Expected vehicle count."""
         return float(np.arange(self.probs.size) @ self.probs)
@@ -96,16 +104,21 @@ class PerformanceMeasures:
             )
 
 
-def _check_rates(lam: float, rates: np.ndarray) -> None:
-    if lam < 0:
-        raise ValueError(f"arrival rate must be nonnegative, got {lam!r}")
-    if rates.ndim != 1 or rates.size < 1:
-        raise ValueError("rates must be a nonempty 1-D vector")
+def check_arrival_rate(lam: float) -> None:
+    """Reject an arrival rate that is negative or not finite."""
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"arrival rate must be finite and nonnegative, got {lam!r}")
+
+
+def _check_rates(lam: float, rates: np.ndarray, max_ndim: int = 1) -> None:
+    check_arrival_rate(lam)
+    if not 1 <= rates.ndim <= max_ndim or rates.shape[-1] < 1:
+        raise ValueError(f"rates must be nonempty and at most {max_ndim}-D, got {rates.shape}")
     if np.any(rates < 0):
         raise ValueError("service rates must be nonnegative")
-    zero = np.flatnonzero(rates == 0)
+    zero = np.nonzero(rates == 0)[-1]
     if zero.size and lam > 0:
-        # state indices are 1-based: rates[i] serves state i+1
+        # state indices are 1-based: rates[..., i] serves state i+1
         raise SingularModelError(
             f"service rate is zero at state n={zero[0] + 1}; the stationary "
             "law does not exist (use the shifted convention)"
@@ -115,14 +128,17 @@ def _check_rates(lam: float, rates: np.ndarray) -> None:
 def birth_death_log_weights(lam: float, rates) -> np.ndarray:
     """Log of the unnormalized product-form weights, log P~_n, n = 0..c.
 
-    Requires lam > 0 and strictly positive rates.
+    rates is one vector q_1..q_c, or a 2-D stack of such vectors giving
+    one row of weights per row of rates.  Requires lam > 0 and strictly
+    positive rates.
     """
     rates = np.asarray(rates, dtype=float)
-    _check_rates(lam, rates)
+    _check_rates(lam, rates, max_ndim=2)
     if lam == 0:
         raise ValueError("log weights are undefined for lam=0; P_0 = 1")
     steps = np.log(lam) - np.log(rates)
-    return np.concatenate(([0.0], np.cumsum(steps)))
+    empty = np.zeros(rates.shape[:-1] + (1,))
+    return np.concatenate((empty, np.cumsum(steps, axis=-1)), axis=-1)
 
 
 def solve_birth_death(lam: float, rates) -> OccupancyDistribution:
@@ -130,9 +146,7 @@ def solve_birth_death(lam: float, rates) -> OccupancyDistribution:
     rates = np.asarray(rates, dtype=float)
     _check_rates(lam, rates)
     if lam == 0:
-        probs = np.zeros(rates.size + 1)
-        probs[0] = 1.0
-        return OccupancyDistribution(probs)
+        return OccupancyDistribution.point_mass(rates.size, 0)
     logw = birth_death_log_weights(lam, rates)
     w = np.exp(logw - logw.max())
     return OccupancyDistribution(w / w.sum())
@@ -159,41 +173,47 @@ def solve_triangular(
     return solve_birth_death(lam, service_rates(section, convention))
 
 
+def littles_law(
+    dist: OccupancyDistribution, throughput: float, free_flow_time: float | None
+) -> PerformanceMeasures:
+    """Measures of a solved law, travel time by Little's law.
+
+    At zero throughput the travel time is reported as free_flow_time and
+    flagged, so sweeps stay plottable; None means there is none to report.
+    """
+    expected_count = dist.mean()
+    if throughput > 0:
+        travel_time, fallback = expected_count / throughput, False
+    elif free_flow_time is None:
+        raise SingularModelError(
+            "cannot report a free-flow fallback time with q_1 = 0"
+        )
+    else:
+        travel_time, fallback = free_flow_time, True
+    return PerformanceMeasures(
+        blocking=dist.blocking,
+        throughput=throughput,
+        expected_count=expected_count,
+        expected_travel_time=travel_time,
+        free_flow_fallback=fallback,
+    )
+
+
 def measures(
     dist: OccupancyDistribution, lam: float, rates
 ) -> PerformanceMeasures:
     """Blocking, throughput, mean count, and Little's-law travel time.
 
     Throughput is the accepted arrival rate lam * (1 - P_c).  When it is
-    zero (lam = 0) the travel time is reported as the lone-vehicle
-    transit time 1 / q_1 and flagged, so sweeps stay plottable.
+    zero (lam = 0) the travel time is the lone-vehicle transit time 1 / q_1.
     """
     rates = np.asarray(rates, dtype=float)
     if rates.size != dist.capacity:
         raise ValueError(
             f"got {rates.size} rates for capacity {dist.capacity}"
         )
-    blocking = dist.blocking
-    throughput = lam * (1.0 - blocking)
-    expected_count = dist.mean()
-    if throughput > 0:
-        return PerformanceMeasures(
-            blocking=blocking,
-            throughput=throughput,
-            expected_count=expected_count,
-            expected_travel_time=expected_count / throughput,
-        )
-    if not rates[0] > 0:
-        raise SingularModelError(
-            "cannot report a free-flow fallback time with q_1 = 0"
-        )
-    return PerformanceMeasures(
-        blocking=blocking,
-        throughput=throughput,
-        expected_count=expected_count,
-        expected_travel_time=1.0 / rates[0],
-        free_flow_fallback=True,
-    )
+    lone_time = 1.0 / rates[0] if rates[0] > 0 else None
+    return littles_law(dist, lam * (1.0 - dist.blocking), lone_time)
 
 
 def throughput_departure(dist: OccupancyDistribution, rates) -> float:

@@ -12,6 +12,10 @@ through the marginal mixture
 
     P1(n1) = sum_n2  P(n1 | n2) * P2(n2; theta).
 
+coupled_rates builds every q12 at once as a (c2 + 1) x c1 numpy array
+from fundamental.supply_term, and conditional_matrix turns that table
+into all the conditionals P(. | n2) with one log-space cumulative sum.
+
 theta itself satisfies the throughput fixed point
 
     theta = lam * (1 - P1_c1(lam, theta))
@@ -28,8 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fundamental import EXACT, SHIFTED, RoadSection, check_convention
-from .queueing import OccupancyDistribution, PerformanceMeasures, solve_birth_death, solve_triangular
+from .fundamental import SHIFTED, RoadSection, check_convention, supply_term
+from .queueing import (
+    OccupancyDistribution,
+    PerformanceMeasures,
+    birth_death_log_weights,
+    check_arrival_rate,
+    littles_law,
+    solve_triangular,
+)
 
 
 class ConvergenceError(RuntimeError):
@@ -64,6 +75,20 @@ class FixedPointResult:
     config: TandemConfig
 
 
+def coupled_rates(config: TandemConfig) -> np.ndarray:
+    """Transfer rates q12(n1, n2) [veh/s], shape (c2 + 1, c1).
+
+    Row n2 holds q12(1..c1, n2); column n1 - 1 holds q12(n1, 0..c2).
+    """
+    s1, s2 = config.section1, config.section2
+    n1 = np.arange(1, s1.c + 1)
+    n2 = np.arange(s2.c + 1)[:, np.newaxis]
+    free = np.minimum(
+        s1.diagram.v_f * n1 / s1.L, min(s1.diagram.q_max, s2.diagram.q_max)
+    )
+    return np.minimum(free, supply_term(s2, n2, config.convention) / s2.L)
+
+
 def coupled_rate(config: TandemConfig, n1: int, n2: int) -> float:
     """Transfer rate q12 from section 1 to section 2 [veh/s]."""
     s1, s2 = config.section1, config.section2
@@ -73,20 +98,7 @@ def coupled_rate(config: TandemConfig, n1: int, n2: int) -> float:
         raise ValueError(f"count n2={n2!r} outside [0, c2={s2.c}]")
     if n1 == 0:
         return 0.0
-    offset = 0 if config.convention == EXACT else 1
-    return min(
-        s1.diagram.v_f * n1 / s1.L,
-        s1.diagram.q_max,
-        s2.diagram.q_max,
-        s2.diagram.w * (s2.c - n2 + offset) / s2.L,
-    )
-
-
-def _transfer_rates(config: TandemConfig, n2: int) -> np.ndarray:
-    """Rates q12(i, n2) for i = 1..c1."""
-    return np.array(
-        [coupled_rate(config, i, n2) for i in range(1, config.section1.c + 1)]
-    )
+    return float(coupled_rates(config)[n2, n1 - 1])
 
 
 def downstream_distribution(
@@ -96,42 +108,38 @@ def downstream_distribution(
     return solve_triangular(theta, config.section2, config.convention)
 
 
+def conditional_matrix(config: TandemConfig, lam: float) -> np.ndarray:
+    """Section-1 laws given each frozen downstream count, shape (c2 + 1, c1 + 1).
+
+    Row n2 is the birth-death law with births lam and deaths
+    q12(1..c1, n2).  With zero supply (exact convention, n2 = c2) and
+    lam > 0 every arrival is trapped, so that row is the point mass at
+    c1, the limit of the law, rather than an error.  The conditionals do
+    not depend on theta, so a fixed-point solve computes this once and
+    reuses it across bisection steps.
+    """
+    check_arrival_rate(lam)
+    rates = coupled_rates(config)
+    matrix = np.zeros((rates.shape[0], rates.shape[1] + 1))
+    if lam == 0:
+        matrix[:, 0] = 1.0
+        return matrix
+    trapped = ~rates.any(axis=1)
+    matrix[trapped, -1] = 1.0
+    logw = birth_death_log_weights(lam, rates[~trapped])
+    w = np.exp(logw - logw.max(axis=1, keepdims=True))
+    matrix[~trapped] = w / w.sum(axis=1, keepdims=True)
+    return matrix
+
+
 def conditional_distribution(
     config: TandemConfig, lam: float, n2: int
 ) -> OccupancyDistribution:
-    """Section-1 occupancy law with the downstream count frozen at n2.
-
-    With zero supply (exact convention, n2 = c2) and lam > 0 every
-    arrival is trapped, so the law degenerates to a point mass at c1;
-    that limit is returned rather than raised.
-    """
-    if lam < 0:
-        raise ValueError(f"arrival rate must be nonnegative, got {lam!r}")
-    c1 = config.section1.c
-    rates = _transfer_rates(config, n2)
-    if lam == 0:
-        probs = np.zeros(c1 + 1)
-        probs[0] = 1.0
-        return OccupancyDistribution(probs)
-    if not rates.any():
-        probs = np.zeros(c1 + 1)
-        probs[-1] = 1.0
-        return OccupancyDistribution(probs)
-    return solve_birth_death(lam, rates)
-
-
-def conditional_matrix(config: TandemConfig, lam: float) -> np.ndarray:
-    """All conditionals stacked as rows, shape (c2 + 1, c1 + 1).
-
-    The conditionals do not depend on theta, so a fixed-point solve
-    computes this once and reuses it across bisection steps.
-    """
-    return np.vstack(
-        [
-            conditional_distribution(config, lam, n2).probs
-            for n2 in range(config.section2.c + 1)
-        ]
-    )
+    """Section-1 occupancy law with the downstream count frozen at n2."""
+    c2 = config.section2.c
+    if not 0 <= n2 <= c2:
+        raise ValueError(f"count n2={n2!r} outside [0, c2={c2}]")
+    return OccupancyDistribution(conditional_matrix(config, lam)[n2])
 
 
 def marginal_distribution(
@@ -154,17 +162,15 @@ def solve_fixed_point(
     Stops when |theta - lam * (1 - P1_c1)| <= tol.  Deterministic: the
     same inputs always bisect the same sequence.
     """
-    if lam < 0:
-        raise ValueError(f"arrival rate must be nonnegative, got {lam!r}")
+    check_arrival_rate(lam)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     if lam == 0:
-        empty = conditional_distribution(config, 0.0, 0)
         return FixedPointResult(
             theta=0.0,
             residual=0.0,
             iterations=0,
-            marginal=empty,
+            marginal=OccupancyDistribution.point_mass(config.section1.c, 0),
             downstream=downstream_distribution(config, 0.0),
             config=config,
         )
@@ -241,19 +247,6 @@ def tandem_measures(result: FixedPointResult, lam: float) -> PerformanceMeasures
     Travel time is Little's law on the marginal count over theta; at
     theta = 0 it falls back, flagged, to section 1's free-flow time.
     """
-    blocking = result.marginal.blocking
-    expected_count = result.marginal.mean()
-    if result.theta > 0:
-        return PerformanceMeasures(
-            blocking=blocking,
-            throughput=result.theta,
-            expected_count=expected_count,
-            expected_travel_time=expected_count / result.theta,
-        )
-    return PerformanceMeasures(
-        blocking=blocking,
-        throughput=0.0,
-        expected_count=expected_count,
-        expected_travel_time=result.config.section1.free_flow_time,
-        free_flow_fallback=True,
+    return littles_law(
+        result.marginal, result.theta, result.config.section1.free_flow_time
     )

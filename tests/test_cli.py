@@ -75,6 +75,12 @@ class TestSolveSection:
         assert code == 4
         assert out == ""
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_exits_2(self, capsys, lam):
+        code, out, err = run_cli(capsys, "solve-section", "--lambda", lam)
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
     def test_argparse_errors_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "solve-section")
         assert code == 2
@@ -114,6 +120,12 @@ class TestSolveTandem:
         )
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_exits_2(self, capsys, lam):
+        code, out, err = run_cli(capsys, "solve-tandem", "--lambda", lam)
+        assert (code, out) == (2, "")
+        assert "finite" in err
 
     def test_unreachable_tolerance_exits_3(self, capsys):
         code, out, _ = run_cli(
@@ -175,6 +187,14 @@ class TestDistributions:
         _, rows = parse_csv(out)
         assert len(rows) == 28
         assert sum(float(row[1]) for row in rows) < 1.0
+
+    def test_exact_convention_travel_time_at_zero_load(self, capsys):
+        code, out, err = run_cli(
+            capsys, "distributions", "--lambda", "0", "--convention", "exact",
+            "--kind", "travel-time", "--section", "1",
+        )
+        assert (code, err) == (0, "")
+        assert out == "value,probability\n3.57142857143,1\n"
 
     def test_grid_mode_triangular_exits_2(self, capsys):
         code, out, _ = run_cli(

@@ -10,7 +10,6 @@ from roadqueue.congestion import (
     exponential_speed,
     fit_exponential,
     linear_speed,
-    normalized_rate,
     speed,
 )
 
@@ -77,13 +76,6 @@ class TestDispatch:
     def test_speed_rejects_unknown_model(self):
         with pytest.raises(TypeError, match="model"):
             speed(object(), 5)
-
-    def test_normalized_rate_is_speed_ratio(self, linear18):
-        assert normalized_rate(linear18, 1) == pytest.approx(1.0)
-        assert normalized_rate(linear18, 18) == pytest.approx(1.0 / 18.0, rel=1e-12)
-        values = [normalized_rate(linear18, n) for n in range(1, 19)]
-        assert all(a > b for a, b in zip(values, values[1:]))
-        assert all(0 < v <= 1 for v in values)
 
 
 class TestFitAnchors:

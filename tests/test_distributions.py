@@ -7,7 +7,6 @@ from roadqueue import (
     EXACT,
     LinearCongestionModel,
     DiscreteDistribution,
-    mean,
     solve_jain_smith,
     solve_triangular,
     speed_dist_linear,
@@ -18,8 +17,6 @@ from roadqueue import (
 from roadqueue.distributions import (
     PAPER_GRID,
     PUSHFORWARD,
-    speed_index,
-    travel_time_index,
 )
 
 # grid-mode speed table at lam = 0.8 (L=100, v_f=28, c=18), one cell per
@@ -80,7 +77,6 @@ class TestDiscreteDistribution:
     def test_mean(self):
         d = DiscreteDistribution(support=[1.0, 3.0], probs=[0.25, 0.75])
         assert d.mean() == pytest.approx(2.5)
-        assert mean(d) == d.mean()
 
     def test_validation(self):
         with pytest.raises(ValueError, match="matching"):
@@ -140,6 +136,14 @@ class TestTriangularPushforward:
         )
         assert t.support[0] == pytest.approx(100.0 / 28.0)
 
+    def test_exact_convention_skips_zero_speed_atom(self, section1):
+        # v_c = 0 under "exact" carries no mass at lam = 0 and must not
+        # reach the L / v division
+        occ = solve_triangular(0.0, section1, EXACT)
+        t = travel_time_dist_triangular(occ, section1, EXACT)
+        assert t.support.tolist() == [pytest.approx(100.0 / 28.0)]
+        assert t.probs.tolist() == [1.0]
+
     def test_capacity_mismatch_rejected(self, section1, section2):
         occ = solve_triangular(0.8, section1)
         wrong = LinearCongestionModel(v_f=28.0, c=12)
@@ -153,22 +157,6 @@ class TestTriangularPushforward:
         occ = solve_triangular(0.5, section1)
         d = speed_dist_triangular(occ, section1)
         assert d.mean() == pytest.approx(28.0, rel=0.05)
-
-
-class TestInverseIndexMaps:
-    def test_speed_round_trip_exact_convention(self, section1):
-        # congested speeds v_n = w (c - n) / n invert exactly, including
-        # the n = 11 case whose quotient lands one ulp above the integer
-        d = section1.diagram
-        for n in range(section1.n_cr + 1, section1.c + 1):
-            v = d.w * (section1.c - n) / n
-            assert speed_index(section1, v) == n
-
-    def test_travel_time_round_trip_exact_convention(self, section1):
-        d = section1.diagram
-        for n in range(section1.n_cr + 1, section1.c):
-            t = section1.L / (d.w * (section1.c - n) / n)
-            assert travel_time_index(section1, t) == n
 
 
 class TestLinearPushforward:

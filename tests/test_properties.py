@@ -1,0 +1,133 @@
+"""Rate tables against per-state reference expressions, over random geometries.
+
+The references below are written out one state at a time, straight from
+the closed forms, so they share no code with the array builders they
+check.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from roadqueue import (
+    EXACT,
+    RoadSection,
+    TandemConfig,
+    TriangularDiagram,
+    build_tandem_2d,
+    coupled_rates,
+    service_rates,
+    solve_birth_death,
+)
+from roadqueue.fundamental import CONVENTIONS
+from roadqueue.tandem import conditional_matrix
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def sections(draw, max_c=60):
+    diagram = TriangularDiagram(
+        v_f=draw(st.floats(5.0, 40.0)),
+        w=draw(st.floats(2.0, 30.0)),
+        rho_j=draw(st.floats(0.05, 0.2)),
+    )
+    L = draw(st.floats(10.0, max_c / diagram.rho_j))
+    try:
+        section = RoadSection(L=L, diagram=diagram)
+    except ValueError:
+        assume(False)
+    assume(section.c <= max_c)
+    return section
+
+
+@st.composite
+def tandems(draw, max_c=60):
+    return TandemConfig(
+        section1=draw(sections(max_c)),
+        section2=draw(sections(max_c)),
+        convention=draw(st.sampled_from(CONVENTIONS)),
+    )
+
+
+def offset(convention):
+    return 0 if convention == EXACT else 1
+
+
+def ref_service_rate(s, n, convention):
+    d = s.diagram
+    return min(d.v_f * n / s.L, d.w * (s.c - n + offset(convention)) / s.L)
+
+
+def ref_coupled_rate(config, n1, n2):
+    s1, s2 = config.section1, config.section2
+    return min(
+        s1.diagram.v_f * n1 / s1.L,
+        s1.diagram.q_max,
+        s2.diagram.q_max,
+        s2.diagram.w * (s2.c - n2 + offset(config.convention)) / s2.L,
+    )
+
+
+def ref_generator(config, lam):
+    c1, c2 = config.section1.c, config.section2.c
+    states = [(n1, n2) for n1 in range(c1 + 1) for n2 in range(c2 + 1)]
+    index = {state: k for k, state in enumerate(states)}
+    gen = np.zeros((len(states), len(states)))
+    for (n1, n2), k in index.items():
+        if n1 < c1:
+            gen[k, index[(n1 + 1, n2)]] += lam
+        if n1 > 0 and n2 < c2:
+            gen[k, index[(n1 - 1, n2 + 1)]] += ref_coupled_rate(config, n1, n2)
+        if n2 > 0:
+            gen[k, index[(n1, n2 - 1)]] += ref_service_rate(
+                config.section2, n2, config.convention
+            )
+    np.fill_diagonal(gen, gen.diagonal() - gen.sum(axis=1))
+    return states, gen
+
+
+arrival_rates = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+
+
+@SETTINGS
+@given(sections(), st.sampled_from(CONVENTIONS))
+def test_service_rates_equal_closed_form(section, convention):
+    expected = [
+        ref_service_rate(section, n, convention) for n in range(1, section.c + 1)
+    ]
+    assert service_rates(section, convention).tolist() == expected
+
+
+@SETTINGS
+@given(tandems())
+def test_coupled_rates_equal_closed_form(config):
+    expected = [
+        [ref_coupled_rate(config, n1, n2) for n1 in range(1, config.section1.c + 1)]
+        for n2 in range(config.section2.c + 1)
+    ]
+    assert coupled_rates(config).tolist() == expected
+
+
+@SETTINGS
+@given(tandems(max_c=12), arrival_rates)
+def test_joint_generator_equals_per_state_reference(config, lam):
+    states, expected = ref_generator(config, lam)
+    chain = build_tandem_2d(config, lam)
+    assert list(chain.states) == states
+    np.testing.assert_array_equal(chain.generator, expected)
+
+
+@SETTINGS
+@given(tandems(), arrival_rates)
+def test_conditional_rows_are_birth_death_laws(config, lam):
+    matrix = conditional_matrix(config, lam)
+    rates = coupled_rates(config)
+    assert matrix.shape == (config.section2.c + 1, config.section1.c + 1)
+    np.testing.assert_allclose(matrix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    for row, row_rates in zip(matrix, rates):
+        if lam > 0 and not row_rates.any():
+            # zero supply traps every arrival: the point mass at c1
+            assert row[-1] == 1.0
+            continue
+        np.testing.assert_array_equal(row, solve_birth_death(lam, row_rates).probs)

@@ -64,6 +64,11 @@ class TestOccupancyDistribution:
         with pytest.raises(ValueError, match="sum"):
             OccupancyDistribution(np.array([0.6, 0.6]))
 
+    def test_point_mass(self):
+        d = OccupancyDistribution.point_mass(4, 3)
+        assert d.probs.tolist() == [0.0, 0.0, 0.0, 1.0, 0.0]
+        assert d.capacity == 4
+
     def test_probs_are_read_only(self):
         d = OccupancyDistribution(np.array(THREE_STATE))
         with pytest.raises(ValueError):
@@ -118,6 +123,11 @@ class TestSolveBirthDeath:
         with pytest.raises(ValueError, match="nonnegative"):
             solve_birth_death(1.0, [-1.0])
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_arrival_rate_rejected(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            solve_birth_death(lam, [1.0, 2.0])
+
 
 class TestLogWeights:
     def test_matches_explicit_logs(self):
@@ -128,6 +138,19 @@ class TestLogWeights:
     def test_rejects_zero_arrival_rate(self):
         with pytest.raises(ValueError, match="lam=0"):
             birth_death_log_weights(0.0, [1.0, 2.0])
+
+    def test_stack_gives_one_row_per_rate_row(self):
+        rows = np.array([[1.0, 4.0], [2.0, 0.5]])
+        logw = birth_death_log_weights(2.0, rows)
+        assert logw.shape == (2, 3)
+        for row, expected in zip(rows, logw):
+            np.testing.assert_array_equal(
+                birth_death_log_weights(2.0, row), expected
+            )
+
+    def test_stack_zero_rate_names_its_state(self):
+        with pytest.raises(SingularModelError, match="n=2"):
+            birth_death_log_weights(1.0, [[1.0, 2.0], [1.0, 0.0]])
 
 
 class TestJainSmith:

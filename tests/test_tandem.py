@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,11 @@ class TestConditionalDistribution:
         ]
         assert all(a <= b + 1e-12 for a, b in zip(means, means[1:]))
 
+    def test_out_of_range_downstream_count(self, tandem_config):
+        for n2 in (-1, tandem_config.section2.c + 1):
+            with pytest.raises(ValueError, match="n2"):
+                conditional_distribution(tandem_config, 0.8, n2)
+
     def test_matrix_stacks_conditionals(self, tandem_config):
         matrix = conditional_matrix(tandem_config, 0.8)
         assert matrix.shape == (19, 19)
@@ -188,6 +195,9 @@ class TestSolveFixedPoint:
     def test_validation(self, tandem_config):
         with pytest.raises(ValueError, match="nonnegative"):
             solve_fixed_point(tandem_config, -0.5)
+        for lam in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                solve_fixed_point(tandem_config, lam)
         with pytest.raises(ValueError, match="tol"):
             solve_fixed_point(tandem_config, 0.5, tol=0.0)
 
