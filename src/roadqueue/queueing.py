@@ -136,9 +136,11 @@ def birth_death_log_weights(lam: float, rates) -> np.ndarray:
     _check_rates(lam, rates, max_ndim=2)
     if lam == 0:
         raise ValueError("log weights are undefined for lam=0; P_0 = 1")
-    steps = np.log(lam) - np.log(rates)
-    empty = np.zeros(rates.shape[:-1] + (1,))
-    return np.concatenate((empty, np.cumsum(steps, axis=-1)), axis=-1)
+    steps = np.log(rates)
+    np.subtract(np.log(lam), steps, out=steps)
+    logw = np.zeros(rates.shape[:-1] + (rates.shape[-1] + 1,))
+    np.cumsum(steps, axis=-1, out=logw[..., 1:])
+    return logw
 
 
 def solve_birth_death(lam: float, rates) -> OccupancyDistribution:

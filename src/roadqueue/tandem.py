@@ -119,16 +119,18 @@ def conditional_matrix(config: TandemConfig, lam: float) -> np.ndarray:
     reuses it across bisection steps.
     """
     check_arrival_rate(lam)
-    rates = coupled_rates(config)
-    matrix = np.zeros((rates.shape[0], rates.shape[1] + 1))
+    c1, c2 = config.section1.c, config.section2.c
     if lam == 0:
-        matrix[:, 0] = 1.0
-        return matrix
+        return np.tile(OccupancyDistribution.point_mass(c1, 0).probs, (c2 + 1, 1))
+    rates = coupled_rates(config)
     trapped = ~rates.any(axis=1)
-    matrix[trapped, -1] = 1.0
-    logw = birth_death_log_weights(lam, rates[~trapped])
-    w = np.exp(logw - logw.max(axis=1, keepdims=True))
-    matrix[~trapped] = w / w.sum(axis=1, keepdims=True)
+    rates[trapped] = 1.0  # any positive rates: these rows are replaced below
+    # normalized in place: at large capacities the temporaries dominate memory
+    matrix = birth_death_log_weights(lam, rates)
+    matrix -= matrix.max(axis=1, keepdims=True)
+    np.exp(matrix, out=matrix)
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    matrix[trapped] = OccupancyDistribution.point_mass(c1, c1).probs
     return matrix
 
 

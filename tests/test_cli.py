@@ -75,17 +75,19 @@ class TestSolveSection:
         assert code == 4
         assert out == ""
 
-    @pytest.mark.parametrize("lam", ["nan", "inf"])
-    def test_non_finite_lambda_exits_2(self, capsys, lam):
-        code, out, err = run_cli(capsys, "solve-section", "--lambda", lam)
-        assert (code, out) == (2, "")
-        assert "finite" in err
-
     def test_argparse_errors_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "solve-section")
         assert code == 2
         code, _, _ = run_cli(capsys, "no-such-command")
         assert code == 2
+
+
+@pytest.mark.parametrize("command", ["solve-section", "solve-tandem"])
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_non_finite_lambda_exits_2(capsys, command, lam):
+    code, out, err = run_cli(capsys, command, "--lambda", lam)
+    assert (code, out) == (2, "")
+    assert "finite" in err
 
 
 class TestSolveTandem:
@@ -120,12 +122,6 @@ class TestSolveTandem:
         )
         assert code == 2
         assert out == ""
-
-    @pytest.mark.parametrize("lam", ["nan", "inf"])
-    def test_non_finite_lambda_exits_2(self, capsys, lam):
-        code, out, err = run_cli(capsys, "solve-tandem", "--lambda", lam)
-        assert (code, out) == (2, "")
-        assert "finite" in err
 
     def test_unreachable_tolerance_exits_3(self, capsys):
         code, out, _ = run_cli(
