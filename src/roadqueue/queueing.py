@@ -62,7 +62,7 @@ class OccupancyDistribution:
         return float(self.probs[-1])
 
     @classmethod
-    def point_mass(cls, capacity: int, n: int) -> "OccupancyDistribution":
+    def point_mass(cls, capacity: int, n: int) -> OccupancyDistribution:
         """The law with all its mass on count n of 0..capacity."""
         probs = np.zeros(capacity + 1)
         probs[n] = 1.0
@@ -136,10 +136,11 @@ def birth_death_log_weights(lam: float, rates) -> np.ndarray:
     _check_rates(lam, rates, max_ndim=2)
     if lam == 0:
         raise ValueError("log weights are undefined for lam=0; P_0 = 1")
-    steps = np.log(rates)
-    np.subtract(np.log(lam), steps, out=steps)
     logw = np.zeros(rates.shape[:-1] + (rates.shape[-1] + 1,))
-    np.cumsum(steps, axis=-1, out=logw[..., 1:])
+    steps = logw[..., 1:]  # log(lam / q_n), summed in place
+    np.log(rates, out=steps)
+    np.subtract(np.log(lam), steps, out=steps)
+    np.cumsum(steps, axis=-1, out=steps)
     return logw
 
 

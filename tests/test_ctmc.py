@@ -196,8 +196,9 @@ class TestSimulate:
         assert result.elapsed_model_time > 0
 
     def test_input_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            simulate(0.0, [1.0, 2.0])
+        for lam in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive"):
+                simulate(lam, [1.0, 2.0])
         with pytest.raises(ValueError, match="1e4"):
             simulate(1.0, [1.0, 2.0], max_events=100)
         with pytest.raises(ValueError, match="nonnegative"):
