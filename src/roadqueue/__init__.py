@@ -44,8 +44,6 @@ from .fundamental import (
     TriangularDiagram,
     demand,
     flow,
-    normalized_rate,
-    service_rate,
     service_rates,
     supply,
 )
@@ -63,11 +61,8 @@ from .tandem import (
     ConvergenceError,
     FixedPointResult,
     TandemConfig,
-    conditional_distribution,
-    coupled_rate,
     coupled_rates,
     downstream_distribution,
-    marginal_distribution,
     scan_roots,
     solve_fixed_point,
     tandem_measures,
@@ -96,8 +91,6 @@ __all__ = [
     "TriangularDiagram",
     "birth_death_chain",
     "build_tandem_2d",
-    "conditional_distribution",
-    "coupled_rate",
     "coupled_rates",
     "decomposition_diagnostic",
     "default_scenario",
@@ -110,13 +103,10 @@ __all__ = [
     "joint_marginals",
     "linear_speed",
     "load_scenario",
-    "marginal_distribution",
     "measures",
-    "normalized_rate",
     "scan_roots",
     "scenario_from_dict",
     "section_from_dict",
-    "service_rate",
     "service_rates",
     "simulate",
     "solve_birth_death",

@@ -47,7 +47,6 @@ from .distributions import (
     MODES,
     PAPER_GRID,
     PUSHFORWARD,
-    DiscreteDistribution,
     speed_dist_linear,
     speed_dist_triangular,
     travel_time_dist_linear,
@@ -55,7 +54,6 @@ from .distributions import (
 )
 from .fundamental import CONVENTIONS, RoadSection, service_rates
 from .queueing import (
-    OccupancyDistribution,
     SingularModelError,
     jain_smith_rates,
     measures,
@@ -162,46 +160,44 @@ def _cmd_solve_tandem(args) -> str:
     return _json(payload)
 
 
-def _occupancy_for_distributions(
-    scenario: Scenario, args
-) -> tuple[OccupancyDistribution, RoadSection]:
-    """Occupancy law feeding the pushforward: tandem marginal when the
-    scenario has two sections and no explicit --section, else the single
-    section's own law."""
-    if len(scenario.sections) == 2 and args.section is None:
-        config = scenario.tandem()
-        result = solve_fixed_point(config, args.lam)
-        return result.marginal, config.section1
-    index = args.section or 1
-    section, rates = _section_rates(scenario, index)
-    return solve_birth_death(args.lam, rates), section
+def _distribution(
+    scenario: Scenario, lam: float, kind: str, mode: str, index: int | None
+) -> str:
+    """Speed or travel-time law as value,probability CSV.
 
-
-def _cmd_distributions(args) -> str:
-    scenario = _scenario(args)
+    Under the triangular model a two-section scenario with no section
+    index pushes the tandem marginal forward; otherwise section index
+    (default 1) uses its own law under the scenario's model.
+    """
     if scenario.model == TRIANGULAR:
-        if args.mode == PAPER_GRID:
+        if mode == PAPER_GRID:
             raise ValueError(
                 "mode 'paper-grid' applies to the linear model only"
             )
-        occupancy, section = _occupancy_for_distributions(scenario, args)
-        if args.kind == SPEED:
-            dist = speed_dist_triangular(occupancy, section, scenario.convention)
+        if len(scenario.sections) == 2 and index is None:
+            config = scenario.tandem()
+            occupancy = solve_fixed_point(config, lam).marginal
+            section = config.section1
         else:
-            dist = travel_time_dist_triangular(
-                occupancy, section, scenario.convention
-            )
+            section, rates = _section_rates(scenario, index or 1)
+            occupancy = solve_birth_death(lam, rates)
+        maker = speed_dist_triangular if kind == SPEED else travel_time_dist_triangular
+        dist = maker(occupancy, section, scenario.convention)
     elif scenario.model == LINEAR:
-        index = args.section or 1
+        index = index or 1
         section = scenario.section(index)
         model = scenario.congestion_model(index)
-        maker = speed_dist_linear if args.kind == SPEED else travel_time_dist_linear
-        dist = maker(args.lam, model, section.L, mode=args.mode)
+        maker = speed_dist_linear if kind == SPEED else travel_time_dist_linear
+        dist = maker(lam, model, section.L, mode=mode)
     else:
         raise ValueError(
             "distributions support the triangular and linear models only"
         )
-    return _distribution_csv(dist)
+    return _csv("value,probability", zip(dist.support, dist.probs))
+
+
+def _cmd_distributions(args) -> str:
+    return _distribution(_scenario(args), args.lam, args.kind, args.mode, args.section)
 
 
 def _sweep_grid(args) -> np.ndarray:
@@ -218,6 +214,11 @@ def _cmd_sweep(args) -> str:
     scenario = _scenario(args)
     grid = _sweep_grid(args)
     if len(scenario.sections) == 2 and args.section is None:
+        if scenario.model != TRIANGULAR:
+            raise ValueError(
+                f"the tandem sweep solves the triangular model only; pass "
+                f"--section to sweep one section under model {scenario.model!r}"
+            )
         config = scenario.tandem()
         rows = []
         for lam in grid:
@@ -316,10 +317,6 @@ def _cmd_fit_exponential(args) -> str:
     return _json({"beta": beta, "gamma": gamma})
 
 
-def _distribution_csv(dist: DiscreteDistribution) -> str:
-    return _csv("value,probability", zip(dist.support, dist.probs))
-
-
 def _cmd_figure_data(args) -> str:
     scenario = _scenario(args)
     figure = args.figure
@@ -327,13 +324,18 @@ def _cmd_figure_data(args) -> str:
         raise ValueError("--kind applies to fig8, fig9, and fig10 only")
     if args.metric is not None and figure != "fig5":
         raise ValueError("--metric applies to fig5 only")
+    if args.section is not None and figure != "fig8":
+        raise ValueError("--section applies to fig8 only")
     kind = args.kind or SPEED
 
-    if figure in ("fig4", "fig5", "fig6", "fig7", "fig9", "fig10"):
-        config = scenario.tandem()  # raises on 1-section scenarios
-        s1 = config.section1
-        js_model = LinearCongestionModel(v_f=s1.diagram.v_f, c=s1.c)
-        js_rates = jain_smith_rates(s1.L, js_model)
+    if figure == "fig8":
+        linear = dataclasses.replace(scenario, model=LINEAR)
+        return _distribution(linear, 0.8, kind, PAPER_GRID, args.section)
+
+    config = scenario.tandem()  # raises on 1-section scenarios
+    s1 = config.section1
+    js_model = LinearCongestionModel(v_f=s1.diagram.v_f, c=s1.c)
+    js_rates = jain_smith_rates(s1.L, js_model)
 
     if figure == "fig4":
         rows = []
@@ -365,23 +367,10 @@ def _cmd_figure_data(args) -> str:
             rows.append((lam, pair[0], pair[1]))
         return _csv("lambda,ours,jain_smith", rows)
 
-    if figure == "fig8":
-        index = args.section or 1
-        section = scenario.section(index)
-        model = LinearCongestionModel(v_f=section.diagram.v_f, c=section.c)
-        maker = speed_dist_linear if kind == SPEED else travel_time_dist_linear
-        return _distribution_csv(
-            maker(0.8, model, section.L, mode=PAPER_GRID)
-        )
-
     # fig9 / fig10: tandem-marginal pushforward at the preset arrival rate
     lam = 0.8 if figure == "fig9" else 2.0
-    marginal = solve_fixed_point(config, lam).marginal
-    if kind == SPEED:
-        dist = speed_dist_triangular(marginal, s1, config.convention)
-    else:
-        dist = travel_time_dist_triangular(marginal, s1, config.convention)
-    return _distribution_csv(dist)
+    triangular = dataclasses.replace(scenario, model=TRIANGULAR)
+    return _distribution(triangular, lam, kind, PUSHFORWARD, None)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -442,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also report every residual sign change on a 1000-point grid",
     )
-    p.set_defaults(handler=_cmd_solve_tandem, model=None, beta=None, gamma=None)
+    p.set_defaults(handler=_cmd_solve_tandem)
 
     p = sub.add_parser("distributions", help="speed / travel-time law as CSV")
     _add_common(p)
@@ -512,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
         "figure-data", help="canned comparison datasets for plotting"
     )
     _add_common(p)
-    _add_model_options(p)
+    p.add_argument("--convention", choices=CONVENTIONS, default=None)
     p.add_argument("--figure", choices=FIGURES, required=True)
     p.add_argument(
         "--kind",
@@ -526,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="fig5: which panel to emit (default count)",
     )
-    p.add_argument("--section", type=int, default=None)
+    p.add_argument("--section", type=int, default=None, help="fig8 only (default 1)")
     p.set_defaults(handler=_cmd_figure_data)
 
     return parser

@@ -158,16 +158,6 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-def _linear_pushforward(
-    lam: float, model: LinearCongestionModel, L: float, times: bool
-) -> DiscreteDistribution:
-    occupancy = solve_jain_smith(lam, L, model)
-    values = [model.v_f] + [linear_speed(model, n) for n in range(1, model.c + 1)]
-    if times:
-        values = [L / v for v in values]
-    return _merge_atoms(values, occupancy.probs)
-
-
 def _grid_cell_weights(
     lam: float, model: LinearCongestionModel, L: float, indices: list[int]
 ) -> np.ndarray:
@@ -191,6 +181,35 @@ def _grid_cell_weights(
     return cell_w / (empty + float(cell_w.sum()))
 
 
+def _linear_law(
+    lam: float, model: LinearCongestionModel, L: float, mode: str, times: bool
+) -> DiscreteDistribution:
+    _check_mode(mode)
+    if not 0 < L < math.inf:
+        raise ValueError(f"L must be finite and positive, got {L!r}")
+    if mode == PUSHFORWARD:
+        occupancy = solve_jain_smith(lam, L, model)
+        values = [model.v_f] + [linear_speed(model, n) for n in range(1, model.c + 1)]
+        if times:
+            values = [L / v for v in values]
+        return _merge_atoms(values, occupancy.probs)
+    if times:
+        grid = list(range(max(math.floor(L / model.v_f), 1), math.floor(L) + 1))
+        indices = [_floor12(1 + model.c * (1 - L / (t * model.v_f))) for t in grid]
+        note = "time grid anchored at floor(L/v_f) with non-integer v_f"
+    else:
+        grid = list(range(1, math.floor(model.v_f) + 1))
+        indices = [_floor12(1 + model.c * (1 - v / model.v_f)) for v in grid]
+        note = f"speed grid truncated at floor(v_f) = {math.floor(model.v_f)}"
+    if model.v_f != math.floor(model.v_f):
+        warnings.warn(note, stacklevel=3)
+    return DiscreteDistribution(
+        support=np.array(grid, dtype=float),
+        probs=_grid_cell_weights(lam, model, L, indices),
+        normalized=False,
+    )
+
+
 def speed_dist_linear(
     lam: float,
     model: LinearCongestionModel,
@@ -198,23 +217,7 @@ def speed_dist_linear(
     mode: str = PUSHFORWARD,
 ) -> DiscreteDistribution:
     """Speed law of the linear-model section at arrival rate lam."""
-    _check_mode(mode)
-    if not L > 0:
-        raise ValueError(f"L must be positive, got {L!r}")
-    if mode == PUSHFORWARD:
-        return _linear_pushforward(lam, model, L, times=False)
-    if model.v_f != math.floor(model.v_f):
-        warnings.warn(
-            f"speed grid truncated at floor(v_f) = {math.floor(model.v_f)}",
-            stacklevel=2,
-        )
-    grid = list(range(1, int(math.floor(model.v_f)) + 1))
-    indices = [_floor12(1 + model.c * (1 - v / model.v_f)) for v in grid]
-    return DiscreteDistribution(
-        support=np.array(grid, dtype=float),
-        probs=_grid_cell_weights(lam, model, L, indices),
-        normalized=False,
-    )
+    return _linear_law(lam, model, L, mode, times=False)
 
 
 def travel_time_dist_linear(
@@ -224,26 +227,4 @@ def travel_time_dist_linear(
     mode: str = PUSHFORWARD,
 ) -> DiscreteDistribution:
     """Travel-time law of the linear-model section at arrival rate lam."""
-    _check_mode(mode)
-    if not L > 0:
-        raise ValueError(f"L must be positive, got {L!r}")
-    if mode == PUSHFORWARD:
-        return _linear_pushforward(lam, model, L, times=True)
-    if model.v_f != math.floor(model.v_f):
-        warnings.warn(
-            "time grid anchored at floor(L/v_f) with non-integer v_f",
-            stacklevel=2,
-        )
-    grid = [
-        t
-        for t in range(int(math.floor(L / model.v_f)), int(math.floor(L)) + 1)
-        if t > 0
-    ]
-    indices = [
-        _floor12(1 + model.c * (1 - L / (t * model.v_f))) for t in grid
-    ]
-    return DiscreteDistribution(
-        support=np.array(grid, dtype=float),
-        probs=_grid_cell_weights(lam, model, L, indices),
-        normalized=False,
-    )
+    return _linear_law(lam, model, L, mode, times=True)

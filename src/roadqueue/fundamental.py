@@ -27,8 +27,7 @@ default convention throughout the package.
 
 The supply term w * (c - n + offset) is written once, in supply_term,
 and works elementwise on arrays of counts.  service_rates builds the
-rates q_1..q_c as one numpy array from it; the scalar service_rate
-reads a single entry of that array.
+rates q_1..q_c as one numpy array from it.
 """
 
 from __future__ import annotations
@@ -72,8 +71,8 @@ class TriangularDiagram:
     def __post_init__(self) -> None:
         for name in ("v_f", "w", "rho_j"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     @property
     def q_max(self) -> float:
@@ -103,13 +102,13 @@ class RoadSection:
     n_cr: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.L > 0:
-            raise ValueError(f"L must be positive, got {self.L!r}")
+        if not 0 < self.L < math.inf:
+            raise ValueError(f"L must be finite and positive, got {self.L!r}")
         derived_c = _round_half_up(self.diagram.rho_j * self.L)
         if self.c is None:
             object.__setattr__(self, "c", derived_c)
         else:
-            if self.c != int(self.c):
+            if not math.isfinite(self.c) or self.c != int(self.c):
                 raise ValueError(f"c must be an integer, got {self.c!r}")
             object.__setattr__(self, "c", int(self.c))
             if abs(self.c - derived_c) > 1:
@@ -175,26 +174,3 @@ def service_rates(section: RoadSection, convention: str = SHIFTED) -> np.ndarray
         section.diagram.v_f * n / section.L,
         supply_term(section, n, convention) / section.L,
     )
-
-
-def service_rate(
-    section: RoadSection, n: int, convention: str = SHIFTED
-) -> float:
-    """Total service rate q_n of a section holding n vehicles [veh/s].
-
-    Under "exact" the supply term is w*(c-n)/L and vanishes at n = c;
-    under "shifted" it is w*(c-n+1)/L and stays positive at capacity.
-    """
-    check_convention(convention)
-    if not 0 <= n <= section.c:
-        raise ValueError(f"count n={n!r} outside [0, c={section.c}]")
-    if n == 0:
-        return 0.0
-    return float(service_rates(section, convention)[n - 1])
-
-
-def normalized_rate(
-    section: RoadSection, n: int, convention: str = SHIFTED
-) -> float:
-    """Service rate scaled by the diagram capacity, in [0, 1]."""
-    return service_rate(section, n, convention) / section.diagram.q_max

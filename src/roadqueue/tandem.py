@@ -28,6 +28,7 @@ on a grid instead of hiding them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,18 +90,6 @@ def coupled_rates(config: TandemConfig) -> np.ndarray:
     return np.minimum(free, supply_term(s2, n2, config.convention) / s2.L)
 
 
-def coupled_rate(config: TandemConfig, n1: int, n2: int) -> float:
-    """Transfer rate q12 from section 1 to section 2 [veh/s]."""
-    s1, s2 = config.section1, config.section2
-    if not 0 <= n1 <= s1.c:
-        raise ValueError(f"count n1={n1!r} outside [0, c1={s1.c}]")
-    if not 0 <= n2 <= s2.c:
-        raise ValueError(f"count n2={n2!r} outside [0, c2={s2.c}]")
-    if n1 == 0:
-        return 0.0
-    return float(coupled_rates(config)[n2, n1 - 1])
-
-
 def downstream_distribution(
     config: TandemConfig, theta: float
 ) -> OccupancyDistribution:
@@ -134,25 +123,6 @@ def conditional_matrix(config: TandemConfig, lam: float) -> np.ndarray:
     return matrix
 
 
-def conditional_distribution(
-    config: TandemConfig, lam: float, n2: int
-) -> OccupancyDistribution:
-    """Section-1 occupancy law with the downstream count frozen at n2."""
-    c2 = config.section2.c
-    if not 0 <= n2 <= c2:
-        raise ValueError(f"count n2={n2!r} outside [0, c2={c2}]")
-    return OccupancyDistribution(conditional_matrix(config, lam)[n2])
-
-
-def marginal_distribution(
-    config: TandemConfig, lam: float, theta: float
-) -> OccupancyDistribution:
-    """Section-1 law mixing the conditionals over the downstream law."""
-    matrix = conditional_matrix(config, lam)
-    weights = downstream_distribution(config, theta).probs
-    return OccupancyDistribution(weights @ matrix)
-
-
 def solve_fixed_point(
     config: TandemConfig,
     lam: float,
@@ -165,8 +135,10 @@ def solve_fixed_point(
     same inputs always bisect the same sequence.
     """
     check_arrival_rate(lam)
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     if lam == 0:
         return FixedPointResult(
             theta=0.0,

@@ -82,6 +82,18 @@ class TestSolveSection:
         assert code == 2
 
 
+def test_non_finite_geometry_exits_2(capsys, tmp_path):
+    # Python's JSON parser accepts the Infinity literal
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps({**SECTION_1, "L": float("inf")}))
+    assert "Infinity" in path.read_text()
+    code, out, err = run_cli(
+        capsys, "solve-section", "--lambda", "0.8", "--config", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert "L must be finite" in err
+
+
 @pytest.mark.parametrize("command", ["solve-section", "solve-tandem"])
 @pytest.mark.parametrize("lam", ["nan", "inf"])
 def test_non_finite_lambda_exits_2(capsys, command, lam):
@@ -122,6 +134,13 @@ class TestSolveTandem:
         )
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "option", [("--tol", "inf"), ("--tol", "nan"), ("--max-iter", "0")]
+    )
+    def test_unusable_solver_budget_exits_2(self, capsys, option):
+        code, out, _ = run_cli(capsys, "solve-tandem", "--lambda", "0.8", *option)
+        assert (code, out) == (2, "")
 
     def test_unreachable_tolerance_exits_3(self, capsys):
         code, out, _ = run_cli(
@@ -249,6 +268,14 @@ class TestSweep:
             "travel_time",
         ]
         assert len(rows) == 4
+
+    def test_tandem_sweep_rejects_congestion_model(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--lambda-from", "0.1", "--lambda-to", "2.0",
+            "--steps", "5", "--model", "linear",
+        )
+        assert (code, out) == (2, "")
+        assert "--section" in err
 
     def test_bad_grid_exits_2(self, capsys):
         code, out, _ = run_cli(
@@ -424,6 +451,18 @@ class TestFigureData:
         )
         assert code == 2
         assert out == ""
+
+    def test_section_misuse_exits_2(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "figure-data", "--figure", "fig9", "--section", "2"
+        )
+        assert (code, out) == (2, "")
+
+    def test_model_options_are_not_accepted(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "figure-data", "--figure", "fig8", "--model", "linear"
+        )
+        assert (code, out) == (2, "")
 
     def test_metric_misuse_exits_2(self, capsys):
         code, out, _ = run_cli(

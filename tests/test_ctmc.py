@@ -18,7 +18,7 @@ from roadqueue import (
     tv_distance,
 )
 from roadqueue.ctmc import RNG_ALGORITHM
-from roadqueue.fundamental import service_rate, service_rates
+from roadqueue.fundamental import service_rates
 
 # TV between the decomposition marginal and the exact joint marginal of
 # the benchmark tandem at lam = 1.0, frozen once the diagnostic settled

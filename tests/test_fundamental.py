@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from roadqueue import (
@@ -9,8 +10,6 @@ from roadqueue import (
     TriangularDiagram,
     demand,
     flow,
-    normalized_rate,
-    service_rate,
     service_rates,
     supply,
 )
@@ -33,10 +32,11 @@ class TestTriangularDiagram:
 
     @pytest.mark.parametrize("field", ["v_f", "w", "rho_j"])
     def test_rejects_nonpositive_parameters(self, field):
-        params = {"v_f": 28.0, "w": 14.0, "rho_j": 0.18}
-        params[field] = 0.0
-        with pytest.raises(ValueError, match=field):
-            TriangularDiagram(**params)
+        for bad in (0.0, math.inf, math.nan):
+            params = {"v_f": 28.0, "w": 14.0, "rho_j": 0.18}
+            params[field] = bad
+            with pytest.raises(ValueError, match=field):
+                TriangularDiagram(**params)
 
 
 class TestRoadSection:
@@ -51,6 +51,13 @@ class TestRoadSection:
     def test_explicit_capacity_off_by_two_rejected(self, diagram1):
         with pytest.raises(ValueError, match="inconsistent"):
             RoadSection(L=100.0, diagram=diagram1, c=16)
+
+    def test_non_finite_geometry_rejected(self, diagram1):
+        for L in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="L must be finite"):
+                RoadSection(L=L, diagram=diagram1)
+        with pytest.raises(ValueError, match="c must be an integer"):
+            RoadSection(L=100.0, diagram=diagram1, c=math.inf)
 
     def test_tiny_section_rejected(self, diagram1):
         # rho_j * L = 0.9 rounds to c = 1, below the 2-vehicle floor
@@ -109,54 +116,46 @@ class TestFlowDemandSupply:
 
 
 class TestServiceRate:
-    def test_empty_section_idles(self, section1):
-        assert service_rate(section1, 0, EXACT) == 0.0
-        assert service_rate(section1, 0, SHIFTED) == 0.0
+    # service_rates holds q_1..q_c: entry n - 1 is the rate with n vehicles
 
     def test_full_section(self, section1):
-        assert service_rate(section1, 18, EXACT) == 0.0
-        assert service_rate(section1, 18, SHIFTED) == pytest.approx(0.14, rel=1e-12)
+        assert service_rates(section1, EXACT)[-1] == 0.0
+        assert service_rates(section1, SHIFTED)[-1] == pytest.approx(0.14, rel=1e-12)
 
     def test_critical_count_reaches_capacity_flow(self, section1):
-        assert service_rate(section1, 6, EXACT) == pytest.approx(1.68, rel=1e-12)
+        assert service_rates(section1, EXACT)[5] == pytest.approx(1.68, rel=1e-12)
 
     def test_domain_errors(self, section1):
-        with pytest.raises(ValueError, match="n="):
-            service_rate(section1, -1)
-        with pytest.raises(ValueError, match="n="):
-            service_rate(section1, 19)
         with pytest.raises(ValueError, match="convention"):
-            service_rate(section1, 3, "bogus")
+            service_rates(section1, "bogus")
 
     def test_exact_rates_equal_diagram_flow(self, section1):
         # c = rho_j * L exactly for this geometry, so the discrete rates
         # sit on the continuous diagram
-        for n in range(section1.c + 1):
-            assert service_rate(section1, n, EXACT) == pytest.approx(
+        rates = service_rates(section1, EXACT)
+        assert len(rates) == section1.c
+        for n, rate in enumerate(rates, start=1):
+            assert rate == pytest.approx(
                 flow(section1.diagram, n / section1.L), abs=1e-15
             )
 
     def test_shifted_positive_at_capacity(self, section1, section2):
         for section in (section1, section2):
-            assert service_rate(section, section.c, SHIFTED) > 0
-
-    def test_rates_vector_matches_scalar(self, section1):
-        rates = service_rates(section1, SHIFTED)
-        assert len(rates) == section1.c
-        for n, rate in enumerate(rates, start=1):
-            assert rate == service_rate(section1, n, SHIFTED)
+            assert service_rates(section, SHIFTED)[-1] > 0
 
 
 class TestNormalizedRate:
+    # service rates scaled by the diagram capacity q_max
+
     def test_examples(self, section1):
-        assert normalized_rate(section1, 0, EXACT) == 0.0
-        assert normalized_rate(section1, 6, EXACT) == pytest.approx(1.0, rel=1e-12)
-        assert normalized_rate(section1, 12, EXACT) == pytest.approx(0.5, rel=1e-12)
+        normalized = service_rates(section1, EXACT) / section1.diagram.q_max
+        assert normalized[5] == pytest.approx(1.0, rel=1e-12)
+        assert normalized[11] == pytest.approx(0.5, rel=1e-12)
 
     def test_bounded_on_benchmark_sections(self, section1, section2):
         # holds here because rho_cr * L is integral for both sections;
         # fractional critical counts can push the shifted form above 1
         for section in (section1, section2):
             for convention in (EXACT, SHIFTED):
-                for n in range(section.c + 1):
-                    assert 0.0 <= normalized_rate(section, n, convention) <= 1.0
+                normalized = service_rates(section, convention) / section.diagram.q_max
+                assert np.all((0.0 <= normalized) & (normalized <= 1.0))

@@ -1,23 +1,27 @@
-"""Rate tables against per-state reference expressions, over random geometries.
+"""Rate tables and the fixed point, over random geometries.
 
 The references below are written out one state at a time, straight from
 the closed forms, so they share no code with the array builders they
-check.
+check.  The fixed-point test checks invariants that follow from the
+model, not values copied from the solver.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from roadqueue import (
     EXACT,
     RoadSection,
+    SingularModelError,
     TandemConfig,
     TriangularDiagram,
     build_tandem_2d,
     coupled_rates,
     service_rates,
     solve_birth_death,
+    solve_fixed_point,
 )
 from roadqueue.fundamental import CONVENTIONS
 from roadqueue.tandem import conditional_matrix
@@ -131,3 +135,25 @@ def test_conditional_rows_are_birth_death_laws(config, lam):
             assert row[-1] == 1.0
             continue
         np.testing.assert_array_equal(row, solve_birth_death(lam, row_rates).probs)
+
+
+@SETTINGS
+@given(tandems(max_c=30), st.floats(1e-3, 1e3))
+def test_fixed_point_invariants(config, lam):
+    if config.convention == EXACT:
+        # q_c2 = 0 makes the downstream chain absorbing: no stationary law
+        with pytest.raises(SingularModelError):
+            solve_fixed_point(config, lam)
+        return
+    tol = 1e-10
+    result = solve_fixed_point(config, lam, tol=tol)
+    assert 0 <= result.theta <= lam
+    assert result.residual <= tol
+    assert abs(result.marginal.probs.sum() - 1.0) <= 1e-12
+    # departure-side flow balance: what leaves section 1 at the coupled
+    # rates is theta, up to the residual and rounding relative to lam
+    departed_given_n2 = (
+        conditional_matrix(config, lam)[:, 1:] * coupled_rates(config)
+    ).sum(axis=1)
+    departed = result.downstream.probs @ departed_given_n2
+    assert abs(departed - result.theta) <= result.residual + 1e-12 * lam

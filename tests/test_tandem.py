@@ -7,11 +7,10 @@ from roadqueue import (
     EXACT,
     ConvergenceError,
     TandemConfig,
-    conditional_distribution,
-    coupled_rate,
+    coupled_rates,
     downstream_distribution,
-    marginal_distribution,
     scan_roots,
+    solve_birth_death,
     solve_fixed_point,
     solve_triangular,
     tandem_measures,
@@ -43,44 +42,45 @@ MARGINAL_LAM1_THETA06 = [
 ]
 
 
+def marginal(config, lam, theta):
+    """Section-1 law mixing the conditionals over the downstream law at theta."""
+    weights = downstream_distribution(config, theta).probs
+    return weights @ conditional_matrix(config, lam)
+
+
+def conditional_means(config, lam):
+    return conditional_matrix(config, lam) @ np.arange(config.section1.c + 1)
+
+
 class TestCoupledRate:
-    def test_zero_upstream_count(self, tandem_config):
-        assert coupled_rate(tandem_config, 0, 0) == 0.0
-        assert coupled_rate(tandem_config, 0, 18) == 0.0
+    # row n2 of coupled_rates holds q12(1..c1, n2)
 
     def test_light_traffic_is_upstream_demand(self, tandem_config):
         # one vehicle, empty downstream: v_f1 * 1 / L1 = 0.28
-        assert coupled_rate(tandem_config, 1, 0) == pytest.approx(0.28)
+        assert coupled_rates(tandem_config)[0, 0] == pytest.approx(0.28)
 
     def test_downstream_capacity_flow_caps(self, tandem_config):
         # many vehicles, roomy downstream: q2_max = 0.84 binds
-        assert coupled_rate(tandem_config, 6, 0) == pytest.approx(0.84)
-        assert coupled_rate(tandem_config, 18, 0) == pytest.approx(0.84)
+        rates = coupled_rates(tandem_config)
+        assert rates[0, 5] == pytest.approx(0.84)
+        assert rates[0, 17] == pytest.approx(0.84)
 
     def test_downstream_supply_throttles(self, tandem_config):
         # nearly full downstream under the shifted convention:
         # w2 * (c2 - n2 + 1) / L2 = 7 * 2 / 100
-        assert coupled_rate(tandem_config, 18, 17) == pytest.approx(0.14)
-        assert coupled_rate(tandem_config, 18, 18) == pytest.approx(0.07)
+        rates = coupled_rates(tandem_config)
+        assert rates[17, 17] == pytest.approx(0.14)
+        assert rates[18, 17] == pytest.approx(0.07)
 
     def test_exact_convention_blocks_completely(self, section1, section2):
         config = TandemConfig(section1, section2, EXACT)
-        assert coupled_rate(config, 18, 18) == 0.0
-
-    def test_domain_errors(self, tandem_config):
-        with pytest.raises(ValueError, match="n1"):
-            coupled_rate(tandem_config, -1, 0)
-        with pytest.raises(ValueError, match="n2"):
-            coupled_rate(tandem_config, 0, 19)
+        assert not coupled_rates(config)[18].any()
 
     def test_monotone_in_both_counts(self, tandem_config):
-        c1, c2 = tandem_config.section1.c, tandem_config.section2.c
-        for n2 in range(c2 + 1):
-            rates = [coupled_rate(tandem_config, n1, n2) for n1 in range(c1 + 1)]
-            assert all(a <= b + 1e-15 for a, b in zip(rates, rates[1:]))
-        for n1 in range(c1 + 1):
-            rates = [coupled_rate(tandem_config, n1, n2) for n2 in range(c2 + 1)]
-            assert all(a >= b - 1e-15 for a, b in zip(rates, rates[1:]))
+        rates = coupled_rates(tandem_config)
+        assert rates.shape == (19, 18)
+        assert np.all(np.diff(rates, axis=1) >= -1e-15)
+        assert np.all(np.diff(rates, axis=0) <= 1e-15)
 
 
 class TestDownstreamDistribution:
@@ -95,48 +95,36 @@ class TestDownstreamDistribution:
 
 class TestConditionalDistribution:
     def test_zero_arrivals(self, tandem_config):
-        d = conditional_distribution(tandem_config, 0.0, 5)
-        assert d[0] == 1.0
+        assert conditional_matrix(tandem_config, 0.0)[5, 0] == 1.0
 
     def test_zero_supply_degenerates_to_full(self, section1, section2):
         config = TandemConfig(section1, section2, EXACT)
-        d = conditional_distribution(config, 0.5, section2.c)
-        assert d[section1.c] == 1.0
+        assert conditional_matrix(config, 0.5)[section2.c, section1.c] == 1.0
 
     def test_fuller_downstream_means_fuller_upstream(self, tandem_config):
-        means = [
-            conditional_distribution(tandem_config, 0.8, n2).mean()
-            for n2 in range(tandem_config.section2.c + 1)
-        ]
+        means = conditional_means(tandem_config, 0.8)
         assert all(a <= b + 1e-12 for a, b in zip(means, means[1:]))
-
-    def test_out_of_range_downstream_count(self, tandem_config):
-        for n2 in (-1, tandem_config.section2.c + 1):
-            with pytest.raises(ValueError, match="n2"):
-                conditional_distribution(tandem_config, 0.8, n2)
 
     def test_matrix_stacks_conditionals(self, tandem_config):
         matrix = conditional_matrix(tandem_config, 0.8)
+        rates = coupled_rates(tandem_config)
         assert matrix.shape == (19, 19)
         for n2 in (0, 7, 18):
             np.testing.assert_array_equal(
-                matrix[n2], conditional_distribution(tandem_config, 0.8, n2).probs
+                matrix[n2], solve_birth_death(0.8, rates[n2]).probs
             )
 
 
 class TestMarginalDistribution:
     def test_frozen_mixture(self, tandem_config):
-        d = marginal_distribution(tandem_config, 1.0, 0.6)
-        np.testing.assert_allclose(d.probs, MARGINAL_LAM1_THETA06, rtol=1e-12)
+        probs = marginal(tandem_config, 1.0, 0.6)
+        np.testing.assert_allclose(probs, MARGINAL_LAM1_THETA06, rtol=1e-12)
 
     def test_is_convex_mixture(self, tandem_config):
         # marginal lies between the extreme conditionals in mean
-        d = marginal_distribution(tandem_config, 0.8, 0.4)
-        lo = conditional_distribution(tandem_config, 0.8, 0).mean()
-        hi = conditional_distribution(
-            tandem_config, 0.8, tandem_config.section2.c
-        ).mean()
-        assert lo <= d.mean() <= hi
+        mean = marginal(tandem_config, 0.8, 0.4) @ np.arange(19)
+        means = conditional_means(tandem_config, 0.8)
+        assert means[0] <= mean <= means[-1]
 
 
 class TestSolveFixedPoint:
@@ -160,8 +148,8 @@ class TestSolveFixedPoint:
 
     def test_marginal_consistent_with_theta(self, tandem_config):
         result = solve_fixed_point(tandem_config, 0.8)
-        rebuilt = marginal_distribution(tandem_config, 0.8, result.theta)
-        np.testing.assert_allclose(result.marginal.probs, rebuilt.probs, rtol=1e-12)
+        rebuilt = marginal(tandem_config, 0.8, result.theta)
+        np.testing.assert_allclose(result.marginal.probs, rebuilt, rtol=1e-12)
 
     def test_light_load_passes_through(self, tandem_config):
         # nearly nothing is blocked, so theta is nearly lam
@@ -198,8 +186,12 @@ class TestSolveFixedPoint:
         for lam in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 solve_fixed_point(tandem_config, lam)
-        with pytest.raises(ValueError, match="tol"):
-            solve_fixed_point(tandem_config, 0.5, tol=0.0)
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                solve_fixed_point(tandem_config, 0.5, tol=tol)
+        for max_iter in (0, -1):
+            with pytest.raises(ValueError, match="max_iter"):
+                solve_fixed_point(tandem_config, 0.5, max_iter=max_iter)
 
 
 class TestScanRoots:
