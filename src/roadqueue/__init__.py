@@ -42,10 +42,8 @@ from .fundamental import (
     SHIFTED,
     RoadSection,
     TriangularDiagram,
-    demand,
     flow,
     service_rates,
-    supply,
 )
 from .queueing import (
     OccupancyDistribution,
@@ -94,7 +92,6 @@ __all__ = [
     "coupled_rates",
     "decomposition_diagnostic",
     "default_scenario",
-    "demand",
     "downstream_distribution",
     "exact_stationary",
     "exponential_speed",
@@ -115,7 +112,6 @@ __all__ = [
     "solve_triangular",
     "speed_dist_linear",
     "speed_dist_triangular",
-    "supply",
     "tandem_measures",
     "throughput_departure",
     "travel_time_dist_linear",

@@ -34,7 +34,7 @@ from .config import (
     Scenario,
     load_scenario,
 )
-from .congestion import FitAnchors, LinearCongestionModel, fit_exponential
+from .congestion import FitAnchors, fit_exponential
 from .ctmc import (
     OracleError,
     birth_death_chain,
@@ -52,13 +52,8 @@ from .distributions import (
     travel_time_dist_linear,
     travel_time_dist_triangular,
 )
-from .fundamental import CONVENTIONS, RoadSection, service_rates
-from .queueing import (
-    SingularModelError,
-    jain_smith_rates,
-    measures,
-    solve_birth_death,
-)
+from .fundamental import CONVENTIONS
+from .queueing import SingularModelError, measures, solve_birth_death
 from .tandem import ConvergenceError, scan_roots, solve_fixed_point, tandem_measures
 
 SPEED = "speed"
@@ -105,20 +100,9 @@ def _scenario(args) -> Scenario:
     return scenario
 
 
-def _section_rates(scenario: Scenario, index: int) -> tuple[RoadSection, np.ndarray]:
-    """A section and its per-state service rates under the scenario model."""
-    section = scenario.section(index)
-    if scenario.model == TRIANGULAR:
-        rates = service_rates(section, scenario.convention)
-    else:
-        model = scenario.congestion_model(index)
-        rates = jain_smith_rates(section.L, model)
-    return section, rates
-
-
 def _cmd_solve_section(args) -> str:
     scenario = _scenario(args)
-    section, rates = _section_rates(scenario, args.section)
+    rates = scenario.rates(args.section)
     dist = solve_birth_death(args.lam, rates)
     meas = measures(dist, args.lam, rates)
     payload = {
@@ -165,34 +149,32 @@ def _distribution(
 ) -> str:
     """Speed or travel-time law as value,probability CSV.
 
-    Under the triangular model a two-section scenario with no section
-    index pushes the tandem marginal forward; otherwise section index
+    A two-section scenario with no section index pushes the tandem
+    marginal forward (triangular model only); otherwise section index
     (default 1) uses its own law under the scenario's model.
     """
-    if scenario.model == TRIANGULAR:
-        if mode == PAPER_GRID:
-            raise ValueError(
-                "mode 'paper-grid' applies to the linear model only"
-            )
-        if len(scenario.sections) == 2 and index is None:
-            config = scenario.tandem()
-            occupancy = solve_fixed_point(config, lam).marginal
-            section = config.section1
-        else:
-            section, rates = _section_rates(scenario, index or 1)
-            occupancy = solve_birth_death(lam, rates)
-        maker = speed_dist_triangular if kind == SPEED else travel_time_dist_triangular
-        dist = maker(occupancy, section, scenario.convention)
-    elif scenario.model == LINEAR:
-        index = index or 1
-        section = scenario.section(index)
-        model = scenario.congestion_model(index)
-        maker = speed_dist_linear if kind == SPEED else travel_time_dist_linear
-        dist = maker(lam, model, section.L, mode=mode)
-    else:
+    if scenario.model == EXPONENTIAL:
         raise ValueError(
             "distributions support the triangular and linear models only"
         )
+    if scenario.model == TRIANGULAR and mode == PAPER_GRID:
+        raise ValueError("mode 'paper-grid' applies to the linear model only")
+    tandem = len(scenario.sections) == 2 and index is None
+    if tandem:
+        config = scenario.tandem()  # rejects every model but the triangular
+    index = index or 1
+    section = scenario.section(index)
+    if scenario.model == LINEAR:
+        maker = speed_dist_linear if kind == SPEED else travel_time_dist_linear
+        dist = maker(lam, scenario.congestion_model(index), section.L, mode=mode)
+    else:
+        occupancy = (
+            solve_fixed_point(config, lam).marginal
+            if tandem
+            else solve_birth_death(lam, scenario.rates(index))
+        )
+        maker = speed_dist_triangular if kind == SPEED else travel_time_dist_triangular
+        dist = maker(occupancy, section, scenario.convention)
     return _csv("value,probability", zip(dist.support, dist.probs))
 
 
@@ -214,11 +196,6 @@ def _cmd_sweep(args) -> str:
     scenario = _scenario(args)
     grid = _sweep_grid(args)
     if len(scenario.sections) == 2 and args.section is None:
-        if scenario.model != TRIANGULAR:
-            raise ValueError(
-                f"the tandem sweep solves the triangular model only; pass "
-                f"--section to sweep one section under model {scenario.model!r}"
-            )
         config = scenario.tandem()
         rows = []
         for lam in grid:
@@ -240,8 +217,7 @@ def _cmd_sweep(args) -> str:
             "lambda,theta,blocking,expected_count,travel_time,tv_vs_exact_2d",
             rows,
         )
-    index = args.section or 1
-    _, rates = _section_rates(scenario, index)
+    rates = scenario.rates(args.section or 1)
     rows = []
     for lam in grid:
         dist = solve_birth_death(float(lam), rates)
@@ -260,7 +236,7 @@ def _cmd_sweep(args) -> str:
 
 def _cmd_simulate(args) -> str:
     scenario = _scenario(args)
-    _, rates = _section_rates(scenario, args.section)
+    rates = scenario.rates(args.section)
     result = simulate(args.lam, rates, seed=args.seed, max_events=args.events)
     try:
         analytical = solve_birth_death(args.lam, rates)
@@ -285,7 +261,7 @@ def _cmd_simulate(args) -> str:
 
 def _cmd_compare(args) -> str:
     scenario = _scenario(args)
-    _, rates = _section_rates(scenario, args.section)
+    rates = scenario.rates(args.section)
     analytical = solve_birth_death(args.lam, rates)
     exact = exact_stationary(birth_death_chain(args.lam, rates))
     sim = simulate(args.lam, rates, seed=args.seed, max_events=args.events)
@@ -328,14 +304,14 @@ def _cmd_figure_data(args) -> str:
         raise ValueError("--section applies to fig8 only")
     kind = args.kind or SPEED
 
+    linear = dataclasses.replace(scenario, model=LINEAR)
     if figure == "fig8":
-        linear = dataclasses.replace(scenario, model=LINEAR)
-        return _distribution(linear, 0.8, kind, PAPER_GRID, args.section)
+        return _distribution(linear, 0.8, kind, PAPER_GRID, args.section or 1)
 
-    config = scenario.tandem()  # raises on 1-section scenarios
+    triangular = dataclasses.replace(scenario, model=TRIANGULAR)
+    config = triangular.tandem()  # raises on 1-section scenarios
     s1 = config.section1
-    js_model = LinearCongestionModel(v_f=s1.diagram.v_f, c=s1.c)
-    js_rates = jain_smith_rates(s1.L, js_model)
+    js_rates = linear.rates(1)
 
     if figure == "fig4":
         rows = []
@@ -369,7 +345,6 @@ def _cmd_figure_data(args) -> str:
 
     # fig9 / fig10: tandem-marginal pushforward at the preset arrival rate
     lam = 0.8 if figure == "fig9" else 2.0
-    triangular = dataclasses.replace(scenario, model=TRIANGULAR)
     return _distribution(triangular, lam, kind, PUSHFORWARD, None)
 
 

@@ -19,7 +19,9 @@ slower 100 m section at half the free speed and wave speed).
 Model names: "triangular" solves with the fundamental-diagram rates;
 "linear" / "jain-smith-linear" and "exponential" / "jain-smith-
 exponential" select the congestion-model rates, the exponential one
-requiring scenario-level "beta" and "gamma".
+requiring scenario-level "beta" and "gamma".  Scenario.rates gives a
+section's rates under the chosen model, and Scenario.tandem builds the
+two-section coupling, which the triangular model alone carries.
 """
 
 from __future__ import annotations
@@ -29,8 +31,11 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 from .congestion import ExponentialCongestionModel, LinearCongestionModel
-from .fundamental import SHIFTED, RoadSection, TriangularDiagram, check_convention
+from .fundamental import SHIFTED, RoadSection, TriangularDiagram, check_convention, service_rates
+from .queueing import jain_smith_rates
 from .tandem import TandemConfig
 
 TRIANGULAR = "triangular"
@@ -89,9 +94,21 @@ class Scenario:
             )
         return self.sections[index - 1]
 
+    def rates(self, index: int) -> np.ndarray:
+        """Service rates q_1..q_c of the chosen section under the model."""
+        section = self.section(index)
+        if self.model == TRIANGULAR:
+            return service_rates(section, self.convention)
+        return jain_smith_rates(section.L, self.congestion_model(index))
+
     def tandem(self) -> TandemConfig:
         if len(self.sections) != 2:
             raise ValueError("tandem solves need a 2-section scenario")
+        if self.model != TRIANGULAR:
+            raise ValueError(
+                f"tandem solves take the triangular model only; pass "
+                f"--section to solve one section under model {self.model!r}"
+            )
         return TandemConfig(
             section1=self.sections[0],
             section2=self.sections[1],

@@ -60,7 +60,12 @@ class Ctmc:
         np.fill_diagonal(off, 0.0)
         if np.any(off < 0):
             raise ValueError("off-diagonal generator entries must be >= 0")
-        if np.max(np.abs(gen.sum(axis=1))) > 1e-9:
+        # a NaN or infinite entry makes its row sum NaN or infinite
+        with np.errstate(invalid="ignore"):
+            row_sums = gen.sum(axis=1)
+        if not np.isfinite(row_sums).all():
+            raise ValueError("generator entries must be finite")
+        if np.max(np.abs(row_sums)) > 1e-9:
             raise ValueError("generator rows must sum to zero")
         gen = gen.copy()
         gen.flags.writeable = False
@@ -108,7 +113,7 @@ def exact_stationary(chain: Ctmc) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise OracleError(f"balance equations are singular: {exc}") from exc
     residual = float(np.max(np.abs(pi @ q)))
-    if residual > _RESIDUAL_TOL:
+    if not residual <= _RESIDUAL_TOL:
         raise OracleError(
             f"stationary residual {residual:.3e} exceeds {_RESIDUAL_TOL}"
         )
@@ -120,9 +125,10 @@ def exact_stationary(chain: Ctmc) -> np.ndarray:
 
 def birth_death_chain(lam: float, rates) -> Ctmc:
     """Loss-system birth-death generator on {0..c}: births lam, deaths q_n."""
+    check_arrival_rate(lam)
     rates = np.asarray(rates, dtype=float)
-    if lam < 0 or np.any(rates < 0):
-        raise ValueError("rates must be nonnegative")
+    if not np.all((0 <= rates) & (rates < math.inf)):
+        raise ValueError("service rates must be finite and nonnegative")
     c = rates.size
     gen = np.zeros((c + 1, c + 1))
     n = np.arange(c)
@@ -206,8 +212,8 @@ def simulate(
     rates = [float(r) for r in np.asarray(rates, dtype=float)]
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"arrival rate must be finite and positive, got {lam!r}")
-    if any(r < 0 for r in rates):
-        raise ValueError("service rates must be nonnegative")
+    if not all(0 <= r < math.inf for r in rates):
+        raise ValueError("service rates must be finite and nonnegative")
     if max_events < 10**4:
         raise ValueError(f"max_events must be at least 1e4, got {max_events!r}")
     c = len(rates)

@@ -22,7 +22,8 @@ counts at v_n = min(v_f, w * (c - n + offset) / n), the section's
 supply term divided by n.  The speeds v_0..v_c are built as one numpy
 array from fundamental.supply_term.  Zero-mass states are dropped before
 speeds become transit times, so the exact convention's v_c = 0 never
-reaches a division.
+reaches a division.  The linear model's "pushforward" mode relabels and
+merges through the same body.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .fundamental import SHIFTED, RoadSection, supply_term
 from .queueing import (
     OccupancyDistribution,
     birth_death_log_weights,
+    frozen_probs,
     jain_smith_rates,
     solve_jain_smith,
 )
@@ -60,7 +62,7 @@ class DiscreteDistribution:
     normalized: bool = True
 
     def __post_init__(self) -> None:
-        support = np.asarray(self.support, dtype=float)
+        support = np.array(self.support, dtype=float)
         probs = np.asarray(self.probs, dtype=float)
         if support.ndim != 1 or support.shape != probs.shape:
             raise ValueError("support and probs must be matching 1-D vectors")
@@ -68,16 +70,9 @@ class DiscreteDistribution:
             raise ValueError("distribution must have at least one atom")
         if np.any(np.diff(support) <= 0):
             raise ValueError("support values must be strictly increasing")
-        if np.any(probs < 0):
-            raise ValueError("probabilities must be nonnegative")
-        if self.normalized:
-            total = float(probs.sum())
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"probabilities sum to {total!r}, not 1")
-        for name, value in (("support", support), ("probs", probs)):
-            value = value.copy()
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        support.flags.writeable = False
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "probs", frozen_probs(probs, self.normalized))
 
     def mean(self) -> float:
         return float(self.support @ self.probs)
@@ -123,18 +118,19 @@ def _triangular_speeds(section: RoadSection, convention: str) -> np.ndarray:
     return speeds
 
 
-def _triangular_pushforward(
-    dist: OccupancyDistribution, section: RoadSection, convention: str, times: bool
+def _pushforward(
+    dist: OccupancyDistribution, speeds: np.ndarray, L: float, times: bool
 ) -> DiscreteDistribution:
-    if dist.capacity != section.c:
+    """Relabel each count n by its speed speeds[n], or by L / speeds[n]."""
+    if dist.capacity != speeds.size - 1:
         raise ValueError(
-            f"distribution capacity {dist.capacity} does not match c={section.c}"
+            f"distribution capacity {dist.capacity} does not match c={speeds.size - 1}"
         )
     # zero-mass atoms go first: under "exact" v_c = 0 has no transit time
     held = dist.probs > 0
-    values = _triangular_speeds(section, convention)[held]
+    values = speeds[held]
     if times:
-        values = section.L / values
+        values = L / values
     return _merge_atoms(values.tolist(), dist.probs[held])
 
 
@@ -142,14 +138,14 @@ def speed_dist_triangular(
     dist: OccupancyDistribution, section: RoadSection, convention: str = SHIFTED
 ) -> DiscreteDistribution:
     """Pushforward of an occupancy law to per-state speeds."""
-    return _triangular_pushforward(dist, section, convention, times=False)
+    return _pushforward(dist, _triangular_speeds(section, convention), section.L, False)
 
 
 def travel_time_dist_triangular(
     dist: OccupancyDistribution, section: RoadSection, convention: str = SHIFTED
 ) -> DiscreteDistribution:
     """Pushforward of an occupancy law to transit times L / v_n."""
-    return _triangular_pushforward(dist, section, convention, times=True)
+    return _pushforward(dist, _triangular_speeds(section, convention), section.L, True)
 
 
 def _check_mode(mode: str) -> str:
@@ -188,11 +184,8 @@ def _linear_law(
     if not 0 < L < math.inf:
         raise ValueError(f"L must be finite and positive, got {L!r}")
     if mode == PUSHFORWARD:
-        occupancy = solve_jain_smith(lam, L, model)
-        values = [model.v_f] + [linear_speed(model, n) for n in range(1, model.c + 1)]
-        if times:
-            values = [L / v for v in values]
-        return _merge_atoms(values, occupancy.probs)
+        speeds = [model.v_f] + [linear_speed(model, n) for n in range(1, model.c + 1)]
+        return _pushforward(solve_jain_smith(lam, L, model), np.array(speeds), L, times)
     if times:
         grid = list(range(max(math.floor(L / model.v_f), 1), math.floor(L) + 1))
         indices = [_floor12(1 + model.c * (1 - L / (t * model.v_f))) for t in grid]

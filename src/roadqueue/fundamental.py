@@ -144,18 +144,6 @@ def flow(diagram: TriangularDiagram, rho: float) -> float:
     return min(diagram.v_f * rho, diagram.w * (diagram.rho_j - rho))
 
 
-def demand(diagram: TriangularDiagram, rho: float) -> float:
-    """Sending flow: min(v_f*rho, q_max), nondecreasing in rho."""
-    _check_density(diagram, rho)
-    return min(diagram.v_f * rho, diagram.q_max)
-
-
-def supply(diagram: TriangularDiagram, rho: float) -> float:
-    """Receiving flow: min(q_max, w*(rho_j - rho)), nonincreasing in rho."""
-    _check_density(diagram, rho)
-    return min(diagram.q_max, diagram.w * (diagram.rho_j - rho))
-
-
 def supply_term(section: RoadSection, n, convention: str = SHIFTED):
     """Supply term w * (c - n + offset) [veh*m/s], elementwise in n.
 

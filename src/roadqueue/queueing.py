@@ -33,6 +33,24 @@ class SingularModelError(ValueError):
     """The requested stationary law does not exist (a zero service rate)."""
 
 
+def frozen_probs(probs, normalized: bool = True) -> np.ndarray:
+    """A read-only copy of finite, nonnegative probabilities.
+
+    normalized requires the sum to be 1 within 1e-12; NaN fails it.
+    """
+    probs = np.array(probs, dtype=float)
+    if np.any(probs < 0):
+        raise ValueError("probabilities must be nonnegative")
+    total = float(probs.sum())
+    # a NaN or infinite term makes the sum NaN or infinite
+    if not math.isfinite(total):
+        raise ValueError("probabilities must be finite")
+    if normalized and not abs(total - 1.0) <= 1e-12:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    probs.flags.writeable = False
+    return probs
+
+
 @dataclass(frozen=True, eq=False)
 class OccupancyDistribution:
     """Probability law of the vehicle count, indexed n = 0..capacity."""
@@ -43,14 +61,7 @@ class OccupancyDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size < 2:
             raise ValueError("probs must be a 1-D vector of length >= 2")
-        if np.any(probs < 0):
-            raise ValueError("probabilities must be nonnegative")
-        total = float(probs.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        probs = probs.copy()
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", frozen_probs(probs))
 
     @property
     def capacity(self) -> int:

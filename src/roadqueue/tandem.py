@@ -43,6 +43,8 @@ from .queueing import (
     solve_triangular,
 )
 
+_SCAN_POINTS = 1000  # grid size of scan_roots
+
 
 class ConvergenceError(RuntimeError):
     """Fixed-point iteration exhausted its budget before reaching tolerance."""
@@ -189,27 +191,23 @@ def solve_fixed_point(
     )
 
 
-def scan_roots(
-    config: TandemConfig, lam: float, points: int = 1000
-) -> list[tuple[float, float]]:
+def scan_roots(config: TandemConfig, lam: float) -> list[tuple[float, float]]:
     """Brackets of every sign change of the fixed-point residual.
 
-    Evaluates theta -> theta - lam * (1 - P1_c1) on a grid over [0, lam]
-    and returns the bracketing intervals, surfacing any root multiplicity
-    the bisection solve would silently pick one root from.
+    Evaluates theta -> theta - lam * (1 - P1_c1) on a _SCAN_POINTS grid
+    over [0, lam] and returns the bracketing intervals, surfacing any root
+    multiplicity the bisection solve would silently pick one root from.
     """
     if lam <= 0:
         return []
-    if points < 2:
-        raise ValueError(f"points must be at least 2, got {points!r}")
     matrix = conditional_matrix(config, lam)
-    grid = np.linspace(0.0, lam, points)
+    grid = np.linspace(0.0, lam, _SCAN_POINTS)
     values = []
     for theta in grid:
         weights = downstream_distribution(config, theta).probs
         values.append(theta - lam * (1.0 - float(weights @ matrix[:, -1])))
     brackets = []
-    for i in range(points - 1):
+    for i in range(_SCAN_POINTS - 1):
         if values[i] == 0.0 or (values[i] < 0) != (values[i + 1] < 0):
             brackets.append((float(grid[i]), float(grid[i + 1])))
     return brackets

@@ -1,12 +1,22 @@
 import json
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
 from roadqueue.cli import main
 
 SECTION_1 = {"L": 100.0, "v_f": 28.0, "w": 14.0, "rho_j": 0.18, "c": 18}
+
+
+@pytest.fixture
+def linear_config(tmp_path) -> str:
+    """The bundled two-section scenario under the linear congestion model."""
+    bundled = resources.files("roadqueue").joinpath("data/default_scenario.json")
+    path = tmp_path / "linear.json"
+    path.write_text(json.dumps({**json.loads(bundled.read_text()), "model": "linear"}))
+    return str(path)
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -135,6 +145,13 @@ class TestSolveTandem:
         assert code == 2
         assert out == ""
 
+    def test_congestion_model_config_exits_2(self, capsys, linear_config):
+        code, out, err = run_cli(
+            capsys, "solve-tandem", "--lambda", "0.8", "--config", linear_config
+        )
+        assert (code, out) == (2, "")
+        assert "'linear'" in err and "--section" in err
+
     @pytest.mark.parametrize(
         "option", [("--tol", "inf"), ("--tol", "nan"), ("--max-iter", "0")]
     )
@@ -210,6 +227,13 @@ class TestDistributions:
         )
         assert (code, err) == (0, "")
         assert out == "value,probability\n3.57142857143,1\n"
+
+    def test_tandem_marginal_rejects_congestion_model(self, capsys):
+        code, out, err = run_cli(
+            capsys, "distributions", "--lambda", "0.8", "--model", "linear"
+        )
+        assert (code, out) == (2, "")
+        assert "--section" in err
 
     def test_grid_mode_triangular_exits_2(self, capsys):
         code, out, _ = run_cli(
@@ -444,6 +468,15 @@ class TestFigureData:
         _, rows = parse_csv(out)
         total = sum(float(row[1]) for row in rows)
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "figure", ["fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"]
+    )
+    def test_scenario_model_does_not_change_figures(self, capsys, linear_config, figure):
+        bundled = run_cli(capsys, "figure-data", "--figure", figure)
+        linear = run_cli(capsys, "figure-data", "--figure", figure, "--config", linear_config)
+        assert bundled[0] == 0
+        assert linear == bundled
 
     def test_kind_misuse_exits_2(self, capsys):
         code, out, _ = run_cli(

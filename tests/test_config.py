@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from roadqueue import Scenario, default_scenario, load_scenario, scenario_from_dict
@@ -11,7 +12,8 @@ from roadqueue.config import (
     section_from_dict,
 )
 from roadqueue.congestion import ExponentialCongestionModel, LinearCongestionModel
-from roadqueue.fundamental import EXACT, SHIFTED
+from roadqueue.fundamental import EXACT, SHIFTED, service_rates
+from roadqueue.queueing import jain_smith_rates
 
 SECTION_1 = {"L": 100.0, "v_f": 28.0, "w": 14.0, "rho_j": 0.18, "c": 18}
 SECTION_2 = {"L": 100.0, "v_f": 14.0, "w": 7.0, "rho_j": 0.18, "c": 18}
@@ -139,6 +141,25 @@ class TestScenarioAccessors:
         config = scenario_from_dict(two_section_doc()).tandem()
         assert config.section1.diagram.v_f == 28.0
         assert config.section2.diagram.v_f == 14.0
+
+    def test_tandem_takes_the_triangular_model_only(self):
+        for model in ("linear", "exponential"):
+            scenario = scenario_from_dict(two_section_doc(model=model, beta=9.5, gamma=1.8))
+            with pytest.raises(ValueError, match="--section") as info:
+                scenario.tandem()
+            assert repr(model) in str(info.value)
+
+    def test_rates_follow_the_model(self):
+        triangular = scenario_from_dict(two_section_doc(convention="exact"))
+        np.testing.assert_array_equal(
+            triangular.rates(2), service_rates(triangular.section(2), EXACT)
+        )
+        linear = scenario_from_dict(two_section_doc(model="linear"))
+        np.testing.assert_array_equal(
+            linear.rates(1), jain_smith_rates(100.0, linear.congestion_model(1))
+        )
+        with pytest.raises(ValueError, match="section"):
+            linear.rates(3)
 
     def test_congestion_model_construction(self):
         linear = scenario_from_dict(two_section_doc(model="linear"))

@@ -45,6 +45,12 @@ class TestCtmcValidation:
         with pytest.raises(ValueError, match="sum to zero"):
             Ctmc(states=(0, 1), generator=gen)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries(self, bad):
+        gen = np.array([[-bad, bad], [2.0, -2.0]])
+        with pytest.raises(ValueError, match="finite"):
+            Ctmc(states=(0, 1), generator=gen)
+
 
 class TestExactStationary:
     def test_two_state_hand_example(self):
@@ -65,6 +71,12 @@ class TestExactStationary:
         # two disconnected states: balance equations are singular
         chain = Ctmc(states=(0, 1), generator=np.zeros((2, 2)))
         with pytest.raises(OracleError):
+            exact_stationary(chain)
+
+    def test_nan_solution_fails_the_residual_check(self, monkeypatch):
+        chain = Ctmc(states=(0, 1), generator=np.array([[-1.0, 1.0], [2.0, -2.0]]))
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(2, np.nan))
+        with pytest.raises(OracleError, match="residual"):
             exact_stationary(chain)
 
     def test_minimal_tandem_shaped_chain(self):
@@ -99,6 +111,13 @@ class TestBirthDeathChain:
     def test_rejects_negative_rates(self):
         with pytest.raises(ValueError, match="nonnegative"):
             birth_death_chain(-1.0, [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rates(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            birth_death_chain(bad, [1.0, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            birth_death_chain(0.8, [1.0, bad])
 
 
 class TestTandem2d:
@@ -203,3 +222,6 @@ class TestSimulate:
             simulate(1.0, [1.0, 2.0], max_events=100)
         with pytest.raises(ValueError, match="nonnegative"):
             simulate(1.0, [-1.0])
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                simulate(0.8, [1.0, bad])

@@ -89,6 +89,10 @@ class TestDiscreteDistribution:
             DiscreteDistribution(support=[1.0, 2.0], probs=[1.5, -0.5])
         with pytest.raises(ValueError, match="sum"):
             DiscreteDistribution(support=[1.0, 2.0], probs=[0.5, 0.6])
+        for normalized in (True, False):
+            for bad in ([math.nan, math.nan], [1.0, math.nan], [math.inf, 0.0]):
+                with pytest.raises(ValueError, match="finite"):
+                    DiscreteDistribution([1.0, 2.0], bad, normalized=normalized)
 
     def test_unnormalized_tables_skip_the_sum_check(self):
         d = DiscreteDistribution(

@@ -8,10 +8,8 @@ from roadqueue import (
     SHIFTED,
     RoadSection,
     TriangularDiagram,
-    demand,
     flow,
     service_rates,
-    supply,
 )
 
 
@@ -80,36 +78,11 @@ class TestFlowDemandSupply:
         assert flow(diagram1, 0.18) == 0.0
         assert flow(diagram1, 0.06) == pytest.approx(1.68, rel=1e-12)
 
-    def test_demand_examples(self, diagram1):
-        assert demand(diagram1, 0.0) == 0.0
-        assert demand(diagram1, 0.18) == pytest.approx(1.68, rel=1e-12)
-        assert demand(diagram1, 0.03) == pytest.approx(0.84, rel=1e-12)
-
-    def test_supply_examples(self, diagram1):
-        assert supply(diagram1, 0.0) == pytest.approx(1.68, rel=1e-12)
-        assert supply(diagram1, 0.18) == 0.0
-        assert supply(diagram1, 0.12) == pytest.approx(0.84, rel=1e-12)
-
     def test_domain_errors(self, diagram1):
-        for op in (flow, demand, supply):
-            with pytest.raises(ValueError, match="density"):
-                op(diagram1, -0.01)
-            with pytest.raises(ValueError, match="density"):
-                op(diagram1, 0.19)
-
-    def test_flow_is_min_of_demand_and_supply(self, diagram1):
-        for k in range(401):
-            rho = diagram1.rho_j * k / 400
-            assert flow(diagram1, rho) == min(
-                demand(diagram1, rho), supply(diagram1, rho)
-            )
-
-    def test_demand_nondecreasing_supply_nonincreasing(self, diagram1):
-        grid = [diagram1.rho_j * k / 400 for k in range(401)]
-        demands = [demand(diagram1, rho) for rho in grid]
-        supplies = [supply(diagram1, rho) for rho in grid]
-        assert all(a <= b + 1e-15 for a, b in zip(demands, demands[1:]))
-        assert all(a >= b - 1e-15 for a, b in zip(supplies, supplies[1:]))
+        with pytest.raises(ValueError, match="density"):
+            flow(diagram1, -0.01)
+        with pytest.raises(ValueError, match="density"):
+            flow(diagram1, 0.19)
 
     def test_vertex_is_exact(self, diagram1):
         assert flow(diagram1, diagram1.rho_cr) == diagram1.q_max

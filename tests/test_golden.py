@@ -46,9 +46,10 @@ CASES = {
     "distributions-exact-speed-lam0": (
         ["distributions", "--lambda", "0", "--convention", "exact", "--section", "1"], 0),
     "distributions-linear-speed": (
-        ["distributions", "--lambda", "0.8", "--model", "linear"], 0),
+        ["distributions", "--lambda", "0.8", "--model", "linear", "--section", "1"], 0),
     "distributions-linear-travel-time": (
-        ["distributions", "--lambda", "0.8", "--model", "linear", "--kind", "travel-time"], 0),
+        ["distributions", "--lambda", "0.8", "--model", "linear", "--kind", "travel-time",
+         "--section", "1"], 0),
     "distributions-paper-grid-speed": (
         ["distributions", "--lambda", "0.8", "--model", "linear",
          "--mode", "paper-grid", "--section", "1"], 0),

@@ -63,6 +63,9 @@ class TestOccupancyDistribution:
             OccupancyDistribution(np.array([1.2, -0.2]))
         with pytest.raises(ValueError, match="sum"):
             OccupancyDistribution(np.array([0.6, 0.6]))
+        for bad in (np.full(3, np.nan), [0.5, np.nan, 0.5], [0.0, np.inf, 0.0]):
+            with pytest.raises(ValueError, match="finite"):
+                OccupancyDistribution(np.array(bad))
 
     def test_point_mass(self):
         d = OccupancyDistribution.point_mass(4, 3)

@@ -204,10 +204,6 @@ class TestScanRoots:
     def test_empty_for_zero_load(self, tandem_config):
         assert scan_roots(tandem_config, 0.0) == []
 
-    def test_grid_validation(self, tandem_config):
-        with pytest.raises(ValueError, match="points"):
-            scan_roots(tandem_config, 0.8, points=1)
-
 
 class TestTandemMeasures:
     def test_littles_law_on_marginal(self, tandem_config):
