@@ -9,7 +9,8 @@ Subcommands:
     simulate         seeded Monte Carlo run vs the analytical law
     compare          analytical vs exact-solve vs simulated, with TV distances
     fit-exponential  congestion-curve fit from two anchor points
-    figure-data      canned comparison datasets (fig4..fig10 presets)
+    figure-data      canned comparison datasets: fig4..fig7 from the sweeps'
+                     per-lambda solves, fig8..fig10 presets of distributions
 
 Exit codes: 0 success, 2 configuration or usage errors, 3 numerical
 failures (singular model, non-convergence, oracle residual), 4 file I/O
@@ -192,45 +193,38 @@ def _sweep_grid(args) -> np.ndarray:
     return np.linspace(args.lambda_from, args.lambda_to, args.steps)
 
 
+def _tandem_sweep(config, lams):
+    """(lambda, fixed point, section-1 measures) at each arrival rate."""
+    for lam in map(float, lams):
+        result = solve_fixed_point(config, lam)
+        yield lam, result, tandem_measures(result, lam)
+
+
+def _section_sweep(rates, lams):
+    """(lambda, stationary law, measures) of one section at each arrival rate."""
+    for lam in map(float, lams):
+        dist = solve_birth_death(lam, rates)
+        yield lam, dist, measures(dist, lam, rates)
+
+
 def _cmd_sweep(args) -> str:
     scenario = _scenario(args)
     grid = _sweep_grid(args)
     if len(scenario.sections) == 2 and args.section is None:
         config = scenario.tandem()
-        rows = []
-        for lam in grid:
-            result = solve_fixed_point(config, float(lam))
-            meas = tandem_measures(result, float(lam))
-            rows.append(
-                (
-                    float(lam),
-                    result.theta,
-                    meas.blocking,
-                    meas.expected_count,
-                    meas.expected_travel_time,
-                    decomposition_diagnostic(
-                        config, float(lam), result.marginal.probs
-                    ),
-                )
-            )
-        return _csv(
-            "lambda,theta,blocking,expected_count,travel_time,tv_vs_exact_2d",
-            rows,
-        )
-    rates = scenario.rates(args.section or 1)
-    rows = []
-    for lam in grid:
-        dist = solve_birth_death(float(lam), rates)
-        meas = measures(dist, float(lam), rates)
-        rows.append(
-            (
-                float(lam),
-                meas.blocking,
-                meas.throughput,
-                meas.expected_count,
-                meas.expected_travel_time,
-            )
-        )
+        rows = [
+            (lam, result.theta, meas.blocking, meas.expected_count,
+             meas.expected_travel_time,
+             decomposition_diagnostic(config, lam, result.marginal.probs))
+            for lam, result, meas in _tandem_sweep(config, grid)
+        ]
+        header = "lambda,theta,blocking,expected_count,travel_time,tv_vs_exact_2d"
+        return _csv(header, rows)
+    rows = [
+        (lam, meas.blocking, meas.throughput, meas.expected_count,
+         meas.expected_travel_time)
+        for lam, _, meas in _section_sweep(scenario.rates(args.section or 1), grid)
+    ]
     return _csv("lambda,blocking,throughput,expected_count,travel_time", rows)
 
 
@@ -310,75 +304,31 @@ def _cmd_figure_data(args) -> str:
 
     triangular = dataclasses.replace(scenario, model=TRIANGULAR)
     config = triangular.tandem()  # raises on 1-section scenarios
-    s1 = config.section1
-    js_rates = linear.rates(1)
+    if figure in ("fig9", "fig10"):
+        # tandem-marginal pushforward at the preset arrival rate
+        lam = 0.8 if figure == "fig9" else 2.0
+        return _distribution(triangular, lam, kind, PUSHFORWARD, None)
 
+    # fig4..fig7 read the tandem and the Jain-Smith sweeps side by side
+    lams = (0.5, 1.0, 1.5) if figure == "fig4" else _FIGURE_SWEEP
+    pairs = zip(_tandem_sweep(config, lams), _section_sweep(linear.rates(1), lams))
     if figure == "fig4":
-        rows = []
-        for lam in (0.5, 1.0, 1.5):
-            ours = solve_fixed_point(config, lam).marginal
-            js = solve_birth_death(lam, js_rates)
-            for n in range(s1.c + 1):
-                rows.append((lam, n, ours[n], js[n]))
+        rows = [
+            (lam, n, ours.marginal[n], js[n])
+            for (lam, ours, _), (_, js, _) in pairs
+            for n in range(config.section1.c + 1)
+        ]
         return _csv("lambda,n,ours,jain_smith", rows)
-
-    if figure in ("fig5", "fig6", "fig7"):
-        metric = args.metric or "count"
-        rows = []
-        for lam in _FIGURE_SWEEP:
-            lam = float(lam)
-            ours = tandem_measures(solve_fixed_point(config, lam), lam)
-            js_dist = solve_birth_death(lam, js_rates)
-            js = measures(js_dist, lam, js_rates)
-            if figure == "fig5":
-                pair = (
-                    (ours.expected_count, js.expected_count)
-                    if metric == "count"
-                    else (ours.blocking, js.blocking)
-                )
-            elif figure == "fig6":
-                pair = (ours.expected_travel_time, js.expected_travel_time)
-            else:
-                pair = (ours.throughput, js.throughput)
-            rows.append((lam, pair[0], pair[1]))
-        return _csv("lambda,ours,jain_smith", rows)
-
-    # fig9 / fig10: tandem-marginal pushforward at the preset arrival rate
-    lam = 0.8 if figure == "fig9" else 2.0
-    return _distribution(triangular, lam, kind, PUSHFORWARD, None)
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--config",
-        default=None,
-        help="scenario JSON path, '-' for stdin (default: bundled scenario)",
-    )
-    parser.add_argument(
-        "--output", default=None, help="output path (default: stdout)"
-    )
-
-
-def _add_model_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--convention", choices=CONVENTIONS, default=None)
-    parser.add_argument(
-        "--model",
-        choices=(TRIANGULAR, LINEAR, EXPONENTIAL),
-        default=None,
-        help="override the scenario's service-rate model",
-    )
-    parser.add_argument("--beta", type=float, default=None)
-    parser.add_argument("--gamma", type=float, default=None)
-
-
-def _add_lambda(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--lambda",
-        dest="lam",
-        type=float,
-        required=True,
-        help="arrival rate [veh/s]",
-    )
+    field = {
+        "fig5": "blocking" if args.metric == "blocking" else "expected_count",
+        "fig6": "expected_travel_time",
+        "fig7": "throughput",  # the tandem's throughput is theta
+    }[figure]
+    rows = [
+        (lam, getattr(ours, field), getattr(js, field))
+        for (lam, _, ours), (_, _, js) in pairs
+    ]
+    return _csv("lambda,ours,jain_smith", rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,17 +338,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve-section", help="stationary law of one section")
-    _add_common(p)
-    _add_lambda(p)
-    _add_model_options(p)
-    p.add_argument("--section", type=int, default=1)
-    p.set_defaults(handler=_cmd_solve_section)
+    def command(name, handler, help, lam=True, convention=True, model=True):
+        """A subcommand with --config, --output and the shared options asked for."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        p.add_argument(
+            "--config",
+            default=None,
+            help="scenario JSON path, '-' for stdin (default: bundled scenario)",
+        )
+        p.add_argument("--output", default=None, help="output path (default: stdout)")
+        if lam:
+            p.add_argument(
+                "--lambda",
+                dest="lam",
+                type=float,
+                required=True,
+                help="arrival rate [veh/s]",
+            )
+        if convention:
+            p.add_argument("--convention", choices=CONVENTIONS, default=None)
+        if model:
+            p.add_argument(
+                "--model",
+                choices=(TRIANGULAR, LINEAR, EXPONENTIAL),
+                default=None,
+                help="override the scenario's service-rate model",
+            )
+            p.add_argument("--beta", type=float, default=None)
+            p.add_argument("--gamma", type=float, default=None)
+        return p
 
-    p = sub.add_parser("solve-tandem", help="two-section throughput fixed point")
-    _add_common(p)
-    _add_lambda(p)
-    p.add_argument("--convention", choices=CONVENTIONS, default=None)
+    p = command("solve-section", _cmd_solve_section, "stationary law of one section")
+    p.add_argument("--section", type=int, default=1)
+
+    p = command(
+        "solve-tandem",
+        _cmd_solve_tandem,
+        "two-section throughput fixed point",
+        model=False,
+    )
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument(
@@ -406,12 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also report every residual sign change on a 1000-point grid",
     )
-    p.set_defaults(handler=_cmd_solve_tandem)
 
-    p = sub.add_parser("distributions", help="speed / travel-time law as CSV")
-    _add_common(p)
-    _add_lambda(p)
-    _add_model_options(p)
+    p = command("distributions", _cmd_distributions, "speed / travel-time law as CSV")
     p.add_argument("--kind", choices=(SPEED, TRAVEL_TIME), default=SPEED)
     p.add_argument("--mode", choices=MODES, default=PUSHFORWARD)
     p.add_argument(
@@ -420,11 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="use this section's own law instead of the tandem marginal",
     )
-    p.set_defaults(handler=_cmd_distributions)
 
-    p = sub.add_parser("sweep", help="arrival-rate sweep as CSV")
-    _add_common(p)
-    _add_model_options(p)
+    p = command("sweep", _cmd_sweep, "arrival-rate sweep as CSV", lam=False)
     p.add_argument("--lambda-from", dest="lambda_from", type=float, required=True)
     p.add_argument("--lambda-to", dest="lambda_to", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
@@ -434,32 +406,24 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="sweep this single section instead of the tandem system",
     )
-    p.set_defaults(handler=_cmd_sweep)
 
-    p = sub.add_parser("simulate", help="seeded Monte Carlo of one section")
-    _add_common(p)
-    _add_lambda(p)
-    _add_model_options(p)
-    p.add_argument("--events", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--section", type=int, default=1)
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser(
-        "compare", help="analytical vs exact vs simulated, with TV distances"
+    simulation = command("simulate", _cmd_simulate, "seeded Monte Carlo of one section")
+    comparison = command(
+        "compare", _cmd_compare, "analytical vs exact vs simulated, with TV distances"
     )
-    _add_common(p)
-    _add_lambda(p)
-    _add_model_options(p)
-    p.add_argument("--events", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--section", type=int, default=1)
-    p.set_defaults(handler=_cmd_compare)
+    for p in (simulation, comparison):
+        p.add_argument("--events", type=int, default=1_000_000)
+        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--section", type=int, default=1)
 
-    p = sub.add_parser(
-        "fit-exponential", help="fit (beta, gamma) from two anchor points"
+    p = command(
+        "fit-exponential",
+        _cmd_fit_exponential,
+        "fit (beta, gamma) from two anchor points",
+        lam=False,
+        convention=False,
+        model=False,
     )
-    _add_common(p)
     p.add_argument("--fit-a", type=float, required=True, help="first anchor count")
     p.add_argument("--fit-va", type=float, required=True, help="speed at a")
     p.add_argument("--fit-b", type=float, required=True, help="second anchor count")
@@ -470,13 +434,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="free speed (default: section 1's v_f from the config)",
     )
-    p.set_defaults(handler=_cmd_fit_exponential)
 
-    p = sub.add_parser(
-        "figure-data", help="canned comparison datasets for plotting"
+    p = command(
+        "figure-data",
+        _cmd_figure_data,
+        "canned comparison datasets for plotting",
+        lam=False,
+        model=False,
     )
-    _add_common(p)
-    p.add_argument("--convention", choices=CONVENTIONS, default=None)
     p.add_argument("--figure", choices=FIGURES, required=True)
     p.add_argument(
         "--kind",
@@ -491,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fig5: which panel to emit (default count)",
     )
     p.add_argument("--section", type=int, default=None, help="fig8 only (default 1)")
-    p.set_defaults(handler=_cmd_figure_data)
 
     return parser
 

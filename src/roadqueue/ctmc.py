@@ -29,8 +29,11 @@ from .tandem import TandemConfig, coupled_rates
 
 RNG_ALGORITHM = "numpy-pcg64"
 
-_RESIDUAL_TOL = 1e-12
 _CLIP = 1e-13
+# Cap on the dense joint-chain generator, 8 * N**2 bytes for N joint
+# states: c = 54 (a 73 MB generator, copied twice more by Ctmc and the
+# solve) passes, c = 180 (8.6 GB) does not.
+_GENERATOR_CAP_BYTES = 256 * 2**20
 
 
 class OracleError(RuntimeError):
@@ -100,7 +103,9 @@ def exact_stationary(chain: Ctmc) -> np.ndarray:
 
     One balance equation is replaced by the normalization sum(pi) = 1 and
     the dense system solved directly.  The result is verified: residual
-    ||pi Q||_inf below 1e-12 and no meaningfully negative mass.
+    ||pi Q||_inf at most ||Q||_inf * N * eps, relative to the rates (with
+    ||Q||_inf the largest absolute row sum and N the number of states),
+    and no meaningfully negative mass.
     """
     q = chain.generator
     n = q.shape[0]
@@ -113,10 +118,13 @@ def exact_stationary(chain: Ctmc) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise OracleError(f"balance equations are singular: {exc}") from exc
     residual = float(np.max(np.abs(pi @ q)))
-    if not residual <= _RESIDUAL_TOL:
-        raise OracleError(
-            f"stationary residual {residual:.3e} exceeds {_RESIDUAL_TOL}"
-        )
+    # off-diagonal entries are nonnegative, so a row's absolute sum is its
+    # sum minus the diagonal plus the diagonal's size: no N x N temporary
+    diag = q.diagonal()
+    q_norm = float(np.max(q.sum(axis=1) - diag + np.abs(diag)))
+    tol = q_norm * n * np.finfo(float).eps
+    if not residual <= tol:
+        raise OracleError(f"stationary residual {residual:.3e} exceeds {tol:.3e}")
     if np.any(pi < -_CLIP):
         raise OracleError("stationary solve produced negative probabilities")
     pi = np.where(np.abs(pi) < _CLIP, 0.0, pi)
@@ -144,10 +152,19 @@ def build_tandem_2d(config: TandemConfig, lam: float) -> Ctmc:
     Transitions: arrival (n1 + 1) at rate lam while n1 < c1; transfer
     (n1 - 1, n2 + 1) at rate q12(n1, n2) while n1 > 0 and n2 < c2;
     departure (n2 - 1) at section 2's own service rate.  Nothing
-    follows section 2, so its downstream is unconstrained.
+    follows section 2, so its downstream is unconstrained.  A chain whose
+    dense generator would pass 256 MiB raises OracleError before anything
+    its size is allocated.
     """
     check_arrival_rate(lam)
     c1, c2 = config.section1.c, config.section2.c
+    size = (c1 + 1) * (c2 + 1)
+    if 8 * size**2 > _GENERATOR_CAP_BYTES:
+        raise OracleError(
+            f"the dense joint chain needs {8 * size**2 / 1e9:.1f} GB of generator "
+            f"(N = {size} joint states), above the "
+            f"{_GENERATOR_CAP_BYTES // 2**20} MiB cap"
+        )
     states = tuple(itertools.product(range(c1 + 1), range(c2 + 1)))
     # state (n1, n2) sits at index k = n1 * (c2 + 1) + n2
     k = np.arange(len(states))

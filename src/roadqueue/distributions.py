@@ -21,9 +21,10 @@ up to the critical count n_cr travel at the free speed v_f, congested
 counts at v_n = min(v_f, w * (c - n + offset) / n), the section's
 supply term divided by n.  The speeds v_0..v_c are built as one numpy
 array from fundamental.supply_term.  Zero-mass states are dropped before
-speeds become transit times, so the exact convention's v_c = 0 never
-reaches a division.  The linear model's "pushforward" mode relabels and
-merges through the same body.
+speeds become transit times, so the exact convention's v_c = 0 matters
+only to a law that holds mass at n = c: that law has no finite travel
+time, and asking for one raises SingularModelError.  The linear model's
+"pushforward" mode relabels and merges through the same body.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .congestion import LinearCongestionModel, linear_speed
 from .fundamental import SHIFTED, RoadSection, supply_term
 from .queueing import (
     OccupancyDistribution,
+    SingularModelError,
     birth_death_log_weights,
     frozen_probs,
     jain_smith_rates,
@@ -130,6 +132,10 @@ def _pushforward(
     held = dist.probs > 0
     values = speeds[held]
     if times:
+        if np.any(values == 0):
+            raise SingularModelError(
+                "the law holds mass at speed 0, which has no finite travel time"
+            )
         values = L / values
     return _merge_atoms(values.tolist(), dist.probs[held])
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from roadqueue.cli import main
+from roadqueue.cli import build_parser, main
 
 SECTION_1 = {"L": 100.0, "v_f": 28.0, "w": 14.0, "rho_j": 0.18, "c": 18}
 
@@ -571,3 +572,81 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["lambda"] == 0.5
+
+
+# (dest, option strings, default, choices, required, type name) of every
+# action, per subcommand: folding the parser's declarations must keep each
+HELP = ("help", ("-h", "--help"), argparse.SUPPRESS, None, False, None)
+CONFIG = ("config", ("--config",), None, None, False, None)
+OUTPUT = ("output", ("--output",), None, None, False, None)
+LAM = ("lam", ("--lambda",), None, None, True, "float")
+CONVENTION = ("convention", ("--convention",), None, ("exact", "shifted"), False, None)
+MODEL = [
+    ("beta", ("--beta",), None, None, False, "float"),
+    CONVENTION,
+    ("gamma", ("--gamma",), None, None, False, "float"),
+    ("model", ("--model",), None, ("triangular", "linear", "exponential"), False, None),
+]
+SECTION_ONE = ("section", ("--section",), 1, None, False, "int")
+SECTION_UNSET = ("section", ("--section",), None, None, False, "int")
+SIMULATION = [
+    ("events", ("--events",), 1_000_000, None, False, "int"),
+    SECTION_ONE,
+    ("seed", ("--seed",), 42, None, False, "int"),
+]
+PARSER_SURFACE = {
+    "solve-section": [HELP, CONFIG, OUTPUT, LAM, *MODEL, SECTION_ONE],
+    "solve-tandem": [
+        HELP, CONFIG, OUTPUT, LAM, CONVENTION,
+        ("max_iter", ("--max-iter",), 200, None, False, "int"),
+        ("scan_roots", ("--scan-roots",), False, None, False, None),
+        ("tol", ("--tol",), 1e-10, None, False, "float"),
+    ],
+    "distributions": [
+        HELP, CONFIG, OUTPUT, LAM, *MODEL, SECTION_UNSET,
+        ("kind", ("--kind",), "speed", ("speed", "travel-time"), False, None),
+        ("mode", ("--mode",), "pushforward", ("pushforward", "paper-grid"), False, None),
+    ],
+    "sweep": [
+        HELP, CONFIG, OUTPUT, *MODEL, SECTION_UNSET,
+        ("lambda_from", ("--lambda-from",), None, None, True, "float"),
+        ("lambda_to", ("--lambda-to",), None, None, True, "float"),
+        ("steps", ("--steps",), None, None, True, "int"),
+    ],
+    "simulate": [HELP, CONFIG, OUTPUT, LAM, *MODEL, *SIMULATION],
+    "compare": [HELP, CONFIG, OUTPUT, LAM, *MODEL, *SIMULATION],
+    "fit-exponential": [
+        HELP, CONFIG, OUTPUT,
+        ("fit_a", ("--fit-a",), None, None, True, "float"),
+        ("fit_b", ("--fit-b",), None, None, True, "float"),
+        ("fit_va", ("--fit-va",), None, None, True, "float"),
+        ("fit_vb", ("--fit-vb",), None, None, True, "float"),
+        ("fit_vf", ("--fit-vf",), None, None, False, "float"),
+    ],
+    "figure-data": [
+        HELP, CONFIG, OUTPUT, CONVENTION, SECTION_UNSET,
+        ("figure", ("--figure",), None,
+         ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"), True, None),
+        ("kind", ("--kind",), None, ("speed", "travel-time"), False, None),
+        ("metric", ("--metric",), None, ("count", "blocking"), False, None),
+    ],
+}
+
+
+def test_parser_surface_is_pinned_option_by_option():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(PARSER_SURFACE)
+    for name, expected in PARSER_SURFACE.items():
+        actual = sorted(
+            (
+                a.dest,
+                tuple(a.option_strings),
+                a.default,
+                None if a.choices is None else tuple(a.choices),
+                a.required,
+                getattr(a.type, "__name__", None),
+            )
+            for a in sub.choices[name]._actions
+        )
+        assert actual == sorted(expected), name

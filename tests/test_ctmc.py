@@ -1,3 +1,7 @@
+import dataclasses
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,8 +65,10 @@ class TestExactStationary:
 
     def test_agrees_with_product_form(self, section1):
         rates = service_rates(section1)
-        for lam in (0.1, 0.8, 2.0):
-            chain = birth_death_chain(lam, rates)
+        # the residual check is relative to the rates: the same chain in
+        # other time units solves alike
+        for scale, lam in itertools.product((1e-6, 1.0, 1e6), (0.1, 0.8, 2.0)):
+            chain = birth_death_chain(lam * scale, rates * scale)
             pi = exact_stationary(chain)
             d = solve_birth_death(lam, rates)
             np.testing.assert_allclose(pi, d.probs, atol=1e-12)
@@ -121,6 +127,22 @@ class TestBirthDeathChain:
 
 
 class TestTandem2d:
+    def test_oversized_chain_is_refused_before_allocating(self, tandem_config):
+        # the benchmark geometry at L = 1 km: c1 = c2 = 180, an 8.6 GB generator
+        big = TandemConfig(
+            section1=dataclasses.replace(tandem_config.section1, L=1000.0, c=None),
+            section2=dataclasses.replace(tandem_config.section2, L=1000.0, c=None),
+        )
+        assert big.section1.c == big.section2.c == 180
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleError, match="8.6 GB"):
+                build_tandem_2d(big, 0.8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_benchmark_chain_structure(self, tandem_config):
         chain = build_tandem_2d(tandem_config, 0.5)
         c1, c2 = tandem_config.section1.c, tandem_config.section2.c

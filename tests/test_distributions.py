@@ -7,6 +7,8 @@ from roadqueue import (
     EXACT,
     LinearCongestionModel,
     DiscreteDistribution,
+    OccupancyDistribution,
+    SingularModelError,
     solve_jain_smith,
     solve_triangular,
     speed_dist_linear,
@@ -147,6 +149,14 @@ class TestTriangularPushforward:
         t = travel_time_dist_triangular(occ, section1, EXACT)
         assert t.support.tolist() == [pytest.approx(100.0 / 28.0)]
         assert t.probs.tolist() == [1.0]
+
+    def test_mass_at_zero_speed_has_no_travel_time(self, section1):
+        # under "exact" v_c = 0: a law held at n = c has a speed law only
+        occ = OccupancyDistribution.point_mass(section1.c, section1.c)
+        with pytest.raises(SingularModelError, match="speed 0"):
+            travel_time_dist_triangular(occ, section1, EXACT)
+        v = speed_dist_triangular(occ, section1, EXACT)
+        assert (v.support.tolist(), v.probs.tolist()) == ([0.0], [1.0])
 
     def test_capacity_mismatch_rejected(self, section1, section2):
         occ = solve_triangular(0.8, section1)
