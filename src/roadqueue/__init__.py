@@ -19,14 +19,12 @@ from .congestion import (
     linear_speed,
 )
 from .ctmc import (
-    Ctmc,
     OracleError,
     SimulationResult,
     birth_death_chain,
     build_tandem_2d,
     decomposition_diagnostic,
     exact_stationary,
-    joint_marginals,
     simulate,
     tv_distance,
 )
@@ -69,7 +67,6 @@ from .tandem import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ctmc",
     "ConvergenceError",
     "DiscreteDistribution",
     "EXACT",
@@ -97,7 +94,6 @@ __all__ = [
     "exponential_speed",
     "fit_exponential",
     "flow",
-    "joint_marginals",
     "linear_speed",
     "load_scenario",
     "measures",

@@ -17,7 +17,6 @@ time-average reading of stationary probabilities.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,49 +30,13 @@ RNG_ALGORITHM = "numpy-pcg64"
 
 _CLIP = 1e-13
 # Cap on the dense joint-chain generator, 8 * N**2 bytes for N joint
-# states: c = 54 (a 73 MB generator, copied twice more by Ctmc and the
-# solve) passes, c = 180 (8.6 GB) does not.
+# states: c = 54 (a 73 MB generator, transposed and factored in two more
+# copies by the solve) passes, c = 180 (8.6 GB) does not.
 _GENERATOR_CAP_BYTES = 256 * 2**20
 
 
 class OracleError(RuntimeError):
     """The oracle itself could not produce a trustworthy answer."""
-
-
-@dataclass(frozen=True, eq=False)
-class Ctmc:
-    """A finite continuous-time Markov chain.
-
-    states: hashable labels, one per generator row
-    generator: square rate matrix, nonnegative off the diagonal, rows
-        summing to zero
-    """
-
-    states: tuple
-    generator: np.ndarray
-
-    def __post_init__(self) -> None:
-        gen = np.asarray(self.generator, dtype=float)
-        n = len(self.states)
-        if gen.shape != (n, n):
-            raise ValueError(
-                f"generator shape {gen.shape} does not match {n} states"
-            )
-        off = gen.copy()
-        np.fill_diagonal(off, 0.0)
-        if np.any(off < 0):
-            raise ValueError("off-diagonal generator entries must be >= 0")
-        # a NaN or infinite entry makes its row sum NaN or infinite
-        with np.errstate(invalid="ignore"):
-            row_sums = gen.sum(axis=1)
-        if not np.isfinite(row_sums).all():
-            raise ValueError("generator entries must be finite")
-        if np.max(np.abs(row_sums)) > 1e-9:
-            raise ValueError("generator rows must sum to zero")
-        gen = gen.copy()
-        gen.flags.writeable = False
-        object.__setattr__(self, "generator", gen)
-        object.__setattr__(self, "states", tuple(self.states))
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,17 +61,37 @@ class SimulationResult:
             raise ValueError(f"events must be positive, got {self.events!r}")
 
 
-def exact_stationary(chain: Ctmc) -> np.ndarray:
+def exact_stationary(generator) -> np.ndarray:
     """Stationary law from the global balance equations, pi Q = 0.
 
-    One balance equation is replaced by the normalization sum(pi) = 1 and
-    the dense system solved directly.  The result is verified: residual
-    ||pi Q||_inf at most ||Q||_inf * N * eps, relative to the rates (with
-    ||Q||_inf the largest absolute row sum and N the number of states),
+    The generator is a square rate matrix, nonnegative and finite off the
+    diagonal, with rows summing to zero within ||Q||_inf * N * eps (with
+    ||Q||_inf the largest absolute row sum and N the number of states);
+    anything else raises ValueError.  One balance equation is replaced by
+    the normalization sum(pi) = 1 and the dense system solved directly.
+    The result is verified: residual ||pi Q||_inf within the same bound,
     and no meaningfully negative mass.
     """
-    q = chain.generator
+    q = np.asarray(generator, dtype=float)
+    if q.ndim != 2 or q.shape[0] != q.shape[1]:
+        raise ValueError(f"generator shape {q.shape} is not square")
     n = q.shape[0]
+    negative = q < 0
+    np.fill_diagonal(negative, False)
+    if negative.any():
+        raise ValueError("off-diagonal generator entries must be >= 0")
+    # a NaN or infinite entry makes its row sum NaN or infinite
+    with np.errstate(invalid="ignore"):
+        row_sums = q.sum(axis=1)
+    if not np.isfinite(row_sums).all():
+        raise ValueError("generator entries must be finite")
+    # off-diagonal entries are nonnegative, so a row's absolute sum is its
+    # sum minus the diagonal plus the diagonal's size: no N x N temporary
+    diag = q.diagonal()
+    q_norm = float(np.max(row_sums - diag + np.abs(diag)))
+    tol = q_norm * n * np.finfo(float).eps
+    if np.max(np.abs(row_sums)) > tol:
+        raise ValueError("generator rows must sum to zero")
     a = q.T.copy()
     a[-1, :] = 1.0
     b = np.zeros(n)
@@ -118,11 +101,6 @@ def exact_stationary(chain: Ctmc) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise OracleError(f"balance equations are singular: {exc}") from exc
     residual = float(np.max(np.abs(pi @ q)))
-    # off-diagonal entries are nonnegative, so a row's absolute sum is its
-    # sum minus the diagonal plus the diagonal's size: no N x N temporary
-    diag = q.diagonal()
-    q_norm = float(np.max(q.sum(axis=1) - diag + np.abs(diag)))
-    tol = q_norm * n * np.finfo(float).eps
     if not residual <= tol:
         raise OracleError(f"stationary residual {residual:.3e} exceeds {tol:.3e}")
     if np.any(pi < -_CLIP):
@@ -131,7 +109,7 @@ def exact_stationary(chain: Ctmc) -> np.ndarray:
     return pi / pi.sum()
 
 
-def birth_death_chain(lam: float, rates) -> Ctmc:
+def birth_death_chain(lam: float, rates) -> np.ndarray:
     """Loss-system birth-death generator on {0..c}: births lam, deaths q_n."""
     check_arrival_rate(lam)
     rates = np.asarray(rates, dtype=float)
@@ -143,10 +121,10 @@ def birth_death_chain(lam: float, rates) -> Ctmc:
     gen[n, n + 1] = lam
     gen[n + 1, n] = rates
     np.fill_diagonal(gen, -gen.sum(axis=1))
-    return Ctmc(states=tuple(range(c + 1)), generator=gen)
+    return gen
 
 
-def build_tandem_2d(config: TandemConfig, lam: float) -> Ctmc:
+def build_tandem_2d(config: TandemConfig, lam: float) -> np.ndarray:
     """Exact joint chain on (n1, n2) that the decomposition approximates.
 
     Transitions: arrival (n1 + 1) at rate lam while n1 < c1; transfer
@@ -165,11 +143,10 @@ def build_tandem_2d(config: TandemConfig, lam: float) -> Ctmc:
             f"(N = {size} joint states), above the "
             f"{_GENERATOR_CAP_BYTES // 2**20} MiB cap"
         )
-    states = tuple(itertools.product(range(c1 + 1), range(c2 + 1)))
     # state (n1, n2) sits at index k = n1 * (c2 + 1) + n2
-    k = np.arange(len(states))
+    k = np.arange(size)
     n1, n2 = np.divmod(k, c2 + 1)
-    gen = np.zeros((len(states), len(states)))
+    gen = np.zeros((size, size))
     up = k[n1 < c1]
     gen[up, up + c2 + 1] = lam
     move = k[(n1 > 0) & (n2 < c2)]
@@ -179,19 +156,7 @@ def build_tandem_2d(config: TandemConfig, lam: float) -> Ctmc:
         n2[down] - 1
     ]
     np.fill_diagonal(gen, gen.diagonal() - gen.sum(axis=1))
-    return Ctmc(states=states, generator=gen)
-
-
-def joint_marginals(chain: Ctmc, pi) -> tuple[np.ndarray, np.ndarray]:
-    """Per-section marginals of a joint law over (n1, n2) states."""
-    pi = np.asarray(pi, dtype=float)
-    n1, n2 = np.array(chain.states).T
-    p1 = np.zeros(n1.max() + 1)
-    p2 = np.zeros(n2.max() + 1)
-    # unbuffered adds in state order, like a loop over the states
-    np.add.at(p1, n1, pi)
-    np.add.at(p2, n2, pi)
-    return p1, p2
+    return gen
 
 
 def decomposition_diagnostic(
@@ -202,8 +167,11 @@ def decomposition_diagnostic(
     A quality report for the decomposition, not a correctness bound: the
     decomposition is an approximation of the joint chain by design.
     """
-    chain = build_tandem_2d(config, lam)
-    p1, _ = joint_marginals(chain, exact_stationary(chain))
+    c1, c2 = config.section1.c, config.section2.c
+    pi = exact_stationary(build_tandem_2d(config, lam))
+    # sum over n2 one state at a time, in state order: a pairwise sum
+    # would move the last digits of tiny distances
+    p1 = np.cumsum(pi.reshape(c1 + 1, c2 + 1), axis=1)[:, -1]
     return tv_distance(p1, marginal_probs)
 
 

@@ -1,9 +1,9 @@
-"""Rate tables and the fixed point, over random geometries.
+"""Rate tables, the exact oracles and the fixed point, over random geometries.
 
 The references below are written out one state at a time, straight from
 the closed forms, so they share no code with the array builders they
-check.  The fixed-point test checks invariants that follow from the
-model, not values copied from the solver.
+check.  The oracle and fixed-point tests check invariants that follow
+from the model, not values copied from the solver.
 """
 
 import numpy as np
@@ -13,12 +13,16 @@ from hypothesis import strategies as st
 
 from roadqueue import (
     EXACT,
+    SHIFTED,
+    OracleError,
     RoadSection,
     SingularModelError,
     TandemConfig,
     TriangularDiagram,
+    birth_death_chain,
     build_tandem_2d,
     coupled_rates,
+    exact_stationary,
     service_rates,
     solve_birth_death,
     solve_fixed_point,
@@ -46,11 +50,11 @@ def sections(draw, max_c=60):
 
 
 @st.composite
-def tandems(draw, max_c=60):
+def tandems(draw, max_c=60, conventions=CONVENTIONS):
     return TandemConfig(
         section1=draw(sections(max_c)),
         section2=draw(sections(max_c)),
-        convention=draw(st.sampled_from(CONVENTIONS)),
+        convention=draw(st.sampled_from(conventions)),
     )
 
 
@@ -88,7 +92,7 @@ def ref_generator(config, lam):
                 config.section2, n2, config.convention
             )
     np.fill_diagonal(gen, gen.diagonal() - gen.sum(axis=1))
-    return states, gen
+    return gen
 
 
 arrival_rates = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
@@ -116,10 +120,46 @@ def test_coupled_rates_equal_closed_form(config):
 @SETTINGS
 @given(tandems(max_c=12), arrival_rates)
 def test_joint_generator_equals_per_state_reference(config, lam):
-    states, expected = ref_generator(config, lam)
-    chain = build_tandem_2d(config, lam)
-    assert list(chain.states) == states
-    np.testing.assert_array_equal(chain.generator, expected)
+    # the reference numbers the states (n1, n2) in row-major order
+    np.testing.assert_array_equal(
+        build_tandem_2d(config, lam), ref_generator(config, lam)
+    )
+
+
+@SETTINGS
+@given(sections(), st.floats(1e-3, 1e3))
+def test_product_form_equals_exact_solve(section, lam):
+    rates = service_rates(section, SHIFTED)
+    generator = birth_death_chain(lam, rates)
+    expected = solve_birth_death(lam, rates).probs
+    # the dense oracle solves Q^T with its last row replaced by ones, so
+    # its forward error is bounded by that system's condition number
+    # times eps; some geometries push the bound past 1e-9
+    system = generator.T.copy()
+    system[-1] = 1.0
+    bound = np.linalg.cond(system, np.inf) * np.finfo(float).eps
+    try:
+        pi = exact_stationary(generator)
+    except OracleError:
+        # it may decline a law it cannot resolve, but only then
+        assert bound > 1e-9
+        return
+    atol = max((section.c + 1) * 1e-13, bound)
+    np.testing.assert_allclose(pi, expected, rtol=0, atol=atol)
+
+
+@SETTINGS
+@given(tandems(max_c=12, conventions=(SHIFTED,)), st.floats(1e-3, 1e3))
+def test_joint_chain_flows_balance(config, lam):
+    c1, c2 = config.section1.c, config.section2.c
+    joint = exact_stationary(build_tandem_2d(config, lam)).reshape(c1 + 1, c2 + 1)
+    accepted = lam * (1 - joint[-1].sum())
+    # q12(n1, n2) sits at coupled_rates[n2, n1 - 1]; nothing moves at n2 = c2
+    transferred = (joint[1:, :-1] * coupled_rates(config)[:-1].T).sum()
+    departed = joint.sum(axis=0)[1:] @ service_rates(config.section2, SHIFTED)
+    tol = 1e-9 * max(lam, 1.0)
+    assert abs(accepted - transferred) <= tol
+    assert abs(transferred - departed) <= tol
 
 
 @SETTINGS
