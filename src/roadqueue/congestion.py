@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class LinearCongestionModel:
@@ -33,8 +35,8 @@ class LinearCongestionModel:
     c: int
 
     def __post_init__(self) -> None:
-        if not self.v_f > 0:
-            raise ValueError(f"v_f must be positive, got {self.v_f!r}")
+        if not 0 < self.v_f < math.inf:
+            raise ValueError(f"v_f must be finite and positive, got {self.v_f!r}")
         if self.c < 1:
             raise ValueError(f"c must be at least 1, got {self.c!r}")
 
@@ -49,12 +51,10 @@ class ExponentialCongestionModel:
     c: int
 
     def __post_init__(self) -> None:
-        if not self.v_f > 0:
-            raise ValueError(f"v_f must be positive, got {self.v_f!r}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta!r}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma!r}")
+        for name in ("v_f", "beta", "gamma"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.c < 1:
             raise ValueError(f"c must be at least 1, got {self.c!r}")
 
@@ -70,6 +70,10 @@ class FitAnchors:
     v_f: float
 
     def __post_init__(self) -> None:
+        for name in ("a", "v_a", "b", "v_b", "v_f"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if not 1 < self.a < self.b:
             raise ValueError(
                 f"anchors need 1 < a < b, got a={self.a!r}, b={self.b!r}"
@@ -84,25 +88,25 @@ class FitAnchors:
 CongestionModel = Union[LinearCongestionModel, ExponentialCongestionModel]
 
 
-def _check_count(model: CongestionModel, n: int) -> None:
-    if not 1 <= n <= model.c:
+def _check_count(model: CongestionModel, n) -> None:
+    if np.any((n < 1) | (n > model.c)):
         raise ValueError(f"count n={n!r} outside [1, c={model.c}]")
 
 
-def linear_speed(model: LinearCongestionModel, n: int) -> float:
-    """Speed with n occupants under the linear law [m/s]."""
+def linear_speed(model: LinearCongestionModel, n):
+    """Speed with n occupants under the linear law [m/s], elementwise in n."""
     _check_count(model, n)
     return model.v_f * (model.c - n + 1) / model.c
 
 
-def exponential_speed(model: ExponentialCongestionModel, n: int) -> float:
-    """Speed with n occupants under the exponential law [m/s]."""
+def exponential_speed(model: ExponentialCongestionModel, n):
+    """Speed with n occupants under the exponential law [m/s], elementwise in n."""
     _check_count(model, n)
-    return model.v_f * math.exp(-(((n - 1) / model.beta) ** model.gamma))
+    return model.v_f * np.exp(-(((n - 1) / model.beta) ** model.gamma))
 
 
-def speed(model: CongestionModel, n: int) -> float:
-    """Dispatch to the model's speed law."""
+def speed(model: CongestionModel, n):
+    """Dispatch to the model's speed law; n is an int or an integer array."""
     if isinstance(model, LinearCongestionModel):
         return linear_speed(model, n)
     if isinstance(model, ExponentialCongestionModel):

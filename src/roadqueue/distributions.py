@@ -16,10 +16,10 @@ congestion model:
   states are dropped, so the result is a visualization table whose
   total is generally not 1; it is marked normalized=False.
 
-The triangular-diagram variants are always exact pushforwards: counts
-up to the critical count n_cr travel at the free speed v_f, congested
-counts at v_n = min(v_f, w * (c - n + offset) / n), the section's
-supply term divided by n.  The speeds v_0..v_c are built as one numpy
+The triangular-diagram variants are always exact pushforwards: the
+empty section has the free speed v_0 = v_f, and each count n >= 1 moves
+at v_n = min(v_f, w * (c - n + offset) / n) = L * q_n / n, the speed of
+the rate the queue serves it at.  The speeds v_0..v_c are built as one numpy
 array from fundamental.supply_term.  Zero-mass states are dropped before
 speeds become transit times, so the exact convention's v_c = 0 matters
 only to a law that holds mass at n = c: that law has no finite travel
@@ -80,44 +80,33 @@ class DiscreteDistribution:
         return float(self.support @ self.probs)
 
 
-def _round12(x: float) -> float:
-    """Round to 12 significant digits; guards float near-duplicates."""
-    if x == 0 or not math.isfinite(x):
-        return x
-    return round(x, 11 - int(math.floor(math.log10(abs(x)))))
+def _round12(x) -> np.ndarray:
+    """Round to 12 significant digits elementwise; guards float near-duplicates."""
+    # printed and parsed back: the bits Python's round gives at 12 digits
+    return np.char.mod("%.11e", x).astype(float)
 
 
-def _floor12(x: float) -> int:
-    """Floor after 12-significant-digit rounding.
+def _floor12(x) -> np.ndarray:
+    """Floor after 12-significant-digit rounding, elementwise, as integers.
 
     The classical inverse index maps are exact in real arithmetic but
     can land one ulp below an integer in floats; rounding first keeps
     the floor faithful to the algebra.
     """
-    return int(math.floor(_round12(x)))
+    return np.floor(_round12(x)).astype(int)
 
 
-def _merge_atoms(values, probs) -> DiscreteDistribution:
-    """Group equal values (after 12-digit rounding), drop zero mass."""
-    merged: dict[float, float] = {}
-    for value, prob in zip(values, probs):
-        key = _round12(value)
-        merged[key] = merged.get(key, 0.0) + prob
-    support = sorted(key for key, prob in merged.items() if prob > 0)
-    return DiscreteDistribution(
-        support=np.array(support),
-        probs=np.array([merged[key] for key in support]),
-    )
+def _merge_atoms(values: np.ndarray, probs: np.ndarray) -> DiscreteDistribution:
+    """Group equal values (after 12-digit rounding), adding masses in order."""
+    support, atom = np.unique(_round12(values), return_inverse=True)
+    return DiscreteDistribution(support=support, probs=np.bincount(atom, weights=probs))
 
 
 def _triangular_speeds(section: RoadSection, convention: str) -> np.ndarray:
-    """Per-state speeds v_0..v_c: v_f up to n_cr, supply-limited above."""
-    n = np.arange(section.n_cr + 1, section.c + 1)
-    speeds = np.full(section.c + 1, section.diagram.v_f)
-    speeds[n] = np.minimum(
-        section.diagram.v_f, supply_term(section, n, convention) / n
-    )
-    return speeds
+    """Per-state speeds v_0 = v_f and v_n = L * q_n / n, q_n from service_rates."""
+    n = np.arange(1, section.c + 1)
+    v_f = section.diagram.v_f
+    return np.append(v_f, np.minimum(v_f, supply_term(section, n, convention) / n))
 
 
 def _pushforward(
@@ -137,7 +126,7 @@ def _pushforward(
                 "the law holds mass at speed 0, which has no finite travel time"
             )
         values = L / values
-    return _merge_atoms(values.tolist(), dist.probs[held])
+    return _merge_atoms(values, dist.probs[held])
 
 
 def speed_dist_triangular(
@@ -161,7 +150,7 @@ def _check_mode(mode: str) -> str:
 
 
 def _grid_cell_weights(
-    lam: float, model: LinearCongestionModel, L: float, indices: list[int]
+    lam: float, model: LinearCongestionModel, L: float, indices: np.ndarray
 ) -> np.ndarray:
     """Probabilities assigned to grid cells mapping to the given states.
 
@@ -169,14 +158,10 @@ def _grid_cell_weights(
     with weight the unnormalized product form, weight(0) = 1 for the
     empty state and 0 for indices outside [0, c].
     """
-    if lam == 0:
-        logw = np.full(model.c + 1, -np.inf)
-        logw[0] = 0.0
-    else:
-        logw = birth_death_log_weights(lam, jain_smith_rates(L, model))
-    cell_logs = np.array(
-        [logw[i] if 0 <= i <= model.c else -np.inf for i in indices]
-    )
+    logw = birth_death_log_weights(lam, jain_smith_rates(L, model))
+    cell_logs = np.full(indices.shape, -np.inf)
+    on = (0 <= indices) & (indices <= model.c)
+    cell_logs[on] = logw[indices[on]]
     shift = max(float(np.max(cell_logs, initial=-np.inf)), 0.0)
     cell_w = np.exp(cell_logs - shift)
     empty = math.exp(-shift)  # the "1 +" term, same shift
@@ -190,20 +175,20 @@ def _linear_law(
     if not 0 < L < math.inf:
         raise ValueError(f"L must be finite and positive, got {L!r}")
     if mode == PUSHFORWARD:
-        speeds = [model.v_f] + [linear_speed(model, n) for n in range(1, model.c + 1)]
-        return _pushforward(solve_jain_smith(lam, L, model), np.array(speeds), L, times)
+        speeds = np.append(model.v_f, linear_speed(model, np.arange(1, model.c + 1)))
+        return _pushforward(solve_jain_smith(lam, L, model), speeds, L, times)
     if times:
-        grid = list(range(max(math.floor(L / model.v_f), 1), math.floor(L) + 1))
-        indices = [_floor12(1 + model.c * (1 - L / (t * model.v_f))) for t in grid]
+        grid = np.arange(max(math.floor(L / model.v_f), 1), math.floor(L) + 1)
+        indices = _floor12(1 + model.c * (1 - L / (grid * model.v_f)))
         note = "time grid anchored at floor(L/v_f) with non-integer v_f"
     else:
-        grid = list(range(1, math.floor(model.v_f) + 1))
-        indices = [_floor12(1 + model.c * (1 - v / model.v_f)) for v in grid]
+        grid = np.arange(1, math.floor(model.v_f) + 1)
+        indices = _floor12(1 + model.c * (1 - grid / model.v_f))
         note = f"speed grid truncated at floor(v_f) = {math.floor(model.v_f)}"
     if model.v_f != math.floor(model.v_f):
         warnings.warn(note, stacklevel=3)
     return DiscreteDistribution(
-        support=np.array(grid, dtype=float),
+        support=grid.astype(float),
         probs=_grid_cell_weights(lam, model, L, indices),
         normalized=False,
     )

@@ -92,8 +92,9 @@ class RoadSection:
     The vehicle capacity c defaults to round(rho_j * L); an explicit
     value is accepted (configs often state it) but rejected if it
     disagrees with the derived one by more than one vehicle.  The
-    critical count n_cr = round(rho_cr * L) (ties round half up) marks
-    the last state served at the free-flow rate.
+    critical count n_cr = round(rho_cr * L) (ties round half up) is the
+    count at the diagram vertex.  Rounding can put it past the last state
+    served at the free-flow rate, so no rate or speed table reads it.
     """
 
     L: float

@@ -8,7 +8,8 @@ q_n in state n.  Its stationary law has the product form
     P_n  proportional to  prod_{i=1..n} (lambda / q_i)
 
 computed here by the ratio recursion in log space so that large
-capacities cannot overflow, then normalized.
+capacities cannot overflow, then normalized, in birth_death_laws only.
+At lambda = 0 that body gives the limit law, the point mass at n = 0.
 
 Two rate families are provided: the speed-ratio form q_n = n * f(n) *
 v_f / L driven by a congestion model, and the flow form q_n built from a
@@ -39,7 +40,7 @@ def frozen_probs(probs, normalized: bool = True) -> np.ndarray:
     normalized requires the sum to be 1 within 1e-12; NaN fails it.
     """
     probs = np.array(probs, dtype=float)
-    if np.any(probs < 0):
+    if (probs < 0).any():
         raise ValueError("probabilities must be nonnegative")
     total = float(probs.sum())
     # a NaN or infinite term makes the sum NaN or infinite
@@ -121,12 +122,12 @@ def check_arrival_rate(lam: float) -> None:
         raise ValueError(f"arrival rate must be finite and nonnegative, got {lam!r}")
 
 
-def _check_rates(lam: float, rates: np.ndarray, max_ndim: int = 1) -> None:
+def _check_rates(lam: float, rates: np.ndarray) -> None:
     check_arrival_rate(lam)
-    if not 1 <= rates.ndim <= max_ndim or rates.shape[-1] < 1:
-        raise ValueError(f"rates must be nonempty and at most {max_ndim}-D, got {rates.shape}")
-    if np.any(rates < 0):
-        raise ValueError("service rates must be nonnegative")
+    if not 1 <= rates.ndim <= 2 or rates.shape[-1] < 1:
+        raise ValueError(f"rates must be nonempty and at most 2-D, got {rates.shape}")
+    if not ((0 <= rates) & (rates < math.inf)).all():
+        raise ValueError("service rates must be finite and nonnegative")
     zero = np.nonzero(rates == 0)[-1]
     if zero.size and lam > 0:
         # state indices are 1-based: rates[..., i] serves state i+1
@@ -140,37 +141,44 @@ def birth_death_log_weights(lam: float, rates) -> np.ndarray:
     """Log of the unnormalized product-form weights, log P~_n, n = 0..c.
 
     rates is one vector q_1..q_c, or a 2-D stack of such vectors giving
-    one row of weights per row of rates.  Requires lam > 0 and strictly
-    positive rates.
+    one row of weights per row of rates.  Requires strictly positive
+    rates when lam > 0; at lam = 0 the weights are their limit, 0 at
+    n = 0 and -inf elsewhere, whatever the rates.
     """
     rates = np.asarray(rates, dtype=float)
-    _check_rates(lam, rates, max_ndim=2)
-    if lam == 0:
-        raise ValueError("log weights are undefined for lam=0; P_0 = 1")
+    _check_rates(lam, rates)
     logw = np.zeros(rates.shape[:-1] + (rates.shape[-1] + 1,))
     steps = logw[..., 1:]  # log(lam / q_n), summed in place
+    if lam == 0:
+        steps.fill(-math.inf)
+        return logw
     np.log(rates, out=steps)
     np.subtract(np.log(lam), steps, out=steps)
     np.cumsum(steps, axis=-1, out=steps)
     return logw
 
 
+def birth_death_laws(lam: float, rates) -> np.ndarray:
+    """Product-form laws of birth_death_log_weights, one row per row of rates."""
+    # normalized in place: at large capacities the temporaries dominate memory
+    laws = birth_death_log_weights(lam, rates)
+    laws -= laws.max(axis=-1, keepdims=True)
+    np.exp(laws, out=laws)
+    laws /= laws.sum(axis=-1, keepdims=True)
+    return laws
+
+
 def solve_birth_death(lam: float, rates) -> OccupancyDistribution:
     """Stationary law of the loss chain with birth lam and deaths q_1..q_c."""
-    rates = np.asarray(rates, dtype=float)
-    _check_rates(lam, rates)
-    if lam == 0:
-        return OccupancyDistribution.point_mass(rates.size, 0)
-    logw = birth_death_log_weights(lam, rates)
-    w = np.exp(logw - logw.max())
-    return OccupancyDistribution(w / w.sum())
+    return OccupancyDistribution(birth_death_laws(lam, rates))
 
 
 def jain_smith_rates(L: float, model: CongestionModel) -> np.ndarray:
     """Speed-ratio service rates q_n = n * v_n / L for n = 1..c."""
-    if not L > 0:
-        raise ValueError(f"L must be positive, got {L!r}")
-    return np.array([n * speed(model, n) / L for n in range(1, model.c + 1)])
+    if not 0 < L < math.inf:
+        raise ValueError(f"L must be finite and positive, got {L!r}")
+    n = np.arange(1, model.c + 1)
+    return n * speed(model, n) / L
 
 
 def solve_jain_smith(

@@ -37,7 +37,7 @@ from .fundamental import SHIFTED, RoadSection, check_convention, supply_term
 from .queueing import (
     OccupancyDistribution,
     PerformanceMeasures,
-    birth_death_log_weights,
+    birth_death_laws,
     check_arrival_rate,
     littles_law,
     solve_triangular,
@@ -109,18 +109,11 @@ def conditional_matrix(config: TandemConfig, lam: float) -> np.ndarray:
     not depend on theta, so a fixed-point solve computes this once and
     reuses it across bisection steps.
     """
-    check_arrival_rate(lam)
-    c1, c2 = config.section1.c, config.section2.c
-    if lam == 0:
-        return np.tile(OccupancyDistribution.point_mass(c1, 0).probs, (c2 + 1, 1))
+    c1 = config.section1.c
     rates = coupled_rates(config)
-    trapped = ~rates.any(axis=1)
+    trapped = ~rates.any(axis=1) & (lam > 0)
     rates[trapped] = 1.0  # any positive rates: these rows are replaced below
-    # normalized in place: at large capacities the temporaries dominate memory
-    matrix = birth_death_log_weights(lam, rates)
-    matrix -= matrix.max(axis=1, keepdims=True)
-    np.exp(matrix, out=matrix)
-    matrix /= matrix.sum(axis=1, keepdims=True)
+    matrix = birth_death_laws(lam, rates)
     matrix[trapped] = OccupancyDistribution.point_mass(c1, c1).probs
     return matrix
 

@@ -113,6 +113,17 @@ def test_non_finite_lambda_exits_2(capsys, command, lam):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("option", ["--beta", "--gamma"])
+def test_non_finite_congestion_parameter_exits_2(capsys, option):
+    values = {"--beta": "9.5", "--gamma": "1.8", option: "inf"}
+    argv = [arg for pair in values.items() for arg in pair]
+    code, out, err = run_cli(
+        capsys, "solve-section", "--lambda", "0.8", "--model", "exponential", *argv
+    )
+    assert (code, out) == (2, "")
+    assert f"{option[2:]} must be finite and positive" in err
+
+
 class TestSolveTandem:
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(capsys, "solve-tandem", "--lambda", "0.8")
@@ -426,6 +437,16 @@ class TestFitExponential:
         )
         assert code == 2
         assert out == ""
+
+
+    @pytest.mark.parametrize("option, name", [("--fit-b", "b"), ("--fit-vf", "v_f")])
+    def test_non_finite_anchor_exits_2(self, capsys, option, name):
+        values = {"--fit-a": "20", "--fit-va": "48", "--fit-b": "140",
+                  "--fit-vb": "20", "--fit-vf": "55", option: "inf"}
+        argv = [arg for pair in values.items() for arg in pair]
+        code, out, err = run_cli(capsys, "fit-exponential", *argv)
+        assert (code, out) == (2, "")
+        assert f"{name} must be finite and positive" in err
 
 
 class TestFigureData:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from roadqueue.congestion import (
@@ -38,12 +39,22 @@ class TestLinearModel:
             linear_speed(linear18, 0)
         with pytest.raises(ValueError, match="n="):
             linear_speed(linear18, 19)
+        with pytest.raises(ValueError, match="n="):
+            linear_speed(linear18, np.arange(19))
+
+    def test_elementwise_in_n(self, linear18):
+        n = np.arange(1, 19)
+        expected = [linear_speed(linear18, int(k)) for k in n]
+        assert linear_speed(linear18, n).tolist() == expected
 
     def test_validation(self):
         with pytest.raises(ValueError, match="v_f"):
             LinearCongestionModel(v_f=0.0, c=18)
         with pytest.raises(ValueError, match="c"):
             LinearCongestionModel(v_f=28.0, c=0)
+        for v_f in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="v_f must be finite and positive"):
+                LinearCongestionModel(v_f=v_f, c=18)
 
 
 class TestExponentialModel:
@@ -65,6 +76,20 @@ class TestExponentialModel:
             ExponentialCongestionModel(v_f=28.0, beta=0.0, gamma=1.8, c=18)
         with pytest.raises(ValueError, match="gamma"):
             ExponentialCongestionModel(v_f=28.0, beta=9.5, gamma=-1.0, c=18)
+
+    @pytest.mark.parametrize("name", ["v_f", "beta", "gamma"])
+    def test_non_finite_parameters_rejected(self, name):
+        params = {"v_f": 28.0, "beta": 9.5, "gamma": 1.8, "c": 18}
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+                ExponentialCongestionModel(**{**params, name: bad})
+
+    def test_elementwise_in_n(self):
+        # values against a per-state math.exp reference: test_properties.py
+        m = ExponentialCongestionModel(v_f=28.0, beta=9.5, gamma=1.8, c=18)
+        assert exponential_speed(m, np.arange(1, 19)).shape == (18,)
+        with pytest.raises(ValueError, match="n="):
+            exponential_speed(m, np.arange(0, 18))
 
 
 class TestDispatch:
@@ -88,6 +113,13 @@ class TestFitAnchors:
             FitAnchors(a=20, v_a=20.0, b=140, v_b=48.0, v_f=55.0)
         with pytest.raises(ValueError, match="speeds"):
             FitAnchors(a=20, v_a=56.0, b=140, v_b=20.0, v_f=55.0)
+
+    @pytest.mark.parametrize("name", ["a", "v_a", "b", "v_b", "v_f"])
+    def test_non_finite_anchors_rejected(self, name):
+        anchors = {"a": 20, "v_a": 48.0, "b": 140, "v_b": 20.0, "v_f": 55.0}
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+                FitAnchors(**{**anchors, name: bad})
 
 
 class TestFitExponential:

@@ -5,10 +5,13 @@ import pytest
 
 from roadqueue import (
     EXACT,
+    SHIFTED,
     LinearCongestionModel,
     DiscreteDistribution,
     OccupancyDistribution,
+    RoadSection,
     SingularModelError,
+    TriangularDiagram,
     solve_jain_smith,
     solve_triangular,
     speed_dist_linear,
@@ -166,6 +169,18 @@ class TestTriangularPushforward:
             speed_dist_triangular(small, section1)
         with pytest.raises(ValueError, match="capacity"):
             travel_time_dist_triangular(small, section1)
+
+    @pytest.mark.parametrize("convention, speed", [(SHIFTED, 23.75), (EXACT, 22.5)])
+    def test_state_at_n_cr_moves_at_its_rate(self, convention, speed):
+        # c = 22 and n_cr = round(3.67) = 4, but state 4 is already served
+        # on the supply branch: L * q_4 / 4 = 5 * (22 - 4 + offset) / 4
+        section = RoadSection(L=110.0, diagram=TriangularDiagram(v_f=25.0, w=5.0, rho_j=0.2))
+        assert (section.c, section.n_cr) == (22, 4)
+        occ = OccupancyDistribution.point_mass(section.c, 4)
+        v = speed_dist_triangular(occ, section, convention)
+        assert v.support.tolist() == [speed]
+        t = travel_time_dist_triangular(occ, section, convention)
+        assert t.support.tolist() == [pytest.approx(110.0 / speed, rel=1e-11)]
 
     def test_light_load_mean_speed_near_free_flow(self, section1):
         occ = solve_triangular(0.5, section1)

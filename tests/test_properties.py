@@ -6,6 +6,8 @@ check.  The oracle and fixed-point tests check invariants that follow
 from the model, not values copied from the solver.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -27,7 +29,10 @@ from roadqueue import (
     solve_birth_death,
     solve_fixed_point,
 )
+from roadqueue.congestion import ExponentialCongestionModel, LinearCongestionModel
+from roadqueue.distributions import _triangular_speeds
 from roadqueue.fundamental import CONVENTIONS
+from roadqueue.queueing import jain_smith_rates
 from roadqueue.tandem import conditional_matrix
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -105,6 +110,38 @@ def test_service_rates_equal_closed_form(section, convention):
         ref_service_rate(section, n, convention) for n in range(1, section.c + 1)
     ]
     assert service_rates(section, convention).tolist() == expected
+
+
+@SETTINGS
+@given(sections(), st.sampled_from(CONVENTIONS))
+def test_pushforward_speeds_follow_the_rates(section, convention):
+    # each count n >= 1 moves at the speed of its rate, L * q_n / n
+    speeds = _triangular_speeds(section, convention)
+    assert speeds[0] == section.diagram.v_f
+    for n in range(1, section.c + 1):
+        expected = section.L * ref_service_rate(section, n, convention) / n
+        assert speeds[n] == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@SETTINGS
+@given(
+    st.floats(1.0, 60.0),
+    st.floats(0.5, 300.0),
+    st.floats(0.2, 5.0),
+    st.integers(1, 300),
+    st.floats(10.0, 2000.0),
+)
+def test_jain_smith_rates_equal_closed_form(v_f, beta, gamma, c, L):
+    model = ExponentialCongestionModel(v_f=v_f, beta=beta, gamma=gamma, c=c)
+    for n, rate in enumerate(jain_smith_rates(L, model), start=1):
+        x = ((n - 1) / beta) ** gamma
+        expected = n * (v_f * math.exp(-x)) / L
+        # numpy's exp and pow may differ from libm's in the last ulp, and
+        # exp turns an ulp of x into a relative change of up to x * eps
+        bound = 4 * np.finfo(float).eps * (1 + x) * expected
+        assert abs(rate - expected) <= bound + np.finfo(float).tiny
+    expected = [n * (v_f * (c - n + 1) / c) / L for n in range(1, c + 1)]
+    assert jain_smith_rates(L, LinearCongestionModel(v_f=v_f, c=c)).tolist() == expected
 
 
 @SETTINGS

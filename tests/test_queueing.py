@@ -9,6 +9,7 @@ from roadqueue import (
     LinearCongestionModel,
     OccupancyDistribution,
     SingularModelError,
+    TandemConfig,
     measures,
     solve_birth_death,
     solve_jain_smith,
@@ -17,6 +18,7 @@ from roadqueue import (
 )
 from roadqueue.queueing import birth_death_log_weights, jain_smith_rates
 from roadqueue.fundamental import service_rates
+from roadqueue.tandem import conditional_matrix, coupled_rates
 
 # hand-solved three-state chain: lam=1, q=(1, 2) gives weights (1, 1, 1/2)
 THREE_STATE = [0.4, 0.4, 0.2]
@@ -131,6 +133,18 @@ class TestSolveBirthDeath:
         with pytest.raises(ValueError, match="finite"):
             solve_birth_death(lam, [1.0, 2.0])
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    @pytest.mark.parametrize("lam", [0.0, 0.8])
+    def test_non_finite_rates_rejected(self, lam, rate):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            solve_birth_death(lam, [rate, 1.0])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            birth_death_log_weights(lam, [[1.0, 1.0], [1.0, rate]])
+
+    def test_stacked_rates_are_not_one_law(self):
+        with pytest.raises(ValueError, match="1-D"):
+            solve_birth_death(1.0, [[1.0, 2.0], [2.0, 1.0]])
+
 
 class TestLogWeights:
     def test_matches_explicit_logs(self):
@@ -138,9 +152,22 @@ class TestLogWeights:
         logw = birth_death_log_weights(2.0, [1.0, 4.0])
         np.testing.assert_allclose(logw, [0.0, math.log(2.0), 0.0], atol=1e-15)
 
-    def test_rejects_zero_arrival_rate(self):
-        with pytest.raises(ValueError, match="lam=0"):
-            birth_death_log_weights(0.0, [1.0, 2.0])
+    def test_zero_arrival_rate_gives_the_limit(self, section1):
+        # the lam -> 0 limit of the product form, even over zero rates
+        limit = [0.0, -math.inf, -math.inf]
+        assert birth_death_log_weights(0.0, [1.0, 2.0]).tolist() == limit
+        stack = birth_death_log_weights(0.0, [[1.0, 2.0], [0.0, 0.0]])
+        assert stack.tolist() == [limit, limit]
+        empty = OccupancyDistribution.point_mass(section1.c, 0).probs.tolist()
+        for convention in (EXACT, SHIFTED):
+            law = solve_birth_death(0.0, service_rates(section1, convention))
+            assert law.probs.tolist() == empty
+            config = TandemConfig(section1, section1, convention)
+            if convention == EXACT:
+                # q_c = 0, and the last conditional row has zero supply
+                assert not coupled_rates(config)[-1].any()
+            matrix = conditional_matrix(config, 0.0)
+            assert matrix.tolist() == [empty] * (section1.c + 1)
 
     def test_stack_gives_one_row_per_rate_row(self):
         rows = np.array([[1.0, 4.0], [2.0, 0.5]])
@@ -174,6 +201,10 @@ class TestJainSmith:
         model = LinearCongestionModel(v_f=28.0, c=18)
         with pytest.raises(ValueError, match="L"):
             jain_smith_rates(0.0, model)
+        # an infinite L would give all-zero rates, not a singular model
+        for L in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="L must be finite and positive"):
+                solve_jain_smith(0.8, L, model)
 
 
 class TestSolveTriangular:
