@@ -22,10 +22,10 @@ from .ctmc import (
     OracleError,
     SimulationResult,
     birth_death_chain,
-    build_tandem_2d,
     decomposition_diagnostic,
     exact_stationary,
     simulate,
+    tandem_stationary,
     tv_distance,
 )
 from .distributions import (
@@ -85,7 +85,6 @@ __all__ = [
     "TandemConfig",
     "TriangularDiagram",
     "birth_death_chain",
-    "build_tandem_2d",
     "coupled_rates",
     "decomposition_diagnostic",
     "default_scenario",
@@ -109,6 +108,7 @@ __all__ = [
     "speed_dist_linear",
     "speed_dist_triangular",
     "tandem_measures",
+    "tandem_stationary",
     "throughput_departure",
     "travel_time_dist_linear",
     "travel_time_dist_triangular",

@@ -4,8 +4,9 @@ The product-form solvers in `queueing` and the decomposition in `tandem`
 are checked against machinery that shares none of their algebra:
 
 * a dense linear solve of the global balance equations pi Q = 0 for any
-  finite generator, including the full two-dimensional tandem chain that
-  the decomposition approximates, and
+  finite generator,
+* a level-by-level solve of the full two-dimensional tandem chain that
+  the decomposition approximates, which never forms its generator, and
 * an event-driven simulation of the birth-death dynamics with seeded,
   reproducible randomness (numpy PCG64; the algorithm identifier is
   recorded in the result so cross-implementation comparisons know what
@@ -29,10 +30,10 @@ from .tandem import TandemConfig, coupled_rates
 RNG_ALGORITHM = "numpy-pcg64"
 
 _CLIP = 1e-13
-# Cap on the dense joint-chain generator, 8 * N**2 bytes for N joint
-# states: c = 54 (a 73 MB generator, transposed and factored in two more
-# copies by the solve) passes, c = 180 (8.6 GB) does not.
-_GENERATOR_CAP_BYTES = 256 * 2**20
+# Cap on the joint chain's stored level-reduction blocks,
+# 8 * c1 * (c2 + 1)**2 bytes: c = 180 (47 MB) passes, and c = 321 is the
+# largest square tandem that does.
+_BLOCK_CAP_BYTES = 256 * 2**20
 
 
 class OracleError(RuntimeError):
@@ -100,13 +101,17 @@ def exact_stationary(generator) -> np.ndarray:
         pi = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise OracleError(f"balance equations are singular: {exc}") from exc
-    residual = float(np.max(np.abs(pi @ q)))
+    _verify(pi, float(np.max(np.abs(pi @ q))), tol)
+    pi = np.where(np.abs(pi) < _CLIP, 0.0, pi)
+    return pi / pi.sum()
+
+
+def _verify(pi: np.ndarray, residual: float, tol: float) -> None:
+    """Refuse a law whose residual ||pi Q||_inf passes tol, or a negative mass."""
     if not residual <= tol:
         raise OracleError(f"stationary residual {residual:.3e} exceeds {tol:.3e}")
     if np.any(pi < -_CLIP):
         raise OracleError("stationary solve produced negative probabilities")
-    pi = np.where(np.abs(pi) < _CLIP, 0.0, pi)
-    return pi / pi.sum()
 
 
 def birth_death_chain(lam: float, rates) -> np.ndarray:
@@ -124,39 +129,75 @@ def birth_death_chain(lam: float, rates) -> np.ndarray:
     return gen
 
 
-def build_tandem_2d(config: TandemConfig, lam: float) -> np.ndarray:
-    """Exact joint chain on (n1, n2) that the decomposition approximates.
+def tandem_stationary(config: TandemConfig, lam: float) -> np.ndarray:
+    """Exact law pi[n1, n2] of the joint chain the decomposition approximates.
 
     Transitions: arrival (n1 + 1) at rate lam while n1 < c1; transfer
     (n1 - 1, n2 + 1) at rate q12(n1, n2) while n1 > 0 and n2 < c2;
-    departure (n2 - 1) at section 2's own service rate.  Nothing
-    follows section 2, so its downstream is unconstrained.  A chain whose
-    dense generator would pass 256 MiB raises OracleError before anything
-    its size is allocated.
+    departure (n2 - 1) at section 2's own service rate.  In n1 this is a
+    level-dependent quasi-birth-death process, solved by linear level
+    reduction (Gaver, Jacobs & Latouche 1984), one (c2 + 1)-square inverse
+    per level, then GTH elimination (Grassmann, Taksar & Heyman 1985) on
+    level 0; every diagonal is a sum of outflows, never a difference.  The
+    law is verified as exact_stationary's is, blockwise.  Under the exact
+    convention (c1, c2) has no exit: the law is its point mass for lam > 0
+    and not unique at lam = 0, which raises OracleError, as do stored
+    blocks (8 * c1 * (c2 + 1)**2 bytes) past 256 MiB, before allocating.
     """
     check_arrival_rate(lam)
     c1, c2 = config.section1.c, config.section2.c
-    size = (c1 + 1) * (c2 + 1)
-    if 8 * size**2 > _GENERATOR_CAP_BYTES:
+    stored = 8 * c1 * (c2 + 1) ** 2
+    if stored > _BLOCK_CAP_BYTES:
         raise OracleError(
-            f"the dense joint chain needs {8 * size**2 / 1e9:.1f} GB of generator "
-            f"(N = {size} joint states), above the "
-            f"{_GENERATOR_CAP_BYTES // 2**20} MiB cap"
+            f"the joint chain's level reduction stores {stored / 1e6:.0f} MB of "
+            f"blocks (c1 = {c1}, c2 = {c2}), above the {_BLOCK_CAP_BYTES >> 20} MiB cap"
         )
-    # state (n1, n2) sits at index k = n1 * (c2 + 1) + n2
-    k = np.arange(size)
-    n1, n2 = np.divmod(k, c2 + 1)
-    gen = np.zeros((size, size))
-    up = k[n1 < c1]
-    gen[up, up + c2 + 1] = lam
-    move = k[(n1 > 0) & (n2 < c2)]
-    gen[move, move - c2] = coupled_rates(config)[n2[move], n1[move] - 1]
-    down = k[n2 > 0]
-    gen[down, down - 1] = service_rates(config.section2, config.convention)[
-        n2[down] - 1
-    ]
-    np.fill_diagonal(gen, gen.diagonal() - gen.sum(axis=1))
-    return gen
+    mu2 = service_rates(config.section2, config.convention)
+    if mu2[-1] == 0:
+        if lam == 0:
+            raise OracleError("at lam = 0 every (n1, c2) is absorbing: no unique law")
+        pi = np.zeros((c1 + 1, c2 + 1))
+        pi[-1, -1] = 1.0
+        return pi
+    q12 = coupled_rates(config).T  # q12(n1, n2) at [n1 - 1, n2]
+    q12[:, -1] = 0.0  # nothing moves at n2 = c2
+    local = np.diag(mu2, -1)  # departures, the same at every level
+    # r[n1 - 1] = lam * (-S_n1)^-1 carries the law from level n1 - 1 to n1
+    r = np.empty((c1, c2 + 1, c2 + 1))
+    block = local.copy()  # rates within the top level left, censored
+    try:
+        for n1 in range(c1, 0, -1):
+            np.fill_diagonal(block, 0.0)  # returns to the same phase: self-loops
+            minus_s = np.diag(block.sum(axis=1) + q12[n1 - 1]) - block
+            r[n1 - 1] = lam * np.linalg.inv(minus_s)
+            # from level n1 the chain returns to level n1 - 1 one phase up
+            block = local.copy()
+            block[:, 1:] += r[n1 - 1][:, :-1] * q12[n1 - 1, :-1]
+    except np.linalg.LinAlgError as exc:
+        raise OracleError(f"a censored level is singular: {exc}") from exc
+    # level 0 by GTH: censor its phases out from the top, then substitute
+    out = np.zeros(c2 + 1)
+    for k in range(c2, 0, -1):
+        out[k] = block[k, :k].sum()
+        block[:k, :k] += np.outer(block[:k, k], block[k, :k] / out[k])
+    pi = np.zeros((c1 + 1, c2 + 1))
+    pi[0, 0] = 1.0
+    for k in range(1, c2 + 1):
+        pi[0, k] = pi[0, :k] @ block[:k, k] / out[k]
+    for n1 in range(1, c1 + 1):
+        pi[n1] = pi[n1 - 1] @ r[n1 - 1]
+    pi /= pi.sum()
+    exits = np.pad(q12, ((1, 0), (0, 0)))
+    exits[:-1] += lam
+    exits[:, 1:] += mu2
+    flow = -pi * exits  # pi Q, one transition kind at a time
+    flow[1:] += lam * pi[:-1]
+    flow[:-1, 1:] += pi[1:, :-1] * q12[:, :-1]
+    flow[:, :-1] += pi[:, 1:] * mu2
+    # ||Q||_inf is twice the largest exit rate
+    tol = 2 * float(exits.max()) * pi.size * np.finfo(float).eps
+    _verify(pi, float(np.abs(flow).max()), tol)
+    return pi
 
 
 def decomposition_diagnostic(
@@ -167,12 +208,7 @@ def decomposition_diagnostic(
     A quality report for the decomposition, not a correctness bound: the
     decomposition is an approximation of the joint chain by design.
     """
-    c1, c2 = config.section1.c, config.section2.c
-    pi = exact_stationary(build_tandem_2d(config, lam))
-    # sum over n2 one state at a time, in state order: a pairwise sum
-    # would move the last digits of tiny distances
-    p1 = np.cumsum(pi.reshape(c1 + 1, c2 + 1), axis=1)[:, -1]
-    return tv_distance(p1, marginal_probs)
+    return tv_distance(tandem_stationary(config, lam).sum(axis=1), marginal_probs)
 
 
 def tv_distance(p, q) -> float:

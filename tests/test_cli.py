@@ -148,6 +148,34 @@ class TestSolveTandem:
         theta = doc["theta"]
         assert any(lo <= theta <= hi for lo, hi in doc["root_brackets"])
 
+    def test_scan_roots_at_c180(self, capsys, tmp_path):
+        # the bundled scenario scaled to 1 km: c1 = c2 = 180, 32761 joint
+        # states, whose exact chain is solved level by level
+        bundled = resources.files("roadqueue").joinpath("data/default_scenario.json")
+        doc = json.loads(bundled.read_text())
+        for section in doc["sections"]:
+            section["L"] = 1000.0
+            del section["c"]
+        path = tmp_path / "L1000.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "solve-tandem", "--lambda", "0.8", "--scan-roots",
+            "--config", str(path),
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert len(doc["marginal"]) == 181
+        assert 0 <= doc["tv_vs_exact_2d"] <= 1
+
+    def test_exact_convention_at_zero_load_exits_3(self, capsys):
+        # every (n1, c2) is absorbing at lam = 0: the joint law is not unique
+        code, out, err = run_cli(
+            capsys, "solve-tandem", "--lambda", "0", "--convention", "exact"
+        )
+        assert code == 3
+        assert out == ""
+        assert "absorbing" in err
+
     def test_one_section_config_exits_2(self, capsys, tmp_path):
         path = tmp_path / "one.json"
         path.write_text(json.dumps(SECTION_1))

@@ -1,6 +1,10 @@
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,17 +14,22 @@ from roadqueue import (
     OracleError,
     TandemConfig,
     birth_death_chain,
-    build_tandem_2d,
     decomposition_diagnostic,
     exact_stationary,
     simulate,
     solve_birth_death,
     solve_fixed_point,
     solve_triangular,
+    tandem_stationary,
     tv_distance,
 )
 from roadqueue.ctmc import RNG_ALGORITHM
 from roadqueue.fundamental import service_rates
+
+from chain_references import ref_generator
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 # TV between the decomposition marginal and the exact joint marginal of
 # the benchmark tandem at lam = 1.0, frozen once the diagnostic settled
@@ -128,62 +137,111 @@ class TestBirthDeathChain:
             birth_death_chain(0.8, [1.0, bad])
 
 
+def scaled(config, length):
+    """The tandem with both sections stretched to length metres."""
+    return TandemConfig(
+        section1=dataclasses.replace(config.section1, L=length, c=None),
+        section2=dataclasses.replace(config.section2, L=length, c=None),
+        convention=config.convention,
+    )
+
+
 class TestTandem2d:
     def test_oversized_chain_is_refused_before_allocating(self, tandem_config):
-        # the benchmark geometry at L = 1 km: c1 = c2 = 180, an 8.6 GB generator
-        big = TandemConfig(
-            section1=dataclasses.replace(tandem_config.section1, L=1000.0, c=None),
-            section2=dataclasses.replace(tandem_config.section2, L=1000.0, c=None),
-        )
-        assert big.section1.c == big.section2.c == 180
+        # c1 = c2 = 400 would store 8 * 400 * 401**2 bytes = 515 MB of blocks
+        big = scaled(tandem_config, 400 / 0.18)
+        assert big.section1.c == big.section2.c == 400
         tracemalloc.start()
         try:
-            with pytest.raises(OracleError, match="8.6 GB"):
-                build_tandem_2d(big, 0.8)
+            with pytest.raises(OracleError, match="515 MB"):
+                tandem_stationary(big, 0.8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_generator_is_built_without_a_copy(self, tandem_config):
-        size = (tandem_config.section1.c + 1) * (tandem_config.section2.c + 1)
-        tracemalloc.start()
-        try:
-            gen = build_tandem_2d(tandem_config, 0.8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert gen.nbytes == 8 * size**2
-        assert peak <= 1.25 * gen.nbytes
+    @pytest.mark.parametrize("lam", [0.8, 2.0])
+    def test_matches_the_dense_law_at_c54(self, tandem_config, lam):
+        # the oracle-c54 benchmark geometry: 3025 joint states
+        config = scaled(tandem_config, 300.0)
+        c1, c2 = config.section1.c, config.section2.c
+        assert c1 == c2 == 54
+        dense = exact_stationary(ref_generator(config, lam)).reshape(c1 + 1, c2 + 1)
+        # the dense solve's own error at this size, measured up to 8.9e-13
+        np.testing.assert_allclose(tandem_stationary(config, lam), dense, atol=1e-11)
 
-    def test_benchmark_chain_structure(self, tandem_config):
-        gen = build_tandem_2d(tandem_config, 0.5)
-        c1, c2 = tandem_config.section1.c, tandem_config.section2.c
-        assert gen.shape == ((c1 + 1) * (c2 + 1),) * 2
+    def test_exact_convention_is_the_point_mass_at_capacity(self, tandem_config):
+        config = dataclasses.replace(tandem_config, convention=EXACT)
+        expected = np.zeros((19, 19))
+        expected[-1, -1] = 1.0
+        np.testing.assert_array_equal(tandem_stationary(config, 0.8), expected)
+        # at lam = 0 every (n1, c2) is absorbing: no law is unique
+        with pytest.raises(OracleError, match="absorbing"):
+            tandem_stationary(config, 0.0)
 
-        def index(n1, n2):
-            return n1 * (c2 + 1) + n2
-
-        assert gen[index(0, 0), index(1, 0)] == pytest.approx(0.5)
-        # full upstream, empty downstream: transfer at the coupled rate
-        assert gen[index(c1, 0), index(c1 - 1, 1)] > 0
+    def test_empty_road_at_zero_load(self, tandem_config):
+        expected = np.zeros((19, 19))
+        expected[0, 0] = 1.0
+        np.testing.assert_array_equal(tandem_stationary(tandem_config, 0.0), expected)
 
     def test_marginals_sum_to_one(self, tandem_config):
-        c1, c2 = tandem_config.section1.c, tandem_config.section2.c
-        pi = exact_stationary(build_tandem_2d(tandem_config, 0.8))
-        joint = pi.reshape(c1 + 1, c2 + 1)
+        joint = tandem_stationary(tandem_config, 0.8)
         assert joint.sum(axis=1).sum() == pytest.approx(1.0, abs=1e-12)
         assert joint.sum(axis=0).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_heavy_load_concentrates_upstream(self, tandem_config):
-        c1, c2 = tandem_config.section1.c, tandem_config.section2.c
-        pi = exact_stationary(build_tandem_2d(tandem_config, 2.0))
-        assert pi.reshape(c1 + 1, c2 + 1).sum(axis=1)[-1] > 0.3
+        pi = tandem_stationary(tandem_config, 2.0)
+        assert pi.sum(axis=1)[-1] > 0.3
 
     def test_diagnostic_frozen_value(self, tandem_config):
         result = solve_fixed_point(tandem_config, 1.0)
         tv = decomposition_diagnostic(tandem_config, 1.0, result.marginal.probs)
         assert tv == pytest.approx(TV_2D_LAM1, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "length, exact_flow, theta",
+        [
+            (100.0, 0.30260342646781796, 0.4588910036254674),
+            (300.0, 0.22039586544261325, 0.398426479754562),
+            (1000.0, 0.16602064942451494, 0.3712658902404655),
+        ],
+    )
+    def test_capacity_trend_at_saturation(
+        self, tandem_config, length, exact_flow, theta
+    ):
+        # c = 18, 54 and 180 at lam = 2.0: the decomposition's throughput
+        # theta overstates the exact chain's more as capacity grows
+        config = scaled(tandem_config, length)
+        joint = tandem_stationary(config, 2.0)
+        departed = joint.sum(axis=0)[1:] @ service_rates(config.section2)
+        accepted = 2.0 * (1 - joint[-1].sum())
+        assert departed == pytest.approx(exact_flow, rel=1e-9)
+        assert abs(accepted - departed) <= 1e-12
+        assert solve_fixed_point(config, 2.0).theta == pytest.approx(theta, rel=1e-9)
+
+    def test_same_bits_with_one_and_two_blas_threads(self):
+        # OpenBLAS inverts a 55 x 55 block on one thread whatever the pool
+        # size, so at c = 54 the thread count cannot move the law's bits
+        # (from c = 100 on it splits the work and the last bits differ)
+        script = (
+            "import dataclasses, hashlib\n"
+            "from roadqueue import TandemConfig, default_scenario, tandem_stationary\n"
+            "t = default_scenario().tandem()\n"
+            "s1, s2 = (dataclasses.replace(s, L=300.0, c=None)\n"
+            "          for s in (t.section1, t.section2))\n"
+            "pi = tandem_stationary(TandemConfig(section1=s1, section2=s2), 0.8)\n"
+            "print(hashlib.sha256(pi.tobytes()).hexdigest())\n"
+        )
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, **dict.fromkeys(THREAD_VARS, threads)}
+            env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            )
+            digests.add(out.stdout)
+        assert len(digests) == 1
 
 
 class TestTvDistance:

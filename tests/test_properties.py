@@ -1,9 +1,10 @@
 """Rate tables, the exact oracles and the fixed point, over random geometries.
 
-The references below are written out one state at a time, straight from
-the closed forms, so they share no code with the array builders they
-check.  The oracle and fixed-point tests check invariants that follow
-from the model, not values copied from the solver.
+The references in `chain_references` are written out one state at a
+time, straight from the closed forms, so they share no code with the
+array builders and the oracle they check.  The oracle and fixed-point
+tests check invariants that follow from the model, not values copied
+from the solver.
 """
 
 import math
@@ -22,18 +23,25 @@ from roadqueue import (
     TandemConfig,
     TriangularDiagram,
     birth_death_chain,
-    build_tandem_2d,
     coupled_rates,
     exact_stationary,
     service_rates,
     solve_birth_death,
     solve_fixed_point,
+    tandem_stationary,
 )
 from roadqueue.congestion import ExponentialCongestionModel, LinearCongestionModel
 from roadqueue.distributions import _triangular_speeds
 from roadqueue.fundamental import CONVENTIONS
 from roadqueue.queueing import jain_smith_rates
 from roadqueue.tandem import conditional_matrix
+
+from chain_references import (
+    gth_stationary,
+    ref_coupled_rate,
+    ref_generator,
+    ref_service_rate,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -61,43 +69,6 @@ def tandems(draw, max_c=60, conventions=CONVENTIONS):
         section2=draw(sections(max_c)),
         convention=draw(st.sampled_from(conventions)),
     )
-
-
-def offset(convention):
-    return 0 if convention == EXACT else 1
-
-
-def ref_service_rate(s, n, convention):
-    d = s.diagram
-    return min(d.v_f * n / s.L, d.w * (s.c - n + offset(convention)) / s.L)
-
-
-def ref_coupled_rate(config, n1, n2):
-    s1, s2 = config.section1, config.section2
-    return min(
-        s1.diagram.v_f * n1 / s1.L,
-        s1.diagram.q_max,
-        s2.diagram.q_max,
-        s2.diagram.w * (s2.c - n2 + offset(config.convention)) / s2.L,
-    )
-
-
-def ref_generator(config, lam):
-    c1, c2 = config.section1.c, config.section2.c
-    states = [(n1, n2) for n1 in range(c1 + 1) for n2 in range(c2 + 1)]
-    index = {state: k for k, state in enumerate(states)}
-    gen = np.zeros((len(states), len(states)))
-    for (n1, n2), k in index.items():
-        if n1 < c1:
-            gen[k, index[(n1 + 1, n2)]] += lam
-        if n1 > 0 and n2 < c2:
-            gen[k, index[(n1 - 1, n2 + 1)]] += ref_coupled_rate(config, n1, n2)
-        if n2 > 0:
-            gen[k, index[(n1, n2 - 1)]] += ref_service_rate(
-                config.section2, n2, config.convention
-            )
-    np.fill_diagonal(gen, gen.diagonal() - gen.sum(axis=1))
-    return gen
 
 
 arrival_rates = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
@@ -155,15 +126,6 @@ def test_coupled_rates_equal_closed_form(config):
 
 
 @SETTINGS
-@given(tandems(max_c=12), arrival_rates)
-def test_joint_generator_equals_per_state_reference(config, lam):
-    # the reference numbers the states (n1, n2) in row-major order
-    np.testing.assert_array_equal(
-        build_tandem_2d(config, lam), ref_generator(config, lam)
-    )
-
-
-@SETTINGS
 @given(sections(), st.floats(1e-3, 1e3))
 def test_product_form_equals_exact_solve(section, lam):
     rates = service_rates(section, SHIFTED)
@@ -186,10 +148,43 @@ def test_product_form_equals_exact_solve(section, lam):
 
 
 @SETTINGS
-@given(tandems(max_c=12, conventions=(SHIFTED,)), st.floats(1e-3, 1e3))
-def test_joint_chain_flows_balance(config, lam):
+@given(tandems(max_c=30, conventions=(SHIFTED,)), st.floats(1e-3, 1e3))
+def test_joint_law_equals_gth_and_dense_solves(config, lam):
     c1, c2 = config.section1.c, config.section2.c
-    joint = exact_stationary(build_tandem_2d(config, lam)).reshape(c1 + 1, c2 + 1)
+    joint = tandem_stationary(config, lam)
+    assert joint.shape == (c1 + 1, c2 + 1)
+    generator = ref_generator(config, lam)
+    reference = gth_stationary(generator, band=c2 + 1).reshape(c1 + 1, c2 + 1)
+    np.testing.assert_allclose(joint, reference, rtol=0, atol=1e-14)
+    # the dense solve is only as good as its system's condition number
+    # allows, as in test_product_form_equals_exact_solve
+    system = generator.T.copy()
+    system[-1] = 1.0
+    bound = np.linalg.cond(system, np.inf) * np.finfo(float).eps
+    try:
+        dense = exact_stationary(generator).reshape(c1 + 1, c2 + 1)
+    except OracleError:
+        assert bound > 1e-9
+        return
+    atol = max(joint.size * 1e-13, bound)
+    np.testing.assert_allclose(joint, dense, rtol=0, atol=atol)
+
+
+@SETTINGS
+@given(tandems(max_c=30, conventions=(EXACT,)), st.floats(1e-3, 1e3))
+def test_exact_convention_joint_law_is_the_point_mass_at_capacity(config, lam):
+    # (c1, c2) has no exit, and every state reaches it through arrivals
+    # and transfers: its point mass is the one stationary law
+    assert not ref_generator(config, lam)[-1].any()
+    joint = tandem_stationary(config, lam)
+    assert joint[-1, -1] == 1.0
+    assert joint.sum() == 1.0
+
+
+@SETTINGS
+@given(tandems(max_c=30, conventions=(SHIFTED,)), st.floats(1e-3, 1e3))
+def test_joint_chain_flows_balance(config, lam):
+    joint = tandem_stationary(config, lam)
     accepted = lam * (1 - joint[-1].sum())
     # q12(n1, n2) sits at coupled_rates[n2, n1 - 1]; nothing moves at n2 = c2
     transferred = (joint[1:, :-1] * coupled_rates(config)[:-1].T).sum()
