@@ -3,8 +3,8 @@
 The product-form solvers in `queueing` and the decomposition in `tandem`
 are checked against machinery that shares none of their algebra:
 
-* a dense linear solve of the global balance equations pi Q = 0 for any
-  finite generator,
+* GTH elimination of the global balance equations pi Q = 0 for any
+  finite generator, within its band (no dense solve),
 * a level-by-level solve of the full two-dimensional tandem chain that
   the decomposition approximates, which never forms its generator, and
 * an event-driven simulation of the birth-death dynamics with seeded,
@@ -32,7 +32,8 @@ RNG_ALGORITHM = "numpy-pcg64"
 _CLIP = 1e-13
 # Cap on the joint chain's stored level-reduction blocks,
 # 8 * c1 * (c2 + 1)**2 bytes: c = 180 (47 MB) passes, and c = 321 is the
-# largest square tandem that does.
+# largest square tandem that does.  A birth-death generator holds
+# 8 * (c + 1)**2 bytes: c = 5791 is the largest that passes.
 _BLOCK_CAP_BYTES = 256 * 2**20
 
 
@@ -68,10 +69,10 @@ def exact_stationary(generator) -> np.ndarray:
     The generator is a square rate matrix, nonnegative and finite off the
     diagonal, with rows summing to zero within ||Q||_inf * N * eps (with
     ||Q||_inf the largest absolute row sum and N the number of states);
-    anything else raises ValueError.  One balance equation is replaced by
-    the normalization sum(pi) = 1 and the dense system solved directly.
-    The result is verified: residual ||pi Q||_inf within the same bound,
-    and no meaningfully negative mass.
+    anything else raises ValueError.  The law comes from _gth within the
+    band, the largest |i - j| of a nonzero entry: no dense solve.  The
+    result is verified: residual ||pi Q||_inf within the same bound, and
+    no meaningfully negative mass.
     """
     q = np.asarray(generator, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
@@ -93,17 +94,33 @@ def exact_stationary(generator) -> np.ndarray:
     tol = q_norm * n * np.finfo(float).eps
     if np.max(np.abs(row_sums)) > tol:
         raise ValueError("generator rows must sum to zero")
-    a = q.T.copy()
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise OracleError(f"balance equations are singular: {exc}") from exc
+    rows, cols = np.nonzero(q)
+    pi = _gth(q.copy(), int(np.abs(rows - cols).max(initial=0)))
+    pi /= pi.sum()
     _verify(pi, float(np.max(np.abs(pi @ q))), tol)
-    pi = np.where(np.abs(pi) < _CLIP, 0.0, pi)
-    return pi / pi.sum()
+    return pi
+
+
+def _gth(rates: np.ndarray, band: int) -> np.ndarray:
+    """Unnormalized law, pi[0] = 1, by GTH elimination: O(N * band**2).
+
+    Censors states from the last, overwriting rates within band of the
+    diagonal; a state with no outflow to lower states raises OracleError.
+    """
+    n = rates.shape[0]
+    out = np.zeros(n)
+    for k in range(n - 1, 0, -1):
+        lo = max(k - band, 0)
+        out[k] = rates[k, lo:k].sum()
+        if not out[k] > 0:
+            raise OracleError(f"state {k} has no outflow to lower states")
+        rates[lo:k, lo:k] += np.outer(rates[lo:k, k], rates[k, lo:k] / out[k])
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        lo = max(k - band, 0)
+        pi[k] = pi[lo:k] @ rates[lo:k, k] / out[k]
+    return pi
 
 
 def _verify(pi: np.ndarray, residual: float, tol: float) -> None:
@@ -115,12 +132,21 @@ def _verify(pi: np.ndarray, residual: float, tol: float) -> None:
 
 
 def birth_death_chain(lam: float, rates) -> np.ndarray:
-    """Loss-system birth-death generator on {0..c}: births lam, deaths q_n."""
+    """Loss-system birth-death generator on {0..c}: births lam, deaths q_n.
+
+    Past the 256 MiB cap (c > 5791) it raises OracleError before allocating.
+    """
     check_arrival_rate(lam)
     rates = np.asarray(rates, dtype=float)
     if not np.all((0 <= rates) & (rates < math.inf)):
         raise ValueError("service rates must be finite and nonnegative")
     c = rates.size
+    stored = 8 * (c + 1) ** 2
+    if stored > _BLOCK_CAP_BYTES:
+        raise OracleError(
+            f"the birth-death generator holds {stored / 1e6:.0f} MB (c = {c}), "
+            f"above the {_BLOCK_CAP_BYTES >> 20} MiB cap"
+        )
     gen = np.zeros((c + 1, c + 1))
     n = np.arange(c)
     gen[n, n + 1] = lam
@@ -176,14 +202,8 @@ def tandem_stationary(config: TandemConfig, lam: float) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise OracleError(f"a censored level is singular: {exc}") from exc
     # level 0 by GTH: censor its phases out from the top, then substitute
-    out = np.zeros(c2 + 1)
-    for k in range(c2, 0, -1):
-        out[k] = block[k, :k].sum()
-        block[:k, :k] += np.outer(block[:k, k], block[k, :k] / out[k])
     pi = np.zeros((c1 + 1, c2 + 1))
-    pi[0, 0] = 1.0
-    for k in range(1, c2 + 1):
-        pi[0, k] = pi[0, :k] @ block[:k, k] / out[k]
+    pi[0] = _gth(block, c2)
     for n1 in range(1, c1 + 1):
         pi[n1] = pi[n1 - 1] @ r[n1 - 1]
     pi /= pi.sum()

@@ -33,7 +33,7 @@ rates q_1..q_c as one numpy array from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,16 +91,12 @@ class RoadSection:
 
     The vehicle capacity c defaults to round(rho_j * L); an explicit
     value is accepted (configs often state it) but rejected if it
-    disagrees with the derived one by more than one vehicle.  The
-    critical count n_cr = round(rho_cr * L) (ties round half up) is the
-    count at the diagram vertex.  Rounding can put it past the last state
-    served at the free-flow rate, so no rate or speed table reads it.
+    disagrees with the derived one by more than one vehicle.
     """
 
     L: float
     diagram: TriangularDiagram
     c: int = None  # type: ignore[assignment]  # derived when omitted
-    n_cr: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.L < math.inf:
@@ -119,12 +115,6 @@ class RoadSection:
                 )
         if self.c < 2:
             raise ValueError(f"capacity c must be at least 2, got {self.c}")
-        n_cr = _round_half_up(self.diagram.rho_cr * self.L)
-        if not 1 <= n_cr < self.c:
-            raise ValueError(
-                f"critical count n_cr={n_cr} outside [1, c) for c={self.c}"
-            )
-        object.__setattr__(self, "n_cr", n_cr)
 
     @property
     def free_flow_time(self) -> float:

@@ -105,6 +105,17 @@ def test_non_finite_geometry_exits_2(capsys, tmp_path):
     assert "L must be finite" in err
 
 
+def test_section_with_zero_critical_count_solves(capsys, tmp_path):
+    # c = 2, and rho_cr * L rounds to 0: the section still has a law
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"L": 10.35, "v_f": 35.53, "w": 2.518, "rho_j": 0.1561}))
+    code, out, err = run_cli(
+        capsys, "solve-section", "--lambda", "0.8", "--config", str(path)
+    )
+    assert code == 0, err
+    assert len(json.loads(out)["distribution"]) == 3
+
+
 @pytest.mark.parametrize("command", ["solve-section", "solve-tandem"])
 @pytest.mark.parametrize("lam", ["nan", "inf"])
 def test_non_finite_lambda_exits_2(capsys, command, lam):
@@ -404,8 +415,19 @@ class TestCompare:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["tv_analytical_vs_exact"] < 1e-12
+        assert doc["tv_analytical_vs_exact"] < 1e-15
         assert doc["tv_empirical_vs_analytical"] < 0.05
+
+    def test_oversized_generator_exits_3(self, capsys, tmp_path):
+        # 40 km holds c = 7200: its dense generator would pass 256 MiB
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({**SECTION_1, "L": 40000.0, "c": 7200}))
+        code, out, err = run_cli(
+            capsys, "compare", "--lambda", "0.8", "--events", "10000",
+            "--config", str(path),
+        )
+        assert (code, out) == (3, "")
+        assert "256 MiB cap" in err
 
 
 class TestFitExponential:

@@ -12,7 +12,9 @@ import pytest
 from roadqueue import (
     EXACT,
     OracleError,
+    RoadSection,
     TandemConfig,
+    TriangularDiagram,
     birth_death_chain,
     decomposition_diagnostic,
     exact_stationary,
@@ -23,6 +25,7 @@ from roadqueue import (
     tandem_stationary,
     tv_distance,
 )
+from roadqueue import ctmc
 from roadqueue.ctmc import RNG_ALGORITHM
 from roadqueue.fundamental import service_rates
 
@@ -87,15 +90,39 @@ class TestExactStationary:
             np.testing.assert_allclose(pi, d.probs, atol=1e-12)
 
     def test_reducible_chain_rejected(self):
-        # two disconnected states: balance equations are singular
-        with pytest.raises(OracleError):
+        # two disconnected states: state 1 never reaches state 0
+        with pytest.raises(OracleError, match="state 1 has no outflow"):
             exact_stationary(np.zeros((2, 2)))
 
     def test_nan_solution_fails_the_residual_check(self, monkeypatch):
         gen = np.array([[-1.0, 1.0], [2.0, -2.0]])
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(2, np.nan))
+        monkeypatch.setattr(ctmc, "_gth", lambda rates, band: np.full(2, np.nan))
         with pytest.raises(OracleError, match="residual"):
             exact_stationary(gen)
+
+    def test_shifted_chain_mass_at_capacity(self):
+        # c = 60 at lam = 0.25, where a solve that replaces the last balance
+        # equation by the normalization is 7.2e-8 off; the reference is a
+        # 50-digit product form
+        section = RoadSection(
+            L=320.0, diagram=TriangularDiagram(v_f=40.0, w=4.0, rho_j=0.1875)
+        )
+        assert section.c == 60
+        pi = exact_stationary(birth_death_chain(0.25, service_rates(section)))
+        assert abs(pi[-1] - 1.0185062630333897e-3) <= 1e-15
+
+    def test_band_is_read_from_the_generator(self, monkeypatch):
+        # a birth-death chain has band 1, whatever its size
+        bands = []
+        gth = ctmc._gth
+
+        def spy(rates, band):
+            bands.append(band)
+            return gth(rates, band)
+
+        monkeypatch.setattr(ctmc, "_gth", spy)
+        exact_stationary(birth_death_chain(0.8, np.linspace(1.0, 2.0, 40)))
+        assert bands == [1]
 
     def test_minimal_tandem_shaped_chain(self):
         # smallest tandem topology (both capacities 1, below the section
@@ -136,6 +163,19 @@ class TestBirthDeathChain:
         with pytest.raises(ValueError, match="finite"):
             birth_death_chain(0.8, [1.0, bad])
 
+    def test_oversized_chain_is_refused_before_allocating(self):
+        # 8 * 6001**2 bytes = 288 MB of generator, past the 256 MiB cap;
+        # c = 5791 is the largest that passes
+        rates = np.ones(6000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleError, match="288 MB"):
+                birth_death_chain(0.8, rates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 def scaled(config, length):
     """The tandem with both sections stretched to length metres."""
@@ -167,8 +207,7 @@ class TestTandem2d:
         c1, c2 = config.section1.c, config.section2.c
         assert c1 == c2 == 54
         dense = exact_stationary(ref_generator(config, lam)).reshape(c1 + 1, c2 + 1)
-        # the dense solve's own error at this size, measured up to 8.9e-13
-        np.testing.assert_allclose(tandem_stationary(config, lam), dense, atol=1e-11)
+        np.testing.assert_allclose(tandem_stationary(config, lam), dense, atol=1e-14)
 
     def test_exact_convention_is_the_point_mass_at_capacity(self, tandem_config):
         config = dataclasses.replace(tandem_config, convention=EXACT)

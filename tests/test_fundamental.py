@@ -41,7 +41,7 @@ class TestRoadSection:
     def test_capacity_derived_from_jam_density(self, diagram1):
         section = RoadSection(L=100.0, diagram=diagram1)
         assert section.c == 18
-        assert section.n_cr == 6
+        assert round(diagram1.rho_cr * section.L) == 6
 
     def test_explicit_capacity_within_one_accepted(self, diagram1):
         assert RoadSection(L=100.0, diagram=diagram1, c=17).c == 17
@@ -62,11 +62,14 @@ class TestRoadSection:
         with pytest.raises(ValueError, match="c"):
             RoadSection(L=5.0, diagram=diagram1)
 
-    def test_degenerate_critical_count_rejected(self):
-        # nearly flat congested branch: rho_cr*L rounds to 0
-        d = TriangularDiagram(v_f=100.0, w=1.0, rho_j=0.2)
-        with pytest.raises(ValueError, match="n_cr"):
-            RoadSection(L=100.0, diagram=d)
+    def test_degenerate_critical_count_loads(self):
+        # rho_cr * L rounds to 0, yet every shifted-convention rate is
+        # positive: no rate or speed table reads the critical count
+        d = TriangularDiagram(v_f=35.53, w=2.518, rho_j=0.1561)
+        section = RoadSection(L=10.35, diagram=d)
+        assert section.c == 2
+        assert round(d.rho_cr * section.L) == 0
+        assert (service_rates(section, SHIFTED) > 0).all()
 
     def test_free_flow_time(self, section1):
         assert section1.free_flow_time == pytest.approx(100.0 / 28.0)
