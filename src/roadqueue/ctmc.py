@@ -35,6 +35,10 @@ _CLIP = 1e-13
 # largest square tandem that does.  A birth-death generator holds
 # 8 * (c + 1)**2 bytes: c = 5791 is the largest that passes.
 _BLOCK_CAP_BYTES = 256 * 2**20
+# Unnormalized laws start from mass 1 at the lowest state and are rescaled
+# once a mass passes this, so a lowest state below 1e-308 does not overflow
+# them; 1e58 is left for the next product with a rate.
+_RESCALE = 1e250
 
 
 class OracleError(RuntimeError):
@@ -70,9 +74,12 @@ def exact_stationary(generator) -> np.ndarray:
     diagonal, with rows summing to zero within ||Q||_inf * N * eps (with
     ||Q||_inf the largest absolute row sum and N the number of states);
     anything else raises ValueError.  The law comes from _gth within the
-    band, the largest |i - j| of a nonzero entry: no dense solve.  The
-    result is verified: residual ||pi Q||_inf within the same bound, and
-    no meaningfully negative mass.
+    band, the largest |i - j| of a nonzero entry: no dense solve.  It needs
+    every state to reach a lower-numbered one once the states above it are
+    censored, so a chain absorbing above state 0 (an exact-convention
+    birth-death chain at n = c) raises OracleError.  The result is
+    verified: residual ||pi Q||_inf within the same bound, and no
+    meaningfully negative mass.
     """
     q = np.asarray(generator, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
@@ -120,6 +127,8 @@ def _gth(rates: np.ndarray, band: int) -> np.ndarray:
     for k in range(1, n):
         lo = max(k - band, 0)
         pi[k] = pi[lo:k] @ rates[lo:k, k] / out[k]
+        if pi[k] > _RESCALE:
+            pi[: k + 1] /= pi[k]
     return pi
 
 
@@ -206,6 +215,8 @@ def tandem_stationary(config: TandemConfig, lam: float) -> np.ndarray:
     pi[0] = _gth(block, c2)
     for n1 in range(1, c1 + 1):
         pi[n1] = pi[n1 - 1] @ r[n1 - 1]
+        if pi[n1].max() > _RESCALE:
+            pi[: n1 + 1] /= pi[n1].max()
     pi /= pi.sum()
     exits = np.pad(q12, ((1, 0), (0, 0)))
     exits[:-1] += lam

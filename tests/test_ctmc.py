@@ -111,6 +111,18 @@ class TestExactStationary:
         pi = exact_stationary(birth_death_chain(0.25, service_rates(section)))
         assert abs(pi[-1] - 1.0185062630333897e-3) <= 1e-15
 
+    def test_empty_road_below_the_smallest_double(self, section1):
+        # c = 2880 at lam = 0.8: P(n = 0) is far below 1e-308, so an
+        # unnormalized law that starts from pi[0] = 1 must be rescaled as it
+        # grows, or it overflows and the residual check sees NaN
+        section = dataclasses.replace(section1, L=16000.0, c=None)
+        assert section.c == 2880
+        rates = service_rates(section)
+        pi = exact_stationary(birth_death_chain(0.8, rates))
+        np.testing.assert_allclose(
+            pi, solve_birth_death(0.8, rates).probs, rtol=0, atol=1e-15
+        )
+
     def test_band_is_read_from_the_generator(self, monkeypatch):
         # a birth-death chain has band 1, whatever its size
         bands = []
@@ -208,6 +220,15 @@ class TestTandem2d:
         assert c1 == c2 == 54
         dense = exact_stationary(ref_generator(config, lam)).reshape(c1 + 1, c2 + 1)
         np.testing.assert_allclose(tandem_stationary(config, lam), dense, atol=1e-14)
+
+    def test_levels_below_the_smallest_double(self, tandem_config):
+        # at lam = 1e12 level 0 holds far less than 1e-308 of the mass: the
+        # levels are rescaled as they grow instead of overflowing to NaN
+        c, lam = tandem_config.section1.c, 1e12
+        dense = exact_stationary(ref_generator(tandem_config, lam)).reshape(c + 1, c + 1)
+        np.testing.assert_allclose(
+            tandem_stationary(tandem_config, lam), dense, rtol=0, atol=1e-14
+        )
 
     def test_exact_convention_is_the_point_mass_at_capacity(self, tandem_config):
         config = dataclasses.replace(tandem_config, convention=EXACT)
