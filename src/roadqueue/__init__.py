@@ -40,7 +40,6 @@ from .fundamental import (
     SHIFTED,
     RoadSection,
     TriangularDiagram,
-    flow,
     service_rates,
 )
 from .queueing import (
@@ -92,7 +91,6 @@ __all__ = [
     "exact_stationary",
     "exponential_speed",
     "fit_exponential",
-    "flow",
     "linear_speed",
     "load_scenario",
     "measures",

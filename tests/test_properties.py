@@ -8,6 +8,7 @@ from the solver.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from roadqueue import (
     birth_death_chain,
     coupled_rates,
     exact_stationary,
+    scan_roots,
     service_rates,
     solve_birth_death,
     solve_fixed_point,
@@ -34,7 +36,7 @@ from roadqueue.congestion import ExponentialCongestionModel, LinearCongestionMod
 from roadqueue.distributions import _triangular_speeds
 from roadqueue.fundamental import CONVENTIONS
 from roadqueue.queueing import jain_smith_rates
-from roadqueue.tandem import conditional_matrix
+from roadqueue.tandem import _SCAN_POINTS, conditional_matrix
 
 from chain_references import (
     gth_stationary,
@@ -218,3 +220,26 @@ def test_fixed_point_invariants(config, lam):
     ).sum(axis=1)
     departed = result.downstream.probs @ departed_given_n2
     assert abs(departed - result.theta) <= result.residual + 1e-12 * lam
+
+
+# each scan solves 1000 downstream laws one at a time
+@settings(max_examples=25, deadline=None)
+@given(tandems(max_c=30), st.floats(1e-3, 1e3))
+def test_scan_brackets_hold_the_fixed_point(config, lam):
+    if config.convention == EXACT:
+        # the same refusal as the fixed-point solve: no downstream law
+        with pytest.raises(SingularModelError) as refusal:
+            scan_roots(config, lam)
+        with pytest.raises(SingularModelError, match=re.escape(str(refusal.value))):
+            solve_fixed_point(config, lam)
+        return
+    tol = 1e-10
+    brackets = scan_roots(config, lam)
+    step = lam / (_SCAN_POINTS - 1)
+    for lo, hi in brackets:
+        assert 0 <= lo < hi <= lam
+        assert hi - lo == pytest.approx(step, rel=1e-9)
+    # h = theta - lam * (1 - P1_c1) has slope at least 1, so the solve's
+    # theta lies within tol of the root that one bracket holds
+    theta = solve_fixed_point(config, lam, tol=tol).theta
+    assert any(lo - 2 * tol <= theta <= hi + 2 * tol for lo, hi in brackets)

@@ -15,7 +15,7 @@ from roadqueue import (
     solve_triangular,
     tandem_measures,
 )
-from roadqueue.tandem import conditional_matrix
+from roadqueue.tandem import _SCAN_POINTS, conditional_matrix
 
 # converged marginal of the benchmark tandem at lam = 1, theta = 0.6,
 # frozen from the decomposition mixture
@@ -203,6 +203,24 @@ class TestScanRoots:
 
     def test_empty_for_zero_load(self, tandem_config):
         assert scan_roots(tandem_config, 0.0) == []
+
+    def test_rejects_negative_arrival_rate(self, tandem_config):
+        # as solve_fixed_point does; only lam = 0 has no grid to scan
+        for lam in (-1.0, -math.inf):
+            with pytest.raises(ValueError, match="nonnegative"):
+                scan_roots(tandem_config, lam)
+
+    @pytest.mark.parametrize("lam", [1e-320, 1e-310])
+    def test_subnormal_load_passes_through(self, tandem_config, lam):
+        # theta = lam to within rounding: the root sits in the last grid cell
+        grid = np.linspace(0.0, lam, _SCAN_POINTS)
+        assert scan_roots(tandem_config, lam) == [(grid[-2], grid[-1])]
+
+    @pytest.mark.parametrize("lam", [1e300, 1e308])
+    def test_huge_load_saturates(self, tandem_config, lam):
+        # theta stays near the saturated throughput, far below lam / 999
+        grid = np.linspace(0.0, lam, _SCAN_POINTS)
+        assert scan_roots(tandem_config, lam) == [(0.0, grid[1])]
 
 
 class TestTandemMeasures:
