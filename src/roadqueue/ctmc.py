@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fundamental import service_rates
+from .fundamental import _ARRAY_CAP_BYTES, service_rates
 from .queueing import OccupancyDistribution, check_arrival_rate
 from .tandem import TandemConfig, coupled_rates
 
@@ -34,11 +34,14 @@ _CLIP = 1e-13
 # 8 * c1 * (c2 + 1)**2 bytes: c = 180 (47 MB) passes, and c = 321 is the
 # largest square tandem that does.  A birth-death generator holds
 # 8 * (c + 1)**2 bytes: c = 5791 is the largest that passes.
-_BLOCK_CAP_BYTES = 256 * 2**20
+_BLOCK_CAP_BYTES = _ARRAY_CAP_BYTES
 # Unnormalized laws start from mass 1 at the lowest state and are rescaled
 # once a mass passes this, so a lowest state below 1e-308 does not overflow
 # them; 1e58 is left for the next product with a rate.
 _RESCALE = 1e250
+# events per simulate buffer: two Python float lists of this length stay
+# small next to the process, and the stream does not depend on it
+_SIM_BUFFER = 1 << 12
 
 
 class OracleError(RuntimeError):
@@ -262,7 +265,12 @@ def simulate(
     Arrivals in state c are blocked and lost, so the only transitions
     are the chain's own; each event consumes one exponential holding
     time and one branching uniform from a single seeded PCG64 stream,
-    making runs bitwise reproducible for equal inputs.
+    making runs bitwise reproducible for equal inputs.  The uniforms are
+    drawn _SIM_BUFFER events at a time, holding time then branch; each
+    double takes one 64-bit output, so the stream does not depend on the
+    buffer size.  A buffer's holding times come from one comprehension
+    over math.log1p: np.log1p differs from it in the last bit on some
+    draws, which would change the law's bits.
     """
     rates = [float(r) for r in np.asarray(rates, dtype=float)]
     if not (math.isfinite(lam) and lam > 0):
@@ -272,34 +280,34 @@ def simulate(
     if max_events < 10**4:
         raise ValueError(f"max_events must be at least 1e4, got {max_events!r}")
     c = len(rates)
+    birth = [float(lam)] * c + [0.0]
+    total = [b + d for b, d in zip(birth, [0.0] + rates)]
     rng = np.random.default_rng(seed)
     occupancy = [0.0] * (c + 1)
     n = 0
     events = 0
     absorbed = False
-    block = 1 << 15
-    buffer = rng.random(2 * block)
-    cursor = 0
     while events < max_events:
-        birth = lam if n < c else 0.0
-        death = rates[n - 1] if n > 0 else 0.0
-        total = birth + death
-        if total == 0.0:
-            absorbed = True
-            break
-        if cursor >= buffer.size:
-            buffer = rng.random(2 * block)
-            cursor = 0
-        u_time = buffer[cursor]
-        u_branch = buffer[cursor + 1]
-        cursor += 2
+        size = min(_SIM_BUFFER, max_events - events)
+        buffer = rng.random(2 * size)
         # 1 - u in (0, 1]: keeps the exponential draw finite
-        occupancy[n] += -math.log1p(-u_time) / total
-        if u_branch * total < birth:
-            n += 1
-        else:
-            n -= 1
-        events += 1
+        holds = [-math.log1p(-u) for u in buffer[0::2].tolist()]
+        draws = zip(holds, buffer[1::2].tolist())
+        for h, u in draws:
+            t = total[n]
+            if t == 0.0:
+                absorbed = True
+                break
+            occupancy[n] += h / t
+            if u * t < birth[n]:
+                n += 1
+            else:
+                n -= 1
+        if absorbed:
+            # the draw read in the absorbing state and those after it
+            events += size - 1 - sum(1 for _ in draws)
+            break
+        events += size
     elapsed = math.fsum(occupancy)
     if absorbed:
         empirical = OccupancyDistribution.point_mass(c, n)

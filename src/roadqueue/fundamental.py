@@ -40,6 +40,9 @@ import numpy as np
 EXACT = "exact"
 SHIFTED = "shifted"
 CONVENTIONS = (EXACT, SHIFTED)
+# Largest array a solve may allocate.  One float64 per state of a section
+# allows c + 1 <= 2**25; ctmc caps the oracles' stored blocks by it too.
+_ARRAY_CAP_BYTES = 256 * 2**20
 
 
 def check_convention(convention: str) -> str:
@@ -91,7 +94,8 @@ class RoadSection:
 
     The vehicle capacity c defaults to round(rho_j * L); an explicit
     value is accepted (configs often state it) but rejected if it
-    disagrees with the derived one by more than one vehicle.
+    disagrees with the derived one by more than one vehicle.  c must lie
+    in [2, 2**25 - 1], so one float64 per state fits in 256 MiB.
     """
 
     L: float
@@ -101,7 +105,10 @@ class RoadSection:
     def __post_init__(self) -> None:
         if not 0 < self.L < math.inf:
             raise ValueError(f"L must be finite and positive, got {self.L!r}")
-        derived_c = _round_half_up(self.diagram.rho_j * self.L)
+        jam_count = self.diagram.rho_j * self.L
+        if jam_count == math.inf:
+            raise ValueError("capacity c = rho_j * L overflows a float")
+        derived_c = _round_half_up(jam_count)
         if self.c is None:
             object.__setattr__(self, "c", derived_c)
         else:
@@ -115,6 +122,12 @@ class RoadSection:
                 )
         if self.c < 2:
             raise ValueError(f"capacity c must be at least 2, got {self.c}")
+        per_state = 8 * (self.c + 1)
+        if per_state > _ARRAY_CAP_BYTES:
+            raise ValueError(
+                f"capacity c = {self.c} needs {per_state} bytes for one float64 "
+                f"per state, above the {_ARRAY_CAP_BYTES >> 20} MiB cap"
+            )
 
     @property
     def free_flow_time(self) -> float:

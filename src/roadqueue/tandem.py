@@ -21,9 +21,12 @@ theta itself satisfies the throughput fixed point
     theta = lam * (1 - P1_c1(lam, theta))
 
 solved here by bisection on [0, lam], where the right-hand side minus
-theta is continuous with opposite signs at the ends.  Uniqueness is not
-guaranteed in general; scan_roots surfaces any additional sign changes
-on a grid instead of hiding them.
+theta is continuous with opposite signs at the ends.  The root is
+unique: q12 does not increase in n2, so P(c1 | n2) does not decrease in
+n2; section 2's law grows stochastically with theta; so P1_c1 does not
+decrease in theta, and the residual theta - lam * (1 - P1_c1) has slope
+at least 1.  scan_roots checks this on a grid, where a grid value of
+exactly 0 can still give two brackets.
 """
 
 from __future__ import annotations

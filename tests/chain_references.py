@@ -1,13 +1,17 @@
-"""Per-state references for the rate tables and the joint tandem chain.
+"""Per-state references for the rate tables, the joint tandem chain and
+the simulation.
 
 Written out one state at a time, straight from the closed forms, so they
 share no code with the array builders and the level-by-level oracle they
-check.
+check.  ref_simulate is the simulation's first event loop, one event per
+pass, against which the buffered loop must give the same bits.
 """
+
+import math
 
 import numpy as np
 
-from roadqueue import EXACT
+from roadqueue import EXACT, OccupancyDistribution, SimulationResult
 
 
 def offset(convention):
@@ -74,3 +78,61 @@ def gth_stationary(generator, band):
         lo = max(0, k - band)
         pi[k] = pi[lo:k] @ q[lo:k, k] / out[k]
     return pi / pi.sum()
+
+
+def ref_simulate(lam, rates, seed=42, max_events=10**6):
+    """ctmc.simulate as it was first written: one event per loop pass.
+
+    Every event recomputes its state's rates and reads its two uniforms
+    from a 2**15-event buffer, so the parity test pins the faster loop to
+    the same stream, sums and comparisons.
+    """
+    rates = [float(r) for r in np.asarray(rates, dtype=float)]
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"arrival rate must be finite and positive, got {lam!r}")
+    if not all(0 <= r < math.inf for r in rates):
+        raise ValueError("service rates must be finite and nonnegative")
+    if max_events < 10**4:
+        raise ValueError(f"max_events must be at least 1e4, got {max_events!r}")
+    c = len(rates)
+    rng = np.random.default_rng(seed)
+    occupancy = [0.0] * (c + 1)
+    n = 0
+    events = 0
+    absorbed = False
+    block = 1 << 15
+    buffer = rng.random(2 * block)
+    cursor = 0
+    while events < max_events:
+        birth = lam if n < c else 0.0
+        death = rates[n - 1] if n > 0 else 0.0
+        total = birth + death
+        if total == 0.0:
+            absorbed = True
+            break
+        if cursor >= buffer.size:
+            buffer = rng.random(2 * block)
+            cursor = 0
+        u_time = buffer[cursor]
+        u_branch = buffer[cursor + 1]
+        cursor += 2
+        # 1 - u in (0, 1]: keeps the exponential draw finite
+        occupancy[n] += -math.log1p(-u_time) / total
+        if u_branch * total < birth:
+            n += 1
+        else:
+            n -= 1
+        events += 1
+    elapsed = math.fsum(occupancy)
+    if absorbed:
+        empirical = OccupancyDistribution.point_mass(c, n)
+    else:
+        weights = np.asarray(occupancy)
+        empirical = OccupancyDistribution(weights / weights.sum())
+    return SimulationResult(
+        empirical=empirical,
+        events=events,
+        seed=seed,
+        elapsed_model_time=elapsed,
+        absorbed=absorbed,
+    )

@@ -105,6 +105,17 @@ def test_non_finite_geometry_exits_2(capsys, tmp_path):
     assert "L must be finite" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "solve-section"])
+def test_absurd_length_exits_2(capsys, tmp_path, command):
+    # 1e12 m holds c = 1.8e11 vehicles: refused before any per-state array
+    path = tmp_path / "long.json"
+    section = {"L": 1e12, "v_f": 28.0, "w": 14.0, "rho_j": 0.18}
+    path.write_text(json.dumps({"sections": [section, section]}))
+    code, out, err = run_cli(capsys, command, "--lambda", "0.8", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert "capacity c = 180000000000 " in err
+
+
 def test_section_with_zero_critical_count_solves(capsys, tmp_path):
     # c = 2, and rho_cr * L rounds to 0: the section still has a law
     path = tmp_path / "short.json"

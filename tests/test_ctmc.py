@@ -188,6 +188,24 @@ class TestBirthDeathChain:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_cap_boundary(self, monkeypatch):
+        # c = 5792 is the first chain past the real cap: 8 * 5793**2 bytes
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleError, match=r"\(c = 5792\)"):
+                birth_death_chain(0.8, np.ones(5792))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # c = 5791 would allocate 268 MB, so test acceptance at a cap
+        # lowered to exactly c = 10's generator
+        assert 8 * 5792**2 <= ctmc._BLOCK_CAP_BYTES
+        monkeypatch.setattr(ctmc, "_BLOCK_CAP_BYTES", 8 * 11**2)
+        assert birth_death_chain(0.8, np.ones(10)).shape == (11, 11)
+        with pytest.raises(OracleError, match=r"\(c = 11\)"):
+            birth_death_chain(0.8, np.ones(11))
+
 
 def scaled(config, length):
     """The tandem with both sections stretched to length metres."""
@@ -211,6 +229,26 @@ class TestTandem2d:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_cap_boundary(self, tandem_config, monkeypatch):
+        # c = 322 is the first square tandem past the real cap
+        big = scaled(tandem_config, 322 / 0.18)
+        assert big.section1.c == big.section2.c == 322
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleError, match=r"\(c1 = 322, c2 = 322\)"):
+                tandem_stationary(big, 0.8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # c = 321 would store 266 MB of blocks, so test acceptance at a cap
+        # lowered to exactly c = 18's blocks
+        assert 8 * 321 * 322**2 <= ctmc._BLOCK_CAP_BYTES
+        monkeypatch.setattr(ctmc, "_BLOCK_CAP_BYTES", 8 * 18 * 19**2)
+        assert tandem_stationary(tandem_config, 0.8).shape == (19, 19)
+        with pytest.raises(OracleError, match=r"\(c1 = 19, c2 = 19\)"):
+            tandem_stationary(scaled(tandem_config, 19 / 0.18), 0.8)
 
     @pytest.mark.parametrize("lam", [0.8, 2.0])
     def test_matches_the_dense_law_at_c54(self, tandem_config, lam):

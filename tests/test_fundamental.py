@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,29 @@ class TestRoadSection:
         # rho_j * L = 0.9 rounds to c = 1, below the 2-vehicle floor
         with pytest.raises(ValueError, match="c"):
             RoadSection(L=5.0, diagram=diagram1)
+
+    def test_absurd_length_is_refused_before_allocating(self, diagram1):
+        # L = 1e12 m holds c = 1.8e11: one float64 per state would take 1.3 TiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="capacity c = 180000000000 "):
+                RoadSection(L=1e12, diagram=diagram1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_overflowing_capacity_is_refused(self):
+        dense = TriangularDiagram(v_f=28.0, w=14.0, rho_j=1e10)
+        with pytest.raises(ValueError, match="capacity c = rho_j \\* L overflows"):
+            RoadSection(L=1e300, diagram=dense)
+
+    def test_capacity_cap_boundary(self, diagram1):
+        # one float64 per state fits 256 MiB up to c + 1 = 2**25
+        largest = 2**25 - 1
+        assert RoadSection(L=largest / 0.18, diagram=diagram1, c=largest).c == largest
+        with pytest.raises(ValueError, match=f"capacity c = {largest + 1} "):
+            RoadSection(L=(largest + 1) / 0.18, diagram=diagram1, c=largest + 1)
 
     def test_degenerate_critical_count_loads(self):
         # rho_cr * L rounds to 0, yet every shifted-convention rate is

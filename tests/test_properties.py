@@ -28,6 +28,7 @@ from roadqueue import (
     exact_stationary,
     scan_roots,
     service_rates,
+    simulate,
     solve_birth_death,
     solve_fixed_point,
     tandem_stationary,
@@ -36,13 +37,14 @@ from roadqueue.congestion import ExponentialCongestionModel, LinearCongestionMod
 from roadqueue.distributions import _triangular_speeds
 from roadqueue.fundamental import CONVENTIONS
 from roadqueue.queueing import jain_smith_rates
-from roadqueue.tandem import _SCAN_POINTS, conditional_matrix
+from roadqueue.tandem import _SCAN_POINTS, conditional_matrix, downstream_distribution
 
 from chain_references import (
     gth_stationary,
     ref_coupled_rate,
     ref_generator,
     ref_service_rate,
+    ref_simulate,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -243,3 +245,56 @@ def test_scan_brackets_hold_the_fixed_point(config, lam):
     # theta lies within tol of the root that one bracket holds
     theta = solve_fixed_point(config, lam, tol=tol).theta
     assert any(lo - 2 * tol <= theta <= hi + 2 * tol for lo, hi in brackets)
+
+
+@SETTINGS
+@given(tandems(max_c=30, conventions=(SHIFTED,)), st.floats(1e-3, 1e3))
+def test_blocking_grows_with_the_downstream_rate(config, lam):
+    # q12 does not increase in n2, so P(c1 | n2) does not decrease in n2;
+    # section 2's law grows stochastically with theta; so P1_c1(theta)
+    # does not decrease, and the fixed-point residual has one root
+    blocked = conditional_matrix(config, lam)[:, -1]
+    assert np.all(np.diff(blocked) >= -1e-15)
+    p1_c1 = [
+        downstream_distribution(config, theta).probs @ blocked
+        for theta in np.linspace(0.0, lam, 41)
+    ]
+    assert np.all(np.diff(p1_c1) >= -1e-14)
+
+
+def assert_same_run(result, reference):
+    np.testing.assert_array_equal(result.empirical.probs, reference.empirical.probs)
+    assert result.elapsed_model_time == reference.elapsed_model_time
+    assert result.events == reference.events
+    assert result.absorbed == reference.absorbed
+
+
+# no budget is a multiple of the 4096-event buffer, so the last one is
+# partial; 2**15 + 1 also runs past the reference's first buffer
+event_budgets = st.sampled_from([10**4, 10**4 + 1, 3 * 4096 + 5, 2**15 + 1])
+log_uniform = st.floats(-2.0, 2.0).map(lambda x: 10.0**x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sections(),
+    st.sampled_from(CONVENTIONS),
+    log_uniform,
+    st.integers(0, 2**32 - 1),
+    event_budgets,
+)
+def test_simulation_equals_the_event_by_event_loop(section, convention, lam, seed, events):
+    rates = service_rates(section, convention)
+    assert_same_run(
+        simulate(lam, rates, seed, events), ref_simulate(lam, rates, seed, events)
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(sections(), st.floats(30.0, 100.0), st.integers(0, 2**32 - 1), event_budgets)
+def test_absorbing_simulation_equals_the_event_by_event_loop(section, lam, seed, events):
+    # q_c = 0 under the exact convention, and arrivals far outpace service
+    rates = service_rates(section, EXACT)
+    reference = ref_simulate(lam, rates, seed, events)
+    assert reference.absorbed
+    assert_same_run(simulate(lam, rates, seed, events), reference)
