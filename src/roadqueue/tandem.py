@@ -20,13 +20,13 @@ theta itself satisfies the throughput fixed point
 
     theta = lam * (1 - P1_c1(lam, theta))
 
-solved here by bisection on [0, lam], where the right-hand side minus
-theta is continuous with opposite signs at the ends.  The root is
-unique: q12 does not increase in n2, so P(c1 | n2) does not decrease in
-n2; section 2's law grows stochastically with theta; so P1_c1 does not
-decrease in theta, and the residual theta - lam * (1 - P1_c1) has slope
-at least 1.  scan_roots checks this on a grid, where a grid value of
-exactly 0 can still give two brackets.
+solved here by ITP (interpolate, truncate, project) on [0, lam], where
+the right-hand side minus theta is continuous with opposite signs at the
+ends.  The root is unique: q12 does not increase in n2, so P(c1 | n2)
+does not decrease in n2; section 2's law grows stochastically with
+theta; so P1_c1 does not decrease in theta, and the residual
+theta - lam * (1 - P1_c1) has slope at least 1.  scan_roots checks this
+on a grid, where a grid value of exactly 0 can still give two brackets.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ from .queueing import (
 )
 
 _SCAN_POINTS = 1000  # grid size of scan_roots
+_ITP_KAPPA1 = 0.2  # ITP truncation kappa1 * lam, with kappa2 = 2
+_ITP_N0 = 1  # ITP steps allowed past bisection's worst case
 
 
 class ConvergenceError(RuntimeError):
@@ -110,7 +112,7 @@ def conditional_matrix(config: TandemConfig, lam: float) -> np.ndarray:
     lam > 0 every arrival is trapped, so that row is the point mass at
     c1, the limit of the law, rather than an error.  The conditionals do
     not depend on theta, so a fixed-point solve computes this once and
-    reuses it across bisection steps.
+    reuses it across residual evaluations.
     """
     c1 = config.section1.c
     rates = coupled_rates(config)
@@ -127,10 +129,17 @@ def solve_fixed_point(
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> FixedPointResult:
-    """Solve theta = lam * (1 - P1_c1(lam, theta)) by bisection on [0, lam].
+    """Solve theta = lam * (1 - P1_c1(lam, theta)) by ITP on [0, lam].
 
-    Stops when |theta - lam * (1 - P1_c1)| <= tol.  Deterministic: the
-    same inputs always bisect the same sequence.
+    ITP (Oliveira & Takahashi 2020, ACM TOMS 47(1)) moves the
+    regula-falsi point toward the midpoint by _ITP_KAPPA1 * width**2 / lam
+    and projects it into a radius that halves each step, so it keeps
+    bisection's bracket and worst case and, on this residual of slope at
+    least 1, converges superlinearly.  Stops when
+    |theta - lam * (1 - P1_c1)| <= tol.  tol is absolute: past lam of
+    about 1e7 the rounding of lam * (1 - P1_c1) exceeds the default, and
+    the solve raises ConvergenceError.  Deterministic: the same inputs
+    always evaluate the same sequence.
     """
     check_arrival_rate(lam)
     if not 0 < tol < math.inf:
@@ -152,7 +161,7 @@ def solve_fixed_point(
     def residual_at(theta: float):
         down = downstream_distribution(config, theta)
         marginal = down.probs @ matrix
-        return theta - lam * (1.0 - marginal[-1]), marginal, down
+        return float(theta - lam * (1.0 - marginal[-1])), marginal, down
 
     h_lo, _, _ = residual_at(0.0)
     h_hi, _, _ = residual_at(lam)
@@ -161,28 +170,48 @@ def solve_fixed_point(
         raise AssertionError(
             f"fixed-point bracket lost: h(0)={h_lo!r}, h(lam)={h_hi!r}"
         )
+    # n_max = ceil(log2(lam / (2 eps))) + n0 with eps = tol / 2, from the
+    # exponents so that lam / tol cannot overflow; from the second step
+    # on eps * 2**(n_max - j) < lam, so it is finite
+    (m_lam, e_lam), (m_tol, e_tol) = math.frexp(lam), math.frexp(tol)
+    n_max = e_lam - e_tol + (m_lam > m_tol) + _ITP_N0
     lo, hi = 0.0, lam
-    iterations = 0
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        h_mid, marginal, down = residual_at(mid)
-        if abs(h_mid) <= tol:
+    for j in range(max_iter):
+        width = hi - lo
+        mid = lo + 0.5 * width
+        # regula falsi, as a fraction of the bracket so no product
+        # overflows; a residual of exactly 0 at an end (h(0) from lam of
+        # about 1e16 on) would keep it at that end, so bisect instead
+        x_f = lo + width * (h_lo / (h_lo - h_hi)) if h_lo < 0 < h_hi else mid
+        delta = _ITP_KAPPA1 * width * (width / lam)  # kappa2 = 2
+        sigma = math.copysign(1.0, mid - x_f)
+        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        if j == 0:
+            # eps * 2**n_max >= lam, so nothing is projected; near the
+            # largest float it would overflow
+            radius = width
+        elif j <= n_max:
+            radius = max(math.ldexp(0.5 * tol, n_max - j) - 0.5 * width, 0.0)
+        else:
+            radius = 0.0
+        theta = x_t if abs(x_t - mid) <= radius else mid - sigma * radius
+        h, marginal, down = residual_at(theta)
+        if abs(h) <= tol:
             return FixedPointResult(
-                theta=mid,
-                residual=abs(h_mid),
-                iterations=iterations,
+                theta=theta,
+                residual=abs(h),
+                iterations=j + 1,
                 marginal=OccupancyDistribution(marginal),
                 downstream=down,
                 config=config,
             )
-        if h_mid > 0:
-            hi = mid
+        if h > 0:
+            hi, h_hi = theta, h
         else:
-            lo = mid
+            lo, h_lo = theta, h
     raise ConvergenceError(
-        f"no theta with residual <= {tol} after {iterations} bisection "
-        f"steps; best bracket [{lo}, {hi}]",
+        f"no theta with residual <= {tol} after {max_iter} residual "
+        f"evaluations; best bracket [{lo}, {hi}]",
         bracket=(lo, hi),
     )
 
@@ -192,7 +221,7 @@ def scan_roots(config: TandemConfig, lam: float) -> list[tuple[float, float]]:
 
     Evaluates theta -> theta - lam * (1 - P1_c1) on a _SCAN_POINTS grid
     over [0, lam] and returns the bracketing intervals, surfacing any root
-    multiplicity the bisection solve would silently pick one root from.
+    multiplicity the fixed-point solve would silently pick one root from.
     A negative or non-finite lam raises ValueError, as in solve_fixed_point.
     """
     check_arrival_rate(lam)

@@ -4,14 +4,25 @@ the simulation.
 Written out one state at a time, straight from the closed forms, so they
 share no code with the array builders and the level-by-level oracle they
 check.  ref_simulate is the simulation's first event loop, one event per
-pass, against which the buffered loop must give the same bits.
+pass, against which the buffered loop must give the same bits, and
+ref_fixed_point is the fixed point's first root finder, plain bisection,
+against which ITP's theta and evaluation count are compared.
 """
 
 import math
 
 import numpy as np
 
-from roadqueue import EXACT, OccupancyDistribution, SimulationResult
+from roadqueue import (
+    EXACT,
+    ConvergenceError,
+    FixedPointResult,
+    OccupancyDistribution,
+    SimulationResult,
+    downstream_distribution,
+)
+from roadqueue.queueing import check_arrival_rate
+from roadqueue.tandem import conditional_matrix
 
 
 def offset(convention):
@@ -135,4 +146,65 @@ def ref_simulate(lam, rates, seed=42, max_events=10**6):
         seed=seed,
         elapsed_model_time=elapsed,
         absorbed=absorbed,
+    )
+
+
+def ref_fixed_point(config, lam, tol=1e-10, max_iter=200):
+    """solve_fixed_point as it was first written: bisection on [0, lam].
+
+    Each step evaluates the midpoint, whatever the residuals at the
+    bracket's ends.
+    """
+    check_arrival_rate(lam)
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    if lam == 0:
+        return FixedPointResult(
+            theta=0.0,
+            residual=0.0,
+            iterations=0,
+            marginal=OccupancyDistribution.point_mass(config.section1.c, 0),
+            downstream=downstream_distribution(config, 0.0),
+            config=config,
+        )
+
+    matrix = conditional_matrix(config, lam)
+
+    def residual_at(theta: float):
+        down = downstream_distribution(config, theta)
+        marginal = down.probs @ matrix
+        return theta - lam * (1.0 - marginal[-1]), marginal, down
+
+    h_lo, _, _ = residual_at(0.0)
+    h_hi, _, _ = residual_at(lam)
+    # blocking in [0, 1] forces h(0) <= 0 <= h(lam); anything else is a bug
+    if h_lo > 0 or h_hi < 0:
+        raise AssertionError(
+            f"fixed-point bracket lost: h(0)={h_lo!r}, h(lam)={h_hi!r}"
+        )
+    lo, hi = 0.0, lam
+    iterations = 0
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        iterations += 1
+        h_mid, marginal, down = residual_at(mid)
+        if abs(h_mid) <= tol:
+            return FixedPointResult(
+                theta=mid,
+                residual=abs(h_mid),
+                iterations=iterations,
+                marginal=OccupancyDistribution(marginal),
+                downstream=down,
+                config=config,
+            )
+        if h_mid > 0:
+            hi = mid
+        else:
+            lo = mid
+    raise ConvergenceError(
+        f"no theta with residual <= {tol} after {iterations} bisection "
+        f"steps; best bracket [{lo}, {hi}]",
+        bracket=(lo, hi),
     )

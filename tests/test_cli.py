@@ -235,6 +235,12 @@ class TestSolveTandem:
         assert code == 3
         assert out == ""
 
+    def test_huge_load_exits_3(self, capsys):
+        # the rounding of lam * (1 - P1_c1) exceeds the absolute tol
+        code, out, err = run_cli(capsys, "solve-tandem", "--lambda", "1e300")
+        assert (code, out) == (3, "")
+        assert "200 residual evaluations" in err
+
 
 class TestDistributions:
     def test_tandem_marginal_speed_csv(self, capsys):

@@ -42,6 +42,7 @@ from roadqueue.tandem import _SCAN_POINTS, conditional_matrix, downstream_distri
 from chain_references import (
     gth_stationary,
     ref_coupled_rate,
+    ref_fixed_point,
     ref_generator,
     ref_service_rate,
     ref_simulate,
@@ -222,6 +223,27 @@ def test_fixed_point_invariants(config, lam):
     ).sum(axis=1)
     departed = result.downstream.probs @ departed_given_n2
     assert abs(departed - result.theta) <= result.residual + 1e-12 * lam
+
+
+log_arrival_rates = st.floats(-3.0, 3.0).map(lambda x: 10.0**x)
+
+
+@SETTINGS
+@given(tandems(max_c=30), log_arrival_rates)
+def test_fixed_point_lands_where_bisection_does(config, lam):
+    tol = 1e-10
+    try:
+        reference = ref_fixed_point(config, lam, tol=tol)
+    except SingularModelError as refusal:
+        with pytest.raises(type(refusal), match=re.escape(str(refusal))):
+            solve_fixed_point(config, lam, tol=tol)
+        return
+    result = solve_fixed_point(config, lam, tol=tol)
+    # h has slope at least 1, so each theta lies within tol of the root
+    assert abs(result.theta - reference.theta) <= 2 * tol
+    # ITP's worst case is n0 = 1 step past bisection's; a draw where
+    # bisection's midpoint meets tol early by luck can still exceed this
+    assert result.iterations <= reference.iterations + 1
 
 
 # each scan solves 1000 downstream laws one at a time

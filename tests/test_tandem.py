@@ -6,6 +6,7 @@ import pytest
 from roadqueue import (
     EXACT,
     ConvergenceError,
+    RoadSection,
     TandemConfig,
     coupled_rates,
     downstream_distribution,
@@ -179,6 +180,31 @@ class TestSolveFixedPoint:
             solve_fixed_point(tandem_config, 0.8, tol=1e-18, max_iter=10)
         lo, hi = excinfo.value.bracket
         assert 0.0 <= lo < hi <= 0.8
+
+    @pytest.mark.parametrize("length_m", [100.0, 300.0, 1000.0])
+    def test_few_residual_evaluations_at_any_capacity(self, tandem_config, length_m):
+        # the bundled geometry scaled to c = 18, 54 and 180; bisection
+        # took 30, 36 and 38 evaluations here
+        config = TandemConfig(
+            RoadSection(L=length_m, diagram=tandem_config.section1.diagram),
+            RoadSection(L=length_m, diagram=tandem_config.section2.diagram),
+        )
+        assert config.section1.c == round(0.18 * length_m)
+        assert solve_fixed_point(config, 0.8).iterations <= 15
+
+    @pytest.mark.parametrize("lam", [1e-320, 1e-310])
+    def test_subnormal_load_passes_through(self, tandem_config, lam):
+        result = solve_fixed_point(tandem_config, lam)
+        assert 0.0 <= result.theta <= lam
+        assert result.residual <= 1e-10
+
+    @pytest.mark.parametrize("lam", [1e7, 1e300, 1e308, 1.7e308])
+    def test_huge_load_raises_with_finite_bracket(self, tandem_config, lam):
+        # the rounding of lam * (1 - P1_c1) exceeds the absolute tol
+        with pytest.raises(ConvergenceError, match="200 residual") as excinfo:
+            solve_fixed_point(tandem_config, lam)
+        lo, hi = excinfo.value.bracket
+        assert 0.0 <= lo < hi <= lam
 
     def test_validation(self, tandem_config):
         with pytest.raises(ValueError, match="nonnegative"):
