@@ -16,15 +16,15 @@ congestion model:
   states are dropped, so the result is a visualization table whose
   total is generally not 1; it is marked normalized=False.
 
-The triangular-diagram variants are always exact pushforwards: the
-empty section has the free speed v_0 = v_f, and each count n >= 1 moves
-at v_n = min(v_f, w * (c - n + offset) / n) = L * q_n / n, the speed of
-the rate the queue serves it at.  The speeds v_0..v_c are built as one numpy
-array from fundamental.supply_term.  Zero-mass states are dropped before
-speeds become transit times, so the exact convention's v_c = 0 matters
-only to a law that holds mass at n = c: that law has no finite travel
-time, and asking for one raises SingularModelError.  The linear model's
-"pushforward" mode relabels and merges through the same body.
+Every pushforward reads its speeds from the rate table its law is solved
+on, for both models: the empty section has the free speed v_0 = v_f, and
+each count n >= 1 moves at v_n = L * q_n / n, the speed of the rate the
+queue serves it at (fundamental.service_rates for the triangular variants,
+which are always exact pushforwards; the Jain-Smith rates for the linear
+model's "pushforward" mode).  Zero-mass states are dropped before speeds
+become transit times, so the exact convention's v_c = 0 matters only to a
+law that holds mass at n = c: that law has no finite travel time, and
+asking for one raises SingularModelError.
 """
 
 from __future__ import annotations
@@ -35,15 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .congestion import LinearCongestionModel, linear_speed
-from .fundamental import SHIFTED, RoadSection, supply_term
+from .congestion import LinearCongestionModel
+from .fundamental import SHIFTED, RoadSection, service_rates
 from .queueing import (
     OccupancyDistribution,
     SingularModelError,
     birth_death_log_weights,
     frozen_probs,
     jain_smith_rates,
-    solve_jain_smith,
+    solve_birth_death,
 )
 
 PUSHFORWARD = "pushforward"
@@ -102,21 +102,15 @@ def _merge_atoms(values: np.ndarray, probs: np.ndarray) -> DiscreteDistribution:
     return DiscreteDistribution(support=support, probs=np.bincount(atom, weights=probs))
 
 
-def _triangular_speeds(section: RoadSection, convention: str) -> np.ndarray:
-    """Per-state speeds v_0 = v_f and v_n = L * q_n / n, q_n from service_rates."""
-    n = np.arange(1, section.c + 1)
-    v_f = section.diagram.v_f
-    return np.append(v_f, np.minimum(v_f, supply_term(section, n, convention) / n))
-
-
 def _pushforward(
-    dist: OccupancyDistribution, speeds: np.ndarray, L: float, times: bool
+    dist: OccupancyDistribution, rates: np.ndarray, L: float, v_f: float, times: bool
 ) -> DiscreteDistribution:
-    """Relabel each count n by its speed speeds[n], or by L / speeds[n]."""
-    if dist.capacity != speeds.size - 1:
+    """Relabel each count n by v_n (v_0 = v_f, v_n = L * rates[n-1] / n) or L / v_n."""
+    if dist.capacity != rates.size:
         raise ValueError(
-            f"distribution capacity {dist.capacity} does not match c={speeds.size - 1}"
+            f"distribution capacity {dist.capacity} does not match c={rates.size}"
         )
+    speeds = np.append(v_f, L * rates / np.arange(1, rates.size + 1))
     # zero-mass atoms go first: under "exact" v_c = 0 has no transit time
     held = dist.probs > 0
     values = speeds[held]
@@ -133,14 +127,16 @@ def speed_dist_triangular(
     dist: OccupancyDistribution, section: RoadSection, convention: str = SHIFTED
 ) -> DiscreteDistribution:
     """Pushforward of an occupancy law to per-state speeds."""
-    return _pushforward(dist, _triangular_speeds(section, convention), section.L, False)
+    rates = service_rates(section, convention)
+    return _pushforward(dist, rates, section.L, section.diagram.v_f, False)
 
 
 def travel_time_dist_triangular(
     dist: OccupancyDistribution, section: RoadSection, convention: str = SHIFTED
 ) -> DiscreteDistribution:
     """Pushforward of an occupancy law to transit times L / v_n."""
-    return _pushforward(dist, _triangular_speeds(section, convention), section.L, True)
+    rates = service_rates(section, convention)
+    return _pushforward(dist, rates, section.L, section.diagram.v_f, True)
 
 
 def _check_mode(mode: str) -> str:
@@ -149,18 +145,15 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-def _grid_cell_weights(
-    lam: float, model: LinearCongestionModel, L: float, indices: np.ndarray
-) -> np.ndarray:
+def _grid_cell_weights(logw: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Probabilities assigned to grid cells mapping to the given states.
 
     Cell probability is weight(index) / (1 + sum of all cell weights),
-    with weight the unnormalized product form, weight(0) = 1 for the
-    empty state and 0 for indices outside [0, c].
+    with weight the unnormalized product form exp(logw), weight(0) = 1
+    for the empty state and 0 for indices outside [0, c].
     """
-    logw = birth_death_log_weights(lam, jain_smith_rates(L, model))
     cell_logs = np.full(indices.shape, -np.inf)
-    on = (0 <= indices) & (indices <= model.c)
+    on = (0 <= indices) & (indices < logw.size)
     cell_logs[on] = logw[indices[on]]
     shift = max(float(np.max(cell_logs, initial=-np.inf)), 0.0)
     cell_w = np.exp(cell_logs - shift)
@@ -172,11 +165,9 @@ def _linear_law(
     lam: float, model: LinearCongestionModel, L: float, mode: str, times: bool
 ) -> DiscreteDistribution:
     _check_mode(mode)
-    if not 0 < L < math.inf:
-        raise ValueError(f"L must be finite and positive, got {L!r}")
+    rates = jain_smith_rates(L, model)
     if mode == PUSHFORWARD:
-        speeds = np.append(model.v_f, linear_speed(model, np.arange(1, model.c + 1)))
-        return _pushforward(solve_jain_smith(lam, L, model), speeds, L, times)
+        return _pushforward(solve_birth_death(lam, rates), rates, L, model.v_f, times)
     if times:
         grid = np.arange(max(math.floor(L / model.v_f), 1), math.floor(L) + 1)
         indices = _floor12(1 + model.c * (1 - L / (grid * model.v_f)))
@@ -189,7 +180,7 @@ def _linear_law(
         warnings.warn(note, stacklevel=3)
     return DiscreteDistribution(
         support=grid.astype(float),
-        probs=_grid_cell_weights(lam, model, L, indices),
+        probs=_grid_cell_weights(birth_death_log_weights(lam, rates), indices),
         normalized=False,
     )
 

@@ -139,8 +139,8 @@ def supply_term(section: RoadSection, n, convention: str = SHIFTED):
     """Supply term w * (c - n + offset) [veh*m/s], elementwise in n.
 
     offset is 0 under "exact" and 1 under "shifted".  Divided by L it is
-    the supply-limited section rate; divided by n, the supply-limited
-    speed.  n may be an int or an integer array of counts.
+    the supply-limited section rate.  n may be an int or an integer array
+    of counts.
     """
     offset = 0 if check_convention(convention) == EXACT else 1
     return section.diagram.w * (section.c - n + offset)

@@ -310,6 +310,16 @@ class TestDistributions:
         assert code == 2
         assert out == ""
 
+    def test_exponential_model_exits_2(self, capsys):
+        # pushforwards exist for the triangular and linear models only,
+        # even for one section
+        code, out, err = run_cli(
+            capsys, "distributions", "--lambda", "0.8", "--model", "exponential",
+            "--beta", "9.5", "--gamma", "1.8", "--section", "1",
+        )
+        assert (code, out) == (2, "")
+        assert "distributions support the triangular and linear models only" in err
+
 
 class TestSweep:
     def test_tandem_sweep_schema(self, capsys):

@@ -297,25 +297,40 @@ class TestTandem2d:
         assert tv == pytest.approx(TV_2D_LAM1, rel=1e-9)
 
     @pytest.mark.parametrize(
-        "length, exact_flow, theta",
+        "length, exact_flow, theta, lam, tv_upstream, tv_downstream",
         [
-            (100.0, 0.30260342646781796, 0.4588910036254674),
-            (300.0, 0.22039586544261325, 0.398426479754562),
-            (1000.0, 0.16602064942451494, 0.3712658902404655),
+            (100.0, 0.30260342646781796, 0.4588910036254674,
+             2.0, 0.07814378857787829, 0.4710297793817297),
+            (300.0, 0.22039586544261325, 0.398426479754562,
+             2.0, 0.08901530715869907, 0.7092895197527654),
+            (1000.0, 0.16602064942451494, 0.3712658902404655,
+             2.0, 0.10262262040804043, 0.8050178331511995),
+            (100.0, 0.3050655709914341, 0.45372928604174934,
+             0.8, 0.3130190375396974, 0.47402403431364704),
+            (300.0, 0.22062413754282648, 0.3975485040916935,
+             0.8, 0.4115287599231243, 0.7104467755166971),
+            (1000.0, 0.16603879757595363, 0.3710526829902903,
+             0.8, 0.4522249241331478, 0.8054236982795915),
         ],
     )
     def test_capacity_trend_at_saturation(
-        self, tandem_config, length, exact_flow, theta
+        self, tandem_config, length, exact_flow, theta, lam, tv_upstream, tv_downstream
     ):
-        # c = 18, 54 and 180 at lam = 2.0: the decomposition's throughput
-        # theta overstates the exact chain's more as capacity grows
+        # c = 18, 54 and 180: the decomposition's throughput theta
+        # overstates the exact chain's more as capacity grows, and its
+        # marginals miss the exact ones, section 2's the most
         config = scaled(tandem_config, length)
-        joint = tandem_stationary(config, 2.0)
+        joint = tandem_stationary(config, lam)
         departed = joint.sum(axis=0)[1:] @ service_rates(config.section2)
-        accepted = 2.0 * (1 - joint[-1].sum())
+        accepted = lam * (1 - joint[-1].sum())
         assert departed == pytest.approx(exact_flow, rel=1e-9)
         assert abs(accepted - departed) <= 1e-12
-        assert solve_fixed_point(config, 2.0).theta == pytest.approx(theta, rel=1e-9)
+        result = solve_fixed_point(config, lam)
+        assert result.theta == pytest.approx(theta, rel=1e-9)
+        upstream = tv_distance(joint.sum(axis=1), result.marginal)
+        downstream = tv_distance(joint.sum(axis=0), result.downstream)
+        assert upstream == pytest.approx(tv_upstream, rel=1e-9)
+        assert downstream == pytest.approx(tv_downstream, rel=1e-9)
 
     def test_same_bits_with_one_and_two_blas_threads(self):
         # OpenBLAS inverts a 55 x 55 block on one thread whatever the pool

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from roadqueue import (
     EXACT,
     SHIFTED,
+    OccupancyDistribution,
     OracleError,
     RoadSection,
     SingularModelError,
@@ -31,10 +32,16 @@ from roadqueue import (
     simulate,
     solve_birth_death,
     solve_fixed_point,
+    speed_dist_linear,
+    speed_dist_triangular,
     tandem_stationary,
+    travel_time_dist_linear,
 )
-from roadqueue.congestion import ExponentialCongestionModel, LinearCongestionModel
-from roadqueue.distributions import _triangular_speeds
+from roadqueue.congestion import (
+    ExponentialCongestionModel,
+    LinearCongestionModel,
+    linear_speed,
+)
 from roadqueue.fundamental import CONVENTIONS
 from roadqueue.queueing import jain_smith_rates
 from roadqueue.tandem import _SCAN_POINTS, conditional_matrix, downstream_distribution
@@ -91,12 +98,39 @@ def test_service_rates_equal_closed_form(section, convention):
 @SETTINGS
 @given(sections(), st.sampled_from(CONVENTIONS))
 def test_pushforward_speeds_follow_the_rates(section, convention):
-    # each count n >= 1 moves at the speed of its rate, L * q_n / n
-    speeds = _triangular_speeds(section, convention)
-    assert speeds[0] == section.diagram.v_f
-    for n in range(1, section.c + 1):
-        expected = section.L * ref_service_rate(section, n, convention) / n
-        assert speeds[n] == pytest.approx(expected, rel=1e-12, abs=0)
+    # a point mass at n pushes forward to one atom, the speed of its
+    # rate: v_0 = v_f and v_n = L * q_n / n; atoms carry 12-digit keys
+    for n in range(section.c + 1):
+        law = OccupancyDistribution.point_mass(section.c, n)
+        dist = speed_dist_triangular(law, section, convention)
+        if n == 0:
+            expected = section.diagram.v_f
+        else:
+            expected = section.L * ref_service_rate(section, n, convention) / n
+        assert dist.support.tolist() == [pytest.approx(expected, rel=1e-11, abs=0)]
+        assert dist.probs.tolist() == [1.0]
+
+
+def round12(values):
+    """The sorted set of values at 12 significant digits."""
+    return sorted({float(f"{v:.11e}") for v in values})
+
+
+@SETTINGS
+@given(
+    st.floats(1.0, 60.0), st.integers(1, 300), st.floats(10.0, 2000.0), arrival_rates
+)
+def test_linear_pushforward_reads_the_speed_law(v_f, c, L, lam):
+    # the Jain-Smith rates q_n = n * v_n / L read backwards give the
+    # speed law again: each held count n sits at linear_speed(model, n),
+    # the empty section at v_f, and their travel times at L over them
+    model = LinearCongestionModel(v_f=v_f, c=c)
+    held = solve_birth_death(lam, jain_smith_rates(L, model)).probs > 0
+    speeds = np.append(v_f, linear_speed(model, np.arange(1, c + 1)))[held]
+    support = speed_dist_linear(lam, model, L).support.tolist()
+    assert support == pytest.approx(round12(speeds), rel=1e-11, abs=0)
+    support = travel_time_dist_linear(lam, model, L).support.tolist()
+    assert support == pytest.approx(round12(L / speeds), rel=1e-11, abs=0)
 
 
 @SETTINGS
@@ -139,6 +173,18 @@ def test_product_form_equals_exact_solve(section, lam):
     # GTH never subtracts, so it declines no shifted chain
     pi = exact_stationary(generator)
     np.testing.assert_allclose(pi, expected, rtol=0, atol=(section.c + 1) * 1e-13)
+
+
+@settings(max_examples=6, deadline=None)
+@given(sections(max_c=3000), st.floats(-3.0, 3.0).map(lambda x: 10.0**x))
+def test_product_form_equals_exact_solve_at_large_capacity(section, lam):
+    # the sizes the guards allow, up to c of about 3000, where the oracle's
+    # unnormalized law once overflowed; the product form's rounding grows
+    # with c (1.9e-13 was the largest gap in 600 random draws)
+    rates = service_rates(section, SHIFTED)
+    pi = exact_stationary(birth_death_chain(lam, rates))
+    expected = solve_birth_death(lam, rates).probs
+    np.testing.assert_allclose(pi, expected, rtol=0, atol=(section.c + 1) * 1e-15)
 
 
 @SETTINGS
