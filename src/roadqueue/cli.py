@@ -62,6 +62,14 @@ TRAVEL_TIME = "travel-time"
 FIGURES = ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10")
 
 _FIGURE_SWEEP = np.linspace(0.1, 2.0, 40)
+# exit code of each refusal, first match wins: SingularModelError is a ValueError
+_EXIT_CODES = {
+    SingularModelError: 3,
+    ConvergenceError: 3,
+    OracleError: 3,
+    ValueError: 2,
+    OSError: 4,
+}
 
 
 def _fmt(x) -> str:
@@ -84,10 +92,6 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _probs(dist) -> list[float]:
-    return [float(p) for p in dist.probs]
-
-
 def _scenario(args) -> Scenario:
     """Load the config and fold in command-line overrides."""
     scenario = load_scenario(args.config)
@@ -101,17 +105,24 @@ def _scenario(args) -> Scenario:
     return scenario
 
 
+def _section_head(args, scenario: Scenario) -> dict:
+    """The leading keys of every one-section payload."""
+    return {
+        "lambda": args.lam,
+        "section": args.section,
+        "model": scenario.model,
+        "convention": scenario.convention,
+    }
+
+
 def _cmd_solve_section(args) -> str:
     scenario = _scenario(args)
     rates = scenario.rates(args.section)
     dist = solve_birth_death(args.lam, rates)
     meas = measures(dist, args.lam, rates)
     payload = {
-        "lambda": args.lam,
-        "section": args.section,
-        "model": scenario.model,
-        "convention": scenario.convention,
-        "distribution": _probs(dist),
+        **_section_head(args, scenario),
+        "distribution": dist.probs.tolist(),
         **dataclasses.asdict(meas),
     }
     return _json(payload)
@@ -131,8 +142,8 @@ def _cmd_solve_tandem(args) -> str:
         "residual": result.residual,
         "iterations": result.iterations,
         **dataclasses.asdict(meas),
-        "marginal": _probs(result.marginal),
-        "downstream": _probs(result.downstream),
+        "marginal": result.marginal.probs.tolist(),
+        "downstream": result.downstream.probs.tolist(),
         "tv_vs_exact_2d": decomposition_diagnostic(
             config, args.lam, result.marginal.probs
         ),
@@ -238,16 +249,13 @@ def _cmd_simulate(args) -> str:
     except SingularModelError:
         tv = None  # no stationary law to compare against
     payload = {
-        "lambda": args.lam,
-        "section": args.section,
-        "model": scenario.model,
-        "convention": scenario.convention,
+        **_section_head(args, scenario),
         "seed": result.seed,
         "events": result.events,
         "algorithm": result.algorithm,
         "elapsed_model_time": result.elapsed_model_time,
         "absorbed": result.absorbed,
-        "empirical": _probs(result.empirical),
+        "empirical": result.empirical.probs.tolist(),
         "tv_vs_analytical": tv,
     }
     return _json(payload)
@@ -260,15 +268,12 @@ def _cmd_compare(args) -> str:
     exact = exact_stationary(birth_death_chain(args.lam, rates))
     sim = simulate(args.lam, rates, seed=args.seed, max_events=args.events)
     payload = {
-        "lambda": args.lam,
-        "section": args.section,
-        "model": scenario.model,
-        "convention": scenario.convention,
+        **_section_head(args, scenario),
         "events": sim.events,
         "seed": sim.seed,
-        "analytical": _probs(analytical),
-        "exact": [float(p) for p in exact],
-        "empirical": _probs(sim.empirical),
+        "analytical": analytical.probs.tolist(),
+        "exact": exact.tolist(),
+        "empirical": sim.empirical.probs.tolist(),
         "tv_analytical_vs_exact": tv_distance(analytical.probs, exact),
         "tv_empirical_vs_analytical": tv_distance(sim.empirical, analytical),
     }
@@ -475,21 +480,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        payload = args.handler(args)
-    except (SingularModelError, ConvergenceError, OracleError) as exc:
+        _emit(args.handler(args), args.output)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    try:
-        _emit(payload, args.output)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     return 0
 
 

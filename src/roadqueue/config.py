@@ -79,7 +79,7 @@ class Scenario:
                 f"scenario needs 1 or 2 sections, got {len(self.sections)}"
             )
         check_convention(self.convention)
-        check_model(self.model)
+        object.__setattr__(self, "model", check_model(self.model))
         if self.model == EXPONENTIAL and (self.beta is None or self.gamma is None):
             raise ValueError(
                 "model 'exponential' requires scenario keys beta and gamma"
@@ -181,11 +181,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     unknown = set(doc) - {"sections", "convention", "model", "beta", "gamma"}
     if unknown:
         raise ValueError(f"unknown config key(s): {sorted(unknown)}")
-    model = doc.get("model", TRIANGULAR)
     return Scenario(
         sections=tuple(section for section, _ in parsed),
         convention=next(iter(conventions), SHIFTED),
-        model=check_model(model),
+        model=doc.get("model", TRIANGULAR),
         beta=doc.get("beta"),
         gamma=doc.get("gamma"),
     )

@@ -26,6 +26,8 @@ from typing import Union
 
 import numpy as np
 
+from .fundamental import check_positive
+
 
 @dataclass(frozen=True)
 class LinearCongestionModel:
@@ -35,8 +37,7 @@ class LinearCongestionModel:
     c: int
 
     def __post_init__(self) -> None:
-        if not 0 < self.v_f < math.inf:
-            raise ValueError(f"v_f must be finite and positive, got {self.v_f!r}")
+        check_positive(v_f=self.v_f)
         if self.c < 1:
             raise ValueError(f"c must be at least 1, got {self.c!r}")
 
@@ -51,10 +52,7 @@ class ExponentialCongestionModel:
     c: int
 
     def __post_init__(self) -> None:
-        for name in ("v_f", "beta", "gamma"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        check_positive(v_f=self.v_f, beta=self.beta, gamma=self.gamma)
         if self.c < 1:
             raise ValueError(f"c must be at least 1, got {self.c!r}")
 
@@ -70,10 +68,7 @@ class FitAnchors:
     v_f: float
 
     def __post_init__(self) -> None:
-        for name in ("a", "v_a", "b", "v_b", "v_f"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        check_positive(a=self.a, v_a=self.v_a, b=self.b, v_b=self.v_b, v_f=self.v_f)
         if not 1 < self.a < self.b:
             raise ValueError(
                 f"anchors need 1 < a < b, got a={self.a!r}, b={self.b!r}"

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fundamental import _ARRAY_CAP_BYTES, service_rates
-from .queueing import OccupancyDistribution, check_arrival_rate
+from .fundamental import _ARRAY_CAP_BYTES, check_positive, service_rates
+from .queueing import OccupancyDistribution, check_arrival_rate, check_rates
 from .tandem import TandemConfig, coupled_rates
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -149,9 +149,7 @@ def birth_death_chain(lam: float, rates) -> np.ndarray:
     Past the 256 MiB cap (c > 5791) it raises OracleError before allocating.
     """
     check_arrival_rate(lam)
-    rates = np.asarray(rates, dtype=float)
-    if not np.all((0 <= rates) & (rates < math.inf)):
-        raise ValueError("service rates must be finite and nonnegative")
+    rates = check_rates(rates)
     c = rates.size
     stored = 8 * (c + 1) ** 2
     if stored > _BLOCK_CAP_BYTES:
@@ -272,11 +270,8 @@ def simulate(
     over math.log1p: np.log1p differs from it in the last bit on some
     draws, which would change the law's bits.
     """
-    rates = [float(r) for r in np.asarray(rates, dtype=float)]
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"arrival rate must be finite and positive, got {lam!r}")
-    if not all(0 <= r < math.inf for r in rates):
-        raise ValueError("service rates must be finite and nonnegative")
+    check_positive(**{"arrival rate": lam})
+    rates = [float(r) for r in check_rates(rates)]
     if max_events < 10**4:
         raise ValueError(f"max_events must be at least 1e4, got {max_events!r}")
     c = len(rates)

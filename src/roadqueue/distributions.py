@@ -41,6 +41,7 @@ from .queueing import (
     OccupancyDistribution,
     SingularModelError,
     birth_death_log_weights,
+    check_rate_count,
     frozen_probs,
     jain_smith_rates,
     solve_birth_death,
@@ -106,10 +107,7 @@ def _pushforward(
     dist: OccupancyDistribution, rates: np.ndarray, L: float, v_f: float, times: bool
 ) -> DiscreteDistribution:
     """Relabel each count n by v_n (v_0 = v_f, v_n = L * rates[n-1] / n) or L / v_n."""
-    if dist.capacity != rates.size:
-        raise ValueError(
-            f"distribution capacity {dist.capacity} does not match c={rates.size}"
-        )
+    check_rate_count(dist, rates)
     speeds = np.append(v_f, L * rates / np.arange(1, rates.size + 1))
     # zero-mass atoms go first: under "exact" v_c = 0 has no transit time
     held = dist.probs > 0
@@ -176,6 +174,11 @@ def _linear_law(
         grid = np.arange(1, math.floor(model.v_f) + 1)
         indices = _floor12(1 + model.c * (1 - grid / model.v_f))
         note = f"speed grid truncated at floor(v_f) = {math.floor(model.v_f)}"
+    if grid.size == 0:
+        raise ValueError(
+            f"the paper-grid {'time' if times else 'speed'} grid is empty at "
+            f"v_f = {model.v_f!r} m/s and L = {L!r} m"
+        )
     if model.v_f != math.floor(model.v_f):
         warnings.warn(note, stacklevel=3)
     return DiscreteDistribution(

@@ -54,6 +54,13 @@ def check_convention(convention: str) -> str:
     return convention
 
 
+def check_positive(**values: float) -> None:
+    """Refuse the first named value that is not finite and positive."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -72,10 +79,7 @@ class TriangularDiagram:
     rho_j: float
 
     def __post_init__(self) -> None:
-        for name in ("v_f", "w", "rho_j"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        check_positive(v_f=self.v_f, w=self.w, rho_j=self.rho_j)
 
     @property
     def q_max(self) -> float:
@@ -103,8 +107,7 @@ class RoadSection:
     c: int = None  # type: ignore[assignment]  # derived when omitted
 
     def __post_init__(self) -> None:
-        if not 0 < self.L < math.inf:
-            raise ValueError(f"L must be finite and positive, got {self.L!r}")
+        check_positive(L=self.L)
         jam_count = self.diagram.rho_j * self.L
         if jam_count == math.inf:
             raise ValueError("capacity c = rho_j * L overflows a float")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .congestion import CongestionModel, speed
-from .fundamental import SHIFTED, RoadSection, service_rates
+from .fundamental import SHIFTED, RoadSection, check_positive, service_rates
 
 
 class SingularModelError(ValueError):
@@ -122,19 +122,20 @@ def check_arrival_rate(lam: float) -> None:
         raise ValueError(f"arrival rate must be finite and nonnegative, got {lam!r}")
 
 
-def _check_rates(lam: float, rates: np.ndarray) -> None:
-    check_arrival_rate(lam)
-    if not 1 <= rates.ndim <= 2 or rates.shape[-1] < 1:
-        raise ValueError(f"rates must be nonempty and at most 2-D, got {rates.shape}")
+def check_rates(rates) -> np.ndarray:
+    """Service rates as a float array, refused if any is negative or not finite."""
+    rates = np.asarray(rates, dtype=float)
     if not ((0 <= rates) & (rates < math.inf)).all():
         raise ValueError("service rates must be finite and nonnegative")
-    zero = np.nonzero(rates == 0)[-1]
-    if zero.size and lam > 0:
-        # state indices are 1-based: rates[..., i] serves state i+1
-        raise SingularModelError(
-            f"service rate is zero at state n={zero[0] + 1}; the stationary "
-            "law does not exist (use the shifted convention)"
-        )
+    return rates
+
+
+def check_rate_count(dist: OccupancyDistribution, rates) -> np.ndarray:
+    """Rates as a float array, refused unless one per count 1..capacity."""
+    rates = np.asarray(rates, dtype=float)
+    if rates.size != dist.capacity:
+        raise ValueError(f"got {rates.size} rates for capacity {dist.capacity}")
+    return rates
 
 
 def birth_death_log_weights(lam: float, rates) -> np.ndarray:
@@ -145,8 +146,17 @@ def birth_death_log_weights(lam: float, rates) -> np.ndarray:
     rates when lam > 0; at lam = 0 the weights are their limit, 0 at
     n = 0 and -inf elsewhere, whatever the rates.
     """
-    rates = np.asarray(rates, dtype=float)
-    _check_rates(lam, rates)
+    check_arrival_rate(lam)
+    rates = check_rates(rates)
+    if not 1 <= rates.ndim <= 2 or rates.shape[-1] < 1:
+        raise ValueError(f"rates must be nonempty and at most 2-D, got {rates.shape}")
+    zero = np.nonzero(rates == 0)[-1]
+    if zero.size and lam > 0:
+        # state indices are 1-based: rates[..., i] serves state i+1
+        raise SingularModelError(
+            f"service rate is zero at state n={zero[0] + 1}; the stationary "
+            "law does not exist (use the shifted convention)"
+        )
     logw = np.zeros(rates.shape[:-1] + (rates.shape[-1] + 1,))
     steps = logw[..., 1:]  # log(lam / q_n), summed in place
     if lam == 0:
@@ -175,8 +185,7 @@ def solve_birth_death(lam: float, rates) -> OccupancyDistribution:
 
 def jain_smith_rates(L: float, model: CongestionModel) -> np.ndarray:
     """Speed-ratio service rates q_n = n * v_n / L for n = 1..c."""
-    if not 0 < L < math.inf:
-        raise ValueError(f"L must be finite and positive, got {L!r}")
+    check_positive(L=L)
     n = np.arange(1, model.c + 1)
     return n * speed(model, n) / L
 
@@ -229,11 +238,7 @@ def measures(
     Throughput is the accepted arrival rate lam * (1 - P_c).  When it is
     zero (lam = 0) the travel time is the lone-vehicle transit time 1 / q_1.
     """
-    rates = np.asarray(rates, dtype=float)
-    if rates.size != dist.capacity:
-        raise ValueError(
-            f"got {rates.size} rates for capacity {dist.capacity}"
-        )
+    rates = check_rate_count(dist, rates)
     lone_time = 1.0 / rates[0] if rates[0] > 0 else None
     return littles_law(dist, lam * (1.0 - dist.blocking), lone_time)
 
@@ -243,9 +248,5 @@ def throughput_departure(dist: OccupancyDistribution, rates) -> float:
 
     Equals lam * (1 - P_c) on any solved law (flow balance).
     """
-    rates = np.asarray(rates, dtype=float)
-    if rates.size != dist.capacity:
-        raise ValueError(
-            f"got {rates.size} rates for capacity {dist.capacity}"
-        )
+    rates = check_rate_count(dist, rates)
     return float(rates @ dist.probs[1:])

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fundamental import SHIFTED, RoadSection, check_convention, supply_term
+from .fundamental import SHIFTED, RoadSection, check_convention, check_positive, supply_term
 from .queueing import (
     OccupancyDistribution,
     PerformanceMeasures,
@@ -142,8 +142,7 @@ def solve_fixed_point(
     always evaluate the same sequence.
     """
     check_arrival_rate(lam)
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    check_positive(tol=tol)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     if lam == 0:

@@ -310,6 +310,24 @@ class TestDistributions:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "geometry, kind, grid",
+        [
+            ({"L": 100.0, "v_f": 0.5, "w": 14.0, "rho_j": 0.18}, "speed", "speed grid"),
+            ({"L": 0.5, "v_f": 28.0, "w": 14.0, "rho_j": 4.0}, "travel-time", "time grid"),
+        ],
+    )
+    def test_empty_paper_grid_exits_2(self, capsys, tmp_path, geometry, kind, grid):
+        path = tmp_path / "section.json"
+        path.write_text(json.dumps(geometry))
+        code, out, err = run_cli(
+            capsys, "distributions", "--lambda", "0.01", "--config", str(path),
+            "--model", "linear", "--mode", "paper-grid", "--section", "1", "--kind", kind,
+        )
+        assert (code, out) == (2, "")
+        assert grid in err
+        assert f"v_f = {geometry['v_f']!r} m/s and L = {geometry['L']!r} m" in err
+
     def test_exponential_model_exits_2(self, capsys):
         # pushforwards exist for the triangular and linear models only,
         # even for one section
@@ -629,6 +647,20 @@ class TestOutputHandling:
             str(tmp_path / "no" / "dir" / "law.json"),
         )
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("sweep", "--lambda-from", "0.1", "--lambda-to", "2", "--steps", "1"), 2),
+            (("solve-tandem", "--lambda", "1e300"), 3),
+        ],
+    )
+    def test_nothing_is_written_on_a_nonzero_exit(self, capsys, tmp_path, argv, expected):
+        path = tmp_path / "out.txt"
+        code, out, err = run_cli(capsys, *argv, "--output", str(path))
+        assert (code, out) == (expected, "")
+        assert err.startswith("error: ")
+        assert not path.exists()
 
     def test_stdin_config(self, capsys, monkeypatch):
         import io

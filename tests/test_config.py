@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -178,6 +179,28 @@ class TestScenarioAccessors:
         scenario = scenario_from_dict(two_section_doc())
         with pytest.raises(ValueError, match="triangular"):
             scenario.congestion_model(1)
+
+
+class TestScenarioModelAliases:
+    def test_replaced_alias_is_stored_normalized(self):
+        scenario = dataclasses.replace(default_scenario(), model="jain-smith-linear")
+        assert scenario.model == LINEAR
+        linear = dataclasses.replace(default_scenario(), model="linear")
+        np.testing.assert_array_equal(scenario.rates(1), linear.rates(1))
+
+    def test_exponential_alias_requires_shape_parameters(self):
+        with pytest.raises(ValueError, match="requires scenario keys beta and gamma"):
+            dataclasses.replace(default_scenario(), model="jain-smith-exponential")
+        scenario = dataclasses.replace(
+            default_scenario(), model="jain-smith-exponential", beta=9.5, gamma=1.8
+        )
+        assert scenario.model == EXPONENTIAL
+
+    def test_unknown_model_is_refused(self):
+        with pytest.raises(ValueError, match="model must be one of"):
+            dataclasses.replace(default_scenario(), model="quadratic")
+        with pytest.raises(ValueError, match="model must be one of"):
+            scenario_from_dict(two_section_doc(model="quadratic"))
 
 
 class TestLoading:

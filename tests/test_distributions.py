@@ -250,3 +250,21 @@ class TestGridMode:
             speed_dist_linear(0.8, model, 100.0, mode=PAPER_GRID)
         with pytest.warns(UserWarning, match="grid"):
             travel_time_dist_linear(0.8, model, 100.0, mode=PAPER_GRID)
+
+    def test_empty_speed_grid_is_refused(self):
+        # the speed grid is 1..floor(v_f): empty below 1 m/s
+        model = LinearCongestionModel(v_f=0.5, c=18)
+        with pytest.raises(ValueError) as info:
+            speed_dist_linear(0.01, model, 100.0, mode=PAPER_GRID)
+        assert str(info.value) == (
+            "the paper-grid speed grid is empty at v_f = 0.5 m/s and L = 100.0 m"
+        )
+
+    def test_empty_time_grid_is_refused(self):
+        # the time grid ends at floor(L): empty below 1 m
+        model = LinearCongestionModel(v_f=28.0, c=2)
+        with pytest.raises(ValueError) as info:
+            travel_time_dist_linear(0.01, model, 0.5, mode=PAPER_GRID)
+        assert str(info.value) == (
+            "the paper-grid time grid is empty at v_f = 28.0 m/s and L = 0.5 m"
+        )
