@@ -223,11 +223,15 @@ def _cmd_sweep(args) -> str:
     grid = _sweep_grid(args)
     if len(scenario.sections) == 2 and args.section is None:
         config = scenario.tandem()
+        solved = list(_tandem_sweep(config, grid))
+        # one batched oracle solve for the whole grid
+        tvs = decomposition_diagnostic(
+            config, grid, [result.marginal.probs for _, result, _ in solved]
+        )
         rows = [
             (lam, result.theta, meas.blocking, meas.expected_count,
-             meas.expected_travel_time,
-             decomposition_diagnostic(config, lam, result.marginal.probs))
-            for lam, result, meas in _tandem_sweep(config, grid)
+             meas.expected_travel_time, tv)
+            for (lam, result, meas), tv in zip(solved, tvs)
         ]
         header = "lambda,theta,blocking,expected_count,travel_time,tv_vs_exact_2d"
         return _csv(header, rows)

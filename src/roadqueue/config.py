@@ -130,6 +130,16 @@ class Scenario:
         raise ValueError("scenario model 'triangular' has no congestion model")
 
 
+def _number(value, name: str) -> float:
+    """A JSON number as a float, refused unless it is one within the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number")
+    try:
+        return float(value)
+    except OverflowError:  # an integer past about 1.8e308
+        raise ValueError(f"{name} is past the float range") from None
+
+
 def section_from_dict(doc: dict) -> tuple[RoadSection, str | None]:
     """Build a RoadSection from a JSON object; returns its convention, if any."""
     if not isinstance(doc, dict):
@@ -137,22 +147,19 @@ def section_from_dict(doc: dict) -> tuple[RoadSection, str | None]:
     unknown = set(doc) - _SECTION_KEYS
     if unknown:
         raise ValueError(f"unknown section key(s): {sorted(unknown)}")
+    values = {}
     for key in ("L", "v_f", "w", "rho_j"):
         if key not in doc:
             raise ValueError(f"section is missing required key {key!r}")
-        if not isinstance(doc[key], (int, float)) or isinstance(doc[key], bool):
-            raise ValueError(f"section key {key!r} must be a number")
+        values[key] = _number(doc[key], f"section key {key!r}")
     convention = doc.get("convention")
     if convention is not None:
         check_convention(convention)
-    diagram = TriangularDiagram(
-        v_f=float(doc["v_f"]), w=float(doc["w"]), rho_j=float(doc["rho_j"])
-    )
+    diagram = TriangularDiagram(v_f=values["v_f"], w=values["w"], rho_j=values["rho_j"])
     c = doc.get("c")
     if c is not None:
-        if isinstance(c, bool) or not isinstance(c, (int, float)):
-            raise ValueError("section key 'c' must be a number")
-    section = RoadSection(L=float(doc["L"]), diagram=diagram, c=c)
+        _number(c, "section key 'c'")  # c itself stays an int if it is one
+    section = RoadSection(L=values["L"], diagram=diagram, c=c)
     return section, convention
 
 
@@ -181,12 +188,16 @@ def scenario_from_dict(doc: dict) -> Scenario:
     unknown = set(doc) - {"sections", "convention", "model", "beta", "gamma"}
     if unknown:
         raise ValueError(f"unknown config key(s): {sorted(unknown)}")
+    beta, gamma = (
+        None if doc.get(key) is None else _number(doc[key], f"config key {key!r}")
+        for key in ("beta", "gamma")
+    )
     return Scenario(
         sections=tuple(section for section, _ in parsed),
         convention=next(iter(conventions), SHIFTED),
         model=doc.get("model", TRIANGULAR),
-        beta=doc.get("beta"),
-        gamma=doc.get("gamma"),
+        beta=beta,
+        gamma=gamma,
     )
 
 

@@ -6,7 +6,9 @@ are checked against machinery that shares none of their algebra:
 * GTH elimination of the global balance equations pi Q = 0 for any
   finite generator, within its band (no dense solve),
 * a level-by-level solve of the full two-dimensional tandem chain that
-  the decomposition approximates, which never forms its generator, and
+  the decomposition approximates, which never forms its generator and
+  solves a whole vector of arrival rates in one batch (a sweep's grid),
+  and
 * an event-driven simulation of the birth-death dynamics with seeded,
   reproducible randomness (numpy PCG64; the algorithm identifier is
   recorded in the result so cross-implementation comparisons know what
@@ -31,8 +33,9 @@ RNG_ALGORITHM = "numpy-pcg64"
 
 _CLIP = 1e-13
 # Cap on the joint chain's stored level-reduction blocks,
-# 8 * c1 * (c2 + 1)**2 bytes: c = 180 (47 MB) passes, and c = 321 is the
-# largest square tandem that does.  A birth-death generator holds
+# 8 * c1 * (c2 + 1)**2 bytes a law: c = 180 (47 MB) passes, and c = 321 is
+# the largest square tandem that does.  A batch of laws is split into runs
+# whose blocks fit under it together.  A birth-death generator holds
 # 8 * (c + 1)**2 bytes: c = 5791 is the largest that passes.
 _BLOCK_CAP_BYTES = _ARRAY_CAP_BYTES
 # Unnormalized laws start from mass 1 at the lowest state and are rescaled
@@ -112,27 +115,39 @@ def exact_stationary(generator) -> np.ndarray:
 
 
 def _gth(rates: np.ndarray, band: int) -> np.ndarray:
-    """Unnormalized law, pi[0] = 1, by GTH elimination: O(N * band**2).
+    """Unnormalized law, pi[..., 0] = 1, by GTH elimination: O(N * band**2).
 
+    rates is one (N, N) rate matrix, giving a law of shape (N,), or an
+    (m, N, N) stack of them, giving one law per row of an (m, N) array.
     Censors states from the last, overwriting rates within band of the
-    diagonal; a state with no outflow to lower states raises OracleError.
+    diagonal; a state with no outflow to lower states, in any matrix of
+    the stack, raises OracleError.  Each law is rescaled on its own as it
+    grows, so a stack gives the bits of its matrices solved one by one.
     """
-    n = rates.shape[0]
-    out = np.zeros(n)
-    for k in range(n - 1, 0, -1):
-        lo = max(k - band, 0)
-        out[k] = rates[k, lo:k].sum()
-        if not out[k] > 0:
-            raise OracleError(f"state {k} has no outflow to lower states")
-        rates[lo:k, lo:k] += np.outer(rates[lo:k, k], rates[k, lo:k] / out[k])
-    pi = np.zeros(n)
-    pi[0] = 1.0
+    n = rates.shape[-1]
+    stack = rates.reshape(-1, n, n)  # a single matrix is a stack of one
+    out = np.zeros(stack.shape[:-1])
+    # a state with no outflow divides by 0 and leaves NaN in the states
+    # below it, so the highest state that fails is the one to report
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n - 1, 0, -1):
+            lo = max(k - band, 0)
+            out[:, k] = stack[:, k, lo:k].sum(axis=-1)
+            stack[:, lo:k, lo:k] += stack[:, lo:k, k, None] * (
+                stack[:, k, None, lo:k] / out[:, k, None, None]
+            )
+    stuck = np.nonzero(~(out[:, 1:] > 0))[1]
+    if stuck.size:
+        raise OracleError(f"state {stuck.max() + 1} has no outflow to lower states")
+    pi = np.zeros(stack.shape[:-1])
+    pi[:, 0] = 1.0
     for k in range(1, n):
         lo = max(k - band, 0)
-        pi[k] = pi[lo:k] @ rates[lo:k, k] / out[k]
-        if pi[k] > _RESCALE:
-            pi[: k + 1] /= pi[k]
-    return pi
+        pi[:, k] = (pi[:, None, lo:k] @ stack[:, lo:k, k, None])[:, 0, 0] / out[:, k]
+        if max(pi[:, k].tolist(), default=0.0) > _RESCALE:
+            # dividing the other laws by 1 leaves their bits as they are
+            pi[:, : k + 1] /= np.where(pi[:, k] > _RESCALE, pi[:, k], 1.0)[:, None]
+    return pi.reshape(rates.shape[:-1])
 
 
 def _verify(pi: np.ndarray, residual: float, tol: float) -> None:
@@ -165,25 +180,36 @@ def birth_death_chain(lam: float, rates) -> np.ndarray:
     return gen
 
 
-def tandem_stationary(config: TandemConfig, lam: float) -> np.ndarray:
+def tandem_stationary(config: TandemConfig, lam) -> np.ndarray:
     """Exact law pi[n1, n2] of the joint chain the decomposition approximates.
 
+    lam is one arrival rate, giving a law of shape (c1 + 1, c2 + 1), or a
+    1-D vector of m rates, giving a stack of shape (m, c1 + 1, c2 + 1):
+    one body solves every rate of the batch at once.
     Transitions: arrival (n1 + 1) at rate lam while n1 < c1; transfer
     (n1 - 1, n2 + 1) at rate q12(n1, n2) while n1 > 0 and n2 < c2;
     departure (n2 - 1) at section 2's own service rate.  In n1 this is a
     level-dependent quasi-birth-death process, solved by linear level
     reduction (Gaver, Jacobs & Latouche 1984), one (c2 + 1)-square inverse
-    per level, then GTH elimination (Grassmann, Taksar & Heyman 1985) on
-    level 0; every diagonal is a sum of outflows, never a difference.  The
-    law is verified as exact_stationary's is, blockwise.  Under the exact
-    convention (c1, c2) has no exit: the law is its point mass for lam > 0
-    and not unique at lam = 0, which raises OracleError, as do stored
-    blocks (8 * c1 * (c2 + 1)**2 bytes) past 256 MiB, before allocating.
+    per level and rate, stacked into one call per level, then GTH
+    elimination (Grassmann, Taksar & Heyman 1985) on level 0; every
+    diagonal is a sum of outflows, never a difference.  Each law is
+    rescaled and verified on its own, as exact_stationary's is, blockwise.
+    Under the exact convention (c1, c2) has no exit: the law is its point
+    mass for lam > 0 and not unique at lam = 0, which raises OracleError.
+    One law stores 8 * c1 * (c2 + 1)**2 bytes of blocks: past 256 MiB it
+    raises OracleError before allocating, and a batch is split into runs
+    whose blocks fit under that cap together, so memory grows with the
+    batch up to the cap (about 2 MB for 40 rates at c = 18).
     From c2 of about 100, OpenBLAS splits each level's inverse across its
     threads, so the last bits of the law depend on the thread count: the
     law is reproducible to about 1e-15, not bitwise.
     """
-    check_arrival_rate(lam)
+    lams = np.asarray(lam, dtype=float)
+    if lams.ndim > 1:
+        raise ValueError(f"lam must be a scalar or a 1-D vector, got shape {lams.shape}")
+    for value in lams.reshape(-1).tolist():
+        check_arrival_rate(value)
     c1, c2 = config.section1.c, config.section2.c
     stored = 8 * c1 * (c2 + 1) ** 2
     if stored > _BLOCK_CAP_BYTES:
@@ -191,59 +217,76 @@ def tandem_stationary(config: TandemConfig, lam: float) -> np.ndarray:
             f"the joint chain's level reduction stores {stored / 1e6:.0f} MB of "
             f"blocks (c1 = {c1}, c2 = {c2}), above the {_BLOCK_CAP_BYTES >> 20} MiB cap"
         )
+    fits = _BLOCK_CAP_BYTES // stored
+    if lams.size > fits:
+        runs = range(0, lams.size, fits)
+        return np.concatenate([tandem_stationary(config, lams[i : i + fits]) for i in runs])
     mu2 = service_rates(config.section2, config.convention)
     if mu2[-1] == 0:
-        if lam == 0:
+        if (lams == 0).any():
             raise OracleError("at lam = 0 every (n1, c2) is absorbing: no unique law")
-        pi = np.zeros((c1 + 1, c2 + 1))
-        pi[-1, -1] = 1.0
+        pi = np.zeros(lams.shape + (c1 + 1, c2 + 1))
+        pi[..., -1, -1] = 1.0
         return pi
+    rows = lams.reshape(-1, 1, 1)  # one law per row of each stack below
+    m, phases = rows.shape[0], np.arange(c2 + 1)
     q12 = coupled_rates(config).T  # q12(n1, n2) at [n1 - 1, n2]
     q12[:, -1] = 0.0  # nothing moves at n2 = c2
-    local = np.diag(mu2, -1)  # departures, the same at every level
-    # r[n1 - 1] = lam * (-S_n1)^-1 carries the law from level n1 - 1 to n1
-    r = np.empty((c1, c2 + 1, c2 + 1))
+    # departures, the same at every level and rate
+    local = np.repeat(np.diag(mu2, -1)[None], m, axis=0)
+    # r[:, n1 - 1] = lam * (-S_n1)^-1 carries the law from level n1 - 1 to n1
+    r = np.empty((m, c1, c2 + 1, c2 + 1))
     block = local.copy()  # rates within the top level left, censored
     try:
         for n1 in range(c1, 0, -1):
-            np.fill_diagonal(block, 0.0)  # returns to the same phase: self-loops
-            minus_s = np.diag(block.sum(axis=1) + q12[n1 - 1]) - block
-            r[n1 - 1] = lam * np.linalg.inv(minus_s)
+            block[:, phases, phases] = 0.0  # returns to the same phase: self-loops
+            minus_s = 0.0 - block
+            minus_s[:, phases, phases] = block.sum(axis=2) + q12[n1 - 1]
+            r[:, n1 - 1] = rows * np.linalg.inv(minus_s)
             # from level n1 the chain returns to level n1 - 1 one phase up
             block = local.copy()
-            block[:, 1:] += r[n1 - 1][:, :-1] * q12[n1 - 1, :-1]
+            block[:, :, 1:] += r[:, n1 - 1, :, :-1] * q12[n1 - 1, :-1]
     except np.linalg.LinAlgError as exc:
         raise OracleError(f"a censored level is singular: {exc}") from exc
     # level 0 by GTH: censor its phases out from the top, then substitute
-    pi = np.zeros((c1 + 1, c2 + 1))
-    pi[0] = _gth(block, c2)
+    pi = np.zeros((m, c1 + 1, c2 + 1))
+    pi[:, 0] = _gth(block, c2)
     for n1 in range(1, c1 + 1):
-        pi[n1] = pi[n1 - 1] @ r[n1 - 1]
-        if pi[n1].max() > _RESCALE:
-            pi[: n1 + 1] /= pi[n1].max()
-    pi /= pi.sum()
-    exits = np.pad(q12, ((1, 0), (0, 0)))
-    exits[:-1] += lam
-    exits[:, 1:] += mu2
+        pi[:, n1] = (pi[:, n1 - 1, None] @ r[:, n1 - 1])[:, 0]
+        if pi[:, n1].max(initial=0.0) > _RESCALE:
+            top = pi[:, n1].max(axis=1)
+            big = top > _RESCALE
+            pi[big, : n1 + 1] /= top[big, None, None]
+    pi /= pi.sum(axis=(1, 2), keepdims=True)
+    exits = np.zeros((m, c1 + 1, c2 + 1))
+    exits[:, 1:] = q12
+    exits[:, :-1] += rows
+    exits[:, :, 1:] += mu2
     flow = -pi * exits  # pi Q, one transition kind at a time
-    flow[1:] += lam * pi[:-1]
-    flow[:-1, 1:] += pi[1:, :-1] * q12[:, :-1]
-    flow[:, :-1] += pi[:, 1:] * mu2
+    flow[:, 1:] += rows * pi[:, :-1]
+    flow[:, :-1, 1:] += pi[:, 1:, :-1] * q12[:, :-1]
+    flow[:, :, :-1] += pi[:, :, 1:] * mu2
     # ||Q||_inf is twice the largest exit rate
-    tol = 2 * float(exits.max()) * pi.size * np.finfo(float).eps
-    _verify(pi, float(np.abs(flow).max()), tol)
-    return pi
+    tols = 2 * exits.max(axis=(1, 2)) * ((c1 + 1) * (c2 + 1)) * np.finfo(float).eps
+    residuals = np.abs(flow).max(axis=(1, 2))
+    for law, residual, tol in zip(pi, residuals.tolist(), tols.tolist()):
+        _verify(law, residual, tol)
+    return pi.reshape(lams.shape + pi.shape[1:])
 
 
-def decomposition_diagnostic(
-    config: TandemConfig, lam: float, marginal_probs
-) -> float:
+def decomposition_diagnostic(config: TandemConfig, lam, marginal_probs):
     """TV distance between a model marginal and the exact joint chain's.
 
-    A quality report for the decomposition, not a correctness bound: the
-    decomposition is an approximation of the joint chain by design.
+    A scalar lam takes one marginal and gives a float; a 1-D vector of
+    lam takes one marginal per rate and gives a list, from one batched
+    tandem_stationary call.  A quality report for the decomposition, not
+    a correctness bound: the decomposition is an approximation of the
+    joint chain by design.
     """
-    return tv_distance(tandem_stationary(config, lam).sum(axis=1), marginal_probs)
+    exact = tandem_stationary(config, lam).sum(axis=-1)
+    if np.ndim(lam) == 0:
+        return tv_distance(exact, marginal_probs)
+    return [tv_distance(p, q) for p, q in zip(exact, marginal_probs, strict=True)]
 
 
 def tv_distance(p, q) -> float:

@@ -115,7 +115,10 @@ class RoadSection:
         if self.c is None:
             object.__setattr__(self, "c", derived_c)
         else:
-            if not math.isfinite(self.c) or self.c != int(self.c):
+            # a Python int is exact at any size, where isfinite would overflow
+            if not isinstance(self.c, int) and not (
+                math.isfinite(self.c) and self.c == int(self.c)
+            ):
                 raise ValueError(f"c must be an integer, got {self.c!r}")
             object.__setattr__(self, "c", int(self.c))
             if abs(self.c - derived_c) > 1:

@@ -235,12 +235,14 @@ def measures(
 ) -> PerformanceMeasures:
     """Blocking, throughput, mean count, and Little's-law travel time.
 
-    Throughput is the accepted arrival rate lam * (1 - P_c).  When it is
-    zero (lam = 0) the travel time is the lone-vehicle transit time 1 / q_1.
+    Throughput is the accepted arrival rate lam * sum_{n<c} P_n: the
+    same as lam * (1 - P_c), but still right once P_c rounds to 1 (from a
+    lam of about 1e16 at c = 18).  When it is zero (lam = 0) the travel
+    time is the lone-vehicle transit time 1 / q_1.
     """
     rates = check_rate_count(dist, rates)
     lone_time = 1.0 / rates[0] if rates[0] > 0 else None
-    return littles_law(dist, lam * (1.0 - dist.blocking), lone_time)
+    return littles_law(dist, lam * float(dist.probs[:-1].sum()), lone_time)
 
 
 def throughput_departure(dist: OccupancyDistribution, rates) -> float:

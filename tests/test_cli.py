@@ -68,6 +68,19 @@ class TestSolveSection:
         assert out == ""
         assert "error" in err
 
+    def test_throughput_when_blocking_rounds_to_one(self, capsys):
+        # at lam = 1e17, P_c is 1.0 to the last bit: the throughput is the
+        # departure rate from the other masses, not lam * (1 - P_c) = 0
+        code, out, err = run_cli(
+            capsys, "solve-section", "--lambda", "1e17", "--section", "1"
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["blocking"] == 1.0
+        assert doc["throughput"] == pytest.approx(0.14, rel=1e-12)
+        assert doc["expected_travel_time"] == pytest.approx(18 / 0.14, rel=1e-12)
+        assert not doc["free_flow_fallback"]
+
     def test_usage_error_exits_2(self, capsys):
         code, out, _ = run_cli(capsys, "solve-section", "--lambda", "0.5",
                                "--section", "5")
@@ -125,6 +138,28 @@ def test_section_with_zero_critical_count_solves(capsys, tmp_path):
     )
     assert code == 0, err
     assert len(json.loads(out)["distribution"]) == 3
+
+
+@pytest.mark.parametrize("key", ["L", "c"])
+def test_integer_past_the_float_range_exits_2(capsys, tmp_path, key):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**SECTION_1, key: 10**400}))
+    code, out, err = run_cli(
+        capsys, "solve-section", "--lambda", "0.8", "--config", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert f"section key '{key}' is past the float range" in err
+
+
+def test_non_numeric_shape_parameter_exits_2(capsys, tmp_path):
+    path = tmp_path / "beta.json"
+    doc = {"sections": [SECTION_1], "model": "exponential", "beta": "x", "gamma": 1.8}
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "solve-section", "--lambda", "0.8", "--config", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert "config key 'beta' must be a number" in err
 
 
 @pytest.mark.parametrize("command", ["solve-section", "solve-tandem"])

@@ -76,6 +76,13 @@ class TestSectionFromDict:
         with pytest.raises(ValueError, match="object"):
             section_from_dict([1, 2, 3])
 
+    @pytest.mark.parametrize("key", ["L", "v_f", "w", "rho_j", "c"])
+    def test_integer_past_the_float_range(self, key):
+        # JSON integers are unbounded: float() of one past 1.8e308 raises
+        # OverflowError, which must reach the caller as a ValueError
+        with pytest.raises(ValueError, match=f"section key '{key}' is past the float range"):
+            section_from_dict({**SECTION_1, key: 10**400})
+
 
 class TestScenarioFromDict:
     def test_two_section_scenario(self):
@@ -115,6 +122,20 @@ class TestScenarioFromDict:
         doc = {"sections": [dict(SECTION_1), dict(SECTION_2), dict(SECTION_1)]}
         with pytest.raises(ValueError, match="1 or 2"):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["beta", "gamma"])
+    @pytest.mark.parametrize(
+        "value", ["x", [9.5], True, 10**400], ids=["str", "list", "bool", "huge-int"]
+    )
+    def test_shape_parameter_must_be_a_number(self, key, value):
+        doc = two_section_doc(model="exponential", beta=9.5, gamma=1.8)
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            scenario_from_dict(doc)
+
+    def test_integer_shape_parameters_are_read_as_floats(self):
+        scenario = scenario_from_dict(two_section_doc(model="exponential", beta=9, gamma=2))
+        assert (scenario.beta, scenario.gamma) == (9.0, 2.0)
 
     def test_exponential_requires_shape_parameters(self):
         with pytest.raises(ValueError, match="beta and gamma"):

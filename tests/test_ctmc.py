@@ -357,6 +357,127 @@ class TestTandem2d:
         assert len(digests) == 1
 
 
+LAMS = np.array([0.0, 1e-8, 0.1, 0.5, 0.8, 1.3, 2.0, 10.0, 1e12])
+
+
+class TestBatchedOracle:
+    """tandem_stationary over a vector of lam is the stack of scalar calls."""
+
+    def test_vector_is_the_stack_of_scalar_calls(self, tandem_config):
+        batch = tandem_stationary(tandem_config, LAMS)
+        assert batch.shape == (LAMS.size, 19, 19)
+        single = np.array([tandem_stationary(tandem_config, lam) for lam in LAMS])
+        np.testing.assert_array_equal(batch, single)
+
+    def test_scalar_shapes(self, tandem_config):
+        assert tandem_stationary(tandem_config, 0.8).shape == (19, 19)
+        assert tandem_stationary(tandem_config, np.float64(0.8)).shape == (19, 19)
+        assert tandem_stationary(tandem_config, [0.8]).shape == (1, 19, 19)
+        assert tandem_stationary(tandem_config, []).shape == (0, 19, 19)
+
+    def test_matrix_of_rates_is_refused(self, tandem_config):
+        with pytest.raises(ValueError, match="1-D"):
+            tandem_stationary(tandem_config, np.full((2, 2), 0.8))
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_one_bad_rate_refuses_the_batch(self, tandem_config, bad):
+        with pytest.raises(ValueError, match="arrival rate must be finite"):
+            tandem_stationary(tandem_config, [0.5, bad, 0.8])
+
+    def test_split_at_the_cap_equals_one_batch(self, tandem_config, monkeypatch):
+        whole = tandem_stationary(tandem_config, LAMS)
+        # room for the blocks of 2 laws: 9 rates run as 2 + 2 + 2 + 2 + 1
+        monkeypatch.setattr(ctmc, "_BLOCK_CAP_BYTES", 2 * 8 * 18 * 19**2 + 7)
+        calls = []
+        solve = ctmc.tandem_stationary
+
+        def spy(config, lam):
+            calls.append(np.size(lam))
+            return solve(config, lam)
+
+        monkeypatch.setattr(ctmc, "tandem_stationary", spy)
+        split = spy(tandem_config, LAMS)
+        assert calls == [9, 2, 2, 2, 2, 1]
+        np.testing.assert_array_equal(split, whole)
+
+    def test_exact_convention(self, tandem_config):
+        config = dataclasses.replace(tandem_config, convention=EXACT)
+        expected = np.zeros((3, 19, 19))
+        expected[:, -1, -1] = 1.0
+        np.testing.assert_array_equal(tandem_stationary(config, [0.5, 0.8, 2.0]), expected)
+        # one lam = 0 in the batch has no unique law, so the batch is refused
+        with pytest.raises(OracleError, match="absorbing"):
+            tandem_stationary(config, [0.5, 0.0, 2.0])
+
+    def test_oversized_vector_is_refused_before_allocating(self, tandem_config):
+        big = scaled(tandem_config, 400 / 0.18)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleError, match="515 MB"):
+                tandem_stationary(big, np.linspace(0.1, 2.0, 40))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_each_law_is_verified_on_its_own(self, tandem_config, monkeypatch):
+        seen = []
+        verify = ctmc._verify
+
+        def spy(pi, residual, tol):
+            seen.append((pi.shape, tol))
+            verify(pi, residual, tol)
+
+        monkeypatch.setattr(ctmc, "_verify", spy)
+        tandem_stationary(tandem_config, [0.1, 2.0])
+        assert [shape for shape, _ in seen] == [(19, 19), (19, 19)]
+        # ||Q||_inf, and with it the tolerance, grows with lam
+        assert seen[0][1] < seen[1][1]
+
+    def test_gth_on_a_stack_of_one(self):
+        rng = np.random.default_rng(3)
+        rates = rng.random((7, 7))
+        np.fill_diagonal(rates, 0.0)
+        for band in (1, 3, 6):
+            single = ctmc._gth(rates.copy(), band)
+            stacked = ctmc._gth(rates[None].copy(), band)
+            assert stacked.shape == (1, 7)
+            np.testing.assert_array_equal(stacked[0], single)
+
+    def test_gth_reports_the_highest_state_with_no_outflow(self):
+        rng = np.random.default_rng(4)
+        stack = rng.random((2, 7, 7))
+        stack[1, [3, 5]] = 0.0  # states 3 and 5 of the second matrix never leave
+        with pytest.raises(OracleError, match="state 5 has no outflow"):
+            ctmc._gth(stack.copy(), 6)
+        stack[1, 5] = 1.0
+        with pytest.raises(OracleError, match="state 3 has no outflow"):
+            ctmc._gth(stack[1], 6)
+
+    def test_gth_rescales_each_law_on_its_own(self):
+        # a birth-death chain whose masses grow by 1e100 a state next to
+        # one whose masses stay near 1: only the first is rescaled
+        steep = np.diag(np.full(3, 1e100), 1) + np.diag(np.ones(3), -1)
+        flat = np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1)
+        stacked = ctmc._gth(np.array([steep, flat]), 1)
+        np.testing.assert_array_equal(stacked[1], ctmc._gth(flat.copy(), 1))
+        np.testing.assert_array_equal(stacked[0], ctmc._gth(steep.copy(), 1))
+        assert stacked[0].max() <= ctmc._RESCALE
+
+    def test_diagnostic_over_a_vector(self, tandem_config):
+        lams = [0.0, 0.5, 1.0]
+        marginals = [solve_fixed_point(tandem_config, lam).marginal.probs for lam in lams]
+        tvs = decomposition_diagnostic(tandem_config, np.array(lams), marginals)
+        assert isinstance(tvs, list)
+        assert tvs == [
+            decomposition_diagnostic(tandem_config, lam, marginal)
+            for lam, marginal in zip(lams, marginals)
+        ]
+        assert tvs[2] == pytest.approx(TV_2D_LAM1, rel=1e-9)
+        with pytest.raises(ValueError):
+            decomposition_diagnostic(tandem_config, np.array(lams), marginals[:2])
+
+
 class TestTvDistance:
     def test_hand_values(self):
         assert tv_distance([0.5, 0.5], [0.5, 0.5]) == 0.0

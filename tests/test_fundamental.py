@@ -58,6 +58,9 @@ class TestRoadSection:
                 RoadSection(L=L, diagram=diagram1)
         with pytest.raises(ValueError, match="c must be an integer"):
             RoadSection(L=100.0, diagram=diagram1, c=math.inf)
+        # an int past the float range is exact, and far from rho_j * L
+        with pytest.raises(ValueError, match="inconsistent"):
+            RoadSection(L=100.0, diagram=diagram1, c=10**400)
 
     def test_tiny_section_rejected(self, diagram1):
         # rho_j * L = 0.9 rounds to c = 1, below the 2-vehicle floor

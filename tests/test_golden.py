@@ -67,6 +67,8 @@ CASES = {
          "--mode", "paper-grid", "--kind", "travel-time", "--section", "1"], 0),
     "sweep-tandem-40": (
         ["sweep", "--lambda-from", "0.1", "--lambda-to", "2.0", "--steps", "40"], 0),
+    "sweep-tandem-from0": (
+        ["sweep", "--lambda-from", "0", "--lambda-to", "2.0", "--steps", "21"], 0),
     "sweep-section-from0": (
         ["sweep", "--lambda-from", "0", "--lambda-to", "2.0", "--steps", "21",
          "--section", "1"], 0),

@@ -211,6 +211,18 @@ def test_joint_law_equals_gth_and_dense_solves(config, lam):
 
 
 @SETTINGS
+@given(
+    tandems(max_c=30, conventions=(SHIFTED,)),
+    st.lists(arrival_rates, min_size=1, max_size=6),
+)
+def test_joint_laws_over_a_vector_equal_the_scalar_laws(config, lams):
+    batch = tandem_stationary(config, np.array(lams))
+    assert batch.shape == (len(lams), config.section1.c + 1, config.section2.c + 1)
+    single = np.array([tandem_stationary(config, lam) for lam in lams])
+    np.testing.assert_allclose(batch, single, rtol=0, atol=1e-15)
+
+
+@SETTINGS
 @given(tandems(max_c=30, conventions=(EXACT,)), st.floats(1e-3, 1e3))
 def test_exact_convention_joint_law_is_the_point_mass_at_capacity(config, lam):
     # (c1, c2) has no exit, and every state reaches it through arrivals

@@ -263,6 +263,17 @@ class TestMeasures:
         with pytest.raises(ValueError, match="rates"):
             measures(d, 0.5, [1.0, 2.0])
 
+    @pytest.mark.parametrize("lam", [1e16, 1e17, 1e100])
+    def test_throughput_survives_blocking_rounded_to_one(self, section1, lam):
+        # past lam of about 1e16 P_c rounds to 1.0, so lam * (1 - P_c) reads
+        # 0; the sum of the other masses still gives the departure rate
+        rates = service_rates(section1, SHIFTED)
+        d = solve_triangular(lam, section1)
+        m = measures(d, lam, rates)
+        assert m.throughput == pytest.approx(throughput_departure(d, rates), rel=1e-12)
+        assert m.throughput == pytest.approx(0.14, rel=1e-12)
+        assert not m.free_flow_fallback
+
 
 class TestThroughputDeparture:
     def test_flow_balance(self, section1):
