@@ -18,15 +18,17 @@ into all the conditionals P(. | n2) with one log-space cumulative sum.
 
 theta itself satisfies the throughput fixed point
 
-    theta = lam * (1 - P1_c1(lam, theta))
+    theta = lam * P1(n1 < c1; theta)
 
-solved here by ITP (interpolate, truncate, project) on [0, lam], where
-the right-hand side minus theta is continuous with opposite signs at the
-ends.  The root is unique: q12 does not increase in n2, so P(c1 | n2)
-does not decrease in n2; section 2's law grows stochastically with
-theta; so P1_c1 does not decrease in theta, and the residual
-theta - lam * (1 - P1_c1) has slope at least 1.  scan_roots checks this
-on a grid, where a grid value of exactly 0 can still give two brackets.
+solved here by ITP (interpolate, truncate, project) on [0, hi] with
+hi = min(lam, max q12), where theta - lam * P1(n1 < c1) is continuous,
+at most 0 at 0 and at least 0 at hi.  The passing probability is the sum
+of the masses below c1, not 1 - P1_c1, which cancels to 0 past lam of
+about 1e16.  The root is unique: q12 does not increase in n2, so
+P(n1 < c1 | n2) does not increase in n2; section 2's law grows
+stochastically with theta; so P1(n1 < c1) does not increase in theta,
+and the residual has slope at least 1.  scan_roots checks this on a
+grid, where a grid value of exactly 0 can still give two brackets.
 """
 
 from __future__ import annotations
@@ -123,23 +125,37 @@ def conditional_matrix(config: TandemConfig, lam: float) -> np.ndarray:
     return matrix
 
 
+def _residual(
+    config: TandemConfig, lam: float, passing: np.ndarray, theta: float
+) -> tuple[float, OccupancyDistribution]:
+    """theta - lam * P1(n1 < c1; theta), and section 2's law at theta.
+
+    passing[n2] = P(n1 < c1 | n2), the masses of conditional_matrix below
+    c1.  Their mixture can exceed 1 by an ulp, so it is capped at 1 to
+    keep the residual at theta = lam nonnegative.
+    """
+    down = downstream_distribution(config, theta)
+    return theta - lam * min(float(down.probs @ passing), 1.0), down
+
+
 def solve_fixed_point(
     config: TandemConfig,
     lam: float,
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> FixedPointResult:
-    """Solve theta = lam * (1 - P1_c1(lam, theta)) by ITP on [0, lam].
+    """Solve theta = lam * P1(n1 < c1; theta) by ITP on [0, min(lam, max q12)].
 
-    ITP (Oliveira & Takahashi 2020, ACM TOMS 47(1)) moves the
+    By flow balance lam * P(n1 < c1 | n2) = E[q12 | n2], so no throughput
+    exceeds max q12 and the bracket stays the road's capacity wide at any
+    lam; a saturated root can sit at max q12, so the stop rule is tried
+    there first.  ITP (Oliveira & Takahashi 2020, ACM TOMS 47(1)) moves the
     regula-falsi point toward the midpoint by _ITP_KAPPA1 * width**2 / lam
     and projects it into a radius that halves each step, so it keeps
     bisection's bracket and worst case and, on this residual of slope at
-    least 1, converges superlinearly.  Stops when
-    |theta - lam * (1 - P1_c1)| <= tol.  tol is absolute: past lam of
-    about 1e7 the rounding of lam * (1 - P1_c1) exceeds the default, and
-    the solve raises ConvergenceError.  Deterministic: the same inputs
-    always evaluate the same sequence.
+    least 1, converges superlinearly.  Stops when |residual| <= tol, with
+    the marginal renormalized.  Deterministic: the same inputs always
+    evaluate the same sequence.
     """
     check_arrival_rate(lam)
     check_positive(tol=tol)
@@ -156,69 +172,55 @@ def solve_fixed_point(
         )
 
     matrix = conditional_matrix(config, lam)
-
-    def residual_at(theta: float):
-        down = downstream_distribution(config, theta)
-        marginal = down.probs @ matrix
-        return float(theta - lam * (1.0 - marginal[-1])), marginal, down
-
-    h_lo, _, _ = residual_at(0.0)
-    h_hi, _, _ = residual_at(lam)
-    # blocking in [0, 1] forces h(0) <= 0 <= h(lam); anything else is a bug
-    if h_lo > 0 or h_hi < 0:
+    passing = matrix[:, :-1].sum(axis=1)
+    lo, hi = 0.0, min(lam, float(coupled_rates(config).max()))
+    h_lo, _ = _residual(config, lam, passing, lo)
+    h_hi, down = _residual(config, lam, passing, hi)
+    # passing in [0, 1] and the flow balance above force h(0) <= 0 <= h(hi)
+    if h_lo > 0 or h_hi < -tol:
         raise AssertionError(
-            f"fixed-point bracket lost: h(0)={h_lo!r}, h(lam)={h_hi!r}"
+            f"fixed-point bracket lost: h(0)={h_lo!r}, h({hi!r})={h_hi!r}"
         )
-    # n_max = ceil(log2(lam / (2 eps))) + n0 with eps = tol / 2, from the
-    # exponents so that lam / tol cannot overflow; from the second step
-    # on eps * 2**(n_max - j) < lam, so it is finite
-    (m_lam, e_lam), (m_tol, e_tol) = math.frexp(lam), math.frexp(tol)
-    n_max = e_lam - e_tol + (m_lam > m_tol) + _ITP_N0
-    lo, hi = 0.0, lam
-    for j in range(max_iter):
+    # n_max = ceil(log2(hi / (2 eps))) + n0 with eps = tol / 2
+    n_max = math.ceil(math.log2(hi) - math.log2(tol)) + _ITP_N0
+    theta, h, j = hi, h_hi, 0
+    while abs(h) > tol:
+        if j == max_iter:
+            raise ConvergenceError(
+                f"no theta with residual <= {tol} after {max_iter} residual "
+                f"evaluations; best bracket [{lo}, {hi}]",
+                bracket=(lo, hi),
+            )
         width = hi - lo
         mid = lo + 0.5 * width
-        # regula falsi, as a fraction of the bracket so no product
-        # overflows; a residual of exactly 0 at an end (h(0) from lam of
-        # about 1e16 on) would keep it at that end, so bisect instead
-        x_f = lo + width * (h_lo / (h_lo - h_hi)) if h_lo < 0 < h_hi else mid
+        # regula falsi, as a fraction of the bracket so no product overflows
+        x_f = lo + width * (h_lo / (h_lo - h_hi))
         delta = _ITP_KAPPA1 * width * (width / lam)  # kappa2 = 2
         sigma = math.copysign(1.0, mid - x_f)
         x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
-        if j == 0:
-            # eps * 2**n_max >= lam, so nothing is projected; near the
-            # largest float it would overflow
-            radius = width
-        elif j <= n_max:
-            radius = max(math.ldexp(0.5 * tol, n_max - j) - 0.5 * width, 0.0)
-        else:
-            radius = 0.0
+        radius = max(math.ldexp(0.5 * tol, n_max - j) - 0.5 * width, 0.0)
         theta = x_t if abs(x_t - mid) <= radius else mid - sigma * radius
-        h, marginal, down = residual_at(theta)
-        if abs(h) <= tol:
-            return FixedPointResult(
-                theta=theta,
-                residual=abs(h),
-                iterations=j + 1,
-                marginal=OccupancyDistribution(marginal),
-                downstream=down,
-                config=config,
-            )
+        h, down = _residual(config, lam, passing, theta)
+        j += 1
         if h > 0:
             hi, h_hi = theta, h
         else:
             lo, h_lo = theta, h
-    raise ConvergenceError(
-        f"no theta with residual <= {tol} after {max_iter} residual "
-        f"evaluations; best bracket [{lo}, {hi}]",
-        bracket=(lo, hi),
+    marginal = down.probs @ matrix
+    return FixedPointResult(
+        theta=theta,
+        residual=abs(h),
+        iterations=j,
+        marginal=OccupancyDistribution(marginal / marginal.sum()),
+        downstream=down,
+        config=config,
     )
 
 
 def scan_roots(config: TandemConfig, lam: float) -> list[tuple[float, float]]:
     """Brackets of every sign change of the fixed-point residual.
 
-    Evaluates theta -> theta - lam * (1 - P1_c1) on a _SCAN_POINTS grid
+    Evaluates theta -> theta - lam * P1(n1 < c1) on a _SCAN_POINTS grid
     over [0, lam] and returns the bracketing intervals, surfacing any root
     multiplicity the fixed-point solve would silently pick one root from.
     A negative or non-finite lam raises ValueError, as in solve_fixed_point.
@@ -226,12 +228,9 @@ def scan_roots(config: TandemConfig, lam: float) -> list[tuple[float, float]]:
     check_arrival_rate(lam)
     if lam == 0:
         return []
-    matrix = conditional_matrix(config, lam)
+    passing = conditional_matrix(config, lam)[:, :-1].sum(axis=1)
     grid = np.linspace(0.0, lam, _SCAN_POINTS)
-    values = []
-    for theta in grid:
-        weights = downstream_distribution(config, theta).probs
-        values.append(theta - lam * (1.0 - float(weights @ matrix[:, -1])))
+    values = [_residual(config, lam, passing, theta)[0] for theta in grid]
     brackets = []
     for i in range(_SCAN_POINTS - 1):
         if values[i] == 0.0 or (values[i] < 0) != (values[i + 1] < 0):

@@ -270,11 +270,15 @@ class TestSolveTandem:
         assert code == 3
         assert out == ""
 
-    def test_huge_load_exits_3(self, capsys):
-        # the rounding of lam * (1 - P1_c1) exceeds the absolute tol
-        code, out, err = run_cli(capsys, "solve-tandem", "--lambda", "1e300")
-        assert (code, out) == (3, "")
-        assert "200 residual evaluations" in err
+    @pytest.mark.parametrize("lam", ["1e7", "1e16"])
+    def test_huge_load_exits_0(self, capsys, lam):
+        # the fixed point converges at the saturated throughput
+        code, out, err = run_cli(capsys, "solve-tandem", "--lambda", lam)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["theta"] == pytest.approx(0.458891021306, abs=1e-9)
+        assert doc["residual"] <= 1e-10
+        assert 0 <= doc["blocking"] <= 1
 
 
 class TestDistributions:
@@ -687,7 +691,7 @@ class TestOutputHandling:
         "argv, expected",
         [
             (("sweep", "--lambda-from", "0.1", "--lambda-to", "2", "--steps", "1"), 2),
-            (("solve-tandem", "--lambda", "1e300"), 3),
+            (("solve-tandem", "--lambda", "0.8", "--convention", "exact"), 3),
         ],
     )
     def test_nothing_is_written_on_a_nonzero_exit(self, capsys, tmp_path, argv, expected):

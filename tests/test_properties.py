@@ -34,6 +34,7 @@ from roadqueue import (
     solve_fixed_point,
     speed_dist_linear,
     speed_dist_triangular,
+    tandem_measures,
     tandem_stationary,
     travel_time_dist_linear,
 )
@@ -287,6 +288,22 @@ log_arrival_rates = st.floats(-3.0, 3.0).map(lambda x: 10.0**x)
 
 
 @SETTINGS
+@given(
+    tandems(max_c=30, conventions=(SHIFTED,)),
+    st.floats(-3.0, 300.0).map(lambda x: 10.0**x),
+)
+def test_fixed_point_stays_under_the_road_capacity_at_any_load(config, lam):
+    # lam * P1(n1 < c1) is a mixture of E[q12 | n2], so theta <= max q12
+    # however large lam is, and the solve converges there
+    tol = 1e-10
+    result = solve_fixed_point(config, lam, tol=tol)
+    assert 0 <= result.theta <= min(lam, coupled_rates(config).max())
+    assert result.residual <= tol
+    measures = tandem_measures(result, lam)
+    assert 0 <= measures.blocking <= 1
+
+
+@SETTINGS
 @given(tandems(max_c=30), log_arrival_rates)
 def test_fixed_point_lands_where_bisection_does(config, lam):
     tol = 1e-10
@@ -321,7 +338,7 @@ def test_scan_brackets_hold_the_fixed_point(config, lam):
     for lo, hi in brackets:
         assert 0 <= lo < hi <= lam
         assert hi - lo == pytest.approx(step, rel=1e-9)
-    # h = theta - lam * (1 - P1_c1) has slope at least 1, so the solve's
+    # h = theta - lam * P1(n1 < c1) has slope at least 1, so the solve's
     # theta lies within tol of the root that one bracket holds
     theta = solve_fixed_point(config, lam, tol=tol).theta
     assert any(lo - 2 * tol <= theta <= hi + 2 * tol for lo, hi in brackets)

@@ -8,6 +8,7 @@ from roadqueue import (
     ConvergenceError,
     RoadSection,
     TandemConfig,
+    TriangularDiagram,
     coupled_rates,
     downstream_distribution,
     scan_roots,
@@ -16,7 +17,7 @@ from roadqueue import (
     solve_triangular,
     tandem_measures,
 )
-from roadqueue.tandem import _SCAN_POINTS, conditional_matrix
+from roadqueue.tandem import _SCAN_POINTS, _residual, conditional_matrix
 
 # converged marginal of the benchmark tandem at lam = 1, theta = 0.6,
 # frozen from the decomposition mixture
@@ -176,10 +177,11 @@ class TestSolveFixedPoint:
         assert a.iterations == b.iterations
 
     def test_impossible_tolerance_raises_with_bracket(self, tandem_config):
-        with pytest.raises(ConvergenceError) as excinfo:
-            solve_fixed_point(tandem_config, 0.8, tol=1e-18, max_iter=10)
+        # two evaluations cannot reach 1e-18 unless one lands on the root
+        with pytest.raises(ConvergenceError, match="2 residual") as excinfo:
+            solve_fixed_point(tandem_config, 0.8, tol=1e-18, max_iter=2)
         lo, hi = excinfo.value.bracket
-        assert 0.0 <= lo < hi <= 0.8
+        assert 0.0 <= lo < hi <= min(0.8, coupled_rates(tandem_config).max())
 
     @pytest.mark.parametrize("length_m", [100.0, 300.0, 1000.0])
     def test_few_residual_evaluations_at_any_capacity(self, tandem_config, length_m):
@@ -198,13 +200,40 @@ class TestSolveFixedPoint:
         assert 0.0 <= result.theta <= lam
         assert result.residual <= 1e-10
 
-    @pytest.mark.parametrize("lam", [1e7, 1e300, 1e308, 1.7e308])
-    def test_huge_load_raises_with_finite_bracket(self, tandem_config, lam):
-        # the rounding of lam * (1 - P1_c1) exceeds the absolute tol
-        with pytest.raises(ConvergenceError, match="200 residual") as excinfo:
-            solve_fixed_point(tandem_config, lam)
-        lo, hi = excinfo.value.bracket
-        assert 0.0 <= lo < hi <= lam
+    @pytest.mark.parametrize("lam", [1e7, 1e16, 1e18, 1e300, 1e308, 1.7e308])
+    def test_huge_load_converges_to_the_saturated_throughput(self, tandem_config, lam):
+        # the bracket is [0, max q12] at any lam, and the passing
+        # probability is summed from masses that do not cancel
+        result = solve_fixed_point(tandem_config, lam)
+        assert result.theta == pytest.approx(0.458891021306, abs=1e-9)
+        assert result.residual <= 1e-10
+        assert result.iterations <= 8
+        assert result.marginal.blocking <= 1.0
+        assert tandem_measures(result, lam).throughput == result.theta
+
+    def test_light_load_mixture_past_one_keeps_the_bracket(self, tandem_config):
+        # at lam = 0.01 the passing mixture at theta = lam sums to 1 + 2**-52;
+        # capped at 1, h(lam) stays nonnegative and theta = lam is the root
+        lam = 0.01
+        passing = conditional_matrix(tandem_config, lam)[:, :-1].sum(axis=1)
+        assert downstream_distribution(tandem_config, lam).probs @ passing > 1.0
+        assert _residual(tandem_config, lam, passing, lam)[0] >= 0.0
+        result = solve_fixed_point(tandem_config, lam)
+        assert result.theta == lam
+        assert result.residual <= 1e-10
+
+    def test_root_at_the_largest_coupled_rate(self, section1):
+        # a two-vehicle downstream section at lam = 100: the road carries
+        # max q12 up to rounding, so h(max q12) is a few ulps below 0
+        section2 = RoadSection(L=10.0, diagram=TriangularDiagram(14.0, 14.0, 0.18))
+        config = TandemConfig(section1, section2)
+        hi = float(coupled_rates(config).max())
+        passing = conditional_matrix(config, 100.0)[:, :-1].sum(axis=1)
+        assert -1e-10 <= _residual(config, 100.0, passing, hi)[0] < 0.0
+        result = solve_fixed_point(config, 100.0)
+        assert result.theta == hi
+        assert result.residual <= 1e-10
+        assert result.iterations == 0
 
     def test_validation(self, tandem_config):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -241,6 +270,16 @@ class TestScanRoots:
         # theta = lam to within rounding: the root sits in the last grid cell
         grid = np.linspace(0.0, lam, _SCAN_POINTS)
         assert scan_roots(tandem_config, lam) == [(grid[-2], grid[-1])]
+
+    def test_light_load_root_in_the_last_cell_at_c180(self, tandem_config):
+        # the passing mixture at theta = lam sums past 1 here; capped, the
+        # last grid value stays nonnegative and the root keeps its bracket
+        config = TandemConfig(
+            RoadSection(L=1000.0, diagram=tandem_config.section1.diagram),
+            RoadSection(L=1000.0, diagram=tandem_config.section2.diagram),
+        )
+        grid = np.linspace(0.0, 0.1, _SCAN_POINTS)
+        assert scan_roots(config, 0.1) == [(grid[-2], grid[-1])]
 
     @pytest.mark.parametrize("lam", [1e300, 1e308])
     def test_huge_load_saturates(self, tandem_config, lam):
