@@ -14,7 +14,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration or usage errors, 3 numerical
 failures (singular model, non-convergence, oracle residual), 4 file I/O
-failures.  Nothing is written on a nonzero exit.
+failures.  Nothing is written on a nonzero exit.  A tandem command
+exits 3 under --convention exact, which serves one-section commands.
 
 CSV numbers carry 12 significant digits for regression-diff stability.
 """

@@ -21,7 +21,7 @@ Model names: "triangular" solves with the fundamental-diagram rates;
 exponential" select the congestion-model rates, the exponential one
 requiring scenario-level "beta" and "gamma".  Scenario.rates gives a
 section's rates under the chosen model, and Scenario.tandem builds the
-two-section coupling, which the triangular model alone carries.
+two-section coupling, which only the shifted triangular model carries.
 """
 
 from __future__ import annotations

@@ -180,6 +180,7 @@ def birth_death_chain(lam: float, rates) -> np.ndarray:
     return gen
 
 
+@np.errstate(over="ignore", invalid="ignore")  # levels overflowing past lam ~ 1e17 are refused
 def tandem_stationary(config: TandemConfig, lam) -> np.ndarray:
     """Exact law pi[n1, n2] of the joint chain the decomposition approximates.
 
@@ -195,8 +196,7 @@ def tandem_stationary(config: TandemConfig, lam) -> np.ndarray:
     elimination (Grassmann, Taksar & Heyman 1985) on level 0; every
     diagonal is a sum of outflows, never a difference.  Each law is
     rescaled and verified on its own, as exact_stationary's is, blockwise.
-    Under the exact convention (c1, c2) has no exit: the law is its point
-    mass for lam > 0 and not unique at lam = 0, which raises OracleError.
+    A TandemConfig is shifted, so the chain is irreducible: one law.
     One law stores 8 * c1 * (c2 + 1)**2 bytes of blocks: past 256 MiB it
     raises OracleError before allocating, and a batch is split into runs
     whose blocks fit under that cap together, so memory grows with the
@@ -222,12 +222,6 @@ def tandem_stationary(config: TandemConfig, lam) -> np.ndarray:
         runs = range(0, lams.size, fits)
         return np.concatenate([tandem_stationary(config, lams[i : i + fits]) for i in runs])
     mu2 = service_rates(config.section2, config.convention)
-    if mu2[-1] == 0:
-        if (lams == 0).any():
-            raise OracleError("at lam = 0 every (n1, c2) is absorbing: no unique law")
-        pi = np.zeros(lams.shape + (c1 + 1, c2 + 1))
-        pi[..., -1, -1] = 1.0
-        return pi
     rows = lams.reshape(-1, 1, 1)  # one law per row of each stack below
     m, phases = rows.shape[0], np.arange(c2 + 1)
     q12 = coupled_rates(config).T  # q12(n1, n2) at [n1 - 1, n2]

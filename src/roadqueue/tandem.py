@@ -4,7 +4,9 @@ Vehicles leave section 1 at the coupled rate
 
     q12(n1, n2) = min(v_f1 * n1 / L1, q1_max, q2_max, supply2(n2))
 
-so a filling downstream section throttles the upstream one.  The joint
+so a filling downstream section throttles the upstream one.  The supply
+is the shifted convention's, positive at c2: the exact one's is 0 there,
+every (n1, c2) absorbs, and TandemConfig refuses it.  The joint
 chain is approximated by a decomposition: section 2 is solved alone at
 its arrival rate theta (the upstream outflow), section 1 is solved
 conditionally on each frozen downstream count n2, and the two couple
@@ -38,10 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fundamental import SHIFTED, RoadSection, check_convention, check_positive, supply_term
+from .fundamental import EXACT, SHIFTED, RoadSection, check_convention, check_positive, supply_term
 from .queueing import (
     OccupancyDistribution,
     PerformanceMeasures,
+    SingularModelError,
     birth_death_laws,
     check_arrival_rate,
     littles_law,
@@ -63,14 +66,18 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TandemConfig:
-    """Upstream and downstream sections under a shared rate convention."""
+    """Upstream and downstream sections; the exact convention is refused."""
 
     section1: RoadSection
     section2: RoadSection
     convention: str = SHIFTED
 
     def __post_init__(self) -> None:
-        check_convention(self.convention)
+        if check_convention(self.convention) == EXACT:
+            raise SingularModelError(
+                "under the exact convention every (n1, c2) of a tandem is "
+                "absorbing, so it has no stationary law (use the shifted convention)"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,19 +117,11 @@ def conditional_matrix(config: TandemConfig, lam: float) -> np.ndarray:
     """Section-1 laws given each frozen downstream count, shape (c2 + 1, c1 + 1).
 
     Row n2 is the birth-death law with births lam and deaths
-    q12(1..c1, n2).  With zero supply (exact convention, n2 = c2) and
-    lam > 0 every arrival is trapped, so that row is the point mass at
-    c1, the limit of the law, rather than an error.  The conditionals do
-    not depend on theta, so a fixed-point solve computes this once and
-    reuses it across residual evaluations.
+    q12(1..c1, n2), all positive under the shifted convention.  The
+    conditionals do not depend on theta, so a fixed-point solve computes
+    this once and reuses it across residual evaluations.
     """
-    c1 = config.section1.c
-    rates = coupled_rates(config)
-    trapped = ~rates.any(axis=1) & (lam > 0)
-    rates[trapped] = 1.0  # any positive rates: these rows are replaced below
-    matrix = birth_death_laws(lam, rates)
-    matrix[trapped] = OccupancyDistribution.point_mass(c1, c1).probs
-    return matrix
+    return birth_death_laws(lam, coupled_rates(config))
 
 
 def _residual(
@@ -161,19 +160,9 @@ def solve_fixed_point(
     check_positive(tol=tol)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-    if lam == 0:
-        return FixedPointResult(
-            theta=0.0,
-            residual=0.0,
-            iterations=0,
-            marginal=OccupancyDistribution.point_mass(config.section1.c, 0),
-            downstream=downstream_distribution(config, 0.0),
-            config=config,
-        )
-
     matrix = conditional_matrix(config, lam)
     passing = matrix[:, :-1].sum(axis=1)
-    lo, hi = 0.0, min(lam, float(coupled_rates(config).max()))
+    lo, hi = 0.0, min(float(lam), float(coupled_rates(config).max()))
     h_lo, _ = _residual(config, lam, passing, lo)
     h_hi, down = _residual(config, lam, passing, hi)
     # passing in [0, 1] and the flow balance above force h(0) <= 0 <= h(hi)
@@ -181,8 +170,6 @@ def solve_fixed_point(
         raise AssertionError(
             f"fixed-point bracket lost: h(0)={h_lo!r}, h({hi!r})={h_hi!r}"
         )
-    # n_max = ceil(log2(hi / (2 eps))) + n0 with eps = tol / 2
-    n_max = math.ceil(math.log2(hi) - math.log2(tol)) + _ITP_N0
     theta, h, j = hi, h_hi, 0
     while abs(h) > tol:
         if j == max_iter:
@@ -191,6 +178,9 @@ def solve_fixed_point(
                 f"evaluations; best bracket [{lo}, {hi}]",
                 bracket=(lo, hi),
             )
+        if j == 0:
+            # n_max = ceil(log2(hi / (2 eps))) + n0 with eps = tol / 2
+            n_max = math.ceil(math.log2(hi) - math.log2(tol)) + _ITP_N0
         width = hi - lo
         mid = lo + 0.5 * width
         # regula falsi, as a fraction of the bracket so no product overflows

@@ -225,7 +225,7 @@ class TestSolveTandem:
         assert 0 <= doc["tv_vs_exact_2d"] <= 1
 
     def test_exact_convention_at_zero_load_exits_3(self, capsys):
-        # every (n1, c2) is absorbing at lam = 0: the joint law is not unique
+        # every (n1, c2) is absorbing: TandemConfig refuses the tandem at any lam
         code, out, err = run_cli(
             capsys, "solve-tandem", "--lambda", "0", "--convention", "exact"
         )
@@ -614,6 +614,9 @@ class TestFigureData:
         assert code == 0
         _, rows = parse_csv(out)
         assert len(rows) == 28
+        # one section under the linear model: the convention does not apply
+        exact = run_cli(capsys, "figure-data", "--figure", "fig8", "--convention", "exact")
+        assert exact == (0, out, "")
 
     @pytest.mark.parametrize("figure", ["fig9", "fig10"])
     def test_tandem_pushforward_figures(self, capsys, figure):
@@ -687,11 +690,21 @@ class TestOutputHandling:
         )
         assert code == 4
 
+    # a warning raises, so the refusal must be the one line on stderr
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "argv, expected",
         [
             (("sweep", "--lambda-from", "0.1", "--lambda-to", "2", "--steps", "1"), 2),
             (("solve-tandem", "--lambda", "0.8", "--convention", "exact"), 3),
+            # every tandem command refuses the exact convention
+            (("sweep", "--lambda-from", "0.1", "--lambda-to", "2", "--steps", "3",
+              "--convention", "exact"), 3),
+            (("distributions", "--lambda", "0", "--convention", "exact"), 3),
+            (("distributions", "--lambda", "0.5", "--convention", "exact"), 3),
+            (("figure-data", "--figure", "fig9", "--convention", "exact"), 3),
+            # the joint chain's levels overflow, and the oracle refuses them
+            (("solve-tandem", "--lambda", "1e308"), 3),
         ],
     )
     def test_nothing_is_written_on_a_nonzero_exit(self, capsys, tmp_path, argv, expected):
@@ -699,6 +712,7 @@ class TestOutputHandling:
         code, out, err = run_cli(capsys, *argv, "--output", str(path))
         assert (code, out) == (expected, "")
         assert err.startswith("error: ")
+        assert err.count("\n") == 1
         assert not path.exists()
 
     def test_stdin_config(self, capsys, monkeypatch):

@@ -268,15 +268,6 @@ class TestTandem2d:
             tandem_stationary(tandem_config, lam), dense, rtol=0, atol=1e-14
         )
 
-    def test_exact_convention_is_the_point_mass_at_capacity(self, tandem_config):
-        config = dataclasses.replace(tandem_config, convention=EXACT)
-        expected = np.zeros((19, 19))
-        expected[-1, -1] = 1.0
-        np.testing.assert_array_equal(tandem_stationary(config, 0.8), expected)
-        # at lam = 0 every (n1, c2) is absorbing: no law is unique
-        with pytest.raises(OracleError, match="absorbing"):
-            tandem_stationary(config, 0.0)
-
     def test_empty_road_at_zero_load(self, tandem_config):
         expected = np.zeros((19, 19))
         expected[0, 0] = 1.0
@@ -399,15 +390,6 @@ class TestBatchedOracle:
         split = spy(tandem_config, LAMS)
         assert calls == [9, 2, 2, 2, 2, 1]
         np.testing.assert_array_equal(split, whole)
-
-    def test_exact_convention(self, tandem_config):
-        config = dataclasses.replace(tandem_config, convention=EXACT)
-        expected = np.zeros((3, 19, 19))
-        expected[:, -1, -1] = 1.0
-        np.testing.assert_array_equal(tandem_stationary(config, [0.5, 0.8, 2.0]), expected)
-        # one lam = 0 in the batch has no unique law, so the batch is refused
-        with pytest.raises(OracleError, match="absorbing"):
-            tandem_stationary(config, [0.5, 0.0, 2.0])
 
     def test_oversized_vector_is_refused_before_allocating(self, tandem_config):
         big = scaled(tandem_config, 400 / 0.18)

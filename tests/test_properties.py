@@ -8,7 +8,6 @@ from the solver.
 """
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from roadqueue import (
     OccupancyDistribution,
     OracleError,
     RoadSection,
-    SingularModelError,
     TandemConfig,
     TriangularDiagram,
     birth_death_chain,
@@ -76,12 +74,9 @@ def sections(draw, max_c=60):
 
 
 @st.composite
-def tandems(draw, max_c=60, conventions=CONVENTIONS):
-    return TandemConfig(
-        section1=draw(sections(max_c)),
-        section2=draw(sections(max_c)),
-        convention=draw(st.sampled_from(conventions)),
-    )
+def tandems(draw, max_c=60):
+    # a tandem takes the shifted convention only
+    return TandemConfig(section1=draw(sections(max_c)), section2=draw(sections(max_c)))
 
 
 arrival_rates = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
@@ -199,7 +194,7 @@ def test_exact_convention_chain_is_refused(section, lam):
 
 
 @SETTINGS
-@given(tandems(max_c=30, conventions=(SHIFTED,)), st.floats(1e-3, 1e3))
+@given(tandems(max_c=30), st.floats(1e-3, 1e3))
 def test_joint_law_equals_gth_and_dense_solves(config, lam):
     c1, c2 = config.section1.c, config.section2.c
     joint = tandem_stationary(config, lam)
@@ -213,7 +208,7 @@ def test_joint_law_equals_gth_and_dense_solves(config, lam):
 
 @SETTINGS
 @given(
-    tandems(max_c=30, conventions=(SHIFTED,)),
+    tandems(max_c=30),
     st.lists(arrival_rates, min_size=1, max_size=6),
 )
 def test_joint_laws_over_a_vector_equal_the_scalar_laws(config, lams):
@@ -224,18 +219,7 @@ def test_joint_laws_over_a_vector_equal_the_scalar_laws(config, lams):
 
 
 @SETTINGS
-@given(tandems(max_c=30, conventions=(EXACT,)), st.floats(1e-3, 1e3))
-def test_exact_convention_joint_law_is_the_point_mass_at_capacity(config, lam):
-    # (c1, c2) has no exit, and every state reaches it through arrivals
-    # and transfers: its point mass is the one stationary law
-    assert not ref_generator(config, lam)[-1].any()
-    joint = tandem_stationary(config, lam)
-    assert joint[-1, -1] == 1.0
-    assert joint.sum() == 1.0
-
-
-@SETTINGS
-@given(tandems(max_c=30, conventions=(SHIFTED,)), st.floats(1e-3, 1e3))
+@given(tandems(max_c=30), st.floats(1e-3, 1e3))
 def test_joint_chain_flows_balance(config, lam):
     joint = tandem_stationary(config, lam)
     accepted = lam * (1 - joint[-1].sum())
@@ -255,23 +239,22 @@ def test_conditional_rows_are_birth_death_laws(config, lam):
     assert matrix.shape == (config.section2.c + 1, config.section1.c + 1)
     np.testing.assert_allclose(matrix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     for row, row_rates in zip(matrix, rates):
-        if lam > 0 and not row_rates.any():
-            # zero supply traps every arrival: the point mass at c1
-            assert row[-1] == 1.0
-            continue
         np.testing.assert_array_equal(row, solve_birth_death(lam, row_rates).probs)
 
 
 @SETTINGS
-@given(tandems(max_c=30), st.floats(1e-3, 1e3))
+@given(tandems(max_c=30), st.one_of(st.just(0.0), st.just(0), st.floats(1e-3, 1e3)))
 def test_fixed_point_invariants(config, lam):
-    if config.convention == EXACT:
-        # q_c2 = 0 makes the downstream chain absorbing: no stationary law
-        with pytest.raises(SingularModelError):
-            solve_fixed_point(config, lam)
-        return
     tol = 1e-10
     result = solve_fixed_point(config, lam, tol=tol)
+    if lam == 0:
+        # the empty road, from the same body: the stop rule holds at hi = 0
+        assert type(result.theta) is float and result.theta == 0.0
+        assert (result.residual, result.iterations) == (0.0, 0)
+        empty = OccupancyDistribution.point_mass(config.section1.c, 0).probs
+        assert result.marginal.probs.tolist() == empty.tolist()
+        empty = OccupancyDistribution.point_mass(config.section2.c, 0).probs
+        assert result.downstream.probs.tolist() == empty.tolist()
     assert 0 <= result.theta <= lam
     assert result.residual <= tol
     assert abs(result.marginal.probs.sum() - 1.0) <= 1e-12
@@ -289,7 +272,7 @@ log_arrival_rates = st.floats(-3.0, 3.0).map(lambda x: 10.0**x)
 
 @SETTINGS
 @given(
-    tandems(max_c=30, conventions=(SHIFTED,)),
+    tandems(max_c=30),
     st.floats(-3.0, 300.0).map(lambda x: 10.0**x),
 )
 def test_fixed_point_stays_under_the_road_capacity_at_any_load(config, lam):
@@ -307,12 +290,7 @@ def test_fixed_point_stays_under_the_road_capacity_at_any_load(config, lam):
 @given(tandems(max_c=30), log_arrival_rates)
 def test_fixed_point_lands_where_bisection_does(config, lam):
     tol = 1e-10
-    try:
-        reference = ref_fixed_point(config, lam, tol=tol)
-    except SingularModelError as refusal:
-        with pytest.raises(type(refusal), match=re.escape(str(refusal))):
-            solve_fixed_point(config, lam, tol=tol)
-        return
+    reference = ref_fixed_point(config, lam, tol=tol)
     result = solve_fixed_point(config, lam, tol=tol)
     # h has slope at least 1, so each theta lies within tol of the root
     assert abs(result.theta - reference.theta) <= 2 * tol
@@ -325,13 +303,6 @@ def test_fixed_point_lands_where_bisection_does(config, lam):
 @settings(max_examples=25, deadline=None)
 @given(tandems(max_c=30), st.floats(1e-3, 1e3))
 def test_scan_brackets_hold_the_fixed_point(config, lam):
-    if config.convention == EXACT:
-        # the same refusal as the fixed-point solve: no downstream law
-        with pytest.raises(SingularModelError) as refusal:
-            scan_roots(config, lam)
-        with pytest.raises(SingularModelError, match=re.escape(str(refusal.value))):
-            solve_fixed_point(config, lam)
-        return
     tol = 1e-10
     brackets = scan_roots(config, lam)
     step = lam / (_SCAN_POINTS - 1)
@@ -345,7 +316,7 @@ def test_scan_brackets_hold_the_fixed_point(config, lam):
 
 
 @SETTINGS
-@given(tandems(max_c=30, conventions=(SHIFTED,)), st.floats(1e-3, 1e3))
+@given(tandems(max_c=30), st.floats(1e-3, 1e3))
 def test_blocking_grows_with_the_downstream_rate(config, lam):
     # q12 does not increase in n2, so P(c1 | n2) does not decrease in n2;
     # section 2's law grows stochastically with theta; so P1_c1(theta)

@@ -18,7 +18,7 @@ from roadqueue import (
 )
 from roadqueue.queueing import birth_death_log_weights, jain_smith_rates
 from roadqueue.fundamental import service_rates
-from roadqueue.tandem import conditional_matrix, coupled_rates
+from roadqueue.tandem import conditional_matrix
 
 # hand-solved three-state chain: lam=1, q=(1, 2) gives weights (1, 1, 1/2)
 THREE_STATE = [0.4, 0.4, 0.2]
@@ -162,12 +162,8 @@ class TestLogWeights:
         for convention in (EXACT, SHIFTED):
             law = solve_birth_death(0.0, service_rates(section1, convention))
             assert law.probs.tolist() == empty
-            config = TandemConfig(section1, section1, convention)
-            if convention == EXACT:
-                # q_c = 0, and the last conditional row has zero supply
-                assert not coupled_rates(config)[-1].any()
-            matrix = conditional_matrix(config, 0.0)
-            assert matrix.tolist() == [empty] * (section1.c + 1)
+        matrix = conditional_matrix(TandemConfig(section1, section1), 0.0)
+        assert matrix.tolist() == [empty] * (section1.c + 1)
 
     def test_stack_gives_one_row_per_rate_row(self):
         rows = np.array([[1.0, 4.0], [2.0, 0.5]])

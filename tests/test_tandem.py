@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from roadqueue import (
     EXACT,
     ConvergenceError,
     RoadSection,
+    Scenario,
+    SingularModelError,
     TandemConfig,
     TriangularDiagram,
     coupled_rates,
@@ -54,6 +57,23 @@ def conditional_means(config, lam):
     return conditional_matrix(config, lam) @ np.arange(config.section1.c + 1)
 
 
+# every way to build a tandem under the exact convention: the constructor,
+# a copy of a shifted config, and a two-section scenario
+EXACT_TANDEMS = {
+    "constructor": lambda s1, s2: TandemConfig(s1, s2, EXACT),
+    "replace": lambda s1, s2: dataclasses.replace(TandemConfig(s1, s2), convention=EXACT),
+    "scenario": lambda s1, s2: Scenario(sections=(s1, s2), convention=EXACT).tandem(),
+}
+
+
+class TestTandemConfig:
+    @pytest.mark.parametrize("build", EXACT_TANDEMS.values(), ids=EXACT_TANDEMS)
+    def test_exact_convention_is_refused(self, section1, section2, build):
+        # the exact supply is 0 at c2: section 2 absorbs there at any theta > 0
+        with pytest.raises(SingularModelError, match=r"every \(n1, c2\).*shifted"):
+            build(section1, section2)
+
+
 class TestCoupledRate:
     # row n2 of coupled_rates holds q12(1..c1, n2)
 
@@ -74,9 +94,10 @@ class TestCoupledRate:
         assert rates[17, 17] == pytest.approx(0.14)
         assert rates[18, 17] == pytest.approx(0.07)
 
-    def test_exact_convention_blocks_completely(self, section1, section2):
-        config = TandemConfig(section1, section2, EXACT)
-        assert not coupled_rates(config)[18].any()
+    def test_shifted_supply_is_positive_at_capacity(self, tandem_config):
+        # the smallest q12 is w2 * 1 / L2 at n2 = c2: no conditional row
+        # traps its arrivals
+        assert coupled_rates(tandem_config).min() == pytest.approx(0.07)
 
     def test_monotone_in_both_counts(self, tandem_config):
         rates = coupled_rates(tandem_config)
@@ -98,10 +119,6 @@ class TestDownstreamDistribution:
 class TestConditionalDistribution:
     def test_zero_arrivals(self, tandem_config):
         assert conditional_matrix(tandem_config, 0.0)[5, 0] == 1.0
-
-    def test_zero_supply_degenerates_to_full(self, section1, section2):
-        config = TandemConfig(section1, section2, EXACT)
-        assert conditional_matrix(config, 0.5)[section2.c, section1.c] == 1.0
 
     def test_fuller_downstream_means_fuller_upstream(self, tandem_config):
         means = conditional_means(tandem_config, 0.8)
