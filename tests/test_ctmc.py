@@ -13,6 +13,7 @@ from roadqueue import (
     EXACT,
     OracleError,
     RoadSection,
+    SingularModelError,
     TandemConfig,
     TriangularDiagram,
     birth_death_chain,
@@ -268,6 +269,17 @@ class TestTandem2d:
             tandem_stationary(tandem_config, lam), dense, rtol=0, atol=1e-14
         )
 
+    def test_exact_convention_is_the_point_mass_at_capacity(self, tandem_config):
+        # the exact supply absorbs every (n1, c2), so no such tandem reaches
+        # the oracle; under the shifted one (c1, c2) drains and holds part
+        # of the mass only
+        with pytest.raises(SingularModelError, match="absorbing"):
+            dataclasses.replace(tandem_config, convention=EXACT)
+        assert ref_generator(tandem_config, 0.8)[-1].any()
+        joint = tandem_stationary(tandem_config, 0.8)
+        assert 0.0 < joint[-1, -1] < 1.0
+        assert (joint > 0).all()
+
     def test_empty_road_at_zero_load(self, tandem_config):
         expected = np.zeros((19, 19))
         expected[0, 0] = 1.0
@@ -390,6 +402,17 @@ class TestBatchedOracle:
         split = spy(tandem_config, LAMS)
         assert calls == [9, 2, 2, 2, 2, 1]
         np.testing.assert_array_equal(split, whole)
+
+    def test_exact_convention(self, tandem_config):
+        with pytest.raises(SingularModelError, match="absorbing"):
+            dataclasses.replace(tandem_config, convention=EXACT)
+        # under the shifted convention lam = 0 in a batch is the empty road
+        batch = tandem_stationary(tandem_config, [0.5, 0.0, 2.0])
+        empty = np.zeros((19, 19))
+        empty[0, 0] = 1.0
+        np.testing.assert_array_equal(batch[1], empty)
+        for law, lam in zip(batch[[0, 2]], [0.5, 2.0]):
+            np.testing.assert_array_equal(law, tandem_stationary(tandem_config, lam))
 
     def test_oversized_vector_is_refused_before_allocating(self, tandem_config):
         big = scaled(tandem_config, 400 / 0.18)

@@ -20,6 +20,7 @@ from roadqueue import (
     OccupancyDistribution,
     OracleError,
     RoadSection,
+    SingularModelError,
     TandemConfig,
     TriangularDiagram,
     birth_death_chain,
@@ -216,6 +217,20 @@ def test_joint_laws_over_a_vector_equal_the_scalar_laws(config, lams):
     assert batch.shape == (len(lams), config.section1.c + 1, config.section2.c + 1)
     single = np.array([tandem_stationary(config, lam) for lam in lams])
     np.testing.assert_allclose(batch, single, rtol=0, atol=1e-15)
+
+
+@SETTINGS
+@given(tandems(max_c=30), st.floats(1e-3, 1e3))
+def test_exact_convention_joint_law_is_the_point_mass_at_capacity(config, lam):
+    # under the exact convention every (n1, c2) has no exit, so the tandem
+    # is refused; under the shifted one (c1, c2) drains, and the joint law
+    # is not the point mass there
+    with pytest.raises(SingularModelError, match="absorbing"):
+        TandemConfig(config.section1, config.section2, EXACT)
+    assert ref_generator(config, lam)[-1].any()
+    joint = tandem_stationary(config, lam)
+    assert joint[-1, -1] < 1.0
+    assert joint.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @SETTINGS

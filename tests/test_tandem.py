@@ -120,6 +120,16 @@ class TestConditionalDistribution:
     def test_zero_arrivals(self, tandem_config):
         assert conditional_matrix(tandem_config, 0.0)[5, 0] == 1.0
 
+    def test_zero_supply_degenerates_to_full(self, section1, section2, tandem_config):
+        # the exact supply is 0 at c2, and that tandem is refused; the
+        # shifted supply w2 / L2 there keeps row c2 off the point mass at c1
+        with pytest.raises(SingularModelError, match="absorbing"):
+            TandemConfig(section1, section2, EXACT)
+        row = conditional_matrix(tandem_config, 0.5)[section2.c]
+        assert row[section1.c] < 1.0
+        assert row.sum() == pytest.approx(1.0, abs=1e-12)
+        assert (row > 0).all()
+
     def test_fuller_downstream_means_fuller_upstream(self, tandem_config):
         means = conditional_means(tandem_config, 0.8)
         assert all(a <= b + 1e-12 for a, b in zip(means, means[1:]))
