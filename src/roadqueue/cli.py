@@ -206,9 +206,9 @@ def _sweep_grid(args) -> np.ndarray:
 
 
 def _tandem_sweep(config, lams):
-    """(lambda, fixed point, section-1 measures) at each arrival rate."""
-    for lam in map(float, lams):
-        result = solve_fixed_point(config, lam)
+    """(lambda, fixed point, section-1 measures) at each rate, from one batched solve."""
+    lams = [float(lam) for lam in lams]
+    for lam, result in zip(lams, solve_fixed_point(config, lams)):
         yield lam, result, tandem_measures(result, lam)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fundamental import _ARRAY_CAP_BYTES, check_positive, service_rates
-from .queueing import OccupancyDistribution, check_arrival_rate, check_rates
+from .queueing import OccupancyDistribution, check_arrival_rate, check_arrival_rates, check_rates
 from .tandem import TandemConfig, coupled_rates
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -205,11 +205,7 @@ def tandem_stationary(config: TandemConfig, lam) -> np.ndarray:
     threads, so the last bits of the law depend on the thread count: the
     law is reproducible to about 1e-15, not bitwise.
     """
-    lams = np.asarray(lam, dtype=float)
-    if lams.ndim > 1:
-        raise ValueError(f"lam must be a scalar or a 1-D vector, got shape {lams.shape}")
-    for value in lams.reshape(-1).tolist():
-        check_arrival_rate(value)
+    lams, _ = check_arrival_rates(lam)
     c1, c2 = config.section1.c, config.section2.c
     stored = 8 * c1 * (c2 + 1) ** 2
     if stored > _BLOCK_CAP_BYTES:

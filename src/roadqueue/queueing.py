@@ -10,6 +10,9 @@ q_n in state n.  Its stationary law has the product form
 computed here by the ratio recursion in log space so that large
 capacities cannot overflow, then normalized, in birth_death_laws only.
 At lambda = 0 that body gives the limit law, the point mass at n = 0.
+The same body takes a 1-D vector of births, on a new first axis, so one
+call gives every law of a sweep over lambda (or over a tandem's feed
+rate theta), each with the bits of its own scalar call.
 
 Two rate families are provided: the speed-ratio form q_n = n * f(n) *
 v_f / L driven by a congestion model, and the flow form q_n built from a
@@ -37,17 +40,18 @@ class SingularModelError(ValueError):
 def frozen_probs(probs, normalized: bool = True) -> np.ndarray:
     """A read-only copy of finite, nonnegative probabilities.
 
-    normalized requires the sum to be 1 within 1e-12; NaN fails it.
+    probs is one law or a stack of laws along its last axis, one per row;
+    normalized requires each law to sum to 1 within 1e-12; NaN fails it.
     """
-    probs = np.array(probs, dtype=float)
-    if (probs < 0).any():
+    probs = np.array(probs, dtype=float, ndmin=1)
+    if probs.min(initial=0.0) < 0:
         raise ValueError("probabilities must be nonnegative")
-    total = float(probs.sum())
-    # a NaN or infinite term makes the sum NaN or infinite
-    if not math.isfinite(total):
-        raise ValueError("probabilities must be finite")
-    if normalized and not abs(total - 1.0) <= 1e-12:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    for total in probs.sum(axis=-1, keepdims=True).ravel().tolist():
+        # a NaN or infinite term makes its law's sum NaN or infinite
+        if not math.isfinite(total):
+            raise ValueError("probabilities must be finite")
+        if normalized and not abs(total - 1.0) <= 1e-12:
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
     probs.flags.writeable = False
     return probs
 
@@ -59,10 +63,10 @@ class OccupancyDistribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float)
+        probs = frozen_probs(self.probs)
         if probs.ndim != 1 or probs.size < 2:
             raise ValueError("probs must be a 1-D vector of length >= 2")
-        object.__setattr__(self, "probs", frozen_probs(probs))
+        object.__setattr__(self, "probs", probs)
 
     @property
     def capacity(self) -> int:
@@ -122,6 +126,17 @@ def check_arrival_rate(lam: float) -> None:
         raise ValueError(f"arrival rate must be finite and nonnegative, got {lam!r}")
 
 
+def check_arrival_rates(lam) -> tuple[np.ndarray, list[float]]:
+    """lam, one rate or a 1-D vector, as a float array and a list, each rate checked."""
+    lams = np.asarray(lam, dtype=float)
+    if lams.ndim > 1:
+        raise ValueError(f"lam must be a scalar or a 1-D vector, got shape {lams.shape}")
+    values = lams.tolist() if lams.ndim else [lams.item()]
+    for value in values:
+        check_arrival_rate(value)
+    return lams, values
+
+
 def check_rates(rates) -> np.ndarray:
     """Service rates as a float array, refused if any is negative or not finite."""
     rates = np.asarray(rates, dtype=float)
@@ -138,38 +153,48 @@ def check_rate_count(dist: OccupancyDistribution, rates) -> np.ndarray:
     return rates
 
 
-def birth_death_log_weights(lam: float, rates) -> np.ndarray:
+def birth_death_log_weights(lam, rates) -> np.ndarray:
     """Log of the unnormalized product-form weights, log P~_n, n = 0..c.
 
     rates is one vector q_1..q_c, or a 2-D stack of such vectors giving
-    one row of weights per row of rates.  Requires strictly positive
-    rates when lam > 0; at lam = 0 the weights are their limit, 0 at
-    n = 0 and -inf elsewhere, whatever the rates.
+    one row of weights per row of rates.  lam is one birth rate, or a 1-D
+    vector of m of them giving a stack of shape (m,) + the one above, each
+    with the bits of its scalar call.  Requires strictly positive rates
+    when any lam > 0; at lam = 0 the weights are their limit, 0 at n = 0
+    and -inf elsewhere, whatever the rates.
     """
-    check_arrival_rate(lam)
+    births, values = check_arrival_rates(lam)
     rates = check_rates(rates)
     if not 1 <= rates.ndim <= 2 or rates.shape[-1] < 1:
         raise ValueError(f"rates must be nonempty and at most 2-D, got {rates.shape}")
-    zero = np.nonzero(rates == 0)[-1]
-    if zero.size and lam > 0:
+    if any(values) and not rates.all():
         # state indices are 1-based: rates[..., i] serves state i+1
+        state = np.nonzero(rates == 0)[-1][0] + 1
         raise SingularModelError(
-            f"service rate is zero at state n={zero[0] + 1}; the stationary "
+            f"service rate is zero at state n={state}; the stationary "
             "law does not exist (use the shifted convention)"
         )
-    logw = np.zeros(rates.shape[:-1] + (rates.shape[-1] + 1,))
+    logw = np.zeros(births.shape + rates.shape[:-1] + (rates.shape[-1] + 1,))
     steps = logw[..., 1:]  # log(lam / q_n), summed in place
-    if lam == 0:
+    if not any(values):
         steps.fill(-math.inf)
         return logw
+    idle = 0.0 in values
+    # log(1) stands in for log(0) on idle rows, which take their limit below
+    logs = np.log(np.where(births == 0, 1.0, births) if idle else births)
+    if births.ndim:  # one column per birth; a scalar broadcasts faster as is
+        logs = logs.reshape(logs.shape + (1,) * rates.ndim)
     np.log(rates, out=steps)
-    np.subtract(np.log(lam), steps, out=steps)
-    np.cumsum(steps, axis=-1, out=steps)
+    np.subtract(logs, steps, out=steps)
+    # np.cumsum's Python wrapper costs more than the sum on short rows
+    np.add.accumulate(steps, axis=-1, out=steps)
+    if idle:
+        steps[births == 0] = -math.inf
     return logw
 
 
-def birth_death_laws(lam: float, rates) -> np.ndarray:
-    """Product-form laws of birth_death_log_weights, one row per row of rates."""
+def birth_death_laws(lam, rates) -> np.ndarray:
+    """Product-form laws of birth_death_log_weights, one per row of weights."""
     # normalized in place: at large capacities the temporaries dominate memory
     laws = birth_death_log_weights(lam, rates)
     laws -= laws.max(axis=-1, keepdims=True)
@@ -178,9 +203,15 @@ def birth_death_laws(lam: float, rates) -> np.ndarray:
     return laws
 
 
-def solve_birth_death(lam: float, rates) -> OccupancyDistribution:
-    """Stationary law of the loss chain with birth lam and deaths q_1..q_c."""
-    return OccupancyDistribution(birth_death_laws(lam, rates))
+def solve_birth_death(lam, rates):
+    """Stationary law of the loss chain with birth lam and deaths q_1..q_c.
+
+    A 1-D vector of births gives the checked, read-only stack of their laws.
+    """
+    laws = birth_death_laws(lam, rates)
+    if np.ndim(lam):
+        return frozen_probs(laws)
+    return OccupancyDistribution(laws)
 
 
 def jain_smith_rates(L: float, model: CongestionModel) -> np.ndarray:
@@ -197,10 +228,8 @@ def solve_jain_smith(
     return solve_birth_death(lam, jain_smith_rates(L, model))
 
 
-def solve_triangular(
-    lam: float, section: RoadSection, convention: str = SHIFTED
-) -> OccupancyDistribution:
-    """Stationary law under the triangular-diagram service rate."""
+def solve_triangular(lam, section: RoadSection, convention: str = SHIFTED):
+    """Stationary law under the triangular-diagram service rate (see solve_birth_death)."""
     return solve_birth_death(lam, service_rates(section, convention))
 
 

@@ -31,6 +31,9 @@ P(n1 < c1 | n2) does not increase in n2; section 2's law grows
 stochastically with theta; so P1(n1 < c1) does not increase in theta,
 and the residual has slope at least 1.  scan_roots checks this on a
 grid, where a grid value of exactly 0 can still give two brackets.
+
+A sweep's fixed points are one ITP over a vector of lam, each round one
+stacked residual over the rates not yet converged; one lam is a batch of one.
 """
 
 from __future__ import annotations
@@ -40,13 +43,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fundamental import EXACT, SHIFTED, RoadSection, check_convention, check_positive, supply_term
+from .fundamental import (
+    _ARRAY_CAP_BYTES, EXACT, SHIFTED, RoadSection, check_convention, check_positive, supply_term
+)
 from .queueing import (
     OccupancyDistribution,
     PerformanceMeasures,
     SingularModelError,
     birth_death_laws,
     check_arrival_rate,
+    check_arrival_rates,
     littles_law,
     solve_triangular,
 )
@@ -106,43 +112,40 @@ def coupled_rates(config: TandemConfig) -> np.ndarray:
     return np.minimum(free, supply_term(s2, n2, config.convention) / s2.L)
 
 
-def downstream_distribution(
-    config: TandemConfig, theta: float
-) -> OccupancyDistribution:
-    """Section-2 occupancy law when fed at rate theta."""
+def downstream_distribution(config: TandemConfig, theta):
+    """Section-2 occupancy law fed at rate theta; a vector of theta gives a stack of laws."""
     return solve_triangular(theta, config.section2, config.convention)
 
 
-def conditional_matrix(config: TandemConfig, lam: float) -> np.ndarray:
+def conditional_matrix(config: TandemConfig, lam) -> np.ndarray:
     """Section-1 laws given each frozen downstream count, shape (c2 + 1, c1 + 1).
 
     Row n2 is the birth-death law with births lam and deaths
-    q12(1..c1, n2), all positive under the shifted convention.  The
+    q12(1..c1, n2), all positive under the shifted convention; a 1-D
+    vector of m lam gives a stack of shape (m, c2 + 1, c1 + 1).  The
     conditionals do not depend on theta, so a fixed-point solve computes
-    this once and reuses it across residual evaluations.
+    them once and reuses them across residual evaluations.
     """
     return birth_death_laws(lam, coupled_rates(config))
 
 
-def _residual(
-    config: TandemConfig, lam: float, passing: np.ndarray, theta: float
-) -> tuple[float, OccupancyDistribution]:
+def _residual(config: TandemConfig, lam, passing: np.ndarray, theta):
     """theta - lam * P1(n1 < c1; theta), and section 2's law at theta.
 
     passing[n2] = P(n1 < c1 | n2), the masses of conditional_matrix below
     c1.  Their mixture can exceed 1 by an ulp, so it is capped at 1 to
-    keep the residual at theta = lam nonnegative.
+    keep the residual at theta = lam nonnegative.  A 1-D array of m theta
+    takes m lam and m rows of passing, and gives m residuals and the
+    stack of laws; stacked np.matmul gives each row the bits of the 1-D @.
     """
     down = downstream_distribution(config, theta)
+    if isinstance(theta, np.ndarray):
+        mixture = np.matmul(down[:, None], passing[:, :, None])[:, 0, 0]
+        return theta - lam * np.minimum(mixture, 1.0), down
     return theta - lam * min(float(down.probs @ passing), 1.0), down
 
 
-def solve_fixed_point(
-    config: TandemConfig,
-    lam: float,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> FixedPointResult:
+def solve_fixed_point(config: TandemConfig, lam, tol: float = 1e-10, max_iter: int = 200):
     """Solve theta = lam * P1(n1 < c1; theta) by ITP on [0, min(lam, max q12)].
 
     By flow balance lam * P(n1 < c1 | n2) = E[q12 | n2], so no throughput
@@ -155,56 +158,73 @@ def solve_fixed_point(
     least 1, converges superlinearly.  Stops when |residual| <= tol, with
     the marginal renormalized.  Deterministic: the same inputs always
     evaluate the same sequence.
+
+    lam is one rate, giving one FixedPointResult, or a 1-D vector of them,
+    giving a list.  Each rate keeps its own bracket, n_max and stop rule,
+    and each round is one stacked residual over the rates not yet
+    converged, so every result has the bits of its scalar solve; past
+    max_iter, ConvergenceError gives the first unconverged rate's bracket.
+    A batch holds 8 * (c2 + 1) * (c1 + 1) bytes of conditionals a rate; it
+    runs in pieces that fit under 256 MiB with the rate table.
     """
-    check_arrival_rate(lam)
+    lams, values = check_arrival_rates(lam)
     check_positive(tol=tol)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-    matrix = conditional_matrix(config, lam)
-    passing = matrix[:, :-1].sum(axis=1)
-    lo, hi = 0.0, min(float(lam), float(coupled_rates(config).max()))
-    h_lo, _ = _residual(config, lam, passing, lo)
-    h_hi, down = _residual(config, lam, passing, hi)
+    per_rate = 8 * (config.section1.c + 1) * (config.section2.c + 1)
+    fits = max(_ARRAY_CAP_BYTES // per_rate - 1, 1)  # one share left for the rate table
+    if len(values) > fits:
+        runs = (values[i : i + fits] for i in range(0, len(values), fits))
+        return [r for run in runs for r in solve_fixed_point(config, run, tol, max_iter)]
+    batch = lams.reshape(-1)
+    matrix = conditional_matrix(config, batch)
+    passing = matrix[..., :-1].sum(axis=-1)
+    # each rate's bracket as a row [lo, hi], and the residuals there
+    ends = np.stack([np.zeros(batch.size), np.minimum(batch, coupled_rates(config).max())], 1)
+    h_lo, _ = _residual(config, batch, passing, ends[:, 0])
+    h_hi, down = _residual(config, batch, passing, ends[:, 1])
+    h_ends = np.stack([h_lo, h_hi], 1)
     # passing in [0, 1] and the flow balance above force h(0) <= 0 <= h(hi)
-    if h_lo > 0 or h_hi < -tol:
-        raise AssertionError(
-            f"fixed-point bracket lost: h(0)={h_lo!r}, h({hi!r})={h_hi!r}"
-        )
-    theta, h, j = hi, h_hi, 0
-    while abs(h) > tol:
+    for (a, b), top in zip(h_ends.tolist(), ends[:, 1].tolist()):
+        if a > 0 or b < -tol:
+            raise AssertionError(f"fixed-point bracket lost: h(0)={a!r}, h({top!r})={b!r}")
+    theta, h, down, count = ends[:, 1].copy(), h_hi, np.array(down), np.zeros(batch.size, int)
+    hi_0 = theta.tolist()
+    # n_max = ceil(log2(hi / (2 eps))) + n0 with eps = tol / 2; hi = 0 has converged
+    n_max = [math.ceil(math.log2(x) - math.log2(tol)) + _ITP_N0 if x else 0 for x in hi_0]
+    n_max, active, j = np.array(n_max), np.flatnonzero(np.abs(h) > tol), 0
+    while active.size:
+        (lo, hi), (h_lo, h_hi) = ends[active].T, h_ends[active].T
         if j == max_iter:
+            first = (lo[0].item(), hi[0].item())
             raise ConvergenceError(
                 f"no theta with residual <= {tol} after {max_iter} residual "
-                f"evaluations; best bracket [{lo}, {hi}]",
-                bracket=(lo, hi),
+                f"evaluations; best bracket [{first[0]}, {first[1]}]",
+                bracket=first,
             )
-        if j == 0:
-            # n_max = ceil(log2(hi / (2 eps))) + n0 with eps = tol / 2
-            n_max = math.ceil(math.log2(hi) - math.log2(tol)) + _ITP_N0
         width = hi - lo
         mid = lo + 0.5 * width
         # regula falsi, as a fraction of the bracket so no product overflows
         x_f = lo + width * (h_lo / (h_lo - h_hi))
-        delta = _ITP_KAPPA1 * width * (width / lam)  # kappa2 = 2
-        sigma = math.copysign(1.0, mid - x_f)
-        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
-        radius = max(math.ldexp(0.5 * tol, n_max - j) - 0.5 * width, 0.0)
-        theta = x_t if abs(x_t - mid) <= radius else mid - sigma * radius
-        h, down = _residual(config, lam, passing, theta)
+        delta = _ITP_KAPPA1 * width * (width / batch[active])  # kappa2 = 2
+        sigma = np.copysign(1.0, mid - x_f)
+        x_t = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)
+        radius = np.maximum(np.ldexp(0.5 * tol, n_max[active] - j) - 0.5 * width, 0.0)
+        step = np.where(np.abs(x_t - mid) <= radius, x_t, mid - sigma * radius)
+        h_step, down[active] = _residual(config, batch[active], passing[active], step)
         j += 1
-        if h > 0:
-            hi, h_hi = theta, h
-        else:
-            lo, h_lo = theta, h
-    marginal = down.probs @ matrix
-    return FixedPointResult(
-        theta=theta,
-        residual=abs(h),
-        iterations=j,
-        marginal=OccupancyDistribution(marginal / marginal.sum()),
-        downstream=down,
-        config=config,
-    )
+        theta[active], h[active], count[active] = step, h_step, j
+        side = (h_step > 0).astype(int)  # a positive residual moves hi, any other lo
+        ends[active, side], h_ends[active, side] = step, h_step
+        active = active[np.abs(h_step) > tol]
+    marginals = np.matmul(down[:, None], matrix)[:, 0]
+    results = [
+        FixedPointResult(
+            x, abs(r), k, OccupancyDistribution(p / p.sum()), OccupancyDistribution(d), config
+        )
+        for x, r, k, p, d in zip(theta.tolist(), h.tolist(), count.tolist(), marginals, down)
+    ]
+    return results if lams.ndim else results[0]
 
 
 def scan_roots(config: TandemConfig, lam: float) -> list[tuple[float, float]]:

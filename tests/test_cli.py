@@ -6,6 +6,7 @@ from importlib import resources
 
 import pytest
 
+from roadqueue import cli
 from roadqueue.cli import build_parser, main
 
 SECTION_1 = {"L": 100.0, "v_f": 28.0, "w": 14.0, "rho_j": 0.18, "c": 18}
@@ -581,6 +582,31 @@ class TestFitExponential:
         code, out, err = run_cli(capsys, "fit-exponential", *argv)
         assert (code, out) == (2, "")
         assert f"{name} must be finite and positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--lambda-from", "0.1", "--lambda-to", "2.0", "--steps", "40"),
+        ("figure-data", "--figure", "fig7"),
+    ],
+    ids=["sweep", "fig7"],
+)
+def test_tandem_sweep_makes_one_fixed_point_call(capsys, monkeypatch, argv):
+    # the whole grid goes to one batched solve: a per-lambda loop would
+    # call once per row
+    real, calls = cli.solve_fixed_point, []
+
+    def spy(config, lam, *args, **kwargs):
+        calls.append(lam)
+        return real(config, lam, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_fixed_point", spy)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(parse_csv(out)[1]) == 40
+    assert len(calls) == 1
+    assert len(calls[0]) == 40
 
 
 class TestFigureData:

@@ -314,6 +314,33 @@ def test_fixed_point_lands_where_bisection_does(config, lam):
     assert result.iterations <= reference.iterations + 1
 
 
+# idle, subnormal, ordinary and saturating rates mixed in one batch
+batch_arrival_rates = st.lists(
+    st.one_of(
+        st.just(0.0), st.just(1e-320), st.floats(1e-3, 1e3), st.floats(1e17, 1.7e308)
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@SETTINGS
+@given(tandems(max_c=30), batch_arrival_rates)
+def test_batched_fixed_point_has_the_bits_of_each_scalar_solve(config, lams):
+    # each rate keeps its own bracket, n_max and stop rule inside the batch
+    batch = solve_fixed_point(config, lams)
+    assert len(batch) == len(lams)
+    for lam, result in zip(lams, batch):
+        alone = solve_fixed_point(config, lam)
+        assert (result.theta, result.residual, result.iterations) == (
+            alone.theta,
+            alone.residual,
+            alone.iterations,
+        )
+        assert result.marginal.probs.tobytes() == alone.marginal.probs.tobytes()
+        assert result.downstream.probs.tobytes() == alone.downstream.probs.tobytes()
+
+
 # each scan solves 1000 downstream laws one at a time
 @settings(max_examples=25, deadline=None)
 @given(tandems(max_c=30), st.floats(1e-3, 1e3))

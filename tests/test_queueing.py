@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from roadqueue import (
     OccupancyDistribution,
     SingularModelError,
     TandemConfig,
+    coupled_rates,
     measures,
     solve_birth_death,
     solve_jain_smith,
     solve_triangular,
     throughput_departure,
 )
-from roadqueue.queueing import birth_death_log_weights, jain_smith_rates
+from roadqueue.queueing import birth_death_laws, birth_death_log_weights, jain_smith_rates
 from roadqueue.fundamental import service_rates
 from roadqueue.tandem import conditional_matrix
 
@@ -177,6 +179,74 @@ class TestLogWeights:
     def test_stack_zero_rate_names_its_state(self):
         with pytest.raises(SingularModelError, match="n=2"):
             birth_death_log_weights(1.0, [[1.0, 2.0], [1.0, 0.0]])
+
+
+# idle, subnormal, ordinary and saturating births in one vector
+BIRTHS = [0.0, 1e-320, 1e-3, 0.8, 2.0, 1e17, 1.7e308]
+
+
+class TestVectorBirths:
+    @pytest.fixture(params=["1-D", "2-D"])
+    def rates(self, request, tandem_config):
+        if request.param == "1-D":
+            return service_rates(tandem_config.section2)
+        return coupled_rates(tandem_config)
+
+    @pytest.mark.parametrize("solve", [birth_death_log_weights, birth_death_laws])
+    def test_rows_have_the_bits_of_scalar_calls(self, solve, rates):
+        stack = solve(BIRTHS, rates)
+        assert stack.shape == (len(BIRTHS),) + rates.shape[:-1] + (rates.shape[-1] + 1,)
+        for lam, row in zip(BIRTHS, stack):
+            assert row.tobytes() == solve(lam, rates).tobytes()
+
+    def test_solve_gives_a_checked_read_only_stack(self, rates):
+        stack = solve_birth_death(BIRTHS, rates)
+        assert stack.tobytes() == birth_death_laws(BIRTHS, rates).tobytes()
+        with pytest.raises(ValueError):
+            stack[0, ..., 0] = 0.5
+        # one law per birth and row of rates, as solve_birth_death gives it
+        rows = rates.reshape(-1, rates.shape[-1])
+        for lam, laws in zip(BIRTHS, stack):
+            for law, row in zip(laws.reshape(rows.shape[0], -1), rows):
+                assert law.tobytes() == solve_birth_death(lam, row).probs.tobytes()
+
+    def test_idle_rows_give_the_limit_even_against_a_zero_rate(self):
+        limit = [0.0, -math.inf, -math.inf]
+        weights = birth_death_log_weights([0.0, 0.0], [1.0, 0.0])
+        assert weights.tolist() == [limit, limit]
+        laws = solve_birth_death(np.zeros(2), [[1.0, 0.0], [0.0, 0.0]])
+        assert laws.tolist() == [[[1.0, 0.0, 0.0]] * 2] * 2
+        mixed = birth_death_log_weights([0.0, 2.0], [1.0, 4.0])
+        assert mixed[0].tolist() == limit
+        assert mixed[1].tobytes() == birth_death_log_weights(2.0, [1.0, 4.0]).tobytes()
+
+    def test_zero_rate_with_any_positive_birth_is_singular(self):
+        for births in ([0.0, 0.5], [1e-320, 0.0], [1.7e308]):
+            with pytest.raises(SingularModelError, match="n=2"):
+                birth_death_log_weights(births, [1.0, 0.0, 3.0])
+            with pytest.raises(SingularModelError, match="n=2"):
+                solve_birth_death(births, [[1.0, 2.0], [1.0, 0.0]])
+
+    def test_no_call_warns(self, rates):
+        # neither an idle birth nor a zero rate may reach np.log
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for births in (BIRTHS, [0.0, 0.5], [1e-320], []):
+                birth_death_laws(births, rates)
+            birth_death_laws([0.0, 0.0], np.zeros_like(rates))
+            solve_birth_death([0.0, 0.0], [1.0, 0.0])
+
+    def test_births_past_one_axis_are_refused(self):
+        with pytest.raises(ValueError, match="1-D"):
+            birth_death_log_weights([[0.5, 1.0]], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_one_bad_birth_is_refused_as_alone(self, bad):
+        with pytest.raises(ValueError) as alone:
+            solve_birth_death(bad, [1.0, 2.0])
+        with pytest.raises(ValueError) as batch:
+            solve_birth_death([0.5, bad], [1.0, 2.0])
+        assert str(batch.value) == str(alone.value)
 
 
 class TestJainSmith:

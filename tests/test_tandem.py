@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from roadqueue import (
     solve_triangular,
     tandem_measures,
 )
-from roadqueue.tandem import _SCAN_POINTS, _residual, conditional_matrix
+from roadqueue import tandem
+from roadqueue.tandem import _SCAN_POINTS, FixedPointResult, _residual, conditional_matrix
 
 # converged marginal of the benchmark tandem at lam = 1, theta = 0.6,
 # frozen from the decomposition mixture
@@ -274,6 +276,76 @@ class TestSolveFixedPoint:
         for max_iter in (0, -1):
             with pytest.raises(ValueError, match="max_iter"):
                 solve_fixed_point(tandem_config, 0.5, max_iter=max_iter)
+
+
+class TestBatchedFixedPoint:
+    def test_impossible_tolerance_names_the_first_unconverged_bracket(self, tandem_config):
+        # lam = 0 converges on its bracket ends; lam = 0.3 is the first left
+        with pytest.raises(ConvergenceError) as alone:
+            solve_fixed_point(tandem_config, 0.3, tol=1e-18, max_iter=2)
+        with pytest.raises(ConvergenceError, match="2 residual") as batch:
+            solve_fixed_point(tandem_config, [0.0, 0.3, 0.8], tol=1e-18, max_iter=2)
+        assert batch.value.bracket == alone.value.bracket
+        assert str(batch.value) == str(alone.value)
+
+    def test_stacked_residual_has_the_bits_of_the_scalar_one(self, tandem_config):
+        # the scan's scalar residual takes a 1-D @; each stacked row must
+        # give the same bits (np.einsum, for one, does not always)
+        hi = coupled_rates(tandem_config).max()
+        lams = np.repeat([1e-320, 0.01, 0.3, 0.8, 2.0, 1e17, 1e300], 40)
+        thetas = np.minimum(lams, hi) * np.tile(np.linspace(0.0, 1.0, 40), 7)
+        passing = conditional_matrix(tandem_config, lams)[..., :-1].sum(axis=-1)
+        h, down = _residual(tandem_config, lams, passing, thetas)
+        for i, (lam, theta) in enumerate(zip(lams.tolist(), thetas.tolist())):
+            h_i, down_i = _residual(tandem_config, lam, passing[i], theta)
+            assert h[i].tobytes() == np.float64(h_i).tobytes()
+            assert down[i].tobytes() == down_i.probs.tobytes()
+
+    def test_two_dimensional_rates_are_refused(self, tandem_config):
+        with pytest.raises(ValueError, match="1-D"):
+            solve_fixed_point(tandem_config, [[0.5, 1.0]])
+
+    def test_empty_batch(self, tandem_config):
+        assert solve_fixed_point(tandem_config, []) == []
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_one_bad_rate_is_refused_as_alone(self, tandem_config, bad):
+        with pytest.raises(ValueError) as alone:
+            solve_fixed_point(tandem_config, bad)
+        with pytest.raises(ValueError) as batch:
+            solve_fixed_point(tandem_config, [0.5, bad, 1.0])
+        assert str(batch.value) == str(alone.value)
+
+    def test_scalar_and_vector_shapes(self, tandem_config):
+        assert isinstance(solve_fixed_point(tandem_config, 0.8), FixedPointResult)
+        results = solve_fixed_point(tandem_config, np.array([0.8]))
+        assert isinstance(results, list) and len(results) == 1
+
+    def test_runs_under_a_small_cap_keep_the_bits_and_the_memory(
+        self, tandem_config, monkeypatch
+    ):
+        # c = 180: one rate's conditionals take 8 * 181**2 bytes; the cap
+        # fits four such shares, three rates and the rate table
+        config = TandemConfig(
+            RoadSection(L=1000.0, diagram=tandem_config.section1.diagram),
+            RoadSection(L=1000.0, diagram=tandem_config.section2.diagram),
+        )
+        share = 8 * (config.section1.c + 1) * (config.section2.c + 1)
+        cap = 5 * share - 1
+        lams = np.linspace(0.1, 2.0, 10)
+        tracemalloc.start()
+        whole = solve_fixed_point(config, lams)
+        unsplit_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        monkeypatch.setattr(tandem, "_ARRAY_CAP_BYTES", cap)
+        runs = solve_fixed_point(config, lams)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert unsplit_peak > cap > peak
+        for a, b in zip(whole, runs, strict=True):
+            assert (a.theta, a.residual, a.iterations) == (b.theta, b.residual, b.iterations)
+            assert a.marginal.probs.tobytes() == b.marginal.probs.tobytes()
+            assert a.downstream.probs.tobytes() == b.downstream.probs.tobytes()
 
 
 class TestScanRoots:
