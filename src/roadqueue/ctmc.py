@@ -25,19 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fundamental import _ARRAY_CAP_BYTES, check_positive, service_rates
-from .queueing import OccupancyDistribution, check_arrival_rate, check_arrival_rates, check_rates
+from .fundamental import check_array_bytes, check_positive, service_rates
+from .queueing import OccupancyDistribution, check_arrival_rates, check_rates
 from .tandem import TandemConfig, coupled_rates
 
 RNG_ALGORITHM = "numpy-pcg64"
 
 _CLIP = 1e-13
-# Cap on the joint chain's stored level-reduction blocks,
-# 8 * c1 * (c2 + 1)**2 bytes a law: c = 180 (47 MB) passes, and c = 321 is
-# the largest square tandem that does.  A batch of laws is split into runs
-# whose blocks fit under it together.  A birth-death generator holds
-# 8 * (c + 1)**2 bytes: c = 5791 is the largest that passes.
-_BLOCK_CAP_BYTES = _ARRAY_CAP_BYTES
 # Unnormalized laws start from mass 1 at the lowest state and are rescaled
 # once a mass passes this, so a lowest state below 1e-308 does not overflow
 # them; 1e58 is left for the next product with a rate.
@@ -163,15 +157,10 @@ def birth_death_chain(lam: float, rates) -> np.ndarray:
 
     Past the 256 MiB cap (c > 5791) it raises OracleError before allocating.
     """
-    check_arrival_rate(lam)
+    check_arrival_rates(lam)
     rates = check_rates(rates)
     c = rates.size
-    stored = 8 * (c + 1) ** 2
-    if stored > _BLOCK_CAP_BYTES:
-        raise OracleError(
-            f"the birth-death generator holds {stored / 1e6:.0f} MB (c = {c}), "
-            f"above the {_BLOCK_CAP_BYTES >> 20} MiB cap"
-        )
+    check_array_bytes(f"the birth-death generator (c = {c})", 8 * (c + 1) ** 2, error=OracleError)
     gen = np.zeros((c + 1, c + 1))
     n = np.arange(c)
     gen[n, n + 1] = lam
@@ -197,23 +186,18 @@ def tandem_stationary(config: TandemConfig, lam) -> np.ndarray:
     diagonal is a sum of outflows, never a difference.  Each law is
     rescaled and verified on its own, as exact_stationary's is, blockwise.
     A TandemConfig is shifted, so the chain is irreducible: one law.
-    One law stores 8 * c1 * (c2 + 1)**2 bytes of blocks: past 256 MiB it
-    raises OracleError before allocating, and a batch is split into runs
-    whose blocks fit under that cap together, so memory grows with the
-    batch up to the cap (about 2 MB for 40 rates at c = 18).
+    One law stores 8 * c1 * (c2 + 1)**2 bytes of blocks: past 256 MiB
+    (c1 = c2 > 321) it raises OracleError before allocating, and a batch
+    is split into runs whose blocks fit under that cap together, so memory
+    grows with the batch up to the cap (about 2 MB for 40 rates at c = 18).
     From c2 of about 100, OpenBLAS splits each level's inverse across its
     threads, so the last bits of the law depend on the thread count: the
     law is reproducible to about 1e-15, not bitwise.
     """
     lams, _ = check_arrival_rates(lam)
     c1, c2 = config.section1.c, config.section2.c
-    stored = 8 * c1 * (c2 + 1) ** 2
-    if stored > _BLOCK_CAP_BYTES:
-        raise OracleError(
-            f"the joint chain's level reduction stores {stored / 1e6:.0f} MB of "
-            f"blocks (c1 = {c1}, c2 = {c2}), above the {_BLOCK_CAP_BYTES >> 20} MiB cap"
-        )
-    fits = _BLOCK_CAP_BYTES // stored
+    what = f"the joint chain's level-reduction blocks (c1 = {c1}, c2 = {c2})"
+    fits = check_array_bytes(what, 8 * c1 * (c2 + 1) ** 2, error=OracleError)
     if lams.size > fits:
         runs = range(0, lams.size, fits)
         return np.concatenate([tandem_stationary(config, lams[i : i + fits]) for i in runs])

@@ -40,8 +40,8 @@ import numpy as np
 EXACT = "exact"
 SHIFTED = "shifted"
 CONVENTIONS = (EXACT, SHIFTED)
-# Largest array a solve may allocate.  One float64 per state of a section
-# allows c + 1 <= 2**25; ctmc caps the oracles' stored blocks by it too.
+# Most bytes one solve may hold, read by check_array_bytes only: a section's
+# states, a tandem's decomposition, a birth-death generator, oracle blocks.
 _ARRAY_CAP_BYTES = 256 * 2**20
 
 
@@ -59,6 +59,17 @@ def check_positive(**values: float) -> None:
     for name, value in values.items():
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def check_array_bytes(what: str, per_item: int, reserve: int = 0, error=ValueError) -> int:
+    """Items of per_item bytes that fit beside reserve bytes under the cap; none raises error."""
+    fits = (_ARRAY_CAP_BYTES - reserve) // per_item
+    if fits < 1:
+        raise error(
+            f"{what} needs {(reserve + per_item) / 10**6:.0f} MB, "
+            f"above the {_ARRAY_CAP_BYTES >> 20} MiB cap"
+        )
+    return fits
 
 
 def _round_half_up(x: float) -> int:
@@ -128,12 +139,7 @@ class RoadSection:
                 )
         if self.c < 2:
             raise ValueError(f"capacity c must be at least 2, got {self.c}")
-        per_state = 8 * (self.c + 1)
-        if per_state > _ARRAY_CAP_BYTES:
-            raise ValueError(
-                f"capacity c = {self.c} needs {per_state} bytes for one float64 "
-                f"per state, above the {_ARRAY_CAP_BYTES >> 20} MiB cap"
-            )
+        check_array_bytes(f"capacity c = {self.c} at one float64 a state", 8 * (self.c + 1))
 
     @property
     def free_flow_time(self) -> float:

@@ -120,12 +120,6 @@ class PerformanceMeasures:
             )
 
 
-def check_arrival_rate(lam: float) -> None:
-    """Reject an arrival rate that is negative or not finite."""
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError(f"arrival rate must be finite and nonnegative, got {lam!r}")
-
-
 def check_arrival_rates(lam) -> tuple[np.ndarray, list[float]]:
     """lam, one rate or a 1-D vector, as a float array and a list, each rate checked."""
     lams = np.asarray(lam, dtype=float)
@@ -133,7 +127,8 @@ def check_arrival_rates(lam) -> tuple[np.ndarray, list[float]]:
         raise ValueError(f"lam must be a scalar or a 1-D vector, got shape {lams.shape}")
     values = lams.tolist() if lams.ndim else [lams.item()]
     for value in values:
-        check_arrival_rate(value)
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"arrival rate must be finite and nonnegative, got {value!r}")
     return lams, values
 
 

@@ -44,14 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fundamental import (
-    _ARRAY_CAP_BYTES, EXACT, SHIFTED, RoadSection, check_convention, check_positive, supply_term
+    EXACT, SHIFTED, RoadSection, check_array_bytes, check_convention, check_positive, supply_term
 )
 from .queueing import (
     OccupancyDistribution,
     PerformanceMeasures,
     SingularModelError,
     birth_death_laws,
-    check_arrival_rate,
     check_arrival_rates,
     littles_law,
     solve_triangular,
@@ -72,7 +71,7 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TandemConfig:
-    """Upstream and downstream sections; the exact convention is refused."""
+    """Upstream and downstream sections; refused if exact, or past the 256 MiB cap at one rate."""
 
     section1: RoadSection
     section2: RoadSection
@@ -84,6 +83,20 @@ class TandemConfig:
                 "under the exact convention every (n1, c2) of a tandem is "
                 "absorbing, so it has no stationary law (use the shifted convention)"
             )
+        _rates_that_fit(self)
+
+
+def _rates_that_fit(config: TandemConfig) -> int:
+    """Rates a fixed-point batch may hold under the cap: at least one, or ValueError.
+
+    One rate's conditionals take a share, 8 * (c1 + 1) * (c2 + 1) bytes; two more
+    are kept for the rate table and temporaries (tracemalloc: k rates peak near
+    k + 1 shares plus 150 kB).  c1 = c2 = 3343 is the largest square tandem.
+    """
+    c1, c2 = config.section1.c, config.section2.c
+    share = 8 * (c1 + 1) * (c2 + 1)
+    what = f"one rate's decomposition (c1 = {c1}, c2 = {c2})"
+    return check_array_bytes(what, share, reserve=2 * share)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,15 +177,14 @@ def solve_fixed_point(config: TandemConfig, lam, tol: float = 1e-10, max_iter: i
     and each round is one stacked residual over the rates not yet
     converged, so every result has the bits of its scalar solve; past
     max_iter, ConvergenceError gives the first unconverged rate's bracket.
-    A batch holds 8 * (c2 + 1) * (c1 + 1) bytes of conditionals a rate; it
-    runs in pieces that fit under 256 MiB with the rate table.
+    A batch runs in pieces of _rates_that_fit rates, so it stays under the
+    256 MiB cap.
     """
     lams, values = check_arrival_rates(lam)
     check_positive(tol=tol)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-    per_rate = 8 * (config.section1.c + 1) * (config.section2.c + 1)
-    fits = max(_ARRAY_CAP_BYTES // per_rate - 1, 1)  # one share left for the rate table
+    fits = _rates_that_fit(config)
     if len(values) > fits:
         runs = (values[i : i + fits] for i in range(0, len(values), fits))
         return [r for run in runs for r in solve_fixed_point(config, run, tol, max_iter)]
@@ -235,7 +247,7 @@ def scan_roots(config: TandemConfig, lam: float) -> list[tuple[float, float]]:
     multiplicity the fixed-point solve would silently pick one root from.
     A negative or non-finite lam raises ValueError, as in solve_fixed_point.
     """
-    check_arrival_rate(lam)
+    check_arrival_rates(lam)
     if lam == 0:
         return []
     passing = conditional_matrix(config, lam)[:, :-1].sum(axis=1)

@@ -21,7 +21,7 @@ from roadqueue import (
     SimulationResult,
     downstream_distribution,
 )
-from roadqueue.queueing import check_arrival_rate
+from roadqueue.queueing import check_arrival_rates
 from roadqueue.tandem import conditional_matrix
 
 
@@ -155,7 +155,7 @@ def ref_fixed_point(config, lam, tol=1e-10, max_iter=200):
     Each step evaluates the midpoint, whatever the residuals at the
     bracket's ends.
     """
-    check_arrival_rate(lam)
+    check_arrival_rates(lam)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if max_iter < 1:

@@ -130,6 +130,17 @@ def test_absurd_length_exits_2(capsys, tmp_path, command):
     assert "capacity c = 180000000000 " in err
 
 
+@pytest.mark.parametrize("command", ["distributions", "solve-tandem"])
+def test_oversized_tandem_exits_2(capsys, tmp_path, command):
+    # 100 km sections hold c = 18000: one rate's decomposition would take GBs
+    path = tmp_path / "long.json"
+    section = {"L": 100000.0, "v_f": 28.0, "w": 14.0, "rho_j": 0.18}
+    path.write_text(json.dumps({"sections": [section, section]}))
+    code, out, err = run_cli(capsys, command, "--lambda", "0.8", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert "MiB cap" in err
+
+
 def test_section_with_zero_critical_count_solves(capsys, tmp_path):
     # c = 2, and rho_cr * L rounds to 0: the section still has a law
     path = tmp_path / "short.json"

@@ -26,7 +26,7 @@ from roadqueue import (
     tandem_stationary,
     tv_distance,
 )
-from roadqueue import ctmc
+from roadqueue import ctmc, fundamental
 from roadqueue.ctmc import RNG_ALGORITHM
 from roadqueue.fundamental import service_rates
 
@@ -201,8 +201,8 @@ class TestBirthDeathChain:
         assert peak < 2**20
         # c = 5791 would allocate 268 MB, so test acceptance at a cap
         # lowered to exactly c = 10's generator
-        assert 8 * 5792**2 <= ctmc._BLOCK_CAP_BYTES
-        monkeypatch.setattr(ctmc, "_BLOCK_CAP_BYTES", 8 * 11**2)
+        assert 8 * 5792**2 <= fundamental._ARRAY_CAP_BYTES
+        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", 8 * 11**2)
         assert birth_death_chain(0.8, np.ones(10)).shape == (11, 11)
         with pytest.raises(OracleError, match=r"\(c = 11\)"):
             birth_death_chain(0.8, np.ones(11))
@@ -245,8 +245,8 @@ class TestTandem2d:
         assert peak < 2**20
         # c = 321 would store 266 MB of blocks, so test acceptance at a cap
         # lowered to exactly c = 18's blocks
-        assert 8 * 321 * 322**2 <= ctmc._BLOCK_CAP_BYTES
-        monkeypatch.setattr(ctmc, "_BLOCK_CAP_BYTES", 8 * 18 * 19**2)
+        assert 8 * 321 * 322**2 <= fundamental._ARRAY_CAP_BYTES
+        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", 8 * 18 * 19**2)
         assert tandem_stationary(tandem_config, 0.8).shape == (19, 19)
         with pytest.raises(OracleError, match=r"\(c1 = 19, c2 = 19\)"):
             tandem_stationary(scaled(tandem_config, 19 / 0.18), 0.8)
@@ -390,7 +390,7 @@ class TestBatchedOracle:
     def test_split_at_the_cap_equals_one_batch(self, tandem_config, monkeypatch):
         whole = tandem_stationary(tandem_config, LAMS)
         # room for the blocks of 2 laws: 9 rates run as 2 + 2 + 2 + 2 + 1
-        monkeypatch.setattr(ctmc, "_BLOCK_CAP_BYTES", 2 * 8 * 18 * 19**2 + 7)
+        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", 2 * 8 * 18 * 19**2 + 7)
         calls = []
         solve = ctmc.tandem_stationary
 

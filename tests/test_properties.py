@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from roadqueue import (
     EXACT,
     SHIFTED,
+    ConvergenceError,
     OccupancyDistribution,
     OracleError,
     RoadSection,
@@ -309,9 +310,16 @@ def test_fixed_point_lands_where_bisection_does(config, lam):
     result = solve_fixed_point(config, lam, tol=tol)
     # h has slope at least 1, so each theta lies within tol of the root
     assert abs(result.theta - reference.theta) <= 2 * tol
-    # ITP's worst case is n0 = 1 step past bisection's; a draw where
-    # bisection's midpoint meets tol early by luck can still exceed this
-    assert result.iterations <= reference.iterations + 1
+    # ITP promises bisection's worst case plus n0 = 1 step on [0, hi], not
+    # bisection's count: capped there, it meets tol or leaves the root in a
+    # bracket tol wide, up to rounding
+    hi = min(lam, float(coupled_rates(config).max()))
+    n_max = math.ceil(math.log2(hi / tol)) + 1
+    try:
+        solve_fixed_point(config, lam, tol=tol, max_iter=n_max)
+    except ConvergenceError as exc:
+        lo, top = exc.bracket
+        assert top - lo <= tol + 2 * math.ulp(hi)
 
 
 # idle, subnormal, ordinary and saturating rates mixed in one batch

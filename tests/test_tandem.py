@@ -21,7 +21,7 @@ from roadqueue import (
     solve_triangular,
     tandem_measures,
 )
-from roadqueue import tandem
+from roadqueue import fundamental
 from roadqueue.tandem import _SCAN_POINTS, FixedPointResult, _residual, conditional_matrix
 
 # converged marginal of the benchmark tandem at lam = 1, theta = 0.6,
@@ -74,6 +74,23 @@ class TestTandemConfig:
         # the exact supply is 0 at c2: section 2 absorbs there at any theta > 0
         with pytest.raises(SingularModelError, match=r"every \(n1, c2\).*shifted"):
             build(section1, section2)
+
+    def test_decomposition_past_the_cap_is_refused_before_allocating(self, section1):
+        # one rate's conditionals and two more tables of (c + 1)**2 float64
+        # fit 256 MiB up to c = 3343
+        def square(c):
+            section = dataclasses.replace(section1, L=c / 0.18, c=c)
+            return TandemConfig(section, section)
+
+        tracemalloc.start()
+        try:
+            assert square(3343).section2.c == 3343
+            with pytest.raises(ValueError, match=r"\(c1 = 3344, c2 = 3344\) needs 269 MB"):
+                square(3344)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestCoupledRate:
@@ -321,23 +338,30 @@ class TestBatchedFixedPoint:
         results = solve_fixed_point(tandem_config, np.array([0.8]))
         assert isinstance(results, list) and len(results) == 1
 
+    @pytest.mark.parametrize("c1, c2", [(180, 180), (540, 60), (60, 540)])
+    @pytest.mark.parametrize(
+        "shares, less",
+        [(3.05, 0), (4.05, 0), (4.5, 0), (5, 1), (5.5, 0)],
+        ids=["3.05", "4.05", "4.5", "5-less-1-byte", "5.5"],
+    )
     def test_runs_under_a_small_cap_keep_the_bits_and_the_memory(
-        self, tandem_config, monkeypatch
+        self, tandem_config, monkeypatch, c1, c2, shares, less
     ):
-        # c = 180: one rate's conditionals take 8 * 181**2 bytes; the cap
-        # fits four such shares, three rates and the rate table
+        # one rate's conditionals take a share, 8 * (c1 + 1) * (c2 + 1)
+        # bytes; a run of k rates peaks near k + 1.5 shares, so runs sized
+        # with two shares in reserve stay under a cap of any fraction
         config = TandemConfig(
-            RoadSection(L=1000.0, diagram=tandem_config.section1.diagram),
-            RoadSection(L=1000.0, diagram=tandem_config.section2.diagram),
+            RoadSection(L=c1 / 0.18, diagram=tandem_config.section1.diagram, c=c1),
+            RoadSection(L=c2 / 0.18, diagram=tandem_config.section2.diagram, c=c2),
         )
         share = 8 * (config.section1.c + 1) * (config.section2.c + 1)
-        cap = 5 * share - 1
+        cap = int(shares * share) - less
         lams = np.linspace(0.1, 2.0, 10)
         tracemalloc.start()
         whole = solve_fixed_point(config, lams)
         unsplit_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        monkeypatch.setattr(tandem, "_ARRAY_CAP_BYTES", cap)
+        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", cap)
         runs = solve_fixed_point(config, lams)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
