@@ -48,7 +48,6 @@ from .queueing import (
     SingularModelError,
     measures,
     solve_birth_death,
-    solve_jain_smith,
     solve_triangular,
     throughput_departure,
 )
@@ -57,7 +56,6 @@ from .tandem import (
     FixedPointResult,
     TandemConfig,
     coupled_rates,
-    downstream_distribution,
     scan_roots,
     solve_fixed_point,
     tandem_measures,
@@ -87,7 +85,6 @@ __all__ = [
     "coupled_rates",
     "decomposition_diagnostic",
     "default_scenario",
-    "downstream_distribution",
     "exact_stationary",
     "exponential_speed",
     "fit_exponential",
@@ -101,7 +98,6 @@ __all__ = [
     "simulate",
     "solve_birth_death",
     "solve_fixed_point",
-    "solve_jain_smith",
     "solve_triangular",
     "speed_dist_linear",
     "speed_dist_triangular",

@@ -79,12 +79,19 @@ def exact_stationary(generator) -> np.ndarray:
     censored, so a chain absorbing above state 0 (an exact-convention
     birth-death chain at n = c) raises OracleError.  The result is
     verified: residual ||pi Q||_inf within the same bound, and no
-    meaningfully negative mass.
+    meaningfully negative mass.  What the solve holds beside the generator,
+    about 9 bytes a matrix entry and 32 a nonzero one, must fit under the
+    256 MiB cap with it, or OracleError is raised before any of it is
+    allocated: a birth-death chain solves up to c = 3966.
     """
     q = np.asarray(generator, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError(f"generator shape {q.shape} is not square")
     n = q.shape[0]
+    # GTH works on a copy beside q, the checks on a mask of q and the indices
+    # of its nonzero entries, and the law on a few vectors and small objects
+    bytes_held = 9 * n * n + 32 * np.count_nonzero(q) + 128 * n + 2**13
+    check_array_bytes(f"GTH elimination on {n} states", bytes_held, q.nbytes, OracleError)
     negative = q < 0
     np.fill_diagonal(negative, False)
     if negative.any():
@@ -186,18 +193,22 @@ def tandem_stationary(config: TandemConfig, lam) -> np.ndarray:
     diagonal is a sum of outflows, never a difference.  Each law is
     rescaled and verified on its own, as exact_stationary's is, blockwise.
     A TandemConfig is shifted, so the chain is irreducible: one law.
-    One law stores 8 * c1 * (c2 + 1)**2 bytes of blocks: past 256 MiB
-    (c1 = c2 > 321) it raises OracleError before allocating, and a batch
-    is split into runs whose blocks fit under that cap together, so memory
-    grows with the batch up to the cap (about 2 MB for 40 rates at c = 18).
+    One law stores 8 * c1 * (c2 + 1)**2 bytes of blocks and works beside
+    them on level and law arrays: past 256 MiB with those (c1 = c2 > 317)
+    it raises OracleError before allocating, and a batch is split into runs
+    that fit under that cap together, so memory grows with the batch up to
+    the cap (about 3 MB for 40 rates at c = 18).
     From c2 of about 100, OpenBLAS splits each level's inverse across its
     threads, so the last bits of the law depend on the thread count: the
     law is reproducible to about 1e-15, not bitwise.
     """
     lams, _ = check_arrival_rates(lam)
     c1, c2 = config.section1.c, config.section2.c
-    what = f"the joint chain's level-reduction blocks (c1 = {c1}, c2 = {c2})"
-    fits = check_array_bytes(what, 8 * c1 * (c2 + 1) ** 2, error=OracleError)
+    what = f"the joint chain's level reduction (c1 = {c1}, c2 = {c2})"
+    # a rate's blocks, five more levels and six (c1 + 1) x (c2 + 1) tables;
+    # beside the runs, two levels of rate tables and numpy's ufunc buffers
+    per_rate = 8 * (c2 + 1) * ((c1 + 5) * (c2 + 1) + 6 * (c1 + 1))
+    fits = check_array_bytes(what, per_rate, 2**17 + 16 * (c2 + 1) ** 2, OracleError)
     if lams.size > fits:
         runs = range(0, lams.size, fits)
         return np.concatenate([tandem_stationary(config, lams[i : i + fits]) for i in runs])

@@ -216,13 +216,6 @@ def jain_smith_rates(L: float, model: CongestionModel) -> np.ndarray:
     return n * speed(model, n) / L
 
 
-def solve_jain_smith(
-    lam: float, L: float, model: CongestionModel
-) -> OccupancyDistribution:
-    """Stationary law under a congestion-model service rate."""
-    return solve_birth_death(lam, jain_smith_rates(L, model))
-
-
 def solve_triangular(lam, section: RoadSection, convention: str = SHIFTED):
     """Stationary law under the triangular-diagram service rate (see solve_birth_death)."""
     return solve_birth_death(lam, service_rates(section, convention))

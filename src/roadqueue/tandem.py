@@ -86,17 +86,21 @@ class TandemConfig:
         _rates_that_fit(self)
 
 
-def _rates_that_fit(config: TandemConfig) -> int:
-    """Rates a fixed-point batch may hold under the cap: at least one, or ValueError.
+def _rates_that_fit(config: TandemConfig, rates: int = 1) -> int:
+    """Rates a fixed-point run may hold beside all rates' results under the cap, or ValueError.
 
-    One rate's conditionals take a share, 8 * (c1 + 1) * (c2 + 1) bytes; two more
-    are kept for the rate table and temporaries (tracemalloc: k rates peak near
-    k + 1 shares plus 150 kB).  c1 = c2 = 3343 is the largest square tandem.
+    A share is 8 * (c1 + 1) * (c2 + 1) bytes, one rate's conditionals, and laws
+    8 * (c1 + c2 + 2), a law of each section.  A rate in a run holds a share,
+    three laws and its ITP vectors; each result keeps its two laws and objects,
+    under laws + 1 kB, until the call returns.  Two shares and 128 kB more are
+    kept for the rate table, its temporaries and numpy's ufunc buffers.
+    c1 = c2 = 3341 is the largest square tandem.
     """
     c1, c2 = config.section1.c, config.section2.c
-    share = 8 * (c1 + 1) * (c2 + 1)
-    what = f"one rate's decomposition (c1 = {c1}, c2 = {c2})"
-    return check_array_bytes(what, share, reserve=2 * share)
+    share, laws = 8 * (c1 + 1) * (c2 + 1), 8 * (c1 + c2 + 2)
+    what = f"the decomposition at {rates} rate(s) (c1 = {c1}, c2 = {c2})"
+    reserve = 2 * share + 2**17 + rates * (laws + 1024)
+    return check_array_bytes(what, share + 3 * laws + 512, reserve)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,11 +129,6 @@ def coupled_rates(config: TandemConfig) -> np.ndarray:
     return np.minimum(free, supply_term(s2, n2, config.convention) / s2.L)
 
 
-def downstream_distribution(config: TandemConfig, theta):
-    """Section-2 occupancy law fed at rate theta; a vector of theta gives a stack of laws."""
-    return solve_triangular(theta, config.section2, config.convention)
-
-
 def conditional_matrix(config: TandemConfig, lam) -> np.ndarray:
     """Section-1 laws given each frozen downstream count, shape (c2 + 1, c1 + 1).
 
@@ -149,13 +148,13 @@ def _residual(config: TandemConfig, lam, passing: np.ndarray, theta):
     c1.  Their mixture can exceed 1 by an ulp, so it is capped at 1 to
     keep the residual at theta = lam nonnegative.  A 1-D array of m theta
     takes m lam and m rows of passing, and gives m residuals and the
-    stack of laws; stacked np.matmul gives each row the bits of the 1-D @.
+    stack of laws; one theta gives its law.  Each mixture is one np.matmul
+    of a row and a column, so a stacked row has the bits of its scalar call.
     """
-    down = downstream_distribution(config, theta)
-    if isinstance(theta, np.ndarray):
-        mixture = np.matmul(down[:, None], passing[:, :, None])[:, 0, 0]
-        return theta - lam * np.minimum(mixture, 1.0), down
-    return theta - lam * min(float(down.probs @ passing), 1.0), down
+    down = solve_triangular(theta, config.section2, config.convention)
+    probs = getattr(down, "probs", down)
+    mixture = np.matmul(probs[..., None, :], passing[..., None])[..., 0, 0]
+    return theta - lam * np.minimum(mixture, 1.0), down
 
 
 def solve_fixed_point(config: TandemConfig, lam, tol: float = 1e-10, max_iter: int = 200):
@@ -177,14 +176,14 @@ def solve_fixed_point(config: TandemConfig, lam, tol: float = 1e-10, max_iter: i
     and each round is one stacked residual over the rates not yet
     converged, so every result has the bits of its scalar solve; past
     max_iter, ConvergenceError gives the first unconverged rate's bracket.
-    A batch runs in pieces of _rates_that_fit rates, so it stays under the
-    256 MiB cap.
+    A batch runs in pieces of _rates_that_fit rates beside every rate's
+    result, so it stays under the 256 MiB cap or raises ValueError.
     """
     lams, values = check_arrival_rates(lam)
     check_positive(tol=tol)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-    fits = _rates_that_fit(config)
+    fits = _rates_that_fit(config, len(values))
     if len(values) > fits:
         runs = (values[i : i + fits] for i in range(0, len(values), fits))
         return [r for run in runs for r in solve_fixed_point(config, run, tol, max_iter)]

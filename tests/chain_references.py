@@ -19,7 +19,7 @@ from roadqueue import (
     FixedPointResult,
     OccupancyDistribution,
     SimulationResult,
-    downstream_distribution,
+    solve_triangular,
 )
 from roadqueue.queueing import check_arrival_rates
 from roadqueue.tandem import conditional_matrix
@@ -166,14 +166,14 @@ def ref_fixed_point(config, lam, tol=1e-10, max_iter=200):
             residual=0.0,
             iterations=0,
             marginal=OccupancyDistribution.point_mass(config.section1.c, 0),
-            downstream=downstream_distribution(config, 0.0),
+            downstream=solve_triangular(0.0, config.section2),
             config=config,
         )
 
     matrix = conditional_matrix(config, lam)
 
     def residual_at(theta: float):
-        down = downstream_distribution(config, theta)
+        down = solve_triangular(theta, config.section2)
         marginal = down.probs @ matrix
         return theta - lam * (1.0 - marginal[-1]), marginal, down
 

@@ -25,8 +25,8 @@ from roadqueue import (
     exact_stationary,
     fit_exponential,
     simulate,
+    solve_birth_death,
     solve_fixed_point,
-    solve_jain_smith,
     solve_triangular,
     speed_dist_linear,
     speed_dist_triangular,
@@ -38,6 +38,7 @@ from roadqueue import (
 )
 from roadqueue.congestion import exponential_speed
 from roadqueue.fundamental import service_rates
+from roadqueue.queueing import jain_smith_rates
 
 SWEEP_GRID = np.linspace(0.1, 2.0, 40)
 
@@ -174,7 +175,7 @@ def test_criterion_06_distribution_normalization(tandem):
         emitted.append(occ.probs)
         emitted.append(speed_dist_triangular(occ, section).probs)
         emitted.append(travel_time_dist_triangular(occ, section).probs)
-        emitted.append(solve_jain_smith(lam, 100.0, linear).probs)
+        emitted.append(solve_birth_death(lam, jain_smith_rates(100.0, linear)).probs)
         if lam > 0:
             emitted.append(speed_dist_linear(lam, linear, 100.0).probs)
             emitted.append(travel_time_dist_linear(lam, linear, 100.0).probs)

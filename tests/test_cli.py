@@ -219,7 +219,9 @@ class TestSolveTandem:
 
     def test_scan_roots_at_c180(self, capsys, tmp_path):
         # the bundled scenario scaled to 1 km: c1 = c2 = 180, 32761 joint
-        # states, whose exact chain is solved level by level
+        # states, whose exact chain is solved level by level.  From c of
+        # about 100 the oracle's last bits follow the OpenBLAS thread count,
+        # so only invariants are checked here, not bits
         bundled = resources.files("roadqueue").joinpath("data/default_scenario.json")
         doc = json.loads(bundled.read_text())
         for section in doc["sections"]:
@@ -234,7 +236,10 @@ class TestSolveTandem:
         assert code == 0, err
         doc = json.loads(out)
         assert len(doc["marginal"]) == 181
+        assert doc["residual"] <= 1e-10
         assert 0 <= doc["tv_vs_exact_2d"] <= 1
+        theta = doc["theta"]
+        assert any(lo <= theta <= hi for lo, hi in doc["root_brackets"])
 
     def test_exact_convention_at_zero_load_exits_3(self, capsys):
         # every (n1, c2) is absorbing: TandemConfig refuses the tandem at any lam

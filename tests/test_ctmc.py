@@ -40,6 +40,32 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 TV_2D_LAM1 = 0.1902798442830123
 
 
+def gth_bytes(gen):
+    """What exact_stationary counts: the generator, a copy, a mask, the nonzero indices."""
+    n = gen.shape[0]
+    return gen.nbytes + 9 * n * n + 32 * np.count_nonzero(gen) + 128 * n + 2**13
+
+
+def oracle_bytes(c1, c2, rates=1):
+    """What tandem_stationary counts for a run: a rate's blocks, five more
+    levels and six law tables, beside two levels and 128 kB of buffers."""
+    level = 8 * (c2 + 1) ** 2
+    return 2**17 + 2 * level + rates * ((c1 + 5) * level + 48 * (c1 + 1) * (c2 + 1))
+
+
+def traced_peak(solve):
+    """solve's result or OracleError, and the tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        result = solve()
+    except OracleError as exc:
+        result = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return result, peak
+
+
 class TestCtmcValidation:
     """exact_stationary checks the generator it is given."""
 
@@ -137,6 +163,33 @@ class TestExactStationary:
         exact_stationary(birth_death_chain(0.8, np.linspace(1.0, 2.0, 40)))
         assert bands == [1]
 
+    @pytest.mark.parametrize("c", [54, 180])
+    def test_peak_stays_under_the_cap_it_counts(self, monkeypatch, c):
+        # compare's exact path: the generator and GTH's copy of it, a mask
+        # and a few vectors; the copy alone took the parent past the
+        # generator's count, at 2.2 times it
+        rates = np.linspace(1.0, 2.0, c)
+        cap = gth_bytes(birth_death_chain(0.8, rates))
+        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", cap)
+        pi, peak = traced_peak(lambda: exact_stationary(birth_death_chain(0.8, rates)))
+        assert pi.shape == (c + 1,)
+        assert peak <= cap
+        # a byte less is refused once the generator is built, before the copy
+        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", cap - 1)
+        refused, peak = traced_peak(lambda: exact_stationary(birth_death_chain(0.8, rates)))
+        assert isinstance(refused, OracleError)
+        assert f"GTH elimination on {c + 1} states" in str(refused)
+        assert peak < 1.5 * 8 * (c + 1) ** 2
+
+    def test_oversized_solve_is_refused_before_allocating(self):
+        # a read-only view of 4000**2 zeros holds 8 bytes, but counts its
+        # 128 MB as the generator beside the copy and mask GTH would add
+        gen = np.broadcast_to(np.zeros(1), (4000, 4000))
+        refused, peak = traced_peak(lambda: exact_stationary(gen))
+        assert isinstance(refused, OracleError)
+        assert "4000 states needs 273 MB, above the 256 MiB cap" in str(refused)
+        assert peak < 2**20
+
     def test_minimal_tandem_shaped_chain(self):
         # smallest tandem topology (both capacities 1, below the section
         # floor, so built by hand): arrival 1, transfer 2, departure 3.
@@ -219,12 +272,14 @@ def scaled(config, length):
 
 class TestTandem2d:
     def test_oversized_chain_is_refused_before_allocating(self, tandem_config):
-        # c1 = c2 = 400 would store 8 * 400 * 401**2 bytes = 515 MB of blocks
+        # c1 = c2 = 400 would store 8 * 400 * 401**2 bytes = 515 MB of blocks,
+        # and work on 16 MB beside them
         big = scaled(tandem_config, 400 / 0.18)
         assert big.section1.c == big.section2.c == 400
+        assert round(oracle_bytes(400, 400) / 1e6) == 531
         tracemalloc.start()
         try:
-            with pytest.raises(OracleError, match="515 MB"):
+            with pytest.raises(OracleError, match="531 MB"):
                 tandem_stationary(big, 0.8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -232,24 +287,42 @@ class TestTandem2d:
         assert peak < 2**20
 
     def test_cap_boundary(self, tandem_config, monkeypatch):
-        # c = 322 is the first square tandem past the real cap
-        big = scaled(tandem_config, 322 / 0.18)
-        assert big.section1.c == big.section2.c == 322
+        # c = 318 is the first square tandem past the real cap
+        big = scaled(tandem_config, 318 / 0.18)
+        assert big.section1.c == big.section2.c == 318
         tracemalloc.start()
         try:
-            with pytest.raises(OracleError, match=r"\(c1 = 322, c2 = 322\)"):
+            with pytest.raises(OracleError, match=r"\(c1 = 318, c2 = 318\)"):
                 tandem_stationary(big, 0.8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        # c = 321 would store 266 MB of blocks, so test acceptance at a cap
-        # lowered to exactly c = 18's blocks
-        assert 8 * 321 * 322**2 <= fundamental._ARRAY_CAP_BYTES
-        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", 8 * 18 * 19**2)
+        # c = 317 would count 267 MB, so test acceptance at a cap lowered to
+        # exactly what c = 18 counts
+        assert oracle_bytes(317, 317) <= fundamental._ARRAY_CAP_BYTES < oracle_bytes(318, 318)
+        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", oracle_bytes(18, 18))
         assert tandem_stationary(tandem_config, 0.8).shape == (19, 19)
         with pytest.raises(OracleError, match=r"\(c1 = 19, c2 = 19\)"):
             tandem_stationary(scaled(tandem_config, 19 / 0.18), 0.8)
+
+    @pytest.mark.parametrize("length", [300.0, 1000.0], ids=["c54", "c180"])
+    def test_peak_stays_under_the_cap_it_counts(self, tandem_config, monkeypatch, length):
+        # the blocks and the per-level and per-law arrays beside them: the
+        # parent counted the blocks alone and peaked at 1.19 times them at
+        # c = 54 and 1.05 times at c = 180; from c of about 100 the law's
+        # last bits follow the BLAS thread count, so only sizes are checked
+        config = scaled(tandem_config, length)
+        c = config.section1.c
+        cap = oracle_bytes(c, c)
+        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", cap)
+        law, peak = traced_peak(lambda: tandem_stationary(config, 0.8))
+        assert law.shape == (c + 1, c + 1)
+        assert 8 * c * (c + 1) ** 2 < peak <= cap
+        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", cap - 1)
+        refused, peak = traced_peak(lambda: tandem_stationary(config, 0.8))
+        assert isinstance(refused, OracleError)
+        assert peak < 2**20
 
     @pytest.mark.parametrize("lam", [0.8, 2.0])
     def test_matches_the_dense_law_at_c54(self, tandem_config, lam):
@@ -389,8 +462,8 @@ class TestBatchedOracle:
 
     def test_split_at_the_cap_equals_one_batch(self, tandem_config, monkeypatch):
         whole = tandem_stationary(tandem_config, LAMS)
-        # room for the blocks of 2 laws: 9 rates run as 2 + 2 + 2 + 2 + 1
-        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", 2 * 8 * 18 * 19**2 + 7)
+        # room for 2 laws: 9 rates run as 2 + 2 + 2 + 2 + 1
+        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", oracle_bytes(18, 18, 2) + 7)
         calls = []
         solve = ctmc.tandem_stationary
 
@@ -418,7 +491,7 @@ class TestBatchedOracle:
         big = scaled(tandem_config, 400 / 0.18)
         tracemalloc.start()
         try:
-            with pytest.raises(OracleError, match="515 MB"):
+            with pytest.raises(OracleError, match="531 MB"):
                 tandem_stationary(big, np.linspace(0.1, 2.0, 40))
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -12,7 +12,7 @@ from roadqueue import (
     RoadSection,
     SingularModelError,
     TriangularDiagram,
-    solve_jain_smith,
+    solve_birth_death,
     solve_triangular,
     speed_dist_linear,
     speed_dist_triangular,
@@ -23,6 +23,7 @@ from roadqueue.distributions import (
     PAPER_GRID,
     PUSHFORWARD,
 )
+from roadqueue.queueing import jain_smith_rates
 
 # grid-mode speed table at lam = 0.8 (L=100, v_f=28, c=18), one cell per
 # integer speed 1..28, frozen from the histogram construction
@@ -165,7 +166,7 @@ class TestTriangularPushforward:
     def test_capacity_mismatch_rejected(self, section1, section2):
         occ = solve_triangular(0.8, section1)
         wrong = LinearCongestionModel(v_f=28.0, c=12)
-        small = solve_jain_smith(0.8, 100.0, wrong)
+        small = solve_birth_death(0.8, jain_smith_rates(100.0, wrong))
         with pytest.raises(ValueError, match="capacity"):
             speed_dist_triangular(small, section1)
         with pytest.raises(ValueError, match="capacity"):
@@ -192,7 +193,7 @@ class TestTriangularPushforward:
 class TestLinearPushforward:
     def test_empty_state_merges_with_single_vehicle(self, linear18):
         # v_0 = v_1 = v_f, so the top atom carries P(0) + P(1)
-        occ = solve_jain_smith(0.8, 100.0, linear18)
+        occ = solve_birth_death(0.8, jain_smith_rates(100.0, linear18))
         d = speed_dist_linear(0.8, linear18, 100.0)
         assert d.support.size == 18
         assert d.support[-1] == pytest.approx(28.0)

@@ -32,6 +32,7 @@ from roadqueue import (
     simulate,
     solve_birth_death,
     solve_fixed_point,
+    solve_triangular,
     speed_dist_linear,
     speed_dist_triangular,
     tandem_measures,
@@ -45,7 +46,7 @@ from roadqueue.congestion import (
 )
 from roadqueue.fundamental import CONVENTIONS
 from roadqueue.queueing import jain_smith_rates
-from roadqueue.tandem import _SCAN_POINTS, conditional_matrix, downstream_distribution
+from roadqueue.tandem import _SCAN_POINTS, conditional_matrix
 
 from chain_references import (
     gth_stationary,
@@ -374,7 +375,7 @@ def test_blocking_grows_with_the_downstream_rate(config, lam):
     blocked = conditional_matrix(config, lam)[:, -1]
     assert np.all(np.diff(blocked) >= -1e-15)
     p1_c1 = [
-        downstream_distribution(config, theta).probs @ blocked
+        solve_triangular(theta, config.section2).probs @ blocked
         for theta in np.linspace(0.0, lam, 41)
     ]
     assert np.all(np.diff(p1_c1) >= -1e-14)

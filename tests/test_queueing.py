@@ -14,7 +14,6 @@ from roadqueue import (
     coupled_rates,
     measures,
     solve_birth_death,
-    solve_jain_smith,
     solve_triangular,
     throughput_departure,
 )
@@ -260,7 +259,7 @@ class TestJainSmith:
 
     def test_solve_frozen_law(self):
         model = LinearCongestionModel(v_f=28.0, c=18)
-        d = solve_jain_smith(0.8, 100.0, model)
+        d = solve_birth_death(0.8, jain_smith_rates(100.0, model))
         np.testing.assert_allclose(d.probs, JS_LINEAR_08, rtol=1e-12)
 
     def test_rejects_bad_length(self):
@@ -270,7 +269,7 @@ class TestJainSmith:
         # an infinite L would give all-zero rates, not a singular model
         for L in (math.inf, math.nan):
             with pytest.raises(ValueError, match="L must be finite and positive"):
-                solve_jain_smith(0.8, L, model)
+                solve_birth_death(0.8, jain_smith_rates(L, model))
 
 
 class TestSolveTriangular:
@@ -353,8 +352,8 @@ class TestThroughputDeparture:
 
     def test_frozen_value(self):
         model = LinearCongestionModel(v_f=28.0, c=18)
-        d = solve_jain_smith(0.8, 100.0, model)
         rates = jain_smith_rates(100.0, model)
+        d = solve_birth_death(0.8, rates)
         value = throughput_departure(d, rates)
         assert value == pytest.approx(0.8 * (1 - d.blocking), rel=1e-12)
         assert 0.56 <= value <= 0.8

@@ -14,7 +14,6 @@ from roadqueue import (
     TandemConfig,
     TriangularDiagram,
     coupled_rates,
-    downstream_distribution,
     scan_roots,
     solve_birth_death,
     solve_fixed_point,
@@ -51,7 +50,7 @@ MARGINAL_LAM1_THETA06 = [
 
 def marginal(config, lam, theta):
     """Section-1 law mixing the conditionals over the downstream law at theta."""
-    weights = downstream_distribution(config, theta).probs
+    weights = solve_triangular(theta, config.section2).probs
     return weights @ conditional_matrix(config, lam)
 
 
@@ -76,17 +75,17 @@ class TestTandemConfig:
             build(section1, section2)
 
     def test_decomposition_past_the_cap_is_refused_before_allocating(self, section1):
-        # one rate's conditionals and two more tables of (c + 1)**2 float64
-        # fit 256 MiB up to c = 3343
+        # one rate's conditionals, two more tables of (c + 1)**2 float64 and
+        # 128 kB of ufunc buffers, beside its laws, fit 256 MiB up to c = 3341
         def square(c):
             section = dataclasses.replace(section1, L=c / 0.18, c=c)
             return TandemConfig(section, section)
 
         tracemalloc.start()
         try:
-            assert square(3343).section2.c == 3343
-            with pytest.raises(ValueError, match=r"\(c1 = 3344, c2 = 3344\) needs 269 MB"):
-                square(3344)
+            assert square(3341).section2.c == 3341
+            with pytest.raises(ValueError, match=r"\(c1 = 3342, c2 = 3342\) needs 269 MB"):
+                square(3342)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -126,13 +125,16 @@ class TestCoupledRate:
 
 
 class TestDownstreamDistribution:
+    # the residual solves section 2 alone, fed at theta
     def test_matches_standalone_solve(self, tandem_config, section2):
-        d = downstream_distribution(tandem_config, 0.6)
+        passing = conditional_matrix(tandem_config, 1.0)[:, :-1].sum(axis=1)
+        d = _residual(tandem_config, 1.0, passing, 0.6)[1]
         e = solve_triangular(0.6, section2)
-        np.testing.assert_allclose(d.probs, e.probs, rtol=1e-14)
+        assert d.probs.tobytes() == e.probs.tobytes()
 
     def test_idle_feed(self, tandem_config):
-        assert downstream_distribution(tandem_config, 0.0)[0] == 1.0
+        passing = conditional_matrix(tandem_config, 1.0)[:, :-1].sum(axis=1)
+        assert _residual(tandem_config, 1.0, passing, 0.0)[1][0] == 1.0
 
 
 class TestConditionalDistribution:
@@ -262,7 +264,7 @@ class TestSolveFixedPoint:
         # capped at 1, h(lam) stays nonnegative and theta = lam is the root
         lam = 0.01
         passing = conditional_matrix(tandem_config, lam)[:, :-1].sum(axis=1)
-        assert downstream_distribution(tandem_config, lam).probs @ passing > 1.0
+        assert solve_triangular(lam, tandem_config.section2).probs @ passing > 1.0
         assert _residual(tandem_config, lam, passing, lam)[0] >= 0.0
         result = solve_fixed_point(tandem_config, lam)
         assert result.theta == lam
@@ -338,38 +340,43 @@ class TestBatchedFixedPoint:
         results = solve_fixed_point(tandem_config, np.array([0.8]))
         assert isinstance(results, list) and len(results) == 1
 
-    @pytest.mark.parametrize("c1, c2", [(180, 180), (540, 60), (60, 540)])
-    @pytest.mark.parametrize(
-        "shares, less",
-        [(3.05, 0), (4.05, 0), (4.5, 0), (5, 1), (5.5, 0)],
-        ids=["3.05", "4.05", "4.5", "5-less-1-byte", "5.5"],
-    )
+    @pytest.mark.parametrize("c1, c2, k", [(180, 180, 10), (540, 60, 10), (60, 540, 10), (18, 18, 1000)])
+    @pytest.mark.parametrize("fraction", [0.35, 0.5, 0.65, 0.8, 0.95])
     def test_runs_under_a_small_cap_keep_the_bits_and_the_memory(
-        self, tandem_config, monkeypatch, c1, c2, shares, less
+        self, tandem_config, monkeypatch, c1, c2, k, fraction
     ):
-        # one rate's conditionals take a share, 8 * (c1 + 1) * (c2 + 1)
-        # bytes; a run of k rates peaks near k + 1.5 shares, so runs sized
-        # with two shares in reserve stay under a cap of any fraction
+        # a rate in a run holds its conditionals, a share of 8 * (c1 + 1) *
+        # (c2 + 1) bytes, and a few laws, and each result is kept until the
+        # call returns: at c = 18 a rate holds about 1.6 shares, so runs
+        # sized at one share a rate passed the cap
         config = TandemConfig(
             RoadSection(L=c1 / 0.18, diagram=tandem_config.section1.diagram, c=c1),
             RoadSection(L=c2 / 0.18, diagram=tandem_config.section2.diagram, c=c2),
         )
-        share = 8 * (config.section1.c + 1) * (config.section2.c + 1)
-        cap = int(shares * share) - less
-        lams = np.linspace(0.1, 2.0, 10)
+        lams = np.linspace(0.1, 2.0, k)
         tracemalloc.start()
         whole = solve_fixed_point(config, lams)
         unsplit_peak = tracemalloc.get_traced_memory()[1]
+        cap = int(fraction * unsplit_peak)
         tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]  # the unsplit results
         monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", cap)
         runs = solve_fixed_point(config, lams)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1] - held
         tracemalloc.stop()
         assert unsplit_peak > cap > peak
         for a, b in zip(whole, runs, strict=True):
             assert (a.theta, a.residual, a.iterations) == (b.theta, b.residual, b.iterations)
             assert a.marginal.probs.tobytes() == b.marginal.probs.tobytes()
             assert a.downstream.probs.tobytes() == b.downstream.probs.tobytes()
+
+    def test_results_past_the_cap_are_refused(self, tandem_config, monkeypatch):
+        # each result keeps its two laws and objects until the call returns,
+        # so no run size fits 1000 rates' results under a 1 MB cap at c = 18
+        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", 10**6)
+        assert solve_fixed_point(tandem_config, np.linspace(0.1, 2.0, 100))
+        with pytest.raises(ValueError, match=r"decomposition at 1000 rate\(s\).*MiB cap"):
+            solve_fixed_point(tandem_config, np.linspace(0.1, 2.0, 1000))
 
 
 class TestScanRoots:
