@@ -54,7 +54,7 @@ from .distributions import (
     travel_time_dist_linear,
     travel_time_dist_triangular,
 )
-from .fundamental import CONVENTIONS
+from .fundamental import CONVENTIONS, check_integer
 from .queueing import SingularModelError, measures, solve_birth_death
 from .tandem import ConvergenceError, scan_roots, solve_fixed_point, tandem_measures
 
@@ -196,8 +196,7 @@ def _cmd_distributions(args) -> str:
 
 
 def _sweep_grid(args) -> np.ndarray:
-    if args.steps < 2:
-        raise ValueError(f"--steps must be at least 2, got {args.steps}")
+    check_integer("--steps", args.steps, 2)
     if not args.lambda_from < args.lambda_to:
         raise ValueError("--lambda-from must be below --lambda-to")
     if args.lambda_from < 0:

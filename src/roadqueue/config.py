@@ -34,7 +34,9 @@ from importlib import resources
 import numpy as np
 
 from .congestion import ExponentialCongestionModel, LinearCongestionModel
-from .fundamental import SHIFTED, RoadSection, TriangularDiagram, check_convention, service_rates
+from .fundamental import (
+    SHIFTED, RoadSection, TriangularDiagram, check_convention, check_integer, service_rates
+)
 from .queueing import jain_smith_rates
 from .tandem import TandemConfig
 
@@ -87,7 +89,8 @@ class Scenario:
 
     def section(self, index: int) -> RoadSection:
         """1-based section lookup, matching the CLI's --section flag."""
-        if not 1 <= index <= len(self.sections):
+        index = check_integer("section", index, 1)
+        if index > len(self.sections):
             raise ValueError(
                 f"section {index} requested but scenario has "
                 f"{len(self.sections)} section(s)"

@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .fundamental import check_positive
+from .fundamental import check_integer, check_positive
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,7 @@ class LinearCongestionModel:
 
     def __post_init__(self) -> None:
         check_positive(v_f=self.v_f)
-        if self.c < 1:
-            raise ValueError(f"c must be at least 1, got {self.c!r}")
+        object.__setattr__(self, "c", check_integer("c", self.c, 1))
 
 
 @dataclass(frozen=True)
@@ -53,8 +52,7 @@ class ExponentialCongestionModel:
 
     def __post_init__(self) -> None:
         check_positive(v_f=self.v_f, beta=self.beta, gamma=self.gamma)
-        if self.c < 1:
-            raise ValueError(f"c must be at least 1, got {self.c!r}")
+        object.__setattr__(self, "c", check_integer("c", self.c, 1))
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,15 @@ def check_positive(**values: float) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def check_integer(name: str, value, least: int) -> int:
+    """value as an int, refused unless a whole number (18.0 is one) of at least least."""
+    # a Python int is compared exactly at any size, where a float of it would overflow
+    whole = int(value) if isinstance(value, (float, np.floating)) and value.is_integer() else value
+    if isinstance(whole, bool) or not isinstance(whole, (int, np.integer)) or whole < least:
+        raise ValueError(f"{name} must be a whole number of at least {least}, got {value!r}")
+    return int(whole)
+
+
 def check_array_bytes(what: str, per_item: int, reserve: int = 0, error=ValueError) -> int:
     """Items of per_item bytes that fit beside reserve bytes under the cap; none raises error."""
     fits = (_ARRAY_CAP_BYTES - reserve) // per_item
@@ -70,10 +79,6 @@ def check_array_bytes(what: str, per_item: int, reserve: int = 0, error=ValueErr
             f"above the {_ARRAY_CAP_BYTES >> 20} MiB cap"
         )
     return fits
-
-
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
 
 
 @dataclass(frozen=True)
@@ -122,23 +127,13 @@ class RoadSection:
         jam_count = self.diagram.rho_j * self.L
         if jam_count == math.inf:
             raise ValueError("capacity c = rho_j * L overflows a float")
-        derived_c = _round_half_up(jam_count)
-        if self.c is None:
-            object.__setattr__(self, "c", derived_c)
-        else:
-            # a Python int is exact at any size, where isfinite would overflow
-            if not isinstance(self.c, int) and not (
-                math.isfinite(self.c) and self.c == int(self.c)
-            ):
-                raise ValueError(f"c must be an integer, got {self.c!r}")
-            object.__setattr__(self, "c", int(self.c))
-            if abs(self.c - derived_c) > 1:
-                raise ValueError(
-                    f"c={self.c} inconsistent with rho_j*L={derived_c} "
-                    "by more than one vehicle"
-                )
-        if self.c < 2:
-            raise ValueError(f"capacity c must be at least 2, got {self.c}")
+        derived_c = math.floor(jam_count + 0.5)  # rho_j * L rounded half up
+        object.__setattr__(self, "c", check_integer("c", derived_c if self.c is None else self.c, 2))
+        if abs(self.c - derived_c) > 1:
+            raise ValueError(
+                f"c={self.c} inconsistent with rho_j*L={derived_c} "
+                "by more than one vehicle"
+            )
         check_array_bytes(f"capacity c = {self.c} at one float64 a state", 8 * (self.c + 1))
 
     @property

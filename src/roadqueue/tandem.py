@@ -44,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fundamental import (
-    EXACT, SHIFTED, RoadSection, check_array_bytes, check_convention, check_positive, supply_term
+    EXACT, SHIFTED, RoadSection, check_array_bytes, check_convention, check_integer,
+    check_positive, supply_term
 )
 from .queueing import (
     OccupancyDistribution,
@@ -181,8 +182,7 @@ def solve_fixed_point(config: TandemConfig, lam, tol: float = 1e-10, max_iter: i
     """
     lams, values = check_arrival_rates(lam)
     check_positive(tol=tol)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    max_iter = check_integer("max_iter", max_iter, 1)
     fits = _rates_that_fit(config, len(values))
     if len(values) > fits:
         runs = (values[i : i + fits] for i in range(0, len(values), fits))
@@ -244,9 +244,11 @@ def scan_roots(config: TandemConfig, lam: float) -> list[tuple[float, float]]:
     Evaluates theta -> theta - lam * P1(n1 < c1) on a _SCAN_POINTS grid
     over [0, lam] and returns the bracketing intervals, surfacing any root
     multiplicity the fixed-point solve would silently pick one root from.
-    A negative or non-finite lam raises ValueError, as in solve_fixed_point.
+    A negative or non-finite lam raises ValueError, as in solve_fixed_point,
+    and so does a vector of them: the scan takes one arrival rate.
     """
-    check_arrival_rates(lam)
+    if check_arrival_rates(lam)[0].ndim:
+        raise ValueError(f"scan_roots takes one arrival rate, got shape {np.shape(lam)}")
     if lam == 0:
         return []
     passing = conditional_matrix(config, lam)[:, :-1].sum(axis=1)

@@ -41,9 +41,12 @@ TV_2D_LAM1 = 0.1902798442830123
 
 
 def gth_bytes(gen):
-    """What exact_stationary counts: the generator, a copy, a mask, the nonzero indices."""
+    """What exact_stationary counts: the generator, a copy, a mask, GTH's
+    band x band update, a few vectors and 128 kB of ufunc buffers."""
     n = gen.shape[0]
-    return gen.nbytes + 9 * n * n + 32 * np.count_nonzero(gen) + 128 * n + 2**13
+    rows, cols = np.nonzero(gen)
+    band = int(np.abs(rows - cols).max(initial=0))
+    return gen.nbytes + 9 * n * n + 8 * band**2 + 128 * n + 2**17 + 2**13
 
 
 def oracle_bytes(c1, c2, rates=1):
@@ -180,6 +183,41 @@ class TestExactStationary:
         assert isinstance(refused, OracleError)
         assert f"GTH elimination on {c + 1} states" in str(refused)
         assert peak < 1.5 * 8 * (c + 1) ** 2
+
+    @pytest.mark.parametrize("n", [200, 500])
+    def test_dense_peak_stays_under_the_cap_it_counts(self, monkeypatch, n):
+        # a dense generator: GTH's copy, a mask and one band x band update
+        # beside it; reading the band through the indices of every nonzero
+        # entry took the peak to 5.13 times the generator
+        rng = np.random.default_rng(n)
+        gen = rng.uniform(0.5, 2.0, (n, n))
+        np.fill_diagonal(gen, 0.0)
+        np.fill_diagonal(gen, -gen.sum(axis=1))
+        cap = gth_bytes(gen)
+        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", cap)
+        pi, peak = traced_peak(lambda: exact_stationary(gen))
+        assert pi.shape == (n,)
+        assert peak < 3 * gen.nbytes
+        assert peak <= cap - gen.nbytes
+        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", cap - 1)
+        refused, peak = traced_peak(lambda: exact_stationary(gen))
+        assert isinstance(refused, OracleError)
+        assert peak < 2**20
+
+    def test_dense_cap_boundary(self):
+        # N = 3273 is the largest dense generator the guard admits beside
+        # itself, and a birth-death chain solves up to c = 3967
+        def fits(n, band):
+            count = 8 * n * n + 9 * n * n + 8 * band**2 + 128 * n + 2**17 + 2**13
+            return count <= fundamental._ARRAY_CAP_BYTES
+
+        assert fits(3273, 3272) and not fits(3274, 3273)
+        assert fits(3968, 1) and not fits(3969, 1)
+        gen = np.broadcast_to(np.ones(1), (3274, 3274))
+        refused, peak = traced_peak(lambda: exact_stationary(gen))
+        assert isinstance(refused, OracleError)
+        assert "GTH elimination on 3274 states" in str(refused)
+        assert peak < 2**20
 
     def test_oversized_solve_is_refused_before_allocating(self):
         # a read-only view of 4000**2 zeros holds 8 bytes, but counts its
@@ -621,7 +659,7 @@ class TestSimulate:
         for lam in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="positive"):
                 simulate(lam, [1.0, 2.0])
-        with pytest.raises(ValueError, match="1e4"):
+        with pytest.raises(ValueError, match="max_events must be a whole number of at least 10000"):
             simulate(1.0, [1.0, 2.0], max_events=100)
         with pytest.raises(ValueError, match="nonnegative"):
             simulate(1.0, [-1.0])

@@ -56,7 +56,7 @@ class TestRoadSection:
         for L in (math.inf, math.nan):
             with pytest.raises(ValueError, match="L must be finite"):
                 RoadSection(L=L, diagram=diagram1)
-        with pytest.raises(ValueError, match="c must be an integer"):
+        with pytest.raises(ValueError, match="c must be a whole number of at least 2"):
             RoadSection(L=100.0, diagram=diagram1, c=math.inf)
         # an int past the float range is exact, and far from rho_j * L
         with pytest.raises(ValueError, match="inconsistent"):

@@ -1,5 +1,6 @@
 """Each bad input is refused by one check, with the same message at every site."""
 
+import argparse
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from roadqueue import (
     LinearCongestionModel,
     OccupancyDistribution,
     RoadSection,
+    Scenario,
+    SimulationResult,
     TandemConfig,
     TriangularDiagram,
     birth_death_chain,
@@ -21,6 +24,7 @@ from roadqueue import (
     speed_dist_triangular,
     throughput_departure,
 )
+from roadqueue import cli
 from roadqueue.queueing import jain_smith_rates
 
 DIAGRAM = TriangularDiagram(v_f=28.0, w=14.0, rho_j=0.18)
@@ -77,6 +81,55 @@ def test_nonpositive_parameter_is_refused_by_name(site, name, value):
     with pytest.raises(ValueError) as info:
         make(**{name: value})
     assert str(info.value) == f"{name} must be finite and positive, got {value!r}"
+
+
+# each site of the whole-number check: a call taking the value, its name in
+# the message, and the least value it accepts; the fixed point keeps its
+# default tol, so a budget that is not checked still ends
+RATES = np.full(18, 1.5)
+INTEGER_SITES = {
+    "RoadSection": (lambda v: RoadSection(L=100.0, diagram=DIAGRAM, c=v), "c", 2),
+    "LinearCongestionModel": (lambda v: LinearCongestionModel(v_f=28.0, c=v), "c", 1),
+    "ExponentialCongestionModel": (
+        lambda v: ExponentialCongestionModel(v_f=28.0, beta=9.5, gamma=1.8, c=v),
+        "c",
+        1,
+    ),
+    "solve_fixed_point": (lambda v: solve_fixed_point(TANDEM, 0.8, max_iter=v), "max_iter", 1),
+    "simulate max_events": (
+        lambda v: simulate(0.8, RATES, max_events=v), "max_events", 10**4
+    ),
+    "simulate seed": (lambda v: simulate(0.8, RATES, seed=v, max_events=10**4), "seed", 0),
+    "SimulationResult": (
+        lambda v: SimulationResult(OccupancyDistribution.point_mass(18, 0), v, 42, 1.0),
+        "events",
+        1,
+    ),
+    "Scenario.section": (lambda v: Scenario(sections=(SECTION,)).section(v), "section", 1),
+    "sweep --steps": (
+        lambda v: cli._sweep_grid(argparse.Namespace(steps=v, lambda_from=0.1, lambda_to=2.0)),
+        "--steps",
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", ["least - 1", 1.5, math.nan, True])
+@pytest.mark.parametrize("site", list(INTEGER_SITES))
+def test_count_that_is_not_a_whole_number_is_refused(site, bad):
+    make, name, least = INTEGER_SITES[site]
+    value = least - 1 if bad == "least - 1" else bad
+    with pytest.raises(ValueError) as info:
+        make(value)
+    assert str(info.value) == f"{name} must be a whole number of at least {least}, got {value!r}"
+
+
+def test_whole_floats_are_accepted_as_counts():
+    assert simulate(0.8, RATES, max_events=2e4).events == 20000
+    model = LinearCongestionModel(v_f=28.0, c=18.0)
+    assert model.c == 18 and type(model.c) is int
+    section = RoadSection(L=100.0, diagram=DIAGRAM, c=18.0)
+    assert section.c == 18 and type(section.c) is int
 
 
 RATE_SITES = {

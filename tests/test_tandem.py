@@ -395,6 +395,12 @@ class TestScanRoots:
             with pytest.raises(ValueError, match="nonnegative"):
                 scan_roots(tandem_config, lam)
 
+    @pytest.mark.parametrize("lam", [[0.5, 0.8], np.array([0.8])])
+    def test_rejects_a_vector_of_arrival_rates(self, tandem_config, lam):
+        # refused by name, not by numpy's ambiguous truth value of an array
+        with pytest.raises(ValueError, match="scan_roots takes one arrival rate"):
+            scan_roots(tandem_config, lam)
+
     @pytest.mark.parametrize("lam", [1e-320, 1e-310])
     def test_subnormal_load_passes_through(self, tandem_config, lam):
         # theta = lam to within rounding: the root sits in the last grid cell
