@@ -96,11 +96,8 @@ def _json(payload: dict) -> str:
 def _scenario(args) -> Scenario:
     """Load the config and fold in command-line overrides."""
     scenario = load_scenario(args.config)
-    overrides = {}
-    for field in ("convention", "model", "beta", "gamma"):
-        value = getattr(args, field, None)
-        if value is not None:
-            overrides[field] = value
+    fields = ("convention", "model", "beta", "gamma")
+    overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     if overrides:
         scenario = dataclasses.replace(scenario, **overrides)
     return scenario
@@ -175,7 +172,7 @@ def _distribution(
     tandem = len(scenario.sections) == 2 and index is None
     if tandem:
         config = scenario.tandem()  # rejects every model but the triangular
-    index = index or 1
+    index = 1 if index is None else index
     section = scenario.section(index)
     if scenario.model == LINEAR:
         maker = speed_dist_linear if kind == SPEED else travel_time_dist_linear
@@ -235,10 +232,11 @@ def _cmd_sweep(args) -> str:
         ]
         header = "lambda,theta,blocking,expected_count,travel_time,tv_vs_exact_2d"
         return _csv(header, rows)
+    rates = scenario.rates(1 if args.section is None else args.section)
     rows = [
         (lam, meas.blocking, meas.throughput, meas.expected_count,
          meas.expected_travel_time)
-        for lam, _, meas in _section_sweep(scenario.rates(args.section or 1), grid)
+        for lam, _, meas in _section_sweep(rates, grid)
     ]
     return _csv("lambda,blocking,throughput,expected_count,travel_time", rows)
 
@@ -309,7 +307,8 @@ def _cmd_figure_data(args) -> str:
 
     linear = dataclasses.replace(scenario, model=LINEAR)
     if figure == "fig8":
-        return _distribution(linear, 0.8, kind, PAPER_GRID, args.section or 1)
+        index = 1 if args.section is None else args.section
+        return _distribution(linear, 0.8, kind, PAPER_GRID, index)
 
     triangular = dataclasses.replace(scenario, model=TRIANGULAR)
     config = triangular.tandem()  # raises on 1-section scenarios

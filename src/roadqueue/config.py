@@ -171,10 +171,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
     if "sections" not in doc:
-        section, convention = section_from_dict(doc)
-        return Scenario(
-            sections=(section,), convention=convention or SHIFTED
-        )
+        doc = {"sections": [doc]}  # a bare section is a one-section document
     raw_sections = doc["sections"]
     if not isinstance(raw_sections, list) or not raw_sections:
         raise ValueError("key 'sections' must be a nonempty list")

@@ -166,7 +166,8 @@ def birth_death_chain(lam: float, rates) -> np.ndarray:
 
     Past the 256 MiB cap (c > 5791) it raises OracleError before allocating.
     """
-    check_arrival_rates(lam)
+    if check_arrival_rates(lam)[0].ndim:
+        raise ValueError(f"birth_death_chain takes one arrival rate, got shape {np.shape(lam)}")
     rates = check_rates(rates)
     c = rates.size
     check_array_bytes(f"the birth-death generator (c = {c})", 8 * (c + 1) ** 2, error=OracleError)
@@ -270,19 +271,19 @@ def decomposition_diagnostic(config: TandemConfig, lam, marginal_probs):
     a correctness bound: the decomposition is an approximation of the
     joint chain by design.
     """
-    exact = tandem_stationary(config, lam).sum(axis=-1)
-    if np.shape(marginal_probs) != exact.shape:
-        raise ValueError(f"marginals of shape {np.shape(marginal_probs)} for laws of {exact.shape}")
-    return (0.5 * np.abs(exact - marginal_probs).sum(axis=-1)).tolist()
+    return tv_distance(tandem_stationary(config, lam).sum(axis=-1), marginal_probs)
 
 
-def tv_distance(p, q) -> float:
-    """Total variation distance 0.5 * sum |p_i - q_i|."""
+def tv_distance(p, q):
+    """Total variation distance 0.5 * sum |p_i - q_i| over the last axis.
+
+    One law gives a float; a stack gives a list with the bits of each row's own call.
+    """
     p = np.asarray(getattr(p, "probs", p), dtype=float)
     q = np.asarray(getattr(q, "probs", q), dtype=float)
     if p.shape != q.shape:
         raise ValueError(f"support mismatch: {p.shape} vs {q.shape}")
-    return 0.5 * float(np.abs(p - q).sum())
+    return (0.5 * np.abs(p - q).sum(axis=-1)).tolist()
 
 
 def simulate(
@@ -300,6 +301,8 @@ def simulate(
     over math.log1p: np.log1p differs from it in the last bit on some
     draws, which would change the law's bits.
     """
+    if np.ndim(lam):
+        raise ValueError(f"simulate takes one arrival rate, got shape {np.shape(lam)}")
     check_positive(**{"arrival rate": lam})
     rates = [float(r) for r in check_rates(rates)]
     max_events = check_integer("max_events", max_events, 10**4)

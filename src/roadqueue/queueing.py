@@ -141,8 +141,8 @@ def check_rates(rates) -> np.ndarray:
 
 
 def check_rate_count(dist: OccupancyDistribution, rates) -> np.ndarray:
-    """Rates as a float array, refused unless one per count 1..capacity."""
-    rates = np.asarray(rates, dtype=float)
+    """Rates checked by check_rates, refused unless one per count 1..capacity."""
+    rates = check_rates(rates)
     if rates.size != dist.capacity:
         raise ValueError(f"got {rates.size} rates for capacity {dist.capacity}")
     return rates

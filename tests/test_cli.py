@@ -174,6 +174,25 @@ def test_non_numeric_shape_parameter_exits_2(capsys, tmp_path):
     assert "config key 'beta' must be a number" in err
 
 
+# a section number of 0 is refused wherever --section is given, not read as 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-section", "--lambda", "0.8"],
+        ["distributions", "--lambda", "0.8"],
+        ["sweep", "--lambda-from", "0.1", "--lambda-to", "2", "--steps", "3"],
+        ["simulate", "--lambda", "0.8", "--events", "10000"],
+        ["compare", "--lambda", "0.8", "--events", "10000"],
+        ["figure-data", "--figure", "fig8"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_section_zero_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--section", "0")
+    assert (code, out) == (2, "")
+    assert "section must be a whole number of at least 1, got 0" in err
+
+
 @pytest.mark.parametrize("command", ["solve-section", "solve-tandem"])
 @pytest.mark.parametrize("lam", ["nan", "inf"])
 def test_non_finite_lambda_exits_2(capsys, command, lam):

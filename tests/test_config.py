@@ -100,6 +100,29 @@ class TestScenarioFromDict:
         scenario = scenario_from_dict({**SECTION_1, "convention": "exact"})
         assert scenario.convention == EXACT
 
+    @pytest.mark.parametrize("convention", [None, "exact", "shifted"])
+    def test_bare_section_reads_as_a_one_section_document(self, convention):
+        section = dict(SECTION_1) if convention is None else {**SECTION_1, "convention": convention}
+        assert scenario_from_dict(section) == scenario_from_dict({"sections": [section]})
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {k: v for k, v in SECTION_1.items() if k != "w"},
+            {**SECTION_1, "length": 100.0},
+            {**SECTION_1, "model": "linear"},
+            {**SECTION_1, "v_f": "fast"},
+            {**SECTION_1, "convention": "loose"},
+        ],
+        ids=["missing", "unknown", "config-key", "non-numeric", "bad-convention"],
+    )
+    def test_bare_section_is_refused_as_in_a_document(self, section):
+        with pytest.raises(ValueError) as bare:
+            scenario_from_dict(section)
+        with pytest.raises(ValueError) as listed:
+            scenario_from_dict({"sections": [section]})
+        assert str(bare.value) == str(listed.value)
+
     def test_section_convention_propagates_from_list(self):
         doc = {"sections": [{**SECTION_1, "convention": "exact"}]}
         assert scenario_from_dict(doc).convention == EXACT

@@ -607,6 +607,20 @@ class TestTvDistance:
     def test_support_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             tv_distance([0.5, 0.5], [1.0])
+        with pytest.raises(ValueError, match="mismatch"):
+            tv_distance([[0.5, 0.5], [1.0, 0.0]], [0.5, 0.5])
+
+    def test_a_stack_gives_one_distance_per_row(self):
+        # disjoint laws are 1 apart each, not 2 in all
+        assert tv_distance([[1, 0], [1, 0]], [[0, 1], [0, 1]]) == [1.0, 1.0]
+        rng = np.random.default_rng(7)
+        for n in (2, 19, 181):
+            p, q = rng.dirichlet(np.ones(n), size=3), rng.dirichlet(np.ones(n), size=3)
+            tvs = tv_distance(p, q)
+            assert isinstance(tvs, list)
+            rows = [tv_distance(a, b) for a, b in zip(p, q)]
+            assert all(isinstance(tv, float) for tv in rows)
+            assert np.array(tvs).tobytes() == np.array(rows).tobytes()
 
 
 class TestSimulate:

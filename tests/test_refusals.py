@@ -18,6 +18,7 @@ from roadqueue import (
     TriangularDiagram,
     birth_death_chain,
     measures,
+    scan_roots,
     simulate,
     solve_birth_death,
     solve_fixed_point,
@@ -136,10 +137,14 @@ RATE_SITES = {
     "solve_birth_death": lambda rates: solve_birth_death(0.8, rates),
     "birth_death_chain": lambda rates: birth_death_chain(0.8, rates),
     "simulate": lambda rates: simulate(0.8, rates, max_events=10**4),
+    "measures": lambda rates: measures(solve_birth_death(0.8, RATES), 0.8, rates),
+    "throughput_departure": lambda rates: throughput_departure(
+        solve_birth_death(0.8, RATES), rates
+    ),
 }
 
 
-@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("site", list(RATE_SITES))
 def test_bad_service_rate_is_refused(site, bad):
     rates = np.full(18, 1.5)
@@ -152,6 +157,22 @@ def test_bad_service_rate_is_refused(site, bad):
 def test_simulate_checks_the_arrival_rate_first():
     with pytest.raises(ValueError, match="arrival rate must be finite and positive"):
         simulate(0.0, [-1.0, 1.0])
+
+
+# each solver of one arrival rate, refusing a vector of them by its name
+ONE_RATE_SITES = {
+    "scan_roots": lambda lam: scan_roots(TANDEM, lam),
+    "birth_death_chain": lambda lam: birth_death_chain(lam, [1.0, 2.0]),
+    "simulate": lambda lam: simulate(lam, [1.0, 2.0], max_events=10**4),
+}
+
+
+@pytest.mark.parametrize("lam", [[0.5, 0.6], np.array([0.5, 0.6])])
+@pytest.mark.parametrize("site", list(ONE_RATE_SITES))
+def test_one_rate_solver_refuses_a_vector_of_rates(site, lam):
+    with pytest.raises(ValueError) as info:
+        ONE_RATE_SITES[site](lam)
+    assert str(info.value) == f"{site} takes one arrival rate, got shape (2,)"
 
 
 COUNT_SITES = {
