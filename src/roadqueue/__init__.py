@@ -14,9 +14,7 @@ from .congestion import (
     ExponentialCongestionModel,
     FitAnchors,
     LinearCongestionModel,
-    exponential_speed,
     fit_exponential,
-    linear_speed,
 )
 from .ctmc import (
     OracleError,
@@ -86,9 +84,7 @@ __all__ = [
     "decomposition_diagnostic",
     "default_scenario",
     "exact_stationary",
-    "exponential_speed",
     "fit_exponential",
-    "linear_speed",
     "load_scenario",
     "measures",
     "scan_roots",

@@ -40,6 +40,11 @@ class LinearCongestionModel:
         check_positive(v_f=self.v_f)
         object.__setattr__(self, "c", check_integer("c", self.c, 1))
 
+    def speed(self, n):
+        """Speed with n occupants [m/s], elementwise over an integer array n."""
+        _check_count(self, n)
+        return self.v_f * (self.c - n + 1) / self.c
+
 
 @dataclass(frozen=True)
 class ExponentialCongestionModel:
@@ -53,6 +58,11 @@ class ExponentialCongestionModel:
     def __post_init__(self) -> None:
         check_positive(v_f=self.v_f, beta=self.beta, gamma=self.gamma)
         object.__setattr__(self, "c", check_integer("c", self.c, 1))
+
+    def speed(self, n):
+        """Speed with n occupants [m/s], elementwise over an integer array n."""
+        _check_count(self, n)
+        return self.v_f * np.exp(-(((n - 1) / self.beta) ** self.gamma))
 
 
 @dataclass(frozen=True)
@@ -82,29 +92,11 @@ CongestionModel = Union[LinearCongestionModel, ExponentialCongestionModel]
 
 
 def _check_count(model: CongestionModel, n) -> None:
+    """Refuse n unless a whole count in 1..c, or an integer-dtype array of them."""
+    if np.ndim(n) == 0 or not np.issubdtype(np.asarray(n).dtype, np.integer):
+        check_integer("n", n, 1)
     if np.any((n < 1) | (n > model.c)):
         raise ValueError(f"count n={n!r} outside [1, c={model.c}]")
-
-
-def linear_speed(model: LinearCongestionModel, n):
-    """Speed with n occupants under the linear law [m/s], elementwise in n."""
-    _check_count(model, n)
-    return model.v_f * (model.c - n + 1) / model.c
-
-
-def exponential_speed(model: ExponentialCongestionModel, n):
-    """Speed with n occupants under the exponential law [m/s], elementwise in n."""
-    _check_count(model, n)
-    return model.v_f * np.exp(-(((n - 1) / model.beta) ** model.gamma))
-
-
-def speed(model: CongestionModel, n):
-    """Dispatch to the model's speed law; n is an int or an integer array."""
-    if isinstance(model, LinearCongestionModel):
-        return linear_speed(model, n)
-    if isinstance(model, ExponentialCongestionModel):
-        return exponential_speed(model, n)
-    raise TypeError(f"unsupported congestion model {type(model).__name__}")
 
 
 def fit_exponential(anchors: FitAnchors) -> tuple[float, float]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .congestion import CongestionModel, speed
+from .congestion import CongestionModel
 from .fundamental import SHIFTED, RoadSection, check_positive, service_rates
 
 
@@ -110,10 +110,10 @@ class PerformanceMeasures:
     def __post_init__(self) -> None:
         if not 0 <= self.blocking <= 1:
             raise ValueError(f"blocking {self.blocking!r} outside [0, 1]")
-        if self.throughput < 0:
-            raise ValueError(f"throughput {self.throughput!r} negative")
-        if self.expected_count < 0:
-            raise ValueError(f"expected_count {self.expected_count!r} negative")
+        if not self.throughput >= 0:
+            raise ValueError(f"throughput {self.throughput!r} not nonnegative")
+        if not self.expected_count >= 0:
+            raise ValueError(f"expected_count {self.expected_count!r} not nonnegative")
         if not self.expected_travel_time > 0:
             raise ValueError(
                 f"expected_travel_time {self.expected_travel_time!r} not positive"
@@ -213,7 +213,7 @@ def jain_smith_rates(L: float, model: CongestionModel) -> np.ndarray:
     """Speed-ratio service rates q_n = n * v_n / L for n = 1..c."""
     check_positive(L=L)
     n = np.arange(1, model.c + 1)
-    return n * speed(model, n) / L
+    return n * model.speed(n) / L
 
 
 def solve_triangular(lam, section: RoadSection, convention: str = SHIFTED):
@@ -255,8 +255,10 @@ def measures(
     Throughput is the accepted arrival rate lam * sum_{n<c} P_n: the
     same as lam * (1 - P_c), but still right once P_c rounds to 1 (from a
     lam of about 1e16 at c = 18).  When it is zero (lam = 0) the travel
-    time is the lone-vehicle transit time 1 / q_1.
+    time is the lone-vehicle transit time 1 / q_1.  lam is one checked rate.
     """
+    if check_arrival_rates(lam)[0].ndim:
+        raise ValueError(f"measures takes one arrival rate, got shape {np.shape(lam)}")
     rates = check_rate_count(dist, rates)
     lone_time = 1.0 / rates[0] if rates[0] > 0 else None
     return littles_law(dist, lam * float(dist.probs[:-1].sum()), lone_time)

@@ -242,8 +242,10 @@ def scan_roots(config: TandemConfig, lam: float) -> list[tuple[float, float]]:
     """Brackets of every sign change of the fixed-point residual.
 
     Evaluates theta -> theta - lam * P1(n1 < c1) on a _SCAN_POINTS grid
-    over [0, lam] and returns the bracketing intervals, surfacing any root
-    multiplicity the fixed-point solve would silently pick one root from.
+    over [0, min(lam, 2 max q12)], past max q12 at least theta - max q12:
+    no root lies there, and at 2 max q12 no rounding flips its sign, as at
+    max q12 itself it can.  Returns the bracketing intervals, surfacing any
+    root multiplicity the fixed-point solve would silently pick one root from.
     A negative or non-finite lam raises ValueError, as in solve_fixed_point,
     and so does a vector of them: the scan takes one arrival rate.
     """
@@ -252,7 +254,7 @@ def scan_roots(config: TandemConfig, lam: float) -> list[tuple[float, float]]:
     if lam == 0:
         return []
     passing = conditional_matrix(config, lam)[:, :-1].sum(axis=1)
-    grid = np.linspace(0.0, lam, _SCAN_POINTS)
+    grid = np.linspace(0.0, min(lam, 2 * coupled_rates(config).max()), _SCAN_POINTS)
     values = [_residual(config, lam, passing, theta)[0] for theta in grid]
     brackets = []
     for i in range(_SCAN_POINTS - 1):

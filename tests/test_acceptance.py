@@ -36,7 +36,6 @@ from roadqueue import (
     travel_time_dist_triangular,
     tv_distance,
 )
-from roadqueue.congestion import exponential_speed
 from roadqueue.fundamental import service_rates
 from roadqueue.queueing import jain_smith_rates
 
@@ -155,8 +154,8 @@ def test_criterion_05_fit_interpolation():
         model = ExponentialCongestionModel(v_f=v_f, beta=beta, gamma=gamma, c=b + 1)
         worst = max(
             worst,
-            abs(exponential_speed(model, a) - v_a) / v_a,
-            abs(exponential_speed(model, b) - v_b) / v_b,
+            abs(model.speed(a) - v_a) / v_a,
+            abs(model.speed(b) - v_b) / v_b,
         )
     _report(
         5,

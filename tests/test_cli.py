@@ -757,6 +757,9 @@ class TestOutputHandling:
         "argv, expected",
         [
             (("sweep", "--lambda-from", "0.1", "--lambda-to", "2", "--steps", "1"), 2),
+            # a reversed grid, and one that starts below 0
+            (("sweep", "--lambda-from", "2", "--lambda-to", "0.1", "--steps", "3"), 2),
+            (("sweep", "--lambda-from", "-0.1", "--lambda-to", "2", "--steps", "3"), 2),
             (("solve-tandem", "--lambda", "0.8", "--convention", "exact"), 3),
             # every tandem command refuses the exact convention
             (("sweep", "--lambda-from", "0.1", "--lambda-to", "2", "--steps", "3",

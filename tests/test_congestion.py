@@ -8,11 +8,9 @@ from roadqueue.congestion import (
     ExponentialCongestionModel,
     FitAnchors,
     LinearCongestionModel,
-    exponential_speed,
     fit_exponential,
-    linear_speed,
-    speed,
 )
+from roadqueue.queueing import jain_smith_rates
 
 
 @pytest.fixture
@@ -22,30 +20,30 @@ def linear18() -> LinearCongestionModel:
 
 class TestLinearModel:
     def test_single_vehicle_at_free_flow(self, linear18):
-        assert linear_speed(linear18, 1) == pytest.approx(28.0)
+        assert linear18.speed(1) == pytest.approx(28.0)
 
     def test_full_section_speed(self, linear18):
         # v_c = v_f / c: the last admitted vehicle still moves
-        assert linear_speed(linear18, 18) == pytest.approx(28.0 / 18.0)
+        assert linear18.speed(18) == pytest.approx(28.0 / 18.0)
 
     def test_linear_in_n(self, linear18):
-        speeds = [linear_speed(linear18, n) for n in range(1, 19)]
+        speeds = [linear18.speed(n) for n in range(1, 19)]
         diffs = [b - a for a, b in zip(speeds, speeds[1:])]
         for d in diffs:
             assert d == pytest.approx(-28.0 / 18.0, rel=1e-12)
 
     def test_domain(self, linear18):
+        with pytest.raises(ValueError, match="n must be a whole number of at least 1"):
+            linear18.speed(0)
         with pytest.raises(ValueError, match="n="):
-            linear_speed(linear18, 0)
+            linear18.speed(19)
         with pytest.raises(ValueError, match="n="):
-            linear_speed(linear18, 19)
-        with pytest.raises(ValueError, match="n="):
-            linear_speed(linear18, np.arange(19))
+            linear18.speed(np.arange(19))
 
     def test_elementwise_in_n(self, linear18):
         n = np.arange(1, 19)
-        expected = [linear_speed(linear18, int(k)) for k in n]
-        assert linear_speed(linear18, n).tolist() == expected
+        expected = [linear18.speed(int(k)) for k in n]
+        assert linear18.speed(n).tolist() == expected
 
     def test_validation(self):
         with pytest.raises(ValueError, match="v_f"):
@@ -60,15 +58,15 @@ class TestLinearModel:
 class TestExponentialModel:
     def test_single_vehicle_at_free_flow(self):
         m = ExponentialCongestionModel(v_f=28.0, beta=9.5, gamma=1.8, c=18)
-        assert exponential_speed(m, 1) == pytest.approx(28.0)
+        assert m.speed(1) == pytest.approx(28.0)
 
     def test_beta_is_e_folding_count(self):
         m = ExponentialCongestionModel(v_f=28.0, beta=9.0, gamma=1.0, c=18)
-        assert exponential_speed(m, 10) == pytest.approx(28.0 / math.e, rel=1e-12)
+        assert m.speed(10) == pytest.approx(28.0 / math.e, rel=1e-12)
 
     def test_monotone_decreasing(self):
         m = ExponentialCongestionModel(v_f=28.0, beta=9.5, gamma=1.8, c=18)
-        speeds = [exponential_speed(m, n) for n in range(1, 19)]
+        speeds = [m.speed(n) for n in range(1, 19)]
         assert all(a > b for a, b in zip(speeds, speeds[1:]))
 
     def test_validation(self):
@@ -87,20 +85,25 @@ class TestExponentialModel:
     def test_elementwise_in_n(self):
         # values against a per-state math.exp reference: test_properties.py
         m = ExponentialCongestionModel(v_f=28.0, beta=9.5, gamma=1.8, c=18)
-        assert exponential_speed(m, np.arange(1, 19)).shape == (18,)
+        assert m.speed(np.arange(1, 19)).shape == (18,)
         with pytest.raises(ValueError, match="n="):
-            exponential_speed(m, np.arange(0, 18))
+            m.speed(np.arange(0, 18))
 
 
 class TestDispatch:
-    def test_speed_routes_by_type(self, linear18):
-        assert speed(linear18, 5) == linear_speed(linear18, 5)
+    def test_rates_read_each_models_own_law(self, linear18):
+        n = np.arange(1, 19)
         m = ExponentialCongestionModel(v_f=28.0, beta=9.5, gamma=1.8, c=18)
-        assert speed(m, 5) == exponential_speed(m, 5)
+        for model in (linear18, m):
+            rates = jain_smith_rates(100.0, model)
+            assert rates.tolist() == (n * model.speed(n) / 100.0).tolist()
 
-    def test_speed_rejects_unknown_model(self):
-        with pytest.raises(TypeError, match="model"):
-            speed(object(), 5)
+    @pytest.mark.parametrize("n", [np.array([1.0, 2.0]), np.array([True, False])])
+    def test_count_array_must_hold_integers(self, linear18, n):
+        m = ExponentialCongestionModel(v_f=28.0, beta=9.5, gamma=1.8, c=18)
+        for model in (linear18, m):
+            with pytest.raises(ValueError, match="n must be a whole number of at least 1"):
+                model.speed(n)
 
 
 class TestFitAnchors:
@@ -133,8 +136,8 @@ class TestFitExponential:
         anchors = FitAnchors(a=20, v_a=48.0, b=140, v_b=20.0, v_f=55.0)
         beta, gamma = fit_exponential(anchors)
         m = ExponentialCongestionModel(v_f=55.0, beta=beta, gamma=gamma, c=220)
-        assert exponential_speed(m, 20) == pytest.approx(48.0, rel=1e-9)
-        assert exponential_speed(m, 140) == pytest.approx(20.0, rel=1e-9)
+        assert m.speed(20) == pytest.approx(48.0, rel=1e-9)
+        assert m.speed(140) == pytest.approx(20.0, rel=1e-9)
 
     def test_round_trip_random_anchors(self):
         rng = random.Random(7)
@@ -147,5 +150,5 @@ class TestFitExponential:
             anchors = FitAnchors(a=a, v_a=v_a, b=b, v_b=v_b, v_f=v_f)
             beta, gamma = fit_exponential(anchors)
             m = ExponentialCongestionModel(v_f=v_f, beta=beta, gamma=gamma, c=b + 1)
-            assert exponential_speed(m, a) == pytest.approx(v_a, rel=1e-9)
-            assert exponential_speed(m, b) == pytest.approx(v_b, rel=1e-9)
+            assert m.speed(a) == pytest.approx(v_a, rel=1e-9)
+            assert m.speed(b) == pytest.approx(v_b, rel=1e-9)

@@ -42,7 +42,6 @@ from roadqueue import (
 from roadqueue.congestion import (
     ExponentialCongestionModel,
     LinearCongestionModel,
-    linear_speed,
 )
 from roadqueue.fundamental import CONVENTIONS
 from roadqueue.queueing import jain_smith_rates
@@ -121,11 +120,11 @@ def round12(values):
 )
 def test_linear_pushforward_reads_the_speed_law(v_f, c, L, lam):
     # the Jain-Smith rates q_n = n * v_n / L read backwards give the
-    # speed law again: each held count n sits at linear_speed(model, n),
+    # speed law again: each held count n sits at model.speed(n),
     # the empty section at v_f, and their travel times at L over them
     model = LinearCongestionModel(v_f=v_f, c=c)
     held = solve_birth_death(lam, jain_smith_rates(L, model)).probs > 0
-    speeds = np.append(v_f, linear_speed(model, np.arange(1, c + 1)))[held]
+    speeds = np.append(v_f, model.speed(np.arange(1, c + 1)))[held]
     support = speed_dist_linear(lam, model, L).support.tolist()
     assert support == pytest.approx(round12(speeds), rel=1e-11, abs=0)
     support = travel_time_dist_linear(lam, model, L).support.tolist()
@@ -356,9 +355,11 @@ def test_batched_fixed_point_has_the_bits_of_each_scalar_solve(config, lams):
 def test_scan_brackets_hold_the_fixed_point(config, lam):
     tol = 1e-10
     brackets = scan_roots(config, lam)
-    step = lam / (_SCAN_POINTS - 1)
+    # no root lies above max q12, so the grid stops at twice that
+    top = min(lam, 2 * coupled_rates(config).max())
+    step = top / (_SCAN_POINTS - 1)
     for lo, hi in brackets:
-        assert 0 <= lo < hi <= lam
+        assert 0 <= lo < hi <= top
         assert hi - lo == pytest.approx(step, rel=1e-9)
     # h = theta - lam * P1(n1 < c1) has slope at least 1, so the solve's
     # theta lies within tol of the root that one bracket holds

@@ -11,6 +11,7 @@ from roadqueue import (
     FitAnchors,
     LinearCongestionModel,
     OccupancyDistribution,
+    PerformanceMeasures,
     RoadSection,
     Scenario,
     SimulationResult,
@@ -96,6 +97,14 @@ INTEGER_SITES = {
         "c",
         1,
     ),
+    "LinearCongestionModel.speed": (
+        lambda v: LinearCongestionModel(v_f=28.0, c=18).speed(v), "n", 1
+    ),
+    "ExponentialCongestionModel.speed": (
+        lambda v: ExponentialCongestionModel(v_f=28.0, beta=9.5, gamma=1.8, c=18).speed(v),
+        "n",
+        1,
+    ),
     "solve_fixed_point": (lambda v: solve_fixed_point(TANDEM, 0.8, max_iter=v), "max_iter", 1),
     "simulate max_events": (
         lambda v: simulate(0.8, RATES, max_events=v), "max_events", 10**4
@@ -164,6 +173,7 @@ ONE_RATE_SITES = {
     "scan_roots": lambda lam: scan_roots(TANDEM, lam),
     "birth_death_chain": lambda lam: birth_death_chain(lam, [1.0, 2.0]),
     "simulate": lambda lam: simulate(lam, [1.0, 2.0], max_events=10**4),
+    "measures": lambda lam: measures(solve_birth_death(0.8, RATES), lam, RATES),
 }
 
 
@@ -173,6 +183,23 @@ def test_one_rate_solver_refuses_a_vector_of_rates(site, lam):
     with pytest.raises(ValueError) as info:
         ONE_RATE_SITES[site](lam)
     assert str(info.value) == f"{site} takes one arrival rate, got shape (2,)"
+
+
+@pytest.mark.parametrize("lam", [-1, math.nan, math.inf])
+def test_measures_refuses_a_bad_arrival_rate(lam):
+    # not read as a NaN throughput, a negative one or a zero travel time
+    with pytest.raises(ValueError) as info:
+        measures(solve_birth_death(0.8, RATES), lam, RATES)
+    assert str(info.value) == f"arrival rate must be finite and nonnegative, got {float(lam)!r}"
+
+
+@pytest.mark.parametrize("field", ["throughput", "expected_count"])
+@pytest.mark.parametrize("value", [-1.0, math.nan])
+def test_performance_measures_refuse_a_negative_or_nan_figure(field, value):
+    figures = {"blocking": 0.1, "throughput": 0.7, "expected_count": 3.0}
+    with pytest.raises(ValueError) as info:
+        PerformanceMeasures(**{**figures, field: value}, expected_travel_time=4.0)
+    assert str(info.value) == f"{field} {value!r} not nonnegative"
 
 
 COUNT_SITES = {

@@ -417,11 +417,13 @@ class TestScanRoots:
         grid = np.linspace(0.0, 0.1, _SCAN_POINTS)
         assert scan_roots(config, 0.1) == [(grid[-2], grid[-1])]
 
-    @pytest.mark.parametrize("lam", [1e300, 1e308])
+    @pytest.mark.parametrize("lam", [2.0, 1e7, 1e300, 1e308])
     def test_huge_load_saturates(self, tandem_config, lam):
-        # theta stays near the saturated throughput, far below lam / 999
-        grid = np.linspace(0.0, lam, _SCAN_POINTS)
-        assert scan_roots(tandem_config, lam) == [(0.0, grid[1])]
+        # theta stays below max q12, so the grid stops at 2 max q12 and
+        # one of its cells, 0.0017 veh/s wide, holds the root at any lam
+        grid = np.linspace(0.0, 2 * coupled_rates(tandem_config).max(), _SCAN_POINTS)
+        i = np.searchsorted(grid, solve_fixed_point(tandem_config, lam).theta)
+        assert scan_roots(tandem_config, lam) == [(grid[i - 1], grid[i])]
 
 
 class TestTandemMeasures:
