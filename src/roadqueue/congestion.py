@@ -41,8 +41,8 @@ class LinearCongestionModel:
         object.__setattr__(self, "c", check_integer("c", self.c, 1))
 
     def speed(self, n):
-        """Speed with n occupants [m/s], elementwise over an integer array n."""
-        _check_count(self, n)
+        """Speed with n occupants [m/s], elementwise over an array or list of integers n."""
+        n = _check_count(self, n)
         return self.v_f * (self.c - n + 1) / self.c
 
 
@@ -60,8 +60,8 @@ class ExponentialCongestionModel:
         object.__setattr__(self, "c", check_integer("c", self.c, 1))
 
     def speed(self, n):
-        """Speed with n occupants [m/s], elementwise over an integer array n."""
-        _check_count(self, n)
+        """Speed with n occupants [m/s], elementwise over an array or list of integers n."""
+        n = _check_count(self, n)
         return self.v_f * np.exp(-(((n - 1) / self.beta) ** self.gamma))
 
 
@@ -91,12 +91,14 @@ class FitAnchors:
 CongestionModel = Union[LinearCongestionModel, ExponentialCongestionModel]
 
 
-def _check_count(model: CongestionModel, n) -> None:
-    """Refuse n unless a whole count in 1..c, or an integer-dtype array of them."""
-    if np.ndim(n) == 0 or not np.issubdtype(np.asarray(n).dtype, np.integer):
+def _check_count(model: CongestionModel, n) -> np.ndarray:
+    """n as an array, refused unless a whole count or an array or list of integers, all in 1..c."""
+    counts = np.asarray(n)
+    if counts.ndim == 0 or not np.issubdtype(counts.dtype, np.integer):
         check_integer("n", n, 1)
-    if np.any((n < 1) | (n > model.c)):
+    if np.any((counts < 1) | (counts > model.c)):
         raise ValueError(f"count n={n!r} outside [1, c={model.c}]")
+    return counts
 
 
 def fit_exponential(anchors: FitAnchors) -> tuple[float, float]:

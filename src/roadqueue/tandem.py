@@ -30,7 +30,8 @@ about 1e16.  The root is unique: q12 does not increase in n2, so
 P(n1 < c1 | n2) does not increase in n2; section 2's law grows
 stochastically with theta; so P1(n1 < c1) does not increase in theta,
 and the residual has slope at least 1.  scan_roots checks this on a
-grid, where a grid value of exactly 0 can still give two brackets.
+grid, where a grid value of exactly 0 can still give two brackets; its
+1000 downstream laws are solved on one rate table, built once per scan.
 
 A sweep's fixed points are one ITP over a vector of lam, each round one
 stacked residual over the rates not yet converged; one lam is a batch of one.
@@ -45,7 +46,7 @@ import numpy as np
 
 from .fundamental import (
     EXACT, SHIFTED, RoadSection, check_array_bytes, check_convention, check_integer,
-    check_positive, supply_term
+    check_positive, service_rates, supply_term
 )
 from .queueing import (
     OccupancyDistribution,
@@ -54,6 +55,7 @@ from .queueing import (
     birth_death_laws,
     check_arrival_rates,
     littles_law,
+    solve_birth_death,
     solve_triangular,
 )
 
@@ -142,20 +144,19 @@ def conditional_matrix(config: TandemConfig, lam) -> np.ndarray:
     return birth_death_laws(lam, coupled_rates(config))
 
 
-def _residual(config: TandemConfig, lam, passing: np.ndarray, theta):
-    """theta - lam * P1(n1 < c1; theta), and section 2's law at theta.
+def _residual(down, lam, passing: np.ndarray, theta):
+    """theta - lam * P1(n1 < c1; theta), given down, section 2's law at theta.
 
     passing[n2] = P(n1 < c1 | n2), the masses of conditional_matrix below
     c1.  Their mixture can exceed 1 by an ulp, so it is capped at 1 to
-    keep the residual at theta = lam nonnegative.  A 1-D array of m theta
-    takes m lam and m rows of passing, and gives m residuals and the
-    stack of laws; one theta gives its law.  Each mixture is one np.matmul
-    of a row and a column, so a stacked row has the bits of its scalar call.
+    keep the residual at theta = lam nonnegative.  A stack of m laws takes
+    m theta, m lam and m rows of passing, and gives m residuals, each one
+    np.matmul of a row and a column with the bits of its scalar call.  The
+    scan solves its 1000 laws on one rate table, the fixed point by solve_triangular.
     """
-    down = solve_triangular(theta, config.section2, config.convention)
     probs = getattr(down, "probs", down)
     mixture = np.matmul(probs[..., None, :], passing[..., None])[..., 0, 0]
-    return theta - lam * np.minimum(mixture, 1.0), down
+    return theta - lam * np.minimum(mixture, 1.0)
 
 
 def solve_fixed_point(config: TandemConfig, lam, tol: float = 1e-10, max_iter: int = 200):
@@ -187,13 +188,14 @@ def solve_fixed_point(config: TandemConfig, lam, tol: float = 1e-10, max_iter: i
     if len(values) > fits:
         runs = (values[i : i + fits] for i in range(0, len(values), fits))
         return [r for run in runs for r in solve_fixed_point(config, run, tol, max_iter)]
-    batch = lams.reshape(-1)
+    batch, s2, convention = lams.reshape(-1), config.section2, config.convention
     matrix = conditional_matrix(config, batch)
     passing = matrix[..., :-1].sum(axis=-1)
     # each rate's bracket as a row [lo, hi], and the residuals there
     ends = np.stack([np.zeros(batch.size), np.minimum(batch, coupled_rates(config).max())], 1)
-    h_lo, _ = _residual(config, batch, passing, ends[:, 0])
-    h_hi, down = _residual(config, batch, passing, ends[:, 1])
+    h_lo = _residual(solve_triangular(ends[:, 0], s2, convention), batch, passing, ends[:, 0])
+    down = solve_triangular(ends[:, 1], s2, convention)
+    h_hi = _residual(down, batch, passing, ends[:, 1])
     h_ends = np.stack([h_lo, h_hi], 1)
     # passing in [0, 1] and the flow balance above force h(0) <= 0 <= h(hi)
     for (a, b), top in zip(h_ends.tolist(), ends[:, 1].tolist()):
@@ -222,7 +224,8 @@ def solve_fixed_point(config: TandemConfig, lam, tol: float = 1e-10, max_iter: i
         x_t = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)
         radius = np.maximum(np.ldexp(0.5 * tol, n_max[active] - j) - 0.5 * width, 0.0)
         step = np.where(np.abs(x_t - mid) <= radius, x_t, mid - sigma * radius)
-        h_step, down[active] = _residual(config, batch[active], passing[active], step)
+        down[active] = law = solve_triangular(step, s2, convention)
+        h_step = _residual(law, batch[active], passing[active], step)
         j += 1
         theta[active], h[active], count[active] = step, h_step, j
         side = (h_step > 0).astype(int)  # a positive residual moves hi, any other lo
@@ -255,7 +258,8 @@ def scan_roots(config: TandemConfig, lam: float) -> list[tuple[float, float]]:
         return []
     passing = conditional_matrix(config, lam)[:, :-1].sum(axis=1)
     grid = np.linspace(0.0, min(lam, 2 * coupled_rates(config).max()), _SCAN_POINTS)
-    values = [_residual(config, lam, passing, theta)[0] for theta in grid]
+    rates = service_rates(config.section2, config.convention)
+    values = [_residual(solve_birth_death(theta, rates), lam, passing, theta) for theta in grid]
     brackets = []
     for i in range(_SCAN_POINTS - 1):
         if values[i] == 0.0 or (values[i] < 0) != (values[i + 1] < 0):

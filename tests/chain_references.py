@@ -7,6 +7,8 @@ check.  ref_simulate is the simulation's first event loop, one event per
 pass, against which the buffered loop must give the same bits, and
 ref_fixed_point is the fixed point's first root finder, plain bisection,
 against which ITP's theta and evaluation count are compared.
+ref_scan_brackets is the root scan as a loop of solve_triangular calls,
+one per grid point, against which scan_roots must give the same brackets.
 """
 
 import math
@@ -19,10 +21,11 @@ from roadqueue import (
     FixedPointResult,
     OccupancyDistribution,
     SimulationResult,
+    coupled_rates,
     solve_triangular,
 )
 from roadqueue.queueing import check_arrival_rates
-from roadqueue.tandem import conditional_matrix
+from roadqueue.tandem import _SCAN_POINTS, conditional_matrix
 
 
 def offset(convention):
@@ -208,3 +211,28 @@ def ref_fixed_point(config, lam, tol=1e-10, max_iter=200):
         f"steps; best bracket [{lo}, {hi}]",
         bracket=(lo, hi),
     )
+
+
+def ref_scan_brackets(config, lam):
+    """scan_roots with one solve_triangular call per grid theta.
+
+    Each residual solves section 2's law from its section, so the rate
+    table is rebuilt at every point; the bracket rule is the scan's.
+    """
+    if check_arrival_rates(lam)[0].ndim:
+        raise ValueError(f"scan_roots takes one arrival rate, got shape {np.shape(lam)}")
+    if lam == 0:
+        return []
+    passing = conditional_matrix(config, lam)[:, :-1].sum(axis=1)
+    grid = np.linspace(0.0, min(lam, 2 * coupled_rates(config).max()), _SCAN_POINTS)
+    values = []
+    for theta in grid:
+        down = solve_triangular(theta, config.section2, config.convention)
+        # a row times a column, as the stacked residual takes it
+        mixture = np.matmul(down.probs[None, :], passing[:, None])[0, 0]
+        values.append(theta - lam * min(mixture, 1.0))
+    brackets = []
+    for i in range(_SCAN_POINTS - 1):
+        if values[i] == 0.0 or (values[i] < 0) != (values[i + 1] < 0):
+            brackets.append((float(grid[i]), float(grid[i + 1])))
+    return brackets

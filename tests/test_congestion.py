@@ -98,6 +98,23 @@ class TestDispatch:
             rates = jain_smith_rates(100.0, model)
             assert rates.tolist() == (n * model.speed(n) / 100.0).tolist()
 
+    def test_list_of_counts_reads_as_the_integer_array(self, linear18):
+        m = ExponentialCongestionModel(v_f=28.0, beta=9.5, gamma=1.8, c=18)
+        for model in (linear18, m):
+            expected = model.speed(np.arange(1, 19))
+            assert model.speed(list(range(1, 19))).tobytes() == expected.tobytes()
+            assert model.speed([1, 2]).tobytes() == expected[:2].tobytes()
+
+    @pytest.mark.parametrize(
+        "n, match",
+        [([1.5], "whole number"), ([1, 1.5], "whole number"), ([0, 1], "n="), ([18, 19], "n=")],
+    )
+    def test_list_of_counts_is_checked(self, linear18, n, match):
+        m = ExponentialCongestionModel(v_f=28.0, beta=9.5, gamma=1.8, c=18)
+        for model in (linear18, m):
+            with pytest.raises(ValueError, match=match):
+                model.speed(n)
+
     @pytest.mark.parametrize("n", [np.array([1.0, 2.0]), np.array([True, False])])
     def test_count_array_must_hold_integers(self, linear18, n):
         m = ExponentialCongestionModel(v_f=28.0, beta=9.5, gamma=1.8, c=18)

@@ -26,6 +26,7 @@ from roadqueue import (
     TriangularDiagram,
     birth_death_chain,
     coupled_rates,
+    default_scenario,
     exact_stationary,
     scan_roots,
     service_rates,
@@ -52,6 +53,7 @@ from chain_references import (
     ref_coupled_rate,
     ref_fixed_point,
     ref_generator,
+    ref_scan_brackets,
     ref_service_rate,
     ref_simulate,
 )
@@ -365,6 +367,28 @@ def test_scan_brackets_hold_the_fixed_point(config, lam):
     # theta lies within tol of the root that one bracket holds
     theta = solve_fixed_point(config, lam, tol=tol).theta
     assert any(lo - 2 * tol <= theta <= hi + 2 * tol for lo, hi in brackets)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as error:
+        return type(error), str(error)
+
+
+# each example scans twice, 1000 downstream laws a scan
+@settings(max_examples=25, deadline=None)
+@given(tandems(max_c=30), st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+def test_scan_brackets_match_the_per_point_loop(config, lam):
+    # one rate table for the whole scan gives the loop's brackets exactly
+    assert _outcome(scan_roots, config, lam) == _outcome(ref_scan_brackets, config, lam)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-320, 1e-310, 1e300, 1e308])
+def test_scan_brackets_match_the_per_point_loop_at_extreme_loads(lam):
+    config = default_scenario().tandem()
+    assert _outcome(scan_roots, config, lam) == _outcome(ref_scan_brackets, config, lam)
 
 
 @SETTINGS

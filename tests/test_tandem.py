@@ -15,12 +15,13 @@ from roadqueue import (
     TriangularDiagram,
     coupled_rates,
     scan_roots,
+    service_rates,
     solve_birth_death,
     solve_fixed_point,
     solve_triangular,
     tandem_measures,
 )
-from roadqueue import fundamental
+from roadqueue import fundamental, tandem
 from roadqueue.tandem import _SCAN_POINTS, FixedPointResult, _residual, conditional_matrix
 
 # converged marginal of the benchmark tandem at lam = 1, theta = 0.6,
@@ -125,16 +126,21 @@ class TestCoupledRate:
 
 
 class TestDownstreamDistribution:
-    # the residual solves section 2 alone, fed at theta
+    # the scan solves section 2 alone, fed at theta, on one table of its rates
     def test_matches_standalone_solve(self, tandem_config, section2):
         passing = conditional_matrix(tandem_config, 1.0)[:, :-1].sum(axis=1)
-        d = _residual(tandem_config, 1.0, passing, 0.6)[1]
+        d = solve_birth_death(0.6, service_rates(section2))
         e = solve_triangular(0.6, section2)
         assert d.probs.tobytes() == e.probs.tobytes()
+        mixture = np.matmul(e.probs[None, :], passing[:, None])[0, 0]
+        assert _residual(d, 1.0, passing, 0.6) == 0.6 - min(mixture, 1.0)
 
-    def test_idle_feed(self, tandem_config):
+    def test_idle_feed(self, tandem_config, section2):
         passing = conditional_matrix(tandem_config, 1.0)[:, :-1].sum(axis=1)
-        assert _residual(tandem_config, 1.0, passing, 0.0)[1][0] == 1.0
+        d = solve_birth_death(0.0, service_rates(section2))
+        assert d[0] == 1.0
+        # h(0) = -lam * P(n1 < c1 | n2 = 0)
+        assert _residual(d, 1.0, passing, 0.0) == -passing[0]
 
 
 class TestConditionalDistribution:
@@ -265,7 +271,7 @@ class TestSolveFixedPoint:
         lam = 0.01
         passing = conditional_matrix(tandem_config, lam)[:, :-1].sum(axis=1)
         assert solve_triangular(lam, tandem_config.section2).probs @ passing > 1.0
-        assert _residual(tandem_config, lam, passing, lam)[0] >= 0.0
+        assert _residual(solve_triangular(lam, tandem_config.section2), lam, passing, lam) >= 0.0
         result = solve_fixed_point(tandem_config, lam)
         assert result.theta == lam
         assert result.residual <= 1e-10
@@ -277,7 +283,7 @@ class TestSolveFixedPoint:
         config = TandemConfig(section1, section2)
         hi = float(coupled_rates(config).max())
         passing = conditional_matrix(config, 100.0)[:, :-1].sum(axis=1)
-        assert -1e-10 <= _residual(config, 100.0, passing, hi)[0] < 0.0
+        assert -1e-10 <= _residual(solve_triangular(hi, section2), 100.0, passing, hi) < 0.0
         result = solve_fixed_point(config, 100.0)
         assert result.theta == hi
         assert result.residual <= 1e-10
@@ -314,9 +320,11 @@ class TestBatchedFixedPoint:
         lams = np.repeat([1e-320, 0.01, 0.3, 0.8, 2.0, 1e17, 1e300], 40)
         thetas = np.minimum(lams, hi) * np.tile(np.linspace(0.0, 1.0, 40), 7)
         passing = conditional_matrix(tandem_config, lams)[..., :-1].sum(axis=-1)
-        h, down = _residual(tandem_config, lams, passing, thetas)
+        down = solve_triangular(thetas, tandem_config.section2)
+        h = _residual(down, lams, passing, thetas)
         for i, (lam, theta) in enumerate(zip(lams.tolist(), thetas.tolist())):
-            h_i, down_i = _residual(tandem_config, lam, passing[i], theta)
+            down_i = solve_triangular(theta, tandem_config.section2)
+            h_i = _residual(down_i, lam, passing[i], theta)
             assert h[i].tobytes() == np.float64(h_i).tobytes()
             assert down[i].tobytes() == down_i.probs.tobytes()
 
@@ -416,6 +424,24 @@ class TestScanRoots:
         )
         grid = np.linspace(0.0, 0.1, _SCAN_POINTS)
         assert scan_roots(config, 0.1) == [(grid[-2], grid[-1])]
+
+    @pytest.mark.parametrize("length_m, c", [(100.0, 18), (1000.0, 180)])
+    def test_one_rate_table_per_scan(self, tandem_config, monkeypatch, length_m, c):
+        # the scan's 1000 downstream laws share one table of section 2's rates
+        config = TandemConfig(
+            RoadSection(L=length_m, diagram=tandem_config.section1.diagram),
+            RoadSection(L=length_m, diagram=tandem_config.section2.diagram),
+        )
+        assert config.section2.c == c
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return service_rates(*args, **kwargs)
+
+        monkeypatch.setattr(tandem, "service_rates", counted)
+        assert scan_roots(config, 0.8)
+        assert calls == [(config.section2, config.convention)]
 
     @pytest.mark.parametrize("lam", [2.0, 1e7, 1e300, 1e308])
     def test_huge_load_saturates(self, tandem_config, lam):
