@@ -339,132 +339,88 @@ def _cmd_figure_data(args) -> str:
     return _csv("lambda,ours,jain_smith", rows)
 
 
+# each option is a (flag, keywords) pair passed unchanged to argparse; an
+# option that several subcommands share is declared once here
+_CONFIG = ("--config", {"help": "scenario JSON path, '-' for stdin (default: bundled scenario)"})
+_OUTPUT = ("--output", {"help": "output path (default: stdout)"})
+_LAMBDA = ("--lambda", {"dest": "lam", "type": float, "required": True,
+                        "help": "arrival rate [veh/s]"})
+_CONVENTION = ("--convention", {"choices": CONVENTIONS})
+_MODEL = (
+    ("--model", {"choices": (TRIANGULAR, LINEAR, EXPONENTIAL),
+                 "help": "override the scenario's service-rate model"}),
+    ("--beta", {"type": float}),
+    ("--gamma", {"type": float}),
+)
+_SECTION = ("--section", {"type": int, "default": 1})
+_SIMULATION = (
+    ("--events", {"type": int, "default": 1_000_000}),
+    ("--seed", {"type": int, "default": 42}),
+    _SECTION,
+)
+
+# (name, handler, help, options) of each subcommand, in --help order; every
+# subcommand takes --config and --output ahead of its own options
+_COMMANDS = (
+    ("solve-section", _cmd_solve_section, "stationary law of one section",
+     (_LAMBDA, _CONVENTION, *_MODEL, _SECTION)),
+    ("solve-tandem", _cmd_solve_tandem, "two-section throughput fixed point", (
+        _LAMBDA, _CONVENTION,
+        ("--tol", {"type": float, "default": 1e-10}),
+        ("--max-iter", {"type": int, "default": 200}),
+        ("--scan-roots", {"action": "store_true", "help": (
+            "also report every residual sign change on a 1000-point grid")}),
+    )),
+    ("distributions", _cmd_distributions, "speed / travel-time law as CSV", (
+        _LAMBDA, _CONVENTION, *_MODEL,
+        ("--kind", {"choices": (SPEED, TRAVEL_TIME), "default": SPEED}),
+        ("--mode", {"choices": MODES, "default": PUSHFORWARD}),
+        ("--section", {"type": int, "help": (
+            "use this section's own law instead of the tandem marginal")}),
+    )),
+    ("sweep", _cmd_sweep, "arrival-rate sweep as CSV", (
+        _CONVENTION, *_MODEL,
+        ("--lambda-from", {"type": float, "required": True}),
+        ("--lambda-to", {"type": float, "required": True}),
+        ("--steps", {"type": int, "required": True}),
+        ("--section", {"type": int, "help": (
+            "sweep this single section instead of the tandem system")}),
+    )),
+    ("simulate", _cmd_simulate, "seeded Monte Carlo of one section",
+     (_LAMBDA, _CONVENTION, *_MODEL, *_SIMULATION)),
+    ("compare", _cmd_compare, "analytical vs exact vs simulated, with TV distances",
+     (_LAMBDA, _CONVENTION, *_MODEL, *_SIMULATION)),
+    ("fit-exponential", _cmd_fit_exponential, "fit (beta, gamma) from two anchor points", (
+        ("--fit-a", {"type": float, "required": True, "help": "first anchor count"}),
+        ("--fit-va", {"type": float, "required": True, "help": "speed at a"}),
+        ("--fit-b", {"type": float, "required": True, "help": "second anchor count"}),
+        ("--fit-vb", {"type": float, "required": True, "help": "speed at b"}),
+        ("--fit-vf", {"type": float, "help": (
+            "free speed (default: section 1's v_f from the config)")}),
+    )),
+    ("figure-data", _cmd_figure_data, "canned comparison datasets for plotting", (
+        _CONVENTION,
+        ("--figure", {"choices": FIGURES, "required": True}),
+        ("--kind", {"choices": (SPEED, TRAVEL_TIME), "help": (
+            "fig8/fig9/fig10: which distribution to emit (default speed)")}),
+        ("--metric", {"choices": ("count", "blocking"), "help": (
+            "fig5: which panel to emit (default count)")}),
+        ("--section", {"type": int, "help": "fig8 only (default 1)"}),
+    )),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="roadqueue",
         description="Finite-capacity road-traffic queueing models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, help, lam=True, convention=True, model=True):
-        """A subcommand with --config, --output and the shared options asked for."""
-        p = sub.add_parser(name, help=help)
+    for name, handler, summary, options in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
-        p.add_argument(
-            "--config",
-            default=None,
-            help="scenario JSON path, '-' for stdin (default: bundled scenario)",
-        )
-        p.add_argument("--output", default=None, help="output path (default: stdout)")
-        if lam:
-            p.add_argument(
-                "--lambda",
-                dest="lam",
-                type=float,
-                required=True,
-                help="arrival rate [veh/s]",
-            )
-        if convention:
-            p.add_argument("--convention", choices=CONVENTIONS, default=None)
-        if model:
-            p.add_argument(
-                "--model",
-                choices=(TRIANGULAR, LINEAR, EXPONENTIAL),
-                default=None,
-                help="override the scenario's service-rate model",
-            )
-            p.add_argument("--beta", type=float, default=None)
-            p.add_argument("--gamma", type=float, default=None)
-        return p
-
-    p = command("solve-section", _cmd_solve_section, "stationary law of one section")
-    p.add_argument("--section", type=int, default=1)
-
-    p = command(
-        "solve-tandem",
-        _cmd_solve_tandem,
-        "two-section throughput fixed point",
-        model=False,
-    )
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument(
-        "--scan-roots",
-        action="store_true",
-        help="also report every residual sign change on a 1000-point grid",
-    )
-
-    p = command("distributions", _cmd_distributions, "speed / travel-time law as CSV")
-    p.add_argument("--kind", choices=(SPEED, TRAVEL_TIME), default=SPEED)
-    p.add_argument("--mode", choices=MODES, default=PUSHFORWARD)
-    p.add_argument(
-        "--section",
-        type=int,
-        default=None,
-        help="use this section's own law instead of the tandem marginal",
-    )
-
-    p = command("sweep", _cmd_sweep, "arrival-rate sweep as CSV", lam=False)
-    p.add_argument("--lambda-from", dest="lambda_from", type=float, required=True)
-    p.add_argument("--lambda-to", dest="lambda_to", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument(
-        "--section",
-        type=int,
-        default=None,
-        help="sweep this single section instead of the tandem system",
-    )
-
-    simulation = command("simulate", _cmd_simulate, "seeded Monte Carlo of one section")
-    comparison = command(
-        "compare", _cmd_compare, "analytical vs exact vs simulated, with TV distances"
-    )
-    for p in (simulation, comparison):
-        p.add_argument("--events", type=int, default=1_000_000)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--section", type=int, default=1)
-
-    p = command(
-        "fit-exponential",
-        _cmd_fit_exponential,
-        "fit (beta, gamma) from two anchor points",
-        lam=False,
-        convention=False,
-        model=False,
-    )
-    p.add_argument("--fit-a", type=float, required=True, help="first anchor count")
-    p.add_argument("--fit-va", type=float, required=True, help="speed at a")
-    p.add_argument("--fit-b", type=float, required=True, help="second anchor count")
-    p.add_argument("--fit-vb", type=float, required=True, help="speed at b")
-    p.add_argument(
-        "--fit-vf",
-        type=float,
-        default=None,
-        help="free speed (default: section 1's v_f from the config)",
-    )
-
-    p = command(
-        "figure-data",
-        _cmd_figure_data,
-        "canned comparison datasets for plotting",
-        lam=False,
-        model=False,
-    )
-    p.add_argument("--figure", choices=FIGURES, required=True)
-    p.add_argument(
-        "--kind",
-        choices=(SPEED, TRAVEL_TIME),
-        default=None,
-        help="fig8/fig9/fig10: which distribution to emit (default speed)",
-    )
-    p.add_argument(
-        "--metric",
-        choices=("count", "blocking"),
-        default=None,
-        help="fig5: which panel to emit (default count)",
-    )
-    p.add_argument("--section", type=int, default=None, help="fig8 only (default 1)")
-
+        for flag, keywords in (_CONFIG, _OUTPUT, *options):
+            p.add_argument(flag, **keywords)
     return parser
 
 

@@ -59,7 +59,7 @@ def check_model(name: str) -> str:
     """Normalize a model selector to triangular | linear | exponential."""
     try:
         return _MODEL_ALIASES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a list or object as the name
         raise ValueError(
             f"model must be one of {sorted(set(_MODEL_ALIASES))}, got {name!r}"
         ) from None
@@ -220,4 +220,8 @@ def load_scenario(source: str | None) -> Scenario:
     else:
         with open(source, "r", encoding="utf-8") as handle:
             text = handle.read()
-    return scenario_from_dict(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise ValueError("scenario JSON nests too deeply to parse") from None
+    return scenario_from_dict(doc)

@@ -174,6 +174,33 @@ def test_non_numeric_shape_parameter_exits_2(capsys, tmp_path):
     assert "config key 'beta' must be a number" in err
 
 
+# a model name that cannot be a dict key, and a document nested past the
+# decoder's recursion limit: configuration errors, not tracebacks
+MALFORMED_CONFIGS = {
+    "list-model": json.dumps({"sections": [SECTION_1], "model": ["linear"]}),
+    "object-model": json.dumps({"sections": [SECTION_1], "model": {}}),
+    "deep": "[" * 100_000 + "]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("via_stdin", [False, True], ids=["path", "stdin"])
+@pytest.mark.parametrize("text", MALFORMED_CONFIGS.values(), ids=list(MALFORMED_CONFIGS))
+def test_malformed_config_exits_2(capsys, monkeypatch, tmp_path, text, via_stdin):
+    import io
+
+    if via_stdin:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        source = "-"
+    else:
+        source = str(tmp_path / "malformed.json")
+        (tmp_path / "malformed.json").write_text(text)
+    code, out, err = run_cli(
+        capsys, "solve-section", "--lambda", "0.8", "--config", source
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 # a section number of 0 is refused wherever --section is given, not read as 1
 @pytest.mark.parametrize(
     "argv",
@@ -821,62 +848,85 @@ def test_console_entry_point_runs():
     assert json.loads(result.stdout)["lambda"] == 0.5
 
 
-# (dest, option strings, default, choices, required, type name) of every
-# action, per subcommand: folding the parser's declarations must keep each
-HELP = ("help", ("-h", "--help"), argparse.SUPPRESS, None, False, None)
-CONFIG = ("config", ("--config",), None, None, False, None)
-OUTPUT = ("output", ("--output",), None, None, False, None)
-LAM = ("lam", ("--lambda",), None, None, True, "float")
-CONVENTION = ("convention", ("--convention",), None, ("exact", "shifted"), False, None)
+# (dest, option strings, default, choices, required, type name, help) of
+# every action, per subcommand, in declaration order, which is the order
+# --help shows: folding the parser's declarations must keep each
+HELP = ("help", ("-h", "--help"), argparse.SUPPRESS, None, False, None,
+        "show this help message and exit")
+CONFIG = ("config", ("--config",), None, None, False, None,
+          "scenario JSON path, '-' for stdin (default: bundled scenario)")
+OUTPUT = ("output", ("--output",), None, None, False, None, "output path (default: stdout)")
+LAM = ("lam", ("--lambda",), None, None, True, "float", "arrival rate [veh/s]")
+CONVENTION = ("convention", ("--convention",), None, ("exact", "shifted"), False, None, None)
 MODEL = [
-    ("beta", ("--beta",), None, None, False, "float"),
     CONVENTION,
-    ("gamma", ("--gamma",), None, None, False, "float"),
-    ("model", ("--model",), None, ("triangular", "linear", "exponential"), False, None),
+    ("model", ("--model",), None, ("triangular", "linear", "exponential"), False, None,
+     "override the scenario's service-rate model"),
+    ("beta", ("--beta",), None, None, False, "float", None),
+    ("gamma", ("--gamma",), None, None, False, "float", None),
 ]
-SECTION_ONE = ("section", ("--section",), 1, None, False, "int")
-SECTION_UNSET = ("section", ("--section",), None, None, False, "int")
+SECTION_ONE = ("section", ("--section",), 1, None, False, "int", None)
 SIMULATION = [
-    ("events", ("--events",), 1_000_000, None, False, "int"),
+    ("events", ("--events",), 1_000_000, None, False, "int", None),
+    ("seed", ("--seed",), 42, None, False, "int", None),
     SECTION_ONE,
-    ("seed", ("--seed",), 42, None, False, "int"),
 ]
+KIND = ("kind", ("--kind",), "speed", ("speed", "travel-time"), False, None, None)
 PARSER_SURFACE = {
     "solve-section": [HELP, CONFIG, OUTPUT, LAM, *MODEL, SECTION_ONE],
     "solve-tandem": [
         HELP, CONFIG, OUTPUT, LAM, CONVENTION,
-        ("max_iter", ("--max-iter",), 200, None, False, "int"),
-        ("scan_roots", ("--scan-roots",), False, None, False, None),
-        ("tol", ("--tol",), 1e-10, None, False, "float"),
+        ("tol", ("--tol",), 1e-10, None, False, "float", None),
+        ("max_iter", ("--max-iter",), 200, None, False, "int", None),
+        ("scan_roots", ("--scan-roots",), False, None, False, None,
+         "also report every residual sign change on a 1000-point grid"),
     ],
     "distributions": [
-        HELP, CONFIG, OUTPUT, LAM, *MODEL, SECTION_UNSET,
-        ("kind", ("--kind",), "speed", ("speed", "travel-time"), False, None),
-        ("mode", ("--mode",), "pushforward", ("pushforward", "paper-grid"), False, None),
+        HELP, CONFIG, OUTPUT, LAM, *MODEL, KIND,
+        ("mode", ("--mode",), "pushforward", ("pushforward", "paper-grid"), False, None, None),
+        ("section", ("--section",), None, None, False, "int",
+         "use this section's own law instead of the tandem marginal"),
     ],
     "sweep": [
-        HELP, CONFIG, OUTPUT, *MODEL, SECTION_UNSET,
-        ("lambda_from", ("--lambda-from",), None, None, True, "float"),
-        ("lambda_to", ("--lambda-to",), None, None, True, "float"),
-        ("steps", ("--steps",), None, None, True, "int"),
+        HELP, CONFIG, OUTPUT, *MODEL,
+        ("lambda_from", ("--lambda-from",), None, None, True, "float", None),
+        ("lambda_to", ("--lambda-to",), None, None, True, "float", None),
+        ("steps", ("--steps",), None, None, True, "int", None),
+        ("section", ("--section",), None, None, False, "int",
+         "sweep this single section instead of the tandem system"),
     ],
     "simulate": [HELP, CONFIG, OUTPUT, LAM, *MODEL, *SIMULATION],
     "compare": [HELP, CONFIG, OUTPUT, LAM, *MODEL, *SIMULATION],
     "fit-exponential": [
         HELP, CONFIG, OUTPUT,
-        ("fit_a", ("--fit-a",), None, None, True, "float"),
-        ("fit_b", ("--fit-b",), None, None, True, "float"),
-        ("fit_va", ("--fit-va",), None, None, True, "float"),
-        ("fit_vb", ("--fit-vb",), None, None, True, "float"),
-        ("fit_vf", ("--fit-vf",), None, None, False, "float"),
+        ("fit_a", ("--fit-a",), None, None, True, "float", "first anchor count"),
+        ("fit_va", ("--fit-va",), None, None, True, "float", "speed at a"),
+        ("fit_b", ("--fit-b",), None, None, True, "float", "second anchor count"),
+        ("fit_vb", ("--fit-vb",), None, None, True, "float", "speed at b"),
+        ("fit_vf", ("--fit-vf",), None, None, False, "float",
+         "free speed (default: section 1's v_f from the config)"),
     ],
     "figure-data": [
-        HELP, CONFIG, OUTPUT, CONVENTION, SECTION_UNSET,
+        HELP, CONFIG, OUTPUT, CONVENTION,
         ("figure", ("--figure",), None,
-         ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"), True, None),
-        ("kind", ("--kind",), None, ("speed", "travel-time"), False, None),
-        ("metric", ("--metric",), None, ("count", "blocking"), False, None),
+         ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"), True, None, None),
+        ("kind", ("--kind",), None, ("speed", "travel-time"), False, None,
+         "fig8/fig9/fig10: which distribution to emit (default speed)"),
+        ("metric", ("--metric",), None, ("count", "blocking"), False, None,
+         "fig5: which panel to emit (default count)"),
+        ("section", ("--section",), None, None, False, "int", "fig8 only (default 1)"),
     ],
+}
+# each subcommand's own help, as the top-level --help lists it
+COMMAND_HELP = {
+    "solve-section": "stationary law of one section",
+    "solve-tandem": "two-section throughput fixed point",
+    "distributions": "speed / travel-time law as CSV",
+    "sweep": "arrival-rate sweep as CSV",
+    "simulate": "seeded Monte Carlo of one section",
+    "compare": "analytical vs exact vs simulated, with TV distances",
+    "fit-exponential": "fit (beta, gamma) from two anchor points",
+    "figure-data": "canned comparison datasets for plotting",
 }
 
 
@@ -884,8 +934,10 @@ def test_parser_surface_is_pinned_option_by_option():
     parser = build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert list(sub.choices) == list(PARSER_SURFACE)
+    assert {a.dest: a.help for a in sub._choices_actions} == COMMAND_HELP
+    assert [a.dest for a in sub._choices_actions] == list(COMMAND_HELP)
     for name, expected in PARSER_SURFACE.items():
-        actual = sorted(
+        actual = [
             (
                 a.dest,
                 tuple(a.option_strings),
@@ -893,7 +945,8 @@ def test_parser_surface_is_pinned_option_by_option():
                 None if a.choices is None else tuple(a.choices),
                 a.required,
                 getattr(a.type, "__name__", None),
+                a.help,
             )
             for a in sub.choices[name]._actions
-        )
-        assert actual == sorted(expected), name
+        ]
+        assert actual == expected, name

@@ -36,9 +36,10 @@ class TestCheckModel:
         assert check_model("jain-smith-linear") == LINEAR
         assert check_model("jain-smith-exponential") == EXPONENTIAL
 
-    def test_unknown(self):
-        with pytest.raises(ValueError, match="model"):
-            check_model("quadratic")
+    @pytest.mark.parametrize("name", ["quadratic", ["linear"], {}])
+    def test_unknown(self, name):
+        with pytest.raises(ValueError, match="model must be one of"):
+            check_model(name)
 
 
 class TestSectionFromDict:
@@ -278,8 +279,12 @@ class TestLoading:
         with pytest.raises(OSError):
             load_scenario(str(tmp_path / "nope.json"))
 
-    def test_invalid_json_raises_value_error(self, tmp_path):
+    # the deep document overflows the decoder's recursion, not its syntax
+    @pytest.mark.parametrize(
+        "text", ["{not json", "[" * 100_000 + "]" * 100_000], ids=["broken", "deep"]
+    )
+    def test_invalid_json_raises_value_error(self, tmp_path, text):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_text(text)
         with pytest.raises(ValueError):
             load_scenario(str(path))
