@@ -47,7 +47,6 @@ from .queueing import (
     measures,
     solve_birth_death,
     solve_triangular,
-    throughput_departure,
 )
 from .tandem import (
     ConvergenceError,
@@ -99,7 +98,6 @@ __all__ = [
     "speed_dist_triangular",
     "tandem_measures",
     "tandem_stationary",
-    "throughput_departure",
     "travel_time_dist_linear",
     "travel_time_dist_triangular",
     "tv_distance",

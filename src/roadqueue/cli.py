@@ -196,8 +196,6 @@ def _sweep_grid(args) -> np.ndarray:
     check_integer("--steps", args.steps, 2)
     if not args.lambda_from < args.lambda_to:
         raise ValueError("--lambda-from must be below --lambda-to")
-    if args.lambda_from < 0:
-        raise ValueError("--lambda-from must be nonnegative")
     return np.linspace(args.lambda_from, args.lambda_to, args.steps)
 
 

@@ -10,9 +10,9 @@ are checked against machinery that shares none of their algebra:
   solves a whole vector of arrival rates in one batch (a sweep's grid),
   and
 * an event-driven simulation of the birth-death dynamics with seeded,
-  reproducible randomness (numpy PCG64; the algorithm identifier is
-  recorded in the result so cross-implementation comparisons know what
-  stream they are looking at).
+  reproducible randomness (numpy PCG64; every result carries the
+  algorithm identifier, a class constant, so cross-implementation
+  comparisons know what stream they are looking at).
 
 Simulated laws are time-weighted state occupancies, matching the
 time-average reading of stationary probabilities.
@@ -21,7 +21,9 @@ time-average reading of stationary probabilities.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -59,8 +61,8 @@ class SimulationResult:
     events: int
     seed: int
     elapsed_model_time: float
-    algorithm: str = RNG_ALGORITHM
     absorbed: bool = False
+    algorithm: ClassVar[str] = RNG_ALGORITHM
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", check_integer("events", self.events, 1))
@@ -299,7 +301,10 @@ def simulate(
     double takes one 64-bit output, so the stream does not depend on the
     buffer size.  A buffer's holding times come from one comprehension
     over math.log1p: np.log1p differs from it in the last bit on some
-    draws, which would change the law's bits.
+    draws, which would change the law's bits.  A state's total rate below
+    max_events * 37 / (the largest float) raises ValueError before any
+    draw, as the run's model time could pass the float range; every rate
+    accepted is then a normal float, so a draw at n = 0 always moves up.
     """
     if np.ndim(lam):
         raise ValueError(f"simulate takes one arrival rate, got shape {np.shape(lam)}")
@@ -310,6 +315,13 @@ def simulate(
     c = len(rates)
     birth = [float(lam)] * c + [0.0]
     total = [b + d for b, d in zip(birth, [0.0] + rates)]
+    # a holding time is at most 37 / rate, as -log1p(-u) < 36.74 for u < 1
+    slowest = min(t for t in total if t > 0)
+    if slowest * (sys.float_info.max / 37) < max_events:
+        raise ValueError(
+            f"a total rate of {slowest!r} is too small to time {max_events} events "
+            "within the float range"
+        )
     rng = np.random.default_rng(seed)
     occupancy = [0.0] * (c + 1)
     n = 0

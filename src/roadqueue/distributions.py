@@ -71,6 +71,8 @@ class DiscreteDistribution:
             raise ValueError("support and probs must be matching 1-D vectors")
         if support.size == 0:
             raise ValueError("distribution must have at least one atom")
+        if not np.isfinite(support).all():
+            raise ValueError("support values must be finite")
         if np.any(np.diff(support) <= 0):
             raise ValueError("support values must be strictly increasing")
         support.flags.writeable = False
@@ -137,12 +139,6 @@ def travel_time_dist_triangular(
     return _pushforward(dist, rates, section.L, section.diagram.v_f, True)
 
 
-def _check_mode(mode: str) -> str:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return mode
-
-
 def _grid_cell_weights(logw: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Probabilities assigned to grid cells mapping to the given states.
 
@@ -162,7 +158,8 @@ def _grid_cell_weights(logw: np.ndarray, indices: np.ndarray) -> np.ndarray:
 def _linear_law(
     lam: float, model: LinearCongestionModel, L: float, mode: str, times: bool
 ) -> DiscreteDistribution:
-    _check_mode(mode)
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     rates = jain_smith_rates(L, model)
     if mode == PUSHFORWARD:
         return _pushforward(solve_birth_death(lam, rates), rates, L, model.v_f, times)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .congestion import CongestionModel
-from .fundamental import SHIFTED, RoadSection, check_positive, service_rates
+from .fundamental import SHIFTED, RoadSection, check_integer, check_positive, service_rates
 
 
 class SingularModelError(ValueError):
@@ -80,6 +80,9 @@ class OccupancyDistribution:
     @classmethod
     def point_mass(cls, capacity: int, n: int) -> OccupancyDistribution:
         """The law with all its mass on count n of 0..capacity."""
+        n = check_integer("n", n, 0)
+        if n > capacity:
+            raise ValueError(f"n must be at most the capacity {capacity!r}, got {n!r}")
         probs = np.zeros(capacity + 1)
         probs[n] = 1.0
         return cls(probs)
@@ -96,9 +99,9 @@ class OccupancyDistribution:
 class PerformanceMeasures:
     """Steady-state summary of a solved section.
 
-    free_flow_fallback marks the zero-throughput case where the travel
-    time cannot come from Little's law and is reported as the free-flow
-    transit time instead.
+    free_flow_fallback marks a zero throughput or mean count, where the
+    travel time cannot come from Little's law and is reported as the
+    free-flow transit time instead.
     """
 
     blocking: float
@@ -226,11 +229,13 @@ def littles_law(
 ) -> PerformanceMeasures:
     """Measures of a solved law, travel time by Little's law.
 
-    At zero throughput the travel time is reported as free_flow_time and
-    flagged, so sweeps stay plottable; None means there is none to report.
+    Unless throughput and mean count are both positive (one of them may
+    underflow to 0 beside the other), the travel time is reported as
+    free_flow_time and flagged, so sweeps stay plottable; None means there
+    is none to report.
     """
     expected_count = dist.mean()
-    if throughput > 0:
+    if throughput > 0 and expected_count > 0:
         travel_time, fallback = expected_count / throughput, False
     elif free_flow_time is None:
         raise SingularModelError(
@@ -254,7 +259,8 @@ def measures(
 
     Throughput is the accepted arrival rate lam * sum_{n<c} P_n: the
     same as lam * (1 - P_c), but still right once P_c rounds to 1 (from a
-    lam of about 1e16 at c = 18).  When it is zero (lam = 0) the travel
+    lam of about 1e16 at c = 18).  When it or the mean count is zero
+    (lam = 0, or a lam near 5e-324 whose mean count underflows) the travel
     time is the lone-vehicle transit time 1 / q_1.  lam is one checked rate.
     """
     if check_arrival_rates(lam)[0].ndim:
@@ -262,12 +268,3 @@ def measures(
     rates = check_rate_count(dist, rates)
     lone_time = 1.0 / rates[0] if rates[0] > 0 else None
     return littles_law(dist, lam * float(dist.probs[:-1].sum()), lone_time)
-
-
-def throughput_departure(dist: OccupancyDistribution, rates) -> float:
-    """Departure-side throughput sum_n q_n * P_n [veh/s].
-
-    Equals lam * (1 - P_c) on any solved law (flow balance).
-    """
-    rates = check_rate_count(dist, rates)
-    return float(rates @ dist.probs[1:])

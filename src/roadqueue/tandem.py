@@ -270,8 +270,9 @@ def scan_roots(config: TandemConfig, lam: float) -> list[tuple[float, float]]:
 def tandem_measures(result: FixedPointResult, lam: float) -> PerformanceMeasures:
     """Performance of section 1 at the converged fixed point.
 
-    Travel time is Little's law on the marginal count over theta; at
-    theta = 0 it falls back, flagged, to section 1's free-flow time.
+    Travel time is Little's law on the marginal count over theta; where
+    theta or the mean count is 0 it falls back, flagged, to section 1's
+    free-flow time.
     """
     return littles_law(
         result.marginal, result.theta, result.config.section1.free_flow_time

@@ -9,6 +9,8 @@ ref_fixed_point is the fixed point's first root finder, plain bisection,
 against which ITP's theta and evaluation count are compared.
 ref_scan_brackets is the root scan as a loop of solve_triangular calls,
 one per grid point, against which scan_roots must give the same brackets.
+ref_throughput_departure is the departure side of flow balance, against
+which the accepted arrival rate of a solved law is compared.
 """
 
 import math
@@ -50,6 +52,16 @@ def ref_coupled_rate(config, n1, n2):
         s2.diagram.q_max,
         s2.diagram.w * (s2.c - n2 + offset(config.convention)) / s2.L,
     )
+
+
+def ref_throughput_departure(dist, rates):
+    """Departure-side throughput sum_n q_n * P_n [veh/s], one state at a time.
+
+    rates are q_1..q_c, one per count 1..capacity of dist.  Equals
+    lam * (1 - P_c) on any solved law (flow balance).
+    """
+    rates = np.asarray(rates, dtype=float).tolist()
+    return math.fsum(q * p for q, p in zip(rates, dist.probs[1:].tolist(), strict=True))
 
 
 def ref_generator(config, lam):

@@ -31,13 +31,14 @@ from roadqueue import (
     speed_dist_linear,
     speed_dist_triangular,
     tandem_measures,
-    throughput_departure,
     travel_time_dist_linear,
     travel_time_dist_triangular,
     tv_distance,
 )
 from roadqueue.fundamental import service_rates
 from roadqueue.queueing import jain_smith_rates
+
+from chain_references import ref_throughput_departure
 
 SWEEP_GRID = np.linspace(0.1, 2.0, 40)
 
@@ -111,7 +112,7 @@ def test_criterion_03_throughput_identity():
         lam = float(lam)
         dist = solve_triangular(lam, section)
         accepted = lam * (1.0 - dist.blocking)
-        departed = throughput_departure(dist, rates)
+        departed = ref_throughput_departure(dist, rates)
         worst = max(worst, abs(accepted - departed) / accepted)
     _report(
         3,

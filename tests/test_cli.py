@@ -796,6 +796,13 @@ class TestOutputHandling:
             (("figure-data", "--figure", "fig9", "--convention", "exact"), 3),
             # the joint chain's levels overflow, and the oracle refuses them
             (("solve-tandem", "--lambda", "1e308"), 3),
+            # the section sweep also refuses a grid that starts below 0
+            (("sweep", "--lambda-from", "-0.1", "--lambda-to", "2", "--steps", "3",
+              "--section", "1"), 2),
+            # an arrival rate too small to time the run in floats
+            (("simulate", "--lambda", "5e-324", "--events", "10000"), 2),
+            (("simulate", "--lambda", "1e-310"), 2),
+            (("compare", "--lambda", "1e-310"), 2),
         ],
     )
     def test_nothing_is_written_on_a_nonzero_exit(self, capsys, tmp_path, argv, expected):

@@ -11,8 +11,10 @@ import pytest
 
 from roadqueue import (
     EXACT,
+    OccupancyDistribution,
     OracleError,
     RoadSection,
+    SimulationResult,
     SingularModelError,
     TandemConfig,
     TriangularDiagram,
@@ -632,6 +634,36 @@ class TestSimulate:
         assert result.events == 10**6
         assert not result.absorbed
         assert result.algorithm == RNG_ALGORITHM
+
+    def test_algorithm_is_a_constant_not_a_field(self):
+        assert "algorithm" not in {f.name for f in dataclasses.fields(SimulationResult)}
+        empty = OccupancyDistribution.point_mass(2, 0)
+        with pytest.raises(TypeError):
+            SimulationResult(empty, 10**4, 42, 1.0, algorithm="other")
+
+    @pytest.mark.parametrize(
+        "lam, rates, max_events",
+        [
+            # state 0 would step down once u * lam rounds up to lam
+            (5e-324, [1.0] * 18, 10**4),
+            # the holding times would overflow to inf and the law to NaN
+            (1e-310, [1.0] * 18, 10**6),
+            (1.0, [1.0] * 17 + [1e-320], 10**6),
+            # a Python int past the float range, compared without overflow
+            (0.8, [1.0] * 18, 10**400),
+        ],
+        ids=["subnormal-lambda", "tiny-lambda", "tiny-service-rate", "events-past-floats"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_rates_too_small_to_time_the_run_are_refused(self, lam, rates, max_events):
+        with pytest.raises(ValueError, match="too small to time"):
+            simulate(lam, rates, max_events=max_events)
+
+    def test_small_rate_that_times_the_run_is_simulated(self):
+        result = simulate(1e-300, [1.0] * 18, max_events=10**4)
+        assert result.events == 10**4 and not result.absorbed
+        assert np.isfinite(result.elapsed_model_time)
+        assert result.empirical[0] == pytest.approx(1.0)
 
     def test_bitwise_reproducible(self, section1):
         rates = service_rates(section1)

@@ -91,6 +91,10 @@ class TestDiscreteDistribution:
             DiscreteDistribution(support=[], probs=[])
         with pytest.raises(ValueError, match="increasing"):
             DiscreteDistribution(support=[2.0, 1.0], probs=[0.5, 0.5])
+        # NaN passes the increasing check, as every comparison with it is false
+        for bad in ([math.nan, 1.0], [1.0, math.inf]):
+            with pytest.raises(ValueError, match="support values must be finite"):
+                DiscreteDistribution(support=bad, probs=[0.5, 0.5])
         with pytest.raises(ValueError, match="nonnegative"):
             DiscreteDistribution(support=[1.0, 2.0], probs=[1.5, -0.5])
         with pytest.raises(ValueError, match="sum"):

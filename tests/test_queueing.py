@@ -9,17 +9,20 @@ from roadqueue import (
     SHIFTED,
     LinearCongestionModel,
     OccupancyDistribution,
+    RoadSection,
     SingularModelError,
     TandemConfig,
+    TriangularDiagram,
     coupled_rates,
     measures,
     solve_birth_death,
     solve_triangular,
-    throughput_departure,
 )
 from roadqueue.queueing import birth_death_laws, birth_death_log_weights, jain_smith_rates
 from roadqueue.fundamental import service_rates
 from roadqueue.tandem import conditional_matrix
+
+from chain_references import ref_throughput_departure
 
 # hand-solved three-state chain: lam=1, q=(1, 2) gives weights (1, 1, 1/2)
 THREE_STATE = [0.4, 0.4, 0.2]
@@ -323,6 +326,16 @@ class TestMeasures:
         assert m.throughput == 0.0
         assert m.expected_travel_time == pytest.approx(1.0 / rates[0])
 
+    def test_underflowed_mean_count_falls_back_to_lone_vehicle_time(self):
+        # at c = 2 and lam = 5e-324 the mean count rounds to 0 while the
+        # throughput does not: Little's law would read a travel time of 0
+        section = RoadSection(L=1.0, diagram=TriangularDiagram(v_f=28.0, w=14.0, rho_j=2.0))
+        rates = service_rates(section, SHIFTED)
+        m = measures(solve_triangular(5e-324, section), 5e-324, rates)
+        assert (m.throughput, m.expected_count) == (5e-324, 0.0)
+        assert m.free_flow_fallback
+        assert m.expected_travel_time == 1.0 / rates[0] == 1.0 / 28.0
+
     def test_rate_length_mismatch_rejected(self, section1):
         d = solve_triangular(0.5, section1)
         with pytest.raises(ValueError, match="rates"):
@@ -335,7 +348,7 @@ class TestMeasures:
         rates = service_rates(section1, SHIFTED)
         d = solve_triangular(lam, section1)
         m = measures(d, lam, rates)
-        assert m.throughput == pytest.approx(throughput_departure(d, rates), rel=1e-12)
+        assert m.throughput == pytest.approx(ref_throughput_departure(d, rates), rel=1e-12)
         assert m.throughput == pytest.approx(0.14, rel=1e-12)
         assert not m.free_flow_fallback
 
@@ -346,7 +359,7 @@ class TestThroughputDeparture:
         rates = service_rates(section1, SHIFTED)
         for lam in (0.1, 0.5, 0.8, 1.2, 2.0):
             d = solve_triangular(lam, section1)
-            assert throughput_departure(d, rates) == pytest.approx(
+            assert ref_throughput_departure(d, rates) == pytest.approx(
                 lam * (1 - d.blocking), rel=1e-10
             )
 
@@ -354,6 +367,6 @@ class TestThroughputDeparture:
         model = LinearCongestionModel(v_f=28.0, c=18)
         rates = jain_smith_rates(100.0, model)
         d = solve_birth_death(0.8, rates)
-        value = throughput_departure(d, rates)
+        value = ref_throughput_departure(d, rates)
         assert value == pytest.approx(0.8 * (1 - d.blocking), rel=1e-12)
         assert 0.56 <= value <= 0.8

@@ -24,7 +24,6 @@ from roadqueue import (
     solve_birth_death,
     solve_fixed_point,
     speed_dist_triangular,
-    throughput_departure,
 )
 from roadqueue import cli
 from roadqueue.queueing import jain_smith_rates
@@ -116,6 +115,9 @@ INTEGER_SITES = {
         1,
     ),
     "Scenario.section": (lambda v: Scenario(sections=(SECTION,)).section(v), "section", 1),
+    "OccupancyDistribution.point_mass": (
+        lambda v: OccupancyDistribution.point_mass(4, v), "n", 0
+    ),
     "sweep --steps": (
         lambda v: cli._sweep_grid(argparse.Namespace(steps=v, lambda_from=0.1, lambda_to=2.0)),
         "--steps",
@@ -134,6 +136,13 @@ def test_count_that_is_not_a_whole_number_is_refused(site, bad):
     assert str(info.value) == f"{name} must be a whole number of at least {least}, got {value!r}"
 
 
+def test_point_mass_past_the_capacity_is_refused():
+    # not an IndexError from the array it would fill
+    with pytest.raises(ValueError) as info:
+        OccupancyDistribution.point_mass(4, 5)
+    assert str(info.value) == "n must be at most the capacity 4, got 5"
+
+
 def test_whole_floats_are_accepted_as_counts():
     assert simulate(0.8, RATES, max_events=2e4).events == 20000
     model = LinearCongestionModel(v_f=28.0, c=18.0)
@@ -147,9 +156,6 @@ RATE_SITES = {
     "birth_death_chain": lambda rates: birth_death_chain(0.8, rates),
     "simulate": lambda rates: simulate(0.8, rates, max_events=10**4),
     "measures": lambda rates: measures(solve_birth_death(0.8, RATES), 0.8, rates),
-    "throughput_departure": lambda rates: throughput_departure(
-        solve_birth_death(0.8, RATES), rates
-    ),
 }
 
 
@@ -204,7 +210,6 @@ def test_performance_measures_refuse_a_negative_or_nan_figure(field, value):
 
 COUNT_SITES = {
     "measures": lambda dist, rates: measures(dist, 0.8, rates),
-    "throughput_departure": throughput_departure,
     "speed_dist_triangular": lambda dist, rates: speed_dist_triangular(dist, SECTION),
 }
 
