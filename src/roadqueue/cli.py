@@ -145,11 +145,7 @@ def _cmd_solve_tandem(args) -> str:
         "tv_vs_exact_2d": decomposition_diagnostic(
             config, args.lam, result.marginal.probs
         ),
-        "root_brackets": (
-            [[lo, hi] for lo, hi in scan_roots(config, args.lam)]
-            if args.scan_roots
-            else None
-        ),
+        "root_brackets": scan_roots(config, args.lam) if args.scan_roots else None,
     }
     return _json(payload)
 
@@ -201,14 +197,13 @@ def _sweep_grid(args) -> np.ndarray:
 
 def _tandem_sweep(config, lams):
     """(lambda, fixed point, section-1 measures) at each rate, from one batched solve."""
-    lams = [float(lam) for lam in lams]
     for lam, result in zip(lams, solve_fixed_point(config, lams)):
         yield lam, result, tandem_measures(result, lam)
 
 
 def _section_sweep(rates, lams):
     """(lambda, stationary law, measures) of one section at each arrival rate."""
-    for lam in map(float, lams):
+    for lam in lams:
         dist = solve_birth_death(lam, rates)
         yield lam, dist, measures(dist, lam, rates)
 

@@ -62,7 +62,8 @@ class ExponentialCongestionModel:
     def speed(self, n):
         """Speed with n occupants [m/s], elementwise over an array or list of integers n."""
         n = _check_count(self, n)
-        return self.v_f * np.exp(-(((n - 1) / self.beta) ** self.gamma))
+        with np.errstate(over="ignore"):  # an overflowed power gives the limit exp(-inf) = 0
+            return self.v_f * np.exp(-(((n - 1) / self.beta) ** self.gamma))
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ down to zero at the jam density rho_j:
     Q(rho) = min(v_f * rho, w * (rho_j - rho))
 
 All quantities are SI: meters, seconds, veh/s, veh/m.  The vertex flow
-q_max = rho_j / (1/v_f + 1/w) and rho_cr = q_max / v_f are always derived
-from (v_f, w, rho_j), never supplied directly.
+q_max = rho_j / (1/v_f + 1/w), reached at rho_cr = q_max / v_f, is always
+derived from (v_f, w, rho_j), never supplied directly.
 
 A road section of length L holds at most c = round(rho_j * L) vehicles.
 With n vehicles present the section density is n / L and the section
@@ -101,11 +101,6 @@ class TriangularDiagram:
     def q_max(self) -> float:
         """Capacity flow at the diagram vertex [veh/s]."""
         return self.rho_j / (1.0 / self.v_f + 1.0 / self.w)
-
-    @property
-    def rho_cr(self) -> float:
-        """Critical density separating the free and congested branches."""
-        return self.q_max / self.v_f
 
 
 @dataclass(frozen=True)

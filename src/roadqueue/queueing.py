@@ -25,6 +25,7 @@ a law that does not exist.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,9 +100,9 @@ class OccupancyDistribution:
 class PerformanceMeasures:
     """Steady-state summary of a solved section.
 
-    free_flow_fallback marks a zero throughput or mean count, where the
-    travel time cannot come from Little's law and is reported as the
-    free-flow transit time instead.
+    free_flow_fallback marks a zero or subnormal throughput or mean
+    count, where the travel time cannot come from Little's law and is
+    reported as the free-flow transit time instead.
     """
 
     blocking: float
@@ -229,13 +230,13 @@ def littles_law(
 ) -> PerformanceMeasures:
     """Measures of a solved law, travel time by Little's law.
 
-    Unless throughput and mean count are both positive (one of them may
-    underflow to 0 beside the other), the travel time is reported as
-    free_flow_time and flagged, so sweeps stay plottable; None means there
-    is none to report.
+    Unless throughput and mean count are both normal floats (one of them
+    may underflow to 0 beside the other, and a subnormal quotient keeps few
+    bits), the travel time is reported as free_flow_time and flagged, so
+    sweeps stay plottable; None means there is none to report.
     """
     expected_count = dist.mean()
-    if throughput > 0 and expected_count > 0:
+    if throughput >= sys.float_info.min and expected_count >= sys.float_info.min:
         travel_time, fallback = expected_count / throughput, False
     elif free_flow_time is None:
         raise SingularModelError(
@@ -259,9 +260,10 @@ def measures(
 
     Throughput is the accepted arrival rate lam * sum_{n<c} P_n: the
     same as lam * (1 - P_c), but still right once P_c rounds to 1 (from a
-    lam of about 1e16 at c = 18).  When it or the mean count is zero
-    (lam = 0, or a lam near 5e-324 whose mean count underflows) the travel
-    time is the lone-vehicle transit time 1 / q_1.  lam is one checked rate.
+    lam of about 1e16 at c = 18).  When it or the mean count is zero or
+    subnormal (lam = 0, or a lam so small that either is below 2.2e-308)
+    the travel time is the lone-vehicle transit time 1 / q_1.  lam is one
+    checked rate.
     """
     if check_arrival_rates(lam)[0].ndim:
         raise ValueError(f"measures takes one arrival rate, got shape {np.shape(lam)}")

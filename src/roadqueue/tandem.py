@@ -145,7 +145,7 @@ def conditional_matrix(config: TandemConfig, lam) -> np.ndarray:
 
 
 def _residual(down, lam, passing: np.ndarray, theta):
-    """theta - lam * P1(n1 < c1; theta), given down, section 2's law at theta.
+    """theta - lam * P1(n1 < c1; theta), given down, section 2's probabilities at theta.
 
     passing[n2] = P(n1 < c1 | n2), the masses of conditional_matrix below
     c1.  Their mixture can exceed 1 by an ulp, so it is capped at 1 to
@@ -154,8 +154,7 @@ def _residual(down, lam, passing: np.ndarray, theta):
     np.matmul of a row and a column with the bits of its scalar call.  The
     scan solves its 1000 laws on one rate table, the fixed point by solve_triangular.
     """
-    probs = getattr(down, "probs", down)
-    mixture = np.matmul(probs[..., None, :], passing[..., None])[..., 0, 0]
+    mixture = np.matmul(down[..., None, :], passing[..., None])[..., 0, 0]
     return theta - lam * np.minimum(mixture, 1.0)
 
 
@@ -259,20 +258,17 @@ def scan_roots(config: TandemConfig, lam: float) -> list[tuple[float, float]]:
     passing = conditional_matrix(config, lam)[:, :-1].sum(axis=1)
     grid = np.linspace(0.0, min(lam, 2 * coupled_rates(config).max()), _SCAN_POINTS)
     rates = service_rates(config.section2, config.convention)
-    values = [_residual(solve_birth_death(theta, rates), lam, passing, theta) for theta in grid]
-    brackets = []
-    for i in range(_SCAN_POINTS - 1):
-        if values[i] == 0.0 or (values[i] < 0) != (values[i + 1] < 0):
-            brackets.append((float(grid[i]), float(grid[i + 1])))
-    return brackets
+    h = np.array([_residual(solve_birth_death(x, rates).probs, lam, passing, x) for x in grid])
+    cut = (h[:-1] == 0.0) | ((h[:-1] < 0) != (h[1:] < 0))
+    return list(zip(grid[:-1][cut].tolist(), grid[1:][cut].tolist()))
 
 
 def tandem_measures(result: FixedPointResult, lam: float) -> PerformanceMeasures:
     """Performance of section 1 at the converged fixed point.
 
     Travel time is Little's law on the marginal count over theta; where
-    theta or the mean count is 0 it falls back, flagged, to section 1's
-    free-flow time.
+    theta or the mean count is 0 or subnormal it falls back, flagged, to
+    section 1's free-flow time.
     """
     return littles_law(
         result.marginal, result.theta, result.config.section1.free_flow_time

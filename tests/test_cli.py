@@ -152,6 +152,17 @@ def test_section_with_zero_critical_count_solves(capsys, tmp_path):
     assert len(json.loads(out)["distribution"]) == 3
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowed_exponential_speed_solves_without_a_warning(capsys):
+    # ((n - 1) / beta) ** gamma overflows from n = 3; exp(-inf) = 0 exactly
+    code, out, err = run_cli(
+        capsys, "solve-section", "--lambda", "0", "--model", "exponential",
+        "--beta", "1", "--gamma", "1000",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["distribution"][0] == 1.0
+
+
 @pytest.mark.parametrize("key", ["L", "c"])
 def test_integer_past_the_float_range_exits_2(capsys, tmp_path, key):
     path = tmp_path / "huge.json"
@@ -803,6 +814,9 @@ class TestOutputHandling:
             (("simulate", "--lambda", "5e-324", "--events", "10000"), 2),
             (("simulate", "--lambda", "1e-310"), 2),
             (("compare", "--lambda", "1e-310"), 2),
+            # the exponential power overflows (speed 0), and state 3 is singular
+            (("solve-section", "--lambda", "0.8", "--model", "exponential",
+              "--beta", "1", "--gamma", "1000"), 3),
         ],
     )
     def test_nothing_is_written_on_a_nonzero_exit(self, capsys, tmp_path, argv, expected):

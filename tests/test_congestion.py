@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,18 @@ class TestExponentialModel:
         assert m.speed(np.arange(1, 19)).shape == (18,)
         with pytest.raises(ValueError, match="n="):
             m.speed(np.arange(0, 18))
+
+    def test_overflowed_power_gives_zero_speed_without_a_warning(self):
+        # ((n - 1) / beta) ** gamma overflows from n = 3 at gamma = 1000;
+        # exp(-inf) = 0 is the exact limit, so numpy has nothing to warn of
+        m = ExponentialCongestionModel(v_f=28.0, beta=1.0, gamma=1000.0, c=18)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            speeds = m.speed(np.arange(1, 19))
+            rates = jain_smith_rates(100.0, m)
+        assert speeds[:2].tolist() == [28.0, 28.0 * math.exp(-1.0)]
+        assert not speeds[2:].any()
+        assert rates[2:].tolist() == [0.0] * 16
 
 
 class TestDispatch:

@@ -128,7 +128,7 @@ class TestTriangularPushforward:
     def test_free_flow_atom_collects_uncongested_states(self, section1):
         occ = solve_triangular(0.8, section1)
         d = speed_dist_triangular(occ, section1)
-        n_cr = round(section1.diagram.rho_cr * section1.L)
+        n_cr = round(section1.diagram.q_max / section1.diagram.v_f * section1.L)
         expected = sum(occ[n] for n in range(n_cr + 1))
         assert d.probs[-1] == pytest.approx(expected, rel=1e-12)
 
@@ -181,7 +181,8 @@ class TestTriangularPushforward:
         # c = 22 and n_cr = round(3.67) = 4, but state 4 is already served
         # on the supply branch: L * q_4 / 4 = 5 * (22 - 4 + offset) / 4
         section = RoadSection(L=110.0, diagram=TriangularDiagram(v_f=25.0, w=5.0, rho_j=0.2))
-        assert (section.c, round(section.diagram.rho_cr * section.L)) == (22, 4)
+        n_cr = round(section.diagram.q_max / section.diagram.v_f * section.L)
+        assert (section.c, n_cr) == (22, 4)
         occ = OccupancyDistribution.point_mass(section.c, 4)
         v = speed_dist_triangular(occ, section, convention)
         assert v.support.tolist() == [speed]

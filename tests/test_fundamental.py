@@ -23,12 +23,13 @@ def diagram1() -> TriangularDiagram:
 class TestTriangularDiagram:
     def test_derived_constants(self, diagram1):
         assert diagram1.q_max == pytest.approx(1.68, rel=1e-12)
-        assert diagram1.rho_cr == pytest.approx(0.06, rel=1e-12)
+        # the critical density is the vertex's q_max / v_f
+        assert diagram1.q_max / diagram1.v_f == pytest.approx(0.06, rel=1e-12)
 
     def test_second_section_constants(self):
         d = TriangularDiagram(v_f=14.0, w=7.0, rho_j=0.18)
         assert d.q_max == pytest.approx(0.84, rel=1e-12)
-        assert 0 < d.rho_cr < d.rho_j
+        assert 0 < d.q_max / d.v_f < d.rho_j
 
     @pytest.mark.parametrize("field", ["v_f", "w", "rho_j"])
     def test_rejects_nonpositive_parameters(self, field):
@@ -43,7 +44,7 @@ class TestRoadSection:
     def test_capacity_derived_from_jam_density(self, diagram1):
         section = RoadSection(L=100.0, diagram=diagram1)
         assert section.c == 18
-        assert round(diagram1.rho_cr * section.L) == 6
+        assert round(diagram1.q_max / diagram1.v_f * section.L) == 6
 
     def test_explicit_capacity_within_one_accepted(self, diagram1):
         assert RoadSection(L=100.0, diagram=diagram1, c=17).c == 17
@@ -91,12 +92,12 @@ class TestRoadSection:
             RoadSection(L=(largest + 1) / 0.18, diagram=diagram1, c=largest + 1)
 
     def test_degenerate_critical_count_loads(self):
-        # rho_cr * L rounds to 0, yet every shifted-convention rate is
+        # the critical count q_max / v_f * L rounds to 0, yet every shifted-convention rate is
         # positive: no rate or speed table reads the critical count
         d = TriangularDiagram(v_f=35.53, w=2.518, rho_j=0.1561)
         section = RoadSection(L=10.35, diagram=d)
         assert section.c == 2
-        assert round(d.rho_cr * section.L) == 0
+        assert round(d.q_max / d.v_f * section.L) == 0
         assert (service_rates(section, SHIFTED) > 0).all()
 
     def test_free_flow_time(self, section1):
@@ -106,13 +107,14 @@ class TestRoadSection:
 class TestFlowDemandSupply:
     def test_flow_examples(self, diagram1):
         # both branches of the diagram meet at its vertex (rho_cr, q_max)
-        assert diagram1.v_f * diagram1.rho_cr == pytest.approx(1.68, rel=1e-12)
-        assert diagram1.w * (diagram1.rho_j - diagram1.rho_cr) == pytest.approx(
+        rho_cr = diagram1.q_max / diagram1.v_f
+        assert diagram1.v_f * rho_cr == pytest.approx(1.68, rel=1e-12)
+        assert diagram1.w * (diagram1.rho_j - rho_cr) == pytest.approx(
             diagram1.q_max, rel=1e-12
         )
 
     def test_vertex_is_exact(self, diagram1):
-        assert ref_flow(diagram1, diagram1.rho_cr) == diagram1.q_max
+        assert ref_flow(diagram1, diagram1.q_max / diagram1.v_f) == diagram1.q_max
 
 
 class TestServiceRate:

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -335,6 +336,22 @@ class TestMeasures:
         assert (m.throughput, m.expected_count) == (5e-324, 0.0)
         assert m.free_flow_fallback
         assert m.expected_travel_time == 1.0 / rates[0] == 1.0 / 28.0
+
+    @pytest.mark.parametrize("lam", [5e-324, 1e-320, 1e-310])
+    def test_subnormal_rates_fall_back_to_lone_vehicle_time(self, section1, lam):
+        # a subnormal mean count over a subnormal throughput keeps few bits
+        # (5e-324 read 4.0, 1e-320 read 3.57164): the flagged 1 / q_1 instead
+        rates = service_rates(section1, SHIFTED)
+        m = measures(solve_triangular(lam, section1), lam, rates)
+        assert m.throughput < sys.float_info.min
+        assert m.free_flow_fallback
+        assert m.expected_travel_time == 1.0 / rates[0] == 3.571428571428571
+
+    def test_smallest_normal_rates_keep_littles_law(self, section1):
+        rates = service_rates(section1, SHIFTED)
+        m = measures(solve_triangular(1e-300, section1), 1e-300, rates)
+        assert not m.free_flow_fallback
+        assert m.expected_travel_time == m.expected_count / m.throughput == 3.5714285714286436
 
     def test_rate_length_mismatch_rejected(self, section1):
         d = solve_triangular(0.5, section1)

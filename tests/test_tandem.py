@@ -133,14 +133,14 @@ class TestDownstreamDistribution:
         e = solve_triangular(0.6, section2)
         assert d.probs.tobytes() == e.probs.tobytes()
         mixture = np.matmul(e.probs[None, :], passing[:, None])[0, 0]
-        assert _residual(d, 1.0, passing, 0.6) == 0.6 - min(mixture, 1.0)
+        assert _residual(d.probs, 1.0, passing, 0.6) == 0.6 - min(mixture, 1.0)
 
     def test_idle_feed(self, tandem_config, section2):
         passing = conditional_matrix(tandem_config, 1.0)[:, :-1].sum(axis=1)
         d = solve_birth_death(0.0, service_rates(section2))
         assert d[0] == 1.0
         # h(0) = -lam * P(n1 < c1 | n2 = 0)
-        assert _residual(d, 1.0, passing, 0.0) == -passing[0]
+        assert _residual(d.probs, 1.0, passing, 0.0) == -passing[0]
 
 
 class TestConditionalDistribution:
@@ -271,7 +271,8 @@ class TestSolveFixedPoint:
         lam = 0.01
         passing = conditional_matrix(tandem_config, lam)[:, :-1].sum(axis=1)
         assert solve_triangular(lam, tandem_config.section2).probs @ passing > 1.0
-        assert _residual(solve_triangular(lam, tandem_config.section2), lam, passing, lam) >= 0.0
+        down = solve_triangular(lam, tandem_config.section2).probs
+        assert _residual(down, lam, passing, lam) >= 0.0
         result = solve_fixed_point(tandem_config, lam)
         assert result.theta == lam
         assert result.residual <= 1e-10
@@ -283,7 +284,7 @@ class TestSolveFixedPoint:
         config = TandemConfig(section1, section2)
         hi = float(coupled_rates(config).max())
         passing = conditional_matrix(config, 100.0)[:, :-1].sum(axis=1)
-        assert -1e-10 <= _residual(solve_triangular(hi, section2), 100.0, passing, hi) < 0.0
+        assert -1e-10 <= _residual(solve_triangular(hi, section2).probs, 100.0, passing, hi) < 0.0
         result = solve_fixed_point(config, 100.0)
         assert result.theta == hi
         assert result.residual <= 1e-10
@@ -324,7 +325,7 @@ class TestBatchedFixedPoint:
         h = _residual(down, lams, passing, thetas)
         for i, (lam, theta) in enumerate(zip(lams.tolist(), thetas.tolist())):
             down_i = solve_triangular(theta, tandem_config.section2)
-            h_i = _residual(down_i, lam, passing[i], theta)
+            h_i = _residual(down_i.probs, lam, passing[i], theta)
             assert h[i].tobytes() == np.float64(h_i).tobytes()
             assert down[i].tobytes() == down_i.probs.tobytes()
 
@@ -425,6 +426,39 @@ class TestScanRoots:
         grid = np.linspace(0.0, 0.1, _SCAN_POINTS)
         assert scan_roots(config, 0.1) == [(grid[-2], grid[-1])]
 
+    # designed residuals on the grid: exact zeros at either end and in runs,
+    # a negative zero, and a NaN, which counts as neither sign nor zero
+    @pytest.mark.parametrize(
+        "values, cells",
+        [
+            ([0.0] + [1.0] * 999, [0]),
+            ([0.0] + [-1.0] * 999, [0]),
+            ([-1.0] * 999 + [0.0], [998]),
+            ([1.0] * 999 + [0.0], []),
+            ([-1.0] * 10 + [0.0] * 5 + [1.0] * 985, [9, 10, 11, 12, 13, 14]),
+            ([1.0] * 10 + [0.0] * 5 + [-1.0] * 985, [10, 11, 12, 13, 14]),
+            ([-1.0] * 500 + [-0.0] + [1.0] * 499, [499, 500]),
+            ([-1.0] * 500 + [math.nan] + [1.0] * 499, [499]),
+            ([1.0] * 500 + [math.nan] + [-1.0] * 499, [500]),
+            ([math.nan] * 1000, []),
+        ],
+    )
+    def test_bracket_rule_at_its_edges(self, tandem_config, monkeypatch, values, cells):
+        assert len(values) == _SCAN_POINTS
+        feed = iter(values)
+        monkeypatch.setattr(tandem, "_residual", lambda *args: np.float64(next(feed)))
+        grid = np.linspace(0.0, min(0.8, 2 * coupled_rates(tandem_config).max()), _SCAN_POINTS)
+        # the per-point rule: a zero, or a sign change to the next point
+        loop = [
+            (float(grid[i]), float(grid[i + 1]))
+            for i in range(_SCAN_POINTS - 1)
+            if values[i] == 0.0 or (values[i] < 0) != (values[i + 1] < 0)
+        ]
+        brackets = scan_roots(tandem_config, 0.8)
+        assert next(feed, None) is None
+        assert brackets == loop == [(grid[i], grid[i + 1]) for i in cells]
+        assert all(type(x) is float for bracket in brackets for x in bracket)
+
     @pytest.mark.parametrize("length_m, c", [(100.0, 18), (1000.0, 180)])
     def test_one_rate_table_per_scan(self, tandem_config, monkeypatch, length_m, c):
         # the scan's 1000 downstream laws share one table of section 2's rates
@@ -461,6 +495,14 @@ class TestTandemMeasures:
             result.marginal.mean() / result.theta, rel=1e-12
         )
         assert not m.free_flow_fallback
+
+    @pytest.mark.parametrize("lam", [5e-324, 1e-320, 1e-310])
+    def test_subnormal_theta_free_flow_fallback(self, tandem_config, lam):
+        # Little's law on a subnormal count and theta keeps few bits
+        result = solve_fixed_point(tandem_config, lam)
+        m = tandem_measures(result, lam)
+        assert m.free_flow_fallback
+        assert m.expected_travel_time == 100.0 / 28.0 == 3.5714285714285716
 
     def test_zero_theta_free_flow_fallback(self, tandem_config):
         result = solve_fixed_point(tandem_config, 0.0)
