@@ -359,7 +359,8 @@ _COMMANDS = (
      (_LAMBDA, _CONVENTION, *_MODEL, _SECTION)),
     ("solve-tandem", _cmd_solve_tandem, "two-section throughput fixed point", (
         _LAMBDA, _CONVENTION,
-        ("--tol", {"type": float, "default": 1e-10}),
+        ("--tol", {"type": float, "default": 1e-10, "help": (
+            "dimensionless: stop at |residual| <= tol * min(lambda, max q12)")}),
         ("--max-iter", {"type": int, "default": 200}),
         ("--scan-roots", {"action": "store_true", "help": (
             "also report every residual sign change on a 1000-point grid")}),

@@ -105,14 +105,19 @@ def _check_count(model: CongestionModel, n) -> np.ndarray:
 def fit_exponential(anchors: FitAnchors) -> tuple[float, float]:
     """Fit (beta, gamma) so the exponential law passes through both anchors.
 
-    Raises ValueError for degenerate anchors (any speed equal to v_f, or
-    an anchor count of 1) where the logarithms are singular.  The two
-    closed forms for beta, via (a, v_a) and via (b, v_b), agree to
+    Raises ValueError where floats hold no fit: a ratio v/v_f or (a-1)/(b-1)
+    underflows, ln(v_a/v_f) = ln(v_b/v_f), or beta leaves the float range.
+    The two closed forms for beta, via (a, v_a) and via (b, v_b), agree to
     rounding error; the (a, v_a) form is returned.
     """
-    la = math.log(anchors.v_a / anchors.v_f)
-    lb = math.log(anchors.v_b / anchors.v_f)
-    # la, lb < 0 strictly by the anchor invariants; la/lb in (0, 1)
-    gamma = math.log(la / lb) / math.log((anchors.a - 1) / (anchors.b - 1))
-    beta = (anchors.a - 1) / (-la) ** (1.0 / gamma)
+    try:  # an underflowed ratio has no logarithm, equal ones give gamma = 0
+        la = math.log(anchors.v_a / anchors.v_f)
+        lb = math.log(anchors.v_b / anchors.v_f)
+        gamma = math.log(la / lb) / math.log((anchors.a - 1) / (anchors.b - 1))
+        beta = (anchors.a - 1) / (-la) ** (1.0 / gamma)
+    except (ValueError, ArithmeticError):
+        beta = 0.0
+    if not 0 < beta < math.inf:
+        raise ValueError(f"{anchors} have no fit in floats: a ratio underflows, "
+                         "ln(v_a/v_f) = ln(v_b/v_f), or beta leaves the float range")
     return beta, gamma

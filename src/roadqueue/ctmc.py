@@ -68,6 +68,7 @@ class SimulationResult:
         object.__setattr__(self, "events", check_integer("events", self.events, 1))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _gth refuses a law past the float range
 def exact_stationary(generator) -> np.ndarray:
     """Stationary law from the global balance equations, pi Q = 0.
 
@@ -84,7 +85,7 @@ def exact_stationary(generator) -> np.ndarray:
     about 9 bytes a matrix entry and 8 * band**2 for GTH's rank-one update,
     must fit under the 256 MiB cap with it, or OracleError is raised before
     any of it is allocated: a birth-death chain solves up to c = 3967, a
-    dense generator up to N = 3273 states.
+    dense generator up to N = 3273 states.  So does a law past the float range.
     """
     q = np.asarray(generator, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
@@ -92,18 +93,12 @@ def exact_stationary(generator) -> np.ndarray:
     n = q.shape[0]
     # the outermost diagonal holding a nonzero entry, read through views only
     band = next((k for k in range(n - 1, 0, -1) if q.diagonal(k).any() or q.diagonal(-k).any()), 0)
-    # GTH works on a copy beside q and one band x band rank-one update, the
-    # checks on a mask of q, and the law on a few vectors and small objects;
-    # numpy's ufunc buffers for the update's strided column take 128 kB more
-    bytes_held = 9 * n * n + 8 * band**2 + 128 * n + 2**17 + 2**13
-    check_array_bytes(f"GTH elimination on {n} states", bytes_held, q.nbytes, OracleError)
+    check_array_bytes(f"GTH elimination on {n} states", _gth_bytes(n, band), q.nbytes, OracleError)
     negative = q < 0
     np.fill_diagonal(negative, False)
     if negative.any():
         raise ValueError("off-diagonal generator entries must be >= 0")
-    # a NaN or infinite entry makes its row sum NaN or infinite
-    with np.errstate(invalid="ignore"):
-        row_sums = q.sum(axis=1)
+    row_sums = q.sum(axis=1)  # NaN or infinite where an entry is
     if not np.isfinite(row_sums).all():
         raise ValueError("generator entries must be finite")
     # off-diagonal entries are nonnegative, so a row's absolute sum is its
@@ -119,6 +114,13 @@ def exact_stationary(generator) -> np.ndarray:
     return pi
 
 
+def _gth_bytes(n: int, band: int) -> int:
+    """Bytes GTH holds beside an n-state generator: a copy and a mask of it, one band x band
+    update, a few vectors and objects, and 128 kB of ufunc buffers for its strided column."""
+    return 9 * n * n + 8 * band**2 + 128 * n + 2**17 + 2**13
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _gth(rates: np.ndarray, band: int) -> np.ndarray:
     """Unnormalized law, pi[..., 0] = 1, by GTH elimination: O(N * band**2).
 
@@ -126,21 +128,20 @@ def _gth(rates: np.ndarray, band: int) -> np.ndarray:
     (m, N, N) stack of them, giving one law per row of an (m, N) array.
     Censors states from the last, overwriting rates within band of the
     diagonal; a state with no outflow to lower states, in any matrix of
-    the stack, raises OracleError.  Each law is rescaled on its own as it
-    grows, so a stack gives the bits of its matrices solved one by one.
+    the stack, or a law past the float range, raises OracleError.  Each law
+    is rescaled on its own as it grows, giving the bits of one-by-one solves.
     """
     n = rates.shape[-1]
     stack = rates.reshape(-1, n, n)  # a single matrix is a stack of one
     out = np.zeros(stack.shape[:-1])
     # a state with no outflow divides by 0 and leaves NaN in the states
     # below it, so the highest state that fails is the one to report
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(n - 1, 0, -1):
-            lo = max(k - band, 0)
-            out[:, k] = stack[:, k, lo:k].sum(axis=-1)
-            stack[:, lo:k, lo:k] += stack[:, lo:k, k, None] * (
-                stack[:, k, None, lo:k] / out[:, k, None, None]
-            )
+    for k in range(n - 1, 0, -1):
+        lo = max(k - band, 0)
+        out[:, k] = stack[:, k, lo:k].sum(axis=-1)
+        stack[:, lo:k, lo:k] += stack[:, lo:k, k, None] * (
+            stack[:, k, None, lo:k] / out[:, k, None, None]
+        )
     stuck = np.nonzero(~(out[:, 1:] > 0))[1]
     if stuck.size:
         raise OracleError(f"state {stuck.max() + 1} has no outflow to lower states")
@@ -152,6 +153,8 @@ def _gth(rates: np.ndarray, band: int) -> np.ndarray:
         if max(pi[:, k].tolist(), default=0.0) > _RESCALE:
             # dividing the other laws by 1 leaves their bits as they are
             pi[:, : k + 1] /= np.where(pi[:, k] > _RESCALE, pi[:, k], 1.0)[:, None]
+    if not np.isfinite(pi).all():  # a step ratio past about 1e58 overflows it
+        raise OracleError(f"the stationary law passes the float range, {sys.float_info.max:.4g}")
     return pi.reshape(rates.shape[:-1])
 
 
@@ -166,13 +169,14 @@ def _verify(pi: np.ndarray, residual: float, tol: float) -> None:
 def birth_death_chain(lam: float, rates) -> np.ndarray:
     """Loss-system birth-death generator on {0..c}: births lam, deaths q_n.
 
-    Past the 256 MiB cap (c > 5791) it raises OracleError before allocating.
+    Past exact_stationary's limit (c > 3967) it raises OracleError before allocating.
     """
     if check_arrival_rates(lam)[0].ndim:
         raise ValueError(f"birth_death_chain takes one arrival rate, got shape {np.shape(lam)}")
     rates = check_rates(rates)
     c = rates.size
-    check_array_bytes(f"the birth-death generator (c = {c})", 8 * (c + 1) ** 2, error=OracleError)
+    what = f"GTH elimination on {c + 1} states (c = {c})"
+    check_array_bytes(what, _gth_bytes(c + 1, 1), 8 * (c + 1) ** 2, OracleError)
     gen = np.zeros((c + 1, c + 1))
     n = np.arange(c)
     gen[n, n + 1] = lam

@@ -24,14 +24,14 @@ theta itself satisfies the throughput fixed point
 
 solved here by ITP (interpolate, truncate, project) on [0, hi] with
 hi = min(lam, max q12), where theta - lam * P1(n1 < c1) is continuous,
-at most 0 at 0 and at least 0 at hi.  The passing probability is the sum
-of the masses below c1, not 1 - P1_c1, which cancels to 0 past lam of
-about 1e16.  The root is unique: q12 does not increase in n2, so
-P(n1 < c1 | n2) does not increase in n2; section 2's law grows
-stochastically with theta; so P1(n1 < c1) does not increase in theta,
-and the residual has slope at least 1.  scan_roots checks this on a
-grid, where a grid value of exactly 0 can still give two brackets; its
-1000 downstream laws are solved on one rate table, built once per scan.
+at most 0 at 0 and at least 0 at hi, to |residual| <= tol * hi: tol is
+dimensionless, so rates in any unit of time give one theta.  The passing
+probability is the sum of the masses below c1, not 1 - P1_c1, which
+cancels to 0 past lam of about 1e16.  The root is unique: q12 does not
+increase in n2, so P(n1 < c1 | n2) does not increase in n2; section 2's
+law grows stochastically with theta; so P1(n1 < c1) does not increase in
+theta, and the residual has slope at least 1.  scan_roots checks this on
+a grid (a grid value of exactly 0 can give two brackets), on one rate table.
 
 A sweep's fixed points are one ITP over a vector of lam, each round one
 stacked residual over the rates not yet converged; one lam is a batch of one.
@@ -168,15 +168,15 @@ def solve_fixed_point(config: TandemConfig, lam, tol: float = 1e-10, max_iter: i
     regula-falsi point toward the midpoint by _ITP_KAPPA1 * width**2 / lam
     and projects it into a radius that halves each step, so it keeps
     bisection's bracket and worst case and, on this residual of slope at
-    least 1, converges superlinearly.  Stops when |residual| <= tol, with
-    the marginal renormalized.  Deterministic: the same inputs always
-    evaluate the same sequence.
+    least 1, converges superlinearly.  Stops at |residual| <= tol * hi, so
+    tol is dimensionless, within ceil(log2(1 / tol)) + _ITP_N0 steps, with
+    the marginal renormalized.  Deterministic: the same inputs give the same steps.
 
     lam is one rate, giving one FixedPointResult, or a 1-D vector of them,
-    giving a list.  Each rate keeps its own bracket, n_max and stop rule,
-    and each round is one stacked residual over the rates not yet
-    converged, so every result has the bits of its scalar solve; past
-    max_iter, ConvergenceError gives the first unconverged rate's bracket.
+    giving a list.  Each rate keeps its own bracket and stop, each round is
+    one stacked residual over the rates not yet converged, so every result
+    has the bits of its scalar solve; past max_iter, ConvergenceError gives
+    the first unconverged rate's bracket.
     A batch runs in pieces of _rates_that_fit rates beside every rate's
     result, so it stays under the 256 MiB cap or raises ValueError.
     """
@@ -196,22 +196,21 @@ def solve_fixed_point(config: TandemConfig, lam, tol: float = 1e-10, max_iter: i
     down = solve_triangular(ends[:, 1], s2, convention)
     h_hi = _residual(down, batch, passing, ends[:, 1])
     h_ends = np.stack([h_lo, h_hi], 1)
-    # passing in [0, 1] and the flow balance above force h(0) <= 0 <= h(hi)
-    for (a, b), top in zip(h_ends.tolist(), ends[:, 1].tolist()):
-        if a > 0 or b < -tol:
-            raise AssertionError(f"fixed-point bracket lost: h(0)={a!r}, h({top!r})={b!r}")
     theta, h, down, count = ends[:, 1].copy(), h_hi, np.array(down), np.zeros(batch.size, int)
-    hi_0 = theta.tolist()
-    # n_max = ceil(log2(hi / (2 eps))) + n0 with eps = tol / 2; hi = 0 has converged
-    n_max = [math.ceil(math.log2(x) - math.log2(tol)) + _ITP_N0 if x else 0 for x in hi_0]
-    n_max, active, j = np.array(n_max), np.flatnonzero(np.abs(h) > tol), 0
+    stop = tol * theta  # each rate's |h| stop, relative to its bracket; hi = 0 has converged
+    # passing in [0, 1] and the flow balance above force h(0) <= 0 <= h(hi)
+    for a, b, top, s in zip(h_lo.tolist(), h_hi.tolist(), theta.tolist(), stop.tolist()):
+        if a > 0 or b < -s:
+            raise AssertionError(f"fixed-point bracket lost: h(0)={a!r}, h({top!r})={b!r}")
+    # n_max = ceil(log2(hi / (2 eps))) + n0 with eps = stop / 2: one budget for every rate
+    n_max, active, j = math.ceil(-math.log2(tol)) + _ITP_N0, np.flatnonzero(np.abs(h) > stop), 0
     while active.size:
         (lo, hi), (h_lo, h_hi) = ends[active].T, h_ends[active].T
         if j == max_iter:
             first = (lo[0].item(), hi[0].item())
             raise ConvergenceError(
-                f"no theta with residual <= {tol} after {max_iter} residual "
-                f"evaluations; best bracket [{first[0]}, {first[1]}]",
+                f"no theta with |residual| <= tol * min(lam, max q12) = {stop[active[0]]} "
+                f"after {max_iter} residual evaluations; best bracket [{first[0]}, {first[1]}]",
                 bracket=first,
             )
         width = hi - lo
@@ -221,7 +220,7 @@ def solve_fixed_point(config: TandemConfig, lam, tol: float = 1e-10, max_iter: i
         delta = _ITP_KAPPA1 * width * (width / batch[active])  # kappa2 = 2
         sigma = np.copysign(1.0, mid - x_f)
         x_t = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)
-        radius = np.maximum(np.ldexp(0.5 * tol, n_max[active] - j) - 0.5 * width, 0.0)
+        radius = np.maximum(np.ldexp(0.5 * stop[active], n_max - j) - 0.5 * width, 0.0)
         step = np.where(np.abs(x_t - mid) <= radius, x_t, mid - sigma * radius)
         down[active] = law = solve_triangular(step, s2, convention)
         h_step = _residual(law, batch[active], passing[active], step)
@@ -229,7 +228,7 @@ def solve_fixed_point(config: TandemConfig, lam, tol: float = 1e-10, max_iter: i
         theta[active], h[active], count[active] = step, h_step, j
         side = (h_step > 0).astype(int)  # a positive residual moves hi, any other lo
         ends[active, side], h_ends[active, side] = step, h_step
-        active = active[np.abs(h_step) > tol]
+        active = active[np.abs(h_step) > stop[active]]
     marginals = np.matmul(down[:, None], matrix)[:, 0]
     results = [
         FixedPointResult(

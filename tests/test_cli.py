@@ -587,6 +587,21 @@ class TestCompare:
         assert (code, out) == (3, "")
         assert "256 MiB cap" in err
 
+    @pytest.mark.parametrize("lam", ["1e200", "1e308", "1.7976931348623157e308"])
+    @pytest.mark.filterwarnings("error")
+    def test_law_past_the_float_range_exits_3_without_a_warning(self, capsys, lam):
+        # a step ratio lam / q past about 1e58 overflows GTH's unnormalized
+        # law: refused in one line, with no numpy RuntimeWarning before it
+        code, out, err = run_cli(capsys, "compare", "--lambda", lam, "--events", "10000")
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and "float range" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_step_ratio_inside_the_float_range_solves(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "--lambda", "1e100", "--events", "10000")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["tv_analytical_vs_exact"] < 1e-15
+
 
 class TestFitExponential:
     def test_explicit_free_speed(self, capsys):
@@ -646,6 +661,16 @@ class TestFitExponential:
         assert code == 2
         assert out == ""
 
+
+    def test_anchors_whose_logs_collide_exit_2(self, capsys):
+        # ln(v_a / v_f) = ln(v_b / v_f) in floats: a ValueError, not a
+        # ZeroDivisionError traceback
+        code, out, err = run_cli(
+            capsys, "fit-exponential", "--fit-a", "2", "--fit-va", "1e-300",
+            "--fit-b", "3", "--fit-vb", "9.999999999999999e-301", "--fit-vf", "28",
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "no fit in floats" in err
 
     @pytest.mark.parametrize("option, name", [("--fit-b", "b"), ("--fit-vf", "v_f")])
     def test_non_finite_anchor_exits_2(self, capsys, option, name):
@@ -897,7 +922,8 @@ PARSER_SURFACE = {
     "solve-section": [HELP, CONFIG, OUTPUT, LAM, *MODEL, SECTION_ONE],
     "solve-tandem": [
         HELP, CONFIG, OUTPUT, LAM, CONVENTION,
-        ("tol", ("--tol",), 1e-10, None, False, "float", None),
+        ("tol", ("--tol",), 1e-10, None, False, "float",
+         "dimensionless: stop at |residual| <= tol * min(lambda, max q12)"),
         ("max_iter", ("--max-iter",), 200, None, False, "int", None),
         ("scan_roots", ("--scan-roots",), False, None, False, None,
          "also report every residual sign change on a 1000-point grid"),

@@ -169,6 +169,25 @@ class TestFitExponential:
         assert m.speed(20) == pytest.approx(48.0, rel=1e-9)
         assert m.speed(140) == pytest.approx(20.0, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "a, v_a, b, v_b",
+        [
+            # ln(v_a / v_f) = ln(v_b / v_f) in floats, so gamma = 0
+            (2.0, 1e-300, 3.0, 9.999999999999999e-301),
+            # v_b / v_f underflows to 0, which has no logarithm
+            (2.0, 1e-300, 3.0, 5e-324),
+            # (a - 1) / (b - 1) underflows to 0
+            (1.0000000000000002, 20.0, 1e308, 10.0),
+            # gamma of about 5e-20: ln(v_f / v_a) ** (1 / gamma) overflows
+            (2.0, 1.0, 1e300, 0.9999999999999999),
+        ],
+    )
+    def test_anchors_with_no_fit_in_floats_are_refused(self, a, v_a, b, v_b):
+        anchors = FitAnchors(a=a, v_a=v_a, b=b, v_b=v_b, v_f=28.0)
+        with pytest.raises(ValueError, match="no fit in floats") as refused:
+            fit_exponential(anchors)
+        assert repr(anchors) in str(refused.value)
+
     def test_round_trip_random_anchors(self):
         rng = random.Random(7)
         for _ in range(100):

@@ -179,12 +179,13 @@ class TestExactStationary:
         pi, peak = traced_peak(lambda: exact_stationary(birth_death_chain(0.8, rates)))
         assert pi.shape == (c + 1,)
         assert peak <= cap
-        # a byte less is refused once the generator is built, before the copy
+        # a byte less, birth_death_chain reads the same count and refuses
+        # before its generator is built
         monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", cap - 1)
         refused, peak = traced_peak(lambda: exact_stationary(birth_death_chain(0.8, rates)))
         assert isinstance(refused, OracleError)
-        assert f"GTH elimination on {c + 1} states" in str(refused)
-        assert peak < 1.5 * 8 * (c + 1) ** 2
+        assert f"GTH elimination on {c + 1} states (c = {c})" in str(refused)
+        assert peak < 8 * (c + 1) ** 2 / 4
 
     @pytest.mark.parametrize("n", [200, 500])
     def test_dense_peak_stays_under_the_cap_it_counts(self, monkeypatch, n):
@@ -270,12 +271,13 @@ class TestBirthDeathChain:
             birth_death_chain(0.8, [1.0, bad])
 
     def test_oversized_chain_is_refused_before_allocating(self):
-        # 8 * 6001**2 bytes = 288 MB of generator, past the 256 MiB cap;
-        # c = 5791 is the largest that passes
-        rates = np.ones(6000)
+        # c = 4500: its 162 MB generator fits under the 256 MiB cap, but
+        # exact_stationary's copy and mask beside it do not, so the chain is
+        # refused by the oracle's own count before any of it is built
+        rates = np.ones(4500)
         tracemalloc.start()
         try:
-            with pytest.raises(OracleError, match="288 MB"):
+            with pytest.raises(OracleError, match=r"4501 states \(c = 4500\) needs 345 MB"):
                 birth_death_chain(0.8, rates)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -283,20 +285,22 @@ class TestBirthDeathChain:
         assert peak < 2**20
 
     def test_cap_boundary(self, monkeypatch):
-        # c = 5792 is the first chain past the real cap: 8 * 5793**2 bytes
-        tracemalloc.start()
-        try:
-            with pytest.raises(OracleError, match=r"\(c = 5792\)"):
-                birth_death_chain(0.8, np.ones(5792))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # one limit: c = 3967 is the largest chain exact_stationary solves,
+        # and c = 3968 the first that both refuse
+        def fits(c):
+            n = c + 1
+            return 17 * n * n + 8 + 128 * n + 2**17 + 2**13 <= fundamental._ARRAY_CAP_BYTES
+
+        assert fits(3967) and not fits(3968)
+        refused, peak = traced_peak(lambda: birth_death_chain(0.8, np.ones(3968)))
+        assert isinstance(refused, OracleError)
+        assert "(c = 3968)" in str(refused)
         assert peak < 2**20
-        # c = 5791 would allocate 268 MB, so test acceptance at a cap
-        # lowered to exactly c = 10's generator
-        assert 8 * 5792**2 <= fundamental._ARRAY_CAP_BYTES
-        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", 8 * 11**2)
-        assert birth_death_chain(0.8, np.ones(10)).shape == (11, 11)
+        # c = 3967 would allocate 126 MB, so test acceptance at a cap
+        # lowered to exactly c = 10's chain and its solve
+        cap = gth_bytes(birth_death_chain(0.8, np.ones(10)))
+        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", cap)
+        assert exact_stationary(birth_death_chain(0.8, np.ones(10))).shape == (11,)
         with pytest.raises(OracleError, match=r"\(c = 11\)"):
             birth_death_chain(0.8, np.ones(11))
 

@@ -7,6 +7,7 @@ tests check invariants that follow from the model, not values copied
 from the solver.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -274,7 +275,8 @@ def test_fixed_point_invariants(config, lam):
         empty = OccupancyDistribution.point_mass(config.section2.c, 0).probs
         assert result.downstream.probs.tolist() == empty.tolist()
     assert 0 <= result.theta <= lam
-    assert result.residual <= tol
+    # the stop rule is relative to the bracket's top, min(lam, max q12)
+    assert result.residual <= tol * min(lam, coupled_rates(config).max())
     assert abs(result.marginal.probs.sum() - 1.0) <= 1e-12
     # departure-side flow balance: what leaves section 1 at the coupled
     # rates is theta, up to the residual and rounding relative to lam
@@ -298,8 +300,9 @@ def test_fixed_point_stays_under_the_road_capacity_at_any_load(config, lam):
     # however large lam is, and the solve converges there
     tol = 1e-10
     result = solve_fixed_point(config, lam, tol=tol)
-    assert 0 <= result.theta <= min(lam, coupled_rates(config).max())
-    assert result.residual <= tol
+    hi = min(lam, coupled_rates(config).max())
+    assert 0 <= result.theta <= hi
+    assert result.residual <= tol * hi
     measures = tandem_measures(result, lam)
     assert 0 <= measures.blocking <= 1
 
@@ -308,20 +311,20 @@ def test_fixed_point_stays_under_the_road_capacity_at_any_load(config, lam):
 @given(tandems(max_c=30), log_arrival_rates)
 def test_fixed_point_lands_where_bisection_does(config, lam):
     tol = 1e-10
-    reference = ref_fixed_point(config, lam, tol=tol)
-    result = solve_fixed_point(config, lam, tol=tol)
-    # h has slope at least 1, so each theta lies within tol of the root
-    assert abs(result.theta - reference.theta) <= 2 * tol
-    # ITP promises bisection's worst case plus n0 = 1 step on [0, hi], not
-    # bisection's count: capped there, it meets tol or leaves the root in a
-    # bracket tol wide, up to rounding
     hi = min(lam, float(coupled_rates(config).max()))
-    n_max = math.ceil(math.log2(hi / tol)) + 1
+    reference = ref_fixed_point(config, lam, tol=tol * hi)
+    result = solve_fixed_point(config, lam, tol=tol)
+    # h has slope at least 1, so each theta lies within tol * hi of the root
+    assert abs(result.theta - reference.theta) <= 2 * tol * hi
+    # ITP promises bisection's worst case plus n0 = 1 step on [0, hi], not
+    # bisection's count: capped there, it meets tol * hi or leaves the root
+    # in a bracket tol * hi wide, up to rounding
+    n_max = math.ceil(math.log2(1 / tol)) + 1
     try:
         solve_fixed_point(config, lam, tol=tol, max_iter=n_max)
     except ConvergenceError as exc:
         lo, top = exc.bracket
-        assert top - lo <= tol + 2 * math.ulp(hi)
+        assert top - lo <= tol * hi + 2 * math.ulp(hi)
 
 
 # idle, subnormal, ordinary and saturating rates mixed in one batch
@@ -337,7 +340,7 @@ batch_arrival_rates = st.lists(
 @SETTINGS
 @given(tandems(max_c=30), batch_arrival_rates)
 def test_batched_fixed_point_has_the_bits_of_each_scalar_solve(config, lams):
-    # each rate keeps its own bracket, n_max and stop rule inside the batch
+    # each rate keeps its own bracket and stop rule inside the batch
     batch = solve_fixed_point(config, lams)
     assert len(batch) == len(lams)
     for lam, result in zip(lams, batch):
@@ -349,6 +352,36 @@ def test_batched_fixed_point_has_the_bits_of_each_scalar_solve(config, lams):
         )
         assert result.marginal.probs.tobytes() == alone.marginal.probs.tobytes()
         assert result.downstream.probs.tobytes() == alone.downstream.probs.tobytes()
+
+
+def in_time_units(config, s):
+    """The tandem with every speed, so every rate, multiplied by s."""
+    sections = (
+        dataclasses.replace(
+            x, diagram=dataclasses.replace(x.diagram, v_f=s * x.diagram.v_f, w=s * x.diagram.w)
+        )
+        for x in (config.section1, config.section2)
+    )
+    return TandemConfig(*sections)
+
+
+@settings(max_examples=30, deadline=None)
+@given(tandems(max_c=30), log_arrival_rates, st.floats(-12.0, 6.0).map(lambda e: 10.0**e))
+def test_fixed_point_does_not_depend_on_the_unit_of_time(config, lam, s):
+    # the stop rule and step budget are relative to the bracket [0, hi], so
+    # a tandem in other time units solves alike: theta / s within a few tol
+    # of hi, the same iterations up to one, and the oracle's marginal alike
+    tol = 1e-10
+    hi = min(lam, float(coupled_rates(config).max()))
+    scaled = in_time_units(config, s)
+    result = solve_fixed_point(config, lam, tol=tol)
+    other = solve_fixed_point(scaled, lam * s, tol=tol)
+    assert abs(other.theta / s - result.theta) <= 3 * tol * hi
+    assert abs(other.iterations - result.iterations) <= 1
+    exact = tandem_stationary(config, lam).sum(axis=-1)
+    np.testing.assert_allclose(
+        tandem_stationary(scaled, lam * s).sum(axis=-1), exact, rtol=0, atol=1e-12
+    )
 
 
 # each scan solves 1000 downstream laws one at a time
@@ -364,9 +397,10 @@ def test_scan_brackets_hold_the_fixed_point(config, lam):
         assert 0 <= lo < hi <= top
         assert hi - lo == pytest.approx(step, rel=1e-9)
     # h = theta - lam * P1(n1 < c1) has slope at least 1, so the solve's
-    # theta lies within tol of the root that one bracket holds
+    # theta lies within tol * min(lam, max q12) <= tol * top of the root
+    # that one bracket holds
     theta = solve_fixed_point(config, lam, tol=tol).theta
-    assert any(lo - 2 * tol <= theta <= hi + 2 * tol for lo, hi in brackets)
+    assert any(lo - 2 * tol * top <= theta <= hi + 2 * tol * top for lo, hi in brackets)
 
 
 def _outcome(fn, *args):
