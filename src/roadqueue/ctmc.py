@@ -102,11 +102,13 @@ def exact_stationary(generator) -> np.ndarray:
     if not np.isfinite(row_sums).all():
         raise ValueError("generator entries must be finite")
     # off-diagonal entries are nonnegative, so a row's absolute sum is its
-    # sum minus the diagonal plus the diagonal's size: no N x N temporary
+    # sum minus the diagonal plus the diagonal's size: no N x N temporary.
+    # Halved, it stays finite near the float maximum; halving is exact away
+    # from the subnormals, so tol keeps the bits of ||Q||_inf * N * eps
     diag = q.diagonal()
-    q_norm = float(np.max(row_sums - diag + np.abs(diag)))
-    tol = q_norm * n * np.finfo(float).eps
-    if np.max(np.abs(row_sums)) > tol:
+    half_norm = float(np.max(row_sums / 2 - diag / 2 + np.abs(diag) / 2))
+    tol = half_norm * (2 * n * np.finfo(float).eps)
+    if not np.max(np.abs(row_sums)) <= tol < math.inf:  # an infinite tol would pass anything
         raise ValueError("generator rows must sum to zero")
     pi = _gth(q.copy(), band)
     pi /= pi.sum()
@@ -303,12 +305,14 @@ def simulate(
     making runs bitwise reproducible for equal inputs.  The uniforms are
     drawn _SIM_BUFFER events at a time, holding time then branch; each
     double takes one 64-bit output, so the stream does not depend on the
-    buffer size.  A buffer's holding times come from one comprehension
-    over math.log1p: np.log1p differs from it in the last bit on some
-    draws, which would change the law's bits.  A state's total rate below
-    max_events * 37 / (the largest float) raises ValueError before any
-    draw, as the run's model time could pass the float range; every rate
-    accepted is then a normal float, so a draw at n = 0 always moves up.
+    buffer size.  math.log1p mapped over a buffer's negated draws gives
+    minus its holding times (np.log1p differs in the last bit on some),
+    and each over its state's rate is subtracted from that occupancy,
+    with the bits of adding -log1p(-u) / rate.  A state with no exit
+    divides by zero, which ends the run as absorbed.  A state's total
+    rate below max_events * 37 / (the largest float) raises ValueError
+    before any draw, as the run's model time could pass the float range;
+    every rate accepted is then a normal float, so n = 0 always moves up.
     """
     if np.ndim(lam):
         raise ValueError(f"simulate takes one arrival rate, got shape {np.shape(lam)}")
@@ -334,21 +338,19 @@ def simulate(
     while events < max_events:
         size = min(_SIM_BUFFER, max_events - events)
         buffer = rng.random(2 * size)
-        # 1 - u in (0, 1]: keeps the exponential draw finite
-        holds = [-math.log1p(-u) for u in buffer[0::2].tolist()]
-        draws = zip(holds, buffer[1::2].tolist())
-        for h, u in draws:
-            t = total[n]
-            if t == 0.0:
-                absorbed = True
-                break
-            occupancy[n] += h / t
-            if u * t < birth[n]:
-                n += 1
-            else:
-                n -= 1
-        if absorbed:
-            # the draw read in the absorbing state and those after it
+        # g = log1p(-u), minus the holding time; 1 - u in (0, 1] keeps it finite
+        draws = zip(map(math.log1p, (-buffer[0::2]).tolist()), buffer[1::2].tolist())
+        try:
+            for g, u in draws:
+                t = total[n]
+                occupancy[n] -= g / t
+                if u * t < birth[n]:
+                    n += 1
+                else:
+                    n -= 1
+        except ZeroDivisionError:
+            # a state with no exit: the draw read in it and those after it are unused
+            absorbed = True
             events += size - 1 - sum(1 for _ in draws)
             break
         events += size

@@ -101,6 +101,19 @@ class TestCtmcValidation:
         with pytest.raises(ValueError, match="finite"):
             exact_stationary(gen)
 
+    def test_rows_must_balance_near_the_float_maximum(self):
+        # the first row sums to 7e307, and its absolute sum, 2.7e308, is past
+        # the float range: a norm taken whole would make the bound infinite
+        with pytest.raises(ValueError, match="sum to zero"):
+            exact_stationary(np.array([[-1e308, 1.7e308], [1.0, -1.0]]))
+        # here even half of the absolute sum, 2.55e308, is past the range
+        unbalanced = np.array([[-1.7e308, 1.7e308, 1.7e308], [1.0, -1.0, 0.0], [1.0, 0.0, -1.0]])
+        with pytest.raises(ValueError, match="sum to zero"):
+            exact_stationary(unbalanced)
+        # a balanced row whose absolute sum is 2e308 still solves
+        pi = exact_stationary(np.array([[-1e308, 1e308], [1.0, -1.0]]))
+        np.testing.assert_allclose(pi, [1e-308, 1.0], rtol=1e-15)
+
 
 class TestExactStationary:
     def test_two_state_hand_example(self):

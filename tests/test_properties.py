@@ -41,6 +41,7 @@ from roadqueue import (
     tandem_stationary,
     travel_time_dist_linear,
 )
+from roadqueue import ctmc
 from roadqueue.congestion import (
     ExponentialCongestionModel,
     LinearCongestionModel,
@@ -466,6 +467,28 @@ def test_simulation_equals_the_event_by_event_loop(section, convention, lam, see
     assert_same_run(
         simulate(lam, rates, seed, events), ref_simulate(lam, rates, seed, events)
     )
+
+
+def test_full_size_simulation_equals_the_event_by_event_loop(section1):
+    # the benchmark's run, 1e6 events at lambda = 0.8: 245 buffers, where the
+    # budgets above stop at 9
+    rates = service_rates(section1)
+    assert_same_run(simulate(0.8, rates, 7, 10**6), ref_simulate(0.8, rates, 7, 10**6))
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 4096])
+def test_the_buffer_size_does_not_change_the_run(section1, size, monkeypatch):
+    # a shifted run, and exact-convention runs that absorb at c, each the
+    # event-by-event loop's at any buffer size: with buffers of 1 or 2
+    # events, the absorbing draw lands on a buffer edge, and the draws left
+    # unread in its buffer must not count as events
+    runs = [(0.8, service_rates(section1), 7, 10**4 + 3)]
+    runs += [(60.0, service_rates(section1, EXACT), seed, 10**4) for seed in range(5)]
+    references = [ref_simulate(*run) for run in runs]
+    assert [r.absorbed for r in references] == [False] + [True] * 5
+    monkeypatch.setattr(ctmc, "_SIM_BUFFER", size)
+    for run, reference in zip(runs, references):
+        assert_same_run(simulate(*run), reference)
 
 
 @settings(max_examples=20, deadline=None)
