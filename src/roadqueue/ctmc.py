@@ -94,13 +94,13 @@ def exact_stationary(generator) -> np.ndarray:
     # the outermost diagonal holding a nonzero entry, read through views only
     band = next((k for k in range(n - 1, 0, -1) if q.diagonal(k).any() or q.diagonal(-k).any()), 0)
     check_array_bytes(f"GTH elimination on {n} states", _gth_bytes(n, band), q.nbytes, OracleError)
-    negative = q < 0
-    np.fill_diagonal(negative, False)
-    if negative.any():
+    mask = q < 0
+    np.fill_diagonal(mask, False)
+    if mask.any():
         raise ValueError("off-diagonal generator entries must be >= 0")
-    row_sums = q.sum(axis=1)  # NaN or infinite where an entry is
-    if not np.isfinite(row_sums).all():
+    if not np.isfinite(q, out=mask).all():  # the mask's buffer: no second N x N array
         raise ValueError("generator entries must be finite")
+    row_sums = q.sum(axis=1)  # infinite where finite entries overflow: refused below
     # off-diagonal entries are nonnegative, so a row's absolute sum is its
     # sum minus the diagonal plus the diagonal's size: no N x N temporary.
     # Halved, it stays finite near the float maximum; halving is exact away

@@ -102,7 +102,8 @@ class PerformanceMeasures:
 
     free_flow_fallback marks a zero or subnormal throughput or mean
     count, where the travel time cannot come from Little's law and is
-    reported as the free-flow transit time instead.
+    reported as the free-flow transit time instead.  A travel time that is
+    not finite, such as a transit time 1 / q_1 past the float range, is refused.
     """
 
     blocking: float
@@ -118,9 +119,9 @@ class PerformanceMeasures:
             raise ValueError(f"throughput {self.throughput!r} not nonnegative")
         if not self.expected_count >= 0:
             raise ValueError(f"expected_count {self.expected_count!r} not nonnegative")
-        if not self.expected_travel_time > 0:
+        if not 0 < self.expected_travel_time < math.inf:
             raise ValueError(
-                f"expected_travel_time {self.expected_travel_time!r} not positive"
+                f"expected_travel_time {self.expected_travel_time!r} not finite and positive"
             )
 
 
@@ -268,5 +269,5 @@ def measures(
     if check_arrival_rates(lam)[0].ndim:
         raise ValueError(f"measures takes one arrival rate, got shape {np.shape(lam)}")
     rates = check_rate_count(dist, rates)
-    lone_time = 1.0 / rates[0] if rates[0] > 0 else None
+    lone_time = 1.0 / float(rates[0]) if rates[0] > 0 else None
     return littles_law(dist, lam * float(dist.probs[:-1].sum()), lone_time)

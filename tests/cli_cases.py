@@ -1,0 +1,390 @@
+"""One table of CLI cases, read by two runners.
+
+Each case gives argv, stdin, the exit code and a predicate on the run.  A
+case with a nonzero exit is run with ``--output`` appended: it must print
+nothing on stdout and leave the output file unwritten.
+
+- ``run_in_process`` calls ``roadqueue.cli.main`` with stdin patched and
+  every warning written to stderr; ``tests/test_cli.py`` runs each case
+  through it.
+- ``run_installed`` starts the ``roadqueue`` executable on PATH in a fresh
+  process, capped at 60 s of CPU.  Running this file does that for every
+  case and exits 1, naming each failed case, if any fails.  Run it from
+  outside the checkout, so that ``import roadqueue`` finds the installed
+  package and not ``src/``:
+
+      cd /tmp && python /path/to/checkout/tests/cli_cases.py
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import resource
+import subprocess
+import sys
+import tempfile
+import tracemalloc
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
+from importlib import resources
+from typing import Callable
+from unittest import mock
+
+from roadqueue import cli
+from roadqueue.config import load_scenario
+
+
+@dataclass(frozen=True)
+class Run:
+    """What one run returned and printed; again(argv, stdin) runs more the same way."""
+
+    code: int
+    out: str
+    err: str
+    peak_mb: float | None  # measured only for a case that bounds it
+    again: Callable[..., Run]
+
+
+@dataclass(frozen=True)
+class Case:
+    name: str
+    argv: tuple[str, ...]
+    code: int = 0
+    check: Callable[[Run], bool] = lambda run: True
+    stdin: str | None = None
+    peak_mb: float | None = None  # bound on the run's peak memory
+
+
+def run_in_process(argv, stdin=None, measure_peak=False) -> Run:
+    """argv through cli.main in this process; peak_mb is tracemalloc's peak."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin or "")), \
+            warnings.catch_warnings(record=True) as caught, \
+            redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        if measure_peak:
+            tracemalloc.start()
+        code, peak_mb = cli.main(list(argv)), None
+        if measure_peak:
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+            tracemalloc.stop()
+    for w in caught:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
+    return Run(code, out.getvalue(), err.getvalue(), peak_mb, run_in_process)
+
+
+def _cap_cpu() -> None:
+    resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+
+
+def run_installed(argv, stdin=None, measure_peak=False) -> Run:
+    """argv through the roadqueue executable in a fresh process; peak_mb is
+    that child's own peak RSS, from os.wait4."""
+    with tempfile.TemporaryFile("w+") as feed, tempfile.TemporaryFile("w+") as out, \
+            tempfile.TemporaryFile("w+") as err:
+        feed.write(stdin or "")
+        feed.seek(0)
+        child = subprocess.Popen(["roadqueue", *argv], stdin=feed, stdout=out, stderr=err,
+                                 preexec_fn=_cap_cpu)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return Run(child.returncode, out.read(), err.read(), usage.ru_maxrss / 1024,
+                   run_installed)
+
+
+def run_case(case: Case, run: Callable[..., Run]) -> None:
+    """Run one case; AssertionError naming it when any of its checks fails."""
+    with tempfile.TemporaryDirectory() as scratch:
+        output = os.path.join(scratch, "output")
+        extra = ("--output", output) if case.code else ()
+        result = run([*case.argv, *extra], case.stdin, case.peak_mb is not None)
+        written = os.path.exists(output)
+    seen = f"{case.name}: exit {result.code}, stdout {result.out[:300]!r}, stderr {result.err[-600:]!r}"
+    assert result.code == case.code, f"{seen}; expected exit {case.code}"
+    assert not (case.code and (result.out or written)), f"{seen}; output on a nonzero exit"
+    if case.peak_mb is not None:
+        assert result.peak_mb < case.peak_mb, f"{seen}; peak {result.peak_mb:.1f} MB"
+    assert case.check(result), f"{seen}; its predicate fails"
+
+
+def _doc(run: Run) -> dict:
+    return json.loads(run.out)
+
+
+def _one_error(run: Run) -> bool:
+    return run.err.startswith("error: ") and run.err.count("\n") == 1
+
+
+def _says(text: str) -> Callable[[Run], bool]:
+    return lambda run: text in run.err
+
+
+def _bundled(length: float | None = None, time_scale: float = 1.0) -> str:
+    """The bundled scenario as JSON: every speed times time_scale, and both
+    sections length metres long with c derived, if length is given."""
+    bundled = resources.files("roadqueue").joinpath("data/default_scenario.json")
+    doc = json.loads(bundled.read_text())
+    for section in doc["sections"]:
+        section["v_f"] *= time_scale
+        section["w"] *= time_scale
+        if length is not None:
+            section["L"] = length
+            section.pop("c", None)
+    return json.dumps(doc)
+
+
+def _theta_in_a_bracket(run: Run) -> bool:
+    doc = _doc(run)
+    return any(lo <= doc["theta"] <= hi for lo, hi in doc["root_brackets"])
+
+
+def _one_narrow_bracket(run: Run) -> bool:
+    # far past capacity the scan's grid stops at 2 max q12, so one cell
+    # narrower than 0.01 veh/s holds theta, not one lambda / 999 wide
+    doc = _doc(run)
+    [(lo, hi)] = doc["root_brackets"]
+    return lo <= doc["theta"] <= hi and hi - lo < 0.01
+
+
+def _theta_over(s: float) -> Callable[[Run], bool]:
+    """The tandem with every speed times s gives theta / s of the bundled
+    tandem at lambda = 0.8, to 1e-9 relative."""
+
+    def check(run: Run) -> bool:
+        unscaled = _doc(run.again(["solve-tandem", "--lambda", "0.8"]))["theta"]
+        return abs(_doc(run)["theta"] / s - unscaled) <= 1e-9 * unscaled
+
+    return check
+
+
+def _lone_transit_time(run: Run) -> bool:
+    doc = _doc(run)
+    lone = 1.0 / load_scenario(None).rates(1)[0]
+    return doc["free_flow_fallback"] is True and (
+        format(doc["expected_travel_time"], ".12g") == format(lone, ".12g"))
+
+
+def _solved_tandem(run: Run) -> bool:
+    doc = _doc(run)
+    return (abs(doc["theta"] - doc["lambda"] * (1 - doc["blocking"])) <= 1e-9
+            and doc["residual"] <= 1e-10 and doc["iterations"] <= 200
+            and len(doc["marginal"]) == 19 and len(doc["downstream"]) == 19
+            and doc["tv_vs_exact_2d"] > 0 and doc["root_brackets"] is None)
+
+
+def _saturated(run: Run) -> bool:
+    doc = _doc(run)
+    return (abs(doc["theta"] - 0.458891021306) <= 1e-9 and doc["residual"] <= 1e-10
+            and 0 <= doc["blocking"] <= 1)
+
+
+def _solved_at_c180(run: Run) -> bool:
+    # from c of about 100 the oracle's last bits follow the OpenBLAS thread
+    # count, so only invariants are checked here, not bits
+    doc = _doc(run)
+    return (len(doc["marginal"]) == 181 and doc["residual"] <= 1e-10
+            and 0 <= doc["tv_vs_exact_2d"] <= 1 and _theta_in_a_bracket(run))
+
+
+SECTION_1 = {"L": 100.0, "v_f": 28.0, "w": 14.0, "rho_j": 0.18, "c": 18}
+# 100 km sections hold c = 18000: one rate's decomposition passes the 256 MiB cap
+LONG_TANDEM = json.dumps({"sections": [{"L": 100000.0, "v_f": 28.0, "w": 14.0, "rho_j": 0.18}] * 2})
+SIMULATE_1E6 = ("simulate", "--lambda", "0.8", "--events", "1000000", "--seed", "7")
+FIT = ("fit-exponential", "--fit-a", "20", "--fit-va", "48", "--fit-b", "140")
+SWEEP = ("sweep", "--lambda-from", "0.1", "--lambda-to", "2")
+SECTION_ZERO = {
+    "solve-section": ("--lambda", "0.8"),
+    "distributions": ("--lambda", "0.8"),
+    "sweep": ("--lambda-from", "0.1", "--lambda-to", "2", "--steps", "3"),
+    "simulate": ("--lambda", "0.8", "--events", "10000"),
+    "compare": ("--lambda", "0.8", "--events", "10000"),
+    "figure-data": ("--figure", "fig8"),
+}
+MALFORMED = {
+    "list-model": json.dumps({"sections": [SECTION_1], "model": ["linear"]}),
+    "object-model": json.dumps({"sections": [SECTION_1], "model": {}}),
+    # nested past the decoder's recursion limit
+    "deep": "[" * 100_000 + "]" * 100_000,
+}
+
+CASES = [
+    # -- solves that must exit 0
+    Case("solve-section", ("solve-section", "--lambda", "0.8")),
+    Case("solve-tandem", ("solve-tandem", "--lambda", "0.8"), check=_solved_tandem),
+    Case("sweep-40", ("sweep", "--lambda-from", "0.1", "--lambda-to", "2.0", "--steps", "40")),
+    # from lambda = 0: the empty road's law inside the oracle's batch
+    Case("sweep-from-0", ("sweep", "--lambda-from", "0", "--lambda-to", "2.0", "--steps", "21")),
+    Case("fig7", ("figure-data", "--figure", "fig7")),
+    # far past the road's capacity the fixed point converges on [0, max q12]
+    Case("solve-tandem-1e7", ("solve-tandem", "--lambda", "1e7"), check=_saturated),
+    Case("solve-tandem-1e16", ("solve-tandem", "--lambda", "1e16"), check=_saturated),
+    Case("scan-roots", ("solve-tandem", "--lambda", "0.8", "--scan-roots"),
+         check=_theta_in_a_bracket),
+    Case("scan-roots-1e7-narrow-bracket", ("solve-tandem", "--lambda", "1e7", "--scan-roots"),
+         check=_one_narrow_bracket),
+    # c1 = c2 = 180: the level-reduction oracle solves 32761 joint states
+    Case("scan-roots-c180", ("solve-tandem", "--lambda", "0.8", "--scan-roots", "--config", "-"),
+         stdin=_bundled(length=1000.0), check=_solved_at_c180),
+    # tol is dimensionless: a stop in veh/s ran out of steps at s = 1e6 and
+    # took theta = lambda at once at s = 1e-11
+    Case("theta-over-s-1e6", ("solve-tandem", "--lambda", "8e5", "--config", "-"),
+         stdin=_bundled(time_scale=1e6), check=_theta_over(1e6)),
+    Case("theta-over-s-1e-11", ("solve-tandem", "--lambda", "8e-12", "--config", "-"),
+         stdin=_bundled(time_scale=1e-11), check=_theta_over(1e-11)),
+    Case("compare", ("compare", "--lambda", "0.8", "--events", "100000"),
+         check=lambda run: _doc(run)["tv_analytical_vs_exact"] < 1e-15
+         and _doc(run)["tv_empirical_vs_analytical"] < 0.05),
+    Case("compare-1e100-no-warning", ("compare", "--lambda", "1e100", "--events", "10000"),
+         check=lambda run: run.err == "" and _doc(run)["tv_analytical_vs_exact"] < 1e-15),
+    # the event loop at full size, past the goldens' 1e5 events: the same bytes twice
+    Case("simulate-1e6-same-bytes", SIMULATE_1E6,
+         check=lambda run: run.out == run.again(SIMULATE_1E6).out),
+    Case("simulate-exact-absorbs",
+         ("simulate", "--lambda", "0.8", "--events", "100000", "--convention", "exact")),
+    # a mean count that underflows to 0 beside a positive throughput falls back
+    Case("fallback-count-underflows", ("solve-section", "--lambda", "5e-324", "--config", "-"),
+         stdin=json.dumps({"L": 1.0, "v_f": 28, "w": 14, "rho_j": 2.0})),
+    # Little's law on a subnormal count and throughput keeps few bits
+    Case("fallback-1e-320", ("solve-section", "--lambda", "1e-320"), check=_lone_transit_time),
+    # exp(-inf) = 0 exactly, with no overflow warning
+    Case("exponential-overflow-no-warning",
+         ("solve-section", "--lambda", "0", "--model", "exponential", "--beta", "1",
+          "--gamma", "1000"),
+         check=lambda run: run.err == "" and _doc(run)["distribution"][0] == 1.0),
+    Case("distributions-linear-travel-time",
+         ("distributions", "--lambda", "0.8", "--model", "linear", "--section", "1",
+          "--kind", "travel-time")),
+    Case("distributions-2-travel-time", ("distributions", "--lambda", "2.0", "--kind", "travel-time")),
+    # the saturated marginal's pushforward keeps its blocking in [0, 1]
+    Case("distributions-1e300-travel-time",
+         ("distributions", "--lambda", "1e300", "--kind", "travel-time")),
+    Case("fit-exponential", (*FIT, "--fit-vb", "20", "--fit-vf", "55"),
+         check=lambda run: abs(_doc(run)["beta"] - 137.41831534831252) <= 137.41831534831252e-12
+         and abs(_doc(run)["gamma"] - 1.0078532179620698) <= 1.0078532179620698e-12),
+    Case("stdin-config", ("solve-section", "--lambda", "0.5", "--config", "-"),
+         stdin=json.dumps(SECTION_1), check=lambda run: _doc(run)["lambda"] == 0.5),
+    # -- refusals: nothing on stdout, no --output file written
+    Case("sweep-one-step", (*SWEEP, "--steps", "1"), 2, _one_error),
+    Case("sweep-reversed", ("sweep", "--lambda-from", "2", "--lambda-to", "0.1", "--steps", "3"),
+         2, _one_error),
+    Case("sweep-below-0", ("sweep", "--lambda-from", "-0.1", "--lambda-to", "2", "--steps", "3"),
+         2, _one_error),
+    Case("sweep-section-below-0",
+         ("sweep", "--lambda-from", "-0.1", "--lambda-to", "2", "--steps", "3", "--section", "1"),
+         2, _one_error),
+    Case("sweep-bad-grid", ("sweep", "--lambda-from", "1.0", "--lambda-to", "0.5", "--steps", "4"), 2),
+    Case("sweep-tandem-linear", ("sweep", "--lambda-from", "0.1", "--lambda-to", "2.0", "--steps", "5",
+                                 "--model", "linear"), 2,
+         _says("--section")),
+    # every tandem command refuses the exact convention
+    Case("solve-tandem-exact", ("solve-tandem", "--lambda", "0.8", "--convention", "exact"), 3,
+         _one_error),
+    Case("solve-tandem-exact-lambda-0", ("solve-tandem", "--lambda", "0", "--convention", "exact"),
+         3, _says("absorbing")),
+    Case("sweep-exact", (*SWEEP, "--steps", "3", "--convention", "exact"), 3, _one_error),
+    Case("distributions-exact-lambda-0",
+         ("distributions", "--lambda", "0", "--convention", "exact"), 3, _one_error),
+    Case("distributions-exact", ("distributions", "--lambda", "0.5", "--convention", "exact"), 3,
+         _one_error),
+    Case("fig9-exact", ("figure-data", "--figure", "fig9", "--convention", "exact"), 3, _one_error),
+    # the joint chain's levels overflow, and the oracle refuses them
+    Case("solve-tandem-1e308", ("solve-tandem", "--lambda", "1e308"), 3, _one_error),
+    Case("solve-tandem-unreachable-tol",
+         ("solve-tandem", "--lambda", "0.8", "--tol", "1e-18", "--max-iter", "5"), 3),
+    *[Case(f"solve-tandem-{flag[2:]}-{value}", ("solve-tandem", "--lambda", "0.8", flag, value), 2)
+      for flag, value in (("--tol", "inf"), ("--tol", "nan"), ("--max-iter", "0"))],
+    # a rate too small to time the run's events in floats
+    Case("simulate-5e-324", ("simulate", "--lambda", "5e-324", "--events", "10000"), 2, _one_error),
+    Case("simulate-1e-310", ("simulate", "--lambda", "1e-310"), 2, _one_error),
+    Case("compare-1e-310", ("compare", "--lambda", "1e-310"), 2, _one_error),
+    # the exponential power overflows (speed 0), and state 3 is singular
+    Case("exponential-singular",
+         ("solve-section", "--lambda", "0.8", "--model", "exponential", "--beta", "1",
+          "--gamma", "1000"), 3, _one_error),
+    Case("solve-section-exact-singular",
+         ("solve-section", "--lambda", "0.5", "--convention", "exact"), 3, _says("error")),
+    # a subnormal q_1: the lone transit time 1 / q_1 passes the float range
+    Case("subnormal-q1-infinite-travel-time",
+         ("solve-section", "--lambda", "1e-310", "--config", "-"), 2, _one_error,
+         stdin=json.dumps({"sections": [{"L": 300.0, "v_f": 1e-310, "w": 1e300, "rho_j": 1.0}]})),
+    # a step ratio lambda / q past about 1e58 overflows the oracle's law,
+    # refused with no numpy warning
+    *[Case(f"compare-{lam}-past-the-float-range", ("compare", "--lambda", lam, "--events", "10000"),
+           3, lambda run: _one_error(run) and "float range" in run.err)
+      for lam in ("1e200", "1e308", "1.7976931348623157e308")],
+    # c = 4500: the generator would fit under the cap, but the oracle's copy
+    # beside it would not, so compare refuses before building either
+    Case("compare-c4500-refused-small",
+         ("compare", "--lambda", "0.8", "--events", "10000", "--config", "-"), 3,
+         stdin=json.dumps({"L": 25000, "v_f": 28, "w": 14, "rho_j": 0.18}), peak_mb=100),
+    # ln(v_a / v_f) = ln(v_b / v_f) in floats: no ZeroDivisionError traceback
+    Case("fit-colliding-anchors",
+         ("fit-exponential", "--fit-a", "2", "--fit-va", "1e-300", "--fit-b", "3",
+          "--fit-vb", "9.999999999999999e-301", "--fit-vf", "28"),
+         2, lambda run: _one_error(run) and "no fit in floats" in run.err),
+    Case("fit-bad-anchors", (*FIT, "--fit-vb", "50", "--fit-vf", "55"), 2),
+    Case("fit-infinite-b", ("fit-exponential", "--fit-a", "20", "--fit-va", "48", "--fit-b", "inf",
+                            "--fit-vb", "20", "--fit-vf", "55"), 2,
+         _says("b must be finite and positive")),
+    Case("fit-infinite-v_f", (*FIT, "--fit-vb", "20", "--fit-vf", "inf"), 2,
+         _says("v_f must be finite and positive")),
+    *[Case(f"{command}-oversized-tandem", (command, "--lambda", "0.8", "--config", "-"), 2,
+           _says("MiB cap"), stdin=LONG_TANDEM)
+      for command in ("distributions", "solve-tandem")],
+    # section numbers start at 1, wherever --section is given
+    *[Case(f"{command}-section-0", (command, *argv, "--section", "0"), 2,
+           _says("section must be a whole number of at least 1, got 0"))
+      for command, argv in SECTION_ZERO.items()],
+    Case("solve-section-section-5", ("solve-section", "--lambda", "0.5", "--section", "5"), 2),
+    *[Case(f"malformed-config-{name}", ("solve-section", "--lambda", "0.8", "--config", "-"), 2,
+           lambda run: run.err.startswith("error: "), stdin=text)
+      for name, text in MALFORMED.items()],
+    *[Case(f"{command}-lambda-{lam}", (command, "--lambda", lam), 2, _says("finite"))
+      for command in ("solve-section", "solve-tandem") for lam in ("nan", "inf")],
+    Case("exponential-infinite-beta",
+         ("solve-section", "--lambda", "0.8", "--model", "exponential", "--beta", "inf",
+          "--gamma", "1.8"), 2, _says("beta must be finite and positive")),
+    Case("exponential-infinite-gamma",
+         ("solve-section", "--lambda", "0.8", "--model", "exponential", "--beta", "9.5",
+          "--gamma", "inf"), 2, _says("gamma must be finite and positive")),
+    Case("no-lambda", ("solve-section",), 2),
+    Case("no-such-command", ("no-such-command",), 2),
+    Case("distributions-tandem-linear", ("distributions", "--lambda", "0.8", "--model", "linear"), 2,
+         _says("--section")),
+    Case("distributions-triangular-paper-grid",
+         ("distributions", "--lambda", "0.8", "--mode", "paper-grid"), 2),
+    # pushforwards exist for the triangular and linear models only
+    Case("distributions-exponential",
+         ("distributions", "--lambda", "0.8", "--model", "exponential", "--beta", "9.5",
+          "--gamma", "1.8", "--section", "1"),
+         2, _says("distributions support the triangular and linear models only")),
+    Case("fig4-kind", ("figure-data", "--figure", "fig4", "--kind", "speed"), 2),
+    Case("fig9-section", ("figure-data", "--figure", "fig9", "--section", "2"), 2),
+    Case("fig8-model", ("figure-data", "--figure", "fig8", "--model", "linear"), 2),
+    Case("fig6-metric", ("figure-data", "--figure", "fig6", "--metric", "count"), 2),
+]
+
+
+def main() -> int:
+    failed = []
+    for case in CASES:
+        try:
+            run_case(case, run_installed)
+        except Exception as exc:  # a predicate that cannot parse the output fails too
+            failed.append(case.name)
+            print(f"FAIL {case.name}: {type(exc).__name__}: {exc}", flush=True)
+        else:
+            print(f"ok   {case.name}", flush=True)
+    print(f"{len(CASES) - len(failed)} of {len(CASES)} cases passed")
+    if failed:
+        print("failed: " + ", ".join(failed))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

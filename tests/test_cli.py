@@ -6,10 +6,9 @@ from importlib import resources
 
 import pytest
 
+from cli_cases import CASES, MALFORMED, SECTION_1, run_case, run_in_process
 from roadqueue import cli
 from roadqueue.cli import build_parser, main
-
-SECTION_1 = {"L": 100.0, "v_f": 28.0, "w": 14.0, "rho_j": 0.18, "c": 18}
 
 
 @pytest.fixture
@@ -56,19 +55,6 @@ class TestSolveSection:
         assert code == 0
         assert json.loads(out)["model"] == "linear"
 
-    def test_singular_model_exits_3(self, capsys):
-        code, out, err = run_cli(
-            capsys,
-            "solve-section",
-            "--lambda",
-            "0.5",
-            "--convention",
-            "exact",
-        )
-        assert code == 3
-        assert out == ""
-        assert "error" in err
-
     def test_throughput_when_blocking_rounds_to_one(self, capsys):
         # at lam = 1e17, P_c is 1.0 to the last bit: the throughput is the
         # departure rate from the other masses, not lam * (1 - P_c) = 0
@@ -82,12 +68,6 @@ class TestSolveSection:
         assert doc["expected_travel_time"] == pytest.approx(18 / 0.14, rel=1e-12)
         assert not doc["free_flow_fallback"]
 
-    def test_usage_error_exits_2(self, capsys):
-        code, out, _ = run_cli(capsys, "solve-section", "--lambda", "0.5",
-                               "--section", "5")
-        assert code == 2
-        assert out == ""
-
     def test_missing_config_exits_4(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys,
@@ -99,12 +79,6 @@ class TestSolveSection:
         )
         assert code == 4
         assert out == ""
-
-    def test_argparse_errors_exit_2(self, capsys):
-        code, _, _ = run_cli(capsys, "solve-section")
-        assert code == 2
-        code, _, _ = run_cli(capsys, "no-such-command")
-        assert code == 2
 
 
 def test_non_finite_geometry_exits_2(capsys, tmp_path):
@@ -130,17 +104,6 @@ def test_absurd_length_exits_2(capsys, tmp_path, command):
     assert "capacity c = 180000000000 " in err
 
 
-@pytest.mark.parametrize("command", ["distributions", "solve-tandem"])
-def test_oversized_tandem_exits_2(capsys, tmp_path, command):
-    # 100 km sections hold c = 18000: one rate's decomposition would take GBs
-    path = tmp_path / "long.json"
-    section = {"L": 100000.0, "v_f": 28.0, "w": 14.0, "rho_j": 0.18}
-    path.write_text(json.dumps({"sections": [section, section]}))
-    code, out, err = run_cli(capsys, command, "--lambda", "0.8", "--config", str(path))
-    assert (code, out) == (2, "")
-    assert "MiB cap" in err
-
-
 def test_section_with_zero_critical_count_solves(capsys, tmp_path):
     # c = 2, and rho_cr * L rounds to 0: the section still has a law
     path = tmp_path / "short.json"
@@ -150,17 +113,6 @@ def test_section_with_zero_critical_count_solves(capsys, tmp_path):
     )
     assert code == 0, err
     assert len(json.loads(out)["distribution"]) == 3
-
-
-@pytest.mark.filterwarnings("error")
-def test_overflowed_exponential_speed_solves_without_a_warning(capsys):
-    # ((n - 1) / beta) ** gamma overflows from n = 3; exp(-inf) = 0 exactly
-    code, out, err = run_cli(
-        capsys, "solve-section", "--lambda", "0", "--model", "exponential",
-        "--beta", "1", "--gamma", "1000",
-    )
-    assert (code, err) == (0, "")
-    assert json.loads(out)["distribution"][0] == 1.0
 
 
 @pytest.mark.parametrize("key", ["L", "c"])
@@ -185,128 +137,17 @@ def test_non_numeric_shape_parameter_exits_2(capsys, tmp_path):
     assert "config key 'beta' must be a number" in err
 
 
-# a model name that cannot be a dict key, and a document nested past the
-# decoder's recursion limit: configuration errors, not tracebacks
-MALFORMED_CONFIGS = {
-    "list-model": json.dumps({"sections": [SECTION_1], "model": ["linear"]}),
-    "object-model": json.dumps({"sections": [SECTION_1], "model": {}}),
-    "deep": "[" * 100_000 + "]" * 100_000,
-}
-
-
-@pytest.mark.parametrize("via_stdin", [False, True], ids=["path", "stdin"])
-@pytest.mark.parametrize("text", MALFORMED_CONFIGS.values(), ids=list(MALFORMED_CONFIGS))
-def test_malformed_config_exits_2(capsys, monkeypatch, tmp_path, text, via_stdin):
-    import io
-
-    if via_stdin:
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        source = "-"
-    else:
-        source = str(tmp_path / "malformed.json")
-        (tmp_path / "malformed.json").write_text(text)
-    code, out, err = run_cli(
-        capsys, "solve-section", "--lambda", "0.8", "--config", source
-    )
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_config_file_exits_2(capsys, tmp_path, text):
+    # the table's stdin cases, read from a file
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "solve-section", "--lambda", "0.8", "--config", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
 
 
-# a section number of 0 is refused wherever --section is given, not read as 1
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["solve-section", "--lambda", "0.8"],
-        ["distributions", "--lambda", "0.8"],
-        ["sweep", "--lambda-from", "0.1", "--lambda-to", "2", "--steps", "3"],
-        ["simulate", "--lambda", "0.8", "--events", "10000"],
-        ["compare", "--lambda", "0.8", "--events", "10000"],
-        ["figure-data", "--figure", "fig8"],
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_section_zero_exits_2(capsys, argv):
-    code, out, err = run_cli(capsys, *argv, "--section", "0")
-    assert (code, out) == (2, "")
-    assert "section must be a whole number of at least 1, got 0" in err
-
-
-@pytest.mark.parametrize("command", ["solve-section", "solve-tandem"])
-@pytest.mark.parametrize("lam", ["nan", "inf"])
-def test_non_finite_lambda_exits_2(capsys, command, lam):
-    code, out, err = run_cli(capsys, command, "--lambda", lam)
-    assert (code, out) == (2, "")
-    assert "finite" in err
-
-
-@pytest.mark.parametrize("option", ["--beta", "--gamma"])
-def test_non_finite_congestion_parameter_exits_2(capsys, option):
-    values = {"--beta": "9.5", "--gamma": "1.8", option: "inf"}
-    argv = [arg for pair in values.items() for arg in pair]
-    code, out, err = run_cli(
-        capsys, "solve-section", "--lambda", "0.8", "--model", "exponential", *argv
-    )
-    assert (code, out) == (2, "")
-    assert f"{option[2:]} must be finite and positive" in err
-
-
 class TestSolveTandem:
-    def test_json_payload(self, capsys):
-        code, out, _ = run_cli(capsys, "solve-tandem", "--lambda", "0.8")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["theta"] == pytest.approx(
-            doc["lambda"] * (1 - doc["blocking"]), abs=1e-9
-        )
-        assert doc["residual"] <= 1e-10
-        assert doc["iterations"] <= 200
-        assert len(doc["marginal"]) == 19
-        assert len(doc["downstream"]) == 19
-        assert doc["tv_vs_exact_2d"] > 0
-        assert doc["root_brackets"] is None
-
-    def test_scan_roots(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "solve-tandem", "--lambda", "0.8", "--scan-roots"
-        )
-        assert code == 0
-        doc = json.loads(out)
-        theta = doc["theta"]
-        assert any(lo <= theta <= hi for lo, hi in doc["root_brackets"])
-
-    def test_scan_roots_at_c180(self, capsys, tmp_path):
-        # the bundled scenario scaled to 1 km: c1 = c2 = 180, 32761 joint
-        # states, whose exact chain is solved level by level.  From c of
-        # about 100 the oracle's last bits follow the OpenBLAS thread count,
-        # so only invariants are checked here, not bits
-        bundled = resources.files("roadqueue").joinpath("data/default_scenario.json")
-        doc = json.loads(bundled.read_text())
-        for section in doc["sections"]:
-            section["L"] = 1000.0
-            del section["c"]
-        path = tmp_path / "L1000.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run_cli(
-            capsys, "solve-tandem", "--lambda", "0.8", "--scan-roots",
-            "--config", str(path),
-        )
-        assert code == 0, err
-        doc = json.loads(out)
-        assert len(doc["marginal"]) == 181
-        assert doc["residual"] <= 1e-10
-        assert 0 <= doc["tv_vs_exact_2d"] <= 1
-        theta = doc["theta"]
-        assert any(lo <= theta <= hi for lo, hi in doc["root_brackets"])
-
-    def test_exact_convention_at_zero_load_exits_3(self, capsys):
-        # every (n1, c2) is absorbing: TandemConfig refuses the tandem at any lam
-        code, out, err = run_cli(
-            capsys, "solve-tandem", "--lambda", "0", "--convention", "exact"
-        )
-        assert code == 3
-        assert out == ""
-        assert "absorbing" in err
-
     def test_one_section_config_exits_2(self, capsys, tmp_path):
         path = tmp_path / "one.json"
         path.write_text(json.dumps(SECTION_1))
@@ -322,37 +163,6 @@ class TestSolveTandem:
         )
         assert (code, out) == (2, "")
         assert "'linear'" in err and "--section" in err
-
-    @pytest.mark.parametrize(
-        "option", [("--tol", "inf"), ("--tol", "nan"), ("--max-iter", "0")]
-    )
-    def test_unusable_solver_budget_exits_2(self, capsys, option):
-        code, out, _ = run_cli(capsys, "solve-tandem", "--lambda", "0.8", *option)
-        assert (code, out) == (2, "")
-
-    def test_unreachable_tolerance_exits_3(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "solve-tandem",
-            "--lambda",
-            "0.8",
-            "--tol",
-            "1e-18",
-            "--max-iter",
-            "5",
-        )
-        assert code == 3
-        assert out == ""
-
-    @pytest.mark.parametrize("lam", ["1e7", "1e16"])
-    def test_huge_load_exits_0(self, capsys, lam):
-        # the fixed point converges at the saturated throughput
-        code, out, err = run_cli(capsys, "solve-tandem", "--lambda", lam)
-        assert code == 0, err
-        doc = json.loads(out)
-        assert doc["theta"] == pytest.approx(0.458891021306, abs=1e-9)
-        assert doc["residual"] <= 1e-10
-        assert 0 <= doc["blocking"] <= 1
 
 
 class TestDistributions:
@@ -409,20 +219,6 @@ class TestDistributions:
         assert (code, err) == (0, "")
         assert out == "value,probability\n3.57142857143,1\n"
 
-    def test_tandem_marginal_rejects_congestion_model(self, capsys):
-        code, out, err = run_cli(
-            capsys, "distributions", "--lambda", "0.8", "--model", "linear"
-        )
-        assert (code, out) == (2, "")
-        assert "--section" in err
-
-    def test_grid_mode_triangular_exits_2(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "distributions", "--lambda", "0.8", "--mode", "paper-grid"
-        )
-        assert code == 2
-        assert out == ""
-
     @pytest.mark.parametrize(
         "geometry, kind, grid",
         [
@@ -440,16 +236,6 @@ class TestDistributions:
         assert (code, out) == (2, "")
         assert grid in err
         assert f"v_f = {geometry['v_f']!r} m/s and L = {geometry['L']!r} m" in err
-
-    def test_exponential_model_exits_2(self, capsys):
-        # pushforwards exist for the triangular and linear models only,
-        # even for one section
-        code, out, err = run_cli(
-            capsys, "distributions", "--lambda", "0.8", "--model", "exponential",
-            "--beta", "9.5", "--gamma", "1.8", "--section", "1",
-        )
-        assert (code, out) == (2, "")
-        assert "distributions support the triangular and linear models only" in err
 
 
 class TestSweep:
@@ -502,28 +288,6 @@ class TestSweep:
         ]
         assert len(rows) == 4
 
-    def test_tandem_sweep_rejects_congestion_model(self, capsys):
-        code, out, err = run_cli(
-            capsys, "sweep", "--lambda-from", "0.1", "--lambda-to", "2.0",
-            "--steps", "5", "--model", "linear",
-        )
-        assert (code, out) == (2, "")
-        assert "--section" in err
-
-    def test_bad_grid_exits_2(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "sweep",
-            "--lambda-from",
-            "1.0",
-            "--lambda-to",
-            "0.5",
-            "--steps",
-            "4",
-        )
-        assert code == 2
-        assert out == ""
-
 
 class TestSimulate:
     def test_payload_and_reproducibility(self, capsys):
@@ -567,15 +331,6 @@ class TestSimulate:
 
 
 class TestCompare:
-    def test_three_way_agreement(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "compare", "--lambda", "0.8", "--events", "100000"
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["tv_analytical_vs_exact"] < 1e-15
-        assert doc["tv_empirical_vs_analytical"] < 0.05
-
     def test_oversized_generator_exits_3(self, capsys, tmp_path):
         # 40 km holds c = 7200: its dense generator would pass 256 MiB
         path = tmp_path / "long.json"
@@ -587,43 +342,8 @@ class TestCompare:
         assert (code, out) == (3, "")
         assert "256 MiB cap" in err
 
-    @pytest.mark.parametrize("lam", ["1e200", "1e308", "1.7976931348623157e308"])
-    @pytest.mark.filterwarnings("error")
-    def test_law_past_the_float_range_exits_3_without_a_warning(self, capsys, lam):
-        # a step ratio lam / q past about 1e58 overflows GTH's unnormalized
-        # law: refused in one line, with no numpy RuntimeWarning before it
-        code, out, err = run_cli(capsys, "compare", "--lambda", lam, "--events", "10000")
-        assert (code, out) == (3, "")
-        assert err.count("\n") == 1 and "float range" in err
-
-    @pytest.mark.filterwarnings("error")
-    def test_large_step_ratio_inside_the_float_range_solves(self, capsys):
-        code, out, err = run_cli(capsys, "compare", "--lambda", "1e100", "--events", "10000")
-        assert (code, err) == (0, "")
-        assert json.loads(out)["tv_analytical_vs_exact"] < 1e-15
-
 
 class TestFitExponential:
-    def test_explicit_free_speed(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "fit-exponential",
-            "--fit-a",
-            "20",
-            "--fit-va",
-            "48",
-            "--fit-b",
-            "140",
-            "--fit-vb",
-            "20",
-            "--fit-vf",
-            "55",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["beta"] == pytest.approx(137.41831534831252, rel=1e-12)
-        assert doc["gamma"] == pytest.approx(1.0078532179620698, rel=1e-12)
-
     def test_free_speed_defaults_to_config(self, capsys):
         # bundled section 1 has v_f = 28
         code, out, _ = run_cli(
@@ -642,44 +362,6 @@ class TestFitExponential:
         doc = json.loads(out)
         assert doc["beta"] > 0
         assert doc["gamma"] > 0
-
-    def test_bad_anchors_exit_2(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "fit-exponential",
-            "--fit-a",
-            "20",
-            "--fit-va",
-            "48",
-            "--fit-b",
-            "140",
-            "--fit-vb",
-            "50",
-            "--fit-vf",
-            "55",
-        )
-        assert code == 2
-        assert out == ""
-
-
-    def test_anchors_whose_logs_collide_exit_2(self, capsys):
-        # ln(v_a / v_f) = ln(v_b / v_f) in floats: a ValueError, not a
-        # ZeroDivisionError traceback
-        code, out, err = run_cli(
-            capsys, "fit-exponential", "--fit-a", "2", "--fit-va", "1e-300",
-            "--fit-b", "3", "--fit-vb", "9.999999999999999e-301", "--fit-vf", "28",
-        )
-        assert (code, out) == (2, "")
-        assert err.count("\n") == 1 and "no fit in floats" in err
-
-    @pytest.mark.parametrize("option, name", [("--fit-b", "b"), ("--fit-vf", "v_f")])
-    def test_non_finite_anchor_exits_2(self, capsys, option, name):
-        values = {"--fit-a": "20", "--fit-va": "48", "--fit-b": "140",
-                  "--fit-vb": "20", "--fit-vf": "55", option: "inf"}
-        argv = [arg for pair in values.items() for arg in pair]
-        code, out, err = run_cli(capsys, "fit-exponential", *argv)
-        assert (code, out) == (2, "")
-        assert f"{name} must be finite and positive" in err
 
 
 @pytest.mark.parametrize(
@@ -761,32 +443,6 @@ class TestFigureData:
         assert bundled[0] == 0
         assert linear == bundled
 
-    def test_kind_misuse_exits_2(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "figure-data", "--figure", "fig4", "--kind", "speed"
-        )
-        assert code == 2
-        assert out == ""
-
-    def test_section_misuse_exits_2(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "figure-data", "--figure", "fig9", "--section", "2"
-        )
-        assert (code, out) == (2, "")
-
-    def test_model_options_are_not_accepted(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "figure-data", "--figure", "fig8", "--model", "linear"
-        )
-        assert (code, out) == (2, "")
-
-    def test_metric_misuse_exits_2(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "figure-data", "--figure", "fig6", "--metric", "count"
-        )
-        assert code == 2
-        assert out == ""
-
 
 class TestOutputHandling:
     def test_output_file(self, capsys, tmp_path):
@@ -814,54 +470,6 @@ class TestOutputHandling:
         )
         assert code == 4
 
-    # a warning raises, so the refusal must be the one line on stderr
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "argv, expected",
-        [
-            (("sweep", "--lambda-from", "0.1", "--lambda-to", "2", "--steps", "1"), 2),
-            # a reversed grid, and one that starts below 0
-            (("sweep", "--lambda-from", "2", "--lambda-to", "0.1", "--steps", "3"), 2),
-            (("sweep", "--lambda-from", "-0.1", "--lambda-to", "2", "--steps", "3"), 2),
-            (("solve-tandem", "--lambda", "0.8", "--convention", "exact"), 3),
-            # every tandem command refuses the exact convention
-            (("sweep", "--lambda-from", "0.1", "--lambda-to", "2", "--steps", "3",
-              "--convention", "exact"), 3),
-            (("distributions", "--lambda", "0", "--convention", "exact"), 3),
-            (("distributions", "--lambda", "0.5", "--convention", "exact"), 3),
-            (("figure-data", "--figure", "fig9", "--convention", "exact"), 3),
-            # the joint chain's levels overflow, and the oracle refuses them
-            (("solve-tandem", "--lambda", "1e308"), 3),
-            # the section sweep also refuses a grid that starts below 0
-            (("sweep", "--lambda-from", "-0.1", "--lambda-to", "2", "--steps", "3",
-              "--section", "1"), 2),
-            # an arrival rate too small to time the run in floats
-            (("simulate", "--lambda", "5e-324", "--events", "10000"), 2),
-            (("simulate", "--lambda", "1e-310"), 2),
-            (("compare", "--lambda", "1e-310"), 2),
-            # the exponential power overflows (speed 0), and state 3 is singular
-            (("solve-section", "--lambda", "0.8", "--model", "exponential",
-              "--beta", "1", "--gamma", "1000"), 3),
-        ],
-    )
-    def test_nothing_is_written_on_a_nonzero_exit(self, capsys, tmp_path, argv, expected):
-        path = tmp_path / "out.txt"
-        code, out, err = run_cli(capsys, *argv, "--output", str(path))
-        assert (code, out) == (expected, "")
-        assert err.startswith("error: ")
-        assert err.count("\n") == 1
-        assert not path.exists()
-
-    def test_stdin_config(self, capsys, monkeypatch):
-        import io
-
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(SECTION_1)))
-        code, out, _ = run_cli(
-            capsys, "solve-section", "--lambda", "0.5", "--config", "-"
-        )
-        assert code == 0
-        assert json.loads(out)["lambda"] == 0.5
-
     def test_csv_numbers_carry_12_significant_digits(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -881,6 +489,17 @@ class TestOutputHandling:
         mantissa = cell.replace(".", "").replace("-", "").lstrip("0")
         mantissa = mantissa.split("e")[0]
         assert len(mantissa) == 12
+
+
+# every row of tests/cli_cases.py, in process; CI runs the same rows
+# against the installed roadqueue executable
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
+def test_cli_case(case):
+    run_case(case, run_in_process)
+
+
+def test_cli_case_names_are_unique():
+    assert len({case.name for case in CASES}) == len(CASES)
 
 
 def test_console_entry_point_runs():

@@ -98,7 +98,14 @@ class TestCtmcValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries(self, bad):
         gen = np.array([[-bad, bad], [2.0, -2.0]])
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            exact_stationary(gen)
+
+    def test_finite_entries_whose_row_sum_overflows_are_unbalanced(self):
+        # 1.7e308 + 1.7e308 overflows, but every entry is finite: the row
+        # does not balance, and that is the fault named
+        gen = np.array([[-1e308, 1.7e308, 1.7e308], [1.0, -1.0, 0.0], [1.0, 0.0, -1.0]])
+        with pytest.raises(ValueError, match="generator rows must sum to zero"):
             exact_stationary(gen)
 
     def test_rows_must_balance_near_the_float_maximum(self):

@@ -208,6 +208,14 @@ def test_performance_measures_refuse_a_negative_or_nan_figure(field, value):
     assert str(info.value) == f"{field} {value!r} not nonnegative"
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_performance_measures_refuse_a_travel_time_not_finite_and_positive(value):
+    # an infinite one is a lone transit time 1 / q_1 past the float range
+    with pytest.raises(ValueError) as info:
+        PerformanceMeasures(0.1, 0.7, 3.0, expected_travel_time=value)
+    assert str(info.value) == f"expected_travel_time {value!r} not finite and positive"
+
+
 COUNT_SITES = {
     "measures": lambda dist, rates: measures(dist, 0.8, rates),
     "speed_dist_triangular": lambda dist, rates: speed_dist_triangular(dist, SECTION),
