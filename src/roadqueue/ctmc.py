@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -187,7 +188,6 @@ def birth_death_chain(lam: float, rates) -> np.ndarray:
     return gen
 
 
-@np.errstate(over="ignore", invalid="ignore")  # levels overflowing past lam ~ 1e17 are refused
 def tandem_stationary(config: TandemConfig, lam) -> np.ndarray:
     """Exact law pi[n1, n2] of the joint chain the decomposition approximates.
 
@@ -214,15 +214,26 @@ def tandem_stationary(config: TandemConfig, lam) -> np.ndarray:
     law is reproducible to about 1e-15, not bitwise.
     """
     lams, _ = check_arrival_rates(lam)
+    pi = np.concatenate(list(_runs(config, lams.reshape(-1))))
+    return pi.reshape(lams.shape + pi.shape[1:])
+
+
+def _runs(config: TandemConfig, lams: np.ndarray):
+    """The laws of a 1-D vector of rates, one stack per run that fits under the cap."""
     c1, c2 = config.section1.c, config.section2.c
     what = f"the joint chain's level reduction (c1 = {c1}, c2 = {c2})"
     # a rate's blocks, five more levels and six (c1 + 1) x (c2 + 1) tables;
     # beside the runs, two levels of rate tables and numpy's ufunc buffers
     per_rate = 8 * (c2 + 1) * ((c1 + 5) * (c2 + 1) + 6 * (c1 + 1))
     fits = check_array_bytes(what, per_rate, 2**17 + 16 * (c2 + 1) ** 2, OracleError)
-    if lams.size > fits:
-        runs = range(0, lams.size, fits)
-        return np.concatenate([tandem_stationary(config, lams[i : i + fits]) for i in runs])
+    for i in range(0, max(lams.size, 1), fits):  # an empty batch is one empty run
+        yield _level_reduction(config, lams[i : i + fits])
+
+
+@np.errstate(over="ignore", invalid="ignore")  # levels overflowing past lam ~ 1e17 are refused
+def _level_reduction(config: TandemConfig, lams: np.ndarray) -> np.ndarray:
+    """The laws of one run of rates, a stack of shape (m, c1 + 1, c2 + 1)."""
+    c1, c2 = config.section1.c, config.section2.c
     mu2 = service_rates(config.section2, config.convention)
     rows = lams.reshape(-1, 1, 1)  # one law per row of each stack below
     m, phases = rows.shape[0], np.arange(c2 + 1)
@@ -267,19 +278,24 @@ def tandem_stationary(config: TandemConfig, lam) -> np.ndarray:
     residuals = np.abs(flow).max(axis=(1, 2))
     for law, residual, tol in zip(pi, residuals.tolist(), tols.tolist()):
         _verify(law, residual, tol)
-    return pi.reshape(lams.shape + pi.shape[1:])
+    return pi
 
 
 def decomposition_diagnostic(config: TandemConfig, lam, marginal_probs):
     """TV distance between a model marginal and the exact joint chain's.
 
     A scalar lam takes one marginal and gives a float; a 1-D vector of
-    lam takes one marginal per rate and gives a list, from one batched
-    tandem_stationary call.  A quality report for the decomposition, not
-    a correctness bound: the decomposition is an approximation of the
-    joint chain by design.
+    lam takes one marginal per rate and gives a list.  The joint laws are
+    solved in tandem_stationary's runs, each cut to its section-1 marginals
+    before the next run starts, so no two runs' laws are held at once.  A
+    quality report for the decomposition, not a correctness bound: the
+    decomposition is an approximation of the joint chain by design.
     """
-    return tv_distance(tandem_stationary(config, lam).sum(axis=-1), marginal_probs)
+    lams, _ = check_arrival_rates(lam)
+    runs = _runs(config, lams.reshape(-1))
+    # map, unlike a loop variable, holds no run's laws while the next is solved
+    marginals = np.concatenate(list(map(partial(np.sum, axis=-1), runs)))
+    return tv_distance(marginals.reshape(lams.shape + marginals.shape[1:]), marginal_probs)
 
 
 def tv_distance(p, q):

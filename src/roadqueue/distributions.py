@@ -119,7 +119,8 @@ def _pushforward(
             raise SingularModelError(
                 "the law holds mass at speed 0, which has no finite travel time"
             )
-        values = L / values
+        with np.errstate(over="ignore"):  # a time past the float range is refused as not finite
+            values = L / values
     return _merge_atoms(values, dist.probs[held])
 
 

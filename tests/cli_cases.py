@@ -1,15 +1,30 @@
-"""One table of CLI cases, read by two runners.
+"""Every CLI check in one table, read by two runners.
 
-Each case gives argv, stdin, the exit code and a predicate on the run.  A
-case with a nonzero exit is run with ``--output`` appended: it must print
+Each row gives argv, stdin, the exit code and a predicate on the run.  A
+row with a nonzero exit is run with ``--output`` appended: it must print
 nothing on stdout and leave the output file unwritten.
 
+Each file under ``tests/golden/`` is the expected stdout of the golden row
+of the same name (empty on a nonzero exit), compared byte for byte; some
+golden rows add a predicate of their own.  The one exception is
+``tv_vs_exact_2d``, whose last digits are the joint-chain oracle's
+round-off: those values are compared within ``TV_ATOL`` and every other
+byte exactly.  At the bundled capacity (c = 18) the level-by-level oracle
+gives the same bits with one BLAS thread or several, so the tolerance
+covers other LAPACK builds only.  Regenerate every golden in process after
+an intended output change, and review the diff; it refuses, writing
+nothing, if a golden row exits with another code than its own:
+
+    PYTHONPATH=src:tests python -c "import cli_cases; cli_cases.write_goldens()"
+
 - ``run_in_process`` calls ``roadqueue.cli.main`` with stdin patched and
-  every warning written to stderr; ``tests/test_cli.py`` runs each case
-  through it.
+  every warning written to stderr; ``tests/test_cli.py`` runs each row
+  through it.  What one row's exit code and output cannot show stays a
+  test function there: the fixed-point spy, the file ``--output`` writes,
+  the entry point in a subprocess and the parser's pinned options.
 - ``run_installed`` starts the ``roadqueue`` executable on PATH in a fresh
   process, capped at 60 s of CPU.  Running this file does that for every
-  case and exits 1, naming each failed case, if any fails.  Run it from
+  row and exits 1, naming each failed row, if any fails.  Run it from
   outside the checkout, so that ``import roadqueue`` finds the installed
   package and not ``src/``:
 
@@ -20,7 +35,9 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -30,6 +47,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 from typing import Callable
 from unittest import mock
 
@@ -112,16 +130,73 @@ def run_case(case: Case, run: Callable[..., Run]) -> None:
     assert case.check(result), f"{seen}; its predicate fails"
 
 
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+TV_ATOL = 1e-12
+TV_JSON = re.compile(r'("tv_vs_exact_2d": )([^,\n]+)')
+
+
+def split_tv(text: str) -> tuple[str, list[float]]:
+    """The text with each tv_vs_exact_2d value blanked, and those values."""
+    values = []
+
+    def take(match):
+        values.append(float(match.group(2)))
+        return match.group(1) + "<tv>"
+
+    lines = TV_JSON.sub(take, text).split("\n")
+    header = lines[0].split(",")
+    if "tv_vs_exact_2d" in header:  # a CSV column
+        col = header.index("tv_vs_exact_2d")
+        for i, line in enumerate(lines[1:], start=1):
+            if line:
+                cells = line.split(",")
+                values.append(float(cells[col]))
+                cells[col] = "<tv>"
+                lines[i] = ",".join(cells)
+    return "\n".join(lines), values
+
+
+def _same_as(name: str) -> Callable[[Run], bool]:
+    """stdout equals tests/golden/<name>.txt, its TVs within TV_ATOL."""
+
+    def check(run: Run) -> bool:
+        text, tvs = split_tv(run.out)
+        golden, golden_tvs = split_tv((GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8"))
+        return text == golden and all(abs(a - b) <= TV_ATOL for a, b in zip(tvs, golden_tvs))
+
+    return check
+
+
+def _golden(name: str, *argv: str, code: int = 0, also=lambda run: True) -> Case:
+    """The row whose stdout is tests/golden/<name>.txt, and that passes also."""
+    same = _same_as(name)
+    return Case(name, argv, code, lambda run: same(run) and also(run))
+
+
 def _doc(run: Run) -> dict:
     return json.loads(run.out)
+
+
+def _rows(run: Run) -> list[list[str]]:
+    """The cells of each CSV row below the header."""
+    return [line.split(",") for line in run.out.strip().splitlines()[1:]]
+
+
+def _near(x: float, expected: float, rel: float = 1e-6) -> bool:
+    """x within pytest.approx's tolerance of expected: rel, and at least 1e-12."""
+    return abs(x - expected) <= max(rel * abs(expected), 1e-12)
+
+
+def _sums_to_1(probs) -> bool:
+    return abs(sum(float(p) for p in probs) - 1.0) <= 1e-12
 
 
 def _one_error(run: Run) -> bool:
     return run.err.startswith("error: ") and run.err.count("\n") == 1
 
 
-def _says(text: str) -> Callable[[Run], bool]:
-    return lambda run: text in run.err
+def _says(*texts: str) -> Callable[[Run], bool]:
+    return lambda run: all(text in run.err for text in texts)
 
 
 def _bundled(length: float | None = None, time_scale: float = 1.0) -> str:
@@ -191,10 +266,67 @@ def _solved_at_c180(run: Run) -> bool:
             and 0 <= doc["tv_vs_exact_2d"] <= 1 and _theta_in_a_bracket(run))
 
 
+def _table(header: str, count: int) -> Callable[[Run], bool]:
+    """CSV with this header line and count rows."""
+    return lambda run: run.out.split("\n", 1)[0] == header and len(_rows(run)) == count
+
+
+def _law_sums_to_1(run: Run) -> bool:
+    return _sums_to_1(row[1] for row in _rows(run))
+
+
+def _section_payload(run: Run) -> bool:
+    doc = _doc(run)
+    return (doc["lambda"] == 0.5 and doc["model"] == "triangular"
+            and doc["convention"] == "shifted" and len(doc["distribution"]) == 19
+            and _sums_to_1(doc["distribution"])
+            and _near(doc["expected_travel_time"], doc["expected_count"] / doc["throughput"]))
+
+
+def _blocking_rounds_to_1(run: Run) -> bool:
+    # at lam = 1e17, P_c is 1.0 to the last bit: the throughput is the
+    # departure rate from the other masses, not lam * (1 - P_c) = 0
+    doc = _doc(run)
+    return (doc["blocking"] == 1.0 and _near(doc["throughput"], 0.14, rel=1e-12)
+            and _near(doc["expected_travel_time"], 18 / 0.14, rel=1e-12)
+            and not doc["free_flow_fallback"])
+
+
+def _seeded_run(run: Run) -> bool:
+    doc = _doc(run)
+    return (run.out == run.again(SIMULATE_1E4).out and doc["seed"] == 7
+            and doc["events"] == 10000 and doc["algorithm"] == "numpy-pcg64"
+            and not doc["absorbed"] and doc["tv_vs_analytical"] > 0)
+
+
+def _absorbed(run: Run) -> bool:
+    doc = _doc(run)
+    return (doc["absorbed"] is True and doc["tv_vs_analytical"] is None
+            and doc["empirical"][-1] == 1.0)
+
+
+def _fig4(run: Run) -> bool:
+    return (_table("lambda,n,ours,jain_smith", 3 * 19)(run)
+            and {float(row[0]) for row in _rows(run)} == {0.5, 1.0, 1.5})
+
+
+def _fig8(run: Run) -> bool:
+    # one section under the linear model: the convention does not apply
+    exact = run.again(["figure-data", "--figure", "fig8", "--convention", "exact"])
+    return len(_rows(run)) == 28 and (exact.code, exact.out, exact.err) == (0, run.out, "")
+
+
+def _twelve_digits(run: Run) -> bool:
+    cell = _rows(run)[0][1]  # blocking at lambda = 0.1, far from round
+    mantissa = cell.replace(".", "").replace("-", "").lstrip("0")
+    return len(mantissa.split("e")[0]) == 12
+
+
 SECTION_1 = {"L": 100.0, "v_f": 28.0, "w": 14.0, "rho_j": 0.18, "c": 18}
 # 100 km sections hold c = 18000: one rate's decomposition passes the 256 MiB cap
 LONG_TANDEM = json.dumps({"sections": [{"L": 100000.0, "v_f": 28.0, "w": 14.0, "rho_j": 0.18}] * 2})
 SIMULATE_1E6 = ("simulate", "--lambda", "0.8", "--events", "1000000", "--seed", "7")
+SIMULATE_1E4 = ("simulate", "--lambda", "0.8", "--events", "10000", "--seed", "7")
 FIT = ("fit-exponential", "--fit-a", "20", "--fit-va", "48", "--fit-b", "140")
 SWEEP = ("sweep", "--lambda-from", "0.1", "--lambda-to", "2")
 SECTION_ZERO = {
@@ -211,20 +343,92 @@ MALFORMED = {
     # nested past the decoder's recursion limit
     "deep": "[" * 100_000 + "]" * 100_000,
 }
+LINEAR_BUNDLED = json.dumps({**json.loads(_bundled()), "model": "linear"})
+# 1e12 m sections hold c = 1.8e11 vehicles: refused before any per-state array
+ABSURD_LENGTH = json.dumps({"sections": [{"L": 1e12, "v_f": 28.0, "w": 14.0, "rho_j": 0.18}] * 2})
+# a geometry whose paper grid holds no value, and the grid it names, per kind
+EMPTY_GRIDS = {
+    "speed": ({"L": 100.0, "v_f": 0.5, "w": 14.0, "rho_j": 0.18}, "speed grid"),
+    "travel-time": ({"L": 0.5, "v_f": 28.0, "w": 14.0, "rho_j": 4.0}, "time grid"),
+}
+
+GOLDEN_ROWS = [
+    _golden("solve-section-s1", "solve-section", "--lambda", "0.8", "--section", "1"),
+    _golden("solve-section-s2", "solve-section", "--lambda", "0.5", "--section", "2"),
+    _golden("solve-section-lam0", "solve-section", "--lambda", "0"),
+    _golden("solve-section-exact-lam0", "solve-section", "--lambda", "0", "--convention", "exact"),
+    _golden("solve-section-linear", "solve-section", "--lambda", "0.8", "--model", "linear",
+            also=lambda run: _doc(run)["model"] == "linear"),
+    _golden("solve-section-exponential", "solve-section", "--lambda", "0.8", "--model",
+            "exponential", "--beta", "9.5", "--gamma", "1.8"),
+    _golden("solve-tandem-scan-0.8", "solve-tandem", "--lambda", "0.8", "--scan-roots",
+            also=_theta_in_a_bracket),
+    _golden("solve-tandem-scan-0", "solve-tandem", "--lambda", "0", "--scan-roots"),
+    _golden("solve-tandem-2", "solve-tandem", "--lambda", "2"),
+    _golden("solve-tandem-exact", "solve-tandem", "--lambda", "0.8", "--convention", "exact",
+            "--scan-roots", code=3, also=_one_error),
+    _golden("distributions-speed", "distributions", "--lambda", "0.8",
+            also=lambda run: _table("value,probability", 13)(run) and _law_sums_to_1(run)),
+    _golden("distributions-travel-time", "distributions", "--lambda", "0.8", "--kind",
+            "travel-time", also=lambda run: _near(float(_rows(run)[0][0]), 100.0 / 28.0, 1e-9)),
+    _golden("distributions-section2-travel-time", "distributions", "--lambda", "1.5", "--kind",
+            "travel-time", "--section", "2"),
+    _golden("distributions-exact-speed-lam0", "distributions", "--lambda", "0", "--convention",
+            "exact", "--section", "1"),
+    _golden("distributions-linear-speed", "distributions", "--lambda", "0.8", "--model", "linear",
+            "--section", "1"),
+    _golden("distributions-linear-travel-time", "distributions", "--lambda", "0.8", "--model",
+            "linear", "--kind", "travel-time", "--section", "1"),
+    _golden("distributions-paper-grid-speed", "distributions", "--lambda", "0.8", "--model",
+            "linear", "--mode", "paper-grid", "--section", "1",
+            also=lambda run: len(_rows(run)) == 28
+            and sum(float(row[1]) for row in _rows(run)) < 1.0),
+    _golden("distributions-paper-grid-travel-time", "distributions", "--lambda", "0.8", "--model",
+            "linear", "--mode", "paper-grid", "--kind", "travel-time", "--section", "1"),
+    _golden("sweep-tandem-40", "sweep", "--lambda-from", "0.1", "--lambda-to", "2.0", "--steps",
+            "40"),
+    # from lambda = 0: the empty road's law inside the oracle's batch
+    _golden("sweep-tandem-from0", "sweep", "--lambda-from", "0", "--lambda-to", "2.0", "--steps",
+            "21"),
+    _golden("sweep-section-from0", "sweep", "--lambda-from", "0", "--lambda-to", "2.0", "--steps",
+            "21", "--section", "1"),
+    _golden("sweep-section-linear", "sweep", "--lambda-from", "0.1", "--lambda-to", "2.0",
+            "--steps", "20", "--section", "2", "--model", "linear"),
+    _golden("simulate-1e5", "simulate", "--lambda", "0.8", "--events", "100000"),
+    _golden("simulate-exact-1e5", "simulate", "--lambda", "0.8", "--events", "100000",
+            "--convention", "exact", "--seed", "7"),
+    _golden("compare-1e5", "compare", "--lambda", "0.8", "--events", "100000",
+            also=lambda run: _doc(run)["tv_analytical_vs_exact"] < 1e-15
+            and _doc(run)["tv_empirical_vs_analytical"] < 0.05),
+    _golden("fit-exponential", *FIT, "--fit-vb", "20", "--fit-vf", "55",
+            also=lambda run: abs(_doc(run)["beta"] - 137.41831534831252) <= 137.41831534831252e-12
+            and abs(_doc(run)["gamma"] - 1.0078532179620698) <= 1.0078532179620698e-12),
+    _golden("fit-exponential-config-vf", "fit-exponential", "--fit-a", "5", "--fit-va", "20",
+            "--fit-b", "12", "--fit-vb", "8"),
+    _golden("figure-data-fig4", "figure-data", "--figure", "fig4", also=_fig4),
+    *[_golden(f"figure-data-{fig}", "figure-data", "--figure", fig,
+              also=_table("lambda,ours,jain_smith", 40))
+      for fig in ("fig5", "fig6", "fig7")],
+    _golden("figure-data-fig5-blocking", "figure-data", "--figure", "fig5", "--metric", "blocking",
+            also=lambda run: all(0 <= float(row[1]) <= 1 for row in _rows(run))),
+    _golden("figure-data-fig8", "figure-data", "--figure", "fig8", also=_fig8),
+    _golden("figure-data-fig9", "figure-data", "--figure", "fig9"),
+    _golden("figure-data-fig10", "figure-data", "--figure", "fig10"),
+    _golden("figure-data-fig8-travel-time", "figure-data", "--figure", "fig8", "--kind",
+            "travel-time"),
+    *[_golden(f"figure-data-{fig}-travel-time", "figure-data", "--figure", fig, "--kind",
+              "travel-time", also=_law_sums_to_1)
+      for fig in ("fig9", "fig10")],
+]
 
 CASES = [
+    *GOLDEN_ROWS,
     # -- solves that must exit 0
     Case("solve-section", ("solve-section", "--lambda", "0.8")),
     Case("solve-tandem", ("solve-tandem", "--lambda", "0.8"), check=_solved_tandem),
-    Case("sweep-40", ("sweep", "--lambda-from", "0.1", "--lambda-to", "2.0", "--steps", "40")),
-    # from lambda = 0: the empty road's law inside the oracle's batch
-    Case("sweep-from-0", ("sweep", "--lambda-from", "0", "--lambda-to", "2.0", "--steps", "21")),
-    Case("fig7", ("figure-data", "--figure", "fig7")),
     # far past the road's capacity the fixed point converges on [0, max q12]
     Case("solve-tandem-1e7", ("solve-tandem", "--lambda", "1e7"), check=_saturated),
     Case("solve-tandem-1e16", ("solve-tandem", "--lambda", "1e16"), check=_saturated),
-    Case("scan-roots", ("solve-tandem", "--lambda", "0.8", "--scan-roots"),
-         check=_theta_in_a_bracket),
     Case("scan-roots-1e7-narrow-bracket", ("solve-tandem", "--lambda", "1e7", "--scan-roots"),
          check=_one_narrow_bracket),
     # c1 = c2 = 180: the level-reduction oracle solves 32761 joint states
@@ -236,9 +440,6 @@ CASES = [
          stdin=_bundled(time_scale=1e6), check=_theta_over(1e6)),
     Case("theta-over-s-1e-11", ("solve-tandem", "--lambda", "8e-12", "--config", "-"),
          stdin=_bundled(time_scale=1e-11), check=_theta_over(1e-11)),
-    Case("compare", ("compare", "--lambda", "0.8", "--events", "100000"),
-         check=lambda run: _doc(run)["tv_analytical_vs_exact"] < 1e-15
-         and _doc(run)["tv_empirical_vs_analytical"] < 0.05),
     Case("compare-1e100-no-warning", ("compare", "--lambda", "1e100", "--events", "10000"),
          check=lambda run: run.err == "" and _doc(run)["tv_analytical_vs_exact"] < 1e-15),
     # the event loop at full size, past the goldens' 1e5 events: the same bytes twice
@@ -256,18 +457,50 @@ CASES = [
          ("solve-section", "--lambda", "0", "--model", "exponential", "--beta", "1",
           "--gamma", "1000"),
          check=lambda run: run.err == "" and _doc(run)["distribution"][0] == 1.0),
-    Case("distributions-linear-travel-time",
-         ("distributions", "--lambda", "0.8", "--model", "linear", "--section", "1",
-          "--kind", "travel-time")),
     Case("distributions-2-travel-time", ("distributions", "--lambda", "2.0", "--kind", "travel-time")),
     # the saturated marginal's pushforward keeps its blocking in [0, 1]
     Case("distributions-1e300-travel-time",
          ("distributions", "--lambda", "1e300", "--kind", "travel-time")),
-    Case("fit-exponential", (*FIT, "--fit-vb", "20", "--fit-vf", "55"),
-         check=lambda run: abs(_doc(run)["beta"] - 137.41831534831252) <= 137.41831534831252e-12
-         and abs(_doc(run)["gamma"] - 1.0078532179620698) <= 1.0078532179620698e-12),
     Case("stdin-config", ("solve-section", "--lambda", "0.5", "--config", "-"),
          stdin=json.dumps(SECTION_1), check=lambda run: _doc(run)["lambda"] == 0.5),
+    Case("solve-section-payload", ("solve-section", "--lambda", "0.5", "--section", "1"),
+         check=_section_payload),
+    Case("solve-section-1e17", ("solve-section", "--lambda", "1e17", "--section", "1"),
+         check=_blocking_rounds_to_1),
+    # c = 2, and rho_cr * L rounds to 0: the section still has a law
+    Case("zero-critical-count", ("solve-section", "--lambda", "0.8", "--config", "-"),
+         stdin=json.dumps({"L": 10.35, "v_f": 35.53, "w": 2.518, "rho_j": 0.1561}),
+         check=lambda run: len(_doc(run)["distribution"]) == 3),
+    # section 2's free speed: its atoms top out at 14
+    Case("distributions-section-2", ("distributions", "--lambda", "0.8", "--section", "2"),
+         check=lambda run: _near(max(float(row[0]) for row in _rows(run)), 14.0)),
+    Case("distributions-exact-travel-time-lam0",
+         ("distributions", "--lambda", "0", "--convention", "exact", "--kind", "travel-time",
+          "--section", "1"),
+         check=lambda run: (run.out, run.err) == ("value,probability\n3.57142857143,1\n", "")),
+    Case("sweep-tandem-5", ("sweep", "--lambda-from", "0.1", "--lambda-to", "2.0", "--steps", "5"),
+         check=lambda run: _near(float(_rows(run)[0][0]), 0.1)
+         and _near(float(_rows(run)[-1][0]), 2.0)
+         and _table("lambda,theta,blocking,expected_count,travel_time,tv_vs_exact_2d", 5)(run)),
+    Case("sweep-section-4",
+         ("sweep", "--lambda-from", "0.1", "--lambda-to", "1.0", "--steps", "4", "--section", "1"),
+         check=_table("lambda,blocking,throughput,expected_count,travel_time", 4)),
+    Case("csv-12-significant-digits",
+         ("sweep", "--lambda-from", "0.1", "--lambda-to", "2.0", "--steps", "3", "--section", "1"),
+         check=_twelve_digits),
+    Case("simulate-1e4-seeded", SIMULATE_1E4, check=_seeded_run),
+    Case("simulate-exact-absorbs-at-2",
+         ("simulate", "--lambda", "2.0", "--events", "10000", "--convention", "exact"),
+         check=_absorbed),
+    # the bundled section 1 gives v_f = 28
+    Case("fit-exponential-config-vf-positive",
+         ("fit-exponential", "--fit-a", "5", "--fit-va", "20", "--fit-b", "15", "--fit-vb", "8"),
+         check=lambda run: _doc(run)["beta"] > 0 and _doc(run)["gamma"] > 0),
+    # the scenario's model changes no figure: each is its golden's bytes
+    *[Case(f"linear-config-{fig}", ("figure-data", "--figure", fig, "--config", "-"),
+           stdin=LINEAR_BUNDLED,
+           check=lambda run, same=_same_as(f"figure-data-{fig}"): same(run) and run.err == "")
+      for fig in ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10")],
     # -- refusals: nothing on stdout, no --output file written
     Case("sweep-one-step", (*SWEEP, "--steps", "1"), 2, _one_error),
     Case("sweep-reversed", ("sweep", "--lambda-from", "2", "--lambda-to", "0.1", "--steps", "3"),
@@ -282,8 +515,6 @@ CASES = [
                                  "--model", "linear"), 2,
          _says("--section")),
     # every tandem command refuses the exact convention
-    Case("solve-tandem-exact", ("solve-tandem", "--lambda", "0.8", "--convention", "exact"), 3,
-         _one_error),
     Case("solve-tandem-exact-lambda-0", ("solve-tandem", "--lambda", "0", "--convention", "exact"),
          3, _says("absorbing")),
     Case("sweep-exact", (*SWEEP, "--steps", "3", "--convention", "exact"), 3, _one_error),
@@ -308,6 +539,10 @@ CASES = [
           "--gamma", "1000"), 3, _one_error),
     Case("solve-section-exact-singular",
          ("solve-section", "--lambda", "0.5", "--convention", "exact"), 3, _says("error")),
+    # a subnormal speed: its travel time L / v_n passes the float range, with no numpy warning
+    Case("travel-time-past-the-float-range",
+         ("distributions", "--lambda", "0.8", "--kind", "travel-time", "--config", "-"), 2,
+         _one_error, stdin=json.dumps({"L": 100.0, "v_f": 28.0, "w": 1e-310, "rho_j": 0.18})),
     # a subnormal q_1: the lone transit time 1 / q_1 passes the float range
     Case("subnormal-q1-infinite-travel-time",
          ("solve-section", "--lambda", "1e-310", "--config", "-"), 2, _one_error,
@@ -367,7 +602,50 @@ CASES = [
     Case("fig9-section", ("figure-data", "--figure", "fig9", "--section", "2"), 2),
     Case("fig8-model", ("figure-data", "--figure", "fig8", "--model", "linear"), 2),
     Case("fig6-metric", ("figure-data", "--figure", "fig6", "--metric", "count"), 2),
+    Case("missing-config",
+         ("solve-section", "--lambda", "0.5", "--config", os.path.join(os.devnull, "missing.json")),
+         4),
+    # Python's JSON parser accepts the Infinity literal
+    Case("infinite-length", ("solve-section", "--lambda", "0.8", "--config", "-"), 2,
+         _says("L must be finite"), stdin=json.dumps({**SECTION_1, "L": math.inf})),
+    *[Case(f"{command}-absurd-length", (command, "--lambda", "0.8", "--config", "-"), 2,
+           _says("capacity c = 180000000000 "), stdin=ABSURD_LENGTH)
+      for command in ("simulate", "solve-section")],
+    *[Case(f"{key}-past-the-float-range", ("solve-section", "--lambda", "0.8", "--config", "-"), 2,
+           _says(f"section key '{key}' is past the float range"),
+           stdin=json.dumps({**SECTION_1, key: 10**400}))
+      for key in ("L", "c")],
+    Case("non-numeric-beta", ("solve-section", "--lambda", "0.8", "--config", "-"), 2,
+         _says("config key 'beta' must be a number"),
+         stdin=json.dumps({"sections": [SECTION_1], "model": "exponential", "beta": "x",
+                           "gamma": 1.8})),
+    Case("solve-tandem-one-section", ("solve-tandem", "--lambda", "0.8", "--config", "-"), 2,
+         stdin=json.dumps(SECTION_1)),
+    Case("solve-tandem-linear-config", ("solve-tandem", "--lambda", "0.8", "--config", "-"), 2,
+         _says("'linear'", "--section"), stdin=LINEAR_BUNDLED),
+    *[Case(f"empty-paper-grid-{kind}",
+           ("distributions", "--lambda", "0.01", "--config", "-", "--model", "linear", "--mode",
+            "paper-grid", "--section", "1", "--kind", kind), 2,
+           _says(grid, f"v_f = {geometry['v_f']!r} m/s and L = {geometry['L']!r} m"),
+           stdin=json.dumps(geometry))
+      for kind, (geometry, grid) in EMPTY_GRIDS.items()],
+    # 40 km holds c = 7200: its dense generator would pass 256 MiB
+    Case("compare-oversized-generator",
+         ("compare", "--lambda", "0.8", "--events", "10000", "--config", "-"), 3,
+         _says("256 MiB cap"), stdin=json.dumps({**SECTION_1, "L": 40000.0, "c": 7200})),
 ]
+
+
+def write_goldens() -> None:
+    """Rewrite every golden from its row, in process; exit, writing nothing,
+    if a golden row exits with another code than its own."""
+    runs = [(case, run_in_process(case.argv, case.stdin)) for case in GOLDEN_ROWS]
+    wrong = [f"{case.name}: exit {run.code}, expected {case.code}"
+             for case, run in runs if run.code != case.code]
+    if wrong:
+        sys.exit("\n".join(wrong))
+    for case, run in runs:
+        (GOLDEN_DIR / f"{case.name}.txt").write_text(run.out, encoding="utf-8")
 
 
 def main() -> int:

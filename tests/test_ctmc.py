@@ -388,6 +388,21 @@ class TestTandem2d:
         assert isinstance(refused, OracleError)
         assert peak < 2**20
 
+    def test_diagnostic_keeps_one_run_of_joint_laws(self, tandem_config, monkeypatch):
+        # 200 rates in runs of 4: each run is cut to its section-1 marginals
+        # before the next starts; holding every joint law and then a copy of
+        # them all took the peak to 2.5 times the cap
+        lams = np.linspace(0.1, 2.0, 200)
+        marginals = np.array([r.marginal.probs for r in solve_fixed_point(tandem_config, lams)])
+        cap = oracle_bytes(18, 18, rates=4)
+        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", cap)
+        tvs, peak = traced_peak(lambda: decomposition_diagnostic(tandem_config, lams, marginals))
+        assert peak <= cap + 8 * 19 * lams.size
+        assert tvs == [
+            decomposition_diagnostic(tandem_config, lam, marginal)
+            for lam, marginal in zip(lams, marginals)
+        ]
+
     @pytest.mark.parametrize("lam", [0.8, 2.0])
     def test_matches_the_dense_law_at_c54(self, tandem_config, lam):
         # the oracle-c54 benchmark geometry: 3025 joint states
@@ -529,15 +544,15 @@ class TestBatchedOracle:
         # room for 2 laws: 9 rates run as 2 + 2 + 2 + 2 + 1
         monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", oracle_bytes(18, 18, 2) + 7)
         calls = []
-        solve = ctmc.tandem_stationary
+        solve = ctmc._level_reduction
 
-        def spy(config, lam):
-            calls.append(np.size(lam))
-            return solve(config, lam)
+        def spy(config, lams):
+            calls.append(lams.size)
+            return solve(config, lams)
 
-        monkeypatch.setattr(ctmc, "tandem_stationary", spy)
-        split = spy(tandem_config, LAMS)
-        assert calls == [9, 2, 2, 2, 2, 1]
+        monkeypatch.setattr(ctmc, "_level_reduction", spy)
+        split = tandem_stationary(tandem_config, LAMS)
+        assert calls == [2, 2, 2, 2, 1]
         np.testing.assert_array_equal(split, whole)
 
     def test_exact_convention(self, tandem_config):

@@ -8,11 +8,12 @@ from the solver.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from roadqueue import (
@@ -50,6 +51,7 @@ from roadqueue.fundamental import CONVENTIONS
 from roadqueue.queueing import jain_smith_rates
 from roadqueue.tandem import _SCAN_POINTS, conditional_matrix
 
+from cli_cases import run_in_process
 from chain_references import (
     gth_stationary,
     ref_coupled_rate,
@@ -499,3 +501,82 @@ def test_absorbing_simulation_equals_the_event_by_event_loop(section, lam, seed,
     reference = ref_simulate(lam, rates, seed, events)
     assert reference.absorbed
     assert_same_run(simulate(lam, rates, seed, events), reference)
+
+
+# CLI runs over drawn scenario documents and flags, each with at most one
+# edge value in its document and one in its flags
+EDGE_VALUES = st.sampled_from([5e-324, 1e-310, 0.0, -1.0, 1e300])
+LAW_KEYS = ("distribution", "marginal", "downstream", "analytical", "exact", "empirical")
+
+
+@st.composite
+def section_documents(draw):
+    # a capacity L * rho_j from 2 to 60, unless an edge value lands in one
+    rho_j = draw(st.floats(0.01, 0.2))
+    return {"L": draw(st.floats(2.0, 60.0)) / rho_j, "v_f": draw(st.floats(1.0, 40.0)),
+            "w": draw(st.floats(1.0, 30.0)), "rho_j": rho_j}
+
+
+@st.composite
+def scenario_documents(draw):
+    shape = {"model": st.sampled_from(["triangular", "linear", "exponential"]),
+             "beta": st.floats(1.0, 200.0), "gamma": st.floats(0.5, 5.0)}
+    doc = {"sections": draw(st.lists(section_documents(), min_size=1, max_size=2)),
+           **draw(st.fixed_dictionaries({}, optional=shape))}
+    fields = [(part, key) for part in [*doc["sections"], doc] for key in part
+              if key not in ("sections", "model")]  # every number of the document
+    if draw(st.booleans()):
+        part, key = draw(st.sampled_from(fields))
+        part[key] = draw(EDGE_VALUES)
+    return doc
+
+
+@st.composite
+def cli_flags(draw):
+    lam = repr(draw(st.floats(0.01, 3.0) | EDGE_VALUES))
+    section = draw(st.sampled_from([(), ("--section", "1"), ("--section", "2")]))
+    events = ("--events", "10000")
+    return draw(st.sampled_from([
+        ("solve-section", "--lambda", lam, *section),
+        ("solve-tandem", "--lambda", lam, *draw(st.sampled_from([(), ("--scan-roots",)]))),
+        ("distributions", "--lambda", lam, *section,
+         *draw(st.sampled_from([(), ("--kind", "travel-time"), ("--mode", "paper-grid")]))),
+        ("sweep", "--lambda-from", "0", "--lambda-to", lam, "--steps", "3", *section),
+        ("simulate", "--lambda", lam, *events, *section),
+        ("compare", "--lambda", lam, *events, *section),
+        ("fit-exponential", "--fit-a", "5", "--fit-va", lam, "--fit-b", "12", "--fit-vb", "1"),
+        ("figure-data", "--figure", draw(st.sampled_from(["fig5", "fig8", "fig9", "fig10"]))),
+    ]))
+
+
+def numbers_and_laws(text: str) -> tuple[list[float], list[list[float]]]:
+    """Every number of a JSON document or a CSV table, and the document's laws."""
+    if text.startswith("{"):
+        doc = json.loads(text)
+        values = [v for v in doc.values() if not isinstance(v, (str, bool, type(None)))]
+        laws = [doc[key] for key in LAW_KEYS if key in doc]
+        return [float(x) for v in values for x in np.ravel(v)], laws
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    return [float(cell) for row in rows for cell in row], []
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(scenario_documents(), cli_flags())
+@example(  # a subnormal q_1: the lone transit time 1 / q_1 passes the float range
+    {"sections": [{"L": 300.0, "v_f": 1e-310, "w": 1e300, "rho_j": 1.0}]},
+    ("solve-section", "--lambda", "1e-310"),
+)
+def test_cli_runs_keep_their_invariants(doc, argv):
+    run = run_in_process([*argv, "--config", "-"], json.dumps(doc))
+    assert run.code in (0, 2, 3, 4), run.err
+    if run.code:
+        assert run.out == ""
+        assert run.err.startswith("error: ") and run.err.count("\n") == 1, run.err
+        return
+    values, laws = numbers_and_laws(run.out)
+    assert all(math.isfinite(x) for x in values), run.out
+    # a value,probability law, unless a paper-grid histogram dropped the mass off its grid
+    if run.out.startswith("value,probability") and not {"paper-grid", "fig8"} & set(argv):
+        laws.append(values[1::2])
+    for law in laws:
+        assert abs(math.fsum(law) - 1.0) <= 1e-12, run.out
