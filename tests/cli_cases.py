@@ -20,8 +20,10 @@ nothing, if a golden row exits with another code than its own:
 - ``run_in_process`` calls ``roadqueue.cli.main`` with stdin patched and
   every warning written to stderr; ``tests/test_cli.py`` runs each row
   through it.  What one row's exit code and output cannot show stays a
-  test function there: the fixed-point spy, the file ``--output`` writes,
-  the entry point in a subprocess and the parser's pinned options.
+  test function there: the fixed-point spy, the files ``--config`` reads
+  and ``--output`` writes, the entry point in a subprocess, the parser's
+  pinned options, and checks of these runners, ``run_case`` and
+  ``write_goldens`` themselves.
 - ``run_installed`` starts the ``roadqueue`` executable on PATH in a fresh
   process, capped at 60 s of CPU.  Running this file does that for every
   row and exits 1, naming each failed row, if any fails.  Run it from

@@ -2,19 +2,25 @@
 
 Every run that only reads an exit code, stdout or stderr is a row of that
 table, and ``test_cli_case`` runs each row in process.  What stays here
-needs more than one run's output: a spy on the fixed point, the file that
-``--output`` writes, the installed entry point in a subprocess, the parser
-object itself, and the table's own bookkeeping.
+needs more than one run's output: a spy on the fixed point, the files that
+``--config`` reads and ``--output`` writes, the installed entry point in a
+subprocess, the parser object itself, and the table's own bookkeeping and
+runners.
 """
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
-from cli_cases import CASES, GOLDEN_DIR, GOLDEN_ROWS, run_case, run_in_process, split_tv
+import cli_cases
+from cli_cases import (CASES, GOLDEN_DIR, GOLDEN_ROWS, MALFORMED, Case, Run, _same_as, run_case,
+                       run_in_process, run_installed, split_tv)
 from roadqueue import cli
 from roadqueue.cli import build_parser
 
@@ -46,6 +52,116 @@ def test_split_tv_blanks_only_the_tv_values():
         '{\n  "theta": 0.4,\n  "tv_vs_exact_2d": <tv>,\n  "root_brackets": null\n}\n',
         [0.3],
     )
+
+
+@pytest.mark.parametrize("column, shift, same", [(-1, 5e-13, True), (-1, 2e-12, False),
+                                                 (1, 5e-13, False)], ids=["tv", "tv-past-atol", "theta"])
+def test_golden_rows_compare_tvs_within_tv_atol_and_every_other_byte_exactly(column, shift, same):
+    header, first, *rest = (GOLDEN_DIR / "sweep-tandem-40.txt").read_text().split("\n")
+    cells = first.split(",")
+    cells[column] = repr(float(cells[column]) + shift)
+    out = "\n".join([header, ",".join(cells), *rest])
+    assert _same_as("sweep-tandem-40")(Run(0, out, "", None, run_in_process)) is same
+
+
+def _fake(code=0, out="", peak_mb=None, writes=False, seen=None):
+    """A runner that returns this run, and writes the --output file if told to."""
+
+    def run(argv, stdin=None, measure_peak=False):
+        if seen is not None:
+            seen.append(list(argv))
+        if writes:
+            Path(argv[-1]).write_text("{}")
+        return Run(code, out, "", peak_mb, run)
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "case, run, says",
+    [
+        (Case("exit", ("x",), 2), _fake(), "expected exit 2"),
+        (Case("stdout", ("x",), 2), _fake(code=2, out="{}"), "output on a nonzero exit"),
+        (Case("file", ("x",), 2), _fake(code=2, writes=True), "output on a nonzero exit"),
+        (Case("peak", ("x",), peak_mb=10), _fake(peak_mb=11), "peak 11.0 MB"),
+        (Case("check", ("x",), check=lambda run: run.out == "y"), _fake(out="z"), "predicate"),
+    ],
+    ids=["exit", "stdout", "file", "peak", "check"],
+)
+def test_run_case_fails_a_run_that_misses_its_row(case, run, says):
+    with pytest.raises(AssertionError, match=f"^{case.name}: .*{says}"):
+        run_case(case, run)
+
+
+def test_run_case_passes_a_run_that_meets_its_row():
+    refusal, solve = [], []
+    run_case(Case("refusal", ("x",), 2), _fake(code=2, seen=refusal))
+    run_case(Case("solve", ("x",), check=lambda run: run.out == "y"), _fake(out="y", seen=solve))
+    # only a refusal runs with --output appended
+    assert refusal[0][:2] == ["x", "--output"] and solve == [["x"]]
+
+
+def test_run_in_process_feeds_stdin_and_writes_warnings_to_stderr(monkeypatch):
+    def main(argv):
+        print(sys.stdin.read(), end="")
+        warnings.warn("overflow", RuntimeWarning)
+        return 0
+
+    monkeypatch.setattr(cli, "main", main)
+    run = run_in_process(["x"], "fed")
+    assert (run.code, run.out) == (0, "fed") and "RuntimeWarning: overflow" in run.err
+
+
+# a refusal, a stdin row, a golden and a bounded peak, each in a fresh process
+@pytest.mark.parametrize("name", ["solve-tandem-exact", "stdin-config", "solve-section-s1",
+                                  "compare-c4500-refused-small"])
+def test_run_installed_runs_a_row_in_a_fresh_process(monkeypatch, tmp_path, name):
+    shim = tmp_path / "roadqueue"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m roadqueue.cli "$@"\n')
+    shim.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ['PATH']}")
+    monkeypatch.setenv("PYTHONPATH", str(Path(cli.__file__).parents[1]))
+    (case,) = [case for case in CASES if case.name == name]
+    run_case(case, run_installed)
+
+
+@pytest.mark.parametrize("codes, exit_code, tail", [
+    ((0, 0), 0, "2 of 2 cases passed\n"),
+    ((0, 2), 1, "1 of 2 cases passed\nfailed: row-1\n"),
+], ids=["all-pass", "one-fails"])
+def test_main_names_each_failed_row(monkeypatch, capsys, codes, exit_code, tail):
+    monkeypatch.setattr(cli_cases, "CASES", [Case(f"row-{i}", ("x",), code)
+                                             for i, code in enumerate(codes)])
+    monkeypatch.setattr(cli_cases, "run_installed", _fake())
+    assert cli_cases.main() == exit_code
+    assert capsys.readouterr().out.endswith(tail)
+
+
+def test_write_goldens_writes_each_golden_rows_stdout(monkeypatch, tmp_path):
+    rows = [case for case in GOLDEN_ROWS if case.name in ("solve-section-s1", "solve-tandem-exact")]
+    monkeypatch.setattr(cli_cases, "GOLDEN_ROWS", rows)
+    monkeypatch.setattr(cli_cases, "GOLDEN_DIR", tmp_path)
+    cli_cases.write_goldens()
+    for case in rows:
+        written = (tmp_path / f"{case.name}.txt").read_bytes()
+        assert written == (GOLDEN_DIR / f"{case.name}.txt").read_bytes()
+
+
+def test_write_goldens_refuses_a_wrong_exit_writing_nothing(monkeypatch, tmp_path):
+    monkeypatch.setattr(cli_cases, "GOLDEN_ROWS", [GOLDEN_ROWS[0], Case("wrong", ("solve-section",))])
+    monkeypatch.setattr(cli_cases, "GOLDEN_DIR", tmp_path)
+    with pytest.raises(SystemExit, match="^wrong: exit 2, expected 0$"):
+        cli_cases.write_goldens()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_config_file_exits_2(tmp_path, text):
+    # the table's stdin rows, read from a file
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    run = run_in_process(["solve-section", "--lambda", "0.8", "--config", str(path)])
+    assert (run.code, run.out) == (2, "") and run.err.startswith("error: ")
 
 
 @pytest.mark.parametrize(
