@@ -35,9 +35,10 @@ import numpy as np
 
 from .congestion import ExponentialCongestionModel, LinearCongestionModel
 from .fundamental import (
-    SHIFTED, RoadSection, TriangularDiagram, check_convention, check_integer, service_rates
+    EXACT, SHIFTED, RoadSection, TriangularDiagram, check_convention, check_integer,
+    service_rates
 )
-from .queueing import jain_smith_rates
+from .queueing import SingularModelError, jain_smith_rates
 from .tandem import TandemConfig
 
 TRIANGULAR = "triangular"
@@ -105,6 +106,7 @@ class Scenario:
         return jain_smith_rates(section.L, self.congestion_model(index))
 
     def tandem(self) -> TandemConfig:
+        """The two sections as a tandem, refused unless triangular and shifted."""
         if len(self.sections) != 2:
             raise ValueError("tandem solves need a 2-section scenario")
         if self.model != TRIANGULAR:
@@ -112,11 +114,12 @@ class Scenario:
                 f"tandem solves take the triangular model only; pass "
                 f"--section to solve one section under model {self.model!r}"
             )
-        return TandemConfig(
-            section1=self.sections[0],
-            section2=self.sections[1],
-            convention=self.convention,
-        )
+        if self.convention == EXACT:
+            raise SingularModelError(
+                "under the exact convention every (n1, c2) of a tandem is "
+                "absorbing, so it has no stationary law (use the shifted convention)"
+            )
+        return TandemConfig(section1=self.sections[0], section2=self.sections[1])
 
     def congestion_model(self, index: int = 1):
         """Congestion model matching the chosen section's v_f and c."""

@@ -234,7 +234,7 @@ def _runs(config: TandemConfig, lams: np.ndarray):
 def _level_reduction(config: TandemConfig, lams: np.ndarray) -> np.ndarray:
     """The laws of one run of rates, a stack of shape (m, c1 + 1, c2 + 1)."""
     c1, c2 = config.section1.c, config.section2.c
-    mu2 = service_rates(config.section2, config.convention)
+    mu2 = service_rates(config.section2)
     rows = lams.reshape(-1, 1, 1)  # one law per row of each stack below
     m, phases = rows.shape[0], np.arange(c2 + 1)
     q12 = coupled_rates(config).T  # q12(n1, n2) at [n1 - 1, n2]

@@ -138,8 +138,10 @@ def check_arrival_rates(lam) -> tuple[np.ndarray, list[float]]:
 
 
 def check_rates(rates) -> np.ndarray:
-    """Service rates as a float array, refused if any is negative or not finite."""
+    """Service rates q_1..q_c as a float array: one nonempty vector, finite and nonnegative."""
     rates = np.asarray(rates, dtype=float)
+    if rates.ndim != 1 or not rates.size:
+        raise ValueError(f"service rates must be a nonempty 1-D vector, got shape {rates.shape}")
     if not ((0 <= rates) & (rates < math.inf)).all():
         raise ValueError("service rates must be finite and nonnegative")
     return rates
@@ -164,9 +166,8 @@ def birth_death_log_weights(lam, rates) -> np.ndarray:
     and -inf elsewhere, whatever the rates.
     """
     births, values = check_arrival_rates(lam)
-    rates = check_rates(rates)
-    if not 1 <= rates.ndim <= 2 or rates.shape[-1] < 1:
-        raise ValueError(f"rates must be nonempty and at most 2-D, got {rates.shape}")
+    rates = np.asarray(rates, dtype=float)
+    check_rates(rates.reshape(-1) if rates.ndim == 2 else rates)  # a stack, as one vector
     if any(values) and not rates.all():
         # state indices are 1-based: rates[..., i] serves state i+1
         state = np.nonzero(rates == 0)[-1][0] + 1
@@ -176,15 +177,13 @@ def birth_death_log_weights(lam, rates) -> np.ndarray:
         )
     logw = np.zeros(births.shape + rates.shape[:-1] + (rates.shape[-1] + 1,))
     steps = logw[..., 1:]  # log(lam / q_n), summed in place
-    if not any(values):
-        steps.fill(-math.inf)
-        return logw
     idle = 0.0 in values
-    # log(1) stands in for log(0) on idle rows, which take their limit below
+    # log(1) stands in for log(0) on idle rows, which take their limit below,
+    # and for a zero rate, which only an all-idle call reaches
     logs = np.log(np.where(births == 0, 1.0, births) if idle else births)
     if births.ndim:  # one column per birth; a scalar broadcasts faster as is
         logs = logs.reshape(logs.shape + (1,) * rates.ndim)
-    np.log(rates, out=steps)
+    np.log(np.where(rates == 0, 1.0, rates) if idle else rates, out=steps)
     np.subtract(logs, steps, out=steps)
     # np.cumsum's Python wrapper costs more than the sum on short rows
     np.add.accumulate(steps, axis=-1, out=steps)
@@ -211,6 +210,8 @@ def solve_birth_death(lam, rates):
     laws = birth_death_laws(lam, rates)
     if np.ndim(lam):
         return frozen_probs(laws)
+    if laws.ndim != 1:  # a stack of rates: check_rates refuses it, as one law takes one vector
+        check_rates(rates)
     return OccupancyDistribution(laws)
 
 
@@ -259,15 +260,15 @@ def measures(
 ) -> PerformanceMeasures:
     """Blocking, throughput, mean count, and Little's-law travel time.
 
-    Throughput is the accepted arrival rate lam * sum_{n<c} P_n: the
-    same as lam * (1 - P_c), but still right once P_c rounds to 1 (from a
-    lam of about 1e16 at c = 18).  When it or the mean count is zero or
-    subnormal (lam = 0, or a lam so small that either is below 2.2e-308)
-    the travel time is the lone-vehicle transit time 1 / q_1.  lam is one
-    checked rate.
+    Throughput is the accepted arrival rate lam * sum_{n<c} P_n, the sum
+    capped at 1 so that rounding cannot lift it past lam: lam * (1 - P_c),
+    but still right once P_c rounds to 1 (from a lam of about 1e16 at c =
+    18).  When it or the mean count is zero or subnormal (lam = 0, or a lam
+    so small that either is below 2.2e-308) the travel time is the
+    lone-vehicle transit time 1 / q_1.  lam is one checked rate.
     """
     if check_arrival_rates(lam)[0].ndim:
         raise ValueError(f"measures takes one arrival rate, got shape {np.shape(lam)}")
     rates = check_rate_count(dist, rates)
     lone_time = 1.0 / float(rates[0]) if rates[0] > 0 else None
-    return littles_law(dist, lam * float(dist.probs[:-1].sum()), lone_time)
+    return littles_law(dist, lam * min(float(dist.probs[:-1].sum()), 1.0), lone_time)

@@ -6,7 +6,7 @@ Vehicles leave section 1 at the coupled rate
 
 so a filling downstream section throttles the upstream one.  The supply
 is the shifted convention's, positive at c2: the exact one's is 0 there,
-every (n1, c2) absorbs, and TandemConfig refuses it.  The joint
+every (n1, c2) absorbs, and Scenario.tandem refuses it.  The joint
 chain is approximated by a decomposition: section 2 is solved alone at
 its arrival rate theta (the upstream outflow), section 1 is solved
 conditionally on each frozen downstream count n2, and the two couple
@@ -41,17 +41,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .fundamental import (
-    EXACT, SHIFTED, RoadSection, check_array_bytes, check_convention, check_integer,
-    check_positive, service_rates, supply_term
+    SHIFTED, RoadSection, check_array_bytes, check_integer, check_positive, service_rates,
+    supply_term
 )
 from .queueing import (
     OccupancyDistribution,
     PerformanceMeasures,
-    SingularModelError,
     birth_death_laws,
     check_arrival_rates,
     littles_law,
@@ -74,18 +74,13 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TandemConfig:
-    """Upstream and downstream sections; refused if exact, or past the 256 MiB cap at one rate."""
+    """Two sections under the shifted convention; refused past the 256 MiB cap at one rate."""
 
     section1: RoadSection
     section2: RoadSection
-    convention: str = SHIFTED
+    convention: ClassVar[str] = SHIFTED
 
     def __post_init__(self) -> None:
-        if check_convention(self.convention) == EXACT:
-            raise SingularModelError(
-                "under the exact convention every (n1, c2) of a tandem is "
-                "absorbing, so it has no stationary law (use the shifted convention)"
-            )
         _rates_that_fit(self)
 
 
@@ -129,7 +124,7 @@ def coupled_rates(config: TandemConfig) -> np.ndarray:
     free = np.minimum(
         s1.diagram.v_f * n1 / s1.L, min(s1.diagram.q_max, s2.diagram.q_max)
     )
-    return np.minimum(free, supply_term(s2, n2, config.convention) / s2.L)
+    return np.minimum(free, supply_term(s2, n2) / s2.L)
 
 
 def conditional_matrix(config: TandemConfig, lam) -> np.ndarray:
@@ -187,13 +182,13 @@ def solve_fixed_point(config: TandemConfig, lam, tol: float = 1e-10, max_iter: i
     if len(values) > fits:
         runs = (values[i : i + fits] for i in range(0, len(values), fits))
         return [r for run in runs for r in solve_fixed_point(config, run, tol, max_iter)]
-    batch, s2, convention = lams.reshape(-1), config.section2, config.convention
+    batch, s2 = lams.reshape(-1), config.section2
     matrix = conditional_matrix(config, batch)
     passing = matrix[..., :-1].sum(axis=-1)
     # each rate's bracket as a row [lo, hi], and the residuals there
     ends = np.stack([np.zeros(batch.size), np.minimum(batch, coupled_rates(config).max())], 1)
-    h_lo = _residual(solve_triangular(ends[:, 0], s2, convention), batch, passing, ends[:, 0])
-    down = solve_triangular(ends[:, 1], s2, convention)
+    h_lo = _residual(solve_triangular(ends[:, 0], s2), batch, passing, ends[:, 0])
+    down = solve_triangular(ends[:, 1], s2)
     h_hi = _residual(down, batch, passing, ends[:, 1])
     h_ends = np.stack([h_lo, h_hi], 1)
     theta, h, down, count = ends[:, 1].copy(), h_hi, np.array(down), np.zeros(batch.size, int)
@@ -222,7 +217,7 @@ def solve_fixed_point(config: TandemConfig, lam, tol: float = 1e-10, max_iter: i
         x_t = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)
         radius = np.maximum(np.ldexp(0.5 * stop[active], n_max - j) - 0.5 * width, 0.0)
         step = np.where(np.abs(x_t - mid) <= radius, x_t, mid - sigma * radius)
-        down[active] = law = solve_triangular(step, s2, convention)
+        down[active] = law = solve_triangular(step, s2)
         h_step = _residual(law, batch[active], passing[active], step)
         j += 1
         theta[active], h[active], count[active] = step, h_step, j
@@ -256,7 +251,7 @@ def scan_roots(config: TandemConfig, lam: float) -> list[tuple[float, float]]:
         return []
     passing = conditional_matrix(config, lam)[:, :-1].sum(axis=1)
     grid = np.linspace(0.0, min(lam, 2 * coupled_rates(config).max()), _SCAN_POINTS)
-    rates = service_rates(config.section2, config.convention)
+    rates = service_rates(config.section2)
     h = np.array([_residual(solve_birth_death(x, rates).probs, lam, passing, x) for x in grid])
     cut = (h[:-1] == 0.0) | ((h[:-1] < 0) != (h[1:] < 0))
     return list(zip(grid[:-1][cut].tolist(), grid[1:][cut].tolist()))

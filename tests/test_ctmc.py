@@ -15,7 +15,6 @@ from roadqueue import (
     OracleError,
     RoadSection,
     SimulationResult,
-    SingularModelError,
     TandemConfig,
     TriangularDiagram,
     birth_death_chain,
@@ -330,7 +329,6 @@ def scaled(config, length):
     return TandemConfig(
         section1=dataclasses.replace(config.section1, L=length, c=None),
         section2=dataclasses.replace(config.section2, L=length, c=None),
-        convention=config.convention,
     )
 
 
@@ -421,12 +419,10 @@ class TestTandem2d:
             tandem_stationary(tandem_config, lam), dense, rtol=0, atol=1e-14
         )
 
-    def test_exact_convention_is_the_point_mass_at_capacity(self, tandem_config):
-        # the exact supply absorbs every (n1, c2), so no such tandem reaches
-        # the oracle; under the shifted one (c1, c2) drains and holds part
+    def test_shifted_joint_law_is_not_the_point_mass_at_capacity(self, tandem_config):
+        # the exact supply absorbs every (n1, c2), so Scenario.tandem refuses
+        # that tandem; under the shifted one (c1, c2) drains and holds part
         # of the mass only
-        with pytest.raises(SingularModelError, match="absorbing"):
-            dataclasses.replace(tandem_config, convention=EXACT)
         assert ref_generator(tandem_config, 0.8)[-1].any()
         joint = tandem_stationary(tandem_config, 0.8)
         assert 0.0 < joint[-1, -1] < 1.0
@@ -555,10 +551,7 @@ class TestBatchedOracle:
         assert calls == [2, 2, 2, 2, 1]
         np.testing.assert_array_equal(split, whole)
 
-    def test_exact_convention(self, tandem_config):
-        with pytest.raises(SingularModelError, match="absorbing"):
-            dataclasses.replace(tandem_config, convention=EXACT)
-        # under the shifted convention lam = 0 in a batch is the empty road
+    def test_zero_rate_in_a_batch_is_the_empty_road(self, tandem_config):
         batch = tandem_stationary(tandem_config, [0.5, 0.0, 2.0])
         empty = np.zeros((19, 19))
         empty[0, 0] = 1.0

@@ -169,6 +169,17 @@ def test_bad_service_rate_is_refused(site, bad):
     assert str(info.value) == "service rates must be finite and nonnegative"
 
 
+@pytest.mark.parametrize(
+    "rates, shape", [([], (0,)), (1.5, ()), ([[1.0, 2.0]], (1, 2))], ids=["empty", "0-d", "2-D"]
+)
+@pytest.mark.parametrize("site", list(RATE_SITES))
+def test_rates_that_are_not_one_vector_are_refused(site, rates, shape):
+    # each site solves or simulates one law, on one vector q_1..q_c
+    with pytest.raises(ValueError) as info:
+        RATE_SITES[site](rates)
+    assert str(info.value) == f"service rates must be a nonempty 1-D vector, got shape {shape}"
+
+
 def test_simulate_checks_the_arrival_rate_first():
     with pytest.raises(ValueError, match="arrival rate must be finite and positive"):
         simulate(0.0, [-1.0, 1.0])

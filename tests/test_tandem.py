@@ -59,11 +59,9 @@ def conditional_means(config, lam):
     return conditional_matrix(config, lam) @ np.arange(config.section1.c + 1)
 
 
-# every way to build a tandem under the exact convention: the constructor,
-# a copy of a shifted config, and a two-section scenario
+# every way to ask for a tandem under the exact convention: a TandemConfig
+# is shifted by construction, so a two-section scenario is the one way
 EXACT_TANDEMS = {
-    "constructor": lambda s1, s2: TandemConfig(s1, s2, EXACT),
-    "replace": lambda s1, s2: dataclasses.replace(TandemConfig(s1, s2), convention=EXACT),
     "scenario": lambda s1, s2: Scenario(sections=(s1, s2), convention=EXACT).tandem(),
 }
 
@@ -74,6 +72,15 @@ class TestTandemConfig:
         # the exact supply is 0 at c2: section 2 absorbs there at any theta > 0
         with pytest.raises(SingularModelError, match=r"every \(n1, c2\).*shifted"):
             build(section1, section2)
+
+    def test_shifted_by_construction(self, section1, section2):
+        # two sections are all a tandem holds; its convention is no field
+        fields = [field.name for field in dataclasses.fields(TandemConfig)]
+        assert fields == ["section1", "section2"]
+        assert TandemConfig.convention == "shifted"
+        assert TandemConfig(section1, section2).convention == "shifted"
+        with pytest.raises(TypeError):
+            TandemConfig(section1, section2, EXACT)
 
     def test_decomposition_past_the_cap_is_refused_before_allocating(self, section1):
         # one rate's conditionals, two more tables of (c + 1)**2 float64 and
@@ -148,10 +155,9 @@ class TestConditionalDistribution:
         assert conditional_matrix(tandem_config, 0.0)[5, 0] == 1.0
 
     def test_zero_supply_degenerates_to_full(self, section1, section2, tandem_config):
-        # the exact supply is 0 at c2, and that tandem is refused; the
-        # shifted supply w2 / L2 there keeps row c2 off the point mass at c1
-        with pytest.raises(SingularModelError, match="absorbing"):
-            TandemConfig(section1, section2, EXACT)
+        # the exact supply is 0 at c2, and that tandem is refused (see
+        # TestTandemConfig); the shifted supply w2 / L2 there keeps row c2
+        # off the point mass at c1
         row = conditional_matrix(tandem_config, 0.5)[section2.c]
         assert row[section1.c] < 1.0
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
@@ -475,7 +481,7 @@ class TestScanRoots:
 
         monkeypatch.setattr(tandem, "service_rates", counted)
         assert scan_roots(config, 0.8)
-        assert calls == [(config.section2, config.convention)]
+        assert calls == [(config.section2,)]
 
     @pytest.mark.parametrize("lam", [2.0, 1e7, 1e300, 1e308])
     def test_huge_load_saturates(self, tandem_config, lam):
