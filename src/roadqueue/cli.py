@@ -54,7 +54,7 @@ from .distributions import (
     travel_time_dist_linear,
     travel_time_dist_triangular,
 )
-from .fundamental import CONVENTIONS, check_integer
+from .fundamental import CONVENTIONS, check_array_bytes, check_integer
 from .queueing import SingularModelError, measures, solve_birth_death
 from .tandem import ConvergenceError, scan_roots, solve_fixed_point, tandem_measures
 
@@ -63,6 +63,10 @@ TRAVEL_TIME = "travel-time"
 FIGURES = ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10")
 
 _FIGURE_SWEEP = np.linspace(0.1, 2.0, 40)
+# bytes a sweep step holds until its CSV is written, tracemalloc's peak per step
+# rounded up: a section's row (400), a tandem's row and results (1150) beside
+# the two laws of its fixed point
+_SECTION_STEP_BYTES, _TANDEM_STEP_BYTES = 512, 1536
 # exit code of each refusal, first match wins: SingularModelError is a ValueError
 _EXIT_CODES = {
     SingularModelError: 3,
@@ -188,11 +192,13 @@ def _cmd_distributions(args) -> str:
     return _distribution(_scenario(args), args.lam, args.kind, args.mode, args.section)
 
 
-def _sweep_grid(args) -> np.ndarray:
-    check_integer("--steps", args.steps, 2)
+def _sweep_grid(args, per_step: int) -> np.ndarray:
+    """The sweep's rates, refused before any array if steps of per_step bytes pass the cap."""
+    steps = check_integer("--steps", args.steps, 2)
     if not args.lambda_from < args.lambda_to:
         raise ValueError("--lambda-from must be below --lambda-to")
-    return np.linspace(args.lambda_from, args.lambda_to, args.steps)
+    check_array_bytes(f"a sweep of {steps} steps", per_step * steps)
+    return np.linspace(args.lambda_from, args.lambda_to, steps)
 
 
 def _tandem_sweep(config, lams):
@@ -210,8 +216,10 @@ def _section_sweep(rates, lams):
 
 def _cmd_sweep(args) -> str:
     scenario = _scenario(args)
-    grid = _sweep_grid(args)
-    if len(scenario.sections) == 2 and args.section is None:
+    tandem = len(scenario.sections) == 2 and args.section is None
+    laws = 8 * sum(section.c + 1 for section in scenario.sections)
+    grid = _sweep_grid(args, _TANDEM_STEP_BYTES + laws if tandem else _SECTION_STEP_BYTES)
+    if tandem:
         config = scenario.tandem()
         solved = list(_tandem_sweep(config, grid))
         # one batched oracle solve for the whole grid

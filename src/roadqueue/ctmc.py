@@ -29,7 +29,7 @@ from typing import ClassVar
 import numpy as np
 
 from .fundamental import check_array_bytes, check_integer, check_positive, service_rates
-from .queueing import OccupancyDistribution, check_arrival_rates, check_rates
+from .queueing import OccupancyDistribution, check_arrival_rate, check_arrival_rates, check_rates
 from .tandem import TandemConfig, coupled_rates
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -174,8 +174,7 @@ def birth_death_chain(lam: float, rates) -> np.ndarray:
 
     Past exact_stationary's limit (c > 3967) it raises OracleError before allocating.
     """
-    if check_arrival_rates(lam)[0].ndim:
-        raise ValueError(f"birth_death_chain takes one arrival rate, got shape {np.shape(lam)}")
+    check_arrival_rate("birth_death_chain", lam)
     rates = check_rates(rates)
     c = rates.size
     what = f"GTH elimination on {c + 1} states (c = {c})"
@@ -332,7 +331,7 @@ def simulate(
     """
     if np.ndim(lam):
         raise ValueError(f"simulate takes one arrival rate, got shape {np.shape(lam)}")
-    check_positive(**{"arrival rate": lam})
+    check_positive(**{"arrival rate": float(lam)})
     rates = [float(r) for r in check_rates(rates)]
     max_events = check_integer("max_events", max_events, 10**4)
     seed = check_integer("seed", seed, 0)

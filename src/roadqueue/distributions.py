@@ -36,11 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .congestion import LinearCongestionModel
-from .fundamental import SHIFTED, RoadSection, service_rates
+from .fundamental import SHIFTED, RoadSection, check_array_bytes, service_rates
 from .queueing import (
     OccupancyDistribution,
     SingularModelError,
     birth_death_log_weights,
+    check_arrival_rate,
     check_rate_count,
     frozen_probs,
     jain_smith_rates,
@@ -50,6 +51,9 @@ from .queueing import (
 PUSHFORWARD = "pushforward"
 PAPER_GRID = "paper-grid"
 MODES = (PUSHFORWARD, PAPER_GRID)
+# peak bytes of one paper-grid cell, tracemalloc's 226 rounded up: its count,
+# the floats of its index map and the 12-digit strings _floor12 makes of them
+_GRID_CELL_BYTES = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,19 +168,22 @@ def _linear_law(
     rates = jain_smith_rates(L, model)
     if mode == PUSHFORWARD:
         return _pushforward(solve_birth_death(lam, rates), rates, L, model.v_f, times)
+    # the grid's ends as floats: an L / v_f past the float range empties the time grid
+    lo, hi = (max(np.floor(L / model.v_f), 1.0), np.floor(L)) if times else (1, np.floor(model.v_f))
+    kind = "time" if times else "speed"
+    if hi < lo:
+        raise ValueError(
+            f"the paper-grid {kind} grid is empty at v_f = {model.v_f!r} m/s and L = {L!r} m"
+        )
+    cells = hi - lo + 1
+    check_array_bytes(f"the paper-grid {kind} grid of {cells:.4g} cells", _GRID_CELL_BYTES * cells)
+    grid = np.arange(int(lo), int(hi) + 1)
     if times:
-        grid = np.arange(max(math.floor(L / model.v_f), 1), math.floor(L) + 1)
         indices = _floor12(1 + model.c * (1 - L / (grid * model.v_f)))
         note = "time grid anchored at floor(L/v_f) with non-integer v_f"
     else:
-        grid = np.arange(1, math.floor(model.v_f) + 1)
         indices = _floor12(1 + model.c * (1 - grid / model.v_f))
-        note = f"speed grid truncated at floor(v_f) = {math.floor(model.v_f)}"
-    if grid.size == 0:
-        raise ValueError(
-            f"the paper-grid {'time' if times else 'speed'} grid is empty at "
-            f"v_f = {model.v_f!r} m/s and L = {L!r} m"
-        )
+        note = f"speed grid truncated at floor(v_f) = {int(hi)}"
     if model.v_f != math.floor(model.v_f):
         warnings.warn(note, stacklevel=3)
     return DiscreteDistribution(
@@ -192,7 +199,8 @@ def speed_dist_linear(
     L: float,
     mode: str = PUSHFORWARD,
 ) -> DiscreteDistribution:
-    """Speed law of the linear-model section at arrival rate lam."""
+    """Speed law of the linear-model section at one arrival rate lam."""
+    lam = check_arrival_rate("speed_dist_linear", lam)
     return _linear_law(lam, model, L, mode, times=False)
 
 
@@ -202,5 +210,6 @@ def travel_time_dist_linear(
     L: float,
     mode: str = PUSHFORWARD,
 ) -> DiscreteDistribution:
-    """Travel-time law of the linear-model section at arrival rate lam."""
+    """Travel-time law of the linear-model section at one arrival rate lam."""
+    lam = check_arrival_rate("travel_time_dist_linear", lam)
     return _linear_law(lam, model, L, mode, times=True)

@@ -137,6 +137,13 @@ def check_arrival_rates(lam) -> tuple[np.ndarray, list[float]]:
     return lams, values
 
 
+def check_arrival_rate(site: str, lam) -> float:
+    """lam as one checked rate; a vector of them is refused by the name of site."""
+    if np.ndim(lam):
+        raise ValueError(f"{site} takes one arrival rate, got shape {np.shape(lam)}")
+    return check_arrival_rates(lam)[1][0]
+
+
 def check_rates(rates) -> np.ndarray:
     """Service rates q_1..q_c as a float array: one nonempty vector, finite and nonnegative."""
     rates = np.asarray(rates, dtype=float)
@@ -207,12 +214,10 @@ def solve_birth_death(lam, rates):
 
     A 1-D vector of births gives the checked, read-only stack of their laws.
     """
-    laws = birth_death_laws(lam, rates)
-    if np.ndim(lam):
-        return frozen_probs(laws)
-    if laws.ndim != 1:  # a stack of rates: check_rates refuses it, as one law takes one vector
+    laws, births = birth_death_laws(lam, rates), np.ndim(lam)
+    if laws.ndim != births + 1:  # a stack of rates: refused, as each law takes one vector
         check_rates(rates)
-    return OccupancyDistribution(laws)
+    return frozen_probs(laws) if births else OccupancyDistribution(laws)
 
 
 def jain_smith_rates(L: float, model: CongestionModel) -> np.ndarray:
@@ -267,8 +272,7 @@ def measures(
     so small that either is below 2.2e-308) the travel time is the
     lone-vehicle transit time 1 / q_1.  lam is one checked rate.
     """
-    if check_arrival_rates(lam)[0].ndim:
-        raise ValueError(f"measures takes one arrival rate, got shape {np.shape(lam)}")
+    check_arrival_rate("measures", lam)
     rates = check_rate_count(dist, rates)
     lone_time = 1.0 / float(rates[0]) if rates[0] > 0 else None
     return littles_law(dist, lam * min(float(dist.probs[:-1].sum()), 1.0), lone_time)

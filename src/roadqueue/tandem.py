@@ -53,6 +53,7 @@ from .queueing import (
     OccupancyDistribution,
     PerformanceMeasures,
     birth_death_laws,
+    check_arrival_rate,
     check_arrival_rates,
     littles_law,
     solve_birth_death,
@@ -245,8 +246,7 @@ def scan_roots(config: TandemConfig, lam: float) -> list[tuple[float, float]]:
     A negative or non-finite lam raises ValueError, as in solve_fixed_point,
     and so does a vector of them: the scan takes one arrival rate.
     """
-    if check_arrival_rates(lam)[0].ndim:
-        raise ValueError(f"scan_roots takes one arrival rate, got shape {np.shape(lam)}")
+    check_arrival_rate("scan_roots", lam)
     if lam == 0:
         return []
     passing = conditional_matrix(config, lam)[:, :-1].sum(axis=1)

@@ -353,6 +353,11 @@ EMPTY_GRIDS = {
     "speed": ({"L": 100.0, "v_f": 0.5, "w": 14.0, "rho_j": 0.18}, "speed grid"),
     "travel-time": ({"L": 0.5, "v_f": 28.0, "w": 14.0, "rho_j": 4.0}, "time grid"),
 }
+# a paper grid of 1e11 or more cells, past the cap at 256 bytes a cell, per kind
+HUGE_GRIDS = {
+    "speed": {"L": 100.0, "v_f": 1e11, "w": 14.0, "rho_j": 0.18},
+    "travel-time": {"L": 1e12, "v_f": 28.0, "w": 14.0, "rho_j": 2e-12},
+}
 
 GOLDEN_ROWS = [
     _golden("solve-section-s1", "solve-section", "--lambda", "0.8", "--section", "1"),
@@ -631,6 +636,26 @@ CASES = [
            _says(grid, f"v_f = {geometry['v_f']!r} m/s and L = {geometry['L']!r} m"),
            stdin=json.dumps(geometry))
       for kind, (geometry, grid) in EMPTY_GRIDS.items()],
+    # L / v_f passes the float range, so no time lies from floor(L / v_f) up to L
+    Case("empty-paper-grid-past-the-float-range",
+         ("distributions", "--lambda", "0.8", "--config", "-", "--model", "linear", "--mode",
+          "paper-grid", "--kind", "travel-time"), 2,
+         lambda run: _one_error(run) and "time grid is empty" in run.err,
+         stdin=json.dumps({"L": 300.0, "v_f": 1e-310, "w": 14.0, "rho_j": 0.1})),
+    # refused before the grid, or the sweep's rates, is allocated
+    *[Case(f"paper-grid-{kind}-past-the-cap",
+           ("distributions", "--lambda", "0.8", "--config", "-", "--model", "linear", "--mode",
+            "paper-grid", "--kind", kind), 2,
+           lambda run: _one_error(run) and "MiB cap" in run.err, stdin=json.dumps(geometry),
+           peak_mb=100)
+      for kind, geometry in HUGE_GRIDS.items()],
+    Case("fig8-past-the-cap", ("figure-data", "--figure", "fig8", "--config", "-"), 2,
+         lambda run: _one_error(run) and "MiB cap" in run.err,
+         stdin=json.dumps(HUGE_GRIDS["speed"]), peak_mb=100),
+    *[Case(f"sweep{name}-steps-past-the-cap", (*SWEEP, "--steps", "100000000000", *section), 2,
+           lambda run: _one_error(run) and "a sweep of 100000000000 steps" in run.err,
+           peak_mb=100)
+      for name, section in (("", ()), ("-section", ("--section", "1")))],
     # 40 km holds c = 7200: its dense generator would pass 256 MiB
     Case("compare-oversized-generator",
          ("compare", "--lambda", "0.8", "--events", "10000", "--config", "-"), 3,

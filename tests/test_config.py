@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from roadqueue import Scenario, default_scenario, load_scenario, scenario_from_dict
+from roadqueue import default_scenario, load_scenario, scenario_from_dict
 from roadqueue.config import (
     EXPONENTIAL,
     LINEAR,

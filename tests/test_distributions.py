@@ -19,10 +19,7 @@ from roadqueue import (
     travel_time_dist_linear,
     travel_time_dist_triangular,
 )
-from roadqueue.distributions import (
-    PAPER_GRID,
-    PUSHFORWARD,
-)
+from roadqueue.distributions import PAPER_GRID
 from roadqueue.queueing import jain_smith_rates
 
 # grid-mode speed table at lam = 0.8 (L=100, v_f=28, c=18), one cell per
@@ -166,15 +163,6 @@ class TestTriangularPushforward:
             travel_time_dist_triangular(occ, section1, EXACT)
         v = speed_dist_triangular(occ, section1, EXACT)
         assert (v.support.tolist(), v.probs.tolist()) == ([0.0], [1.0])
-
-    def test_capacity_mismatch_rejected(self, section1, section2):
-        occ = solve_triangular(0.8, section1)
-        wrong = LinearCongestionModel(v_f=28.0, c=12)
-        small = solve_birth_death(0.8, jain_smith_rates(100.0, wrong))
-        with pytest.raises(ValueError, match="capacity"):
-            speed_dist_triangular(small, section1)
-        with pytest.raises(ValueError, match="capacity"):
-            travel_time_dist_triangular(small, section1)
 
     @pytest.mark.parametrize("convention, speed", [(SHIFTED, 23.75), (EXACT, 22.5)])
     def test_state_at_n_cr_moves_at_its_rate(self, convention, speed):

@@ -14,7 +14,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from roadqueue import (
@@ -563,6 +563,8 @@ def numbers_and_laws(text: str) -> tuple[list[float], list[list[float]]]:
     return [float(cell) for row in rows for cell in row], []
 
 
+# the seed fixes the 150 draws, which would otherwise follow this test's source
+@seed(2016)
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(scenario_documents(), cli_flags())
 @example(  # a subnormal q_1: the lone transit time 1 / q_1 passes the float range

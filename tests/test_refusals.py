@@ -1,4 +1,5 @@
-"""Each bad input is refused by one check, with the same message at every site."""
+"""One table per input rule: each bad input is refused by one check, with the same
+whole message at every site its table names."""
 
 import argparse
 import math
@@ -18,12 +19,18 @@ from roadqueue import (
     TandemConfig,
     TriangularDiagram,
     birth_death_chain,
+    decomposition_diagnostic,
     measures,
     scan_roots,
     simulate,
     solve_birth_death,
     solve_fixed_point,
+    solve_triangular,
+    speed_dist_linear,
     speed_dist_triangular,
+    tandem_stationary,
+    travel_time_dist_linear,
+    travel_time_dist_triangular,
 )
 from roadqueue import cli
 from roadqueue.queueing import jain_smith_rates
@@ -59,6 +66,7 @@ POSITIVE_SITES = {
         ),
         ("a", "v_a", "b", "v_b", "v_f"),
     ),
+    # an infinite L would give all-zero rates, not a singular model
     "jain_smith_rates": (
         lambda **kw: jain_smith_rates(
             **{"L": 100.0, "model": LinearCongestionModel(v_f=28.0, c=18), **kw}
@@ -119,14 +127,14 @@ INTEGER_SITES = {
         lambda v: OccupancyDistribution.point_mass(4, v), "n", 0
     ),
     "sweep --steps": (
-        lambda v: cli._sweep_grid(argparse.Namespace(steps=v, lambda_from=0.1, lambda_to=2.0)),
+        lambda v: cli._sweep_grid(argparse.Namespace(steps=v, lambda_from=0.1, lambda_to=2.0), 1),
         "--steps",
         2,
     ),
 }
 
 
-@pytest.mark.parametrize("bad", ["least - 1", 1.5, math.nan, True])
+@pytest.mark.parametrize("bad", ["least - 1", 1.5, math.nan, math.inf, True])
 @pytest.mark.parametrize("site", list(INTEGER_SITES))
 def test_count_that_is_not_a_whole_number_is_refused(site, bad):
     make, name, least = INTEGER_SITES[site]
@@ -156,6 +164,8 @@ RATE_SITES = {
     "birth_death_chain": lambda rates: birth_death_chain(0.8, rates),
     "simulate": lambda rates: simulate(0.8, rates, max_events=10**4),
     "measures": lambda rates: measures(solve_birth_death(0.8, RATES), 0.8, rates),
+    # each law of a vector of lam takes one vector of rates, as the one-lam call does
+    "solve_birth_death over lams": lambda rates: solve_birth_death([0.5, 0.8], rates),
 }
 
 
@@ -180,34 +190,71 @@ def test_rates_that_are_not_one_vector_are_refused(site, rates, shape):
     assert str(info.value) == f"service rates must be a nonempty 1-D vector, got shape {shape}"
 
 
-def test_simulate_checks_the_arrival_rate_first():
-    with pytest.raises(ValueError, match="arrival rate must be finite and positive"):
-        simulate(0.0, [-1.0, 1.0])
-
-
-# each solver of one arrival rate, refusing a vector of them by its name
-ONE_RATE_SITES = {
-    "scan_roots": lambda lam: scan_roots(TANDEM, lam),
-    "birth_death_chain": lambda lam: birth_death_chain(lam, [1.0, 2.0]),
-    "simulate": lambda lam: simulate(lam, [1.0, 2.0], max_events=10**4),
-    "measures": lambda lam: measures(solve_birth_death(0.8, RATES), lam, RATES),
+LINEAR = LinearCongestionModel(v_f=28.0, c=18)
+# each public entry taking an arrival rate lam: a call on it, and whether it
+# also takes a 1-D vector of them
+ARRIVAL_SITES = {
+    "solve_birth_death": (lambda lam: solve_birth_death(lam, RATES), True),
+    "solve_triangular": (lambda lam: solve_triangular(lam, SECTION), True),
+    "solve_fixed_point": (lambda lam: solve_fixed_point(TANDEM, lam), True),
+    "scan_roots": (lambda lam: scan_roots(TANDEM, lam), False),
+    "tandem_stationary": (lambda lam: tandem_stationary(TANDEM, lam), True),
+    "decomposition_diagnostic": (
+        lambda lam: decomposition_diagnostic(TANDEM, lam, np.full(19, 1 / 19)), True
+    ),
+    "birth_death_chain": (lambda lam: birth_death_chain(lam, RATES), False),
+    "measures": (lambda lam: measures(solve_birth_death(0.8, RATES), lam, RATES), False),
+    "simulate": (lambda lam: simulate(lam, RATES, max_events=10**4), False),
+    "speed_dist_linear": (lambda lam: speed_dist_linear(lam, LINEAR, 100.0), False),
+    "travel_time_dist_linear": (
+        lambda lam: travel_time_dist_linear(lam, LINEAR, 100.0, mode="paper-grid"), False
+    ),
 }
+VECTOR_SITES = [site for site, (_, vectors) in ARRIVAL_SITES.items() if vectors]
+ONE_RATE_SITES = [site for site, (_, vectors) in ARRIVAL_SITES.items() if not vectors]
 
 
-@pytest.mark.parametrize("lam", [[0.5, 0.6], np.array([0.5, 0.6])])
-@pytest.mark.parametrize("site", list(ONE_RATE_SITES))
-def test_one_rate_solver_refuses_a_vector_of_rates(site, lam):
+@pytest.mark.parametrize("bad", [-1, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("site", list(ARRIVAL_SITES))
+def test_bad_arrival_rate_is_refused(site, bad):
+    # not read as a NaN throughput, a negative one or a zero travel time;
+    # simulate also refuses lam = 0, which has no events to draw
+    rule = "positive" if site == "simulate" else "nonnegative"
     with pytest.raises(ValueError) as info:
-        ONE_RATE_SITES[site](lam)
-    assert str(info.value) == f"{site} takes one arrival rate, got shape (2,)"
+        ARRIVAL_SITES[site][0](bad)
+    assert str(info.value) == f"arrival rate must be finite and {rule}, got {float(bad)!r}"
 
 
-@pytest.mark.parametrize("lam", [-1, math.nan, math.inf])
-def test_measures_refuses_a_bad_arrival_rate(lam):
-    # not read as a NaN throughput, a negative one or a zero travel time
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("site", VECTOR_SITES)
+def test_one_bad_rate_refuses_a_vector_as_alone(site, bad):
     with pytest.raises(ValueError) as info:
-        measures(solve_birth_death(0.8, RATES), lam, RATES)
-    assert str(info.value) == f"arrival rate must be finite and nonnegative, got {float(lam)!r}"
+        ARRIVAL_SITES[site][0]([0.5, bad, 0.8])
+    assert str(info.value) == f"arrival rate must be finite and nonnegative, got {bad!r}"
+
+
+@pytest.mark.parametrize("site", VECTOR_SITES)
+def test_rates_past_one_axis_are_refused(site):
+    with pytest.raises(ValueError) as info:
+        ARRIVAL_SITES[site][0](np.full((2, 2), 0.8))
+    assert str(info.value) == "lam must be a scalar or a 1-D vector, got shape (2, 2)"
+
+
+def test_simulate_checks_the_arrival_rate_first():
+    with pytest.raises(ValueError) as info:
+        simulate(0.0, [-1.0, 1.0])
+    assert str(info.value) == "arrival rate must be finite and positive, got 0.0"
+
+
+@pytest.mark.parametrize(
+    "lam, shape", [([0.5, 0.6], (2,)), (np.array([0.5, 0.6]), (2,)), ([[0.5, 0.6]], (1, 2))]
+)
+@pytest.mark.parametrize("site", ONE_RATE_SITES)
+def test_one_rate_solver_refuses_a_vector_of_rates(site, lam, shape):
+    # by its name, not by numpy's ambiguous truth value of an array
+    with pytest.raises(ValueError) as info:
+        ARRIVAL_SITES[site][0](lam)
+    assert str(info.value) == f"{site} takes one arrival rate, got shape {shape}"
 
 
 @pytest.mark.parametrize("field", ["throughput", "expected_count"])
@@ -230,6 +277,7 @@ def test_performance_measures_refuse_a_travel_time_not_finite_and_positive(value
 COUNT_SITES = {
     "measures": lambda dist, rates: measures(dist, 0.8, rates),
     "speed_dist_triangular": lambda dist, rates: speed_dist_triangular(dist, SECTION),
+    "travel_time_dist_triangular": lambda dist, rates: travel_time_dist_triangular(dist, SECTION),
 }
 
 
