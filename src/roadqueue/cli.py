@@ -14,8 +14,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration or usage errors, 3 numerical
 failures (singular model, non-convergence, oracle residual), 4 file I/O
-failures.  Nothing is written on a nonzero exit.  A tandem command
-exits 3 under --convention exact, which serves one-section commands.
+failures.  Nothing is written on a nonzero exit.  A tandem solve exits
+3 under the exact convention, which serves one-section solves.
 
 CSV numbers carry 12 significant digits for regression-diff stability.
 """
@@ -55,7 +55,7 @@ from .distributions import (
     travel_time_dist_triangular,
 )
 from .fundamental import CONVENTIONS, check_array_bytes, check_integer
-from .queueing import SingularModelError, measures, solve_birth_death
+from .queueing import SingularModelError, check_arrival_rates, measures, solve_birth_death
 from .tandem import ConvergenceError, scan_roots, solve_fixed_point, tandem_measures
 
 SPEED = "speed"
@@ -133,9 +133,7 @@ def _cmd_solve_section(args) -> str:
 def _cmd_solve_tandem(args) -> str:
     scenario = _scenario(args)
     config = scenario.tandem()
-    result = solve_fixed_point(
-        config, args.lam, tol=args.tol, max_iter=args.max_iter
-    )
+    result = solve_fixed_point(config, args.lam, tol=args.tol)
     meas = tandem_measures(result, args.lam)
     payload = {
         "lambda": args.lam,
@@ -193,8 +191,9 @@ def _cmd_distributions(args) -> str:
 
 
 def _sweep_grid(args, per_step: int) -> np.ndarray:
-    """The sweep's rates, refused before any array if steps of per_step bytes pass the cap."""
+    """The sweep's rates from checked ends; refused if steps of per_step bytes pass the cap."""
     steps = check_integer("--steps", args.steps, 2)
+    check_arrival_rates([args.lambda_from, args.lambda_to])
     if not args.lambda_from < args.lambda_to:
         raise ValueError("--lambda-from must be below --lambda-to")
     check_array_bytes(f"a sweep of {steps} steps", per_step * steps)
@@ -347,12 +346,10 @@ _OUTPUT = ("--output", {"help": "output path (default: stdout)"})
 _LAMBDA = ("--lambda", {"dest": "lam", "type": float, "required": True,
                         "help": "arrival rate [veh/s]"})
 _CONVENTION = ("--convention", {"choices": CONVENTIONS})
-_MODEL = (
-    ("--model", {"choices": (TRIANGULAR, LINEAR, EXPONENTIAL),
-                 "help": "override the scenario's service-rate model"}),
-    ("--beta", {"type": float}),
-    ("--gamma", {"type": float}),
-)
+_MODEL = ("--model", {"choices": (TRIANGULAR, LINEAR, EXPONENTIAL),
+                       "help": "override the scenario's service-rate model"})
+# --beta and --gamma feed the exponential model, which only these commands solve
+_SOLVER = (_CONVENTION, _MODEL, ("--beta", {"type": float}), ("--gamma", {"type": float}))
 _SECTION = ("--section", {"type": int, "default": 1})
 _SIMULATION = (
     ("--events", {"type": int, "default": 1_000_000}),
@@ -364,24 +361,23 @@ _SIMULATION = (
 # subcommand takes --config and --output ahead of its own options
 _COMMANDS = (
     ("solve-section", _cmd_solve_section, "stationary law of one section",
-     (_LAMBDA, _CONVENTION, *_MODEL, _SECTION)),
+     (_LAMBDA, *_SOLVER, _SECTION)),
     ("solve-tandem", _cmd_solve_tandem, "two-section throughput fixed point", (
-        _LAMBDA, _CONVENTION,
+        _LAMBDA,
         ("--tol", {"type": float, "default": 1e-10, "help": (
             "dimensionless: stop at |residual| <= tol * min(lambda, max q12)")}),
-        ("--max-iter", {"type": int, "default": 200}),
         ("--scan-roots", {"action": "store_true", "help": (
             "also report every residual sign change on a 1000-point grid")}),
     )),
     ("distributions", _cmd_distributions, "speed / travel-time law as CSV", (
-        _LAMBDA, _CONVENTION, *_MODEL,
+        _LAMBDA, _CONVENTION, _MODEL,
         ("--kind", {"choices": (SPEED, TRAVEL_TIME), "default": SPEED}),
         ("--mode", {"choices": MODES, "default": PUSHFORWARD}),
         ("--section", {"type": int, "help": (
             "use this section's own law instead of the tandem marginal")}),
     )),
     ("sweep", _cmd_sweep, "arrival-rate sweep as CSV", (
-        _CONVENTION, *_MODEL,
+        *_SOLVER,
         ("--lambda-from", {"type": float, "required": True}),
         ("--lambda-to", {"type": float, "required": True}),
         ("--steps", {"type": int, "required": True}),
@@ -389,9 +385,9 @@ _COMMANDS = (
             "sweep this single section instead of the tandem system")}),
     )),
     ("simulate", _cmd_simulate, "seeded Monte Carlo of one section",
-     (_LAMBDA, _CONVENTION, *_MODEL, *_SIMULATION)),
+     (_LAMBDA, *_SOLVER, *_SIMULATION)),
     ("compare", _cmd_compare, "analytical vs exact vs simulated, with TV distances",
-     (_LAMBDA, _CONVENTION, *_MODEL, *_SIMULATION)),
+     (_LAMBDA, *_SOLVER, *_SIMULATION)),
     ("fit-exponential", _cmd_fit_exponential, "fit (beta, gamma) from two anchor points", (
         ("--fit-a", {"type": float, "required": True, "help": "first anchor count"}),
         ("--fit-va", {"type": float, "required": True, "help": "speed at a"}),
@@ -401,7 +397,6 @@ _COMMANDS = (
             "free speed (default: section 1's v_f from the config)")}),
     )),
     ("figure-data", _cmd_figure_data, "canned comparison datasets for plotting", (
-        _CONVENTION,
         ("--figure", {"choices": FIGURES, "required": True}),
         ("--kind", {"choices": (SPEED, TRAVEL_TIME), "help": (
             "fig8/fig9/fig10: which distribution to emit (default speed)")}),

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .congestion import CongestionModel
-from .fundamental import SHIFTED, RoadSection, check_integer, check_positive, service_rates
+from .fundamental import RoadSection, check_integer, check_positive, service_rates
 
 
 class SingularModelError(ValueError):
@@ -227,9 +227,9 @@ def jain_smith_rates(L: float, model: CongestionModel) -> np.ndarray:
     return n * model.speed(n) / L
 
 
-def solve_triangular(lam, section: RoadSection, convention: str = SHIFTED):
-    """Stationary law under the triangular-diagram service rate (see solve_birth_death)."""
-    return solve_birth_death(lam, service_rates(section, convention))
+def solve_triangular(lam, section: RoadSection):
+    """Stationary law under the shifted triangular-diagram rates (see solve_birth_death)."""
+    return solve_birth_death(lam, service_rates(section))
 
 
 def littles_law(

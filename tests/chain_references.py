@@ -239,7 +239,7 @@ def ref_scan_brackets(config, lam):
     grid = np.linspace(0.0, min(lam, 2 * coupled_rates(config).max()), _SCAN_POINTS)
     values = []
     for theta in grid:
-        down = solve_triangular(theta, config.section2, config.convention)
+        down = solve_triangular(theta, config.section2)
         # a row times a column, as the stacked residual takes it
         mixture = np.matmul(down.probs[None, :], passing[:, None])[0, 0]
         values.append(theta - lam * min(mixture, 1.0))

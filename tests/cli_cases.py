@@ -169,10 +169,11 @@ def _same_as(name: str) -> Callable[[Run], bool]:
     return check
 
 
-def _golden(name: str, *argv: str, code: int = 0, also=lambda run: True) -> Case:
+def _golden(name: str, *argv: str, code: int = 0, also=lambda run: True,
+            stdin: str | None = None) -> Case:
     """The row whose stdout is tests/golden/<name>.txt, and that passes also."""
     same = _same_as(name)
-    return Case(name, argv, code, lambda run: same(run) and also(run))
+    return Case(name, argv, code, lambda run: same(run) and also(run), stdin)
 
 
 def _doc(run: Run) -> dict:
@@ -314,7 +315,7 @@ def _fig4(run: Run) -> bool:
 
 def _fig8(run: Run) -> bool:
     # one section under the linear model: the convention does not apply
-    exact = run.again(["figure-data", "--figure", "fig8", "--convention", "exact"])
+    exact = run.again(["figure-data", "--figure", "fig8", "--config", "-"], EXACT_BUNDLED)
     return len(_rows(run)) == 28 and (exact.code, exact.out, exact.err) == (0, run.out, "")
 
 
@@ -331,6 +332,10 @@ SIMULATE_1E6 = ("simulate", "--lambda", "0.8", "--events", "1000000", "--seed", 
 SIMULATE_1E4 = ("simulate", "--lambda", "0.8", "--events", "10000", "--seed", "7")
 FIT = ("fit-exponential", "--fit-a", "20", "--fit-va", "48", "--fit-b", "140")
 SWEEP = ("sweep", "--lambda-from", "0.1", "--lambda-to", "2")
+# sweep ends of which one is no arrival rate, each written as --flag=value
+# so that argparse reads a leading minus as a number
+SWEEP_ENDS = {"0-to-inf": ("0", "inf"), "minus-inf-to-2": ("-inf", "2"),
+              "minus-1e308-to-1e308": ("-1e308", "1e308"), "0-to-nan": ("0", "nan")}
 SECTION_ZERO = {
     "solve-section": ("--lambda", "0.8"),
     "distributions": ("--lambda", "0.8"),
@@ -346,6 +351,7 @@ MALFORMED = {
     "deep": "[" * 100_000 + "]" * 100_000,
 }
 LINEAR_BUNDLED = json.dumps({**json.loads(_bundled()), "model": "linear"})
+EXACT_BUNDLED = json.dumps({**json.loads(_bundled()), "convention": "exact"})
 # 1e12 m sections hold c = 1.8e11 vehicles: refused before any per-state array
 ABSURD_LENGTH = json.dumps({"sections": [{"L": 1e12, "v_f": 28.0, "w": 14.0, "rho_j": 0.18}] * 2})
 # a geometry whose paper grid holds no value, and the grid it names, per kind
@@ -372,8 +378,8 @@ GOLDEN_ROWS = [
             also=_theta_in_a_bracket),
     _golden("solve-tandem-scan-0", "solve-tandem", "--lambda", "0", "--scan-roots"),
     _golden("solve-tandem-2", "solve-tandem", "--lambda", "2"),
-    _golden("solve-tandem-exact", "solve-tandem", "--lambda", "0.8", "--convention", "exact",
-            "--scan-roots", code=3, also=_one_error),
+    _golden("solve-tandem-exact", "solve-tandem", "--lambda", "0.8", "--scan-roots", "--config",
+            "-", code=3, also=_one_error, stdin=EXACT_BUNDLED),
     _golden("distributions-speed", "distributions", "--lambda", "0.8",
             also=lambda run: _table("value,probability", 13)(run) and _law_sums_to_1(run)),
     _golden("distributions-travel-time", "distributions", "--lambda", "0.8", "--kind",
@@ -517,25 +523,40 @@ CASES = [
     Case("sweep-section-below-0",
          ("sweep", "--lambda-from", "-0.1", "--lambda-to", "2", "--steps", "3", "--section", "1"),
          2, _one_error),
+    # each end is an arrival rate, refused before np.linspace can warn
+    *[Case(f"sweep{name}-{ends}", ("sweep", f"--lambda-from={lo}", f"--lambda-to={hi}", "--steps",
+                                   "3", *section), 2,
+           lambda run: _one_error(run) and "arrival rate must be finite and nonnegative" in run.err)
+      for ends, (lo, hi) in SWEEP_ENDS.items()
+      for name, section in (("", ()), ("-section", ("--section", "1")))],
     Case("sweep-bad-grid", ("sweep", "--lambda-from", "1.0", "--lambda-to", "0.5", "--steps", "4"), 2),
     Case("sweep-tandem-linear", ("sweep", "--lambda-from", "0.1", "--lambda-to", "2.0", "--steps", "5",
                                  "--model", "linear"), 2,
          _says("--section")),
     # every tandem command refuses the exact convention
-    Case("solve-tandem-exact-lambda-0", ("solve-tandem", "--lambda", "0", "--convention", "exact"),
-         3, _says("absorbing")),
+    Case("solve-tandem-exact-lambda-0", ("solve-tandem", "--lambda", "0", "--config", "-"),
+         3, _says("absorbing"), stdin=EXACT_BUNDLED),
     Case("sweep-exact", (*SWEEP, "--steps", "3", "--convention", "exact"), 3, _one_error),
     Case("distributions-exact-lambda-0",
          ("distributions", "--lambda", "0", "--convention", "exact"), 3, _one_error),
     Case("distributions-exact", ("distributions", "--lambda", "0.5", "--convention", "exact"), 3,
          _one_error),
-    Case("fig9-exact", ("figure-data", "--figure", "fig9", "--convention", "exact"), 3, _one_error),
+    Case("fig9-exact", ("figure-data", "--figure", "fig9", "--config", "-"), 3, _one_error,
+         stdin=EXACT_BUNDLED),
     # the joint chain's levels overflow, and the oracle refuses them
     Case("solve-tandem-1e308", ("solve-tandem", "--lambda", "1e308"), 3, _one_error),
-    Case("solve-tandem-unreachable-tol",
-         ("solve-tandem", "--lambda", "0.8", "--tol", "1e-18", "--max-iter", "5"), 3),
-    *[Case(f"solve-tandem-{flag[2:]}-{value}", ("solve-tandem", "--lambda", "0.8", flag, value), 2)
-      for flag, value in (("--tol", "inf"), ("--tol", "nan"), ("--max-iter", "0"))],
+    # ITP's bracket closes to adjacent floats, short of a stop no float reaches
+    Case("solve-tandem-unreachable-tol", ("solve-tandem", "--lambda", "0.8", "--tol", "1e-18"), 3,
+         _says("after 200 residual evaluations",
+               "best bracket [0.45372928604317525, 0.4537292860431753]")),
+    *[Case(f"solve-tandem-tol-{value}", ("solve-tandem", "--lambda", "0.8", "--tol", value), 2)
+      for value in ("inf", "nan")],
+    # options with one working value are gone, not ignored
+    *[Case(f"{argv[0]}-no-{argv[-2][2:]}", argv, 2, _says("unrecognized arguments"))
+      for argv in (("solve-tandem", "--lambda", "0.8", "--max-iter", "5"),
+                   ("solve-tandem", "--lambda", "0.8", "--convention", "shifted"),
+                   ("figure-data", "--figure", "fig9", "--convention", "shifted"),
+                   ("distributions", "--lambda", "0.8", "--beta", "1"))],
     # a rate too small to time the run's events in floats
     Case("simulate-5e-324", ("simulate", "--lambda", "5e-324", "--events", "10000"), 2, _one_error),
     Case("simulate-1e-310", ("simulate", "--lambda", "1e-310"), 2, _one_error),
@@ -602,9 +623,10 @@ CASES = [
          ("distributions", "--lambda", "0.8", "--mode", "paper-grid"), 2),
     # pushforwards exist for the triangular and linear models only
     Case("distributions-exponential",
-         ("distributions", "--lambda", "0.8", "--model", "exponential", "--beta", "9.5",
-          "--gamma", "1.8", "--section", "1"),
-         2, _says("distributions support the triangular and linear models only")),
+         ("distributions", "--lambda", "0.8", "--section", "1", "--config", "-"), 2,
+         _says("distributions support the triangular and linear models only"),
+         stdin=json.dumps({**json.loads(_bundled()), "model": "exponential", "beta": 9.5,
+                           "gamma": 1.8})),
     Case("fig4-kind", ("figure-data", "--figure", "fig4", "--kind", "speed"), 2),
     Case("fig9-section", ("figure-data", "--figure", "fig9", "--section", "2"), 2),
     Case("fig8-model", ("figure-data", "--figure", "fig8", "--model", "linear"), 2),

@@ -222,10 +222,11 @@ CONFIG = ("config", ("--config",), None, None, False, None,
 OUTPUT = ("output", ("--output",), None, None, False, None, "output path (default: stdout)")
 LAM = ("lam", ("--lambda",), None, None, True, "float", "arrival rate [veh/s]")
 CONVENTION = ("convention", ("--convention",), None, ("exact", "shifted"), False, None, None)
-MODEL = [
+MODEL = ("model", ("--model",), None, ("triangular", "linear", "exponential"), False, None,
+         "override the scenario's service-rate model")
+SOLVER = [
     CONVENTION,
-    ("model", ("--model",), None, ("triangular", "linear", "exponential"), False, None,
-     "override the scenario's service-rate model"),
+    MODEL,
     ("beta", ("--beta",), None, None, False, "float", None),
     ("gamma", ("--gamma",), None, None, False, "float", None),
 ]
@@ -237,31 +238,30 @@ SIMULATION = [
 ]
 KIND = ("kind", ("--kind",), "speed", ("speed", "travel-time"), False, None, None)
 PARSER_SURFACE = {
-    "solve-section": [HELP, CONFIG, OUTPUT, LAM, *MODEL, SECTION_ONE],
+    "solve-section": [HELP, CONFIG, OUTPUT, LAM, *SOLVER, SECTION_ONE],
     "solve-tandem": [
-        HELP, CONFIG, OUTPUT, LAM, CONVENTION,
+        HELP, CONFIG, OUTPUT, LAM,
         ("tol", ("--tol",), 1e-10, None, False, "float",
          "dimensionless: stop at |residual| <= tol * min(lambda, max q12)"),
-        ("max_iter", ("--max-iter",), 200, None, False, "int", None),
         ("scan_roots", ("--scan-roots",), False, None, False, None,
          "also report every residual sign change on a 1000-point grid"),
     ],
     "distributions": [
-        HELP, CONFIG, OUTPUT, LAM, *MODEL, KIND,
+        HELP, CONFIG, OUTPUT, LAM, CONVENTION, MODEL, KIND,
         ("mode", ("--mode",), "pushforward", ("pushforward", "paper-grid"), False, None, None),
         ("section", ("--section",), None, None, False, "int",
          "use this section's own law instead of the tandem marginal"),
     ],
     "sweep": [
-        HELP, CONFIG, OUTPUT, *MODEL,
+        HELP, CONFIG, OUTPUT, *SOLVER,
         ("lambda_from", ("--lambda-from",), None, None, True, "float", None),
         ("lambda_to", ("--lambda-to",), None, None, True, "float", None),
         ("steps", ("--steps",), None, None, True, "int", None),
         ("section", ("--section",), None, None, False, "int",
          "sweep this single section instead of the tandem system"),
     ],
-    "simulate": [HELP, CONFIG, OUTPUT, LAM, *MODEL, *SIMULATION],
-    "compare": [HELP, CONFIG, OUTPUT, LAM, *MODEL, *SIMULATION],
+    "simulate": [HELP, CONFIG, OUTPUT, LAM, *SOLVER, *SIMULATION],
+    "compare": [HELP, CONFIG, OUTPUT, LAM, *SOLVER, *SIMULATION],
     "fit-exponential": [
         HELP, CONFIG, OUTPUT,
         ("fit_a", ("--fit-a",), None, None, True, "float", "first anchor count"),
@@ -272,7 +272,7 @@ PARSER_SURFACE = {
          "free speed (default: section 1's v_f from the config)"),
     ],
     "figure-data": [
-        HELP, CONFIG, OUTPUT, CONVENTION,
+        HELP, CONFIG, OUTPUT,
         ("figure", ("--figure",), None,
          ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"), True, None, None),
         ("kind", ("--kind",), None, ("speed", "travel-time"), False, None,

@@ -12,6 +12,7 @@ from roadqueue import (
     RoadSection,
     SingularModelError,
     TriangularDiagram,
+    service_rates,
     solve_birth_death,
     solve_triangular,
     speed_dist_linear,
@@ -151,7 +152,7 @@ class TestTriangularPushforward:
     def test_exact_convention_skips_zero_speed_atom(self, section1):
         # v_c = 0 under "exact" carries no mass at lam = 0 and must not
         # reach the L / v division
-        occ = solve_triangular(0.0, section1, EXACT)
+        occ = solve_birth_death(0.0, service_rates(section1, EXACT))
         t = travel_time_dist_triangular(occ, section1, EXACT)
         assert t.support.tolist() == [pytest.approx(100.0 / 28.0)]
         assert t.probs.tolist() == [1.0]

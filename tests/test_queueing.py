@@ -242,10 +242,10 @@ class TestJainSmith:
 class TestSolveTriangular:
     def test_exact_convention_is_singular_when_loaded(self, section1):
         with pytest.raises(SingularModelError, match="shifted"):
-            solve_triangular(0.5, section1, EXACT)
+            solve_birth_death(0.5, service_rates(section1, EXACT))
 
     def test_exact_convention_fine_when_idle(self, section1):
-        d = solve_triangular(0.0, section1, EXACT)
+        d = solve_birth_death(0.0, service_rates(section1, EXACT))
         assert d[0] == 1.0
 
     def test_shifted_light_load_nearly_empty(self, section1):
