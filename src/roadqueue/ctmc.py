@@ -112,7 +112,7 @@ def exact_stationary(generator) -> np.ndarray:
     if not np.max(np.abs(row_sums)) <= tol < math.inf:  # an infinite tol would pass anything
         raise ValueError("generator rows must sum to zero")
     pi = _gth(q.copy(), band)
-    pi /= pi.sum()
+    pi /= _mass(pi.sum())
     _verify(pi, float(np.max(np.abs(pi @ q))), tol)
     return pi
 
@@ -161,6 +161,14 @@ def _gth(rates: np.ndarray, band: int) -> np.ndarray:
     return pi.reshape(rates.shape[:-1])
 
 
+def _mass(total):
+    """total, the mass of unnormalized laws, or OracleError where it is infinite or not positive:
+    dividing by an infinite total gives a law of zeros, whose residual _verify passes."""
+    if np.any((total <= 0) | (total == math.inf)):  # NaN is left to _verify
+        raise OracleError("the stationary law's total mass is not finite and positive")
+    return total
+
+
 def _verify(pi: np.ndarray, residual: float, tol: float) -> None:
     """Refuse a law whose residual ||pi Q||_inf passes tol, or a negative mass."""
     if not residual <= tol:
@@ -197,20 +205,20 @@ def tandem_stationary(config: TandemConfig, lam) -> np.ndarray:
     (n1 - 1, n2 + 1) at rate q12(n1, n2) while n1 > 0 and n2 < c2;
     departure (n2 - 1) at section 2's own service rate.  In n1 this is a
     level-dependent quasi-birth-death process, solved by linear level
-    reduction (Gaver, Jacobs & Latouche 1984), one (c2 + 1)-square inverse
-    per level and rate, stacked into one call per level, then GTH
-    elimination (Grassmann, Taksar & Heyman 1985) on level 0; every
-    diagonal is a sum of outflows, never a difference.  Each law is
-    rescaled and verified on its own, as exact_stationary's is, blockwise.
+    reduction (Gaver, Jacobs & Latouche 1984), each level's (c2 + 1)-square
+    inverse by _split_inverse for every rate at once, then GTH elimination
+    (Grassmann, Taksar & Heyman 1985) on level 0; every pivot is a sum of
+    outflows, never a difference.  Each law is rescaled and verified on its
+    own, as exact_stationary's is, blockwise.
     A TandemConfig is shifted, so the chain is irreducible: one law.
     One law stores 8 * c1 * (c2 + 1)**2 bytes of blocks and works beside
     them on level and law arrays: past 256 MiB with those (c1 = c2 > 317)
     it raises OracleError before allocating, and a batch is split into runs
     that fit under that cap together, so memory grows with the batch up to
     the cap (about 3 MB for 40 rates at c = 18).
-    From c2 of about 100, OpenBLAS splits each level's inverse across its
-    threads, so the last bits of the law depend on the thread count: the
-    law is reproducible to about 1e-15, not bitwise.
+    Up to c2 = 180, where a split's halves have at most 91 rows, the law has
+    the same bits on one and two OpenBLAS threads; at c2 = 250 and 317 its last
+    bits follow the thread count: it is reproducible to about 1e-15, not bitwise.
     """
     lams, _ = check_arrival_rates(lam)
     pi = np.concatenate(list(_runs(config, lams.reshape(-1))))
@@ -235,35 +243,35 @@ def _level_reduction(config: TandemConfig, lams: np.ndarray) -> np.ndarray:
     c1, c2 = config.section1.c, config.section2.c
     mu2 = service_rates(config.section2)
     rows = lams.reshape(-1, 1, 1)  # one law per row of each stack below
-    m, phases = rows.shape[0], np.arange(c2 + 1)
+    m = rows.shape[0]
     q12 = coupled_rates(config).T  # q12(n1, n2) at [n1 - 1, n2]
     q12[:, -1] = 0.0  # nothing moves at n2 = c2
-    # departures, the same at every level and rate
-    local = np.repeat(np.diag(mu2, -1)[None], m, axis=0)
+    # departures, the same at every level and rate; a level's leak goes last
+    local = np.zeros((m, c2 + 1, c2 + 2))
+    local[:, 1:, :-2] = np.diag(mu2)
     # r[:, n1 - 1] = lam * (-S_n1)^-1 carries the law from level n1 - 1 to n1
     r = np.empty((m, c1, c2 + 1, c2 + 1))
     block = local.copy()  # rates within the top level left, censored
     try:
         for n1 in range(c1, 0, -1):
-            block[:, phases, phases] = 0.0  # returns to the same phase: self-loops
-            minus_s = 0.0 - block
-            minus_s[:, phases, phases] = block.sum(axis=2) + q12[n1 - 1]
-            r[:, n1 - 1] = rows * np.linalg.inv(minus_s)
+            block[:, :, -1] = q12[n1 - 1]
+            _split_inverse(block, r[:, n1 - 1], (c2 + 1) // 2)
+            r[:, n1 - 1] *= rows
             # from level n1 the chain returns to level n1 - 1 one phase up
             block = local.copy()
-            block[:, :, 1:] += r[:, n1 - 1, :, :-1] * q12[n1 - 1, :-1]
+            block[:, :, 1:-1] += r[:, n1 - 1, :, :-1] * q12[n1 - 1, :-1]
     except np.linalg.LinAlgError as exc:
         raise OracleError(f"a censored level is singular: {exc}") from exc
     # level 0 by GTH: censor its phases out from the top, then substitute
     pi = np.zeros((m, c1 + 1, c2 + 1))
-    pi[:, 0] = _gth(block, c2)
+    pi[:, 0] = _gth(block[..., :-1], c2)
     for n1 in range(1, c1 + 1):
         pi[:, n1] = (pi[:, n1 - 1, None] @ r[:, n1 - 1])[:, 0]
         if pi[:, n1].max(initial=0.0) > _RESCALE:
             top = pi[:, n1].max(axis=1)
             big = top > _RESCALE
             pi[big, : n1 + 1] /= top[big, None, None]
-    pi /= pi.sum(axis=(1, 2), keepdims=True)
+    pi /= _mass(pi.sum(axis=(1, 2), keepdims=True))
     exits = np.zeros((m, c1 + 1, c2 + 1))
     exits[:, 1:] = q12
     exits[:, :-1] += rows
@@ -278,6 +286,31 @@ def _level_reduction(config: TandemConfig, lams: np.ndarray) -> np.ndarray:
     for law, residual, tol in zip(pi, residuals.tolist(), tols.tolist()):
         _verify(law, residual, tol)
     return pi
+
+
+def _split_inverse(rates: np.ndarray, out: np.ndarray, h: int) -> None:
+    """Write to out the inverse of M = diag(rates 1) - rates[..., :-1] for each matrix of a stack.
+
+    Row i of rates holds state i's outflows, to the other states and, last, out of the set;
+    self-loops on the diagonal are zeroed.  M splits after h states: np.linalg.inv inverts
+    the leading block, the Schur complement comes in rates' form and splits off its last
+    state, and four matmuls assemble the inverse.  That state is phase c2, the one a level
+    leaves slowly at a large lam; its pivot is its row sum, as each pivot is a sum (GTH's rule).
+    """
+    np.einsum("...ii->...i", rates[..., :-1])[...] = 0.0
+    if rates.shape[-2] == 1:  # one state: its pivot is its row sum
+        np.divide(1.0, rates.sum(axis=-1, keepdims=True), out=out)
+        return
+    a = 0.0 - rates[..., :h, :h]
+    np.einsum("...ii->...i", a)[...] = rates[..., :h, :] @ np.ones(rates.shape[-1])
+    a_inv = np.linalg.inv(a)
+    x = a_inv @ rates[..., :h, h:]  # [A^-1 B | A^-1 (M 1)[:h]]
+    c = rates[..., h:, :h]
+    s = rates[..., h:, h:] + c @ x  # the complement's rates, its row sums last
+    _split_inverse(s, out[..., h:, h:], s.shape[-2] - 1)
+    np.matmul(out[..., h:, h:], c @ a_inv, out=out[..., h:, :h])
+    np.matmul(x[..., :-1], out[..., h:, h:], out=out[..., :h, h:])
+    np.add(a_inv, x[..., :-1] @ out[..., h:, :h], out=out[..., :h, :h])
 
 
 def decomposition_diagnostic(config: TandemConfig, lam, marginal_probs):

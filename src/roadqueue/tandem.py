@@ -66,7 +66,7 @@ _ITP_N0 = 1  # ITP steps allowed past bisection's worst case
 
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point iteration exhausted its budget before reaching tolerance."""
+    """Fixed-point iteration exhausted its budget or its bracket before reaching tolerance."""
 
     def __init__(self, message: str, bracket: tuple[float, float]):
         super().__init__(message)
@@ -171,8 +171,9 @@ def solve_fixed_point(config: TandemConfig, lam, tol: float = 1e-10, max_iter: i
     lam is one rate, giving one FixedPointResult, or a 1-D vector of them,
     giving a list.  Each rate keeps its own bracket and stop, each round is
     one stacked residual over the rates not yet converged, so every result
-    has the bits of its scalar solve; past max_iter, ConvergenceError gives
-    the first unconverged rate's bracket.
+    has the bits of its scalar solve.  A step rounded onto a solved end bisects;
+    ConvergenceError gives the first bracket whose ends are adjacent floats or,
+    past max_iter, the first unconverged one.
     A batch runs in pieces of _rates_that_fit rates beside every rate's
     result, so it stays under the 256 MiB cap or raises ValueError.
     """
@@ -202,11 +203,13 @@ def solve_fixed_point(config: TandemConfig, lam, tol: float = 1e-10, max_iter: i
     n_max, active, j = math.ceil(-math.log2(tol)) + _ITP_N0, np.flatnonzero(np.abs(h) > stop), 0
     while active.size:
         (lo, hi), (h_lo, h_hi) = ends[active].T, h_ends[active].T
-        if j == max_iter:
-            first = (lo[0].item(), hi[0].item())
+        closed = np.nextafter(lo, hi) == hi  # adjacent floats: no theta left to try
+        if j == max_iter or closed.any():
+            k = closed.argmax()  # the first closed bracket, or else the first one
+            first = (lo[k].item(), hi[k].item())
             raise ConvergenceError(
-                f"no theta with |residual| <= tol * min(lam, max q12) = {stop[active[0]]} "
-                f"after {max_iter} residual evaluations; best bracket [{first[0]}, {first[1]}]",
+                f"no theta with |residual| <= tol * min(lam, max q12) = {stop[active[k]]} "
+                f"after {j} residual evaluations; best bracket [{first[0]}, {first[1]}]",
                 bracket=first,
             )
         width = hi - lo
@@ -218,6 +221,7 @@ def solve_fixed_point(config: TandemConfig, lam, tol: float = 1e-10, max_iter: i
         x_t = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)
         radius = np.maximum(np.ldexp(0.5 * stop[active], n_max - j) - 0.5 * width, 0.0)
         step = np.where(np.abs(x_t - mid) <= radius, x_t, mid - sigma * radius)
+        step = np.where((lo < step) & (step < hi), step, mid)  # an end is solved: bisect
         down[active] = law = solve_triangular(step, s2)
         h_step = _residual(law, batch[active], passing[active], step)
         j += 1

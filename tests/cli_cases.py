@@ -547,7 +547,7 @@ CASES = [
     Case("solve-tandem-1e308", ("solve-tandem", "--lambda", "1e308"), 3, _one_error),
     # ITP's bracket closes to adjacent floats, short of a stop no float reaches
     Case("solve-tandem-unreachable-tol", ("solve-tandem", "--lambda", "0.8", "--tol", "1e-18"), 3,
-         _says("after 200 residual evaluations",
+         _says("after 34 residual evaluations",
                "best bracket [0.45372928604317525, 0.4537292860431753]")),
     *[Case(f"solve-tandem-tol-{value}", ("solve-tandem", "--lambda", "0.8", "--tol", value), 2)
       for value in ("inf", "nan")],

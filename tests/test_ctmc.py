@@ -151,6 +151,15 @@ class TestExactStationary:
         with pytest.raises(OracleError, match="residual"):
             exact_stationary(gen)
 
+    @pytest.mark.parametrize("masses", [[1e308, 1e308], [0.0, 0.0]], ids=["overflow", "zero"])
+    def test_total_mass_past_the_float_range_or_zero_is_refused(self, monkeypatch, masses):
+        # dividing by an infinite total gives a law of zeros, whose residual
+        # is 0; dividing by 0 gives NaN: either is refused by its total
+        gen = np.array([[-1.0, 1.0], [2.0, -2.0]])
+        monkeypatch.setattr(ctmc, "_gth", lambda rates, band: np.array(masses))
+        with pytest.raises(OracleError, match="total mass is not finite and positive"):
+            exact_stationary(gen)
+
     def test_shifted_chain_mass_at_capacity(self):
         # c = 60 at lam = 0.25, where a solve that replaces the last balance
         # equation by the normalization is 7.2e-8 off; the reference is a
@@ -361,8 +370,8 @@ class TestTandem2d:
     def test_peak_stays_under_the_cap_it_counts(self, tandem_config, monkeypatch, length):
         # the blocks and the per-level and per-law arrays beside them: the
         # parent counted the blocks alone and peaked at 1.19 times them at
-        # c = 54 and 1.05 times at c = 180; from c of about 100 the law's
-        # last bits follow the BLAS thread count, so only sizes are checked
+        # c = 54 and 1.05 times at c = 180; only sizes are checked, as at
+        # c = 250 and 317 the law's last bits follow the BLAS thread count
         config = scaled(tandem_config, length)
         c = config.section1.c
         cap = oracle_bytes(c, c)
@@ -407,6 +416,40 @@ class TestTandem2d:
         np.testing.assert_allclose(
             tandem_stationary(tandem_config, lam), dense, rtol=0, atol=1e-14
         )
+
+    @pytest.mark.parametrize(
+        "length, lam, below_c1",
+        [
+            (100.0, 1e15, 3.026034262387978e-16),
+            (100.0, 1e16, 3.026034262387975e-17),
+            (300.0, 1e15, 2.2039586544261316e-16),
+        ],
+    )
+    def test_answers_where_a_plain_schur_split_does_not(self, tandem_config, length, lam, below_c1):
+        # a Schur complement that keeps D's own diagonal refused lam = 1e15 at
+        # c = 18 and 54, and at 1e16 gave a law of zeros; the mass below c1 is
+        # pinned from np.linalg.inv on whole levels, which this split replaced
+        marginal = tandem_stationary(scaled(tandem_config, length), lam).sum(axis=1)
+        assert marginal[-1] == pytest.approx(1.0 - below_c1, abs=1e-12)
+        assert marginal[:-1].sum() == pytest.approx(below_c1, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [1e17, 1e20, 1e60])
+    def test_levels_past_the_float_precision_of_their_pivots(self, tandem_config, lam):
+        # a level's rates reach lam while its row sums stay near 1, so past
+        # lam ~ 1e16 a pivot found by a difference loses them: np.linalg.inv
+        # on whole levels refused these; every pivot of the split is a sum
+        c = tandem_config.section1.c
+        dense = exact_stationary(ref_generator(tandem_config, lam)).reshape(c + 1, c + 1)
+        np.testing.assert_allclose(
+            tandem_stationary(tandem_config, lam), dense, rtol=0, atol=1e-14
+        )
+
+    def test_total_mass_past_the_float_range_is_refused(self, tandem_config, monkeypatch):
+        # level 0 at 1e308 a phase: the levels above it are finite, their
+        # total is not; this reaches the check through GTH's level only
+        monkeypatch.setattr(ctmc, "_gth", lambda rates, band: np.full(rates.shape[:-1], 1e308))
+        with pytest.raises(OracleError, match="total mass is not finite and positive"):
+            tandem_stationary(tandem_config, 1e-300)
 
     def test_shifted_joint_law_is_not_the_point_mass_at_capacity(self, tandem_config):
         # the exact supply absorbs every (n1, c2), so Scenario.tandem refuses
@@ -472,15 +515,16 @@ class TestTandem2d:
         assert upstream == pytest.approx(tv_upstream, rel=1e-9)
         assert downstream == pytest.approx(tv_downstream, rel=1e-9)
 
-    def test_same_bits_with_one_and_two_blas_threads(self):
-        # OpenBLAS inverts a 55 x 55 block on one thread whatever the pool
-        # size, so at c = 54 the thread count cannot move the law's bits
-        # (from c = 100 on it splits the work and the last bits differ)
+    @pytest.mark.parametrize("length", [300.0, 1000.0], ids=["c54", "c180"])
+    def test_same_bits_with_one_and_two_blas_threads(self, length):
+        # up to c = 180 a level's split inverts halves of at most 91 rows,
+        # and the law keeps its bits on one and two OpenBLAS threads; at
+        # c = 250 and 317 it does not, nor did whole 101-row inverses
         script = (
             "import dataclasses, hashlib\n"
             "from roadqueue import TandemConfig, default_scenario, tandem_stationary\n"
             "t = default_scenario().tandem()\n"
-            "s1, s2 = (dataclasses.replace(s, L=300.0, c=None)\n"
+            f"s1, s2 = (dataclasses.replace(s, L={length}, c=None)\n"
             "          for s in (t.section1, t.section2))\n"
             "pi = tandem_stationary(TandemConfig(section1=s1, section2=s2), 0.8)\n"
             "print(hashlib.sha256(pi.tobytes()).hexdigest())\n"

@@ -243,6 +243,40 @@ class TestSolveFixedPoint:
         lo, hi = excinfo.value.bracket
         assert 0.0 <= lo < hi <= min(0.8, coupled_rates(tandem_config).max())
 
+    @pytest.mark.parametrize(
+        "length_m, evaluations, bracket",
+        [
+            (100.0, 34, (0.45372928604317525, 0.4537292860431753)),
+            (300.0, 23, (0.39754850408929054, 0.3975485040892906)),
+            (1000.0, 14, (0.3710526829899741, 0.3710526829899742)),
+        ],
+    )
+    def test_unreachable_tol_stops_on_adjacent_floats(
+        self, tandem_config, monkeypatch, length_m, evaluations, bracket
+    ):
+        # no theta meets tol = 1e-18 at c = 18, 54 and 180: a step that would
+        # re-solve an end of the bracket bisects, and the solve stops once the
+        # ends are adjacent floats; it ran all 200 evaluations on 24, 17 and
+        # 14 distinct theta before, ending on these brackets
+        config = TandemConfig(
+            RoadSection(L=length_m, diagram=tandem_config.section1.diagram),
+            RoadSection(L=length_m, diagram=tandem_config.section2.diagram),
+        )
+        solved = []
+        solve = tandem.solve_triangular
+
+        def spy(theta, section):
+            solved.extend(np.atleast_1d(theta).tolist())
+            return solve(theta, section)
+
+        monkeypatch.setattr(tandem, "solve_triangular", spy)
+        with pytest.raises(ConvergenceError, match=f"after {evaluations} residual") as excinfo:
+            solve_fixed_point(config, 0.8, tol=1e-18)
+        assert excinfo.value.bracket == bracket
+        assert np.nextafter(*bracket) == bracket[1]
+        # h(0), h(hi) and one solve per step, no theta solved twice
+        assert len(solved) == len(set(solved)) == evaluations + 2
+
     @pytest.mark.parametrize("length_m", [100.0, 300.0, 1000.0])
     def test_few_residual_evaluations_at_any_capacity(self, tandem_config, length_m):
         # the bundled geometry scaled to c = 18, 54 and 180; bisection
