@@ -33,13 +33,7 @@ from .distributions import (
     travel_time_dist_linear,
     travel_time_dist_triangular,
 )
-from .fundamental import (
-    EXACT,
-    SHIFTED,
-    RoadSection,
-    TriangularDiagram,
-    service_rates,
-)
+from .fundamental import SHIFTED, RoadSection, TriangularDiagram, service_rates
 from .queueing import (
     OccupancyDistribution,
     PerformanceMeasures,
@@ -63,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceError",
     "DiscreteDistribution",
-    "EXACT",
     "ExponentialCongestionModel",
     "FitAnchors",
     "FixedPointResult",

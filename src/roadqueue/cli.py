@@ -14,8 +14,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration or usage errors, 3 numerical
 failures (singular model, non-convergence, oracle residual), 4 file I/O
-failures.  Nothing is written on a nonzero exit.  A tandem solve exits
-3 under the exact convention, which serves one-section solves.
+failures.  Nothing is written on a nonzero exit.  Every payload names
+the one service-rate convention, "shifted"; a scenario naming "exact"
+exits 3, as that chain absorbs at capacity.
 
 CSV numbers carry 12 significant digits for regression-diff stability.
 """
@@ -54,7 +55,7 @@ from .distributions import (
     travel_time_dist_linear,
     travel_time_dist_triangular,
 )
-from .fundamental import CONVENTIONS, check_array_bytes, check_integer
+from .fundamental import SHIFTED, check_array_bytes, check_integer
 from .queueing import SingularModelError, check_arrival_rates, measures, solve_birth_death
 from .tandem import ConvergenceError, scan_roots, solve_fixed_point, tandem_measures
 
@@ -100,7 +101,7 @@ def _json(payload: dict) -> str:
 def _scenario(args) -> Scenario:
     """Load the config and fold in command-line overrides."""
     scenario = load_scenario(args.config)
-    fields = ("convention", "model", "beta", "gamma")
+    fields = ("model", "beta", "gamma")
     overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     if overrides:
         scenario = dataclasses.replace(scenario, **overrides)
@@ -113,7 +114,7 @@ def _section_head(args, scenario: Scenario) -> dict:
         "lambda": args.lam,
         "section": args.section,
         "model": scenario.model,
-        "convention": scenario.convention,
+        "convention": SHIFTED,
     }
 
 
@@ -137,7 +138,7 @@ def _cmd_solve_tandem(args) -> str:
     meas = tandem_measures(result, args.lam)
     payload = {
         "lambda": args.lam,
-        "convention": config.convention,
+        "convention": SHIFTED,
         "theta": result.theta,
         "residual": result.residual,
         "iterations": result.iterations,
@@ -182,7 +183,7 @@ def _distribution(
             else solve_birth_death(lam, scenario.rates(index))
         )
         maker = speed_dist_triangular if kind == SPEED else travel_time_dist_triangular
-        dist = maker(occupancy, section, scenario.convention)
+        dist = maker(occupancy, section)
     return _csv("value,probability", zip(dist.support, dist.probs))
 
 
@@ -345,11 +346,10 @@ _CONFIG = ("--config", {"help": "scenario JSON path, '-' for stdin (default: bun
 _OUTPUT = ("--output", {"help": "output path (default: stdout)"})
 _LAMBDA = ("--lambda", {"dest": "lam", "type": float, "required": True,
                         "help": "arrival rate [veh/s]"})
-_CONVENTION = ("--convention", {"choices": CONVENTIONS})
 _MODEL = ("--model", {"choices": (TRIANGULAR, LINEAR, EXPONENTIAL),
                        "help": "override the scenario's service-rate model"})
 # --beta and --gamma feed the exponential model, which only these commands solve
-_SOLVER = (_CONVENTION, _MODEL, ("--beta", {"type": float}), ("--gamma", {"type": float}))
+_SOLVER = (_MODEL, ("--beta", {"type": float}), ("--gamma", {"type": float}))
 _SECTION = ("--section", {"type": int, "default": 1})
 _SIMULATION = (
     ("--events", {"type": int, "default": 1_000_000}),
@@ -370,7 +370,7 @@ _COMMANDS = (
             "also report every residual sign change on a 1000-point grid")}),
     )),
     ("distributions", _cmd_distributions, "speed / travel-time law as CSV", (
-        _LAMBDA, _CONVENTION, _MODEL,
+        _LAMBDA, _MODEL,
         ("--kind", {"choices": (SPEED, TRAVEL_TIME), "default": SPEED}),
         ("--mode", {"choices": MODES, "default": PUSHFORWARD}),
         ("--section", {"type": int, "help": (

@@ -12,7 +12,10 @@ A scenario document holds one or two road sections plus solver choices:
     }
 
 A bare section object (keys L, v_f, w, rho_j, optional c, optional
-convention) is accepted as a one-section scenario.  The bundled default
+convention) is accepted as a one-section scenario.  "convention" may
+only be "shifted", the one service-rate supply w * (c - n + 1) (see
+fundamental); "exact", the supply w * (c - n), makes the chain absorb at
+capacity and is refused as SingularModelError.  The bundled default
 is the two-section benchmark above (a 100 m urban approach feeding a
 slower 100 m section at half the free speed and wave speed).
 
@@ -21,7 +24,7 @@ Model names: "triangular" solves with the fundamental-diagram rates;
 exponential" select the congestion-model rates, the exponential one
 requiring scenario-level "beta" and "gamma".  Scenario.rates gives a
 section's rates under the chosen model, and Scenario.tandem builds the
-two-section coupling, which only the shifted triangular model carries.
+two-section coupling, which only the triangular model carries.
 """
 
 from __future__ import annotations
@@ -34,10 +37,7 @@ from importlib import resources
 import numpy as np
 
 from .congestion import ExponentialCongestionModel, LinearCongestionModel
-from .fundamental import (
-    EXACT, SHIFTED, RoadSection, TriangularDiagram, check_convention, check_integer,
-    service_rates
-)
+from .fundamental import SHIFTED, RoadSection, TriangularDiagram, check_integer, service_rates
 from .queueing import SingularModelError, jain_smith_rates
 from .tandem import TandemConfig
 
@@ -71,7 +71,6 @@ class Scenario:
     """Validated sections plus solver selections."""
 
     sections: tuple[RoadSection, ...]
-    convention: str = SHIFTED
     model: str = TRIANGULAR
     beta: float | None = None
     gamma: float | None = None
@@ -81,7 +80,6 @@ class Scenario:
             raise ValueError(
                 f"scenario needs 1 or 2 sections, got {len(self.sections)}"
             )
-        check_convention(self.convention)
         object.__setattr__(self, "model", check_model(self.model))
         if self.model == EXPONENTIAL and (self.beta is None or self.gamma is None):
             raise ValueError(
@@ -102,22 +100,17 @@ class Scenario:
         """Service rates q_1..q_c of the chosen section under the model."""
         section = self.section(index)
         if self.model == TRIANGULAR:
-            return service_rates(section, self.convention)
+            return service_rates(section)
         return jain_smith_rates(section.L, self.congestion_model(index))
 
     def tandem(self) -> TandemConfig:
-        """The two sections as a tandem, refused unless triangular and shifted."""
+        """The two sections as a tandem, refused unless triangular."""
         if len(self.sections) != 2:
             raise ValueError("tandem solves need a 2-section scenario")
         if self.model != TRIANGULAR:
             raise ValueError(
                 f"tandem solves take the triangular model only; pass "
                 f"--section to solve one section under model {self.model!r}"
-            )
-        if self.convention == EXACT:
-            raise SingularModelError(
-                "under the exact convention every (n1, c2) of a tandem is "
-                "absorbing, so it has no stationary law (use the shifted convention)"
             )
         return TandemConfig(section1=self.sections[0], section2=self.sections[1])
 
@@ -146,8 +139,20 @@ def _number(value, name: str) -> float:
         raise ValueError(f"{name} is past the float range") from None
 
 
-def section_from_dict(doc: dict) -> tuple[RoadSection, str | None]:
-    """Build a RoadSection from a JSON object; returns its convention, if any."""
+def _check_convention(doc: dict) -> None:
+    """Refuse the "convention" of a document or section unless it is absent or "shifted"."""
+    convention = doc.get("convention")
+    if convention == "exact":
+        raise SingularModelError(
+            "convention 'exact' is not solved: its supply w * (c - n) is 0 at "
+            "n = c, so the chain absorbs at capacity"
+        )
+    if convention not in (None, SHIFTED):
+        raise ValueError(f"convention must be {SHIFTED!r}, got {convention!r}")
+
+
+def section_from_dict(doc: dict) -> RoadSection:
+    """Build a RoadSection from a JSON object."""
     if not isinstance(doc, dict):
         raise ValueError(f"section must be a JSON object, got {type(doc).__name__}")
     unknown = set(doc) - _SECTION_KEYS
@@ -158,15 +163,12 @@ def section_from_dict(doc: dict) -> tuple[RoadSection, str | None]:
         if key not in doc:
             raise ValueError(f"section is missing required key {key!r}")
         values[key] = _number(doc[key], f"section key {key!r}")
-    convention = doc.get("convention")
-    if convention is not None:
-        check_convention(convention)
+    _check_convention(doc)
     diagram = TriangularDiagram(v_f=values["v_f"], w=values["w"], rho_j=values["rho_j"])
     c = doc.get("c")
     if c is not None:
         _number(c, "section key 'c'")  # c itself stays an int if it is one
-    section = RoadSection(L=values["L"], diagram=diagram, c=c)
-    return section, convention
+    return RoadSection(L=values["L"], diagram=diagram, c=c)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -178,16 +180,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     raw_sections = doc["sections"]
     if not isinstance(raw_sections, list) or not raw_sections:
         raise ValueError("key 'sections' must be a nonempty list")
-    parsed = [section_from_dict(item) for item in raw_sections]
-    conventions = {conv for _, conv in parsed if conv is not None}
-    top = doc.get("convention")
-    if top is not None:
-        check_convention(top)
-        conventions.add(top)
-    if len(conventions) > 1:
-        raise ValueError(
-            f"conflicting conventions in config: {sorted(conventions)}"
-        )
+    sections = tuple(section_from_dict(item) for item in raw_sections)
+    _check_convention(doc)
     unknown = set(doc) - {"sections", "convention", "model", "beta", "gamma"}
     if unknown:
         raise ValueError(f"unknown config key(s): {sorted(unknown)}")
@@ -196,8 +190,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         for key in ("beta", "gamma")
     )
     return Scenario(
-        sections=tuple(section for section, _ in parsed),
-        convention=next(iter(conventions), SHIFTED),
+        sections=sections,
         model=doc.get("model", TRIANGULAR),
         beta=beta,
         gamma=gamma,

@@ -52,10 +52,10 @@ class OracleError(RuntimeError):
 class SimulationResult:
     """Outcome of one seeded simulation run.
 
-    absorbed marks runs that reached a state with no exit (possible at
-    n = c under the exact convention); the empirical law is then the
-    long-run point mass at that state and elapsed_model_time is the
-    time spent getting absorbed.
+    absorbed marks runs that reached a state with no exit (n = c when
+    q_c = 0, as a speed law that reaches 0 gives); the empirical law is
+    then the long-run point mass at that state and elapsed_model_time is
+    the time spent getting absorbed.
     """
 
     empirical: OccupancyDistribution
@@ -79,8 +79,8 @@ def exact_stationary(generator) -> np.ndarray:
     anything else raises ValueError.  The law comes from _gth within the
     band, the largest |i - j| of a nonzero entry: no dense solve.  It needs
     every state to reach a lower-numbered one once the states above it are
-    censored, so a chain absorbing above state 0 (an exact-convention
-    birth-death chain at n = c) raises OracleError.  The result is
+    censored, so a chain absorbing above state 0 (a birth-death chain
+    with a zero rate) raises OracleError.  The result is
     verified: residual ||pi Q||_inf within the same bound, and no
     meaningfully negative mass.  What the solve holds beside the generator,
     about 9 bytes a matrix entry and 8 * band**2 for GTH's rank-one update,

@@ -22,9 +22,9 @@ each count n >= 1 moves at v_n = L * q_n / n, the speed of the rate the
 queue serves it at (fundamental.service_rates for the triangular variants,
 which are always exact pushforwards; the Jain-Smith rates for the linear
 model's "pushforward" mode).  Zero-mass states are dropped before speeds
-become transit times, so the exact convention's v_c = 0 matters only to a
-law that holds mass at n = c: that law has no finite travel time, and
-asking for one raises SingularModelError.
+become transit times, so a speed law that reaches v_n = 0 (an exponential
+law can underflow there) matters only to a law that holds mass at that n:
+it has no finite travel time, and asking for one raises SingularModelError.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def _pushforward(
     """Relabel each count n by v_n (v_0 = v_f, v_n = L * rates[n-1] / n) or L / v_n."""
     check_rate_count(dist, rates)
     speeds = np.append(v_f, L * rates / np.arange(1, rates.size + 1))
-    # zero-mass atoms go first: under "exact" v_c = 0 has no transit time
+    # zero-mass atoms go first: a speed of 0 has no transit time
     held = dist.probs > 0
     values = speeds[held]
     if times:
@@ -128,20 +128,32 @@ def _pushforward(
     return _merge_atoms(values, dist.probs[held])
 
 
+def _triangular_law(dist, section: RoadSection, convention: str, times: bool):
+    if convention != SHIFTED:
+        raise ValueError(f"convention must be {SHIFTED!r}, got {convention!r}")
+    return _pushforward(dist, service_rates(section), section.L, section.diagram.v_f, times)
+
+
 def speed_dist_triangular(
     dist: OccupancyDistribution, section: RoadSection, convention: str = SHIFTED
 ) -> DiscreteDistribution:
-    """Pushforward of an occupancy law to per-state speeds."""
-    rates = service_rates(section, convention)
-    return _pushforward(dist, rates, section.L, section.diagram.v_f, False)
+    """Pushforward of an occupancy law to per-state speeds.
+
+    convention stays only while the benchmark's pushforward call passes it:
+    "shifted", the one service-rate convention, is the only value, and any
+    other raises ValueError rather than being ignored.
+    """
+    return _triangular_law(dist, section, convention, False)
 
 
 def travel_time_dist_triangular(
     dist: OccupancyDistribution, section: RoadSection, convention: str = SHIFTED
 ) -> DiscreteDistribution:
-    """Pushforward of an occupancy law to transit times L / v_n."""
-    rates = service_rates(section, convention)
-    return _pushforward(dist, rates, section.L, section.diagram.v_f, True)
+    """Pushforward of an occupancy law to transit times L / v_n.
+
+    convention must be "shifted", as in speed_dist_triangular.
+    """
+    return _triangular_law(dist, section, convention, True)
 
 
 def _grid_cell_weights(logw: np.ndarray, indices: np.ndarray) -> np.ndarray:

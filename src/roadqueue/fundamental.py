@@ -18,16 +18,13 @@ A road section of length L holds at most c = round(rho_j * L) vehicles.
 With n vehicles present the section density is n / L and the section
 moves vehicles at the state-dependent rate
 
-    q_n = min(v_f * n / L, w * (c - n) / L)        ("exact")
-    q_n = min(v_f * n / L, w * (c - n + 1) / L)    ("shifted")
+    q_n = min(v_f * n / L, w * (c - n + 1) / L)
 
-The exact supply term vanishes at n = c, which makes a loss queue built
-on these rates singular; the shifted variant keeps q_c > 0 and is the
-default convention throughout the package.
-
-The supply term w * (c - n + offset) is written once, in supply_term,
-and works elementwise on arrays of counts.  service_rates builds the
-rates q_1..q_c as one numpy array from it.
+The supply w * (c - n) of the diagram itself is 0 at n = c, so a loss
+queue on it absorbs at capacity and has no product form; the supply is
+shifted by one vehicle, which keeps q_c = w / L > 0.  That term is
+written once, in supply_term, and works elementwise on arrays of counts.
+service_rates builds the rates q_1..q_c as one numpy array from it.
 """
 
 from __future__ import annotations
@@ -37,21 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EXACT = "exact"
+# the one service-rate convention, as payloads name it
 SHIFTED = "shifted"
-CONVENTIONS = (EXACT, SHIFTED)
 # Most bytes one solve may hold, read by check_array_bytes only: a section's
 # states, a tandem's decomposition, a birth-death generator, oracle blocks.
 _ARRAY_CAP_BYTES = 256 * 2**20
-
-
-def check_convention(convention: str) -> str:
-    """Validate a service-rate convention name and return it."""
-    if convention not in CONVENTIONS:
-        raise ValueError(
-            f"convention must be one of {CONVENTIONS}, got {convention!r}"
-        )
-    return convention
 
 
 def check_positive(**values: float) -> None:
@@ -137,21 +124,18 @@ class RoadSection:
         return self.L / self.diagram.v_f
 
 
-def supply_term(section: RoadSection, n, convention: str = SHIFTED):
-    """Supply term w * (c - n + offset) [veh*m/s], elementwise in n.
+def supply_term(section: RoadSection, n):
+    """Shifted supply term w * (c - n + 1) [veh*m/s], elementwise in n.
 
-    offset is 0 under "exact" and 1 under "shifted".  Divided by L it is
-    the supply-limited section rate.  n may be an int or an integer array
-    of counts.
+    Divided by L it is the supply-limited section rate.  n may be an int
+    or an integer array of counts.
     """
-    offset = 0 if check_convention(convention) == EXACT else 1
-    return section.diagram.w * (section.c - n + offset)
+    return section.diagram.w * (section.c - n + 1)
 
 
-def service_rates(section: RoadSection, convention: str = SHIFTED) -> np.ndarray:
+def service_rates(section: RoadSection) -> np.ndarray:
     """Rates q_1..q_c as an array, ready for a birth-death solve."""
     n = np.arange(1, section.c + 1)
     return np.minimum(
-        section.diagram.v_f * n / section.L,
-        supply_term(section, n, convention) / section.L,
+        section.diagram.v_f * n / section.L, supply_term(section, n) / section.L
     )

@@ -16,10 +16,10 @@ rate theta), each with the bits of its own scalar call.
 
 Two rate families are provided: the speed-ratio form q_n = n * f(n) *
 v_f / L driven by a congestion model, and the flow form q_n built from a
-triangular fundamental diagram.  Under the "exact" diagram convention
-q_c = 0, which traps the chain at capacity for any positive arrival
-rate; solvers reject that as a SingularModelError rather than returning
-a law that does not exist.
+triangular fundamental diagram.  A zero rate q_n, from a speed law that
+reaches 0, keeps the chain from leaving {n, .., c} once there for any
+positive arrival rate; solvers reject that as a SingularModelError
+rather than returning a product form that does not exist.
 """
 
 from __future__ import annotations
@@ -179,8 +179,8 @@ def birth_death_log_weights(lam, rates) -> np.ndarray:
         # state indices are 1-based: rates[..., i] serves state i+1
         state = np.nonzero(rates == 0)[-1][0] + 1
         raise SingularModelError(
-            f"service rate is zero at state n={state}; the stationary "
-            "law does not exist (use the shifted convention)"
+            f"service rate is zero at state n={state}, where the speed law "
+            "reaches 0; the stationary law does not exist"
         )
     logw = np.zeros(births.shape + rates.shape[:-1] + (rates.shape[-1] + 1,))
     steps = logw[..., 1:]  # log(lam / q_n), summed in place

@@ -5,12 +5,11 @@ Vehicles leave section 1 at the coupled rate
     q12(n1, n2) = min(v_f1 * n1 / L1, q1_max, q2_max, supply2(n2))
 
 so a filling downstream section throttles the upstream one.  The supply
-is the shifted convention's, positive at c2: the exact one's is 0 there,
-every (n1, c2) absorbs, and Scenario.tandem refuses it.  The joint
-chain is approximated by a decomposition: section 2 is solved alone at
-its arrival rate theta (the upstream outflow), section 1 is solved
-conditionally on each frozen downstream count n2, and the two couple
-through the marginal mixture
+is fundamental.supply_term, w2 * (c2 - n2 + 1), positive at c2, so no
+(n1, c2) absorbs.  The joint chain is approximated by a decomposition:
+section 2 is solved alone at its arrival rate theta (the upstream
+outflow), section 1 is solved conditionally on each frozen downstream
+count n2, and the two couple through the marginal mixture
 
     P1(n1) = sum_n2  P(n1 | n2) * P2(n2; theta).
 
@@ -75,11 +74,11 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TandemConfig:
-    """Two sections under the shifted convention; refused past the 256 MiB cap at one rate."""
+    """Two sections coupled by the shifted supply; refused past the 256 MiB cap at one rate."""
 
     section1: RoadSection
     section2: RoadSection
-    convention: ClassVar[str] = SHIFTED
+    convention: ClassVar[str] = SHIFTED  # the one convention, which a benchmark call passes on
 
     def __post_init__(self) -> None:
         _rates_that_fit(self)
@@ -132,7 +131,7 @@ def conditional_matrix(config: TandemConfig, lam) -> np.ndarray:
     """Section-1 laws given each frozen downstream count, shape (c2 + 1, c1 + 1).
 
     Row n2 is the birth-death law with births lam and deaths
-    q12(1..c1, n2), all positive under the shifted convention; a 1-D
+    q12(1..c1, n2), all positive as the supply is; a 1-D
     vector of m lam gives a stack of shape (m, c2 + 1, c1 + 1).  The
     conditionals do not depend on theta, so a fixed-point solve computes
     them once and reuses them across residual evaluations.

@@ -18,7 +18,6 @@ import math
 import numpy as np
 
 from roadqueue import (
-    EXACT,
     ConvergenceError,
     FixedPointResult,
     OccupancyDistribution,
@@ -30,18 +29,18 @@ from roadqueue.queueing import check_arrival_rates
 from roadqueue.tandem import _SCAN_POINTS, conditional_matrix
 
 
-def offset(convention):
-    return 0 if convention == EXACT else 1
-
-
 def ref_flow(diagram, rho):
     """Equilibrium flow Q(rho) = min(v_f * rho, w * (rho_j - rho)) [veh/s]."""
     return min(diagram.v_f * rho, diagram.w * (diagram.rho_j - rho))
 
 
-def ref_service_rate(s, n, convention):
-    d = s.diagram
-    return min(d.v_f * n / s.L, d.w * (s.c - n + offset(convention)) / s.L)
+def ref_supply(s, n):
+    """The shifted supply w * (c - n + 1) [veh*m/s], one vehicle back on the diagram."""
+    return s.diagram.w * (s.c - n + 1)
+
+
+def ref_service_rate(s, n):
+    return min(s.diagram.v_f * n / s.L, ref_supply(s, n) / s.L)
 
 
 def ref_coupled_rate(config, n1, n2):
@@ -50,7 +49,7 @@ def ref_coupled_rate(config, n1, n2):
         s1.diagram.v_f * n1 / s1.L,
         s1.diagram.q_max,
         s2.diagram.q_max,
-        s2.diagram.w * (s2.c - n2 + offset(config.convention)) / s2.L,
+        ref_supply(s2, n2) / s2.L,
     )
 
 
@@ -76,9 +75,7 @@ def ref_generator(config, lam):
         if n1 > 0 and n2 < c2:
             gen[k, index[(n1 - 1, n2 + 1)]] += ref_coupled_rate(config, n1, n2)
         if n2 > 0:
-            gen[k, index[(n1, n2 - 1)]] += ref_service_rate(
-                config.section2, n2, config.convention
-            )
+            gen[k, index[(n1, n2 - 1)]] += ref_service_rate(config.section2, n2)
     np.fill_diagonal(gen, gen.diagonal() - gen.sum(axis=1))
     return gen
 

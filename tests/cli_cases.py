@@ -313,10 +313,15 @@ def _fig4(run: Run) -> bool:
             and {float(row[0]) for row in _rows(run)} == {0.5, 1.0, 1.5})
 
 
+def _absorbs_at_capacity(run: Run) -> bool:
+    return _one_error(run) and "convention 'exact'" in run.err and "absorbs at capacity" in run.err
+
+
 def _fig8(run: Run) -> bool:
-    # one section under the linear model: the convention does not apply
+    # one section under the linear model, yet the loader refuses "exact" first
     exact = run.again(["figure-data", "--figure", "fig8", "--config", "-"], EXACT_BUNDLED)
-    return len(_rows(run)) == 28 and (exact.code, exact.out, exact.err) == (0, run.out, "")
+    refused = (exact.code, exact.out) == (3, "") and _absorbs_at_capacity(exact)
+    return len(_rows(run)) == 28 and refused
 
 
 def _twelve_digits(run: Run) -> bool:
@@ -330,6 +335,8 @@ SECTION_1 = {"L": 100.0, "v_f": 28.0, "w": 14.0, "rho_j": 0.18, "c": 18}
 LONG_TANDEM = json.dumps({"sections": [{"L": 100000.0, "v_f": 28.0, "w": 14.0, "rho_j": 0.18}] * 2})
 SIMULATE_1E6 = ("simulate", "--lambda", "0.8", "--events", "1000000", "--seed", "7")
 SIMULATE_1E4 = ("simulate", "--lambda", "0.8", "--events", "10000", "--seed", "7")
+# the exponential speed law underflows to 0 from n = 3 on: the run absorbs at c
+ZERO_SPEED = ("--model", "exponential", "--beta", "1", "--gamma", "10")
 FIT = ("fit-exponential", "--fit-a", "20", "--fit-va", "48", "--fit-b", "140")
 SWEEP = ("sweep", "--lambda-from", "0.1", "--lambda-to", "2")
 # sweep ends of which one is no arrival rate, each written as --flag=value
@@ -351,7 +358,23 @@ MALFORMED = {
     "deep": "[" * 100_000 + "]" * 100_000,
 }
 LINEAR_BUNDLED = json.dumps({**json.loads(_bundled()), "model": "linear"})
-EXACT_BUNDLED = json.dumps({**json.loads(_bundled()), "convention": "exact"})
+
+
+def _named(value) -> dict[str, str]:
+    """The bundled scenario naming convention value at the top or on section 2, and
+    section 1 bare naming it; with value None, each names none."""
+    doc = json.loads(_bundled())
+    del doc["convention"]
+    named = {} if value is None else {"convention": value}
+    sections = [doc["sections"][0], {**doc["sections"][1], **named}]
+    return {"top": json.dumps({**doc, **named}),
+            "section": json.dumps({**doc, "sections": sections}),
+            "bare": json.dumps({**SECTION_1, **named})}
+
+
+EXACT_BUNDLED = _named("exact")["top"]
+# every subcommand that reads a scenario, with the least argv it runs on
+SCENARIO_COMMANDS = {**SECTION_ZERO, "solve-tandem": ("--lambda", "0.8")}
 # 1e12 m sections hold c = 1.8e11 vehicles: refused before any per-state array
 ABSURD_LENGTH = json.dumps({"sections": [{"L": 1e12, "v_f": 28.0, "w": 14.0, "rho_j": 0.18}] * 2})
 # a geometry whose paper grid holds no value, and the grid it names, per kind
@@ -369,7 +392,6 @@ GOLDEN_ROWS = [
     _golden("solve-section-s1", "solve-section", "--lambda", "0.8", "--section", "1"),
     _golden("solve-section-s2", "solve-section", "--lambda", "0.5", "--section", "2"),
     _golden("solve-section-lam0", "solve-section", "--lambda", "0"),
-    _golden("solve-section-exact-lam0", "solve-section", "--lambda", "0", "--convention", "exact"),
     _golden("solve-section-linear", "solve-section", "--lambda", "0.8", "--model", "linear",
             also=lambda run: _doc(run)["model"] == "linear"),
     _golden("solve-section-exponential", "solve-section", "--lambda", "0.8", "--model",
@@ -386,8 +408,7 @@ GOLDEN_ROWS = [
             "travel-time", also=lambda run: _near(float(_rows(run)[0][0]), 100.0 / 28.0, 1e-9)),
     _golden("distributions-section2-travel-time", "distributions", "--lambda", "1.5", "--kind",
             "travel-time", "--section", "2"),
-    _golden("distributions-exact-speed-lam0", "distributions", "--lambda", "0", "--convention",
-            "exact", "--section", "1"),
+    _golden("distributions-speed-lam0", "distributions", "--lambda", "0", "--section", "1"),
     _golden("distributions-linear-speed", "distributions", "--lambda", "0.8", "--model", "linear",
             "--section", "1"),
     _golden("distributions-linear-travel-time", "distributions", "--lambda", "0.8", "--model",
@@ -408,8 +429,8 @@ GOLDEN_ROWS = [
     _golden("sweep-section-linear", "sweep", "--lambda-from", "0.1", "--lambda-to", "2.0",
             "--steps", "20", "--section", "2", "--model", "linear"),
     _golden("simulate-1e5", "simulate", "--lambda", "0.8", "--events", "100000"),
-    _golden("simulate-exact-1e5", "simulate", "--lambda", "0.8", "--events", "100000",
-            "--convention", "exact", "--seed", "7"),
+    _golden("simulate-absorbs-1e5", "simulate", "--lambda", "0.8", "--events", "100000",
+            *ZERO_SPEED, "--seed", "7", also=_absorbed),
     _golden("compare-1e5", "compare", "--lambda", "0.8", "--events", "100000",
             also=lambda run: _doc(run)["tv_analytical_vs_exact"] < 1e-15
             and _doc(run)["tv_empirical_vs_analytical"] < 0.05),
@@ -458,8 +479,8 @@ CASES = [
     # the event loop at full size, past the goldens' 1e5 events: the same bytes twice
     Case("simulate-1e6-same-bytes", SIMULATE_1E6,
          check=lambda run: run.out == run.again(SIMULATE_1E6).out),
-    Case("simulate-exact-absorbs",
-         ("simulate", "--lambda", "0.8", "--events", "100000", "--convention", "exact")),
+    Case("simulate-absorbs", ("simulate", "--lambda", "0.8", "--events", "100000", *ZERO_SPEED),
+         check=_absorbed),
     # a mean count that underflows to 0 beside a positive throughput falls back
     Case("fallback-count-underflows", ("solve-section", "--lambda", "5e-324", "--config", "-"),
          stdin=json.dumps({"L": 1.0, "v_f": 28, "w": 14, "rho_j": 2.0})),
@@ -487,9 +508,8 @@ CASES = [
     # section 2's free speed: its atoms top out at 14
     Case("distributions-section-2", ("distributions", "--lambda", "0.8", "--section", "2"),
          check=lambda run: _near(max(float(row[0]) for row in _rows(run)), 14.0)),
-    Case("distributions-exact-travel-time-lam0",
-         ("distributions", "--lambda", "0", "--convention", "exact", "--kind", "travel-time",
-          "--section", "1"),
+    Case("distributions-travel-time-lam0",
+         ("distributions", "--lambda", "0", "--kind", "travel-time", "--section", "1"),
          check=lambda run: (run.out, run.err) == ("value,probability\n3.57142857143,1\n", "")),
     Case("sweep-tandem-5", ("sweep", "--lambda-from", "0.1", "--lambda-to", "2.0", "--steps", "5"),
          check=lambda run: _near(float(_rows(run)[0][0]), 0.1)
@@ -502,9 +522,13 @@ CASES = [
          ("sweep", "--lambda-from", "0.1", "--lambda-to", "2.0", "--steps", "3", "--section", "1"),
          check=_twelve_digits),
     Case("simulate-1e4-seeded", SIMULATE_1E4, check=_seeded_run),
-    Case("simulate-exact-absorbs-at-2",
-         ("simulate", "--lambda", "2.0", "--events", "10000", "--convention", "exact"),
+    Case("simulate-absorbs-at-2", ("simulate", "--lambda", "2.0", "--events", "10000", *ZERO_SPEED),
          check=_absorbed),
+    # a document may name the one convention, at either level: the bytes of no key
+    *[Case(f"convention-{value or 'absent'}-{where}",
+           ("solve-section", "--lambda", "0.8", "--config", "-"), stdin=doc,
+           check=lambda run: _same_as("solve-section-s1")(run) and run.err == "")
+      for value in (None, "shifted") for where, doc in _named(value).items()],
     # the bundled section 1 gives v_f = 28
     Case("fit-exponential-config-vf-positive",
          ("fit-exponential", "--fit-a", "5", "--fit-va", "20", "--fit-b", "15", "--fit-vb", "8"),
@@ -533,16 +557,21 @@ CASES = [
     Case("sweep-tandem-linear", ("sweep", "--lambda-from", "0.1", "--lambda-to", "2.0", "--steps", "5",
                                  "--model", "linear"), 2,
          _says("--section")),
-    # every tandem command refuses the exact convention
-    Case("solve-tandem-exact-lambda-0", ("solve-tandem", "--lambda", "0", "--config", "-"),
-         3, _says("absorbing"), stdin=EXACT_BUNDLED),
-    Case("sweep-exact", (*SWEEP, "--steps", "3", "--convention", "exact"), 3, _one_error),
-    Case("distributions-exact-lambda-0",
-         ("distributions", "--lambda", "0", "--convention", "exact"), 3, _one_error),
-    Case("distributions-exact", ("distributions", "--lambda", "0.5", "--convention", "exact"), 3,
-         _one_error),
-    Case("fig9-exact", ("figure-data", "--figure", "fig9", "--config", "-"), 3, _one_error,
-         stdin=EXACT_BUNDLED),
+    # the loader refuses a document naming "exact", wherever it names it, even
+    # at lambda = 0, where the law would be the empty road's
+    *[Case(f"solve-section-exact-lam0{'' if where == 'top' else '-' + where}",
+           ("solve-section", "--lambda", "0", "--config", "-"), 3, _absorbs_at_capacity, stdin=doc)
+      for where, doc in _named("exact").items()],
+    # ... for every subcommand that reads a scenario
+    *[Case(f"{command}-exact-config", (command, *argv, "--config", "-"), 3, _absorbs_at_capacity,
+           stdin=EXACT_BUNDLED)
+      for command, argv in SCENARIO_COMMANDS.items()],
+    Case("fig9-exact", ("figure-data", "--figure", "fig9", "--config", "-"), 3,
+         _absorbs_at_capacity, stdin=EXACT_BUNDLED),
+    # any other value is no convention
+    *[Case(f"convention-{value}-{where}", ("solve-section", "--lambda", "0.8", "--config", "-"), 2,
+           lambda run: _one_error(run) and "convention must be 'shifted'" in run.err, stdin=doc)
+      for value in ("Shifted", 5) for where, doc in _named(value).items()],
     # the joint chain's levels overflow, and the oracle refuses them
     Case("solve-tandem-1e308", ("solve-tandem", "--lambda", "1e308"), 3, _one_error),
     # ITP's bracket closes to adjacent floats, short of a stop no float reaches
@@ -554,9 +583,9 @@ CASES = [
     # options with one working value are gone, not ignored
     *[Case(f"{argv[0]}-no-{argv[-2][2:]}", argv, 2, _says("unrecognized arguments"))
       for argv in (("solve-tandem", "--lambda", "0.8", "--max-iter", "5"),
-                   ("solve-tandem", "--lambda", "0.8", "--convention", "shifted"),
-                   ("figure-data", "--figure", "fig9", "--convention", "shifted"),
-                   ("distributions", "--lambda", "0.8", "--beta", "1"))],
+                   ("distributions", "--lambda", "0.8", "--beta", "1"),
+                   *[(command, *argv, "--convention", "shifted")
+                     for command, argv in SCENARIO_COMMANDS.items()])],
     # a rate too small to time the run's events in floats
     Case("simulate-5e-324", ("simulate", "--lambda", "5e-324", "--events", "10000"), 2, _one_error),
     Case("simulate-1e-310", ("simulate", "--lambda", "1e-310"), 2, _one_error),
@@ -564,9 +593,9 @@ CASES = [
     # the exponential power overflows (speed 0), and state 3 is singular
     Case("exponential-singular",
          ("solve-section", "--lambda", "0.8", "--model", "exponential", "--beta", "1",
-          "--gamma", "1000"), 3, _one_error),
-    Case("solve-section-exact-singular",
-         ("solve-section", "--lambda", "0.5", "--convention", "exact"), 3, _says("error")),
+          "--gamma", "1000"), 3,
+         lambda run: run.err == "error: service rate is zero at state n=3, where the speed law "
+         "reaches 0; the stationary law does not exist\n"),
     # a subnormal speed: its travel time L / v_n passes the float range, with no numpy warning
     Case("travel-time-past-the-float-range",
          ("distributions", "--lambda", "0.8", "--kind", "travel-time", "--config", "-"), 2,

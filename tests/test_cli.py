@@ -221,11 +221,9 @@ CONFIG = ("config", ("--config",), None, None, False, None,
           "scenario JSON path, '-' for stdin (default: bundled scenario)")
 OUTPUT = ("output", ("--output",), None, None, False, None, "output path (default: stdout)")
 LAM = ("lam", ("--lambda",), None, None, True, "float", "arrival rate [veh/s]")
-CONVENTION = ("convention", ("--convention",), None, ("exact", "shifted"), False, None, None)
 MODEL = ("model", ("--model",), None, ("triangular", "linear", "exponential"), False, None,
          "override the scenario's service-rate model")
 SOLVER = [
-    CONVENTION,
     MODEL,
     ("beta", ("--beta",), None, None, False, "float", None),
     ("gamma", ("--gamma",), None, None, False, "float", None),
@@ -247,7 +245,7 @@ PARSER_SURFACE = {
          "also report every residual sign change on a 1000-point grid"),
     ],
     "distributions": [
-        HELP, CONFIG, OUTPUT, LAM, CONVENTION, MODEL, KIND,
+        HELP, CONFIG, OUTPUT, LAM, MODEL, KIND,
         ("mode", ("--mode",), "pushforward", ("pushforward", "paper-grid"), False, None, None),
         ("section", ("--section",), None, None, False, "int",
          "use this section's own law instead of the tandem marginal"),

@@ -13,8 +13,8 @@ from roadqueue.config import (
     section_from_dict,
 )
 from roadqueue.congestion import ExponentialCongestionModel, LinearCongestionModel
-from roadqueue.fundamental import EXACT, SHIFTED, service_rates
-from roadqueue.queueing import jain_smith_rates
+from roadqueue.fundamental import service_rates
+from roadqueue.queueing import SingularModelError, jain_smith_rates
 
 SECTION_1 = {"L": 100.0, "v_f": 28.0, "w": 14.0, "rho_j": 0.18, "c": 18}
 SECTION_2 = {"L": 100.0, "v_f": 14.0, "w": 7.0, "rho_j": 0.18, "c": 18}
@@ -44,19 +44,22 @@ class TestCheckModel:
 
 class TestSectionFromDict:
     def test_full_section(self):
-        section, convention = section_from_dict(dict(SECTION_1))
+        section = section_from_dict(dict(SECTION_1))
         assert section.c == 18
         assert section.diagram.v_f == 28.0
-        assert convention is None
 
     def test_capacity_derived_when_omitted(self):
         doc = {k: v for k, v in SECTION_1.items() if k != "c"}
-        section, _ = section_from_dict(doc)
+        section = section_from_dict(doc)
         assert section.c == 18
 
-    def test_per_section_convention(self):
-        section, convention = section_from_dict({**SECTION_1, "convention": "exact"})
-        assert convention == EXACT
+    def test_section_may_name_the_shifted_convention(self):
+        shifted = section_from_dict({**SECTION_1, "convention": "shifted"})
+        assert shifted == section_from_dict(dict(SECTION_1))
+
+    def test_section_naming_exact_is_singular(self):
+        with pytest.raises(SingularModelError, match="absorbs at capacity"):
+            section_from_dict({**SECTION_1, "convention": "exact"})
 
     def test_missing_key(self):
         doc = {k: v for k, v in SECTION_1.items() if k != "w"}
@@ -89,19 +92,14 @@ class TestScenarioFromDict:
     def test_two_section_scenario(self):
         scenario = scenario_from_dict(two_section_doc(convention="shifted"))
         assert len(scenario.sections) == 2
-        assert scenario.convention == SHIFTED
         assert scenario.model == TRIANGULAR
+        assert scenario == scenario_from_dict(two_section_doc())
 
     def test_bare_section_accepted(self):
         scenario = scenario_from_dict(dict(SECTION_1))
         assert len(scenario.sections) == 1
-        assert scenario.convention == SHIFTED
 
-    def test_bare_section_convention_propagates(self):
-        scenario = scenario_from_dict({**SECTION_1, "convention": "exact"})
-        assert scenario.convention == EXACT
-
-    @pytest.mark.parametrize("convention", [None, "exact", "shifted"])
+    @pytest.mark.parametrize("convention", [None, "shifted"])
     def test_bare_section_reads_as_a_one_section_document(self, convention):
         section = dict(SECTION_1) if convention is None else {**SECTION_1, "convention": convention}
         assert scenario_from_dict(section) == scenario_from_dict({"sections": [section]})
@@ -114,8 +112,9 @@ class TestScenarioFromDict:
             {**SECTION_1, "model": "linear"},
             {**SECTION_1, "v_f": "fast"},
             {**SECTION_1, "convention": "loose"},
+            {**SECTION_1, "convention": "exact"},
         ],
-        ids=["missing", "unknown", "config-key", "non-numeric", "bad-convention"],
+        ids=["missing", "unknown", "config-key", "non-numeric", "bad-convention", "exact"],
     )
     def test_bare_section_is_refused_as_in_a_document(self, section):
         with pytest.raises(ValueError) as bare:
@@ -123,16 +122,6 @@ class TestScenarioFromDict:
         with pytest.raises(ValueError) as listed:
             scenario_from_dict({"sections": [section]})
         assert str(bare.value) == str(listed.value)
-
-    def test_section_convention_propagates_from_list(self):
-        doc = {"sections": [{**SECTION_1, "convention": "exact"}]}
-        assert scenario_from_dict(doc).convention == EXACT
-
-    def test_conflicting_conventions_rejected(self):
-        doc = two_section_doc(convention="shifted")
-        doc["sections"][0]["convention"] = "exact"
-        with pytest.raises(ValueError, match="conflicting"):
-            scenario_from_dict(doc)
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
@@ -196,10 +185,8 @@ class TestScenarioAccessors:
             assert repr(model) in str(info.value)
 
     def test_rates_follow_the_model(self):
-        triangular = scenario_from_dict(two_section_doc(convention="exact"))
-        np.testing.assert_array_equal(
-            triangular.rates(2), service_rates(triangular.section(2), EXACT)
-        )
+        triangular = scenario_from_dict(two_section_doc())
+        np.testing.assert_array_equal(triangular.rates(2), service_rates(triangular.section(2)))
         linear = scenario_from_dict(two_section_doc(model="linear"))
         np.testing.assert_array_equal(
             linear.rates(1), jain_smith_rates(100.0, linear.congestion_model(1))
@@ -252,7 +239,6 @@ class TestLoading:
     def test_default_scenario_is_the_benchmark(self):
         scenario = default_scenario()
         assert len(scenario.sections) == 2
-        assert scenario.convention == SHIFTED
         assert scenario.model == TRIANGULAR
         assert scenario.section(1).c == 18
         assert scenario.section(2).diagram.w == 7.0
@@ -262,9 +248,9 @@ class TestLoading:
 
     def test_load_from_path(self, tmp_path):
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(two_section_doc(convention="exact")))
+        path.write_text(json.dumps(two_section_doc(model="linear")))
         scenario = load_scenario(str(path))
-        assert scenario.convention == EXACT
+        assert scenario.model == LINEAR
 
     def test_load_from_stdin(self, monkeypatch):
         import io

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from roadqueue import (
-    EXACT,
     OccupancyDistribution,
     OracleError,
     RoadSection,
@@ -452,9 +451,8 @@ class TestTandem2d:
             tandem_stationary(tandem_config, 1e-300)
 
     def test_shifted_joint_law_is_not_the_point_mass_at_capacity(self, tandem_config):
-        # the exact supply absorbs every (n1, c2), so Scenario.tandem refuses
-        # that tandem; under the shifted one (c1, c2) drains and holds part
-        # of the mass only
+        # a supply of 0 at c2 would absorb every (n1, c2); the shifted one
+        # drains (c1, c2), which holds part of the mass only
         assert ref_generator(tandem_config, 0.8)[-1].any()
         joint = tandem_stationary(tandem_config, 0.8)
         assert 0.0 < joint[-1, -1] < 1.0
@@ -744,9 +742,9 @@ class TestSimulate:
             tv_long = tv_distance(long.empirical, exact)
             assert tv_long < tv_short
 
-    def test_exact_convention_absorbs_at_capacity(self, section1):
+    def test_zero_rate_at_capacity_absorbs(self, section1):
         # q_c = 0 traps the chain once it fills; the run must say so
-        rates = service_rates(section1, EXACT)
+        rates = np.append(service_rates(section1)[:-1], 0.0)
         result = simulate(2.0, rates, seed=42, max_events=10**6)
         assert result.absorbed
         assert result.empirical[section1.c] == 1.0

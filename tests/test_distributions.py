@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from roadqueue import (
-    EXACT,
-    SHIFTED,
     LinearCongestionModel,
     DiscreteDistribution,
     OccupancyDistribution,
@@ -20,7 +18,7 @@ from roadqueue import (
     travel_time_dist_linear,
     travel_time_dist_triangular,
 )
-from roadqueue.distributions import PAPER_GRID
+from roadqueue.distributions import PAPER_GRID, _pushforward
 from roadqueue.queueing import jain_smith_rates
 
 # grid-mode speed table at lam = 0.8 (L=100, v_f=28, c=18), one cell per
@@ -149,34 +147,45 @@ class TestTriangularPushforward:
         )
         assert t.support[0] == pytest.approx(100.0 / 28.0)
 
-    def test_exact_convention_skips_zero_speed_atom(self, section1):
-        # v_c = 0 under "exact" carries no mass at lam = 0 and must not
-        # reach the L / v division
-        occ = solve_birth_death(0.0, service_rates(section1, EXACT))
-        t = travel_time_dist_triangular(occ, section1, EXACT)
+    def test_zero_speed_atom_without_mass_is_skipped(self, section1):
+        # a speed law that reaches 0 at n = c: v_c = 0 carries no mass at
+        # lam = 0 and must not reach the L / v division
+        rates = np.append(service_rates(section1)[:-1], 0.0)
+        occ = solve_birth_death(0.0, rates)
+        t = _pushforward(occ, rates, section1.L, section1.diagram.v_f, True)
         assert t.support.tolist() == [pytest.approx(100.0 / 28.0)]
         assert t.probs.tolist() == [1.0]
 
     def test_mass_at_zero_speed_has_no_travel_time(self, section1):
-        # under "exact" v_c = 0: a law held at n = c has a speed law only
+        # v_c = 0: a law held at n = c has a speed law only
+        rates = np.append(service_rates(section1)[:-1], 0.0)
         occ = OccupancyDistribution.point_mass(section1.c, section1.c)
         with pytest.raises(SingularModelError, match="speed 0"):
-            travel_time_dist_triangular(occ, section1, EXACT)
-        v = speed_dist_triangular(occ, section1, EXACT)
+            _pushforward(occ, rates, section1.L, section1.diagram.v_f, True)
+        v = _pushforward(occ, rates, section1.L, section1.diagram.v_f, False)
         assert (v.support.tolist(), v.probs.tolist()) == ([0.0], [1.0])
 
-    @pytest.mark.parametrize("convention, speed", [(SHIFTED, 23.75), (EXACT, 22.5)])
-    def test_state_at_n_cr_moves_at_its_rate(self, convention, speed):
+    @pytest.mark.parametrize("convention", ["exact", "Shifted", None])
+    def test_a_convention_but_shifted_is_refused(self, section1, convention):
+        occ = solve_triangular(0.8, section1)
+        for pushforward in (speed_dist_triangular, travel_time_dist_triangular):
+            with pytest.raises(ValueError, match="convention must be 'shifted'"):
+                pushforward(occ, section1, convention)
+            named, default = pushforward(occ, section1, "shifted"), pushforward(occ, section1)
+            assert (named.support.tolist(), named.probs.tolist()) == (
+                default.support.tolist(), default.probs.tolist())
+
+    def test_state_at_n_cr_moves_at_its_rate(self):
         # c = 22 and n_cr = round(3.67) = 4, but state 4 is already served
-        # on the supply branch: L * q_4 / 4 = 5 * (22 - 4 + offset) / 4
+        # on the supply branch: L * q_4 / 4 = 5 * (22 - 4 + 1) / 4
         section = RoadSection(L=110.0, diagram=TriangularDiagram(v_f=25.0, w=5.0, rho_j=0.2))
         n_cr = round(section.diagram.q_max / section.diagram.v_f * section.L)
         assert (section.c, n_cr) == (22, 4)
         occ = OccupancyDistribution.point_mass(section.c, 4)
-        v = speed_dist_triangular(occ, section, convention)
-        assert v.support.tolist() == [speed]
-        t = travel_time_dist_triangular(occ, section, convention)
-        assert t.support.tolist() == [pytest.approx(110.0 / speed, rel=1e-11)]
+        v = speed_dist_triangular(occ, section)
+        assert v.support.tolist() == [23.75]
+        t = travel_time_dist_triangular(occ, section)
+        assert t.support.tolist() == [pytest.approx(110.0 / 23.75, rel=1e-11)]
 
     def test_light_load_mean_speed_near_free_flow(self, section1):
         occ = solve_triangular(0.5, section1)

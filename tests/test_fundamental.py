@@ -3,13 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from roadqueue import (
-    EXACT,
-    SHIFTED,
-    RoadSection,
-    TriangularDiagram,
-    service_rates,
-)
+from roadqueue import RoadSection, TriangularDiagram, service_rates
 
 from chain_references import ref_flow
 
@@ -78,13 +72,13 @@ class TestRoadSection:
             RoadSection(L=(largest + 1) / 0.18, diagram=diagram1, c=largest + 1)
 
     def test_degenerate_critical_count_loads(self):
-        # the critical count q_max / v_f * L rounds to 0, yet every shifted-convention rate is
+        # the critical count q_max / v_f * L rounds to 0, yet every rate is
         # positive: no rate or speed table reads the critical count
         d = TriangularDiagram(v_f=35.53, w=2.518, rho_j=0.1561)
         section = RoadSection(L=10.35, diagram=d)
         assert section.c == 2
         assert round(d.q_max / d.v_f * section.L) == 0
-        assert (service_rates(section, SHIFTED) > 0).all()
+        assert (service_rates(section) > 0).all()
 
     def test_free_flow_time(self, section1):
         assert section1.free_flow_time == pytest.approx(100.0 / 28.0)
@@ -107,43 +101,41 @@ class TestServiceRate:
     # service_rates holds q_1..q_c: entry n - 1 is the rate with n vehicles
 
     def test_full_section(self, section1):
-        assert service_rates(section1, EXACT)[-1] == 0.0
-        assert service_rates(section1, SHIFTED)[-1] == pytest.approx(0.14, rel=1e-12)
+        assert service_rates(section1)[-1] == pytest.approx(0.14, rel=1e-12)
 
     def test_critical_count_reaches_capacity_flow(self, section1):
-        assert service_rates(section1, EXACT)[5] == pytest.approx(1.68, rel=1e-12)
+        assert service_rates(section1)[5] == pytest.approx(1.68, rel=1e-12)
 
-    def test_domain_errors(self, section1):
-        with pytest.raises(ValueError, match="convention"):
-            service_rates(section1, "bogus")
+    def test_takes_no_convention(self, section1):
+        with pytest.raises(TypeError):
+            service_rates(section1, "shifted")
 
-    def test_exact_rates_equal_diagram_flow(self, section1):
-        # c = rho_j * L exactly for this geometry, so the discrete rates
-        # sit on the continuous diagram
-        rates = service_rates(section1, EXACT)
+    def test_rates_sit_on_the_diagram_one_vehicle_back_when_congested(self, section1):
+        # c = rho_j * L exactly for this geometry: the free branch is the
+        # diagram's flow at n / L, and the shifted supply w * (c - n + 1) / L
+        # its congested flow at (n - 1) / L, past the critical count 6
+        rates = service_rates(section1)
         assert len(rates) == section1.c
         for n, rate in enumerate(rates, start=1):
-            assert rate == pytest.approx(
-                ref_flow(section1.diagram, n / section1.L), abs=1e-15
-            )
+            density = (n if n <= 6 else n - 1) / section1.L
+            assert rate == pytest.approx(ref_flow(section1.diagram, density), abs=1e-15)
 
-    def test_shifted_positive_at_capacity(self, section1, section2):
+    def test_positive_at_capacity(self, section1, section2):
         for section in (section1, section2):
-            assert service_rates(section, SHIFTED)[-1] > 0
+            assert service_rates(section)[-1] > 0
 
 
 class TestNormalizedRate:
     # service rates scaled by the diagram capacity q_max
 
     def test_examples(self, section1):
-        normalized = service_rates(section1, EXACT) / section1.diagram.q_max
+        normalized = service_rates(section1) / section1.diagram.q_max
         assert normalized[5] == pytest.approx(1.0, rel=1e-12)
-        assert normalized[11] == pytest.approx(0.5, rel=1e-12)
+        assert normalized[12] == pytest.approx(0.5, rel=1e-12)
 
     def test_bounded_on_benchmark_sections(self, section1, section2):
         # holds here because rho_cr * L is integral for both sections;
         # fractional critical counts can push the shifted form above 1
         for section in (section1, section2):
-            for convention in (EXACT, SHIFTED):
-                normalized = service_rates(section, convention) / section.diagram.q_max
-                assert np.all((0.0 <= normalized) & (normalized <= 1.0))
+            normalized = service_rates(section) / section.diagram.q_max
+            assert np.all((0.0 <= normalized) & (normalized <= 1.0))

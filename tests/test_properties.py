@@ -18,8 +18,6 @@ from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from roadqueue import (
-    EXACT,
-    SHIFTED,
     ConvergenceError,
     OccupancyDistribution,
     OracleError,
@@ -47,7 +45,6 @@ from roadqueue.congestion import (
     ExponentialCongestionModel,
     LinearCongestionModel,
 )
-from roadqueue.fundamental import CONVENTIONS
 from roadqueue.queueing import jain_smith_rates
 from roadqueue.tandem import _SCAN_POINTS, conditional_matrix
 
@@ -81,9 +78,14 @@ def sections(draw, max_c=60):
     return section
 
 
+def absorbing_rates(section):
+    """The section's rates with q_c = 0, as a speed law that reaches 0 at
+    capacity gives: the chain absorbs at n = c."""
+    return np.append(service_rates(section)[:-1], 0.0)
+
+
 @st.composite
 def tandems(draw, max_c=60):
-    # a tandem takes the shifted convention only
     return TandemConfig(section1=draw(sections(max_c)), section2=draw(sections(max_c)))
 
 
@@ -91,26 +93,24 @@ arrival_rates = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
 
 
 @SETTINGS
-@given(sections(), st.sampled_from(CONVENTIONS))
-def test_service_rates_equal_closed_form(section, convention):
-    expected = [
-        ref_service_rate(section, n, convention) for n in range(1, section.c + 1)
-    ]
-    assert service_rates(section, convention).tolist() == expected
+@given(sections())
+def test_service_rates_equal_closed_form(section):
+    expected = [ref_service_rate(section, n) for n in range(1, section.c + 1)]
+    assert service_rates(section).tolist() == expected
 
 
 @SETTINGS
-@given(sections(), st.sampled_from(CONVENTIONS))
-def test_pushforward_speeds_follow_the_rates(section, convention):
+@given(sections())
+def test_pushforward_speeds_follow_the_rates(section):
     # a point mass at n pushes forward to one atom, the speed of its
     # rate: v_0 = v_f and v_n = L * q_n / n; atoms carry 12-digit keys
     for n in range(section.c + 1):
         law = OccupancyDistribution.point_mass(section.c, n)
-        dist = speed_dist_triangular(law, section, convention)
+        dist = speed_dist_triangular(law, section)
         if n == 0:
             expected = section.diagram.v_f
         else:
-            expected = section.L * ref_service_rate(section, n, convention) / n
+            expected = section.L * ref_service_rate(section, n) / n
         assert dist.support.tolist() == [pytest.approx(expected, rel=1e-11, abs=0)]
         assert dist.probs.tolist() == [1.0]
 
@@ -171,7 +171,7 @@ def test_coupled_rates_equal_closed_form(config):
 @SETTINGS
 @given(sections(), st.floats(1e-3, 1e3))
 def test_product_form_equals_exact_solve(section, lam):
-    rates = service_rates(section, SHIFTED)
+    rates = service_rates(section)
     generator = birth_death_chain(lam, rates)
     expected = solve_birth_death(lam, rates).probs
     # GTH never subtracts, so it declines no shifted chain
@@ -185,7 +185,7 @@ def test_product_form_equals_exact_solve_at_large_capacity(section, lam):
     # the sizes the guards allow, up to c of about 3000, where the oracle's
     # unnormalized law once overflowed; the product form's rounding grows
     # with c (1.9e-13 was the largest gap in 600 random draws)
-    rates = service_rates(section, SHIFTED)
+    rates = service_rates(section)
     pi = exact_stationary(birth_death_chain(lam, rates))
     expected = solve_birth_death(lam, rates).probs
     np.testing.assert_allclose(pi, expected, rtol=0, atol=(section.c + 1) * 1e-15)
@@ -193,10 +193,10 @@ def test_product_form_equals_exact_solve_at_large_capacity(section, lam):
 
 @SETTINGS
 @given(sections(), st.floats(0.0, 1e3))
-def test_exact_convention_chain_is_refused(section, lam):
+def test_chain_absorbing_at_capacity_is_refused(section, lam):
     # q_c = 0 and arrivals are lost at c: state c has no exit, so the
     # oracle refuses the chain rather than return a law
-    generator = birth_death_chain(lam, service_rates(section, EXACT))
+    generator = birth_death_chain(lam, absorbing_rates(section))
     with pytest.raises(OracleError, match=f"state {section.c} has no outflow"):
         exact_stationary(generator)
 
@@ -229,9 +229,8 @@ def test_joint_laws_over_a_vector_equal_the_scalar_laws(config, lams):
 @SETTINGS
 @given(tandems(max_c=30), st.floats(1e-3, 1e3))
 def test_shifted_joint_law_is_not_the_point_mass_at_capacity(config, lam):
-    # under the exact convention every (n1, c2) has no exit, so
-    # Scenario.tandem refuses the tandem; under the shifted one (c1, c2)
-    # drains, and the joint law is not the point mass there
+    # a supply of 0 at c2 would leave every (n1, c2) with no exit; the
+    # shifted one drains (c1, c2), and the joint law is not the point mass there
     assert ref_generator(config, lam)[-1].any()
     joint = tandem_stationary(config, lam)
     assert joint[-1, -1] < 1.0
@@ -245,7 +244,7 @@ def test_joint_chain_flows_balance(config, lam):
     accepted = lam * (1 - joint[-1].sum())
     # q12(n1, n2) sits at coupled_rates[n2, n1 - 1]; nothing moves at n2 = c2
     transferred = (joint[1:, :-1] * coupled_rates(config)[:-1].T).sum()
-    departed = joint.sum(axis=0)[1:] @ service_rates(config.section2, SHIFTED)
+    departed = joint.sum(axis=0)[1:] @ service_rates(config.section2)
     tol = 1e-9 * max(lam, 1.0)
     assert abs(accepted - transferred) <= tol
     assert abs(transferred - departed) <= tol
@@ -457,13 +456,13 @@ log_uniform = st.floats(-2.0, 2.0).map(lambda x: 10.0**x)
 @settings(max_examples=40, deadline=None)
 @given(
     sections(),
-    st.sampled_from(CONVENTIONS),
+    st.booleans(),
     log_uniform,
     st.integers(0, 2**32 - 1),
     event_budgets,
 )
-def test_simulation_equals_the_event_by_event_loop(section, convention, lam, seed, events):
-    rates = service_rates(section, convention)
+def test_simulation_equals_the_event_by_event_loop(section, zero_at_c, lam, seed, events):
+    rates = absorbing_rates(section) if zero_at_c else service_rates(section)
     assert_same_run(
         simulate(lam, rates, seed, events), ref_simulate(lam, rates, seed, events)
     )
@@ -478,12 +477,12 @@ def test_full_size_simulation_equals_the_event_by_event_loop(section1):
 
 @pytest.mark.parametrize("size", [1, 2, 7, 4096])
 def test_the_buffer_size_does_not_change_the_run(section1, size, monkeypatch):
-    # a shifted run, and exact-convention runs that absorb at c, each the
+    # a run that never absorbs, and runs with q_c = 0 that absorb at c, each the
     # event-by-event loop's at any buffer size: with buffers of 1 or 2
     # events, the absorbing draw lands on a buffer edge, and the draws left
     # unread in its buffer must not count as events
     runs = [(0.8, service_rates(section1), 7, 10**4 + 3)]
-    runs += [(60.0, service_rates(section1, EXACT), seed, 10**4) for seed in range(5)]
+    runs += [(60.0, absorbing_rates(section1), seed, 10**4) for seed in range(5)]
     references = [ref_simulate(*run) for run in runs]
     assert [r.absorbed for r in references] == [False] + [True] * 5
     monkeypatch.setattr(ctmc, "_SIM_BUFFER", size)
@@ -494,8 +493,8 @@ def test_the_buffer_size_does_not_change_the_run(section1, size, monkeypatch):
 @settings(max_examples=20, deadline=None)
 @given(sections(), st.floats(30.0, 100.0), st.integers(0, 2**32 - 1), event_budgets)
 def test_absorbing_simulation_equals_the_event_by_event_loop(section, lam, seed, events):
-    # q_c = 0 under the exact convention, and arrivals far outpace service
-    rates = service_rates(section, EXACT)
+    # q_c = 0, and arrivals far outpace service
+    rates = absorbing_rates(section)
     reference = ref_simulate(lam, rates, seed, events)
     assert reference.absorbed
     assert_same_run(simulate(lam, rates, seed, events), reference)

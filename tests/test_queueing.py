@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from roadqueue import (
-    EXACT,
-    SHIFTED,
     LinearCongestionModel,
     OccupancyDistribution,
     RoadSection,
@@ -149,9 +147,8 @@ class TestLogWeights:
         stack = birth_death_log_weights(0.0, [[1.0, 2.0], [0.0, 0.0]])
         assert stack.tolist() == [limit, limit]
         empty = OccupancyDistribution.point_mass(section1.c, 0).probs.tolist()
-        for convention in (EXACT, SHIFTED):
-            law = solve_birth_death(0.0, service_rates(section1, convention))
-            assert law.probs.tolist() == empty
+        for rates in (service_rates(section1), np.append(service_rates(section1)[:-1], 0.0)):
+            assert solve_birth_death(0.0, rates).probs.tolist() == empty
         matrix = conditional_matrix(TandemConfig(section1, section1), 0.0)
         assert matrix.tolist() == [empty] * (section1.c + 1)
 
@@ -240,12 +237,13 @@ class TestJainSmith:
 
 
 class TestSolveTriangular:
-    def test_exact_convention_is_singular_when_loaded(self, section1):
-        with pytest.raises(SingularModelError, match="shifted"):
-            solve_birth_death(0.5, service_rates(section1, EXACT))
+    def test_zero_rate_at_capacity_is_singular_when_loaded(self, section1):
+        rates = np.append(service_rates(section1)[:-1], 0.0)
+        with pytest.raises(SingularModelError, match="state n=18, where the speed law reaches 0"):
+            solve_birth_death(0.5, rates)
 
-    def test_exact_convention_fine_when_idle(self, section1):
-        d = solve_birth_death(0.0, service_rates(section1, EXACT))
+    def test_zero_rate_at_capacity_fine_when_idle(self, section1):
+        d = solve_birth_death(0.0, np.append(service_rates(section1)[:-1], 0.0))
         assert d[0] == 1.0
 
     def test_shifted_light_load_nearly_empty(self, section1):
@@ -264,7 +262,7 @@ class TestSolveTriangular:
 class TestMeasures:
     def test_littles_law_consistency(self, section1):
         lam = 0.5
-        rates = service_rates(section1, SHIFTED)
+        rates = service_rates(section1)
         d = solve_triangular(lam, section1)
         m = measures(d, lam, rates)
         assert m.throughput == pytest.approx(lam * (1 - d.blocking), rel=1e-14)
@@ -275,7 +273,7 @@ class TestMeasures:
 
     def test_single_section_travel_time_near_free_flow(self, section1):
         # light traffic: Little's-law time within 10% of L / v_f
-        rates = service_rates(section1, SHIFTED)
+        rates = service_rates(section1)
         d = solve_triangular(0.5, section1)
         m = measures(d, 0.5, rates)
         assert m.expected_travel_time == pytest.approx(
@@ -283,7 +281,7 @@ class TestMeasures:
         )
 
     def test_zero_load_falls_back_to_lone_vehicle_time(self, section1):
-        rates = service_rates(section1, SHIFTED)
+        rates = service_rates(section1)
         d = solve_triangular(0.0, section1)
         m = measures(d, 0.0, rates)
         assert m.free_flow_fallback
@@ -294,7 +292,7 @@ class TestMeasures:
         # at c = 2 and lam = 5e-324 the mean count rounds to 0 while the
         # throughput does not: Little's law would read a travel time of 0
         section = RoadSection(L=1.0, diagram=TriangularDiagram(v_f=28.0, w=14.0, rho_j=2.0))
-        rates = service_rates(section, SHIFTED)
+        rates = service_rates(section)
         m = measures(solve_triangular(5e-324, section), 5e-324, rates)
         assert (m.throughput, m.expected_count) == (5e-324, 0.0)
         assert m.free_flow_fallback
@@ -304,14 +302,14 @@ class TestMeasures:
     def test_subnormal_rates_fall_back_to_lone_vehicle_time(self, section1, lam):
         # a subnormal mean count over a subnormal throughput keeps few bits
         # (5e-324 read 4.0, 1e-320 read 3.57164): the flagged 1 / q_1 instead
-        rates = service_rates(section1, SHIFTED)
+        rates = service_rates(section1)
         m = measures(solve_triangular(lam, section1), lam, rates)
         assert m.throughput < sys.float_info.min
         assert m.free_flow_fallback
         assert m.expected_travel_time == 1.0 / rates[0] == 3.571428571428571
 
     def test_smallest_normal_rates_keep_littles_law(self, section1):
-        rates = service_rates(section1, SHIFTED)
+        rates = service_rates(section1)
         m = measures(solve_triangular(1e-300, section1), 1e-300, rates)
         assert not m.free_flow_fallback
         assert m.expected_travel_time == m.expected_count / m.throughput == 3.5714285714286436
@@ -320,7 +318,7 @@ class TestMeasures:
     def test_throughput_survives_blocking_rounded_to_one(self, section1, lam):
         # past lam of about 1e16 P_c rounds to 1.0, so lam * (1 - P_c) reads
         # 0; the sum of the other masses still gives the departure rate
-        rates = service_rates(section1, SHIFTED)
+        rates = service_rates(section1)
         d = solve_triangular(lam, section1)
         m = measures(d, lam, rates)
         assert m.throughput == pytest.approx(ref_throughput_departure(d, rates), rel=1e-12)
@@ -331,7 +329,7 @@ class TestMeasures:
 class TestThroughputDeparture:
     def test_flow_balance(self, section1):
         # departure-side and acceptance-side throughput agree in steady state
-        rates = service_rates(section1, SHIFTED)
+        rates = service_rates(section1)
         for lam in (0.1, 0.5, 0.8, 1.2, 2.0):
             d = solve_triangular(lam, section1)
             assert ref_throughput_departure(d, rates) == pytest.approx(

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from roadqueue import (
-    EXACT,
     ConvergenceError,
     RoadSection,
     Scenario,
-    SingularModelError,
     TandemConfig,
     TriangularDiagram,
     coupled_rates,
@@ -59,28 +57,19 @@ def conditional_means(config, lam):
     return conditional_matrix(config, lam) @ np.arange(config.section1.c + 1)
 
 
-# every way to ask for a tandem under the exact convention: a TandemConfig
-# is shifted by construction, so a two-section scenario is the one way
-EXACT_TANDEMS = {
-    "scenario": lambda s1, s2: Scenario(sections=(s1, s2), convention=EXACT).tandem(),
-}
-
-
 class TestTandemConfig:
-    @pytest.mark.parametrize("build", EXACT_TANDEMS.values(), ids=EXACT_TANDEMS)
-    def test_exact_convention_is_refused(self, section1, section2, build):
-        # the exact supply is 0 at c2: section 2 absorbs there at any theta > 0
-        with pytest.raises(SingularModelError, match=r"every \(n1, c2\).*shifted"):
-            build(section1, section2)
-
     def test_shifted_by_construction(self, section1, section2):
-        # two sections are all a tandem holds; its convention is no field
+        # two sections are all a tandem holds; neither it nor a scenario
+        # has a convention field, so no tandem can be asked for another
         fields = [field.name for field in dataclasses.fields(TandemConfig)]
         assert fields == ["section1", "section2"]
         assert TandemConfig.convention == "shifted"
         assert TandemConfig(section1, section2).convention == "shifted"
         with pytest.raises(TypeError):
-            TandemConfig(section1, section2, EXACT)
+            TandemConfig(section1, section2, "exact")
+        assert "convention" not in [field.name for field in dataclasses.fields(Scenario)]
+        with pytest.raises(TypeError):
+            Scenario(sections=(section1, section2), convention="exact")
 
     def test_decomposition_past_the_cap_is_refused_before_allocating(self, section1):
         # one rate's conditionals, two more tables of (c + 1)**2 float64 and
@@ -155,9 +144,8 @@ class TestConditionalDistribution:
         assert conditional_matrix(tandem_config, 0.0)[5, 0] == 1.0
 
     def test_zero_supply_degenerates_to_full(self, section1, section2, tandem_config):
-        # the exact supply is 0 at c2, and that tandem is refused (see
-        # TestTandemConfig); the shifted supply w2 / L2 there keeps row c2
-        # off the point mass at c1
+        # a supply of 0 at c2 would trap row c2 at c1; the shifted supply
+        # w2 / L2 there keeps it off the point mass at c1
         row = conditional_matrix(tandem_config, 0.5)[section2.c]
         assert row[section1.c] < 1.0
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
