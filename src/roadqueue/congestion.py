@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .fundamental import check_integer, check_positive
+from .fundamental import check_capacity, check_integer, check_positive
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class LinearCongestionModel:
 
     def __post_init__(self) -> None:
         check_positive(v_f=self.v_f)
-        object.__setattr__(self, "c", check_integer("c", self.c, 1))
+        object.__setattr__(self, "c", check_capacity(self.c, 1))
 
     def speed(self, n):
         """Speed with n occupants [m/s], elementwise over an array or list of integers n."""
@@ -57,7 +57,7 @@ class ExponentialCongestionModel:
 
     def __post_init__(self) -> None:
         check_positive(v_f=self.v_f, beta=self.beta, gamma=self.gamma)
-        object.__setattr__(self, "c", check_integer("c", self.c, 1))
+        object.__setattr__(self, "c", check_capacity(self.c, 1))
 
     def speed(self, n):
         """Speed with n occupants [m/s], elementwise over an array or list of integers n."""

@@ -24,7 +24,7 @@ which are always exact pushforwards; the Jain-Smith rates for the linear
 model's "pushforward" mode).  Zero-mass states are dropped before speeds
 become transit times, so a speed law that reaches v_n = 0 (an exponential
 law can underflow there) matters only to a law that holds mass at that n:
-it has no finite travel time, and asking for one raises SingularModelError.
+its transit time L / 0 is inf, which DiscreteDistribution refuses as not finite.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .congestion import LinearCongestionModel
 from .fundamental import SHIFTED, RoadSection, check_array_bytes, service_rates
 from .queueing import (
     OccupancyDistribution,
-    SingularModelError,
     birth_death_log_weights,
     check_arrival_rate,
     check_rate_count,
@@ -115,15 +114,11 @@ def _pushforward(
     """Relabel each count n by v_n (v_0 = v_f, v_n = L * rates[n-1] / n) or L / v_n."""
     check_rate_count(dist, rates)
     speeds = np.append(v_f, L * rates / np.arange(1, rates.size + 1))
-    # zero-mass atoms go first: a speed of 0 has no transit time
+    # zero-mass atoms go first: a speed of 0 matters only where the law holds mass
     held = dist.probs > 0
     values = speeds[held]
     if times:
-        if np.any(values == 0):
-            raise SingularModelError(
-                "the law holds mass at speed 0, which has no finite travel time"
-            )
-        with np.errstate(over="ignore"):  # a time past the float range is refused as not finite
+        with np.errstate(over="ignore", divide="ignore"):  # L / 0, or past the float range: inf
             values = L / values
     return _merge_atoms(values, dist.probs[held])
 

@@ -68,6 +68,13 @@ def check_array_bytes(what: str, per_item: int, reserve: int = 0, error=ValueErr
     return fits
 
 
+def check_capacity(c, least: int) -> int:
+    """c as a whole number of at least least, refused unless one float64 a state fits the cap."""
+    c = check_integer("c", c, least)
+    check_array_bytes(f"capacity c = {c} at one float64 a state", 8 * (c + 1))
+    return c
+
+
 @dataclass(frozen=True)
 class TriangularDiagram:
     """Triangular flow-density relation.
@@ -110,13 +117,10 @@ class RoadSection:
         if jam_count == math.inf:
             raise ValueError("capacity c = rho_j * L overflows a float")
         derived_c = math.floor(jam_count + 0.5)  # rho_j * L rounded half up
-        object.__setattr__(self, "c", check_integer("c", derived_c if self.c is None else self.c, 2))
-        if abs(self.c - derived_c) > 1:
-            raise ValueError(
-                f"c={self.c} inconsistent with rho_j*L={derived_c} "
-                "by more than one vehicle"
-            )
-        check_array_bytes(f"capacity c = {self.c} at one float64 a state", 8 * (self.c + 1))
+        c = check_integer("c", derived_c if self.c is None else self.c, 2)
+        if abs(c - derived_c) > 1:
+            raise ValueError(f"c={c} inconsistent with rho_j*L={derived_c} by more than one vehicle")
+        object.__setattr__(self, "c", check_capacity(c, 2))
 
     @property
     def free_flow_time(self) -> float:

@@ -35,7 +35,9 @@ from .fundamental import RoadSection, check_integer, check_positive, service_rat
 
 
 class SingularModelError(ValueError):
-    """The requested stationary law does not exist (a zero service rate)."""
+    """The requested stationary law does not exist: raised by birth_death_log_weights
+    for a zero rate under a positive arrival rate, and by the config loader for
+    the "exact" convention, whose chain absorbs at capacity."""
 
 
 def frozen_probs(probs, normalized: bool = True) -> np.ndarray:
@@ -103,7 +105,7 @@ class PerformanceMeasures:
     free_flow_fallback marks a zero or subnormal throughput or mean
     count, where the travel time cannot come from Little's law and is
     reported as the free-flow transit time instead.  A travel time that is
-    not finite, such as a transit time 1 / q_1 past the float range, is refused.
+    not finite, such as 1 / q_1 at a q_1 of 0 or below 1 / DBL_MAX, is refused.
     """
 
     blocking: float
@@ -233,30 +235,24 @@ def solve_triangular(lam, section: RoadSection):
 
 
 def littles_law(
-    dist: OccupancyDistribution, throughput: float, free_flow_time: float | None
+    dist: OccupancyDistribution, throughput: float, free_flow_time: float
 ) -> PerformanceMeasures:
     """Measures of a solved law, travel time by Little's law.
 
     Unless throughput and mean count are both normal floats (one of them
     may underflow to 0 beside the other, and a subnormal quotient keeps few
     bits), the travel time is reported as free_flow_time and flagged, so
-    sweeps stay plottable; None means there is none to report.
+    sweeps stay plottable; an infinite one (1 / q_1 at a q_1 of 0 or below
+    1 / DBL_MAX = 5.6e-309) is refused as not finite by PerformanceMeasures.
     """
     expected_count = dist.mean()
-    if throughput >= sys.float_info.min and expected_count >= sys.float_info.min:
-        travel_time, fallback = expected_count / throughput, False
-    elif free_flow_time is None:
-        raise SingularModelError(
-            "cannot report a free-flow fallback time with q_1 = 0"
-        )
-    else:
-        travel_time, fallback = free_flow_time, True
+    normal = throughput >= sys.float_info.min and expected_count >= sys.float_info.min
     return PerformanceMeasures(
         blocking=dist.blocking,
         throughput=throughput,
         expected_count=expected_count,
-        expected_travel_time=travel_time,
-        free_flow_fallback=fallback,
+        expected_travel_time=expected_count / throughput if normal else free_flow_time,
+        free_flow_fallback=not normal,
     )
 
 
@@ -270,9 +266,11 @@ def measures(
     but still right once P_c rounds to 1 (from a lam of about 1e16 at c =
     18).  When it or the mean count is zero or subnormal (lam = 0, or a lam
     so small that either is below 2.2e-308) the travel time is the
-    lone-vehicle transit time 1 / q_1.  lam is one checked rate.
+    lone-vehicle transit time 1 / q_1, refused where not finite (a q_1 of 0
+    or below 1 / DBL_MAX = 5.6e-309).  lam is one checked rate.
     """
     check_arrival_rate("measures", lam)
     rates = check_rate_count(dist, rates)
-    lone_time = 1.0 / float(rates[0]) if rates[0] > 0 else None
+    with np.errstate(divide="ignore", over="ignore"):  # 1 / 0 is inf, refused as not finite
+        lone_time = float(1.0 / rates[0])
     return littles_law(dist, lam * min(float(dist.probs[:-1].sum()), 1.0), lone_time)

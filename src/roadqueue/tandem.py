@@ -265,7 +265,8 @@ def tandem_measures(result: FixedPointResult, lam: float) -> PerformanceMeasures
 
     Travel time is Little's law on the marginal count over theta; where
     theta or the mean count is 0 or subnormal it falls back, flagged, to
-    section 1's free-flow time.
+    section 1's free-flow time.  lam is not read: it stays only while
+    bench/workloads.py passes it by position.
     """
     return littles_law(
         result.marginal, result.theta, result.config.section1.free_flow_time

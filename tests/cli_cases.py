@@ -351,11 +351,27 @@ SECTION_ZERO = {
     "compare": ("--lambda", "0.8", "--events", "10000"),
     "figure-data": ("--figure", "fig8"),
 }
+# one document per loader or geometry rule, and a phrase of its refusal
 MALFORMED = {
-    "list-model": json.dumps({"sections": [SECTION_1], "model": ["linear"]}),
-    "object-model": json.dumps({"sections": [SECTION_1], "model": {}}),
+    "list-model": (json.dumps({"sections": [SECTION_1], "model": ["linear"]}), "model must be"),
+    "object-model": (json.dumps({"sections": [SECTION_1], "model": {}}), "model must be"),
     # nested past the decoder's recursion limit
-    "deep": "[" * 100_000 + "]" * 100_000,
+    "deep": ("[" * 100_000 + "]" * 100_000, "nests too deeply"),
+    "array": ("[]", "config must be a JSON object, got list"),
+    "three-sections": (json.dumps({"sections": [SECTION_1] * 3}), "1 or 2 sections, got 3"),
+    "sections-object": (json.dumps({"sections": {}}), "'sections' must be a nonempty list"),
+    "section-number": (json.dumps({"sections": [5]}), "section must be a JSON object, got int"),
+    "unknown-section-key": (json.dumps({"sections": [{**SECTION_1, "lanes": 2}]}),
+                            "unknown section key(s): ['lanes']"),
+    "no-rho_j": (json.dumps({"sections": [{k: v for k, v in SECTION_1.items() if k != "rho_j"}]}),
+                 "missing required key 'rho_j'"),
+    "unknown-top-key": (json.dumps({"sections": [SECTION_1], "lanes": 2}),
+                        "unknown config key(s): ['lanes']"),
+    "exponential-no-beta": (json.dumps({"sections": [SECTION_1], "model": "exponential"}),
+                            "requires scenario keys beta and gamma"),
+    "jam-count-overflow": (json.dumps({"L": 1e200, "v_f": 28.0, "w": 14.0, "rho_j": 1e200}),
+                           "rho_j * L overflows a float"),
+    "c-two-off": (json.dumps({**SECTION_1, "c": 20}), "c=20 inconsistent with rho_j*L=18"),
 }
 LINEAR_BUNDLED = json.dumps({**json.loads(_bundled()), "model": "linear"})
 
@@ -604,6 +620,11 @@ CASES = [
     Case("subnormal-q1-infinite-travel-time",
          ("solve-section", "--lambda", "1e-310", "--config", "-"), 2, _one_error,
          stdin=json.dumps({"sections": [{"L": 300.0, "v_f": 1e-310, "w": 1e300, "rho_j": 1.0}]})),
+    # c = 18 with every q_n underflowed to 0: the lone transit time 1 / q_1 is inf
+    Case("zero-q1-infinite-travel-time",
+         ("solve-section", "--lambda", "0", "--config", "-"), 2,
+         lambda run: run.err == "error: expected_travel_time inf not finite and positive\n",
+         stdin=json.dumps({"L": 1e100, "v_f": 1e-300, "w": 1e300, "rho_j": 1.8e-99})),
     # a step ratio lambda / q past about 1e58 overflows the oracle's law,
     # refused with no numpy warning
     *[Case(f"compare-{lam}-past-the-float-range", ("compare", "--lambda", lam, "--events", "10000"),
@@ -634,8 +655,8 @@ CASES = [
       for command, argv in SECTION_ZERO.items()],
     Case("solve-section-section-5", ("solve-section", "--lambda", "0.5", "--section", "5"), 2),
     *[Case(f"malformed-config-{name}", ("solve-section", "--lambda", "0.8", "--config", "-"), 2,
-           lambda run: run.err.startswith("error: "), stdin=text)
-      for name, text in MALFORMED.items()],
+           lambda run, phrase=phrase: _one_error(run) and phrase in run.err, stdin=text)
+      for name, (text, phrase) in MALFORMED.items()],
     *[Case(f"{command}-lambda-{lam}", (command, "--lambda", lam), 2, _says("finite"))
       for command in ("solve-section", "solve-tandem") for lam in ("nan", "inf")],
     Case("exponential-infinite-beta",

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import pytest
 
-from roadqueue import RoadSection, TandemConfig, TriangularDiagram
+from roadqueue import OracleError, RoadSection, TandemConfig, TriangularDiagram
 
 
 @pytest.fixture
@@ -22,3 +24,22 @@ def section2() -> RoadSection:
 @pytest.fixture
 def tandem_config(section1, section2) -> TandemConfig:
     return TandemConfig(section1=section1, section2=section2)
+
+
+def _traced_peak(solve):
+    """solve's result, or the OracleError or ValueError it raised, and the
+    tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        result = solve()
+    except (OracleError, ValueError) as exc:
+        result = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.fixture
+def traced_peak():
+    return _traced_peak

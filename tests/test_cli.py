@@ -155,13 +155,13 @@ def test_write_goldens_refuses_a_wrong_exit_writing_nothing(monkeypatch, tmp_pat
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_config_file_exits_2(tmp_path, text):
+@pytest.mark.parametrize("text, phrase", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_config_file_exits_2(tmp_path, text, phrase):
     # the table's stdin rows, read from a file
     path = tmp_path / "malformed.json"
     path.write_text(text)
     run = run_in_process(["solve-section", "--lambda", "0.8", "--config", str(path)])
-    assert (run.code, run.out) == (2, "") and run.err.startswith("error: ")
+    assert (run.code, run.out) == (2, "") and run.err.startswith("error: ") and phrase in run.err
 
 
 @pytest.mark.parametrize(

@@ -111,6 +111,21 @@ class TestDispatch:
             with pytest.raises(ValueError, match="n must be a whole number of at least 1"):
                 model.speed(n)
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda c: LinearCongestionModel(v_f=28.0, c=c),
+         lambda c: ExponentialCongestionModel(v_f=28.0, beta=9.5, gamma=1.8, c=c)],
+        ids=["linear", "exponential"],
+    )
+    def test_capacity_past_the_cap_is_refused_before_allocating(self, build, traced_peak):
+        # c = 2**25, the first capacity a RoadSection refuses: one float64 a
+        # state would pass 256 MiB in jain_smith_rates' arange
+        assert build(2**25 - 1).c == 2**25 - 1
+        refused, peak = traced_peak(lambda: build(2**25))
+        assert isinstance(refused, ValueError)
+        assert "capacity c = 33554432 at one float64 a state needs 268 MB" in str(refused)
+        assert peak < 2**20
+
 
 class TestFitAnchors:
     def test_validation(self):

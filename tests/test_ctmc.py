@@ -3,7 +3,6 @@ import itertools
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -54,19 +53,6 @@ def oracle_bytes(c1, c2, rates=1):
     levels and six law tables, beside two levels and 128 kB of buffers."""
     level = 8 * (c2 + 1) ** 2
     return 2**17 + 2 * level + rates * ((c1 + 5) * level + 48 * (c1 + 1) * (c2 + 1))
-
-
-def traced_peak(solve):
-    """solve's result or OracleError, and the tracemalloc peak of the call."""
-    tracemalloc.start()
-    try:
-        result = solve()
-    except OracleError as exc:
-        result = exc
-    finally:
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    return result, peak
 
 
 class TestCtmcValidation:
@@ -150,6 +136,14 @@ class TestExactStationary:
         with pytest.raises(OracleError, match="residual"):
             exact_stationary(gen)
 
+    def test_negative_mass_within_the_residual_tolerance_is_refused(self, monkeypatch):
+        # state 2 is transient: a mass of -1e-12 there moves pi Q by 1e-12 only,
+        # within the tolerance of rates of 1e6, so the mass check refuses it
+        gen = np.array([[-1e6, 1e6, 0.0], [1e6, -1e6, 0.0], [1.0, 0.0, -1.0]])
+        monkeypatch.setattr(ctmc, "_gth", lambda rates, band: np.array([0.5, 0.5, -1e-12]))
+        with pytest.raises(OracleError, match="negative probabilities"):
+            exact_stationary(gen)
+
     @pytest.mark.parametrize("masses", [[1e308, 1e308], [0.0, 0.0]], ids=["overflow", "zero"])
     def test_total_mass_past_the_float_range_or_zero_is_refused(self, monkeypatch, masses):
         # dividing by an infinite total gives a law of zeros, whose residual
@@ -196,7 +190,7 @@ class TestExactStationary:
         assert bands == [1]
 
     @pytest.mark.parametrize("c", [54, 180])
-    def test_peak_stays_under_the_cap_it_counts(self, monkeypatch, c):
+    def test_peak_stays_under_the_cap_it_counts(self, monkeypatch, c, traced_peak):
         # compare's exact path: the generator and GTH's copy of it, a mask
         # and a few vectors; the copy alone took the parent past the
         # generator's count, at 2.2 times it
@@ -215,7 +209,7 @@ class TestExactStationary:
         assert peak < 8 * (c + 1) ** 2 / 4
 
     @pytest.mark.parametrize("n", [200, 500])
-    def test_dense_peak_stays_under_the_cap_it_counts(self, monkeypatch, n):
+    def test_dense_peak_stays_under_the_cap_it_counts(self, monkeypatch, n, traced_peak):
         # a dense generator: GTH's copy, a mask and one band x band update
         # beside it; reading the band through the indices of every nonzero
         # entry took the peak to 5.13 times the generator
@@ -234,7 +228,7 @@ class TestExactStationary:
         assert isinstance(refused, OracleError)
         assert peak < 2**20
 
-    def test_dense_cap_boundary(self):
+    def test_dense_cap_boundary(self, traced_peak):
         # N = 3273 is the largest dense generator the guard admits beside
         # itself, and a birth-death chain solves up to c = 3967
         def fits(n, band):
@@ -249,7 +243,7 @@ class TestExactStationary:
         assert "GTH elimination on 3274 states" in str(refused)
         assert peak < 2**20
 
-    def test_oversized_solve_is_refused_before_allocating(self):
+    def test_oversized_solve_is_refused_before_allocating(self, traced_peak):
         # a read-only view of 4000**2 zeros holds 8 bytes, but counts its
         # 128 MB as the generator beside the copy and mask GTH would add
         gen = np.broadcast_to(np.zeros(1), (4000, 4000))
@@ -286,21 +280,17 @@ class TestBirthDeathChain:
         )
         np.testing.assert_allclose(gen, expected)
 
-    def test_oversized_chain_is_refused_before_allocating(self):
+    def test_oversized_chain_is_refused_before_allocating(self, traced_peak):
         # c = 4500: its 162 MB generator fits under the 256 MiB cap, but
         # exact_stationary's copy and mask beside it do not, so the chain is
         # refused by the oracle's own count before any of it is built
         rates = np.ones(4500)
-        tracemalloc.start()
-        try:
-            with pytest.raises(OracleError, match=r"4501 states \(c = 4500\) needs 345 MB"):
-                birth_death_chain(0.8, rates)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        refused, peak = traced_peak(lambda: birth_death_chain(0.8, rates))
+        assert isinstance(refused, OracleError)
+        assert "4501 states (c = 4500) needs 345 MB" in str(refused)
         assert peak < 2**20
 
-    def test_cap_boundary(self, monkeypatch):
+    def test_cap_boundary(self, monkeypatch, traced_peak):
         # one limit: c = 3967 is the largest chain exact_stationary solves,
         # and c = 3968 the first that both refuse
         def fits(c):
@@ -330,32 +320,24 @@ def scaled(config, length):
 
 
 class TestTandem2d:
-    def test_oversized_chain_is_refused_before_allocating(self, tandem_config):
+    def test_oversized_chain_is_refused_before_allocating(self, tandem_config, traced_peak):
         # c1 = c2 = 400 would store 8 * 400 * 401**2 bytes = 515 MB of blocks,
         # and work on 16 MB beside them
         big = scaled(tandem_config, 400 / 0.18)
         assert big.section1.c == big.section2.c == 400
         assert round(oracle_bytes(400, 400) / 1e6) == 531
-        tracemalloc.start()
-        try:
-            with pytest.raises(OracleError, match="531 MB"):
-                tandem_stationary(big, 0.8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        refused, peak = traced_peak(lambda: tandem_stationary(big, 0.8))
+        assert isinstance(refused, OracleError)
+        assert "531 MB" in str(refused)
         assert peak < 2**20
 
-    def test_cap_boundary(self, tandem_config, monkeypatch):
+    def test_cap_boundary(self, tandem_config, monkeypatch, traced_peak):
         # c = 318 is the first square tandem past the real cap
         big = scaled(tandem_config, 318 / 0.18)
         assert big.section1.c == big.section2.c == 318
-        tracemalloc.start()
-        try:
-            with pytest.raises(OracleError, match=r"\(c1 = 318, c2 = 318\)"):
-                tandem_stationary(big, 0.8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        refused, peak = traced_peak(lambda: tandem_stationary(big, 0.8))
+        assert isinstance(refused, OracleError)
+        assert "(c1 = 318, c2 = 318)" in str(refused)
         assert peak < 2**20
         # c = 317 would count 267 MB, so test acceptance at a cap lowered to
         # exactly what c = 18 counts
@@ -366,7 +348,9 @@ class TestTandem2d:
             tandem_stationary(scaled(tandem_config, 19 / 0.18), 0.8)
 
     @pytest.mark.parametrize("length", [300.0, 1000.0], ids=["c54", "c180"])
-    def test_peak_stays_under_the_cap_it_counts(self, tandem_config, monkeypatch, length):
+    def test_peak_stays_under_the_cap_it_counts(
+        self, tandem_config, monkeypatch, length, traced_peak
+    ):
         # the blocks and the per-level and per-law arrays beside them: the
         # parent counted the blocks alone and peaked at 1.19 times them at
         # c = 54 and 1.05 times at c = 180; only sizes are checked, as at
@@ -383,7 +367,7 @@ class TestTandem2d:
         assert isinstance(refused, OracleError)
         assert peak < 2**20
 
-    def test_diagnostic_keeps_one_run_of_joint_laws(self, tandem_config, monkeypatch):
+    def test_diagnostic_keeps_one_run_of_joint_laws(self, tandem_config, monkeypatch, traced_peak):
         # 200 rates in runs of 4: each run is cut to its section-1 marginals
         # before the next starts; holding every joint law and then a copy of
         # them all took the peak to 2.5 times the cap
@@ -442,6 +426,14 @@ class TestTandem2d:
         np.testing.assert_allclose(
             tandem_stationary(tandem_config, lam), dense, rtol=0, atol=1e-14
         )
+
+    def test_singular_level_is_an_oracle_error(self, tandem_config, monkeypatch):
+        def singular(matrix):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(OracleError, match="a censored level is singular: Singular matrix"):
+            tandem_stationary(tandem_config, 0.8)
 
     def test_total_mass_past_the_float_range_is_refused(self, tandem_config, monkeypatch):
         # level 0 at 1e308 a phase: the levels above it are finite, their
@@ -581,15 +573,11 @@ class TestBatchedOracle:
         for law, lam in zip(batch[[0, 2]], [0.5, 2.0]):
             np.testing.assert_array_equal(law, tandem_stationary(tandem_config, lam))
 
-    def test_oversized_vector_is_refused_before_allocating(self, tandem_config):
+    def test_oversized_vector_is_refused_before_allocating(self, tandem_config, traced_peak):
         big = scaled(tandem_config, 400 / 0.18)
-        tracemalloc.start()
-        try:
-            with pytest.raises(OracleError, match="531 MB"):
-                tandem_stationary(big, np.linspace(0.1, 2.0, 40))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        refused, peak = traced_peak(lambda: tandem_stationary(big, np.linspace(0.1, 2.0, 40)))
+        assert isinstance(refused, OracleError)
+        assert "531 MB" in str(refused)
         assert peak < 2**20
 
     def test_each_law_is_verified_on_its_own(self, tandem_config, monkeypatch):

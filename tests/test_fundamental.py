@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -48,15 +46,11 @@ class TestRoadSection:
         with pytest.raises(ValueError, match="c"):
             RoadSection(L=5.0, diagram=diagram1)
 
-    def test_absurd_length_is_refused_before_allocating(self, diagram1):
+    def test_absurd_length_is_refused_before_allocating(self, diagram1, traced_peak):
         # L = 1e12 m holds c = 1.8e11: one float64 per state would take 1.3 TiB
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="capacity c = 180000000000 "):
-                RoadSection(L=1e12, diagram=diagram1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        refused, peak = traced_peak(lambda: RoadSection(L=1e12, diagram=diagram1))
+        assert isinstance(refused, ValueError)
+        assert "capacity c = 180000000000 " in str(refused)
         assert peak < 2**20
 
     def test_overflowing_capacity_is_refused(self):

@@ -308,6 +308,15 @@ class TestMeasures:
         assert m.free_flow_fallback
         assert m.expected_travel_time == 1.0 / rates[0] == 3.571428571428571
 
+    def test_zero_q1_lone_time_is_refused_as_not_finite(self, section1):
+        # 1 / 0 is inf with no numpy warning, refused as not finite, not as singular
+        rates = service_rates(section1)
+        rates[0] = 0.0
+        with pytest.raises(ValueError) as info:
+            measures(OccupancyDistribution.point_mass(18, 0), 0.0, rates)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "expected_travel_time inf not finite and positive"
+
     def test_smallest_normal_rates_keep_littles_law(self, section1):
         rates = service_rates(section1)
         m = measures(solve_triangular(1e-300, section1), 1e-300, rates)

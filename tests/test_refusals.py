@@ -266,9 +266,16 @@ def test_performance_measures_refuse_a_negative_or_nan_figure(field, value):
     assert str(info.value) == f"{field} {value!r} not nonnegative"
 
 
+@pytest.mark.parametrize("value", [-0.1, 1.5, math.nan])
+def test_performance_measures_refuse_a_blocking_outside_0_1(value):
+    with pytest.raises(ValueError) as info:
+        PerformanceMeasures(value, 0.7, 3.0, expected_travel_time=4.0)
+    assert str(info.value) == f"blocking {value!r} outside [0, 1]"
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
 def test_performance_measures_refuse_a_travel_time_not_finite_and_positive(value):
-    # an infinite one is a lone transit time 1 / q_1 past the float range
+    # an infinite one is a lone transit time 1 / q_1 at q_1 = 0 or below 1 / DBL_MAX
     with pytest.raises(ValueError) as info:
         PerformanceMeasures(0.1, 0.7, 3.0, expected_travel_time=value)
     assert str(info.value) == f"expected_travel_time {value!r} not finite and positive"

@@ -71,21 +71,19 @@ class TestTandemConfig:
         with pytest.raises(TypeError):
             Scenario(sections=(section1, section2), convention="exact")
 
-    def test_decomposition_past_the_cap_is_refused_before_allocating(self, section1):
+    def test_decomposition_past_the_cap_is_refused_before_allocating(self, section1, traced_peak):
         # one rate's conditionals, two more tables of (c + 1)**2 float64 and
         # 128 kB of ufunc buffers, beside its laws, fit 256 MiB up to c = 3341
         def square(c):
             section = dataclasses.replace(section1, L=c / 0.18, c=c)
             return TandemConfig(section, section)
 
-        tracemalloc.start()
-        try:
-            assert square(3341).section2.c == 3341
-            with pytest.raises(ValueError, match=r"\(c1 = 3342, c2 = 3342\) needs 269 MB"):
-                square(3342)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        accepted, peak = traced_peak(lambda: square(3341))
+        assert accepted.section2.c == 3341
+        assert peak < 2**20
+        refused, peak = traced_peak(lambda: square(3342))
+        assert isinstance(refused, ValueError)
+        assert "(c1 = 3342, c2 = 3342) needs 269 MB" in str(refused)
         assert peak < 2**20
 
 
@@ -304,6 +302,12 @@ class TestSolveFixedPoint:
         result = solve_fixed_point(tandem_config, lam)
         assert result.theta == lam
         assert result.residual <= 1e-10
+
+    def test_a_residual_that_breaks_the_bracket_is_refused(self, tandem_config, monkeypatch):
+        # flow balance forces h(0) <= 0; a positive h(0) is a fault, not a root
+        monkeypatch.setattr(tandem, "_residual", lambda down, lam, passing, theta: np.ones(1))
+        with pytest.raises(AssertionError, match=r"fixed-point bracket lost: h\(0\)=1.0"):
+            solve_fixed_point(tandem_config, 0.8)
 
     def test_root_at_the_largest_coupled_rate(self, section1):
         # a two-vehicle downstream section at lam = 100: the road carries
