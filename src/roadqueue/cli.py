@@ -9,8 +9,8 @@ Subcommands:
     simulate         seeded Monte Carlo run vs the analytical law
     compare          analytical vs exact-solve vs simulated, with TV distances
     fit-exponential  congestion-curve fit from two anchor points
-    figure-data      canned comparison datasets: fig4..fig7 from the sweeps'
-                     per-lambda solves, fig8..fig10 presets of distributions
+    figure-data      fig4..fig7: the tandem and the Jain-Smith section side by
+                     side, from the sweeps' per-lambda solves
 
 Exit codes: 0 success, 2 configuration or usage errors, 3 numerical
 failures (singular model, non-convergence, oracle residual), 4 file I/O
@@ -61,7 +61,7 @@ from .tandem import ConvergenceError, scan_roots, solve_fixed_point, tandem_meas
 
 SPEED = "speed"
 TRAVEL_TIME = "travel-time"
-FIGURES = ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10")
+FIGURES = ("fig4", "fig5", "fig6", "fig7")
 
 _FIGURE_SWEEP = np.linspace(0.1, 2.0, 40)
 # bytes a sweep step holds until its CSV is written, tracemalloc's peak per step
@@ -153,20 +153,19 @@ def _cmd_solve_tandem(args) -> str:
     return _json(payload)
 
 
-def _distribution(
-    scenario: Scenario, lam: float, kind: str, mode: str, index: int | None
-) -> str:
+def _cmd_distributions(args) -> str:
     """Speed or travel-time law as value,probability CSV.
 
-    A two-section scenario with no section index pushes the tandem
-    marginal forward (triangular model only); otherwise section index
-    (default 1) uses its own law under the scenario's model.
+    A two-section scenario with no --section pushes the tandem marginal
+    forward (triangular model only); otherwise --section (default 1) uses
+    its own law under the scenario's model.
     """
+    scenario, index = _scenario(args), args.section
     if scenario.model == EXPONENTIAL:
         raise ValueError(
             "distributions support the triangular and linear models only"
         )
-    if scenario.model == TRIANGULAR and mode == PAPER_GRID:
+    if scenario.model == TRIANGULAR and args.mode == PAPER_GRID:
         raise ValueError("mode 'paper-grid' applies to the linear model only")
     tandem = len(scenario.sections) == 2 and index is None
     if tandem:
@@ -174,21 +173,17 @@ def _distribution(
     index = 1 if index is None else index
     section = scenario.section(index)
     if scenario.model == LINEAR:
-        maker = speed_dist_linear if kind == SPEED else travel_time_dist_linear
-        dist = maker(lam, scenario.congestion_model(index), section.L, mode=mode)
+        maker = speed_dist_linear if args.kind == SPEED else travel_time_dist_linear
+        dist = maker(args.lam, scenario.congestion_model(index), section.L, mode=args.mode)
     else:
         occupancy = (
-            solve_fixed_point(config, lam).marginal
+            solve_fixed_point(config, args.lam).marginal
             if tandem
-            else solve_birth_death(lam, scenario.rates(index))
+            else solve_birth_death(args.lam, scenario.rates(index))
         )
-        maker = speed_dist_triangular if kind == SPEED else travel_time_dist_triangular
+        maker = speed_dist_triangular if args.kind == SPEED else travel_time_dist_triangular
         dist = maker(occupancy, section)
     return _csv("value,probability", zip(dist.support, dist.probs))
-
-
-def _cmd_distributions(args) -> str:
-    return _distribution(_scenario(args), args.lam, args.kind, args.mode, args.section)
 
 
 def _sweep_grid(args, per_step: int) -> np.ndarray:
@@ -298,26 +293,12 @@ def _cmd_fit_exponential(args) -> str:
 def _cmd_figure_data(args) -> str:
     scenario = _scenario(args)
     figure = args.figure
-    if args.kind is not None and figure not in ("fig8", "fig9", "fig10"):
-        raise ValueError("--kind applies to fig8, fig9, and fig10 only")
     if args.metric is not None and figure != "fig5":
         raise ValueError("--metric applies to fig5 only")
-    if args.section is not None and figure != "fig8":
-        raise ValueError("--section applies to fig8 only")
-    kind = args.kind or SPEED
 
     linear = dataclasses.replace(scenario, model=LINEAR)
-    if figure == "fig8":
-        index = 1 if args.section is None else args.section
-        return _distribution(linear, 0.8, kind, PAPER_GRID, index)
-
     triangular = dataclasses.replace(scenario, model=TRIANGULAR)
     config = triangular.tandem()  # raises on 1-section scenarios
-    if figure in ("fig9", "fig10"):
-        # tandem-marginal pushforward at the preset arrival rate
-        lam = 0.8 if figure == "fig9" else 2.0
-        return _distribution(triangular, lam, kind, PUSHFORWARD, None)
-
     # fig4..fig7 read the tandem and the Jain-Smith sweeps side by side
     lams = (0.5, 1.0, 1.5) if figure == "fig4" else _FIGURE_SWEEP
     pairs = zip(_tandem_sweep(config, lams), _section_sweep(linear.rates(1), lams))
@@ -398,11 +379,8 @@ _COMMANDS = (
     )),
     ("figure-data", _cmd_figure_data, "canned comparison datasets for plotting", (
         ("--figure", {"choices": FIGURES, "required": True}),
-        ("--kind", {"choices": (SPEED, TRAVEL_TIME), "help": (
-            "fig8/fig9/fig10: which distribution to emit (default speed)")}),
         ("--metric", {"choices": ("count", "blocking"), "help": (
             "fig5: which panel to emit (default count)")}),
-        ("--section", {"type": int, "help": "fig8 only (default 1)"}),
     )),
 )
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .congestion import CongestionModel
-from .fundamental import RoadSection, check_integer, check_positive, service_rates
+from .fundamental import RoadSection, check_array_bytes, check_integer, check_positive, service_rates
 
 
 class SingularModelError(ValueError):
@@ -170,9 +170,10 @@ def birth_death_log_weights(lam, rates) -> np.ndarray:
     rates is one vector q_1..q_c, or a 2-D stack of such vectors giving
     one row of weights per row of rates.  lam is one birth rate, or a 1-D
     vector of m of them giving a stack of shape (m,) + the one above, each
-    with the bits of its scalar call.  Requires strictly positive rates
-    when any lam > 0; at lam = 0 the weights are their limit, 0 at n = 0
-    and -inf elsewhere, whatever the rates.
+    with the bits of its scalar call, refused with ValueError before the
+    stack is allocated if its laws would pass the 256 MiB cap.  Requires
+    strictly positive rates when any lam > 0; at lam = 0 the weights are
+    their limit, 0 at n = 0 and -inf elsewhere, whatever the rates.
     """
     births, values = check_arrival_rates(lam)
     rates = np.asarray(rates, dtype=float)
@@ -184,14 +185,20 @@ def birth_death_log_weights(lam, rates) -> np.ndarray:
             f"service rate is zero at state n={state}, where the speed law "
             "reaches 0; the stationary law does not exist"
         )
-    logw = np.zeros(births.shape + rates.shape[:-1] + (rates.shape[-1] + 1,))
-    steps = logw[..., 1:]  # log(lam / q_n), summed in place
-    idle = 0.0 in values
+    idle, states = 0.0 in values, rates.shape[-1] + 1
     # log(1) stands in for log(0) on idle rows, which take their limit below,
     # and for a zero rate, which only an all-idle call reaches
     logs = np.log(np.where(births == 0, 1.0, births) if idle else births)
     if births.ndim:  # one column per birth; a scalar broadcasts faster as is
+        # a birth's bytes at a vector solve's tracemalloc peak: its rows of
+        # weights, one law's read-only copy and that law's sum, beside 128 kB
+        # of ufunc buffers; never more than tandem._rates_that_fit counts
+        per_birth = 8 * (rates.size // (states - 1) + 1) * states + 40
+        what = f"the product form at {births.size} arrival rates"
+        check_array_bytes(what, per_birth, 2**17 + per_birth * (births.size - 1))
         logs = logs.reshape(logs.shape + (1,) * rates.ndim)
+    logw = np.zeros(births.shape + rates.shape[:-1] + (states,))
+    steps = logw[..., 1:]  # log(lam / q_n), summed in place
     np.log(np.where(rates == 0, 1.0, rates) if idle else rates, out=steps)
     np.subtract(logs, steps, out=steps)
     # np.cumsum's Python wrapper costs more than the sum on short rows

@@ -22,7 +22,8 @@ nothing, if a golden row exits with another code than its own:
   through it.  What one row's exit code and output cannot show stays a
   test function there: the fixed-point spy, the files ``--config`` reads
   and ``--output`` writes, the entry point in a subprocess, the parser's
-  pinned options, and checks of these runners, ``run_case`` and
+  pinned options, figure-data's tables as joins of other commands'
+  columns, and checks of these runners, ``run_case`` and
   ``write_goldens`` themselves.
 - ``run_installed`` starts the ``roadqueue`` executable on PATH in a fresh
   process, capped at 60 s of CPU.  Running this file does that for every
@@ -317,11 +318,12 @@ def _absorbs_at_capacity(run: Run) -> bool:
     return _one_error(run) and "convention 'exact'" in run.err and "absorbs at capacity" in run.err
 
 
-def _fig8(run: Run) -> bool:
-    # one section under the linear model, yet the loader refuses "exact" first
-    exact = run.again(["figure-data", "--figure", "fig8", "--config", "-"], EXACT_BUNDLED)
+def _paper_grid_speed(run: Run) -> bool:
+    # 28 cells, not normalized; on one section under the linear model, the
+    # loader still refuses "exact" first
+    exact = run.again([*PAPER_GRID_SPEED, "--config", "-"], EXACT_BUNDLED)
     refused = (exact.code, exact.out) == (3, "") and _absorbs_at_capacity(exact)
-    return len(_rows(run)) == 28 and refused
+    return len(_rows(run)) == 28 and sum(float(row[1]) for row in _rows(run)) < 1.0 and refused
 
 
 def _twelve_digits(run: Run) -> bool:
@@ -339,6 +341,8 @@ SIMULATE_1E4 = ("simulate", "--lambda", "0.8", "--events", "10000", "--seed", "7
 ZERO_SPEED = ("--model", "exponential", "--beta", "1", "--gamma", "10")
 FIT = ("fit-exponential", "--fit-a", "20", "--fit-va", "48", "--fit-b", "140")
 SWEEP = ("sweep", "--lambda-from", "0.1", "--lambda-to", "2")
+PAPER_GRID_SPEED = ("distributions", "--lambda", "0.8", "--model", "linear", "--mode", "paper-grid",
+                    "--section", "1")
 # sweep ends of which one is no arrival rate, each written as --flag=value
 # so that argparse reads a leading minus as a number
 SWEEP_ENDS = {"0-to-inf": ("0", "inf"), "minus-inf-to-2": ("-inf", "2"),
@@ -349,7 +353,6 @@ SECTION_ZERO = {
     "sweep": ("--lambda-from", "0.1", "--lambda-to", "2", "--steps", "3"),
     "simulate": ("--lambda", "0.8", "--events", "10000"),
     "compare": ("--lambda", "0.8", "--events", "10000"),
-    "figure-data": ("--figure", "fig8"),
 }
 # one document per loader or geometry rule, and a phrase of its refusal
 MALFORMED = {
@@ -390,7 +393,8 @@ def _named(value) -> dict[str, str]:
 
 EXACT_BUNDLED = _named("exact")["top"]
 # every subcommand that reads a scenario, with the least argv it runs on
-SCENARIO_COMMANDS = {**SECTION_ZERO, "solve-tandem": ("--lambda", "0.8")}
+SCENARIO_COMMANDS = {**SECTION_ZERO, "solve-tandem": ("--lambda", "0.8"),
+                     "figure-data": ("--figure", "fig4")}
 # 1e12 m sections hold c = 1.8e11 vehicles: refused before any per-state array
 ABSURD_LENGTH = json.dumps({"sections": [{"L": 1e12, "v_f": 28.0, "w": 14.0, "rho_j": 0.18}] * 2})
 # a geometry whose paper grid holds no value, and the grid it names, per kind
@@ -421,18 +425,20 @@ GOLDEN_ROWS = [
     _golden("distributions-speed", "distributions", "--lambda", "0.8",
             also=lambda run: _table("value,probability", 13)(run) and _law_sums_to_1(run)),
     _golden("distributions-travel-time", "distributions", "--lambda", "0.8", "--kind",
-            "travel-time", also=lambda run: _near(float(_rows(run)[0][0]), 100.0 / 28.0, 1e-9)),
+            "travel-time", also=lambda run: _near(float(_rows(run)[0][0]), 100.0 / 28.0, 1e-9)
+            and _law_sums_to_1(run)),
     _golden("distributions-section2-travel-time", "distributions", "--lambda", "1.5", "--kind",
             "travel-time", "--section", "2"),
     _golden("distributions-speed-lam0", "distributions", "--lambda", "0", "--section", "1"),
+    # the tandem pushforward past the road's capacity: the paper's figure 10
+    _golden("distributions-speed-lam2", "distributions", "--lambda", "2.0"),
+    _golden("distributions-travel-time-lam2", "distributions", "--lambda", "2.0", "--kind",
+            "travel-time", also=_law_sums_to_1),
     _golden("distributions-linear-speed", "distributions", "--lambda", "0.8", "--model", "linear",
             "--section", "1"),
     _golden("distributions-linear-travel-time", "distributions", "--lambda", "0.8", "--model",
             "linear", "--kind", "travel-time", "--section", "1"),
-    _golden("distributions-paper-grid-speed", "distributions", "--lambda", "0.8", "--model",
-            "linear", "--mode", "paper-grid", "--section", "1",
-            also=lambda run: len(_rows(run)) == 28
-            and sum(float(row[1]) for row in _rows(run)) < 1.0),
+    _golden("distributions-paper-grid-speed", *PAPER_GRID_SPEED, also=_paper_grid_speed),
     _golden("distributions-paper-grid-travel-time", "distributions", "--lambda", "0.8", "--model",
             "linear", "--mode", "paper-grid", "--kind", "travel-time", "--section", "1"),
     _golden("sweep-tandem-40", "sweep", "--lambda-from", "0.1", "--lambda-to", "2.0", "--steps",
@@ -461,14 +467,6 @@ GOLDEN_ROWS = [
       for fig in ("fig5", "fig6", "fig7")],
     _golden("figure-data-fig5-blocking", "figure-data", "--figure", "fig5", "--metric", "blocking",
             also=lambda run: all(0 <= float(row[1]) <= 1 for row in _rows(run))),
-    _golden("figure-data-fig8", "figure-data", "--figure", "fig8", also=_fig8),
-    _golden("figure-data-fig9", "figure-data", "--figure", "fig9"),
-    _golden("figure-data-fig10", "figure-data", "--figure", "fig10"),
-    _golden("figure-data-fig8-travel-time", "figure-data", "--figure", "fig8", "--kind",
-            "travel-time"),
-    *[_golden(f"figure-data-{fig}-travel-time", "figure-data", "--figure", fig, "--kind",
-              "travel-time", also=_law_sums_to_1)
-      for fig in ("fig9", "fig10")],
 ]
 
 CASES = [
@@ -507,7 +505,6 @@ CASES = [
          ("solve-section", "--lambda", "0", "--model", "exponential", "--beta", "1",
           "--gamma", "1000"),
          check=lambda run: run.err == "" and _doc(run)["distribution"][0] == 1.0),
-    Case("distributions-2-travel-time", ("distributions", "--lambda", "2.0", "--kind", "travel-time")),
     # the saturated marginal's pushforward keeps its blocking in [0, 1]
     Case("distributions-1e300-travel-time",
          ("distributions", "--lambda", "1e300", "--kind", "travel-time")),
@@ -553,7 +550,7 @@ CASES = [
     *[Case(f"linear-config-{fig}", ("figure-data", "--figure", fig, "--config", "-"),
            stdin=LINEAR_BUNDLED,
            check=lambda run, same=_same_as(f"figure-data-{fig}"): same(run) and run.err == "")
-      for fig in ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10")],
+      for fig in ("fig4", "fig5", "fig6", "fig7")],
     # -- refusals: nothing on stdout, no --output file written
     Case("sweep-one-step", (*SWEEP, "--steps", "1"), 2, _one_error),
     Case("sweep-reversed", ("sweep", "--lambda-from", "2", "--lambda-to", "0.1", "--steps", "3"),
@@ -582,8 +579,6 @@ CASES = [
     *[Case(f"{command}-exact-config", (command, *argv, "--config", "-"), 3, _absorbs_at_capacity,
            stdin=EXACT_BUNDLED)
       for command, argv in SCENARIO_COMMANDS.items()],
-    Case("fig9-exact", ("figure-data", "--figure", "fig9", "--config", "-"), 3,
-         _absorbs_at_capacity, stdin=EXACT_BUNDLED),
     # any other value is no convention
     *[Case(f"convention-{value}-{where}", ("solve-section", "--lambda", "0.8", "--config", "-"), 2,
            lambda run: _one_error(run) and "convention must be 'shifted'" in run.err, stdin=doc)
@@ -596,10 +591,12 @@ CASES = [
                "best bracket [0.45372928604317525, 0.4537292860431753]")),
     *[Case(f"solve-tandem-tol-{value}", ("solve-tandem", "--lambda", "0.8", "--tol", value), 2)
       for value in ("inf", "nan")],
-    # options with one working value are gone, not ignored
+    # options with one working value, and those of figure-data's presets, are gone, not ignored
     *[Case(f"{argv[0]}-no-{argv[-2][2:]}", argv, 2, _says("unrecognized arguments"))
       for argv in (("solve-tandem", "--lambda", "0.8", "--max-iter", "5"),
                    ("distributions", "--lambda", "0.8", "--beta", "1"),
+                   *[("figure-data", "--figure", "fig4", *option)
+                     for option in (("--kind", "speed"), ("--section", "1"), ("--model", "linear"))],
                    *[(command, *argv, "--convention", "shifted")
                      for command, argv in SCENARIO_COMMANDS.items()])],
     # a rate too small to time the run's events in floats
@@ -677,9 +674,9 @@ CASES = [
          _says("distributions support the triangular and linear models only"),
          stdin=json.dumps({**json.loads(_bundled()), "model": "exponential", "beta": 9.5,
                            "gamma": 1.8})),
-    Case("fig4-kind", ("figure-data", "--figure", "fig4", "--kind", "speed"), 2),
-    Case("fig9-section", ("figure-data", "--figure", "fig9", "--section", "2"), 2),
-    Case("fig8-model", ("figure-data", "--figure", "fig8", "--model", "linear"), 2),
+    # the distributions presets are gone: distributions prints the paper's figures 8-10
+    *[Case(f"figure-data-no-{fig}", ("figure-data", "--figure", fig), 2, _says("invalid choice"))
+      for fig in ("fig8", "fig9", "fig10")],
     Case("fig6-metric", ("figure-data", "--figure", "fig6", "--metric", "count"), 2),
     Case("missing-config",
          ("solve-section", "--lambda", "0.5", "--config", os.path.join(os.devnull, "missing.json")),
@@ -721,9 +718,6 @@ CASES = [
            lambda run: _one_error(run) and "MiB cap" in run.err, stdin=json.dumps(geometry),
            peak_mb=100)
       for kind, geometry in HUGE_GRIDS.items()],
-    Case("fig8-past-the-cap", ("figure-data", "--figure", "fig8", "--config", "-"), 2,
-         lambda run: _one_error(run) and "MiB cap" in run.err,
-         stdin=json.dumps(HUGE_GRIDS["speed"]), peak_mb=100),
     *[Case(f"sweep{name}-steps-past-the-cap", (*SWEEP, "--steps", "100000000000", *section), 2,
            lambda run: _one_error(run) and "a sweep of 100000000000 steps" in run.err,
            peak_mb=100)

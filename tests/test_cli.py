@@ -4,8 +4,8 @@ Every run that only reads an exit code, stdout or stderr is a row of that
 table, and ``test_cli_case`` runs each row in process.  What stays here
 needs more than one run's output: a spy on the fixed point, the files that
 ``--config`` reads and ``--output`` writes, the installed entry point in a
-subprocess, the parser object itself, and the table's own bookkeeping and
-runners.
+subprocess, figure-data's tables against the commands they join, the
+parser object itself, and the table's own bookkeeping and runners.
 """
 
 import argparse
@@ -39,6 +39,14 @@ def test_cli_case_names_are_unique():
 def test_golden_files_and_golden_rows_match_one_to_one():
     files = sorted(path.stem for path in GOLDEN_DIR.glob("*.txt"))
     assert files == sorted(case.name for case in GOLDEN_ROWS)
+
+
+def test_no_two_golden_files_share_bytes():
+    # a command that only aliases another one would copy that one's golden
+    names = {}
+    for path in sorted(GOLDEN_DIR.glob("*.txt")):
+        names.setdefault(path.read_bytes(), []).append(path.stem)
+    assert [same for same in names.values() if len(same) > 1] == []
 
 
 def test_split_tv_blanks_only_the_tv_values():
@@ -189,6 +197,48 @@ def test_tandem_sweep_makes_one_fixed_point_call(monkeypatch, argv):
     assert len(calls[0]) == 40
 
 
+def _columns(argv) -> dict[str, tuple[str, ...]]:
+    """Each column of the CSV that argv prints, by its header."""
+    run = run_in_process(argv)
+    assert run.code == 0, run.err
+    header, *rows = run.out.splitlines()
+    return dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+
+
+SWEEP_40 = ("sweep", "--lambda-from", "0.1", "--lambda-to", "2.0", "--steps", "40")
+
+
+def _sweeps(ours: str, jain_smith: str) -> dict[str, tuple[str, ...]]:
+    """A column of the tandem sweep beside one of the section-1 linear sweep."""
+    tandem, section = _columns(SWEEP_40), _columns((*SWEEP_40, "--section", "1", "--model", "linear"))
+    assert tandem["lambda"] == section["lambda"]
+    return {"lambda": tandem["lambda"], "ours": tandem[ours], "jain_smith": section[jain_smith]}
+
+
+def _laws() -> dict[str, tuple[str, ...]]:
+    """solve-tandem's marginal beside solve-section's linear law at three loads."""
+    rows = []
+    for lam in ("0.5", "1", "1.5"):
+        ours = json.loads(run_in_process(["solve-tandem", "--lambda", lam]).out)["marginal"]
+        section = run_in_process(["solve-section", "--lambda", lam, "--model", "linear"])
+        rows += [(lam, str(n), format(a, ".12g"), format(b, ".12g"))
+                 for n, (a, b) in enumerate(zip(ours, json.loads(section.out)["distribution"]))]
+    return dict(zip(("lambda", "n", "ours", "jain_smith"), zip(*rows)))
+
+
+# figure-data prints no number of its own: each figure is a join of the
+# columns other commands print
+@pytest.mark.parametrize("figure, join", [
+    (("fig4",), _laws),
+    (("fig5",), lambda: _sweeps("expected_count", "expected_count")),
+    (("fig5", "--metric", "blocking"), lambda: _sweeps("blocking", "blocking")),
+    (("fig6",), lambda: _sweeps("travel_time", "travel_time")),
+    (("fig7",), lambda: _sweeps("theta", "throughput")),
+], ids=["fig4", "fig5", "fig5-blocking", "fig6", "fig7"])
+def test_figures_are_joins_of_other_commands(figure, join):
+    assert _columns(("figure-data", "--figure", *figure)) == join()
+
+
 def test_output_file(tmp_path):
     path = tmp_path / "law.json"
     run = run_in_process(["solve-section", "--lambda", "0.5", "--output", str(path)])
@@ -271,13 +321,9 @@ PARSER_SURFACE = {
     ],
     "figure-data": [
         HELP, CONFIG, OUTPUT,
-        ("figure", ("--figure",), None,
-         ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"), True, None, None),
-        ("kind", ("--kind",), None, ("speed", "travel-time"), False, None,
-         "fig8/fig9/fig10: which distribution to emit (default speed)"),
+        ("figure", ("--figure",), None, ("fig4", "fig5", "fig6", "fig7"), True, None, None),
         ("metric", ("--metric",), None, ("count", "blocking"), False, None,
          "fig5: which panel to emit (default count)"),
-        ("section", ("--section",), None, None, False, "int", "fig8 only (default 1)"),
     ],
 }
 # each subcommand's own help, as the top-level --help lists it

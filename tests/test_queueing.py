@@ -17,6 +17,7 @@ from roadqueue import (
     solve_birth_death,
     solve_triangular,
 )
+from roadqueue import fundamental
 from roadqueue.queueing import birth_death_laws, birth_death_log_weights, jain_smith_rates
 from roadqueue.fundamental import service_rates
 from roadqueue.tandem import conditional_matrix
@@ -219,6 +220,27 @@ class TestVectorBirths:
                 birth_death_laws(births, rates)
             birth_death_laws([0.0, 0.0], np.zeros_like(rates))
             solve_birth_death([0.0, 0.0], [1.0, 0.0])
+
+    @pytest.mark.parametrize("solve, rates", [
+        (solve_birth_death, np.linspace(0.1, 1.0, 18)),
+        (solve_birth_death, np.linspace(0.1, 1.0, 180)),
+        (birth_death_laws, np.linspace(0.1, 1.0, 18 * 19).reshape(19, 18)),
+    ], ids=["c18", "c180", "stack-c18"])
+    def test_vector_past_the_cap_is_refused_before_its_laws(self, monkeypatch, traced_peak, solve,
+                                                            rates):
+        # a vector solve peaks at 16 (c + 1) + 40 bytes a birth beside 128 kB
+        # of ufunc buffers, a stack of R rate rows at 8 (R + 1) (c + 1) + 40:
+        # the most births that fit are solved under the cap, and one more is
+        # refused before a law is allocated
+        rows, states, cap = rates.size // rates.shape[-1], rates.shape[-1] + 1, 4 * 2**20
+        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", cap)
+        fits = (cap - 2**17) // (8 * (rows + 1) * states + 40)
+        inside, past = np.linspace(0.0, 2.0, fits), np.linspace(0.0, 2.0, fits + 1)
+        laws, peak = traced_peak(lambda: solve(inside, rates))
+        assert laws.shape == (fits, *rates.shape[:-1], states) and 2**20 < peak <= cap
+        refused, peak = traced_peak(lambda: solve(past, rates))
+        assert isinstance(refused, ValueError) and peak < 2**20
+        assert str(refused).startswith(f"the product form at {fits + 1} arrival rates needs 4 MB")
 
 
 class TestJainSmith:

@@ -19,7 +19,7 @@ from roadqueue import (
     solve_triangular,
     tandem_measures,
 )
-from roadqueue import fundamental, tandem
+from roadqueue import fundamental, queueing, tandem
 from roadqueue.tandem import _SCAN_POINTS, FixedPointResult, _residual, conditional_matrix
 
 # converged marginal of the benchmark tandem at lam = 1, theta = 0.6,
@@ -385,6 +385,18 @@ class TestBatchedFixedPoint:
             assert (a.theta, a.residual, a.iterations) == (b.theta, b.residual, b.iterations)
             assert a.marginal.probs.tobytes() == b.marginal.probs.tobytes()
             assert a.downstream.probs.tobytes() == b.downstream.probs.tobytes()
+        # the product form's own guard sized each run's laws and refused none,
+        # as it never counts more bytes a rate than _rates_that_fit
+        guarded = []
+
+        def guard(what, *sizes):
+            guarded.append(what)
+            return fundamental.check_array_bytes(what, *sizes)
+
+        monkeypatch.setattr(queueing, "check_array_bytes", guard)
+        solve_fixed_point(config, lams)
+        size = tandem._rates_that_fit(config, k)
+        assert size < k and f"the product form at {size} arrival rates" in guarded
 
     def test_results_past_the_cap_are_refused(self, tandem_config, monkeypatch):
         # each result keeps its two laws and objects until the call returns,
