@@ -45,7 +45,7 @@ _SIM_BUFFER = 1 << 12
 
 
 class OracleError(RuntimeError):
-    """The oracle itself could not produce a trustworthy answer."""
+    """The oracle ran and could not produce a trustworthy answer; a size refusal is a ValueError."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,13 +80,13 @@ def exact_stationary(generator) -> np.ndarray:
     band, the largest |i - j| of a nonzero entry: no dense solve.  It needs
     every state to reach a lower-numbered one once the states above it are
     censored, so a chain absorbing above state 0 (a birth-death chain
-    with a zero rate) raises OracleError.  The result is
-    verified: residual ||pi Q||_inf within the same bound, and no
-    meaningfully negative mass.  What the solve holds beside the generator,
-    about 9 bytes a matrix entry and 8 * band**2 for GTH's rank-one update,
-    must fit under the 256 MiB cap with it, or OracleError is raised before
-    any of it is allocated: a birth-death chain solves up to c = 3967, a
-    dense generator up to N = 3273 states.  So does a law past the float range.
+    with a zero rate) raises OracleError, as does a law past the float range.
+    The result is verified: residual ||pi Q||_inf within the same bound, and
+    no meaningfully negative mass, or OracleError.  What the solve holds beside
+    the generator, about 9 bytes a matrix entry and 8 * band**2 for GTH's
+    rank-one update, must fit under the 256 MiB cap with it, or ValueError is
+    raised before any of it is allocated: a birth-death chain solves up to
+    c = 3967, a dense generator up to N = 3273 states.
     """
     q = np.asarray(generator, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
@@ -94,7 +94,7 @@ def exact_stationary(generator) -> np.ndarray:
     n = q.shape[0]
     # the outermost diagonal holding a nonzero entry, read through views only
     band = next((k for k in range(n - 1, 0, -1) if q.diagonal(k).any() or q.diagonal(-k).any()), 0)
-    check_array_bytes(f"GTH elimination on {n} states", _gth_bytes(n, band), q.nbytes, OracleError)
+    check_array_bytes(f"GTH elimination on {n} states", _gth_bytes(n, band), q.nbytes)
     mask = q < 0
     np.fill_diagonal(mask, False)
     if mask.any():
@@ -180,13 +180,13 @@ def _verify(pi: np.ndarray, residual: float, tol: float) -> None:
 def birth_death_chain(lam: float, rates) -> np.ndarray:
     """Loss-system birth-death generator on {0..c}: births lam, deaths q_n.
 
-    Past exact_stationary's limit (c > 3967) it raises OracleError before allocating.
+    Past exact_stationary's limit (c > 3967) it raises ValueError before allocating.
     """
     check_arrival_rate("birth_death_chain", lam)
     rates = check_rates(rates)
     c = rates.size
     what = f"GTH elimination on {c + 1} states (c = {c})"
-    check_array_bytes(what, _gth_bytes(c + 1, 1), 8 * (c + 1) ** 2, OracleError)
+    check_array_bytes(what, _gth_bytes(c + 1, 1), 8 * (c + 1) ** 2)
     gen = np.zeros((c + 1, c + 1))
     n = np.arange(c)
     gen[n, n + 1] = lam
@@ -212,29 +212,32 @@ def tandem_stationary(config: TandemConfig, lam) -> np.ndarray:
     own, as exact_stationary's is, blockwise.
     A TandemConfig is shifted, so the chain is irreducible: one law.
     One law stores 8 * c1 * (c2 + 1)**2 bytes of blocks and works beside
-    them on level and law arrays: past 256 MiB with those (c1 = c2 > 317)
-    it raises OracleError before allocating, and a batch is split into runs
-    that fit under that cap together, so memory grows with the batch up to
-    the cap (about 3 MB for 40 rates at c = 18).
+    them on level and law arrays: past 256 MiB with those (c1 = c2 > 317), or
+    with every rate's law kept in one array, it raises ValueError before a
+    rate is read (OracleError is only for a run that fails its checks); a
+    batch runs in pieces that fit beside those laws, so memory grows with the
+    batch up to the cap (about 3 MB for 40 rates at c = 18).
     Up to c2 = 180, where a split's halves have at most 91 rows, the law has
     the same bits on one and two OpenBLAS threads; at c2 = 250 and 317 its last
     bits follow the thread count: it is reproducible to about 1e-15, not bitwise.
     """
+    fits = _run_size(config, np.size(lam))  # every law is kept beside the runs
     lams, _ = check_arrival_rates(lam)
-    pi = np.concatenate(list(_runs(config, lams.reshape(-1))))
+    pi = np.empty((lams.size, config.section1.c + 1, config.section2.c + 1))
+    for i in range(0, lams.size, fits):
+        pi[i : i + fits] = _level_reduction(config, lams.reshape(-1)[i : i + fits])
     return pi.reshape(lams.shape + pi.shape[1:])
 
 
-def _runs(config: TandemConfig, lams: np.ndarray):
-    """The laws of a 1-D vector of rates, one stack per run that fits under the cap."""
+def _run_size(config: TandemConfig, laws: int = 0) -> int:
+    """Rates a run of the level reduction may hold under the cap beside the laws a caller keeps."""
     c1, c2 = config.section1.c, config.section2.c
-    what = f"the joint chain's level reduction (c1 = {c1}, c2 = {c2})"
-    # a rate's blocks, five more levels and six (c1 + 1) x (c2 + 1) tables;
-    # beside the runs, two levels of rate tables and numpy's ufunc buffers
+    kept = f" beside {laws} law(s)" if laws else ""
+    what = f"the joint chain's level reduction (c1 = {c1}, c2 = {c2}){kept}"
+    # a rate's blocks, five more levels and six (c1 + 1) x (c2 + 1) tables; beside
+    # the runs, two levels of rate tables, the kept laws and numpy's ufunc buffers
     per_rate = 8 * (c2 + 1) * ((c1 + 5) * (c2 + 1) + 6 * (c1 + 1))
-    fits = check_array_bytes(what, per_rate, 2**17 + 16 * (c2 + 1) ** 2, OracleError)
-    for i in range(0, max(lams.size, 1), fits):  # an empty batch is one empty run
-        yield _level_reduction(config, lams[i : i + fits])
+    return check_array_bytes(what, per_rate, 2**17 + 8 * (c2 + 1) * (2 * c2 + 2 + laws * (c1 + 1)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # levels overflowing past lam ~ 1e17 are refused
@@ -323,8 +326,9 @@ def decomposition_diagnostic(config: TandemConfig, lam, marginal_probs):
     quality report for the decomposition, not a correctness bound: the
     decomposition is an approximation of the joint chain by design.
     """
-    lams, _ = check_arrival_rates(lam)
-    runs = _runs(config, lams.reshape(-1))
+    fits, (lams, _) = _run_size(config), check_arrival_rates(lam)
+    batch = lams.reshape(-1)  # an empty batch is one empty run
+    runs = (_level_reduction(config, batch[i : i + fits]) for i in range(0, batch.size or 1, fits))
     # map, unlike a loop variable, holds no run's laws while the next is solved
     marginals = np.concatenate(list(map(partial(np.sum, axis=-1), runs)))
     return tv_distance(marginals.reshape(lams.shape + marginals.shape[1:]), marginal_probs)

@@ -123,22 +123,15 @@ def _pushforward(
     return _merge_atoms(values, dist.probs[held])
 
 
-def _triangular_law(dist, section: RoadSection, convention: str, times: bool):
-    if convention != SHIFTED:
-        raise ValueError(f"convention must be {SHIFTED!r}, got {convention!r}")
+def _triangular_law(dist, section: RoadSection, times: bool):
     return _pushforward(dist, service_rates(section), section.L, section.diagram.v_f, times)
 
 
 def speed_dist_triangular(
-    dist: OccupancyDistribution, section: RoadSection, convention: str = SHIFTED
+    dist: OccupancyDistribution, section: RoadSection
 ) -> DiscreteDistribution:
-    """Pushforward of an occupancy law to per-state speeds.
-
-    convention stays only while the benchmark's pushforward call passes it:
-    "shifted", the one service-rate convention, is the only value, and any
-    other raises ValueError rather than being ignored.
-    """
-    return _triangular_law(dist, section, convention, False)
+    """Pushforward of an occupancy law to per-state speeds."""
+    return _triangular_law(dist, section, False)
 
 
 def travel_time_dist_triangular(
@@ -146,9 +139,13 @@ def travel_time_dist_triangular(
 ) -> DiscreteDistribution:
     """Pushforward of an occupancy law to transit times L / v_n.
 
-    convention must be "shifted", as in speed_dist_triangular.
+    convention stays only while the benchmark's pushforward call passes it:
+    "shifted", the one service-rate convention, is the only value, and any
+    other raises ValueError rather than being ignored.
     """
-    return _triangular_law(dist, section, convention, True)
+    if convention != SHIFTED:
+        raise ValueError(f"convention must be {SHIFTED!r}, got {convention!r}")
+    return _triangular_law(dist, section, True)
 
 
 def _grid_cell_weights(logw: np.ndarray, indices: np.ndarray) -> np.ndarray:

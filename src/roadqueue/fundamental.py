@@ -57,11 +57,11 @@ def check_integer(name: str, value, least: int) -> int:
     return int(whole)
 
 
-def check_array_bytes(what: str, per_item: int, reserve: int = 0, error=ValueError) -> int:
-    """Items of per_item bytes that fit beside reserve bytes under the cap; none raises error."""
+def check_array_bytes(what: str, per_item: int, reserve: int = 0) -> int:
+    """Items of per_item bytes that fit beside reserve bytes under the cap, or ValueError."""
     fits = (_ARRAY_CAP_BYTES - reserve) // per_item
     if fits < 1:
-        raise error(
+        raise ValueError(
             f"{what} needs {(reserve + per_item) / 10**6:.0f} MB, "
             f"above the {_ARRAY_CAP_BYTES >> 20} MiB cap"
         )

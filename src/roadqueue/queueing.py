@@ -170,14 +170,22 @@ def birth_death_log_weights(lam, rates) -> np.ndarray:
     rates is one vector q_1..q_c, or a 2-D stack of such vectors giving
     one row of weights per row of rates.  lam is one birth rate, or a 1-D
     vector of m of them giving a stack of shape (m,) + the one above, each
-    with the bits of its scalar call, refused with ValueError before the
-    stack is allocated if its laws would pass the 256 MiB cap.  Requires
-    strictly positive rates when any lam > 0; at lam = 0 the weights are
-    their limit, 0 at n = 0 and -inf elsewhere, whatever the rates.
+    with the bits of its scalar call, refused with ValueError from its
+    shape, before a rate is read, if its laws would pass the 256 MiB cap.
+    Requires strictly positive rates when any lam > 0; at lam = 0 the
+    weights are their limit, 0 at n = 0 and -inf elsewhere, whatever the rates.
     """
-    births, values = check_arrival_rates(lam)
-    rates = np.asarray(rates, dtype=float)
+    births, rates = np.asarray(lam, dtype=float), np.asarray(rates, dtype=float)
     check_rates(rates.reshape(-1) if rates.ndim == 2 else rates)  # a stack, as one vector
+    states = rates.shape[-1] + 1
+    if births.ndim:
+        # a birth's bytes at a vector solve's tracemalloc peak: its rows of
+        # weights, one law's read-only copy and that law's sum, beside 128 kB
+        # of ufunc buffers; never more than tandem._rates_that_fit counts
+        per_birth = 8 * (rates.size // (states - 1) + 1) * states + 40
+        what = f"the product form at {births.size} arrival rates"
+        check_array_bytes(what, per_birth, 2**17 + per_birth * (births.size - 1))
+    births, values = check_arrival_rates(births)
     if any(values) and not rates.all():
         # state indices are 1-based: rates[..., i] serves state i+1
         state = np.nonzero(rates == 0)[-1][0] + 1
@@ -185,17 +193,11 @@ def birth_death_log_weights(lam, rates) -> np.ndarray:
             f"service rate is zero at state n={state}, where the speed law "
             "reaches 0; the stationary law does not exist"
         )
-    idle, states = 0.0 in values, rates.shape[-1] + 1
+    idle = 0.0 in values
     # log(1) stands in for log(0) on idle rows, which take their limit below,
     # and for a zero rate, which only an all-idle call reaches
     logs = np.log(np.where(births == 0, 1.0, births) if idle else births)
     if births.ndim:  # one column per birth; a scalar broadcasts faster as is
-        # a birth's bytes at a vector solve's tracemalloc peak: its rows of
-        # weights, one law's read-only copy and that law's sum, beside 128 kB
-        # of ufunc buffers; never more than tandem._rates_that_fit counts
-        per_birth = 8 * (rates.size // (states - 1) + 1) * states + 40
-        what = f"the product form at {births.size} arrival rates"
-        check_array_bytes(what, per_birth, 2**17 + per_birth * (births.size - 1))
         logs = logs.reshape(logs.shape + (1,) * rates.ndim)
     logw = np.zeros(births.shape + rates.shape[:-1] + (states,))
     steps = logw[..., 1:]  # log(lam / q_n), summed in place
@@ -223,10 +225,10 @@ def solve_birth_death(lam, rates):
 
     A 1-D vector of births gives the checked, read-only stack of their laws.
     """
-    laws, births = birth_death_laws(lam, rates), np.ndim(lam)
-    if laws.ndim != births + 1:  # a stack of rates: refused, as each law takes one vector
+    if np.ndim(rates) != 1:  # a stack of rates: refused, as each law takes one vector
         check_rates(rates)
-    return frozen_probs(laws) if births else OccupancyDistribution(laws)
+    laws = birth_death_laws(lam, rates)
+    return frozen_probs(laws) if np.ndim(lam) else OccupancyDistribution(laws)
 
 
 def jain_smith_rates(L: float, model: CongestionModel) -> np.ndarray:

@@ -176,10 +176,10 @@ def solve_fixed_point(config: TandemConfig, lam, tol: float = 1e-10, max_iter: i
     A batch runs in pieces of _rates_that_fit rates beside every rate's
     result, so it stays under the 256 MiB cap or raises ValueError.
     """
+    fits = _rates_that_fit(config, np.size(lam))  # from lam's shape, before a rate is read
     lams, values = check_arrival_rates(lam)
     check_positive(tol=tol)
     max_iter = check_integer("max_iter", max_iter, 1)
-    fits = _rates_that_fit(config, len(values))
     if len(values) > fits:
         runs = (values[i : i + fits] for i in range(0, len(values), fits))
         return [r for run in runs for r in solve_fixed_point(config, run, tol, max_iter)]

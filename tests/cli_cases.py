@@ -630,7 +630,7 @@ CASES = [
     # c = 4500: the generator would fit under the cap, but the oracle's copy
     # beside it would not, so compare refuses before building either
     Case("compare-c4500-refused-small",
-         ("compare", "--lambda", "0.8", "--events", "10000", "--config", "-"), 3,
+         ("compare", "--lambda", "0.8", "--events", "10000", "--config", "-"), 2,
          stdin=json.dumps({"L": 25000, "v_f": 28, "w": 14, "rho_j": 0.18}), peak_mb=100),
     # ln(v_a / v_f) = ln(v_b / v_f) in floats: no ZeroDivisionError traceback
     Case("fit-colliding-anchors",
@@ -724,8 +724,16 @@ CASES = [
       for name, section in (("", ()), ("-section", ("--section", "1")))],
     # 40 km holds c = 7200: its dense generator would pass 256 MiB
     Case("compare-oversized-generator",
-         ("compare", "--lambda", "0.8", "--events", "10000", "--config", "-"), 3,
+         ("compare", "--lambda", "0.8", "--events", "10000", "--config", "-"), 2,
          _says("256 MiB cap"), stdin=json.dumps({**SECTION_1, "L": 40000.0, "c": 7200})),
+    # 2 km holds c = 360: the decomposition fits, the joint-chain oracle's
+    # level reduction does not, and is refused as input before it runs
+    *[Case(f"{command}-oracle-past-the-cap", (*argv, "--config", "-"), 2,
+           lambda run: run.err == "error: the joint chain's level reduction (c1 = 360, c2 = 360) "
+                                  "needs 389 MB, above the 256 MiB cap\n",
+           stdin=_bundled(2000.0))
+      for command, argv in (("solve-tandem", ("solve-tandem", "--lambda", "0.8")),
+                            ("sweep", (*SWEEP, "--steps", "3")))],
 ]
 
 

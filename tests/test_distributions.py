@@ -167,13 +167,16 @@ class TestTriangularPushforward:
 
     @pytest.mark.parametrize("convention", ["exact", "Shifted", None])
     def test_a_convention_but_shifted_is_refused(self, section1, convention):
+        # only the travel-time pushforward takes a convention
         occ = solve_triangular(0.8, section1)
-        for pushforward in (speed_dist_triangular, travel_time_dist_triangular):
-            with pytest.raises(ValueError, match="convention must be 'shifted'"):
-                pushforward(occ, section1, convention)
-            named, default = pushforward(occ, section1, "shifted"), pushforward(occ, section1)
-            assert (named.support.tolist(), named.probs.tolist()) == (
-                default.support.tolist(), default.probs.tolist())
+        with pytest.raises(ValueError, match="convention must be 'shifted'"):
+            travel_time_dist_triangular(occ, section1, convention)
+        named = travel_time_dist_triangular(occ, section1, "shifted")
+        default = travel_time_dist_triangular(occ, section1)
+        assert (named.support.tolist(), named.probs.tolist()) == (
+            default.support.tolist(), default.probs.tolist())
+        with pytest.raises(TypeError):
+            speed_dist_triangular(occ, section1, convention)
 
     def test_state_at_n_cr_moves_at_its_rate(self):
         # c = 22 and n_cr = round(3.67) = 4, but state 4 is already served

@@ -2,11 +2,15 @@
 whole message at every site its table names."""
 
 import argparse
+import ast
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import roadqueue
 from roadqueue import (
     ExponentialCongestionModel,
     FitAnchors,
@@ -20,6 +24,7 @@ from roadqueue import (
     TriangularDiagram,
     birth_death_chain,
     decomposition_diagnostic,
+    exact_stationary,
     measures,
     scan_roots,
     simulate,
@@ -32,8 +37,9 @@ from roadqueue import (
     travel_time_dist_linear,
     travel_time_dist_triangular,
 )
-from roadqueue import cli
+from roadqueue import cli, ctmc, distributions, fundamental, queueing, tandem
 from roadqueue.queueing import jain_smith_rates
+from roadqueue.tandem import conditional_matrix
 
 DIAGRAM = TriangularDiagram(v_f=28.0, w=14.0, rho_j=0.18)
 SECTION = RoadSection(L=100.0, diagram=DIAGRAM)
@@ -211,6 +217,131 @@ ARRIVAL_SITES = {
     ),
 }
 VECTOR_SITES = [site for site, (_, vectors) in ARRIVAL_SITES.items() if vectors]
+
+# each site of the size check, just past the real 256 MiB cap (or, for the
+# three vectors of lam, at a count whose list of floats alone passes 1 MiB):
+# its inputs, built before the peak is traced, the call on them, and what
+# the whole refusal says the call needs
+CAPACITY_PAST_THE_CAP = "capacity c = 33554432 at one float64 a state needs 268 MB"
+SIZE_SITES = {
+    "RoadSection": (
+        lambda: [2**25 / 0.18], lambda L: RoadSection(L=L, diagram=DIAGRAM), CAPACITY_PAST_THE_CAP
+    ),
+    "LinearCongestionModel": (
+        lambda: [2**25], lambda c: LinearCongestionModel(v_f=28.0, c=c), CAPACITY_PAST_THE_CAP
+    ),
+    "ExponentialCongestionModel": (
+        lambda: [2**25],
+        lambda c: ExponentialCongestionModel(v_f=28.0, beta=9.5, gamma=1.8, c=c),
+        CAPACITY_PAST_THE_CAP,
+    ),
+    "TandemConfig": (
+        lambda: [RoadSection(L=3342 / 0.18, diagram=DIAGRAM)],
+        lambda section: TandemConfig(section, section),
+        "the decomposition at 1 rate(s) (c1 = 3342, c2 = 3342) needs 269 MB",
+    ),
+    "solve_fixed_point": (
+        lambda: [np.linspace(0.1, 2.0, 250_000)],
+        lambda lams: solve_fixed_point(TANDEM, lams),
+        "the decomposition at 250000 rate(s) (c1 = 18, c2 = 18) needs 332 MB",
+    ),
+    "solve_birth_death": (
+        lambda: [np.linspace(0.1, 2.0, 800_000)],
+        lambda lams: solve_birth_death(lams, RATES),
+        "the product form at 800000 arrival rates needs 275 MB",
+    ),
+    "solve_birth_death at c = 10**4": (
+        lambda: [np.linspace(0.1, 2.0, 10**6), np.ones(10**4)],
+        solve_birth_death,
+        "the product form at 1000000 arrival rates needs 160056 MB",
+    ),
+    "conditional_matrix": (
+        lambda: [np.linspace(0.1, 2.0, 87_113)],
+        lambda lams: conditional_matrix(TANDEM, lams),
+        "the product form at 87113 arrival rates needs 268 MB",
+    ),
+    "exact_stationary": (
+        lambda: [np.broadcast_to(np.ones(1), (3274, 3274))],
+        exact_stationary,
+        "GTH elimination on 3274 states needs 268 MB",
+    ),
+    "birth_death_chain": (
+        lambda: [np.ones(3968)],
+        lambda rates: birth_death_chain(0.8, rates),
+        "GTH elimination on 3969 states (c = 3968) needs 268 MB",
+    ),
+    "tandem_stationary": (
+        lambda: [RoadSection(L=318 / 0.18, diagram=DIAGRAM)],
+        lambda section: tandem_stationary(TandemConfig(section, section), 0.8),
+        "the joint chain's level reduction (c1 = 318, c2 = 318) beside 1 law(s) needs 270 MB",
+    ),
+    # every law is kept, so 100000 of them pass the cap at c = 18
+    "tandem_stationary over 100000 rates": (
+        lambda: [np.linspace(0.1, 2.0, 100_000)],
+        lambda lams: tandem_stationary(TANDEM, lams),
+        "the joint chain's level reduction (c1 = 18, c2 = 18) beside 100000 law(s) needs 289 MB",
+    ),
+    "decomposition_diagnostic": (
+        lambda: [RoadSection(L=318 / 0.18, diagram=DIAGRAM), np.full(319, 1 / 319)],
+        lambda section, marginal: decomposition_diagnostic(
+            TandemConfig(section, section), 0.8, marginal
+        ),
+        "the joint chain's level reduction (c1 = 318, c2 = 318) needs 270 MB",
+    ),
+    "sweep --steps": (
+        lambda: [argparse.Namespace(steps=2**19 + 1, lambda_from=0.1, lambda_to=2.0)],
+        lambda args: cli._sweep_grid(args, cli._SECTION_STEP_BYTES),
+        "a sweep of 524289 steps needs 268 MB",
+    ),
+    "speed_dist_linear paper-grid": (
+        lambda: [LinearCongestionModel(v_f=2.0**20 + 1, c=18)],
+        lambda model: speed_dist_linear(0.8, model, 100.0, mode="paper-grid"),
+        "the paper-grid speed grid of 1.049e+06 cells needs 268 MB",
+    ),
+    "travel_time_dist_linear paper-grid": (
+        lambda: [1087412.0],
+        lambda L: travel_time_dist_linear(0.8, LINEAR, L, mode="paper-grid"),
+        "the paper-grid time grid of 1.049e+06 cells needs 268 MB",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", list(SIZE_SITES))
+def test_past_the_cap_is_refused_before_allocating(site, traced_peak):
+    # a ValueError, as for any input, asked before anything the size of the
+    # cap exists: not an OracleError, and not after a Python float per rate
+    build, call, needs = SIZE_SITES[site]
+    inputs = build()
+    refused, peak = traced_peak(lambda: call(*inputs))
+    assert isinstance(refused, ValueError)
+    assert str(refused) == f"{needs}, above the 256 MiB cap"
+    assert peak < 2**20
+
+
+def test_every_size_check_has_a_row(monkeypatch):
+    # each call of check_array_bytes in src/, named by its file and function,
+    # is reached by some row of SIZE_SITES
+    calls = {
+        (path.name, function.name)
+        for path in Path(roadqueue.__file__).parent.glob("*.py")
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_array_bytes"
+    }
+    reached, check = set(), fundamental.check_array_bytes
+
+    def spy(*args):
+        caller = sys._getframe(1).f_code
+        reached.add((Path(caller.co_filename).name, caller.co_name))
+        return check(*args)
+
+    for module in (fundamental, queueing, tandem, ctmc, cli, distributions):
+        monkeypatch.setattr(module, "check_array_bytes", spy)
+    for build, call, _ in SIZE_SITES.values():
+        with pytest.raises(ValueError):
+            call(*build())
+    assert len(calls) == 8 and calls == reached
 ONE_RATE_SITES = [site for site, (_, vectors) in ARRIVAL_SITES.items() if not vectors]
 
 
