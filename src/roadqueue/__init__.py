@@ -19,9 +19,7 @@ from .congestion import (
 from .ctmc import (
     OracleError,
     SimulationResult,
-    birth_death_chain,
     decomposition_diagnostic,
-    exact_stationary,
     simulate,
     tandem_stationary,
     tv_distance,
@@ -71,11 +69,9 @@ __all__ = [
     "SingularModelError",
     "TandemConfig",
     "TriangularDiagram",
-    "birth_death_chain",
     "coupled_rates",
     "decomposition_diagnostic",
     "default_scenario",
-    "exact_stationary",
     "fit_exponential",
     "load_scenario",
     "measures",

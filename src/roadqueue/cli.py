@@ -7,7 +7,6 @@ Subcommands:
     distributions    speed / travel-time law as value,probability CSV
     sweep            arrival-rate sweep as CSV (tandem or single section)
     simulate         seeded Monte Carlo run vs the analytical law
-    compare          analytical vs exact-solve vs simulated, with TV distances
     fit-exponential  congestion-curve fit from two anchor points
     figure-data      fig4..fig7: the tandem and the Jain-Smith section side by
                      side, from the sweeps' per-lambda solves
@@ -38,14 +37,7 @@ from .config import (
     load_scenario,
 )
 from .congestion import FitAnchors, fit_exponential
-from .ctmc import (
-    OracleError,
-    birth_death_chain,
-    decomposition_diagnostic,
-    exact_stationary,
-    simulate,
-    tv_distance,
-)
+from .ctmc import OracleError, decomposition_diagnostic, simulate, tv_distance
 from .distributions import (
     MODES,
     PAPER_GRID,
@@ -259,25 +251,6 @@ def _cmd_simulate(args) -> str:
     return _json(payload)
 
 
-def _cmd_compare(args) -> str:
-    scenario = _scenario(args)
-    rates = scenario.rates(args.section)
-    analytical = solve_birth_death(args.lam, rates)
-    exact = exact_stationary(birth_death_chain(args.lam, rates))
-    sim = simulate(args.lam, rates, seed=args.seed, max_events=args.events)
-    payload = {
-        **_section_head(args, scenario),
-        "events": sim.events,
-        "seed": sim.seed,
-        "analytical": analytical.probs.tolist(),
-        "exact": exact.tolist(),
-        "empirical": sim.empirical.probs.tolist(),
-        "tv_analytical_vs_exact": tv_distance(analytical.probs, exact),
-        "tv_empirical_vs_analytical": tv_distance(sim.empirical, analytical),
-    }
-    return _json(payload)
-
-
 def _cmd_fit_exponential(args) -> str:
     if args.fit_vf is not None:
         v_f = args.fit_vf
@@ -366,8 +339,6 @@ _COMMANDS = (
             "sweep this single section instead of the tandem system")}),
     )),
     ("simulate", _cmd_simulate, "seeded Monte Carlo of one section",
-     (_LAMBDA, *_SOLVER, *_SIMULATION)),
-    ("compare", _cmd_compare, "analytical vs exact vs simulated, with TV distances",
      (_LAMBDA, *_SOLVER, *_SIMULATION)),
     ("fit-exponential", _cmd_fit_exponential, "fit (beta, gamma) from two anchor points", (
         ("--fit-a", {"type": float, "required": True, "help": "first anchor count"}),

@@ -3,12 +3,11 @@
 The product-form solvers in `queueing` and the decomposition in `tandem`
 are checked against machinery that shares none of their algebra:
 
-* GTH elimination of the global balance equations pi Q = 0 for any
-  finite generator, within its band (no dense solve),
 * a level-by-level solve of the full two-dimensional tandem chain that
-  the decomposition approximates, which never forms its generator and
-  solves a whole vector of arrival rates in one batch (a sweep's grid),
-  and
+  the decomposition approximates, which never forms its generator, ends
+  in GTH elimination of the global balance equations pi Q = 0 on its
+  level 0 (no dense solve), and solves a whole vector of arrival rates in
+  one batch (a sweep's grid), and
 * an event-driven simulation of the birth-death dynamics with seeded,
   reproducible randomness (numpy PCG64; every result carries the
   algorithm identifier, a class constant, so cross-implementation
@@ -29,7 +28,7 @@ from typing import ClassVar
 import numpy as np
 
 from .fundamental import check_array_bytes, check_integer, check_positive, service_rates
-from .queueing import OccupancyDistribution, check_arrival_rate, check_arrival_rates, check_rates
+from .queueing import OccupancyDistribution, check_arrival_rates, check_rates
 from .tandem import TandemConfig, coupled_rates
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -69,96 +68,40 @@ class SimulationResult:
         object.__setattr__(self, "events", check_integer("events", self.events, 1))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _gth refuses a law past the float range
-def exact_stationary(generator) -> np.ndarray:
-    """Stationary law from the global balance equations, pi Q = 0.
-
-    The generator is a square rate matrix, nonnegative and finite off the
-    diagonal, with rows summing to zero within ||Q||_inf * N * eps (with
-    ||Q||_inf the largest absolute row sum and N the number of states);
-    anything else raises ValueError.  The law comes from _gth within the
-    band, the largest |i - j| of a nonzero entry: no dense solve.  It needs
-    every state to reach a lower-numbered one once the states above it are
-    censored, so a chain absorbing above state 0 (a birth-death chain
-    with a zero rate) raises OracleError, as does a law past the float range.
-    The result is verified: residual ||pi Q||_inf within the same bound, and
-    no meaningfully negative mass, or OracleError.  What the solve holds beside
-    the generator, about 9 bytes a matrix entry and 8 * band**2 for GTH's
-    rank-one update, must fit under the 256 MiB cap with it, or ValueError is
-    raised before any of it is allocated: a birth-death chain solves up to
-    c = 3967, a dense generator up to N = 3273 states.
-    """
-    q = np.asarray(generator, dtype=float)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ValueError(f"generator shape {q.shape} is not square")
-    n = q.shape[0]
-    # the outermost diagonal holding a nonzero entry, read through views only
-    band = next((k for k in range(n - 1, 0, -1) if q.diagonal(k).any() or q.diagonal(-k).any()), 0)
-    check_array_bytes(f"GTH elimination on {n} states", _gth_bytes(n, band), q.nbytes)
-    mask = q < 0
-    np.fill_diagonal(mask, False)
-    if mask.any():
-        raise ValueError("off-diagonal generator entries must be >= 0")
-    if not np.isfinite(q, out=mask).all():  # the mask's buffer: no second N x N array
-        raise ValueError("generator entries must be finite")
-    row_sums = q.sum(axis=1)  # infinite where finite entries overflow: refused below
-    # off-diagonal entries are nonnegative, so a row's absolute sum is its
-    # sum minus the diagonal plus the diagonal's size: no N x N temporary.
-    # Halved, it stays finite near the float maximum; halving is exact away
-    # from the subnormals, so tol keeps the bits of ||Q||_inf * N * eps
-    diag = q.diagonal()
-    half_norm = float(np.max(row_sums / 2 - diag / 2 + np.abs(diag) / 2))
-    tol = half_norm * (2 * n * np.finfo(float).eps)
-    if not np.max(np.abs(row_sums)) <= tol < math.inf:  # an infinite tol would pass anything
-        raise ValueError("generator rows must sum to zero")
-    pi = _gth(q.copy(), band)
-    pi /= _mass(pi.sum())
-    _verify(pi, float(np.max(np.abs(pi @ q))), tol)
-    return pi
-
-
-def _gth_bytes(n: int, band: int) -> int:
-    """Bytes GTH holds beside an n-state generator: a copy and a mask of it, one band x band
-    update, a few vectors and objects, and 128 kB of ufunc buffers for its strided column."""
-    return 9 * n * n + 8 * band**2 + 128 * n + 2**17 + 2**13
-
-
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _gth(rates: np.ndarray, band: int) -> np.ndarray:
-    """Unnormalized law, pi[..., 0] = 1, by GTH elimination: O(N * band**2).
+    """Unnormalized laws, pi[:, 0] = 1, by GTH elimination: O(N * band**2) each.
 
-    rates is one (N, N) rate matrix, giving a law of shape (N,), or an
-    (m, N, N) stack of them, giving one law per row of an (m, N) array.
-    Censors states from the last, overwriting rates within band of the
-    diagonal; a state with no outflow to lower states, in any matrix of
-    the stack, or a law past the float range, raises OracleError.  Each law
-    is rescaled on its own as it grows, giving the bits of one-by-one solves.
+    rates is an (m, N, N) stack of rate matrices, giving one law per row of
+    an (m, N) array.  Censors states from the last, overwriting rates within
+    band of the diagonal; a state with no outflow to lower states, in any
+    matrix of the stack, or a law past the float range, raises OracleError.
+    Each law is rescaled on its own as it grows, giving the bits of one-by-one solves.
     """
     n = rates.shape[-1]
-    stack = rates.reshape(-1, n, n)  # a single matrix is a stack of one
-    out = np.zeros(stack.shape[:-1])
+    out = np.zeros(rates.shape[:-1])
     # a state with no outflow divides by 0 and leaves NaN in the states
     # below it, so the highest state that fails is the one to report
     for k in range(n - 1, 0, -1):
         lo = max(k - band, 0)
-        out[:, k] = stack[:, k, lo:k].sum(axis=-1)
-        stack[:, lo:k, lo:k] += stack[:, lo:k, k, None] * (
-            stack[:, k, None, lo:k] / out[:, k, None, None]
+        out[:, k] = rates[:, k, lo:k].sum(axis=-1)
+        rates[:, lo:k, lo:k] += rates[:, lo:k, k, None] * (
+            rates[:, k, None, lo:k] / out[:, k, None, None]
         )
     stuck = np.nonzero(~(out[:, 1:] > 0))[1]
     if stuck.size:
         raise OracleError(f"state {stuck.max() + 1} has no outflow to lower states")
-    pi = np.zeros(stack.shape[:-1])
+    pi = np.zeros(rates.shape[:-1])
     pi[:, 0] = 1.0
     for k in range(1, n):
         lo = max(k - band, 0)
-        pi[:, k] = (pi[:, None, lo:k] @ stack[:, lo:k, k, None])[:, 0, 0] / out[:, k]
+        pi[:, k] = (pi[:, None, lo:k] @ rates[:, lo:k, k, None])[:, 0, 0] / out[:, k]
         if max(pi[:, k].tolist(), default=0.0) > _RESCALE:
             # dividing the other laws by 1 leaves their bits as they are
             pi[:, : k + 1] /= np.where(pi[:, k] > _RESCALE, pi[:, k], 1.0)[:, None]
     if not np.isfinite(pi).all():  # a step ratio past about 1e58 overflows it
         raise OracleError(f"the stationary law passes the float range, {sys.float_info.max:.4g}")
-    return pi.reshape(rates.shape[:-1])
+    return pi
 
 
 def _mass(total):
@@ -177,24 +120,6 @@ def _verify(pi: np.ndarray, residual: float, tol: float) -> None:
         raise OracleError("stationary solve produced negative probabilities")
 
 
-def birth_death_chain(lam: float, rates) -> np.ndarray:
-    """Loss-system birth-death generator on {0..c}: births lam, deaths q_n.
-
-    Past exact_stationary's limit (c > 3967) it raises ValueError before allocating.
-    """
-    check_arrival_rate("birth_death_chain", lam)
-    rates = check_rates(rates)
-    c = rates.size
-    what = f"GTH elimination on {c + 1} states (c = {c})"
-    check_array_bytes(what, _gth_bytes(c + 1, 1), 8 * (c + 1) ** 2)
-    gen = np.zeros((c + 1, c + 1))
-    n = np.arange(c)
-    gen[n, n + 1] = lam
-    gen[n + 1, n] = rates
-    np.fill_diagonal(gen, -gen.sum(axis=1))
-    return gen
-
-
 def tandem_stationary(config: TandemConfig, lam) -> np.ndarray:
     """Exact law pi[n1, n2] of the joint chain the decomposition approximates.
 
@@ -208,8 +133,8 @@ def tandem_stationary(config: TandemConfig, lam) -> np.ndarray:
     reduction (Gaver, Jacobs & Latouche 1984), each level's (c2 + 1)-square
     inverse by _split_inverse for every rate at once, then GTH elimination
     (Grassmann, Taksar & Heyman 1985) on level 0; every pivot is a sum of
-    outflows, never a difference.  Each law is rescaled and verified on its
-    own, as exact_stationary's is, blockwise.
+    outflows, never a difference.  Each law is rescaled, level by level, and
+    verified on its own.
     A TandemConfig is shifted, so the chain is irreducible: one law.
     One law stores 8 * c1 * (c2 + 1)**2 bytes of blocks and works beside
     them on level and law arrays: past 256 MiB with those (c1 = c2 > 317), or

@@ -1,16 +1,19 @@
-"""Per-state references for the rate tables, the joint tandem chain and
-the simulation.
+"""Per-state references for the rate tables, the section and joint tandem
+chains and the simulation.
 
 Written out one state at a time, straight from the closed forms, so they
 share no code with the array builders and the level-by-level oracle they
-check.  ref_simulate is the simulation's first event loop, one event per
-pass, against which the buffered loop must give the same bits, and
-ref_fixed_point is the fixed point's first root finder, plain bisection,
-against which ITP's theta and evaluation count are compared.
-ref_scan_brackets is the root scan as a loop of solve_triangular calls,
-one per grid point, against which scan_roots must give the same brackets.
-ref_throughput_departure is the departure side of flow balance, against
-which the accepted arrival rate of a solved law is compared.
+check.  gth_stationary solves the generators of ref_birth_death_chain, a
+section's loss chain, and ref_generator, the joint chain: the exact
+references of the product form and of the oracle.  ref_simulate is the
+simulation's first event loop, one event per pass, against which the
+buffered loop must give the same bits, and ref_fixed_point is the fixed
+point's first root finder, plain bisection, against which ITP's theta and
+evaluation count are compared.  ref_scan_brackets is the root scan as a
+loop of solve_triangular calls, one per grid point, against which
+scan_roots must give the same brackets.  ref_throughput_departure is the
+departure side of flow balance, against which the accepted arrival rate
+of a solved law is compared.
 """
 
 import math
@@ -63,6 +66,20 @@ def ref_throughput_departure(dist, rates):
     return math.fsum(q * p for q, p in zip(rates, dist.probs[1:].tolist(), strict=True))
 
 
+def ref_birth_death_chain(lam, rates):
+    """Dense generator of a section's loss chain on {0..c}: births lam below c, deaths q_n."""
+    rates = np.asarray(rates, dtype=float).tolist()
+    c = len(rates)
+    gen = np.zeros((c + 1, c + 1))
+    for n in range(c + 1):
+        if n < c:
+            gen[n, n + 1] = lam
+        if n > 0:
+            gen[n, n - 1] = rates[n - 1]
+        gen[n, n] = -gen[n].sum()
+    return gen
+
+
 def ref_generator(config, lam):
     """Dense generator of the joint chain, state (n1, n2) in row-major order."""
     c1, c2 = config.section1.c, config.section2.c
@@ -86,7 +103,10 @@ def gth_stationary(generator, band):
     States are censored out one at a time from the last, and no step
     subtracts (Grassmann, Taksar & Heyman 1985).  Every transition must
     stay within band states of its origin; the fill-in then does too, so
-    each step touches only the band.  The joint chain's band is c2 + 1.
+    each step touches only the band.  The joint chain's band is c2 + 1, a
+    birth-death chain's 1.  The unnormalized law starts from pi[0] = 1; once
+    a mass pi[k] passes 1e250 the masses up to it are divided by it, so a
+    lowest state far below the smallest double does not overflow the rest.
     """
     q = np.array(generator, dtype=float)
     n = q.shape[0]
@@ -100,6 +120,8 @@ def gth_stationary(generator, band):
     for k in range(1, n):
         lo = max(0, k - band)
         pi[k] = pi[lo:k] @ q[lo:k, k] / out[k]
+        if pi[k] > 1e250:
+            pi[: k + 1] /= pi[k]
     return pi / pi.sum()
 
 

@@ -352,7 +352,6 @@ SECTION_ZERO = {
     "distributions": ("--lambda", "0.8"),
     "sweep": ("--lambda-from", "0.1", "--lambda-to", "2", "--steps", "3"),
     "simulate": ("--lambda", "0.8", "--events", "10000"),
-    "compare": ("--lambda", "0.8", "--events", "10000"),
 }
 # one document per loader or geometry rule, and a phrase of its refusal
 MALFORMED = {
@@ -450,12 +449,10 @@ GOLDEN_ROWS = [
             "21", "--section", "1"),
     _golden("sweep-section-linear", "sweep", "--lambda-from", "0.1", "--lambda-to", "2.0",
             "--steps", "20", "--section", "2", "--model", "linear"),
-    _golden("simulate-1e5", "simulate", "--lambda", "0.8", "--events", "100000"),
+    _golden("simulate-1e5", "simulate", "--lambda", "0.8", "--events", "100000",
+            also=lambda run: _doc(run)["tv_vs_analytical"] < 0.05),
     _golden("simulate-absorbs-1e5", "simulate", "--lambda", "0.8", "--events", "100000",
             *ZERO_SPEED, "--seed", "7", also=_absorbed),
-    _golden("compare-1e5", "compare", "--lambda", "0.8", "--events", "100000",
-            also=lambda run: _doc(run)["tv_analytical_vs_exact"] < 1e-15
-            and _doc(run)["tv_empirical_vs_analytical"] < 0.05),
     _golden("fit-exponential", *FIT, "--fit-vb", "20", "--fit-vf", "55",
             also=lambda run: abs(_doc(run)["beta"] - 137.41831534831252) <= 137.41831534831252e-12
             and abs(_doc(run)["gamma"] - 1.0078532179620698) <= 1.0078532179620698e-12),
@@ -488,8 +485,13 @@ CASES = [
          stdin=_bundled(time_scale=1e6), check=_theta_over(1e6)),
     Case("theta-over-s-1e-11", ("solve-tandem", "--lambda", "8e-12", "--config", "-"),
          stdin=_bundled(time_scale=1e-11), check=_theta_over(1e-11)),
-    Case("compare-1e100-no-warning", ("compare", "--lambda", "1e100", "--events", "10000"),
-         check=lambda run: run.err == "" and _doc(run)["tv_analytical_vs_exact"] < 1e-15),
+    # the section's law and its simulation answer up to the float maximum,
+    # with no numpy warning, where a step ratio past 1e58 once overflowed
+    # the exact birth-death solve
+    *[Case(f"{command}-{lam}-no-warning", (command, "--lambda", lam, *flags),
+           check=lambda run: run.err == "")
+      for command, flags in (("simulate", ("--events", "10000")), ("solve-section", ()))
+      for lam in ("1e100", "1e200", "1e308", "1.7976931348623157e308")],
     # the event loop at full size, past the goldens' 1e5 events: the same bytes twice
     Case("simulate-1e6-same-bytes", SIMULATE_1E6,
          check=lambda run: run.out == run.again(SIMULATE_1E6).out),
@@ -602,7 +604,6 @@ CASES = [
     # a rate too small to time the run's events in floats
     Case("simulate-5e-324", ("simulate", "--lambda", "5e-324", "--events", "10000"), 2, _one_error),
     Case("simulate-1e-310", ("simulate", "--lambda", "1e-310"), 2, _one_error),
-    Case("compare-1e-310", ("compare", "--lambda", "1e-310"), 2, _one_error),
     # the exponential power overflows (speed 0), and state 3 is singular
     Case("exponential-singular",
          ("solve-section", "--lambda", "0.8", "--model", "exponential", "--beta", "1",
@@ -622,16 +623,6 @@ CASES = [
          ("solve-section", "--lambda", "0", "--config", "-"), 2,
          lambda run: run.err == "error: expected_travel_time inf not finite and positive\n",
          stdin=json.dumps({"L": 1e100, "v_f": 1e-300, "w": 1e300, "rho_j": 1.8e-99})),
-    # a step ratio lambda / q past about 1e58 overflows the oracle's law,
-    # refused with no numpy warning
-    *[Case(f"compare-{lam}-past-the-float-range", ("compare", "--lambda", lam, "--events", "10000"),
-           3, lambda run: _one_error(run) and "float range" in run.err)
-      for lam in ("1e200", "1e308", "1.7976931348623157e308")],
-    # c = 4500: the generator would fit under the cap, but the oracle's copy
-    # beside it would not, so compare refuses before building either
-    Case("compare-c4500-refused-small",
-         ("compare", "--lambda", "0.8", "--events", "10000", "--config", "-"), 2,
-         stdin=json.dumps({"L": 25000, "v_f": 28, "w": 14, "rho_j": 0.18}), peak_mb=100),
     # ln(v_a / v_f) = ln(v_b / v_f) in floats: no ZeroDivisionError traceback
     Case("fit-colliding-anchors",
          ("fit-exponential", "--fit-a", "2", "--fit-va", "1e-300", "--fit-b", "3",
@@ -722,10 +713,6 @@ CASES = [
            lambda run: _one_error(run) and "a sweep of 100000000000 steps" in run.err,
            peak_mb=100)
       for name, section in (("", ()), ("-section", ("--section", "1")))],
-    # 40 km holds c = 7200: its dense generator would pass 256 MiB
-    Case("compare-oversized-generator",
-         ("compare", "--lambda", "0.8", "--events", "10000", "--config", "-"), 2,
-         _says("256 MiB cap"), stdin=json.dumps({**SECTION_1, "L": 40000.0, "c": 7200})),
     # 2 km holds c = 360: the decomposition fits, the joint-chain oracle's
     # level reduction does not, and is refused as input before it runs
     *[Case(f"{command}-oracle-past-the-cap", (*argv, "--config", "-"), 2,

@@ -122,7 +122,7 @@ def test_run_in_process_feeds_stdin_and_writes_warnings_to_stderr(monkeypatch):
 
 # a refusal, a stdin row, a golden and a bounded peak, each in a fresh process
 @pytest.mark.parametrize("name", ["solve-tandem-exact", "stdin-config", "solve-section-s1",
-                                  "compare-c4500-refused-small"])
+                                  "sweep-steps-past-the-cap"])
 def test_run_installed_runs_a_row_in_a_fresh_process(monkeypatch, tmp_path, name):
     shim = tmp_path / "roadqueue"
     shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m roadqueue.cli "$@"\n')
@@ -251,6 +251,13 @@ def test_unwritable_output_exits_4(tmp_path):
     assert run_in_process(["solve-section", "--lambda", "0.5", "--output", str(path)]).code == 4
 
 
+def test_compare_is_no_subcommand():
+    # the exact birth-death solve it printed beside simulate's law is a test reference now
+    run = run_in_process(["compare", "--lambda", "0.8", "--events", "10000"])
+    assert run.code == 2
+    assert "invalid choice: 'compare'" in run.err
+
+
 def test_console_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "roadqueue.cli", "solve-section", "--lambda", "0.5"],
@@ -309,7 +316,6 @@ PARSER_SURFACE = {
          "sweep this single section instead of the tandem system"),
     ],
     "simulate": [HELP, CONFIG, OUTPUT, LAM, *SOLVER, *SIMULATION],
-    "compare": [HELP, CONFIG, OUTPUT, LAM, *SOLVER, *SIMULATION],
     "fit-exponential": [
         HELP, CONFIG, OUTPUT,
         ("fit_a", ("--fit-a",), None, None, True, "float", "first anchor count"),
@@ -333,7 +339,6 @@ COMMAND_HELP = {
     "distributions": "speed / travel-time law as CSV",
     "sweep": "arrival-rate sweep as CSV",
     "simulate": "seeded Monte Carlo of one section",
-    "compare": "analytical vs exact vs simulated, with TV distances",
     "fit-exponential": "fit (beta, gamma) from two anchor points",
     "figure-data": "canned comparison datasets for plotting",
 }

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import os
 import subprocess
 import sys
@@ -11,15 +10,10 @@ import pytest
 from roadqueue import (
     OccupancyDistribution,
     OracleError,
-    RoadSection,
     SimulationResult,
     TandemConfig,
-    TriangularDiagram,
-    birth_death_chain,
     decomposition_diagnostic,
-    exact_stationary,
     simulate,
-    solve_birth_death,
     solve_fixed_point,
     solve_triangular,
     tandem_stationary,
@@ -29,7 +23,7 @@ from roadqueue import ctmc, fundamental
 from roadqueue.ctmc import RNG_ALGORITHM
 from roadqueue.fundamental import service_rates
 
-from chain_references import ref_generator
+from chain_references import gth_stationary, ref_birth_death_chain, ref_generator
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -37,15 +31,6 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # TV between the decomposition marginal and the exact joint marginal of
 # the benchmark tandem at lam = 1.0, frozen once the diagnostic settled
 TV_2D_LAM1 = 0.1902798442830123
-
-
-def gth_bytes(gen):
-    """What exact_stationary counts: the generator, a copy, a mask, GTH's
-    band x band update, a few vectors and 128 kB of ufunc buffers."""
-    n = gen.shape[0]
-    rows, cols = np.nonzero(gen)
-    band = int(np.abs(rows - cols).max(initial=0))
-    return gen.nbytes + 9 * n * n + 8 * band**2 + 128 * n + 2**17 + 2**13
 
 
 def oracle_bytes(c1, c2, rates=1, laws=0):
@@ -56,241 +41,38 @@ def oracle_bytes(c1, c2, rates=1, laws=0):
     return 2**17 + 2 * level + rates * ((c1 + 5) * level + 6 * law) + laws * law
 
 
-class TestCtmcValidation:
-    """exact_stationary checks the generator it is given."""
+class TestGthReference:
+    """The scalar GTH reference and the loss chain it solves, by hand."""
 
-    def test_accepts_valid_generator(self):
-        gen = np.array([[-1.0, 1.0], [2.0, -2.0]])
-        exact_stationary(gen)
-        # the caller's array is read, never written
-        np.testing.assert_array_equal(gen, [[-1.0, 1.0], [2.0, -2.0]])
+    @pytest.mark.parametrize(
+        "generator, band, law",
+        [
+            # pi_0 * 1 = pi_1 * 2
+            ([[-1.0, 1.0], [2.0, -2.0]], 1, [2 / 3, 1 / 3]),
+            # lam = 1, q = (1, 2): weights (1, 1, 1/2)
+            ([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 2.0, -2.0]], 1, [0.4, 0.4, 0.2]),
+            # the smallest tandem topology (both capacities 1, below the
+            # section floor, so built by hand): arrival 1, transfer 2,
+            # departure 3 on ((0,0), (0,1), (1,0), (1,1)); its band is c2 + 1
+            (
+                [
+                    [-1.0, 0.0, 1.0, 0.0],
+                    [3.0, -4.0, 0.0, 1.0],
+                    [0.0, 2.0, -2.0, 0.0],
+                    [0.0, 0.0, 3.0, -3.0],
+                ],
+                2,
+                [9 / 19, 3 / 19, 6 / 19, 1 / 19],
+            ),
+        ],
+        ids=["two-state", "three-state", "minimal-tandem"],
+    )
+    def test_hand_solved_chains(self, generator, band, law):
+        np.testing.assert_allclose(gth_stationary(generator, band), law, rtol=1e-13)
 
-    def test_shape_mismatch(self):
-        for shape in ((2, 3), (4,), (2, 2, 2)):
-            with pytest.raises(ValueError, match="shape"):
-                exact_stationary(np.zeros(shape))
-
-    def test_negative_off_diagonal(self):
-        gen = np.array([[1.0, -1.0], [2.0, -2.0]])
-        with pytest.raises(ValueError, match="off-diagonal"):
-            exact_stationary(gen)
-
-    def test_rows_must_balance(self):
-        gen = np.array([[-1.0, 2.0], [2.0, -2.0]])
-        with pytest.raises(ValueError, match="sum to zero"):
-            exact_stationary(gen)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_entries(self, bad):
-        gen = np.array([[-bad, bad], [2.0, -2.0]])
-        with pytest.raises(ValueError, match="entries must be finite"):
-            exact_stationary(gen)
-
-    def test_finite_entries_whose_row_sum_overflows_are_unbalanced(self):
-        # 1.7e308 + 1.7e308 overflows, but every entry is finite: the row
-        # does not balance, and that is the fault named
-        gen = np.array([[-1e308, 1.7e308, 1.7e308], [1.0, -1.0, 0.0], [1.0, 0.0, -1.0]])
-        with pytest.raises(ValueError, match="generator rows must sum to zero"):
-            exact_stationary(gen)
-
-    def test_rows_must_balance_near_the_float_maximum(self):
-        # the first row sums to 7e307, and its absolute sum, 2.7e308, is past
-        # the float range: a norm taken whole would make the bound infinite
-        with pytest.raises(ValueError, match="sum to zero"):
-            exact_stationary(np.array([[-1e308, 1.7e308], [1.0, -1.0]]))
-        # here even half of the absolute sum, 2.55e308, is past the range
-        unbalanced = np.array([[-1.7e308, 1.7e308, 1.7e308], [1.0, -1.0, 0.0], [1.0, 0.0, -1.0]])
-        with pytest.raises(ValueError, match="sum to zero"):
-            exact_stationary(unbalanced)
-        # a balanced row whose absolute sum is 2e308 still solves
-        pi = exact_stationary(np.array([[-1e308, 1e308], [1.0, -1.0]]))
-        np.testing.assert_allclose(pi, [1e-308, 1.0], rtol=1e-15)
-
-
-class TestExactStationary:
-    def test_two_state_hand_example(self):
-        # pi solves pi_0 * 1 = pi_1 * 2
-        gen = np.array([[-1.0, 1.0], [2.0, -2.0]])
-        pi = exact_stationary(gen)
-        np.testing.assert_allclose(pi, [2 / 3, 1 / 3], rtol=1e-14)
-
-    def test_agrees_with_product_form(self, section1):
-        rates = service_rates(section1)
-        # the residual check is relative to the rates: the same chain in
-        # other time units solves alike; so is the row-sum check, which an
-        # absolute bound would fail from 1e7 up
-        for scale, lam in itertools.product(
-            (1e-6, 1.0, 1e6, 1e7, 1e8, 1e10), (0.1, 0.8, 2.0)
-        ):
-            pi = exact_stationary(birth_death_chain(lam * scale, rates * scale))
-            d = solve_birth_death(lam, rates)
-            np.testing.assert_allclose(pi, d.probs, atol=1e-12)
-
-    def test_reducible_chain_rejected(self):
-        # two disconnected states: state 1 never reaches state 0
-        with pytest.raises(OracleError, match="state 1 has no outflow"):
-            exact_stationary(np.zeros((2, 2)))
-
-    def test_nan_solution_fails_the_residual_check(self, monkeypatch):
-        gen = np.array([[-1.0, 1.0], [2.0, -2.0]])
-        monkeypatch.setattr(ctmc, "_gth", lambda rates, band: np.full(2, np.nan))
-        with pytest.raises(OracleError, match="residual"):
-            exact_stationary(gen)
-
-    def test_negative_mass_within_the_residual_tolerance_is_refused(self, monkeypatch):
-        # state 2 is transient: a mass of -1e-12 there moves pi Q by 1e-12 only,
-        # within the tolerance of rates of 1e6, so the mass check refuses it
-        gen = np.array([[-1e6, 1e6, 0.0], [1e6, -1e6, 0.0], [1.0, 0.0, -1.0]])
-        monkeypatch.setattr(ctmc, "_gth", lambda rates, band: np.array([0.5, 0.5, -1e-12]))
-        with pytest.raises(OracleError, match="negative probabilities"):
-            exact_stationary(gen)
-
-    @pytest.mark.parametrize("masses", [[1e308, 1e308], [0.0, 0.0]], ids=["overflow", "zero"])
-    def test_total_mass_past_the_float_range_or_zero_is_refused(self, monkeypatch, masses):
-        # dividing by an infinite total gives a law of zeros, whose residual
-        # is 0; dividing by 0 gives NaN: either is refused by its total
-        gen = np.array([[-1.0, 1.0], [2.0, -2.0]])
-        monkeypatch.setattr(ctmc, "_gth", lambda rates, band: np.array(masses))
-        with pytest.raises(OracleError, match="total mass is not finite and positive"):
-            exact_stationary(gen)
-
-    def test_shifted_chain_mass_at_capacity(self):
-        # c = 60 at lam = 0.25, where a solve that replaces the last balance
-        # equation by the normalization is 7.2e-8 off; the reference is a
-        # 50-digit product form
-        section = RoadSection(
-            L=320.0, diagram=TriangularDiagram(v_f=40.0, w=4.0, rho_j=0.1875)
-        )
-        assert section.c == 60
-        pi = exact_stationary(birth_death_chain(0.25, service_rates(section)))
-        assert abs(pi[-1] - 1.0185062630333897e-3) <= 1e-15
-
-    def test_empty_road_below_the_smallest_double(self, section1):
-        # c = 2880 at lam = 0.8: P(n = 0) is far below 1e-308, so an
-        # unnormalized law that starts from pi[0] = 1 must be rescaled as it
-        # grows, or it overflows and the residual check sees NaN
-        section = dataclasses.replace(section1, L=16000.0, c=None)
-        assert section.c == 2880
-        rates = service_rates(section)
-        pi = exact_stationary(birth_death_chain(0.8, rates))
-        np.testing.assert_allclose(
-            pi, solve_birth_death(0.8, rates).probs, rtol=0, atol=1e-15
-        )
-
-    def test_band_is_read_from_the_generator(self, monkeypatch):
-        # a birth-death chain has band 1, whatever its size
-        bands = []
-        gth = ctmc._gth
-
-        def spy(rates, band):
-            bands.append(band)
-            return gth(rates, band)
-
-        monkeypatch.setattr(ctmc, "_gth", spy)
-        exact_stationary(birth_death_chain(0.8, np.linspace(1.0, 2.0, 40)))
-        assert bands == [1]
-
-    @pytest.mark.parametrize("c", [54, 180])
-    def test_peak_stays_under_the_cap_it_counts(self, monkeypatch, c, traced_peak):
-        # compare's exact path: the generator and GTH's copy of it, a mask
-        # and a few vectors; the copy alone took the parent past the
-        # generator's count, at 2.2 times it
-        rates = np.linspace(1.0, 2.0, c)
-        cap = gth_bytes(birth_death_chain(0.8, rates))
-        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", cap)
-        pi, peak = traced_peak(lambda: exact_stationary(birth_death_chain(0.8, rates)))
-        assert pi.shape == (c + 1,)
-        assert peak <= cap
-        # a byte less, birth_death_chain reads the same count and refuses
-        # before its generator is built
-        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", cap - 1)
-        refused, peak = traced_peak(lambda: exact_stationary(birth_death_chain(0.8, rates)))
-        assert isinstance(refused, ValueError)
-        assert f"GTH elimination on {c + 1} states (c = {c})" in str(refused)
-        assert peak < 8 * (c + 1) ** 2 / 4
-
-    @pytest.mark.parametrize("n", [200, 500])
-    def test_dense_peak_stays_under_the_cap_it_counts(self, monkeypatch, n, traced_peak):
-        # a dense generator: GTH's copy, a mask and one band x band update
-        # beside it; reading the band through the indices of every nonzero
-        # entry took the peak to 5.13 times the generator
-        rng = np.random.default_rng(n)
-        gen = rng.uniform(0.5, 2.0, (n, n))
-        np.fill_diagonal(gen, 0.0)
-        np.fill_diagonal(gen, -gen.sum(axis=1))
-        cap = gth_bytes(gen)
-        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", cap)
-        pi, peak = traced_peak(lambda: exact_stationary(gen))
-        assert pi.shape == (n,)
-        assert peak < 3 * gen.nbytes
-        assert peak <= cap - gen.nbytes
-        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", cap - 1)
-        refused, peak = traced_peak(lambda: exact_stationary(gen))
-        assert isinstance(refused, ValueError)
-        assert peak < 2**20
-
-    def test_dense_cap_boundary(self, traced_peak):
-        # N = 3273 is the largest dense generator the guard admits beside
-        # itself, and a birth-death chain solves up to c = 3967
-        def fits(n, band):
-            count = 8 * n * n + 9 * n * n + 8 * band**2 + 128 * n + 2**17 + 2**13
-            return count <= fundamental._ARRAY_CAP_BYTES
-
-        assert fits(3273, 3272) and not fits(3274, 3273)
-        assert fits(3968, 1) and not fits(3969, 1)
-        gen = np.broadcast_to(np.ones(1), (3274, 3274))
-        refused, peak = traced_peak(lambda: exact_stationary(gen))
-        assert isinstance(refused, ValueError)
-        assert "GTH elimination on 3274 states" in str(refused)
-        assert peak < 2**20
-
-    def test_minimal_tandem_shaped_chain(self):
-        # smallest tandem topology (both capacities 1, below the section
-        # floor, so built by hand): arrival 1, transfer 2, departure 3.
-        # Balance gives pi = (9, 3, 6, 1) / 19 on ((0,0),(0,1),(1,0),(1,1)).
-        gen = np.array(
-            [
-                [-1.0, 0.0, 1.0, 0.0],
-                [3.0, -4.0, 0.0, 1.0],
-                [0.0, 2.0, -2.0, 0.0],
-                [0.0, 0.0, 3.0, -3.0],
-            ]
-        )
-        pi = exact_stationary(gen)
-        np.testing.assert_allclose(pi, np.array([9, 3, 6, 1]) / 19, rtol=1e-13)
-
-
-class TestBirthDeathChain:
-    def test_generator_entries(self):
-        gen = birth_death_chain(2.0, [1.0, 3.0])
-        expected = np.array(
-            [
-                [-2.0, 2.0, 0.0],
-                [1.0, -3.0, 2.0],
-                [0.0, 3.0, -3.0],
-            ]
-        )
-        np.testing.assert_allclose(gen, expected)
-
-    def test_cap_boundary(self, monkeypatch, traced_peak):
-        # one limit: c = 3967 is the largest chain exact_stationary solves,
-        # and c = 3968 the first that both refuse
-        def fits(c):
-            n = c + 1
-            return 17 * n * n + 8 + 128 * n + 2**17 + 2**13 <= fundamental._ARRAY_CAP_BYTES
-
-        assert fits(3967) and not fits(3968)
-        refused, peak = traced_peak(lambda: birth_death_chain(0.8, np.ones(3968)))
-        assert isinstance(refused, ValueError)
-        assert "(c = 3968)" in str(refused)
-        assert peak < 2**20
-        # c = 3967 would allocate 126 MB, so test acceptance at a cap
-        # lowered to exactly c = 10's chain and its solve
-        cap = gth_bytes(birth_death_chain(0.8, np.ones(10)))
-        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", cap)
-        assert exact_stationary(birth_death_chain(0.8, np.ones(10))).shape == (11,)
-        with pytest.raises(ValueError, match=r"\(c = 11\)"):
-            birth_death_chain(0.8, np.ones(11))
+    def test_birth_death_generator_entries(self):
+        expected = [[-2.0, 2.0, 0.0], [1.0, -3.0, 2.0], [0.0, 3.0, -3.0]]
+        np.testing.assert_array_equal(ref_birth_death_chain(2.0, [1.0, 3.0]), expected)
 
 
 def scaled(config, length):
@@ -360,14 +142,14 @@ class TestTandem2d:
         config = scaled(tandem_config, 300.0)
         c1, c2 = config.section1.c, config.section2.c
         assert c1 == c2 == 54
-        dense = exact_stationary(ref_generator(config, lam)).reshape(c1 + 1, c2 + 1)
+        dense = gth_stationary(ref_generator(config, lam), band=c2 + 1).reshape(c1 + 1, c2 + 1)
         np.testing.assert_allclose(tandem_stationary(config, lam), dense, atol=1e-14)
 
     def test_levels_below_the_smallest_double(self, tandem_config):
         # at lam = 1e12 level 0 holds far less than 1e-308 of the mass: the
         # levels are rescaled as they grow instead of overflowing to NaN
         c, lam = tandem_config.section1.c, 1e12
-        dense = exact_stationary(ref_generator(tandem_config, lam)).reshape(c + 1, c + 1)
+        dense = gth_stationary(ref_generator(tandem_config, lam), band=c + 1).reshape(c + 1, c + 1)
         np.testing.assert_allclose(
             tandem_stationary(tandem_config, lam), dense, rtol=0, atol=1e-14
         )
@@ -394,7 +176,7 @@ class TestTandem2d:
         # lam ~ 1e16 a pivot found by a difference loses them: np.linalg.inv
         # on whole levels refused these; every pivot of the split is a sum
         c = tandem_config.section1.c
-        dense = exact_stationary(ref_generator(tandem_config, lam)).reshape(c + 1, c + 1)
+        dense = gth_stationary(ref_generator(tandem_config, lam), band=c + 1).reshape(c + 1, c + 1)
         np.testing.assert_allclose(
             tandem_stationary(tandem_config, lam), dense, rtol=0, atol=1e-14
         )
@@ -407,12 +189,38 @@ class TestTandem2d:
         with pytest.raises(OracleError, match="a censored level is singular: Singular matrix"):
             tandem_stationary(tandem_config, 0.8)
 
-    def test_total_mass_past_the_float_range_is_refused(self, tandem_config, monkeypatch):
+    @pytest.mark.parametrize("mass", [1e308, 0.0], ids=["overflow", "zero"])
+    def test_total_mass_past_the_float_range_or_zero_is_refused(
+        self, tandem_config, monkeypatch, mass
+    ):
         # level 0 at 1e308 a phase: the levels above it are finite, their
-        # total is not; this reaches the check through GTH's level only
-        monkeypatch.setattr(ctmc, "_gth", lambda rates, band: np.full(rates.shape[:-1], 1e308))
+        # total is not, and dividing by it would give a law of zeros, whose
+        # residual is 0; level 0 at 0 gives a total of 0, and a law of NaN
+        monkeypatch.setattr(ctmc, "_gth", lambda rates, band: np.full(rates.shape[:-1], mass))
         with pytest.raises(OracleError, match="total mass is not finite and positive"):
             tandem_stationary(tandem_config, 1e-300)
+
+    def test_nan_solution_fails_the_residual_check(self, tandem_config, monkeypatch):
+        monkeypatch.setattr(ctmc, "_gth", lambda rates, band: np.full(rates.shape[:-1], np.nan))
+        with pytest.raises(OracleError, match="residual nan"):
+            tandem_stationary(tandem_config, 0.8)
+
+    def test_negative_mass_within_the_residual_tolerance_is_refused(
+        self, tandem_config, monkeypatch
+    ):
+        # level 0's phase c2 at lam = 1e-3 holds far less than 1e-100 and leaves
+        # at about 0.07 a second: a mass of -1e-12 put there moves pi Q by about
+        # 7e-14, within the tolerance of 2.7e-13, so the mass check refuses it
+        gth = ctmc._gth
+
+        def tipped(rates, band):
+            pi = gth(rates, band)
+            pi[:, -1] = -1e-12
+            return pi
+
+        monkeypatch.setattr(ctmc, "_gth", tipped)
+        with pytest.raises(OracleError, match="negative probabilities"):
+            tandem_stationary(tandem_config, 1e-3)
 
     def test_shifted_joint_law_is_not_the_point_mass_at_capacity(self, tandem_config):
         # a supply of 0 at c2 would absorb every (n1, c2); the shifted one
@@ -568,16 +376,6 @@ class TestBatchedOracle:
         # ||Q||_inf, and with it the tolerance, grows with lam
         assert seen[0][1] < seen[1][1]
 
-    def test_gth_on_a_stack_of_one(self):
-        rng = np.random.default_rng(3)
-        rates = rng.random((7, 7))
-        np.fill_diagonal(rates, 0.0)
-        for band in (1, 3, 6):
-            single = ctmc._gth(rates.copy(), band)
-            stacked = ctmc._gth(rates[None].copy(), band)
-            assert stacked.shape == (1, 7)
-            np.testing.assert_array_equal(stacked[0], single)
-
     def test_gth_reports_the_highest_state_with_no_outflow(self):
         rng = np.random.default_rng(4)
         stack = rng.random((2, 7, 7))
@@ -586,7 +384,30 @@ class TestBatchedOracle:
             ctmc._gth(stack.copy(), 6)
         stack[1, 5] = 1.0
         with pytest.raises(OracleError, match="state 3 has no outflow"):
-            ctmc._gth(stack[1], 6)
+            ctmc._gth(stack[1:2], 6)
+
+    def test_gth_refuses_a_law_past_the_float_range(self):
+        # a step ratio of 1e400 overflows the first mass, before any rescale
+        chain = np.diag(np.full(3, 1e200), 1) + np.diag(np.full(3, 1e-200), -1)
+        with pytest.raises(OracleError, match="the stationary law passes the float range"):
+            ctmc._gth(np.array([chain]), 1)
+
+    @pytest.mark.parametrize("up", [1.0, 1e40], ids=["flat", "steep"])
+    @pytest.mark.parametrize("band", [1, 2, 3, 6])
+    def test_gth_equals_the_scalar_reference(self, band, up):
+        # random rates within band of the diagonal; steep ones grow the law
+        # past 1e250 within 40 states, so both rescale it, each by its own rule
+        rng = np.random.default_rng(band)
+        n = 40
+        offset = np.subtract.outer(np.arange(n), np.arange(n))
+        stack = rng.uniform(0.5, 2.0, (3, n, n)) * ((offset != 0) & (abs(offset) <= band))
+        stack *= np.where(offset < 0, up, 1.0)
+        laws = ctmc._gth(stack.copy(), band)
+        assert ((laws[:, 0] < 1.0) == (up > 1.0)).all()
+        laws /= laws.sum(axis=1, keepdims=True)
+        for law, rates in zip(laws, stack):
+            generator = rates - np.diag(rates.sum(axis=1))
+            np.testing.assert_allclose(law, gth_stationary(generator, band), rtol=1e-12, atol=0)
 
     def test_gth_rescales_each_law_on_its_own(self):
         # a birth-death chain whose masses grow by 1e100 a state next to
@@ -594,8 +415,8 @@ class TestBatchedOracle:
         steep = np.diag(np.full(3, 1e100), 1) + np.diag(np.ones(3), -1)
         flat = np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1)
         stacked = ctmc._gth(np.array([steep, flat]), 1)
-        np.testing.assert_array_equal(stacked[1], ctmc._gth(flat.copy(), 1))
-        np.testing.assert_array_equal(stacked[0], ctmc._gth(steep.copy(), 1))
+        np.testing.assert_array_equal(stacked[1:], ctmc._gth(np.array([flat]), 1))
+        np.testing.assert_array_equal(stacked[:1], ctmc._gth(np.array([steep]), 1))
         assert stacked[0].max() <= ctmc._RESCALE
 
     def test_diagnostic_over_a_vector(self, tandem_config):

@@ -20,14 +20,12 @@ from hypothesis import strategies as st
 from roadqueue import (
     ConvergenceError,
     OccupancyDistribution,
-    OracleError,
     RoadSection,
+    SingularModelError,
     TandemConfig,
     TriangularDiagram,
-    birth_death_chain,
     coupled_rates,
     default_scenario,
-    exact_stationary,
     scan_roots,
     service_rates,
     simulate,
@@ -51,6 +49,7 @@ from roadqueue.tandem import _SCAN_POINTS, conditional_matrix
 from cli_cases import run_in_process
 from chain_references import (
     gth_stationary,
+    ref_birth_death_chain,
     ref_coupled_rate,
     ref_fixed_point,
     ref_generator,
@@ -172,46 +171,41 @@ def test_coupled_rates_equal_closed_form(config):
 @given(sections(), st.floats(1e-3, 1e3))
 def test_product_form_equals_exact_solve(section, lam):
     rates = service_rates(section)
-    generator = birth_death_chain(lam, rates)
     expected = solve_birth_death(lam, rates).probs
     # GTH never subtracts, so it declines no shifted chain
-    pi = exact_stationary(generator)
+    pi = gth_stationary(ref_birth_death_chain(lam, rates), band=1)
     np.testing.assert_allclose(pi, expected, rtol=0, atol=(section.c + 1) * 1e-13)
 
 
 @settings(max_examples=6, deadline=None)
 @given(sections(max_c=3000), st.floats(-3.0, 3.0).map(lambda x: 10.0**x))
 def test_product_form_equals_exact_solve_at_large_capacity(section, lam):
-    # the sizes the guards allow, up to c of about 3000, where the oracle's
-    # unnormalized law once overflowed; the product form's rounding grows
-    # with c (1.9e-13 was the largest gap in 600 random draws)
+    # up to c of about 3000, where an unnormalized law from pi[0] = 1
+    # overflows unless rescaled; the product form's rounding grows with c
+    # (1.9e-13 was the largest gap in 600 random draws)
     rates = service_rates(section)
-    pi = exact_stationary(birth_death_chain(lam, rates))
+    pi = gth_stationary(ref_birth_death_chain(lam, rates), band=1)
     expected = solve_birth_death(lam, rates).probs
     np.testing.assert_allclose(pi, expected, rtol=0, atol=(section.c + 1) * 1e-15)
 
 
 @SETTINGS
-@given(sections(), st.floats(0.0, 1e3))
+@given(sections(), st.floats(0.0, 1e3, exclude_min=True))
 def test_chain_absorbing_at_capacity_is_refused(section, lam):
     # q_c = 0 and arrivals are lost at c: state c has no exit, so the
-    # oracle refuses the chain rather than return a law
-    generator = birth_death_chain(lam, absorbing_rates(section))
-    with pytest.raises(OracleError, match=f"state {section.c} has no outflow"):
-        exact_stationary(generator)
+    # product form refuses the chain rather than return a law
+    with pytest.raises(SingularModelError, match=f"state n={section.c}, where the speed law"):
+        solve_birth_death(lam, absorbing_rates(section))
 
 
 @SETTINGS
 @given(tandems(max_c=30), st.floats(1e-3, 1e3))
-def test_joint_law_equals_gth_and_dense_solves(config, lam):
+def test_joint_law_equals_the_dense_gth_reference(config, lam):
     c1, c2 = config.section1.c, config.section2.c
     joint = tandem_stationary(config, lam)
     assert joint.shape == (c1 + 1, c2 + 1)
-    generator = ref_generator(config, lam)
-    reference = gth_stationary(generator, band=c2 + 1).reshape(c1 + 1, c2 + 1)
+    reference = gth_stationary(ref_generator(config, lam), band=c2 + 1).reshape(c1 + 1, c2 + 1)
     np.testing.assert_allclose(joint, reference, rtol=0, atol=1e-14)
-    dense = exact_stationary(generator).reshape(c1 + 1, c2 + 1)
-    np.testing.assert_allclose(joint, dense, rtol=0, atol=1e-14)
 
 
 @SETTINGS
@@ -503,7 +497,7 @@ def test_absorbing_simulation_equals_the_event_by_event_loop(section, lam, seed,
 # CLI runs over drawn scenario documents and flags, each with at most one
 # edge value in its document and one in its flags
 EDGE_VALUES = st.sampled_from([5e-324, 1e-310, 0.0, -1.0, 1e300])
-LAW_KEYS = ("distribution", "marginal", "downstream", "analytical", "exact", "empirical")
+LAW_KEYS = ("distribution", "marginal", "downstream", "empirical")
 # the one warning a run may give on exit 0: a paper grid off a non-integer v_f
 # or L / v_f, as warnings.formatwarning writes it, with its source line
 GRID_WARNING = re.compile(
@@ -546,7 +540,6 @@ def cli_flags(draw):
          *draw(st.sampled_from([(), ("--kind", "travel-time"), ("--mode", "paper-grid")]))),
         ("sweep", "--lambda-from", "0", "--lambda-to", lam, "--steps", "3", *section),
         ("simulate", "--lambda", lam, *events, *section),
-        ("compare", "--lambda", lam, *events, *section),
         ("fit-exponential", "--fit-a", "5", "--fit-va", lam, "--fit-b", "12", "--fit-vb", "1"),
         ("figure-data", "--figure", draw(st.sampled_from(["fig4", "fig5", "fig6", "fig7"]))),
     ]))

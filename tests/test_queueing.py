@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import warnings
@@ -22,7 +23,7 @@ from roadqueue.queueing import birth_death_laws, birth_death_log_weights, jain_s
 from roadqueue.fundamental import service_rates
 from roadqueue.tandem import conditional_matrix, coupled_rates
 
-from chain_references import ref_throughput_departure
+from chain_references import gth_stationary, ref_birth_death_chain, ref_throughput_departure
 
 # hand-solved three-state chain: lam=1, q=(1, 2) gives weights (1, 1, 1/2)
 THREE_STATE = [0.4, 0.4, 0.2]
@@ -110,6 +111,41 @@ class TestSolveBirthDeath:
         d = solve_birth_death(50.0, rates)
         assert math.isfinite(d.blocking)
         assert d.blocking == pytest.approx(1.0, abs=1e-4)
+
+    def test_shifted_chain_mass_at_capacity(self):
+        # c = 60 at lam = 0.25, where a linear solve that replaces the last
+        # balance equation by the normalization was 7.2e-8 off; the reference
+        # is a 50-digit product form
+        section = RoadSection(
+            L=320.0, diagram=TriangularDiagram(v_f=40.0, w=4.0, rho_j=0.1875)
+        )
+        assert section.c == 60
+        d = solve_birth_death(0.25, service_rates(section))
+        assert abs(d[60] - 1.0185062630333897e-3) <= 1e-15
+
+    @pytest.mark.parametrize("lam", [0.8, 1e10, 1e20, 1e40])
+    def test_empty_road_below_the_smallest_double(self, section1, lam):
+        # c = 2880: P(n = 0) is far below 1e-308, so the GTH reference, whose
+        # unnormalized law starts from pi[0] = 1, is rescaled as it grows, or
+        # it overflows
+        section = dataclasses.replace(section1, L=16000.0, c=None)
+        assert section.c == 2880
+        rates = service_rates(section)
+        reference = gth_stationary(ref_birth_death_chain(lam, rates), band=1)
+        np.testing.assert_allclose(
+            solve_birth_death(lam, rates).probs, reference, rtol=0, atol=1e-15
+        )
+
+    @pytest.mark.parametrize("lam", [0.1, 0.8, 2.0])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, 1e7, 1e8, 1e10])
+    def test_equals_the_gth_reference_in_any_time_unit(self, section1, scale, lam):
+        # the same chain with every rate scaled has the same law; a bound
+        # relative to the rates would fail here from a scale of 1e7 up
+        rates = service_rates(section1) * scale
+        reference = gth_stationary(ref_birth_death_chain(lam * scale, rates), band=1)
+        np.testing.assert_allclose(
+            solve_birth_death(lam * scale, rates).probs, reference, rtol=0, atol=1e-12
+        )
 
     def test_detailed_balance(self):
         rates = np.linspace(2.0, 0.3, 12)

@@ -22,9 +22,7 @@ from roadqueue import (
     SimulationResult,
     TandemConfig,
     TriangularDiagram,
-    birth_death_chain,
     decomposition_diagnostic,
-    exact_stationary,
     measures,
     scan_roots,
     simulate,
@@ -167,7 +165,6 @@ def test_whole_floats_are_accepted_as_counts():
 
 RATE_SITES = {
     "solve_birth_death": lambda rates: solve_birth_death(0.8, rates),
-    "birth_death_chain": lambda rates: birth_death_chain(0.8, rates),
     "simulate": lambda rates: simulate(0.8, rates, max_events=10**4),
     "measures": lambda rates: measures(solve_birth_death(0.8, RATES), 0.8, rates),
     # each law of a vector of lam takes one vector of rates, as the one-lam call does
@@ -205,10 +202,10 @@ ARRIVAL_SITES = {
     "solve_fixed_point": (lambda lam: solve_fixed_point(TANDEM, lam), True),
     "scan_roots": (lambda lam: scan_roots(TANDEM, lam), False),
     "tandem_stationary": (lambda lam: tandem_stationary(TANDEM, lam), True),
+    "conditional_matrix": (lambda lam: conditional_matrix(TANDEM, lam), True),
     "decomposition_diagnostic": (
         lambda lam: decomposition_diagnostic(TANDEM, lam, np.full(19, 1 / 19)), True
     ),
-    "birth_death_chain": (lambda lam: birth_death_chain(lam, RATES), False),
     "measures": (lambda lam: measures(solve_birth_death(0.8, RATES), lam, RATES), False),
     "simulate": (lambda lam: simulate(lam, RATES, max_events=10**4), False),
     "speed_dist_linear": (lambda lam: speed_dist_linear(lam, LINEAR, 100.0), False),
@@ -259,16 +256,6 @@ SIZE_SITES = {
         lambda: [np.linspace(0.1, 2.0, 87_113)],
         lambda lams: conditional_matrix(TANDEM, lams),
         "the product form at 87113 arrival rates needs 268 MB",
-    ),
-    "exact_stationary": (
-        lambda: [np.broadcast_to(np.ones(1), (3274, 3274))],
-        exact_stationary,
-        "GTH elimination on 3274 states needs 268 MB",
-    ),
-    "birth_death_chain": (
-        lambda: [np.ones(3968)],
-        lambda rates: birth_death_chain(0.8, rates),
-        "GTH elimination on 3969 states (c = 3968) needs 268 MB",
     ),
     "tandem_stationary": (
         lambda: [RoadSection(L=318 / 0.18, diagram=DIAGRAM)],
@@ -341,7 +328,7 @@ def test_every_size_check_has_a_row(monkeypatch):
     for build, call, _ in SIZE_SITES.values():
         with pytest.raises(ValueError):
             call(*build())
-    assert len(calls) == 8 and calls == reached
+    assert len(calls) == 6 and calls == reached
 ONE_RATE_SITES = [site for site, (_, vectors) in ARRIVAL_SITES.items() if not vectors]
 
 
