@@ -4,10 +4,11 @@ The product-form solvers in `queueing` and the decomposition in `tandem`
 are checked against machinery that shares none of their algebra:
 
 * a level-by-level solve of the full two-dimensional tandem chain that
-  the decomposition approximates, which never forms its generator, ends
-  in GTH elimination of the global balance equations pi Q = 0 on its
-  level 0 (no dense solve), and solves a whole vector of arrival rates in
-  one batch (a sweep's grid), and
+  the decomposition approximates, which never forms its generator,
+  reduces its levels from both ends at once, ends in GTH elimination of
+  the global balance equations pi Q = 0 on the level where the two meet
+  (no dense solve), and solves a whole vector of arrival rates in one
+  batch (a sweep's grid), and
 * an event-driven simulation of the birth-death dynamics with seeded,
   reproducible randomness (numpy PCG64; every result carries the
   algorithm identifier, a class constant, so cross-implementation
@@ -34,9 +35,9 @@ from .tandem import TandemConfig, coupled_rates
 RNG_ALGORITHM = "numpy-pcg64"
 
 _CLIP = 1e-13
-# Unnormalized laws start from mass 1 at the lowest state and are rescaled
-# once a mass passes this, so a lowest state below 1e-308 does not overflow
-# them; 1e58 is left for the next product with a rate.
+# Unnormalized laws start from mass 1 at one state and are rescaled once a
+# mass passes this, so a state below 1e-308 of the largest does not overflow
+# them; a step that overflows anyway is redone from masses of at most 1.
 _RESCALE = 1e250
 # events per simulate buffer: two Python float lists of this length stay
 # small next to the process, and the stream does not depend on it
@@ -69,39 +70,55 @@ class SimulationResult:
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _gth(rates: np.ndarray, band: int) -> np.ndarray:
-    """Unnormalized laws, pi[:, 0] = 1, by GTH elimination: O(N * band**2) each.
+def _gth(rates: np.ndarray) -> np.ndarray:
+    """Unnormalized laws, pi[:, 0] = 1, by GTH elimination: O(N**3) each.
 
     rates is an (m, N, N) stack of rate matrices, giving one law per row of
-    an (m, N) array.  Censors states from the last, overwriting rates within
-    band of the diagonal; a state with no outflow to lower states, in any
-    matrix of the stack, or a law past the float range, raises OracleError.
-    Each law is rescaled on its own as it grows, giving the bits of one-by-one solves.
+    an (m, N) array.  Censors states from the last, overwriting rates; a
+    state with no outflow to lower states, in any matrix of the stack, or a
+    law past the float range, raises OracleError.
+    Each law is rescaled on its own by _rescale, giving the bits of one-by-one solves.
     """
     n = rates.shape[-1]
     out = np.zeros(rates.shape[:-1])
     # a state with no outflow divides by 0 and leaves NaN in the states
     # below it, so the highest state that fails is the one to report
     for k in range(n - 1, 0, -1):
-        lo = max(k - band, 0)
-        out[:, k] = rates[:, k, lo:k].sum(axis=-1)
-        rates[:, lo:k, lo:k] += rates[:, lo:k, k, None] * (
-            rates[:, k, None, lo:k] / out[:, k, None, None]
-        )
+        out[:, k] = rates[:, k, :k].sum(axis=-1)
+        rates[:, :k, :k] += rates[:, :k, k, None] * (rates[:, k, None, :k] / out[:, k, None, None])
     stuck = np.nonzero(~(out[:, 1:] > 0))[1]
     if stuck.size:
         raise OracleError(f"state {stuck.max() + 1} has no outflow to lower states")
     pi = np.zeros(rates.shape[:-1])
     pi[:, 0] = 1.0
+
+    def mass(k):  # state k's masses, from those of the states below it
+        return (pi[:, None, :k] @ rates[:, :k, k, None])[:, 0, 0] / out[:, k]
+
     for k in range(1, n):
-        lo = max(k - band, 0)
-        pi[:, k] = (pi[:, None, lo:k] @ rates[:, lo:k, k, None])[:, 0, 0] / out[:, k]
+        pi[:, k] = mass(k)
         if max(pi[:, k].tolist(), default=0.0) > _RESCALE:
-            # dividing the other laws by 1 leaves their bits as they are
-            pi[:, : k + 1] /= np.where(pi[:, k] > _RESCALE, pi[:, k], 1.0)[:, None]
-    if not np.isfinite(pi).all():  # a step ratio past about 1e58 overflows it
+            _rescale(pi, pi[:, k], partial(mass, k))
+    if not np.isfinite(pi).all():  # a step ratio past the float range overflows it
         raise OracleError(f"the stationary law passes the float range, {sys.float_info.max:.4g}")
     return pi
+
+
+def _rescale(pi: np.ndarray, new: np.ndarray, step) -> None:
+    """Rescale each law of the stack pi whose masses new, a view that step() wrote, passed _RESCALE.
+
+    A law with a new mass past the float range has its masses so far divided by their
+    largest, and step() is redone; then a law whose largest new mass passes _RESCALE is
+    divided by it.  The other laws are divided by 1, which leaves their bits as they are.
+    """
+    flat = pi.reshape(len(pi), -1)  # a view, as pi is contiguous; masses not yet set are 0
+    over = np.isinf(new).reshape(len(pi), -1).any(axis=1)
+    if over.any():
+        new[over] = 0.0
+        flat /= np.where(over, flat.max(axis=1), 1.0)[:, None]
+        new[...] = step()
+    top = new.reshape(len(pi), -1).max(axis=1)
+    flat /= np.where(top > _RESCALE, top, 1.0)[:, None]
 
 
 def _mass(total):
@@ -130,11 +147,20 @@ def tandem_stationary(config: TandemConfig, lam) -> np.ndarray:
     (n1 - 1, n2 + 1) at rate q12(n1, n2) while n1 > 0 and n2 < c2;
     departure (n2 - 1) at section 2's own service rate.  In n1 this is a
     level-dependent quasi-birth-death process, solved by linear level
-    reduction (Gaver, Jacobs & Latouche 1984), each level's (c2 + 1)-square
-    inverse by _split_inverse for every rate at once, then GTH elimination
-    (Grassmann, Taksar & Heyman 1985) on level 0; every pivot is a sum of
-    outflows, never a difference.  Each law is rescaled, level by level, and
-    verified on its own.
+    reduction (Gaver, Jacobs & Latouche 1984) from both ends at once: with
+    k = c1 // 2, levels c1 ... k + 1 are censored from the top and 0 ... k - 1
+    from the bottom, each _split_inverse call inverting one (c2 + 1)-square
+    level of each front for every rate.  Level k, censored from both sides,
+    is a closed chain, solved by GTH elimination (Grassmann, Taksar & Heyman
+    1985), and the law is carried out from it level by level to both ends;
+    every pivot is a sum of outflows, never a difference.  Each law is
+    rescaled on its own as it is carried out (_rescale), and verified on its
+    own.  A rate so small that a step down a level could pass the float
+    range, below max(c2 * max q12, 1) / (the largest float), lam = 0 among
+    them, is answered by the empty road, which is verified like any other law.
+    Every decade of lam from 1e-300 to 1e300 is answered at c = 18 and 54,
+    and every one up to 1e17 at c = 180; past that c = 180 refuses most of
+    them with OracleError, as its levels' split inverses go negative.
     A TandemConfig is shifted, so the chain is irreducible: one law.
     One law stores 8 * c1 * (c2 + 1)**2 bytes of blocks and works beside
     them on level and law arrays: past 256 MiB with those (c1 = c2 > 317), or
@@ -144,7 +170,8 @@ def tandem_stationary(config: TandemConfig, lam) -> np.ndarray:
     batch up to the cap (about 3 MB for 40 rates at c = 18).
     Up to c2 = 180, where a split's halves have at most 91 rows, the law has
     the same bits on one and two OpenBLAS threads; at c2 = 250 and 317 its last
-    bits follow the thread count: it is reproducible to about 1e-15, not bitwise.
+    bits follow the thread count (by at most 1.4e-17 and 2.8e-17 at lam = 0.8):
+    it is reproducible to about 1e-15, not bitwise.
     """
     fits = _run_size(config, np.size(lam))  # every law is kept beside the runs
     lams, _ = check_arrival_rates(lam)
@@ -159,46 +186,72 @@ def _run_size(config: TandemConfig, laws: int = 0) -> int:
     c1, c2 = config.section1.c, config.section2.c
     kept = f" beside {laws} law(s)" if laws else ""
     what = f"the joint chain's level reduction (c1 = {c1}, c2 = {c2}){kept}"
-    # a rate's blocks, five more levels and six (c1 + 1) x (c2 + 1) tables; beside
-    # the runs, two levels of rate tables, the kept laws and numpy's ufunc buffers
+    # a rate's c1 blocks (R above the meeting level, G below it), the stacked pair of
+    # levels, three levels of _split_inverse's work on that pair and six (c1 + 1) x
+    # (c2 + 1) tables: the law, the returns and the residual's; beside the runs, two
+    # levels of rate tables, the kept laws and numpy's ufunc buffers
     per_rate = 8 * (c2 + 1) * ((c1 + 5) * (c2 + 1) + 6 * (c1 + 1))
     return check_array_bytes(what, per_rate, 2**17 + 8 * (c2 + 1) * (2 * c2 + 2 + laws * (c1 + 1)))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # levels overflowing past lam ~ 1e17 are refused
+@np.errstate(over="ignore", invalid="ignore")  # a step that overflows is redone by _rescale
 def _level_reduction(config: TandemConfig, lams: np.ndarray) -> np.ndarray:
     """The laws of one run of rates, a stack of shape (m, c1 + 1, c2 + 1)."""
     c1, c2 = config.section1.c, config.section2.c
+    n, k = c2 + 1, c1 // 2  # phases of a level; the meeting level
     mu2 = service_rates(config.section2)
     rows = lams.reshape(-1, 1, 1)  # one law per row of each stack below
     m = rows.shape[0]
     q12 = coupled_rates(config).T  # q12(n1, n2) at [n1 - 1, n2]
     q12[:, -1] = 0.0  # nothing moves at n2 = c2
-    # departures, the same at every level and rate; a level's leak goes last
-    local = np.zeros((m, c2 + 1, c2 + 2))
-    local[:, 1:, :-2] = np.diag(mu2)
-    # r[:, n1 - 1] = lam * (-S_n1)^-1 carries the law from level n1 - 1 to n1
-    r = np.empty((m, c1, c2 + 1, c2 + 1))
-    block = local.copy()  # rates within the top level left, censored
+    returns = rows * q12[:k, :-1]  # lam q12(n1 + 1, n2), n1 < k: down to the bottom front and back
+    # a bottom level's G rows sum to 1 / lam, and a step down is at most c2 max q12 / lam
+    # times the largest mass: a rate where either passes the float range, lam = 0 among
+    # them, gets the empty road, its bottom front leaking at 1 so that no level is singular
+    idle = lams * sys.float_info.max <= max(c2 * q12.max(), 1.0)
+    # r[2t] = lam M^-1 of level c1 - t censored from above carries the law up to it from
+    # level c1 - t - 1; row i + 1 of r[2t + 1] = G = M^-1 of level t censored from below
+    # carries it down to level t from phase i of level t + 1, at rate q12(t + 1, i)
+    r = np.empty((c1, m, n, n))
+    block = np.zeros((2 * m, n, n + 1))  # a level of the top front, then of the bottom front
+    flat = block.reshape(2 * m, -1)  # a matrix's diagonal is flat[:, ::n + 2]
+    flat[:, n + 1 :: n + 2] = mu2  # departures, the same at every level and rate
+    block[m:, :, -1] = np.where(idle, 1.0, lams)[:, None]  # arrivals leave the bottom front
     try:
-        for n1 in range(c1, 0, -1):
-            block[:, :, -1] = q12[n1 - 1]
-            _split_inverse(block, r[:, n1 - 1], (c2 + 1) // 2)
-            r[:, n1 - 1] *= rows
-            # from level n1 the chain returns to level n1 - 1 one phase up
-            block = local.copy()
-            block[:, :, 1:-1] += r[:, n1 - 1, :, :-1] * q12[n1 - 1, :-1]
+        for t in range(c1 - k):
+            fronts = 1 + (t < k)  # the bottom front's level t beside the top front's c1 - t
+            block[:m, :, -1] = q12[c1 - t - 1]  # transfers leave the top front
+            _split_inverse(block[: fronts * m], r[2 * t : 2 * t + fronts].reshape(-1, n, n), n // 2)
+            r[2 * t] *= rows
+            # the chain comes back to the top front's next level one phase up, and to the
+            # bottom front's on the phase it left; the meeting level takes both, below
+            np.multiply(r[2 * t, :, :, :-1], q12[c1 - t - 1, :-1], out=block[:m, :, 1:-1])
+            block[:m, :, 0] = 0.0
+            below = t + 1 < k  # the bottom front's next level is not the meeting level
+            if below:
+                np.multiply(r[2 * t + 1, :, 1:], returns[:, t, :, None], out=block[m:, :-1, :-1])
+                block[m:, -1, :-1] = 0.0
+            flat[: (1 + below) * m, n + 1 :: n + 2] += mu2
     except np.linalg.LinAlgError as exc:
         raise OracleError(f"a censored level is singular: {exc}") from exc
-    # level 0 by GTH: censor its phases out from the top, then substitute
-    pi = np.zeros((m, c1 + 1, c2 + 1))
-    pi[:, 0] = _gth(block[..., :-1], c2)
-    for n1 in range(1, c1 + 1):
-        pi[:, n1] = (pi[:, n1 - 1, None] @ r[:, n1 - 1])[:, 0]
+    block[:m, :-1, :-1] += r[2 * k - 1, :, 1:] * returns[:, k - 1, :, None]
+    # the meeting level, censored from both sides, by GTH; then out to both ends
+    pi = np.zeros((m, c1 + 1, n))
+    pi[:, k] = _gth(block[:m, :, :-1])
+
+    def up(n1):  # level n1 from the one below it
+        return (pi[:, n1 - 1, None] @ r[2 * (c1 - n1)])[:, 0]
+
+    def down(n1):  # level n1 from the one above it
+        return ((pi[:, n1 + 1, None, :-1] * q12[n1, :-1]) @ r[2 * n1 + 1, :, 1:])[:, 0]
+
+    steps = [(up, n1) for n1 in range(k + 1, c1 + 1)] + [(down, n1) for n1 in range(k - 1, -1, -1)]
+    for step, n1 in steps:
+        pi[:, n1] = step(n1)
         if pi[:, n1].max(initial=0.0) > _RESCALE:
-            top = pi[:, n1].max(axis=1)
-            big = top > _RESCALE
-            pi[big, : n1 + 1] /= top[big, None, None]
+            _rescale(pi, pi[:, n1], partial(step, n1))
+    pi[idle] = 0.0
+    pi[idle, 0, 0] = 1.0
     pi /= _mass(pi.sum(axis=(1, 2), keepdims=True))
     exits = np.zeros((m, c1 + 1, c2 + 1))
     exits[:, 1:] = q12
@@ -219,23 +272,26 @@ def _level_reduction(config: TandemConfig, lams: np.ndarray) -> np.ndarray:
 def _split_inverse(rates: np.ndarray, out: np.ndarray, h: int) -> None:
     """Write to out the inverse of M = diag(rates 1) - rates[..., :-1] for each matrix of a stack.
 
-    Row i of rates holds state i's outflows, to the other states and, last, out of the set;
-    self-loops on the diagonal are zeroed.  M splits after h states: np.linalg.inv inverts
-    the leading block, the Schur complement comes in rates' form and splits off its last
-    state, and four matmuls assemble the inverse.  That state is phase c2, the one a level
-    leaves slowly at a large lam; its pivot is its row sum, as each pivot is a sum (GTH's rule).
+    rates is a C-contiguous (m, N, N + 1) stack.  Row i holds state i's outflows, to the
+    other states and, last, out of the set; self-loops on the diagonal are zeroed.  M splits
+    after h states: np.linalg.inv inverts the leading block, the Schur complement comes in
+    rates' form and splits off its last state, and four matmuls assemble the inverse.  That
+    state is phase c2, the one a level leaves slowly at a large lam; its pivot is its row
+    sum, its outflow out of the set, as each pivot is a sum (GTH's rule).
     """
-    np.einsum("...ii->...i", rates[..., :-1])[...] = 0.0
-    if rates.shape[-2] == 1:  # one state: its pivot is its row sum
-        np.divide(1.0, rates.sum(axis=-1, keepdims=True), out=out)
-        return
-    a = 0.0 - rates[..., :h, :h]
-    np.einsum("...ii->...i", a)[...] = rates[..., :h, :] @ np.ones(rates.shape[-1])
-    a_inv = np.linalg.inv(a)
+    n = rates.shape[-2]
+    rates.reshape(len(rates), -1)[:, :: n + 2] = 0.0
+    a_inv = 0.0 - rates[..., :h, :h]  # the leading block A, not kept beside its inverse
+    a_inv.reshape(len(a_inv), -1)[:, :: h + 1] = rates[..., :h, :] @ np.ones(n + 1)
+    a_inv = np.linalg.inv(a_inv)
     x = a_inv @ rates[..., :h, h:]  # [A^-1 B | A^-1 (M 1)[:h]]
     c = rates[..., h:, :h]
-    s = rates[..., h:, h:] + c @ x  # the complement's rates, its row sums last
-    _split_inverse(s, out[..., h:, h:], s.shape[-2] - 1)
+    s = c @ x
+    s += rates[..., h:, h:]  # the complement's rates, its row sums last
+    if n - h == 1:
+        np.divide(1.0, s[..., 1:], out=out[..., h:, h:])
+    else:
+        _split_inverse(s, out[..., h:, h:], n - h - 1)
     np.matmul(out[..., h:, h:], c @ a_inv, out=out[..., h:, :h])
     np.matmul(x[..., :-1], out[..., h:, h:], out=out[..., :h, h:])
     np.add(a_inv, x[..., :-1] @ out[..., h:, :h], out=out[..., :h, :h])

@@ -474,6 +474,8 @@ CASES = [
     # far past the road's capacity the fixed point converges on [0, max q12]
     Case("solve-tandem-1e7", ("solve-tandem", "--lambda", "1e7"), check=_saturated),
     Case("solve-tandem-1e16", ("solve-tandem", "--lambda", "1e16"), check=_saturated),
+    # the oracle's law grows by about lam a level: a step that overflowed is redone
+    Case("solve-tandem-1e200", ("solve-tandem", "--lambda", "1e200"), check=_saturated),
     Case("scan-roots-1e7-narrow-bracket", ("solve-tandem", "--lambda", "1e7", "--scan-roots"),
          check=_one_narrow_bracket),
     # c1 = c2 = 180: the level-reduction oracle solves 32761 joint states

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -121,6 +122,23 @@ class TestTandem2d:
         assert isinstance(refused, ValueError)
         assert peak < 2**20
 
+    def test_peak_of_a_short_wide_chain_stays_under_the_cap_it_counts(
+        self, tandem_config, monkeypatch, traced_peak
+    ):
+        # c1 = 2, c2 = 216: the stacked pair of levels and _split_inverse's
+        # work on it outweigh the blocks and the law tables; holding the
+        # leading block beside its inverse took the peak to 1.035 times the cap
+        config = TandemConfig(
+            section1=dataclasses.replace(tandem_config.section1, L=12.0, c=None),
+            section2=dataclasses.replace(tandem_config.section2, L=1200.0, c=None),
+        )
+        assert (config.section1.c, config.section2.c) == (2, 216)
+        lams = np.linspace(0.1, 2.0, 12)
+        cap = oracle_bytes(2, 216, rates=12, laws=12)
+        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", cap)
+        laws, peak = traced_peak(lambda: tandem_stationary(config, lams))
+        assert laws.shape == (12, 3, 217) and peak <= cap
+
     def test_diagnostic_keeps_one_run_of_joint_laws(self, tandem_config, monkeypatch, traced_peak):
         # 200 rates in runs of 4: each run is cut to its section-1 marginals
         # before the next starts; holding every joint law and then a copy of
@@ -181,6 +199,41 @@ class TestTandem2d:
             tandem_stationary(tandem_config, lam), dense, rtol=0, atol=1e-14
         )
 
+    @pytest.mark.parametrize(
+        "length, exponents, run",
+        [
+            (100.0, range(-300, 301), 40),
+            (300.0, range(-300, 301, 10), 10),
+            (1000.0, [-100, 0, 16, 17], 1),
+        ],
+        ids=["c18", "c54", "c180"],
+    )
+    def test_every_decade_answers(self, tandem_config, length, exponents, run):
+        # the law is carried from the meeting level down by about 1 / lam a
+        # level and up by about lam, and a step that overflows is redone from
+        # masses of at most 1; rescaled past 1e250 alone, the top-down
+        # reduction refused 129 of these decades at c = 18, all from 1e61 up.
+        # At c = 180 the split inverses go negative from 1e18 on
+        config = scaled(tandem_config, length)
+        lams = np.array([0.0] + [10.0**e for e in exponents])
+        for i in range(0, lams.size, run):
+            assert np.isfinite(tandem_stationary(config, lams[i : i + run])).all()
+
+    @pytest.mark.parametrize("lam", [5e-324, 1e-320, 1e-310, 1e-308])
+    def test_rate_whose_step_down_passes_the_float_range_is_the_empty_road(
+        self, tandem_config, lam
+    ):
+        # below 18 * 0.84 / 1.8e308 = 8.4e-308 a step down a level, about
+        # q12 / lam times the law, could pass the largest float; the law's
+        # mass off the empty road is then about 7 lam, as the dense reference
+        # shows, and 1e-307 is still carried out level by level
+        empty = np.zeros((19, 19))
+        empty[0, 0] = 1.0
+        np.testing.assert_array_equal(tandem_stationary(tandem_config, lam), empty)
+        dense = gth_stationary(ref_generator(tandem_config, lam), band=20).reshape(19, 19)
+        np.testing.assert_allclose(dense, empty, rtol=0, atol=1e-306)
+        assert tandem_stationary(tandem_config, 1e-307)[1:].sum() > 0.0
+
     def test_singular_level_is_an_oracle_error(self, tandem_config, monkeypatch):
         def singular(matrix):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -189,33 +242,49 @@ class TestTandem2d:
         with pytest.raises(OracleError, match="a censored level is singular: Singular matrix"):
             tandem_stationary(tandem_config, 0.8)
 
-    @pytest.mark.parametrize("mass", [1e308, 0.0], ids=["overflow", "zero"])
-    def test_total_mass_past_the_float_range_or_zero_is_refused(
-        self, tandem_config, monkeypatch, mass
-    ):
-        # level 0 at 1e308 a phase: the levels above it are finite, their
-        # total is not, and dividing by it would give a law of zeros, whose
-        # residual is 0; level 0 at 0 gives a total of 0, and a law of NaN
-        monkeypatch.setattr(ctmc, "_gth", lambda rates, band: np.full(rates.shape[:-1], mass))
+    @pytest.mark.parametrize("total", [math.inf, 0.0], ids=["overflow", "zero"])
+    def test_total_mass_past_the_float_range_or_zero_is_refused(self, total):
+        # dividing by an infinite total would give a law of zeros, whose
+        # residual is 0, and dividing by 0 a law of NaN; one law of a batch
+        # is enough to refuse it
+        with pytest.raises(OracleError, match="total mass is not finite and positive"):
+            ctmc._mass(np.array([[[1.0]], [[total]]]))
+
+    def test_meeting_level_of_zeros_is_refused(self, tandem_config, monkeypatch):
+        # both passes carry the zeros out to the ends: a total of 0
+        monkeypatch.setattr(ctmc, "_gth", lambda rates: np.zeros(rates.shape[:-1]))
         with pytest.raises(OracleError, match="total mass is not finite and positive"):
             tandem_stationary(tandem_config, 1e-300)
 
+    def test_meeting_level_past_the_float_range_is_rescaled(self, tandem_config, monkeypatch):
+        # the meeting level at 1e308 a phase, whose total alone overflows: the
+        # first step down, about 1e300 times it, overflows and is redone from
+        # the law divided by its largest mass, so the total is finite; at
+        # lam = 1e-300 the meeting level holds too little to move the law
+        clean = tandem_stationary(tandem_config, 1e-300)
+        monkeypatch.setattr(ctmc, "_gth", lambda rates: np.full(rates.shape[:-1], 1e308))
+        injected = tandem_stationary(tandem_config, 1e-300)
+        np.testing.assert_allclose(injected, clean, rtol=0, atol=1e-15)
+
     def test_nan_solution_fails_the_residual_check(self, tandem_config, monkeypatch):
-        monkeypatch.setattr(ctmc, "_gth", lambda rates, band: np.full(rates.shape[:-1], np.nan))
+        monkeypatch.setattr(ctmc, "_gth", lambda rates: np.full(rates.shape[:-1], np.nan))
         with pytest.raises(OracleError, match="residual nan"):
             tandem_stationary(tandem_config, 0.8)
 
     def test_negative_mass_within_the_residual_tolerance_is_refused(
         self, tandem_config, monkeypatch
     ):
-        # level 0's phase c2 at lam = 1e-3 holds far less than 1e-100 and leaves
-        # at about 0.07 a second: a mass of -1e-12 put there moves pi Q by about
-        # 7e-14, within the tolerance of 2.7e-13, so the mass check refuses it
-        gth = ctmc._gth
+        # the meeting level's phase c2 (level 9 of 18) at lam = 1e-3 holds
+        # about 3e-62 and leaves at about 0.07 a second: -1e-12 of the law put
+        # there moves pi Q by about 7e-14, within the tolerance of 2.7e-13, so
+        # the mass check refuses it; _gth gives phase 0 a mass of 1, and the
+        # passes out to the ends rescale nothing at this lam
+        k, gth = tandem_config.section1.c // 2, ctmc._gth
+        share = tandem_stationary(tandem_config, 1e-3)[k, 0]
 
-        def tipped(rates, band):
-            pi = gth(rates, band)
-            pi[:, -1] = -1e-12
+        def tipped(rates):
+            pi = gth(rates)
+            pi[:, -1] = -1e-12 / share
             return pi
 
         monkeypatch.setattr(ctmc, "_gth", tipped)
@@ -381,16 +450,25 @@ class TestBatchedOracle:
         stack = rng.random((2, 7, 7))
         stack[1, [3, 5]] = 0.0  # states 3 and 5 of the second matrix never leave
         with pytest.raises(OracleError, match="state 5 has no outflow"):
-            ctmc._gth(stack.copy(), 6)
+            ctmc._gth(stack.copy())
         stack[1, 5] = 1.0
         with pytest.raises(OracleError, match="state 3 has no outflow"):
-            ctmc._gth(stack[1:2], 6)
+            ctmc._gth(stack[1:2])
 
     def test_gth_refuses_a_law_past_the_float_range(self):
-        # a step ratio of 1e400 overflows the first mass, before any rescale
+        # a step ratio of 1e400 overflows the first mass, and again when the
+        # step is redone from masses of at most 1
         chain = np.diag(np.full(3, 1e200), 1) + np.diag(np.full(3, 1e-200), -1)
         with pytest.raises(OracleError, match="the stationary law passes the float range"):
-            ctmc._gth(np.array([chain]), 1)
+            ctmc._gth(np.array([chain]))
+
+    def test_gth_redoes_a_step_past_the_float_range(self):
+        # masses growing by 1e200 a state: the third, 1e400, overflows and is
+        # redone from the masses so far divided by their largest, 1e200, and
+        # so is the fourth; the law is (1e-600, 1e-400, 1e-200, 1) normalized
+        chain = np.diag(np.full(3, 1e100), 1) + np.diag(np.full(3, 1e-100), -1)
+        law = ctmc._gth(np.array([chain]))[0]
+        np.testing.assert_allclose(law / law.sum(), [0.0, 0.0, 1e-200, 1.0], rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("up", [1.0, 1e40], ids=["flat", "steep"])
     @pytest.mark.parametrize("band", [1, 2, 3, 6])
@@ -402,7 +480,7 @@ class TestBatchedOracle:
         offset = np.subtract.outer(np.arange(n), np.arange(n))
         stack = rng.uniform(0.5, 2.0, (3, n, n)) * ((offset != 0) & (abs(offset) <= band))
         stack *= np.where(offset < 0, up, 1.0)
-        laws = ctmc._gth(stack.copy(), band)
+        laws = ctmc._gth(stack.copy())
         assert ((laws[:, 0] < 1.0) == (up > 1.0)).all()
         laws /= laws.sum(axis=1, keepdims=True)
         for law, rates in zip(laws, stack):
@@ -414,9 +492,9 @@ class TestBatchedOracle:
         # one whose masses stay near 1: only the first is rescaled
         steep = np.diag(np.full(3, 1e100), 1) + np.diag(np.ones(3), -1)
         flat = np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1)
-        stacked = ctmc._gth(np.array([steep, flat]), 1)
-        np.testing.assert_array_equal(stacked[1:], ctmc._gth(np.array([flat]), 1))
-        np.testing.assert_array_equal(stacked[:1], ctmc._gth(np.array([steep]), 1))
+        stacked = ctmc._gth(np.array([steep, flat]))
+        np.testing.assert_array_equal(stacked[1:], ctmc._gth(np.array([flat])))
+        np.testing.assert_array_equal(stacked[:1], ctmc._gth(np.array([steep])))
         assert stacked[0].max() <= ctmc._RESCALE
 
     def test_diagnostic_over_a_vector(self, tandem_config):
