@@ -7,8 +7,8 @@ are checked against machinery that shares none of their algebra:
   the decomposition approximates, which never forms its generator,
   reduces its levels from both ends at once, ends in GTH elimination of
   the global balance equations pi Q = 0 on the level where the two meet
-  (no dense solve), and solves a whole vector of arrival rates in one
-  batch (a sweep's grid), and
+  (no dense solve); decomposition_diagnostic solves a whole vector of
+  arrival rates (a sweep's grid) in batches that fit under the cap, and
 * an event-driven simulation of the birth-death dynamics with seeded,
   reproducible randomness (numpy PCG64; every result carries the
   algorithm identifier, a class constant, so cross-implementation
@@ -29,7 +29,7 @@ from typing import ClassVar
 import numpy as np
 
 from .fundamental import check_array_bytes, check_integer, check_positive, service_rates
-from .queueing import OccupancyDistribution, check_arrival_rates, check_rates
+from .queueing import OccupancyDistribution, check_arrival_rate, check_arrival_rates, check_rates
 from .tandem import TandemConfig, coupled_rates
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -140,9 +140,8 @@ def _verify(pi: np.ndarray, residual: float, tol: float) -> None:
 def tandem_stationary(config: TandemConfig, lam) -> np.ndarray:
     """Exact law pi[n1, n2] of the joint chain the decomposition approximates.
 
-    lam is one arrival rate, giving a law of shape (c1 + 1, c2 + 1), or a
-    1-D vector of m rates, giving a stack of shape (m, c1 + 1, c2 + 1):
-    one body solves every rate of the batch at once.
+    lam is one arrival rate, giving a law of shape (c1 + 1, c2 + 1); a
+    vector of rates is solved in runs by decomposition_diagnostic.
     Transitions: arrival (n1 + 1) at rate lam while n1 < c1; transfer
     (n1 - 1, n2 + 1) at rate q12(n1, n2) while n1 > 0 and n2 < c2;
     departure (n2 - 1) at section 2's own service rate.  In n1 this is a
@@ -150,48 +149,41 @@ def tandem_stationary(config: TandemConfig, lam) -> np.ndarray:
     reduction (Gaver, Jacobs & Latouche 1984) from both ends at once: with
     k = c1 // 2, levels c1 ... k + 1 are censored from the top and 0 ... k - 1
     from the bottom, each _split_inverse call inverting one (c2 + 1)-square
-    level of each front for every rate.  Level k, censored from both sides,
-    is a closed chain, solved by GTH elimination (Grassmann, Taksar & Heyman
-    1985), and the law is carried out from it level by level to both ends;
-    every pivot is a sum of outflows, never a difference.  Each law is
-    rescaled on its own as it is carried out (_rescale), and verified on its
-    own.  A rate so small that a step down a level could pass the float
-    range, below max(c2 * max q12, 1) / (the largest float), lam = 0 among
-    them, is answered by the empty road, which is verified like any other law.
+    level of each front.  Level k, censored from both sides, is a closed
+    chain, solved by GTH elimination (Grassmann, Taksar & Heyman 1985), and
+    the law is carried out from it level by level to both ends; every pivot
+    is a sum of outflows, never a difference.  The law is rescaled as it is
+    carried out (_rescale), and verified.  A rate so small that a step down a
+    level could pass the float range, below max(c2 * max q12, 1) / (the
+    largest float), lam = 0 among them, is answered by the empty road, which
+    is verified like any other law.
     Every decade of lam from 1e-300 to 1e300 is answered at c = 18 and 54,
     and every one up to 1e17 at c = 180; past that c = 180 refuses most of
     them with OracleError, as its levels' split inverses go negative.
     A TandemConfig is shifted, so the chain is irreducible: one law.
     One law stores 8 * c1 * (c2 + 1)**2 bytes of blocks and works beside
-    them on level and law arrays: past 256 MiB with those (c1 = c2 > 317), or
-    with every rate's law kept in one array, it raises ValueError before a
-    rate is read (OracleError is only for a run that fails its checks); a
-    batch runs in pieces that fit beside those laws, so memory grows with the
-    batch up to the cap (about 3 MB for 40 rates at c = 18).
+    them on level and law arrays: past 256 MiB with those (c1 = c2 > 317)
+    it raises ValueError before the rate is read (OracleError is only for a
+    solve that fails its checks).
     Up to c2 = 180, where a split's halves have at most 91 rows, the law has
     the same bits on one and two OpenBLAS threads; at c2 = 250 and 317 its last
     bits follow the thread count (by at most 1.4e-17 and 2.8e-17 at lam = 0.8):
     it is reproducible to about 1e-15, not bitwise.
     """
-    fits = _run_size(config, np.size(lam))  # every law is kept beside the runs
-    lams, _ = check_arrival_rates(lam)
-    pi = np.empty((lams.size, config.section1.c + 1, config.section2.c + 1))
-    for i in range(0, lams.size, fits):
-        pi[i : i + fits] = _level_reduction(config, lams.reshape(-1)[i : i + fits])
-    return pi.reshape(lams.shape + pi.shape[1:])
+    _run_size(config)
+    return _level_reduction(config, np.array([check_arrival_rate("tandem_stationary", lam)]))[0]
 
 
-def _run_size(config: TandemConfig, laws: int = 0) -> int:
-    """Rates a run of the level reduction may hold under the cap beside the laws a caller keeps."""
+def _run_size(config: TandemConfig) -> int:
+    """Rates a run of the level reduction may hold under the cap."""
     c1, c2 = config.section1.c, config.section2.c
-    kept = f" beside {laws} law(s)" if laws else ""
-    what = f"the joint chain's level reduction (c1 = {c1}, c2 = {c2}){kept}"
+    what = f"the joint chain's level reduction (c1 = {c1}, c2 = {c2})"
     # a rate's c1 blocks (R above the meeting level, G below it), the stacked pair of
     # levels, three levels of _split_inverse's work on that pair and six (c1 + 1) x
     # (c2 + 1) tables: the law, the returns and the residual's; beside the runs, two
-    # levels of rate tables, the kept laws and numpy's ufunc buffers
+    # levels of rate tables and numpy's ufunc buffers
     per_rate = 8 * (c2 + 1) * ((c1 + 5) * (c2 + 1) + 6 * (c1 + 1))
-    return check_array_bytes(what, per_rate, 2**17 + 8 * (c2 + 1) * (2 * c2 + 2 + laws * (c1 + 1)))
+    return check_array_bytes(what, per_rate, 2**17 + 16 * (c2 + 1) ** 2)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a step that overflows is redone by _rescale
@@ -301,18 +293,20 @@ def decomposition_diagnostic(config: TandemConfig, lam, marginal_probs):
     """TV distance between a model marginal and the exact joint chain's.
 
     A scalar lam takes one marginal and gives a float; a 1-D vector of
-    lam takes one marginal per rate and gives a list.  The joint laws are
-    solved in tandem_stationary's runs, each cut to its section-1 marginals
-    before the next run starts, so no two runs' laws are held at once.  A
-    quality report for the decomposition, not a correctness bound: the
-    decomposition is an approximation of the joint chain by design.
+    lam takes one marginal per rate and gives a list.  A marginal of the
+    wrong shape is refused before any solve.  The joint laws are solved in
+    runs of rates that fit under the cap, each cut to its section-1
+    marginals before the next run starts, so no two runs' laws are held at
+    once.  A quality report for the decomposition, not a correctness bound:
+    the decomposition is an approximation of the joint chain by design.
     """
     fits, (lams, _) = _run_size(config), check_arrival_rates(lam)
-    batch = lams.reshape(-1)  # an empty batch is one empty run
-    runs = (_level_reduction(config, batch[i : i + fits]) for i in range(0, batch.size or 1, fits))
-    # map, unlike a loop variable, holds no run's laws while the next is solved
-    marginals = np.concatenate(list(map(partial(np.sum, axis=-1), runs)))
-    return tv_distance(marginals.reshape(lams.shape + marginals.shape[1:]), marginal_probs)
+    marginals = np.zeros(lams.shape + (config.section1.c + 1,))
+    tv_distance(marginals, marginal_probs)  # refuses a mismatched support
+    batch, rows = lams.reshape(-1), marginals.reshape(-1, marginals.shape[-1])
+    for i in range(0, batch.size, fits):
+        rows[i : i + fits] = _level_reduction(config, batch[i : i + fits]).sum(axis=-1)
+    return tv_distance(marginals, marginal_probs)
 
 
 def tv_distance(p, q):

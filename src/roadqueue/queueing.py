@@ -83,6 +83,7 @@ class OccupancyDistribution:
     @classmethod
     def point_mass(cls, capacity: int, n: int) -> OccupancyDistribution:
         """The law with all its mass on count n of 0..capacity."""
+        capacity = check_integer("capacity", capacity, 1)
         n = check_integer("n", n, 0)
         if n > capacity:
             raise ValueError(f"n must be at most the capacity {capacity!r}, got {n!r}")

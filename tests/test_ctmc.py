@@ -34,12 +34,12 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 TV_2D_LAM1 = 0.1902798442830123
 
 
-def oracle_bytes(c1, c2, rates=1, laws=0):
+def oracle_bytes(c1, c2, rates=1):
     """What a run counts: a rate's blocks, five more levels and six law tables,
-    beside two levels, 128 kB of buffers and the laws tandem_stationary keeps."""
+    beside two levels and 128 kB of buffers."""
     level = 8 * (c2 + 1) ** 2
     law = 8 * (c1 + 1) * (c2 + 1)
-    return 2**17 + 2 * level + rates * ((c1 + 5) * level + 6 * law) + laws * law
+    return 2**17 + 2 * level + rates * ((c1 + 5) * level + 6 * law)
 
 
 class TestGthReference:
@@ -93,11 +93,11 @@ class TestTandem2d:
         assert isinstance(refused, ValueError)
         assert "(c1 = 318, c2 = 318)" in str(refused)
         assert peak < 2**20
-        # c = 317 would count 268 MB with its law, so test acceptance at a cap
-        # lowered to exactly what c = 18 counts
-        assert oracle_bytes(317, 317, laws=1) <= fundamental._ARRAY_CAP_BYTES
+        # c = 317 would count 267 MB, so test acceptance at a cap lowered to
+        # exactly what c = 18 counts
+        assert oracle_bytes(317, 317) <= fundamental._ARRAY_CAP_BYTES
         assert oracle_bytes(318, 318) > fundamental._ARRAY_CAP_BYTES
-        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", oracle_bytes(18, 18, laws=1))
+        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", oracle_bytes(18, 18))
         assert tandem_stationary(tandem_config, 0.8).shape == (19, 19)
         with pytest.raises(ValueError, match=r"\(c1 = 19, c2 = 19\)"):
             tandem_stationary(scaled(tandem_config, 19 / 0.18), 0.8)
@@ -112,7 +112,7 @@ class TestTandem2d:
         # c = 250 and 317 the law's last bits follow the BLAS thread count
         config = scaled(tandem_config, length)
         c = config.section1.c
-        cap = oracle_bytes(c, c, laws=1)
+        cap = oracle_bytes(c, c)
         monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", cap)
         law, peak = traced_peak(lambda: tandem_stationary(config, 0.8))
         assert law.shape == (c + 1, c + 1)
@@ -134,10 +134,12 @@ class TestTandem2d:
         )
         assert (config.section1.c, config.section2.c) == (2, 216)
         lams = np.linspace(0.1, 2.0, 12)
-        cap = oracle_bytes(2, 216, rates=12, laws=12)
+        cap = oracle_bytes(2, 216, rates=12)
         monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", cap)
-        laws, peak = traced_peak(lambda: tandem_stationary(config, lams))
-        assert laws.shape == (12, 3, 217) and peak <= cap
+        tvs, peak = traced_peak(
+            lambda: decomposition_diagnostic(config, lams, np.full((12, 3), 1 / 3))
+        )
+        assert len(tvs) == 12 and peak <= cap
 
     def test_diagnostic_keeps_one_run_of_joint_laws(self, tandem_config, monkeypatch, traced_peak):
         # 200 rates in runs of 4: each run is cut to its section-1 marginals
@@ -217,7 +219,9 @@ class TestTandem2d:
         config = scaled(tandem_config, length)
         lams = np.array([0.0] + [10.0**e for e in exponents])
         for i in range(0, lams.size, run):
-            assert np.isfinite(tandem_stationary(config, lams[i : i + run])).all()
+            batch = lams[i : i + run]
+            uniform = np.full((batch.size, config.section1.c + 1), 1 / (config.section1.c + 1))
+            assert np.isfinite(decomposition_diagnostic(config, batch, uniform)).all()
 
     @pytest.mark.parametrize("lam", [5e-324, 1e-320, 1e-310, 1e-308])
     def test_rate_whose_step_down_passes_the_float_range_is_the_empty_road(
@@ -381,27 +385,28 @@ class TestTandem2d:
 
 
 LAMS = np.array([0.0, 1e-8, 0.1, 0.5, 0.8, 1.3, 2.0, 10.0, 1e12])
+# one section-1 marginal per rate of LAMS, each its own
+MARGINALS = np.random.default_rng(7).dirichlet(np.ones(19), LAMS.size)
 
 
 class TestBatchedOracle:
-    """tandem_stationary over a vector of lam is the stack of scalar calls."""
+    """decomposition_diagnostic over a vector of lam gives the bits of its scalar calls."""
 
-    def test_vector_is_the_stack_of_scalar_calls(self, tandem_config):
-        batch = tandem_stationary(tandem_config, LAMS)
-        assert batch.shape == (LAMS.size, 19, 19)
-        single = np.array([tandem_stationary(tandem_config, lam) for lam in LAMS])
-        np.testing.assert_array_equal(batch, single)
+    def test_vector_is_the_list_of_scalar_calls(self, tandem_config):
+        tvs = decomposition_diagnostic(tandem_config, LAMS, MARGINALS)
+        assert tvs == [
+            decomposition_diagnostic(tandem_config, lam, marginal)
+            for lam, marginal in zip(LAMS, MARGINALS)
+        ]
 
     def test_scalar_shapes(self, tandem_config):
         assert tandem_stationary(tandem_config, 0.8).shape == (19, 19)
         assert tandem_stationary(tandem_config, np.float64(0.8)).shape == (19, 19)
-        assert tandem_stationary(tandem_config, [0.8]).shape == (1, 19, 19)
-        assert tandem_stationary(tandem_config, []).shape == (0, 19, 19)
 
     def test_split_at_the_cap_equals_one_batch(self, tandem_config, monkeypatch):
-        whole = tandem_stationary(tandem_config, LAMS)
-        # room for runs of 2 beside the 9 laws kept: 9 rates run as 2 + 2 + 2 + 2 + 1
-        cap = oracle_bytes(18, 18, 2, laws=LAMS.size) + 7
+        whole = decomposition_diagnostic(tandem_config, LAMS, MARGINALS)
+        # room for runs of 2: 9 rates run as 2 + 2 + 2 + 2 + 1
+        cap = oracle_bytes(18, 18, 2) + 7
         monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", cap)
         calls = []
         solve = ctmc._level_reduction
@@ -411,25 +416,20 @@ class TestBatchedOracle:
             return solve(config, lams)
 
         monkeypatch.setattr(ctmc, "_level_reduction", spy)
-        split = tandem_stationary(tandem_config, LAMS)
+        split = decomposition_diagnostic(tandem_config, LAMS, MARGINALS)
         assert calls == [2, 2, 2, 2, 1]
-        np.testing.assert_array_equal(split, whole)
-
-    def test_kept_laws_and_a_run_stay_under_the_cap(self, tandem_config, monkeypatch, traced_peak):
-        # every law is kept in one array, counted beside the runs: a list of
-        # runs and its concatenation held each law twice, counted by nothing
-        lams, cap = np.linspace(0.1, 2.0, 1000), 8 * 2**20
-        monkeypatch.setattr(fundamental, "_ARRAY_CAP_BYTES", cap)
-        laws, peak = traced_peak(lambda: tandem_stationary(tandem_config, lams))
-        assert laws.shape == (1000, 19, 19) and 8 * laws.size < peak <= cap
+        assert split == whole
 
     def test_zero_rate_in_a_batch_is_the_empty_road(self, tandem_config):
-        batch = tandem_stationary(tandem_config, [0.5, 0.0, 2.0])
-        empty = np.zeros((19, 19))
-        empty[0, 0] = 1.0
-        np.testing.assert_array_equal(batch[1], empty)
-        for law, lam in zip(batch[[0, 2]], [0.5, 2.0]):
-            np.testing.assert_array_equal(law, tandem_stationary(tandem_config, lam))
+        empty = np.zeros(19)
+        empty[0] = 1.0
+        marginals = [MARGINALS[0], empty, MARGINALS[1]]
+        tvs = decomposition_diagnostic(tandem_config, [0.5, 0.0, 2.0], marginals)
+        assert tvs[1] == 0.0
+        assert tvs[::2] == [
+            decomposition_diagnostic(tandem_config, lam, marginal)
+            for lam, marginal in zip([0.5, 2.0], MARGINALS)
+        ]
 
     def test_each_law_is_verified_on_its_own(self, tandem_config, monkeypatch):
         seen = []
@@ -440,7 +440,7 @@ class TestBatchedOracle:
             verify(pi, residual, tol)
 
         monkeypatch.setattr(ctmc, "_verify", spy)
-        tandem_stationary(tandem_config, [0.1, 2.0])
+        decomposition_diagnostic(tandem_config, [0.1, 2.0], MARGINALS[:2])
         assert [shape for shape, _ in seen] == [(19, 19), (19, 19)]
         # ||Q||_inf, and with it the tolerance, grows with lam
         assert seen[0][1] < seen[1][1]
@@ -507,8 +507,22 @@ class TestBatchedOracle:
             for lam, marginal in zip(lams, marginals)
         ]
         assert tvs[2] == pytest.approx(TV_2D_LAM1, rel=1e-9)
-        with pytest.raises(ValueError):
-            decomposition_diagnostic(tandem_config, np.array(lams), marginals[:2])
+
+    @pytest.mark.parametrize(
+        "lam, marginal, shapes",
+        [(0.8, np.full(18, 1 / 18), "(19,) vs (18,)"), (LAMS, MARGINALS[:2], "(9, 19) vs (2, 19)")],
+        ids=["scalar", "vector"],
+    )
+    def test_mismatched_marginal_is_refused_before_the_solve(
+        self, tandem_config, monkeypatch, lam, marginal, shapes
+    ):
+        # at c = 180 a solve takes about 0.3 s a rate, lost on a marginal that cannot be compared
+        calls = []
+        monkeypatch.setattr(ctmc, "_level_reduction", lambda config, lams: calls.append(lams))
+        with pytest.raises(ValueError) as info:
+            decomposition_diagnostic(tandem_config, lam, marginal)
+        assert str(info.value) == f"support mismatch: {shapes}"
+        assert calls == []
 
 
 class TestTvDistance:
