@@ -8,8 +8,9 @@ Subcommands:
     sweep            arrival-rate sweep as CSV (tandem or single section)
     simulate         seeded Monte Carlo run vs the analytical law
     fit-exponential  congestion-curve fit from two anchor points
-    figure-data      fig4..fig7: the tandem and the Jain-Smith section side by
-                     side, from the sweeps' per-lambda solves
+    figure-data      fig4..fig7 and fig5-blocking: the tandem and the
+                     Jain-Smith section side by side, from the sweeps'
+                     per-lambda solves
 
 Exit codes: 0 success, 2 configuration or usage errors, 3 numerical
 failures (singular model, non-convergence, oracle residual), 4 file I/O
@@ -53,9 +54,17 @@ from .tandem import ConvergenceError, scan_roots, solve_fixed_point, tandem_meas
 
 SPEED = "speed"
 TRAVEL_TIME = "travel-time"
-FIGURES = ("fig4", "fig5", "fig6", "fig7")
-
-_FIGURE_SWEEP = np.linspace(0.1, 2.0, 40)
+# each figure-data figure: the loads it solves at, and the measure it sets the
+# tandem beside the Jain-Smith section on; fig4 (None) sets their laws side by side
+FIGURES = {
+    "fig4": ((0.5, 1.0, 1.5), None),
+    **{name: (np.linspace(0.1, 2.0, 40), measure) for name, measure in (
+        ("fig5", "expected_count"),
+        ("fig5-blocking", "blocking"),
+        ("fig6", "expected_travel_time"),
+        ("fig7", "throughput"),  # the tandem's throughput is theta
+    )},
+}
 # bytes a sweep step holds until its CSV is written, tracemalloc's peak per step
 # rounded up: a section's row (400), a tandem's row and results (1150) beside
 # the two laws of its fixed point
@@ -264,31 +273,20 @@ def _cmd_fit_exponential(args) -> str:
 
 
 def _cmd_figure_data(args) -> str:
+    lams, measure = FIGURES[args.figure]
     scenario = _scenario(args)
-    figure = args.figure
-    if args.metric is not None and figure != "fig5":
-        raise ValueError("--metric applies to fig5 only")
-
-    linear = dataclasses.replace(scenario, model=LINEAR)
-    triangular = dataclasses.replace(scenario, model=TRIANGULAR)
-    config = triangular.tandem()  # raises on 1-section scenarios
-    # fig4..fig7 read the tandem and the Jain-Smith sweeps side by side
-    lams = (0.5, 1.0, 1.5) if figure == "fig4" else _FIGURE_SWEEP
-    pairs = zip(_tandem_sweep(config, lams), _section_sweep(linear.rates(1), lams))
-    if figure == "fig4":
+    config = dataclasses.replace(scenario, model=TRIANGULAR).tandem()  # 1 section: refused
+    jain_smith = dataclasses.replace(scenario, model=LINEAR).rates(1)
+    pairs = zip(_tandem_sweep(config, lams), _section_sweep(jain_smith, lams))
+    if measure is None:
         rows = [
             (lam, n, ours.marginal[n], js[n])
             for (lam, ours, _), (_, js, _) in pairs
             for n in range(config.section1.c + 1)
         ]
         return _csv("lambda,n,ours,jain_smith", rows)
-    field = {
-        "fig5": "blocking" if args.metric == "blocking" else "expected_count",
-        "fig6": "expected_travel_time",
-        "fig7": "throughput",  # the tandem's throughput is theta
-    }[figure]
     rows = [
-        (lam, getattr(ours, field), getattr(js, field))
+        (lam, getattr(ours, measure), getattr(js, measure))
         for (lam, _, ours), (_, _, js) in pairs
     ]
     return _csv("lambda,ours,jain_smith", rows)
@@ -349,9 +347,7 @@ _COMMANDS = (
             "free speed (default: section 1's v_f from the config)")}),
     )),
     ("figure-data", _cmd_figure_data, "canned comparison datasets for plotting", (
-        ("--figure", {"choices": FIGURES, "required": True}),
-        ("--metric", {"choices": ("count", "blocking"), "help": (
-            "fig5: which panel to emit (default count)")}),
+        ("--figure", {"choices": tuple(FIGURES), "required": True}),
     )),
 )
 

@@ -341,14 +341,13 @@ def simulate(
     before any draw, as the run's model time could pass the float range;
     every rate accepted is then a normal float, so n = 0 always moves up.
     """
-    if np.ndim(lam):
-        raise ValueError(f"simulate takes one arrival rate, got shape {np.shape(lam)}")
-    check_positive(**{"arrival rate": float(lam)})
+    lam = check_arrival_rate("simulate", lam)
+    check_positive(**{"arrival rate": lam})
     rates = [float(r) for r in check_rates(rates)]
     max_events = check_integer("max_events", max_events, 10**4)
     seed = check_integer("seed", seed, 0)
     c = len(rates)
-    birth = [float(lam)] * c + [0.0]
+    birth = [lam] * c + [0.0]
     total = [b + d for b, d in zip(birth, [0.0] + rates)]
     # a holding time is at most 37 / rate, as -log1p(-u) < 36.74 for u < 1
     slowest = min(t for t in total if t > 0)

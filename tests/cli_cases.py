@@ -462,7 +462,7 @@ GOLDEN_ROWS = [
     *[_golden(f"figure-data-{fig}", "figure-data", "--figure", fig,
               also=_table("lambda,ours,jain_smith", 40))
       for fig in ("fig5", "fig6", "fig7")],
-    _golden("figure-data-fig5-blocking", "figure-data", "--figure", "fig5", "--metric", "blocking",
+    _golden("figure-data-fig5-blocking", "figure-data", "--figure", "fig5-blocking",
             also=lambda run: all(0 <= float(row[1]) <= 1 for row in _rows(run))),
 ]
 
@@ -554,7 +554,7 @@ CASES = [
     *[Case(f"linear-config-{fig}", ("figure-data", "--figure", fig, "--config", "-"),
            stdin=LINEAR_BUNDLED,
            check=lambda run, same=_same_as(f"figure-data-{fig}"): same(run) and run.err == "")
-      for fig in ("fig4", "fig5", "fig6", "fig7")],
+      for fig in cli.FIGURES],
     # -- refusals: nothing on stdout, no --output file written
     Case("sweep-one-step", (*SWEEP, "--steps", "1"), 2, _one_error),
     Case("sweep-reversed", ("sweep", "--lambda-from", "2", "--lambda-to", "0.1", "--steps", "3"),
@@ -595,12 +595,13 @@ CASES = [
                "best bracket [0.45372928604317525, 0.4537292860431753]")),
     *[Case(f"solve-tandem-tol-{value}", ("solve-tandem", "--lambda", "0.8", "--tol", value), 2)
       for value in ("inf", "nan")],
-    # options with one working value, and those of figure-data's presets, are gone, not ignored
+    # options with one working value, and figure-data's presets and --metric, are gone, not ignored
     *[Case(f"{argv[0]}-no-{argv[-2][2:]}", argv, 2, _says("unrecognized arguments"))
       for argv in (("solve-tandem", "--lambda", "0.8", "--max-iter", "5"),
                    ("distributions", "--lambda", "0.8", "--beta", "1"),
                    *[("figure-data", "--figure", "fig4", *option)
                      for option in (("--kind", "speed"), ("--section", "1"), ("--model", "linear"))],
+                   ("figure-data", "--figure", "fig5", "--metric", "blocking"),
                    *[(command, *argv, "--convention", "shifted")
                      for command, argv in SCENARIO_COMMANDS.items()])],
     # a rate too small to time the run's events in floats
@@ -670,7 +671,6 @@ CASES = [
     # the distributions presets are gone: distributions prints the paper's figures 8-10
     *[Case(f"figure-data-no-{fig}", ("figure-data", "--figure", fig), 2, _says("invalid choice"))
       for fig in ("fig8", "fig9", "fig10")],
-    Case("fig6-metric", ("figure-data", "--figure", "fig6", "--metric", "count"), 2),
     Case("missing-config",
          ("solve-section", "--lambda", "0.5", "--config", os.path.join(os.devnull, "missing.json")),
          4),

@@ -229,14 +229,14 @@ def _laws() -> dict[str, tuple[str, ...]]:
 # figure-data prints no number of its own: each figure is a join of the
 # columns other commands print
 @pytest.mark.parametrize("figure, join", [
-    (("fig4",), _laws),
-    (("fig5",), lambda: _sweeps("expected_count", "expected_count")),
-    (("fig5", "--metric", "blocking"), lambda: _sweeps("blocking", "blocking")),
-    (("fig6",), lambda: _sweeps("travel_time", "travel_time")),
-    (("fig7",), lambda: _sweeps("theta", "throughput")),
+    ("fig4", _laws),
+    ("fig5", lambda: _sweeps("expected_count", "expected_count")),
+    ("fig5-blocking", lambda: _sweeps("blocking", "blocking")),
+    ("fig6", lambda: _sweeps("travel_time", "travel_time")),
+    ("fig7", lambda: _sweeps("theta", "throughput")),
 ], ids=["fig4", "fig5", "fig5-blocking", "fig6", "fig7"])
 def test_figures_are_joins_of_other_commands(figure, join):
-    assert _columns(("figure-data", "--figure", *figure)) == join()
+    assert _columns(("figure-data", "--figure", figure)) == join()
 
 
 def test_output_file(tmp_path):
@@ -327,9 +327,8 @@ PARSER_SURFACE = {
     ],
     "figure-data": [
         HELP, CONFIG, OUTPUT,
-        ("figure", ("--figure",), None, ("fig4", "fig5", "fig6", "fig7"), True, None, None),
-        ("metric", ("--metric",), None, ("count", "blocking"), False, None,
-         "fig5: which panel to emit (default count)"),
+        ("figure", ("--figure",), None, ("fig4", "fig5", "fig5-blocking", "fig6", "fig7"), True,
+         None, None),
     ],
 }
 # each subcommand's own help, as the top-level --help lists it

@@ -358,6 +358,44 @@ class TestTandem2d:
         assert upstream == pytest.approx(tv_upstream, rel=1e-9)
         assert downstream == pytest.approx(tv_downstream, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "length, k, lam, tv_downstream_bound",
+        [
+            (100.0, 100.0, 0.8, 1e-7),
+            (300.0, 100.0, 0.8, 1e-12),
+            (1000.0, 100.0, 0.8, 1e-12),
+            (100.0, 1.0, 0.01, 1e-12),
+            (300.0, 1.0, 0.01, 1e-12),
+            (1000.0, 1.0, 0.01, 1e-12),
+        ],
+        ids=["fast-c18", "fast-c54", "fast-c180", "light-c18", "light-c54", "light-c180"],
+    )
+    def test_decomposition_is_exact_where_the_coupling_vanishes(
+        self, tandem_config, length, k, lam, tv_downstream_bound
+    ):
+        # section 2 that cannot congest (its v_f and w times k, c2 unchanged)
+        # or a nearly empty road: section 1 never waits on section 2, and the
+        # joint chain is the decomposition.  Marginals agree within 1e-12, the
+        # oracle round-off the CLI goldens allow (1.9e-15 at most measured),
+        # but section 2's at c = 18, a gap of 1.9e-8 at k = 100 that falls
+        # about as k**-2 (7.1e-7 at k = 10); its bound 1e-7 is 5x that
+        # measurement.  The residual has slope at least 1, so theta lies
+        # within |h(theta)| of its root, which sits on the exact throughput
+        # up to the 1e-12 that test_capacity_trend_at_saturation allows flow balance
+        config = scaled(tandem_config, length)
+        diagram = config.section2.diagram
+        faster = dataclasses.replace(diagram, v_f=k * diagram.v_f, w=k * diagram.w)
+        config = dataclasses.replace(
+            config, section2=dataclasses.replace(config.section2, diagram=faster)
+        )
+        assert config.section2.c == config.section1.c == round(0.18 * length)
+        joint = tandem_stationary(config, lam)
+        result = solve_fixed_point(config, lam)
+        departed = joint.sum(axis=0)[1:] @ service_rates(config.section2)
+        assert tv_distance(joint.sum(axis=1), result.marginal) <= 1e-12
+        assert tv_distance(joint.sum(axis=0), result.downstream) <= tv_downstream_bound
+        assert abs(result.theta - departed) <= result.residual + 1e-12
+
     @pytest.mark.parametrize("length", [300.0, 1000.0], ids=["c54", "c180"])
     def test_same_bits_with_one_and_two_blas_threads(self, length):
         # up to c = 180 a level's split inverts halves of at most 91 rows,

@@ -1,6 +1,8 @@
-"""README's examples, run: the library quick start and each CLI line."""
+"""README's examples, run: the library quick start and each CLI line, and
+its table of the exact joint law, recomputed."""
 
 import contextlib
+import dataclasses
 import io
 import re
 import shlex
@@ -9,6 +11,14 @@ from pathlib import Path
 import pytest
 
 from cli_cases import run_in_process
+from roadqueue import (
+    TandemConfig,
+    default_scenario,
+    solve_fixed_point,
+    tandem_stationary,
+    tv_distance,
+)
+from roadqueue.fundamental import service_rates
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -38,3 +48,32 @@ def test_cli_line_exits_0(argv):
     assert argv[0] == "roadqueue"
     run = run_in_process(argv[1:])
     assert run.code == 0, run.err
+
+
+EXACT_HEADER = "| c | lambda | exact throughput | theta | TV section 1 | TV section 2 |"
+# each row of the exact-joint-law table under Tests, as its printed cells
+EXACT_ROWS = [
+    [cell.strip() for cell in line.strip("|").split("|")]
+    for line in README.split(EXACT_HEADER + "\n", 1)[1].split("\n\n", 1)[0].splitlines()[1:]
+]
+
+
+@pytest.mark.parametrize("row", EXACT_ROWS, ids=lambda row: f"c{row[0]}-lam{row[1]}")
+def test_exact_joint_law_table_is_recomputed(row):
+    # the bundled tandem with both sections stretched to capacity c
+    c, lam = int(row[0]), float(row[1])
+    tandem = default_scenario().tandem()
+    section1, section2 = (
+        dataclasses.replace(s, L=s.L * c / s.c, c=None) for s in (tandem.section1, tandem.section2)
+    )
+    config = TandemConfig(section1=section1, section2=section2)
+    assert section1.c == section2.c == c
+    joint, result = tandem_stationary(config, lam), solve_fixed_point(config, lam)
+    exact_throughput = joint.sum(axis=0)[1:] @ service_rates(section2)
+    values = (
+        exact_throughput,
+        result.theta,
+        tv_distance(joint.sum(axis=1), result.marginal),
+        tv_distance(joint.sum(axis=0), result.downstream),
+    )
+    assert [format(value, ".4f") for value in values] == row[2:]

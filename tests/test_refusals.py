@@ -334,12 +334,10 @@ ONE_RATE_SITES = [site for site, (_, vectors) in ARRIVAL_SITES.items() if not ve
 @pytest.mark.parametrize("bad", [-1, math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("site", list(ARRIVAL_SITES))
 def test_bad_arrival_rate_is_refused(site, bad):
-    # not read as a NaN throughput, a negative one or a zero travel time;
-    # simulate also refuses lam = 0, which has no events to draw
-    rule = "positive" if site == "simulate" else "nonnegative"
+    # not read as a NaN throughput, a negative one or a zero travel time
     with pytest.raises(ValueError) as info:
         ARRIVAL_SITES[site][0](bad)
-    assert str(info.value) == f"arrival rate must be finite and {rule}, got {float(bad)!r}"
+    assert str(info.value) == f"arrival rate must be finite and nonnegative, got {float(bad)!r}"
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
@@ -363,6 +361,7 @@ def test_rates_past_one_axis_are_refused(site):
 
 
 def test_simulate_checks_the_arrival_rate_first():
+    # and refuses lam = 0, which has no events to draw
     with pytest.raises(ValueError) as info:
         simulate(0.0, [-1.0, 1.0])
     assert str(info.value) == "arrival rate must be finite and positive, got 0.0"
