@@ -76,17 +76,18 @@ def _gth(rates: np.ndarray) -> np.ndarray:
     rates is an (m, N, N) stack of rate matrices, giving one law per row of
     an (m, N) array.  Censors states from the last, overwriting rates; a
     state with no outflow to lower states, in any matrix of the stack, or a
-    law past the float range, raises OracleError.
+    law past the float range, as NaN rates give, raises OracleError.
     Each law is rescaled on its own by _rescale, giving the bits of one-by-one solves.
     """
     n = rates.shape[-1]
     out = np.zeros(rates.shape[:-1])
     # a state with no outflow divides by 0 and leaves NaN in the states
-    # below it, so the highest state that fails is the one to report
+    # below it, so the highest state that fails is the one to report; a NaN
+    # outflow, from rates past the float range, leaves a law that is not finite
     for k in range(n - 1, 0, -1):
         out[:, k] = rates[:, k, :k].sum(axis=-1)
         rates[:, :k, :k] += rates[:, :k, k, None] * (rates[:, k, None, :k] / out[:, k, None, None])
-    stuck = np.nonzero(~(out[:, 1:] > 0))[1]
+    stuck = np.nonzero(out[:, 1:] <= 0)[1]
     if stuck.size:
         raise OracleError(f"state {stuck.max() + 1} has no outflow to lower states")
     pi = np.zeros(rates.shape[:-1])
@@ -99,7 +100,7 @@ def _gth(rates: np.ndarray) -> np.ndarray:
         pi[:, k] = mass(k)
         if max(pi[:, k].tolist(), default=0.0) > _RESCALE:
             _rescale(pi, pi[:, k], partial(mass, k))
-    if not np.isfinite(pi).all():  # a step ratio past the float range overflows it
+    if not np.isfinite(pi).all():  # a step ratio or a rate past the float range
         raise OracleError(f"the stationary law passes the float range, {sys.float_info.max:.4g}")
     return pi
 
@@ -121,22 +122,6 @@ def _rescale(pi: np.ndarray, new: np.ndarray, step) -> None:
     flat /= np.where(top > _RESCALE, top, 1.0)[:, None]
 
 
-def _mass(total):
-    """total, the mass of unnormalized laws, or OracleError where it is infinite or not positive:
-    dividing by an infinite total gives a law of zeros, whose residual _verify passes."""
-    if np.any((total <= 0) | (total == math.inf)):  # NaN is left to _verify
-        raise OracleError("the stationary law's total mass is not finite and positive")
-    return total
-
-
-def _verify(pi: np.ndarray, residual: float, tol: float) -> None:
-    """Refuse a law whose residual ||pi Q||_inf passes tol, or a negative mass."""
-    if not residual <= tol:
-        raise OracleError(f"stationary residual {residual:.3e} exceeds {tol:.3e}")
-    if np.any(pi < -_CLIP):
-        raise OracleError("stationary solve produced negative probabilities")
-
-
 def tandem_stationary(config: TandemConfig, lam) -> np.ndarray:
     """Exact law pi[n1, n2] of the joint chain the decomposition approximates.
 
@@ -153,10 +138,11 @@ def tandem_stationary(config: TandemConfig, lam) -> np.ndarray:
     chain, solved by GTH elimination (Grassmann, Taksar & Heyman 1985), and
     the law is carried out from it level by level to both ends; every pivot
     is a sum of outflows, never a difference.  The law is rescaled as it is
-    carried out (_rescale), and verified.  A rate so small that a step down a
-    level could pass the float range, below max(c2 * max q12, 1) / (the
-    largest float), lam = 0 among them, is answered by the empty road, which
-    is verified like any other law.
+    carried out (_rescale); then its total, its residual ||pi Q||_inf and its
+    signs are checked, in one pass over a run's laws.  A rate so small that a
+    step down a level could pass the float range, below max(c2 * max q12, 1) /
+    (the largest float), lam = 0 among them, is answered by the empty road,
+    which is checked like any other law.
     Every decade of lam from 1e-300 to 1e300 is answered at c = 18 and 54,
     and every one up to 1e17 at c = 180; past that c = 180 refuses most of
     them with OracleError, as its levels' split inverses go negative.
@@ -244,7 +230,12 @@ def _level_reduction(config: TandemConfig, lams: np.ndarray) -> np.ndarray:
             _rescale(pi, pi[:, n1], partial(step, n1))
     pi[idle] = 0.0
     pi[idle, 0, 0] = 1.0
-    pi /= _mass(pi.sum(axis=(1, 2), keepdims=True))
+    total = pi.sum(axis=(1, 2), keepdims=True)
+    # dividing by an infinite total gives a law of zeros, whose residual passes;
+    # a NaN total is left to the residual test
+    if np.any((total <= 0) | (total == math.inf)):
+        raise OracleError("the stationary law's total mass is not finite and positive")
+    pi /= total
     exits = np.zeros((m, c1 + 1, c2 + 1))
     exits[:, 1:] = q12
     exits[:, :-1] += rows
@@ -256,8 +247,13 @@ def _level_reduction(config: TandemConfig, lams: np.ndarray) -> np.ndarray:
     # ||Q||_inf is twice the largest exit rate
     tols = 2 * exits.max(axis=(1, 2)) * ((c1 + 1) * (c2 + 1)) * np.finfo(float).eps
     residuals = np.abs(flow).max(axis=(1, 2))
-    for law, residual, tol in zip(pi, residuals.tolist(), tols.tolist()):
-        _verify(law, residual, tol)
+    # the first law, in rate order, that fails its residual or holds a negative mass
+    failed = ~(residuals <= tols) | (pi < -_CLIP).any(axis=(1, 2))
+    if failed.any():
+        i = failed.argmax()
+        if not residuals[i] <= tols[i]:
+            raise OracleError(f"stationary residual {residuals[i]:.3e} exceeds {tols[i]:.3e}")
+        raise OracleError("stationary solve produced negative probabilities")
     return pi
 
 

@@ -247,12 +247,21 @@ class TestTandem2d:
             tandem_stationary(tandem_config, 0.8)
 
     @pytest.mark.parametrize("total", [math.inf, 0.0], ids=["overflow", "zero"])
-    def test_total_mass_past_the_float_range_or_zero_is_refused(self, total):
-        # dividing by an infinite total would give a law of zeros, whose
-        # residual is 0, and dividing by 0 a law of NaN; one law of a batch
-        # is enough to refuse it
+    def test_total_mass_past_the_float_range_or_zero_is_refused(
+        self, tandem_config, monkeypatch, total
+    ):
+        # the middle law of a run of three, carried out with no rescaling from
+        # a meeting level scaled so that its largest mass is about 1e308 and
+        # its total (1 / 0.26 of that) overflows, or scaled to 0: dividing by
+        # an infinite total would give a law of zeros, whose residual is 0,
+        # and dividing by 0 a law of NaN; one law is enough to refuse the run
+        k, gth = tandem_config.section1.c // 2, ctmc._gth
+        law = tandem_stationary(tandem_config, 0.8)
+        scale = 1e308 * law[k, 0] / law.max() if total else 0.0
+        monkeypatch.setattr(ctmc, "_RESCALE", math.inf)
+        monkeypatch.setattr(ctmc, "_gth", lambda rates: gth(rates) * [[1.0], [scale], [1.0]])
         with pytest.raises(OracleError, match="total mass is not finite and positive"):
-            ctmc._mass(np.array([[[1.0]], [[total]]]))
+            decomposition_diagnostic(tandem_config, [0.5, 0.8, 2.0], MARGINALS[:3])
 
     def test_meeting_level_of_zeros_is_refused(self, tandem_config, monkeypatch):
         # both passes carry the zeros out to the ends: a total of 0
@@ -469,19 +478,61 @@ class TestBatchedOracle:
             for lam, marginal in zip([0.5, 2.0], MARGINALS)
         ]
 
-    def test_each_law_is_verified_on_its_own(self, tandem_config, monkeypatch):
-        seen = []
-        verify = ctmc._verify
+    @pytest.mark.parametrize(
+        "law, factor, message",
+        [
+            (0, [1.0, 1.01] + [1.0] * 17, "4.225e-11 exceeds 2.854e-13"),
+            (1, math.nan, "nan exceeds 1.603e-03"),
+        ],
+        ids=["heavy-phase", "nan"],
+    )
+    def test_each_law_is_judged_against_its_own_bound(
+        self, tandem_config, monkeypatch, law, factor, message
+    ):
+        # the bound 2 max exit (c1 + 1)(c2 + 1) eps grows with lam, as ||Q||_inf
+        # does: a meeting level with phase 1 of lam = 0.1's law 1% heavy leaves
+        # a residual of 4.2e-11, refused though far below the bound of the
+        # run's other law, lam = 1e10; a NaN law prints its own bound
+        decomposition_diagnostic(tandem_config, [0.1, 1e10], MARGINALS[:2])
+        gth = ctmc._gth
 
-        def spy(pi, residual, tol):
-            seen.append((pi.shape, tol))
-            verify(pi, residual, tol)
+        def tampered(rates):
+            pi = gth(rates)
+            pi[law] *= factor
+            return pi
 
-        monkeypatch.setattr(ctmc, "_verify", spy)
-        decomposition_diagnostic(tandem_config, [0.1, 2.0], MARGINALS[:2])
-        assert [shape for shape, _ in seen] == [(19, 19), (19, 19)]
-        # ||Q||_inf, and with it the tolerance, grows with lam
-        assert seen[0][1] < seen[1][1]
+        monkeypatch.setattr(ctmc, "_gth", tampered)
+        with pytest.raises(OracleError, match=f"stationary residual {message}"):
+            decomposition_diagnostic(tandem_config, [0.1, 1e10], MARGINALS[:2])
+
+    @pytest.mark.parametrize(
+        "lams, tip, message",
+        [
+            ([0.8, 1e-3], 1e-12, "stationary residual"),
+            ([1e-3, 0.8], 1e-12, "negative probabilities"),
+            ([1e-3], 1e-6, "stationary residual"),
+        ],
+        ids=["residual-first", "negative-first", "both-in-one-law"],
+    )
+    def test_the_first_law_to_fail_is_named(self, tandem_config, monkeypatch, lams, tip, message):
+        # lam = 0.8's meeting level with phase 1 twice its mass fails the
+        # residual test; lam = 1e-3's, tipped by -1e-12 as in the negative-mass
+        # test of TestTandem2d, fails the sign test only, and tipped by -1e-6
+        # fails both; the first law of the run to fail is named, and of a
+        # law's two tests the residual's
+        k, gth = tandem_config.section1.c // 2, ctmc._gth
+        share = tandem_stationary(tandem_config, 1e-3)[k, 0]
+        light = np.equal(lams, 1e-3)
+
+        def tampered(rates):
+            pi = gth(rates)
+            pi[~light, 1] *= 2.0
+            pi[light, -1] = -tip / share
+            return pi
+
+        monkeypatch.setattr(ctmc, "_gth", tampered)
+        with pytest.raises(OracleError, match=message):
+            decomposition_diagnostic(tandem_config, lams, MARGINALS[: len(lams)])
 
     def test_gth_reports_the_highest_state_with_no_outflow(self):
         rng = np.random.default_rng(4)
