@@ -9,7 +9,7 @@ to speed and travel-time distributions, and verifies everything against
 exact Markov-chain solves and seeded Monte Carlo simulation.
 """
 
-from .config import Scenario, default_scenario, load_scenario, scenario_from_dict, section_from_dict
+from .config import Scenario, default_scenario, load_scenario
 from .congestion import (
     ExponentialCongestionModel,
     FitAnchors,
@@ -31,7 +31,7 @@ from .distributions import (
     travel_time_dist_linear,
     travel_time_dist_triangular,
 )
-from .fundamental import SHIFTED, RoadSection, TriangularDiagram, service_rates
+from .fundamental import RoadSection, TriangularDiagram, service_rates
 from .queueing import (
     OccupancyDistribution,
     PerformanceMeasures,
@@ -51,44 +51,3 @@ from .tandem import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConvergenceError",
-    "DiscreteDistribution",
-    "ExponentialCongestionModel",
-    "FitAnchors",
-    "FixedPointResult",
-    "LinearCongestionModel",
-    "OccupancyDistribution",
-    "OracleError",
-    "PerformanceMeasures",
-    "RoadSection",
-    "SHIFTED",
-    "Scenario",
-    "SimulationResult",
-    "SingularModelError",
-    "TandemConfig",
-    "TriangularDiagram",
-    "coupled_rates",
-    "decomposition_diagnostic",
-    "default_scenario",
-    "fit_exponential",
-    "load_scenario",
-    "measures",
-    "scan_roots",
-    "scenario_from_dict",
-    "section_from_dict",
-    "service_rates",
-    "simulate",
-    "solve_birth_death",
-    "solve_fixed_point",
-    "solve_triangular",
-    "speed_dist_linear",
-    "speed_dist_triangular",
-    "tandem_measures",
-    "tandem_stationary",
-    "travel_time_dist_linear",
-    "travel_time_dist_triangular",
-    "tv_distance",
-    "__version__",
-]

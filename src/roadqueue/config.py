@@ -114,7 +114,7 @@ class Scenario:
             )
         return TandemConfig(section1=self.sections[0], section2=self.sections[1])
 
-    def congestion_model(self, index: int = 1):
+    def congestion_model(self, index: int):
         """Congestion model matching the chosen section's v_f and c."""
         section = self.section(index)
         if self.model == LINEAR:

@@ -136,11 +136,12 @@ def tandem_stationary(config: TandemConfig, lam) -> np.ndarray:
     from the bottom, each _split_inverse call inverting one (c2 + 1)-square
     level of each front.  Level k, censored from both sides, is a closed
     chain, solved by GTH elimination (Grassmann, Taksar & Heyman 1985), and
-    the law is carried out from it level by level to both ends; every pivot
-    is a sum of outflows, never a difference.  The law is rescaled as it is
-    carried out (_rescale); then its total, its residual ||pi Q||_inf and its
-    signs are checked, in one pass over a run's laws.  A rate so small that a
-    step down a level could pass the float range, below max(c2 * max q12, 1) /
+    the law is carried out from it level by level to both ends.  Only the
+    split's last pivot is a sum of outflows; np.linalg.inv's LU subtracts, so
+    the law is accurate in absolute terms, not mass by mass.  It is rescaled as
+    it is carried out (_rescale); then its total, its residual ||pi Q||_inf and
+    its signs are checked, in one pass over a run's laws.  A rate so small that
+    a step down a level could pass the float range, below max(c2 * max q12, 1) /
     (the largest float), lam = 0 among them, is answered by the empty road,
     which is checked like any other law.
     Every decade of lam from 1e-300 to 1e300 is answered at c = 18 and 54,
@@ -265,7 +266,7 @@ def _split_inverse(rates: np.ndarray, out: np.ndarray, h: int) -> None:
     after h states: np.linalg.inv inverts the leading block, the Schur complement comes in
     rates' form and splits off its last state, and four matmuls assemble the inverse.  That
     state is phase c2, the one a level leaves slowly at a large lam; its pivot is its row
-    sum, its outflow out of the set, as each pivot is a sum (GTH's rule).
+    sum, its outflow out of the set (GTH's rule), where the LU of np.linalg.inv subtracts.
     """
     n = rates.shape[-2]
     rates.reshape(len(rates), -1)[:, :: n + 2] = 0.0

@@ -179,6 +179,8 @@ def solve_fixed_point(config: TandemConfig, lam, tol: float = 1e-10, max_iter: i
     fits = _rates_that_fit(config, np.size(lam))  # from lam's shape, before a rate is read
     lams, values = check_arrival_rates(lam)
     check_positive(tol=tol)
+    if tol >= 1:  # |h(hi)| = hi - lam * P1 <= hi: the stop would hold at hi, unsolved
+        raise ValueError(f"tol must be below 1, got {tol!r}")
     max_iter = check_integer("max_iter", max_iter, 1)
     if len(values) > fits:
         runs = (values[i : i + fits] for i in range(0, len(values), fits))
@@ -253,7 +255,9 @@ def scan_roots(config: TandemConfig, lam: float) -> list[tuple[float, float]]:
     if lam == 0:
         return []
     passing = conditional_matrix(config, lam)[:, :-1].sum(axis=1)
-    grid = np.linspace(0.0, min(lam, 2 * coupled_rates(config).max()), _SCAN_POINTS)
+    hi = min(lam, 2 * coupled_rates(config).max())  # a subnormal hi rounds the step past it
+    grid = np.minimum(np.linspace(0.0, hi, _SCAN_POINTS), hi)  # capped, so nondecreasing
+    grid = grid[np.diff(grid, prepend=-1.0) > 0]  # no repeats; np.unique took 1.6 MB more RSS
     rates = service_rates(config.section2)
     h = np.array([_residual(solve_birth_death(x, rates).probs, lam, passing, x) for x in grid])
     cut = (h[:-1] == 0.0) | ((h[:-1] < 0) != (h[1:] < 0))

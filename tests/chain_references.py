@@ -248,14 +248,17 @@ def ref_scan_brackets(config, lam):
     """scan_roots with one solve_triangular call per grid theta.
 
     Each residual solves section 2's law from its section, so the rate
-    table is rebuilt at every point; the bracket rule is the scan's.
+    table is rebuilt at every point; the bracket rule is the scan's, and so
+    is the grid: below a subnormal top linspace's rounded step passes it, so
+    each point is capped at the top and the distinct points are kept, sorted.
     """
     if check_arrival_rates(lam)[0].ndim:
         raise ValueError(f"scan_roots takes one arrival rate, got shape {np.shape(lam)}")
     if lam == 0:
         return []
     passing = conditional_matrix(config, lam)[:, :-1].sum(axis=1)
-    grid = np.linspace(0.0, min(lam, 2 * coupled_rates(config).max()), _SCAN_POINTS)
+    top = min(lam, 2 * coupled_rates(config).max())
+    grid = sorted({min(theta, top) for theta in np.linspace(0.0, top, _SCAN_POINTS).tolist()})
     values = []
     for theta in grid:
         down = solve_triangular(theta, config.section2)
@@ -263,7 +266,7 @@ def ref_scan_brackets(config, lam):
         mixture = np.matmul(down.probs[None, :], passing[:, None])[0, 0]
         values.append(theta - lam * min(mixture, 1.0))
     brackets = []
-    for i in range(_SCAN_POINTS - 1):
+    for i in range(len(grid) - 1):
         if values[i] == 0.0 or (values[i] < 0) != (values[i + 1] < 0):
-            brackets.append((float(grid[i]), float(grid[i + 1])))
+            brackets.append((grid[i], grid[i + 1]))
     return brackets

@@ -596,7 +596,7 @@ CASES = [
          _says("after 34 residual evaluations",
                "best bracket [0.45372928604317525, 0.4537292860431753]")),
     *[Case(f"solve-tandem-tol-{value}", ("solve-tandem", "--lambda", "0.8", "--tol", value), 2)
-      for value in ("inf", "nan")],
+      for value in ("inf", "nan", "1", "5")],
     # options with one working value, and figure-data's presets and --metric, are gone, not ignored
     *[Case(f"{argv[0]}-no-{argv[-2][2:]}", argv, 2, _says("unrecognized arguments"))
       for argv in (("solve-tandem", "--lambda", "0.8", "--max-iter", "5"),

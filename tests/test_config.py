@@ -4,12 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from roadqueue import default_scenario, load_scenario, scenario_from_dict
+from roadqueue import default_scenario, load_scenario
 from roadqueue.config import (
     EXPONENTIAL,
     LINEAR,
     TRIANGULAR,
     check_model,
+    scenario_from_dict,
     section_from_dict,
 )
 from roadqueue.congestion import ExponentialCongestionModel, LinearCongestionModel

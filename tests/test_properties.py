@@ -472,10 +472,16 @@ def test_scan_brackets_match_the_per_point_loop(config, lam):
     assert _outcome(scan_roots, config, lam) == _outcome(ref_scan_brackets, config, lam)
 
 
-@pytest.mark.parametrize("lam", [0.0, 1e-320, 1e-310, 1e300, 1e308])
+@pytest.mark.parametrize("lam", [0.0, 5e-324, 3e-321, 1e-320, 1e-310, 1e300, 1e308])
 def test_scan_brackets_match_the_per_point_loop_at_extreme_loads(lam):
     config = default_scenario().tandem()
     assert _outcome(scan_roots, config, lam) == _outcome(ref_scan_brackets, config, lam)
+
+
+def test_scan_at_the_smallest_subnormal_has_one_bracket():
+    # np.linspace gives 500 zeros and 500 copies of 5e-324 there, which gave
+    # 500 brackets; capped and without repeats the grid is {0, 5e-324}
+    assert scan_roots(default_scenario().tandem(), 5e-324) == [(0.0, 5e-324)]
 
 
 @SETTINGS

@@ -223,6 +223,13 @@ class TestSolveFixedPoint:
         lo, hi = excinfo.value.bracket
         assert 0.0 <= lo < hi <= min(0.8, coupled_rates(tandem_config).max())
 
+    @pytest.mark.parametrize("tol", [1, 5.0])
+    def test_tol_of_one_or_more_is_refused(self, tandem_config, tol):
+        # |h(hi)| = hi - lam * P1 <= hi, so such a stop would hold at hi unsolved
+        with pytest.raises(ValueError) as info:
+            solve_fixed_point(tandem_config, 0.8, tol=tol)
+        assert str(info.value) == f"tol must be below 1, got {tol!r}"
+
     @pytest.mark.parametrize(
         "length_m, evaluations, bracket",
         [
